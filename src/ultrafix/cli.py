@@ -69,7 +69,10 @@ def _rational_rows(data, what: str):
 def _target_precision(args):
     if args.tol is None:
         return None
-    return parse_rational(args.tol)
+    tol = parse_rational(args.tol)
+    if tol <= 0:
+        raise SchemaError(f"--tol must be positive, got {args.tol}")
+    return tol
 
 
 def _cmd_certify(args):

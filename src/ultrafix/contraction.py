@@ -27,7 +27,13 @@ from .errors import (
     NotAdmissible,
     NotAFixedPoint,
 )
-from .field import FieldDescriptor, rational_abs, rational_valuation, truncate_precision
+from .field import (
+    FieldDescriptor,
+    floor_log,
+    rational_abs,
+    rational_valuation,
+    truncate_precision,
+)
 from .linalg import Ball, Operator, Vector, neumann_invert, operator_norm, vec_norm
 
 
@@ -84,16 +90,57 @@ def admissible(problem: ContractionProblem) -> bool:
     return d0 <= slack if problem.domain.closed else d0 < slack
 
 
-def _padic_guaranteed_power(bound: Fraction, p: int) -> Fraction:
-    """Largest p-power that any absolute value <= bound can still attain."""
-    if bound <= 0:
-        return Fraction(0)
-    power = Fraction(1)
-    while power > bound:
-        power /= p
-    while power * p <= bound:
-        power *= p
-    return power
+MAX_STEPS = 100_000
+
+
+def _certified_bound(
+    theta: Fraction, d0: Fraction, n: int, descriptor: FieldDescriptor
+) -> Fraction:
+    """The a priori bound theta^n d0 / (1 - theta) after n steps.
+
+    Padic bounds are rounded down to the largest p-power <= bound: absolute
+    values lie in the value group, so that power is all the bound certifies.
+    """
+    bound = theta**n * d0 / (1 - theta)
+    if descriptor.ultrametric:
+        if bound <= 0:
+            return Fraction(0)
+        return Fraction(descriptor.prime) ** floor_log(bound, descriptor.prime)
+    return bound
+
+
+def _step_count(
+    theta: Fraction, d0: Fraction, target: Fraction, descriptor: FieldDescriptor
+) -> int:
+    """Least n with _certified_bound(n) <= target.
+
+    The bound does not increase with n, so galloping to a bracket and then
+    bisecting needs O(log n) evaluations.  Raises NotAContraction when that
+    least n exceeds MAX_STEPS.
+    """
+
+    def reached(n: int) -> bool:
+        return _certified_bound(theta, d0, n, descriptor) <= target
+
+    if d0 == 0 or reached(0):
+        return 0
+    if target < 0 or (target == 0 and theta > 0):
+        # theta^n d0 > 0 for every n when theta > 0, and a bound is never negative
+        raise NotAContraction(f"a priori bound cannot reach {target}: it stays positive")
+    lo, hi = 0, 1  # invariant: not reached(lo)
+    while not reached(hi):
+        if hi >= MAX_STEPS:
+            raise NotAContraction(
+                f"a priori bound cannot reach {target} in reasonable time"
+            )
+        lo, hi = hi, min(2 * hi, MAX_STEPS)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def default_target_precision(descriptor: FieldDescriptor) -> Fraction:
@@ -123,20 +170,7 @@ def iterate_fixed_point(
         else default_target_precision(desc)
     )
 
-    def certified(n: int) -> Fraction:
-        bound = theta**n * d0 / (1 - theta)
-        if desc.ultrametric:
-            return _padic_guaranteed_power(bound, desc.prime)
-        return bound
-
-    steps = 0
-    if d0 > 0:
-        while certified(steps) > target:
-            steps += 1
-            if steps > 100_000:
-                raise NotAContraction(
-                    f"a priori bound cannot reach {target} in reasonable time"
-                )
+    steps = _step_count(theta, d0, target, desc)
 
     x = Vector.from_rationals(problem.x0, desc)
     trace = [x]
@@ -166,7 +200,7 @@ def iterate_fixed_point(
             break
     achieved = distances[-1] if distances else (Fraction(0) if desc.ultrametric else 0.0)
     if desc.ultrametric and d0 > 0:
-        guarantee = certified(len(trace) - 1)
+        guarantee = _certified_bound(theta, d0, len(trace) - 1, desc)
         if guarantee > 0:
             exponent = -rational_valuation(guarantee, desc.prime)
             x = Vector(tuple(truncate_precision(c, exponent) for c in x.components))

@@ -11,6 +11,7 @@ verification oracles, not in the scalar type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,15 +37,54 @@ def _is_prime(n: int) -> bool:
 
 
 def int_valuation(n: int, p: int) -> int:
-    """Exponent of p in a nonzero integer."""
+    """Exponent of p in a nonzero integer.
+
+    After the first factor, strips p, p^2, p^4, ... while they divide, then
+    walks the same powers back down, so a valuation v costs O(log v)
+    big-integer divisions, not v.
+    """
     if n == 0:
         raise ValueError("valuation of zero is undefined")
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
+    if n % p:
+        return 0
+    n = abs(n) // p
+    v, width, power, stripped = 1, 1, p, []
+    while n % power == 0:
+        n //= power
+        v += width
+        stripped.append(power)
+        power *= power
+        width *= 2
+    # what is left of the valuation is below width: one bit per stripped power
+    while stripped:
+        power = stripped.pop()
+        width //= 2
+        if n % power == 0:
+            n //= power
+            v += width
     return v
+
+
+def floor_log(q, p: int) -> int:
+    """Largest e with p**e <= q, for a positive rational q.
+
+    The bit lengths of numerator and denominator estimate e to within one;
+    exact integer comparisons then settle it.
+    """
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError(f"floor_log needs a positive rational, got {q}")
+    num, den = q.numerator, q.denominator
+
+    def at_most_q(e: int) -> bool:
+        return p**e * den <= num if e >= 0 else den <= num * p ** (-e)
+
+    e = math.floor((num.bit_length() - den.bit_length()) / math.log2(p))
+    while not at_most_q(e):
+        e -= 1
+    while at_most_q(e + 1):
+        e += 1
+    return e
 
 
 def rational_valuation(q, p: int) -> int:
@@ -76,6 +116,10 @@ class FieldDescriptor:
         elif self.kind == "real":
             if self.prime is not None or self.precision is not None:
                 raise SchemaError("real field takes no prime/precision")
+            if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+                raise SchemaError(
+                    f"tolerance must be finite and positive, got {self.tolerance}"
+                )
         else:
             raise SchemaError(f"unknown field kind {self.kind!r}")
 

@@ -33,7 +33,7 @@ from .errors import (
     SingularMatrix,
     WindowNotFound,
 )
-from .field import FieldDescriptor
+from .field import FieldDescriptor, floor_log
 from .inverse import ImageDescription, InversionCertificate, inversion_step_map
 from .linalg import (
     Ball,
@@ -123,15 +123,6 @@ def _drift_bound(f: MapSpec, A_inv, p_ball: Ball, x0: Sequence) -> Fraction:
 
 def _shrink(radius: Fraction, descriptor: FieldDescriptor) -> Fraction:
     return radius / descriptor.prime if descriptor.ultrametric else radius / 2
-
-
-def _strict_power_below(value: Fraction, p: int) -> Fraction:
-    power = Fraction(1)
-    while power >= value:
-        power /= p
-    while power * p < value:
-        power *= p
-    return power
 
 
 def build_window(
@@ -238,8 +229,10 @@ def build_window(
             descriptor=desc, center=z0, A=A_rows, A_inv=A_inv, radius=r, exact=True
         )
     elif desc.ultrametric:
-        # the strict delta-ball in a discrete value group is a closed ball
-        target = Ball(desc, z0, _strict_power_below(delta, desc.prime), closed=True)
+        # the strict delta-ball in a discrete value group is the closed ball of
+        # the largest p-power below delta: p^(c-1) for the least p^c >= delta
+        below = Fraction(desc.prime) ** (-floor_log(1 / delta, desc.prime) - 1)
+        target = Ball(desc, z0, below, closed=True)
     else:
         target = Ball(desc, z0, delta, closed=False)
     return ParamWindow(

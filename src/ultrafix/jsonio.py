@@ -85,17 +85,43 @@ def encode_field(descriptor: FieldDescriptor):
     return {"kind": "real", "tolerance": descriptor.tolerance}
 
 
+def _parse_int(value, what: str) -> int:
+    """An int, or a string of one; no bools, no floats."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise SchemaError(f"{what} must be an integer, got {value!r}")
+
+
+def _parse_float(value, what: str) -> float:
+    """A JSON number, or a string of one; no bools."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise SchemaError(f"{what} must be a number, got {value!r}")
+
+
 def parse_field(data) -> FieldDescriptor:
     if not isinstance(data, dict) or "kind" not in data:
         raise SchemaError("field descriptor needs a 'kind'")
     kind = data["kind"]
     if kind == "padic":
         try:
-            return FieldDescriptor.padic(int(data["prime"]), int(data["precision"]))
+            prime, precision = data["prime"], data["precision"]
         except KeyError as exc:
             raise SchemaError(f"padic field needs {exc}") from exc
+        return FieldDescriptor.padic(
+            _parse_int(prime, "prime"), _parse_int(precision, "precision")
+        )
     if kind == "real":
-        return FieldDescriptor.real(float(data.get("tolerance", 1e-9)))
+        tolerance = _parse_float(data.get("tolerance", 1e-9), "tolerance")
+        return FieldDescriptor.real(tolerance)
     raise SchemaError(f"unknown field kind {kind!r}")
 
 

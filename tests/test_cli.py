@@ -1,9 +1,12 @@
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ultrafix import cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -126,3 +129,53 @@ def test_cli_solver_error_exit_1():
     assert result.returncode == 1
     payload = json.loads(result.stdout)
     assert payload["error"]["kind"] == "TargetOutsideGuarantee"
+
+
+def run_in_process(args):
+    out = io.StringIO()
+    code = cli.run(args, stream=out)
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("tol", ["0", "-1/5", "0/7"])
+def test_cli_nonpositive_tol_is_a_schema_error(tol):
+    code, payload = run_in_process([*CASES["fixpoint_golden"], f"--tol={tol}"])
+    assert code == 2
+    assert payload["error"]["kind"] == "SchemaError"
+    assert "--tol" in payload["error"]["message"]
+
+
+def with_field(name, field):
+    """The golden request `name` with its --field replaced."""
+    args = CASES[name][:]
+    args[args.index("--field") + 1] = field if isinstance(field, str) else json.dumps(field)
+    return args
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        ("fixpoint_golden", {"kind": "padic", "prime": "x", "precision": 4}),
+        ("fixpoint_golden", {"kind": "padic", "prime": 5.5, "precision": 4}),
+        ("fixpoint_golden", {"kind": "padic", "prime": True, "precision": 4}),
+        ("fixpoint_golden", {"kind": "padic", "prime": 5, "precision": 4.0}),
+        ("fixpoint_golden", {"kind": "padic", "prime": 5, "precision": [4]}),
+        ("certify_affine", {"kind": "real", "tolerance": "nan"}),
+        ("certify_affine", {"kind": "real", "tolerance": "inf"}),
+        ("certify_affine", {"kind": "real", "tolerance": 0}),
+        ("certify_affine", {"kind": "real", "tolerance": -1}),
+        ("certify_affine", {"kind": "real", "tolerance": "abc"}),
+        ("certify_affine", {"kind": "real", "tolerance": None}),
+    ],
+)
+def test_cli_malformed_field_exits_2(name, field):
+    code, payload = run_in_process(with_field(name, field))
+    assert code == 2
+    assert payload["error"]["kind"] == "SchemaError"
+
+
+def test_cli_integer_strings_are_accepted_for_prime_and_precision():
+    field = '{"kind": "padic", "prime": "5", "precision": "4"}'
+    out = io.StringIO()
+    assert cli.run(with_field("fixpoint_golden", field), stream=out) == 0
+    assert out.getvalue() == (GOLDEN / "fixpoint_golden.json").read_text()

@@ -7,6 +7,7 @@ from ultrafix import (
     Ball,
     ContractionProblem,
     DomainEscape,
+    FieldDescriptor,
     MapSpec,
     NotAContraction,
     NotAdmissible,
@@ -21,6 +22,7 @@ from ultrafix import (
     vec_norm,
 )
 from ultrafix.calculus import quotient_map, eval_map
+from ultrafix.contraction import MAX_STEPS, _step_count
 
 
 def poly(m, *outputs):
@@ -256,3 +258,66 @@ def test_iterates_stay_inside_declared_ball(q5):
     report = iterate_fixed_point(prob)
     for iterate in report.trace:
         assert prob.domain.contains_tracked(iterate)
+
+
+def _linear_scan_steps(theta, d0, target, desc, cap):
+    """Reference: the step count found by trying n = 0, 1, 2, ... in turn."""
+
+    def certified(n):
+        bound = theta**n * d0 / (1 - theta)
+        if not desc.ultrametric:
+            return bound
+        if bound <= 0:
+            return Fraction(0)
+        power = Fraction(1)
+        while power > bound:
+            power /= desc.prime
+        while power * desc.prime <= bound:
+            power *= desc.prime
+        return power
+
+    steps = 0
+    if d0 > 0:
+        while certified(steps) > target:
+            steps += 1
+            if steps > cap:
+                return None
+    return steps
+
+
+def test_step_count_matches_linear_scan(q5, real):
+    rng = random.Random(31)
+    for desc in (q5, FieldDescriptor.padic(7, 4), real):
+        for _ in range(100):
+            theta = Fraction(rng.randint(0, 19), 20)
+            d0 = Fraction(rng.randint(0, 40), rng.randint(1, 40))
+            target = Fraction(rng.randint(1, 9), 10 ** rng.randint(0, 25))
+            want = _linear_scan_steps(theta, d0, target, desc, cap=2000)
+            assert want is not None
+            assert _step_count(theta, d0, target, desc) == want, (theta, d0, target, desc)
+
+
+@pytest.mark.parametrize("kind", ["padic", "real"])
+def test_step_count_cap_boundary(kind):
+    # theta = 1/2: the bound after n steps is d0 * 2^(1-n), a 2-power for these d0,
+    # so the least n with bound <= target is exactly k for d0 = target * 2^(k-1)
+    desc = FieldDescriptor.padic(2, 4) if kind == "padic" else FieldDescriptor.real()
+    half, target = Fraction(1, 2), Fraction(1, 1024)
+    for k in (MAX_STEPS - 1, MAX_STEPS):
+        assert _step_count(half, target * 2 ** (k - 1), target, desc) == k
+    with pytest.raises(NotAContraction, match="cannot reach 1/1024 in reasonable time"):
+        _step_count(half, target * 2**MAX_STEPS, target, desc)
+
+
+def test_nonpositive_target_fails_at_once(q5, real):
+    cases = [
+        ContractionProblem(FIVE_PLUS_SQ, Ball(q5, (0,), Fraction(1, 5)), Fraction(1, 5), (0,)),
+        ContractionProblem(HALF_PLUS_ONE, Ball(real, (0,), 4), Fraction(1, 2), (0,)),
+    ]
+    for prob in cases:
+        for target in (0, Fraction(-1, 5)):
+            with pytest.raises(NotAContraction, match="stays positive"):
+                iterate_fixed_point(prob, target)
+    # theta = 0 reaches a zero bound after one step, as before
+    const = ContractionProblem(poly(1, [(3, (0,))]), Ball(real, (0,), 4), Fraction(0), (0,))
+    assert iterate_fixed_point(const, 0).iterations == 1

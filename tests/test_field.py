@@ -13,7 +13,7 @@ from ultrafix import (
     field_arith,
     rational_abs,
 )
-from ultrafix.field import truncate_precision
+from ultrafix.field import floor_log, int_valuation, truncate_precision
 
 
 def test_padic_integer_addition(q5):
@@ -182,3 +182,81 @@ def test_known_precision_never_exceeds_val_plus_n(q5):
                 c = field_arith(a, b, op)
                 if c.val is not None:
                     assert c.prec - c.val <= q5.precision
+
+
+# reference oracles: the one-power-at-a-time walks floor_log replaced
+
+
+def _guaranteed_power_walk(bound: Fraction, p: int) -> Fraction:
+    """Largest p-power <= bound."""
+    power = Fraction(1)
+    while power > bound:
+        power /= p
+    while power * p <= bound:
+        power *= p
+    return power
+
+
+def _strict_power_below_walk(value: Fraction, p: int) -> Fraction:
+    """Largest p-power < value."""
+    power = Fraction(1)
+    while power >= value:
+        power /= p
+    while power * p < value:
+        power *= p
+    return power
+
+
+def _naive_valuation(n: int, p: int) -> int:
+    v, n = 0, abs(n)
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_floor_log_matches_power_walks(p):
+    rng = random.Random(1000 + p)
+    cases = [Fraction(p) ** k for k in range(-40, 41)]  # exact powers, both sides of 1
+    eps = Fraction(1, 10**9)
+    cases += [Fraction(p) ** k + s for k in range(-5, 6) for s in (eps, -eps)]
+    for _ in range(300):
+        num = rng.randint(1, 10 ** rng.randint(1, 60))
+        den = rng.randint(1, 10 ** rng.randint(1, 60))
+        cases.append(Fraction(num, den))
+    for q in cases:
+        if q <= 0:
+            continue
+        e = floor_log(q, p)
+        assert Fraction(p) ** e == _guaranteed_power_walk(q, p), (q, p)
+        # the strict form build_window uses: p^(c-1) for the least p^c >= q
+        below = Fraction(p) ** (-floor_log(1 / q, p) - 1)
+        assert below == _strict_power_below_walk(q, p), (q, p)
+
+
+def test_floor_log_rejects_nonpositive():
+    for q in (0, -1, Fraction(-3, 7)):
+        with pytest.raises(ValueError):
+            floor_log(q, 5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_int_valuation_matches_naive_loop(p):
+    rng = random.Random(2000 + p)
+    ks = list(range(0, 70)) + [rng.randint(70, 2000) for _ in range(40)] + [2000]
+    for k in ks:
+        u = rng.randint(1, 10**30)
+        while u % p == 0:
+            u //= p
+        for n in (u * p**k, -u * p**k):
+            assert int_valuation(n, p) == _naive_valuation(n, p) == k
+    with pytest.raises(ValueError):
+        int_valuation(0, p)
+
+
+def test_real_tolerance_must_be_finite_and_positive():
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(SchemaError):
+            FieldDescriptor.real(bad)
+    assert FieldDescriptor.real(1e-12).tolerance == 1e-12
