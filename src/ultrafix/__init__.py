@@ -24,6 +24,7 @@ from .contraction import (
     fixed_point_derivative,
     iterate_fixed_point,
     lipschitz_theta,
+    newton_fixed_point,
     uniform_family_check,
 )
 from .errors import (

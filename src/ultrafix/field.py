@@ -17,22 +17,35 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, PrecisionExhausted, SchemaError
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+"""The least strong pseudoprime to all the bases 2..41 (Sorenson & Webster,
+Math. Comp. 2017), so Miller-Rabin over them decides primality below it.
+Bases 2..37 alone are fooled by 318665857834031151167461."""
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < PRIME_BOUND."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
-        if n == q:
-            return True
         if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-    d = 41
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
     return True
 
 
@@ -109,6 +122,10 @@ class FieldDescriptor:
 
     def __post_init__(self):
         if self.kind == "padic":
+            if self.prime is not None and self.prime >= PRIME_BOUND:
+                raise SchemaError(
+                    f"prime must be below {PRIME_BOUND}, where primality is proven"
+                )
             if self.prime is None or not _is_prime(self.prime):
                 raise SchemaError(f"prime required and must be prime, got {self.prime}")
             if self.precision is None or self.precision < 1:

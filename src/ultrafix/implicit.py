@@ -23,7 +23,13 @@ from .calculus import (
     substitute_prefix,
     telescoped_lipschitz,
 )
-from .contraction import ContractionProblem, iterate_fixed_point, partial_jacobians
+from .contraction import (
+    ContractionProblem,
+    iterate_fixed_point,
+    newton_fixed_point,
+    newton_pays,
+    partial_jacobians,
+)
 from .errors import (
     DimensionMismatch,
     NotAFixedPoint,
@@ -282,8 +288,10 @@ def solve_implicit(
     problem = ContractionProblem(
         g, window.state_ball, cert.theta, window.state_ball.center_exact
     )
-    report = iterate_fixed_point(problem, target_precision)
-    lam = report.fixed_point
+    if cert.ultrametric and newton_pays(problem, target_precision):
+        lam = newton_fixed_point(problem, target_precision)
+    else:
+        lam = iterate_fixed_point(problem, target_precision).fixed_point
 
     desc = window.descriptor
     beta1, beta2 = partial_jacobians(f, p, lam)

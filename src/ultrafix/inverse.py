@@ -20,7 +20,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .calculus import MapSpec, eval_map, jacobian_exact, strictness_modulus
-from .contraction import ContractionProblem, iterate_fixed_point
+from .contraction import (
+    ContractionProblem,
+    iterate_fixed_point,
+    newton_fixed_point,
+    newton_pays,
+)
 from .errors import (
     DimensionMismatch,
     DomainViolation,
@@ -198,8 +203,9 @@ def local_invert(
         )
     g = inversion_step_map(cert, f, cs)
     problem = ContractionProblem(g, sub, cert.theta, sub.center_exact)
-    report = iterate_fixed_point(problem, target_precision)
-    return report.fixed_point
+    if cert.ultrametric and newton_pays(problem, target_precision):
+        return newton_fixed_point(problem, target_precision)
+    return iterate_fixed_point(problem, target_precision).fixed_point
 
 
 @dataclass(frozen=True)
@@ -234,12 +240,6 @@ class ImageDescription:
         if not self.exact:
             raise DomainViolation("real images are only sandwiched, not exact")
         return self.pullback_distance(w) <= self.radius
-
-    def certainly_contains(self, w: Sequence) -> bool:
-        """Membership provable from the certificate alone."""
-        if self.exact:
-            return self.contains(w)
-        return self.pullback_distance(w) <= self.skew_inner
 
     def cannot_contain(self, w: Sequence) -> bool:
         if self.exact:

@@ -22,9 +22,24 @@ from .linalg import Ball, Operator, Vector
 SCHEMA_VERSION = "1"
 
 
+def _int_str(n: int) -> str:
+    """Decimal digits of n, also past the interpreter's int-to-str digit limit.
+
+    Up to 2000 bits (602 digits; the limit is never set below 640) str()
+    converts directly; longer integers are split in halves by divmod.
+    """
+    if n.bit_length() <= 2000:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    k = n.bit_length() * 3 // 20  # about half of the 0.301 * bits digits
+    high, low = divmod(n, 10**k)
+    return _int_str(high) + _int_str(low).zfill(k)
+
+
 def frac_str(q) -> str:
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 def parse_rational(value) -> Fraction:
@@ -73,16 +88,6 @@ def encode_vector(v: Vector):
 
 def encode_operator(op: Operator):
     return [[encode_scalar(a) for a in row] for row in op.entries]
-
-
-def encode_field(descriptor: FieldDescriptor):
-    if descriptor.ultrametric:
-        return {
-            "kind": "padic",
-            "prime": descriptor.prime,
-            "precision": descriptor.precision,
-        }
-    return {"kind": "real", "tolerance": descriptor.tolerance}
 
 
 def _parse_int(value, what: str) -> int:

@@ -322,14 +322,6 @@ def rat_mat_vec(rows: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:
     return tuple(sum((Fraction(a) * Fraction(x) for a, x in zip(row, v)), Fraction(0)) for row in rows)
 
 
-def rat_mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k)), Fraction(0)) for j in range(m))
-        for i in range(n)
-    )
-
-
 def rat_mat_invert(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse over the rationals."""
     n = len(rows)

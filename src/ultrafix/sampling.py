@@ -56,11 +56,3 @@ def sample_pair_in_ball(rng: random.Random, ball: Ball):
         z = sample_in_ball(rng, ball)
         if y != z:
             return y, z
-
-
-def sample_rational(rng: random.Random, max_num: int = 9, max_den: int = 9,
-                    nonzero: bool = False) -> Fraction:
-    while True:
-        q = Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-        if not nonzero or q != 0:
-            return q

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ from ultrafix import cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+# the subprocess runs the copy of ultrafix that this test imported
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 CASES = {
     "invert_golden": [
@@ -47,10 +50,12 @@ CASES = {
 
 
 def run_cli(args):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "ultrafix.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -166,6 +171,8 @@ def with_field(name, field):
         ("certify_affine", {"kind": "real", "tolerance": -1}),
         ("certify_affine", {"kind": "real", "tolerance": "abc"}),
         ("certify_affine", {"kind": "real", "tolerance": None}),
+        ("fixpoint_golden", {"kind": "padic", "prime": 2**127 - 1, "precision": 4}),
+        ("fixpoint_golden", {"kind": "padic", "prime": 41041, "precision": 4}),
     ],
 )
 def test_cli_malformed_field_exits_2(name, field):

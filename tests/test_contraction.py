@@ -12,8 +12,10 @@ from ultrafix import (
     NotAContraction,
     NotAdmissible,
     NotAFixedPoint,
+    SchemaError,
     Vector,
     admissible,
+    certify,
     embed_rational,
     fixed_point_derivative,
     iterate_fixed_point,
@@ -22,7 +24,17 @@ from ultrafix import (
     vec_norm,
 )
 from ultrafix.calculus import quotient_map, eval_map
-from ultrafix.contraction import MAX_STEPS, _step_count
+from ultrafix.contraction import (
+    MAX_STEPS,
+    NEWTON_STEPS_PER_DIM,
+    _certified_bound,
+    _step_count,
+    default_target_precision,
+    newton_fixed_point,
+    newton_pays,
+)
+from ultrafix.field import rational_valuation
+from ultrafix.inverse import inversion_step_map
 
 
 def poly(m, *outputs):
@@ -31,6 +43,7 @@ def poly(m, *outputs):
 
 HALF_PLUS_ONE = poly(1, [(Fraction(1, 2), (1,)), (1, (0,))])  # x/2 + 1
 FIVE_PLUS_SQ = poly(1, [(5, (0,)), (1, (2,))])  # 5 + x^2
+FIVE_PLUS_5SQ = poly(1, [(5, (0,)), (5, (2,))])  # 5 + 5x^2
 
 
 def test_admissible_examples(q5, real):
@@ -321,3 +334,153 @@ def test_nonpositive_target_fails_at_once(q5, real):
     # theta = 0 reaches a zero bound after one step, as before
     const = ContractionProblem(poly(1, [(3, (0,))]), Ball(real, (0,), 4), Fraction(0), (0,))
     assert iterate_fixed_point(const, 0).iterations == 1
+
+
+# ---------------------------------------------------------------------------
+# Newton steps, checked against the Banach iteration as the oracle
+
+
+def _certified_step_map(rng, p, n, N):
+    """The inversion contraction of a certified map on B_{1/p}(0) over Q_p.
+
+    Rows are A x + u x_i x_j + p c x_k^3 with A unit lower triangular times a
+    unit diagonal, so A is invertible over Z_p; the target has valuation 1.
+    """
+    rows = []
+    for i in range(n):
+        unit = rng.choice([u for u in (1, 2, 3, 4, 6) if u % p])
+        row = [(unit * (1 if i % 2 else -1), tuple(int(j == i) for j in range(n)))]
+        row += [(rng.randint(-2, 2) or 1, tuple(int(k == j) for k in range(n))) for j in range(i)]
+        i2, j2, k3 = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        row.append((rng.choice((1, -1, 2)), tuple((k == i2) + (k == j2) for k in range(n))))
+        row.append((p * rng.randint(1, 4), tuple(3 * (k == k3) for k in range(n))))
+        rows.append(row)
+    f = MapSpec.from_coefficients(n, rows)
+    ball = Ball(FieldDescriptor.padic(p, N), (0,) * n, Fraction(1, p))
+    cert = certify(f, ball)
+    target = tuple(Fraction(p * (rng.randint(1, p - 1) + p * rng.randint(0, 9))) for _ in range(n))
+    return ContractionProblem(inversion_step_map(cert, f, target), ball, cert.theta, (0,) * n)
+
+
+def _digits(x):
+    return [(c.val, c.unit, c.prec) for c in x.components]
+
+
+def _prec(c):
+    return float("inf") if c.prec is None else c.prec
+
+
+def _assert_agrees_with_oracle(problem, target_precision=None):
+    """Returns whether the Banach oracle reached its target."""
+    report = iterate_fixed_point(problem, target_precision)
+    got = newton_fixed_point(problem, target_precision)
+    desc = problem.descriptor
+    for a, b in zip(got.components, report.fixed_point.components):
+        assert _prec(a) >= _prec(b)
+        m = _prec(b)
+        diff = a.to_rational() - b.to_rational()
+        if m == float("inf"):
+            assert diff == 0
+        elif diff != 0:
+            assert rational_valuation(diff, desc.prime) >= m
+    target = Fraction(
+        target_precision if target_precision is not None else default_target_precision(desc)
+    )
+    reached = _certified_bound(
+        problem.theta, report.initial_distance, report.iterations, desc
+    ) <= target
+    if reached:
+        assert _digits(got) == _digits(report.fixed_point)
+    return reached
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_newton_matches_banach_oracle_on_both_sides_of_crossover(p):
+    rng = random.Random(9100 + p)
+    sides, reached = set(), 0
+    for n in (1, 2, 3):
+        for N in (5, 8 * n + 12):
+            for _ in range(3):
+                problem = _certified_step_map(rng, p, n, N)
+                theta, d0, desc = problem.theta, problem.initial_displacement(), problem.descriptor
+                limit = NEWTON_STEPS_PER_DIM * n
+                # targets that need limit - 1, limit and limit + 1 Banach steps, and the default
+                targets = [_certified_bound(theta, d0, m, desc) for m in (limit - 1, limit, limit + 1)]
+                for target in targets + [Fraction(1, p**N)]:
+                    steps = _step_count(theta, d0, target, desc)
+                    assert newton_pays(problem, target) == (steps > limit)
+                assert [newton_pays(problem, t) for t in targets] == [False, False, True]
+                sides.add(newton_pays(problem))
+                reached += _assert_agrees_with_oracle(problem)
+    assert sides == {False, True}
+    assert reached >= 9
+
+
+def test_newton_with_theta_zero_and_d0_zero(q5_deep):
+    ball = Ball(q5_deep, (0,), Fraction(1))
+    constant = ContractionProblem(poly(1, [(Fraction(5, 3), (0,))]), ball, Fraction(0), (0,))
+    assert _assert_agrees_with_oracle(constant)
+    assert newton_fixed_point(constant).components[0].to_rational() % 5**9 == (
+        Fraction(5, 3).numerator * pow(3, -1, 5**9) % 5**9
+    )
+    # x0 = 0 is an exact fixed point of 5x^2: d0 = 0, nothing to iterate
+    fixed = ContractionProblem(poly(1, [(5, (2,))]), Ball(q5_deep, (0,), Fraction(1, 5)), Fraction(1, 5), (0,))
+    assert fixed.initial_displacement() == 0
+    assert _assert_agrees_with_oracle(fixed)
+    assert newton_fixed_point(fixed).components[0].is_exact_zero()
+
+
+def test_newton_with_explicit_target_precision(q5_deep):
+    ball = Ball(q5_deep, (0,), Fraction(1, 5))
+    problem = ContractionProblem(FIVE_PLUS_SQ, ball, Fraction(1, 5), (0,))
+    for target in (Fraction(1, 5**3), Fraction(1, 5**6), Fraction(1, 5**8), Fraction(1, 5)):
+        assert _assert_agrees_with_oracle(problem, target)
+    (x,) = newton_fixed_point(problem, Fraction(1, 5**3)).components
+    assert x.prec == 3 and x.to_rational() % 5**3 == 280 % 5**3
+
+
+def test_newton_when_tracked_precision_caps_the_proof(q5_deep):
+    # the step maps of 2x + 25x^2 and x + 25x^2 + 5x^3 carry -25/2 x^2 and
+    # -25 x^2: every digit the N = 8 field tracks (up to 5^9) is proven
+    cases = [
+        (poly(1, [(2, (1,)), (25, (2,))]), Fraction(1)),
+        (poly(1, [(1, (1,)), (25, (2,)), (5, (3,))]), Fraction(1, 5)),
+    ]
+    for f, radius in cases:
+        cert = certify(f, Ball(q5_deep, (0,), radius))
+        for c in (5, 10, Fraction(5, 2)):
+            g = inversion_step_map(cert, f, (c,))
+            problem = ContractionProblem(g, cert.ball, cert.theta, (0,))
+            assert _assert_agrees_with_oracle(problem)
+            (x,) = newton_fixed_point(problem).components
+            assert x.val == 1 and x.prec == 9
+
+
+def test_newton_keeps_the_banach_checks(q5, q5_deep, real):
+    with pytest.raises(NotAdmissible):
+        newton_fixed_point(ContractionProblem(FIVE_PLUS_SQ, Ball(q5, (0,), Fraction(1, 25)), Fraction(1, 5), (0,)))
+    # 5 + 5x^2 is a 1/25-contraction of B_{1/5}(0), not a 1/125 one: the
+    # second Newton step is longer than theta * d0
+    wrong = ContractionProblem(FIVE_PLUS_5SQ, Ball(q5_deep, (0,), Fraction(1, 5)), Fraction(1, 125), (0,))
+    with pytest.raises(DomainEscape, match="step 1 "):
+        newton_fixed_point(wrong)
+    with pytest.raises(DomainEscape, match="step 1 "):
+        iterate_fixed_point(wrong)
+    with pytest.raises(NotAContraction):
+        newton_fixed_point(ContractionProblem(FIVE_PLUS_SQ, Ball(q5, (0,), Fraction(1, 5)), Fraction(1, 5), (0,)), 0)
+    with pytest.raises(SchemaError):
+        newton_fixed_point(ContractionProblem(HALF_PLUS_ONE, Ball(real, (0,), 4), Fraction(1, 2), (0,)))
+    assert not newton_pays(ContractionProblem(HALF_PLUS_ONE, Ball(real, (0,), 4), Fraction(1, 2), (0,)))
+
+
+def test_newton_claims_only_what_its_residual_proves(q5_deep):
+    # with the understated theta = 5^-6 the a priori bound asks for one step;
+    # one Newton step from 0 lands on 5, and |g(5) - 5| = 5^-3 is all the
+    # closing Banach step proves, although the a priori bound claims 5^-7
+    wrong = ContractionProblem(FIVE_PLUS_5SQ, Ball(q5_deep, (0,), Fraction(1, 5)), Fraction(1, 5**6), (0,))
+    (x,) = newton_fixed_point(wrong, Fraction(1, 5**6)).components
+    assert x.prec == 3 and x.to_rational() % 5**3 == 5
+    # x* = 5 + 5x*^2 is 130 mod 5^5, so 130 + O(5^7) would be wrong
+    assert (130 * 130 * 5 + 5 - 130) % 5**5 == 0 and (130 * 130 * 5 + 5 - 130) % 5**6 != 0
+    with pytest.raises(DomainEscape, match="residual"):
+        iterate_fixed_point(wrong, Fraction(1, 5**6))

@@ -13,7 +13,7 @@ from ultrafix import (
     field_arith,
     rational_abs,
 )
-from ultrafix.field import floor_log, int_valuation, truncate_precision
+from ultrafix.field import PRIME_BOUND, _is_prime, floor_log, int_valuation, truncate_precision
 
 
 def test_padic_integer_addition(q5):
@@ -260,3 +260,26 @@ def test_real_tolerance_must_be_finite_and_positive():
         with pytest.raises(SchemaError):
             FieldDescriptor.real(bad)
     assert FieldDescriptor.real(1e-12).tolerance == 1e-12
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 5000) if _is_prime(n)] == [n for n in range(-3, 5000) if trial(n)]
+
+
+def test_large_primes_and_pseudoprimes():
+    FieldDescriptor.padic(2**61 - 1, 4)  # out of reach of trial division
+    assert _is_prime(2**89 - 1) and not _is_prime((2**61 - 1) * (2**31 - 1))
+    for composite in (561, 41041, 318665857834031151167461):  # the last fools bases 2..37
+        assert not _is_prime(composite)
+        with pytest.raises(SchemaError):
+            FieldDescriptor.padic(composite, 4)
+
+
+def test_primes_beyond_the_proven_bound_are_rejected():
+    with pytest.raises(SchemaError, match=str(PRIME_BOUND)):
+        FieldDescriptor.padic(2**127 - 1, 4)
+    # the largest prime below the bound is still accepted
+    assert FieldDescriptor.padic(PRIME_BOUND - 168, 4).prime == 3317044064679887385961813

@@ -5,6 +5,7 @@ import pytest
 
 from ultrafix import (
     Ball,
+    FieldDescriptor,
     MapSpec,
     OutsideWindow,
     SingularA,
@@ -12,6 +13,7 @@ from ultrafix import (
     build_window,
     eval_map,
     solve_implicit,
+    implicit,
     ultrametric_window,
 )
 from ultrafix.implicit import _uniform_sigma
@@ -199,3 +201,16 @@ def test_derivative_matches_resolve(q5_deep):
     sol = solve_implicit(w, poly(2, [(-1, (1, 0)), (1, (0, 1)), (-5, (0, 1)), (-eps, (0, 2))]), p)
     lam = sol.lambda_value.components[0]
     assert (lam.to_rational() - 5 * lam.to_rational() - eps * lam.to_rational() ** 2 - 5) % 5**8 == 0
+
+
+def test_deep_padic_solve_implicit_takes_newton_steps(monkeypatch):
+    newton_calls = []
+    newton = implicit.newton_fixed_point
+    monkeypatch.setattr(implicit, "newton_fixed_point", lambda *a: newton_calls.append(a) or newton(*a))
+    w = build_window(SADDLE, (0,), (0,), descriptor=FieldDescriptor.padic(5, 48))
+    sol = solve_implicit(w, SADDLE, (5,))
+    assert len(newton_calls) == 1
+    (lam,) = sol.lambda_value.components
+    x = lam.to_rational()
+    assert lam.prec >= 48 and (x * x + x - 5) % 5**lam.prec == 0
+    assert x % 5**4 == 230 and sol.residual == 0

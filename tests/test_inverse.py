@@ -5,6 +5,8 @@ import pytest
 
 from ultrafix import (
     Ball,
+    ContractionProblem,
+    FieldDescriptor,
     MapSpec,
     NotCertifiable,
     SingularA,
@@ -12,10 +14,13 @@ from ultrafix import (
     ball_image,
     certify,
     eval_map,
+    iterate_fixed_point,
     local_invert,
     verify_distortion,
 )
+from ultrafix.contraction import newton_pays
 from ultrafix.field import rational_abs
+from ultrafix.inverse import inversion_step_map
 from ultrafix.linalg import rat_vec_norm
 from ultrafix.sampling import sample_in_ball, sample_pair_in_ball, unit_fraction
 
@@ -210,3 +215,15 @@ def test_local_invert_off_center_base(q5):
     assert rational_abs(got.components[0].to_rational() - y[0], q5) <= Fraction(1, 25)
     check = eval_map(PLUS_SQUARE, got)
     assert rational_abs(check.components[0].to_rational() - w[0], q5) <= Fraction(1, 5**4)
+
+
+def test_deep_padic_invert_takes_newton_steps_and_matches_banach():
+    q5 = FieldDescriptor.padic(5, 64)
+    cert = certify(PLUS_SQUARE, Ball(q5, (0,), Fraction(1, 5)))
+    problem = ContractionProblem(inversion_step_map(cert, PLUS_SQUARE, (5,)), cert.ball, cert.theta, (0,))
+    assert newton_pays(problem)
+    (v,) = local_invert(cert, PLUS_SQUARE, (5,)).components
+    (oracle,) = iterate_fixed_point(problem).fixed_point.components
+    assert (v.val, v.unit, v.prec) == (oracle.val, oracle.unit, oracle.prec)
+    x = v.to_rational()
+    assert v.prec >= 64 and (x * x + x - 5) % 5**v.prec == 0

@@ -8,6 +8,7 @@ from ultrafix.jsonio import (
     encode_ball,
     encode_map,
     encode_scalar,
+    frac_str,
     parse_ball,
     parse_field,
     parse_map,
@@ -69,3 +70,20 @@ def test_map_roundtrip(q5):
     assert again.domain.radius == f.domain.radius
     with pytest.raises(SchemaError):
         parse_map({"outputs": []})
+
+
+def test_frac_str_past_the_int_to_str_digit_limit():
+    def digits_value(text):  # read back in chunks below the limit
+        value = 0
+        for i in range(0, len(text), 500):
+            chunk = text[i : i + 500]
+            value = value * 10 ** len(chunk) + int(chunk)
+        return value
+
+    text = frac_str(Fraction(1, 5**7000))  # 4893 digits in the denominator
+    assert text.startswith("1/") and digits_value(text[2:]) == 5**7000
+    num, den = frac_str(Fraction(-(7**9000), 3**5000 + 1)).split("/")
+    assert num[0] == "-" and digits_value(num[1:]) == 7**9000
+    assert digits_value(den) == 3**5000 + 1
+    for k in (1, 600, 601, 2000, 3999):
+        assert frac_str(Fraction(10**k - 1, 10**k)) == f"{'9' * k}/1{'0' * k}"
