@@ -264,6 +264,8 @@ def jacobian(f: MapSpec, x) -> Operator:
 def jacobian_exact(f: MapSpec, x: Sequence) -> tuple[tuple[Fraction, ...], ...]:
     """The derivative at a rational point, as exact rational rows."""
     xs = tuple(Fraction(v) for v in x)
+    if len(xs) != f.domain_dim:
+        raise DimensionMismatch(f"expected {f.domain_dim} coordinates, got {len(xs)}")
     cols = [_eval_exact(p, xs) for p in _partials(f)]
     return tuple(
         tuple(cols[j][i] for j in range(f.domain_dim)) for i in range(f.codomain_dim)
@@ -291,9 +293,9 @@ def substitute_prefix(f: MapSpec, values: Sequence) -> MapSpec:
 def linear_residual(f: MapSpec, rows: Sequence[Sequence]) -> MapSpec:
     """f minus the linear map given by rational rows (the affine part cancels
     exactly in all difference-based bounds)."""
-    n, m = len(rows), len(rows[0])
-    if n != f.codomain_dim or m != f.domain_dim:
+    if len(rows) != f.codomain_dim or any(len(r) != f.domain_dim for r in rows):
         raise DimensionMismatch("linear part shape mismatch")
+    m = f.domain_dim
     outputs = []
     for i, monomials in enumerate(f.outputs):
         extra = []
@@ -402,19 +404,17 @@ def _quotient_value(f: MapSpec, x, y, t, mutation: Callable | None = None):
 
 
 def _jacobian_apply(f: MapSpec, x, y):
-    cols = []
     if x and isinstance(x[0], Scalar):
-        desc = x[0].descriptor
-        cols = [_eval_field(p, x, desc) for p in _partials(f)]
-        acc = [desc.zero()] * f.codomain_dim
+        rows, zero = jacobian(f, x).entries, x[0].descriptor.zero()
     else:
-        x = tuple(Fraction(c) for c in x)
-        cols = [_eval_exact(p, x) for p in _partials(f)]
-        acc = [Fraction(0)] * f.codomain_dim
-    for j, yj in enumerate(y):
-        for i in range(f.codomain_dim):
-            acc[i] = acc[i] + cols[j][i] * yj
-    return tuple(acc)
+        rows, zero = jacobian_exact(f, x), Fraction(0)
+    out = []
+    for row in rows:
+        total = zero
+        for a, yj in zip(row, y):
+            total = total + a * yj
+        out.append(total)
+    return tuple(out)
 
 
 def diff_quotient(f: MapSpec, q: QuotientPoint):
@@ -434,18 +434,23 @@ def second_quotient(f: MapSpec, outer: QuotientPoint):
     """
     a = _flatten(outer.x)
     b = _flatten(outer.y)
-    t = outer.t
     m = f.domain_dim
     if len(a) != 2 * m + 1 or len(b) != 2 * m + 1:
         raise DimensionMismatch("second quotient needs inner points of U^[1]")
+    return _second_quotient_value(f, a, b, outer.t)
+
+
+def _second_quotient_value(f: MapSpec, a: tuple, b: tuple, t, mutation=None):
+    """f^[2](a, b, t) for flat inner points a, b of U^[1]; a mutation
+    corrupts the inner quotients as in _quotient_value."""
+    m = f.domain_dim
     _check_inner_membership(f, a)
     if _is_zero_value(t):
-        qm = quotient_map(f)
-        return _jacobian_apply(qm, a, b)
+        return _jacobian_apply(quotient_map(f), a, b)
     shifted = _vec_add_scaled(a, b, t)
     _check_inner_membership(f, shifted)
-    qa = _quotient_value(f, a[:m], a[m : 2 * m], a[2 * m])
-    qs = _quotient_value(f, shifted[:m], shifted[m : 2 * m], shifted[2 * m])
+    qa = _quotient_value(f, a[:m], a[m : 2 * m], a[2 * m], mutation)
+    qs = _quotient_value(f, shifted[:m], shifted[m : 2 * m], shifted[2 * m], mutation)
     return tuple((u - v) / t for u, v in zip(qs, qa))
 
 
@@ -689,11 +694,11 @@ def check_identities(
         s1, s2 = rat(), rat(nonzero=True)
         lx1, ly1 = lift(x1), lift(y1)
         ls1, ls2 = lift1(s1), lift1(s2)
-        lhs4 = _second_quotient_raw(
+        lhs4 = _second_quotient_value(
             f, lx + ly + (ltn * ls,), lx1 + ly1 + (ltn * ls1,), ltn * ls2, mut
         )
         lhs4 = tuple(ltn * ltn * ltn * v for v in lhs4)
-        rhs4 = _second_quotient_raw(
+        rhs4 = _second_quotient_value(
             f,
             lx + tuple(ltn * ltn * v for v in ly) + (ls / ltn,),
             tuple(ltn * v for v in lx1)
@@ -709,12 +714,3 @@ def check_identities(
         )
     return IdentityReport(results)
 
-
-def _second_quotient_raw(f: MapSpec, a: tuple, b: tuple, t, mutation=None):
-    m = f.domain_dim
-    if _is_zero_value(t):
-        return _jacobian_apply(quotient_map(f), a, b)
-    shifted = _vec_add_scaled(a, b, t)
-    qa = _quotient_value(f, a[:m], a[m : 2 * m], a[2 * m], mutation)
-    qs = _quotient_value(f, shifted[:m], shifted[m : 2 * m], shifted[2 * m], mutation)
-    return tuple((u - v) / t for u, v in zip(qs, qa))

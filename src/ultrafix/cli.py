@@ -43,15 +43,23 @@ def _emit(payload, stream=None) -> None:
     stream.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _geometry(args, required: bool = True):
+def _load_request(args):
+    """(field, map, geometry) of a request.
+
+    The field and the geometry are optional for `check` alone, whose map is
+    read without a domain; the other commands need all three.
+    """
+    check = args.command == "check"
+    field = None if args.field is None else parse_field(_load_json(args.field, "field"))
+    fmap = parse_map(_load_json(args.map, "map"), None if check else field)
     if args.geometry is None:
-        if required:
+        if not check:
             raise SchemaError("this command needs --geometry")
-        return {}
-    data = _load_json(args.geometry, "geometry")
-    if not isinstance(data, dict):
+        return field, fmap, {}
+    geo = _load_json(args.geometry, "geometry")
+    if not isinstance(geo, dict):
         raise SchemaError("geometry must be a JSON object")
-    return data
+    return field, fmap, geo
 
 
 def _rational_list(data, what: str):
@@ -75,22 +83,20 @@ def _target_precision(args):
     return tol
 
 
-def _cmd_certify(args):
-    field = parse_field(_load_json(args.field, "field"))
-    fmap = parse_map(_load_json(args.map, "map"), field)
-    geo = _geometry(args)
+def _anchor(geo):
+    """The optional anchor operator A of certify and invert."""
+    return _rational_rows(geo["A"], "A") if geo.get("A") is not None else None
+
+
+def _cmd_certify(args, field, fmap, geo):
     ball = parse_ball(geo.get("ball"), field)
-    A = _rational_rows(geo["A"], "A") if geo.get("A") is not None else None
-    cert = certify(fmap, ball, A)
+    cert = certify(fmap, ball, _anchor(geo))
     return {"certificate": jsonio.encode_certificate(cert)}
 
 
-def _cmd_invert(args):
-    field = parse_field(_load_json(args.field, "field"))
-    fmap = parse_map(_load_json(args.map, "map"), field)
-    geo = _geometry(args)
+def _cmd_invert(args, field, fmap, geo):
     ball = parse_ball(geo.get("ball"), field)
-    A = _rational_rows(geo["A"], "A") if geo.get("A") is not None else None
+    A = _anchor(geo)
     if "target" not in geo:
         raise SchemaError("invert needs a 'target' in the geometry")
     target = _rational_list(geo["target"], "target")
@@ -109,10 +115,7 @@ def _cmd_invert(args):
     }
 
 
-def _cmd_fixpoint(args):
-    field = parse_field(_load_json(args.field, "field"))
-    fmap = parse_map(_load_json(args.map, "map"), field)
-    geo = _geometry(args)
+def _cmd_fixpoint(args, field, fmap, geo):
     domain = parse_ball(geo.get("domain"), field)
     if "x0" not in geo:
         raise SchemaError("fixpoint needs 'x0' in the geometry")
@@ -126,10 +129,7 @@ def _cmd_fixpoint(args):
     return {"report": jsonio.encode_fixed_point_report(report, field)}
 
 
-def _cmd_implicit(args):
-    field = parse_field(_load_json(args.field, "field"))
-    fmap = parse_map(_load_json(args.map, "map"), field)
-    geo = _geometry(args)
+def _cmd_implicit(args, field, fmap, geo):
     for key in ("p0", "x0", "p"):
         if key not in geo:
             raise SchemaError(f"implicit needs '{key}' in the geometry")
@@ -150,17 +150,14 @@ def _cmd_implicit(args):
     }
 
 
-def _cmd_check(args):
-    fmap = parse_map(_load_json(args.map, "map"))
-    geo = _geometry(args, required=False)
+def _cmd_check(args, field, fmap, geo):
     mutation = geo.get("mutation")
     reports = {
         "exact": jsonio.encode_identity_report(
             check_identities(fmap, args.samples, args.seed, None, mutation)
         )
     }
-    if args.field is not None:
-        field = parse_field(_load_json(args.field, "field"))
+    if field is not None:
         reports["field"] = jsonio.encode_identity_report(
             check_identities(fmap, args.samples, args.seed, field, mutation)
         )
@@ -224,16 +221,7 @@ def run(argv=None, stream=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        result = _HANDLERS[args.command](args)
-    except SchemaError as exc:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "error": {"kind": exc.kind, "message": str(exc), **exc.details},
-            },
-            stream,
-        )
-        return 2
+        result = _HANDLERS[args.command](args, *_load_request(args))
     except UltrafixError as exc:
         _emit(
             {
@@ -242,7 +230,7 @@ def run(argv=None, stream=None) -> int:
             },
             stream,
         )
-        return 1
+        return 2 if isinstance(exc, SchemaError) else 1
     _emit(
         {"schema_version": SCHEMA_VERSION, "command": args.command, "result": result},
         stream,

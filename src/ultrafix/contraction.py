@@ -19,8 +19,6 @@ from functools import cached_property
 
 from .calculus import (
     MapSpec,
-    _eval_field,
-    _partials,
     eval_map,
     jacobian,
     lipschitz_bound,
@@ -38,6 +36,7 @@ from .field import (
     FieldDescriptor,
     abs_upper_bound,
     floor_log,
+    frac_str,
     rational_abs,
     rational_valuation,
     truncate_precision,
@@ -51,6 +50,11 @@ from .linalg import (
     operator_norm,
     vec_norm,
 )
+
+
+def _num(x) -> str:
+    """A number for an error message: exact rationals of any size by frac_str."""
+    return frac_str(x) if isinstance(x, Fraction) else str(x)
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ class ContractionProblem:
         if self.domain.dim != self.f.domain_dim:
             raise DimensionMismatch("ball dimension mismatch")
         if not 0 <= self.theta < 1:
-            raise NotAContraction(f"theta = {self.theta} is not in [0, 1)")
+            raise NotAContraction(f"theta = {_num(self.theta)} is not in [0, 1)")
         if not self.domain.contains_rational(self.x0):
             raise NotAdmissible("x0 is outside the domain ball")
 
@@ -146,12 +150,12 @@ def _step_count(
         return 0
     if target < 0 or (target == 0 and theta > 0):
         # theta^n d0 > 0 for every n when theta > 0, and a bound is never negative
-        raise NotAContraction(f"a priori bound cannot reach {target}: it stays positive")
+        raise NotAContraction(f"a priori bound cannot reach {_num(target)}: it stays positive")
     lo, hi = 0, 1  # invariant: not reached(lo)
     while not reached(hi):
         if hi >= MAX_STEPS:
             raise NotAContraction(
-                f"a priori bound cannot reach {target} in reasonable time"
+                f"a priori bound cannot reach {_num(target)} in reasonable time"
             )
         lo, hi = hi, min(2 * hi, MAX_STEPS)
     while hi - lo > 1:
@@ -183,8 +187,8 @@ def _plan(problem: ContractionProblem, target_precision) -> tuple:
     """
     if not admissible(problem):
         raise NotAdmissible(
-            f"d(f(x0), x0) = {problem.initial_displacement()} exceeds the "
-            f"admissible displacement for radius {problem.domain.radius}"
+            f"d(f(x0), x0) = {_num(problem.initial_displacement())} exceeds the "
+            f"admissible displacement for radius {_num(problem.domain.radius)}"
         )
     desc = problem.descriptor
     theta, d0 = problem.theta, problem.initial_displacement()
@@ -197,7 +201,7 @@ def _check_step(k: int, step, bound: Fraction, ultrametric: bool) -> None:
     violated = step > bound if ultrametric else step > float(bound) + 1e-12
     if violated:
         raise DomainEscape(
-            f"step {k} of size {step} exceeds its a priori bound {bound}: "
+            f"step {k} of size {_num(step)} exceeds its a priori bound {_num(bound)}: "
             "the supplied contraction constant is wrong"
         )
 
@@ -244,7 +248,7 @@ def iterate_fixed_point(
         fixed_ok = residual <= (1 + float(theta)) * float(target) + desc.tolerance
     if not fixed_ok:
         raise DomainEscape(
-            f"residual {residual} above target {target}: contraction claim failed"
+            f"residual {_num(residual)} above target {_num(target)}: contraction claim failed"
         )
     return FixedPointReport(
         fixed_point=x,
@@ -334,7 +338,7 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
     residual = vec_norm(eval_map(f, x) - x)
     if residual > target:
         raise DomainEscape(
-            f"residual {residual} above target {target}: contraction claim failed"
+            f"residual {_num(residual)} above target {_num(target)}: contraction claim failed"
         )
     return x
 
@@ -343,7 +347,7 @@ def lipschitz_theta(f: MapSpec, ball: Ball) -> Fraction:
     """Contraction constant from the coefficient-telescoped Lipschitz bound."""
     theta = lipschitz_bound(f, ball)
     if theta >= 1:
-        raise NotAContraction(f"Lipschitz bound {theta} is not below 1")
+        raise NotAContraction(f"Lipschitz bound {_num(theta)} is not below 1")
     return theta
 
 
@@ -360,40 +364,37 @@ def uniform_family_check(f: MapSpec, p_ball: Ball, u_ball: Ball) -> Fraction:
     return telescoped_lipschitz(f, sups, range(mp, mp + mu), p_ball.descriptor)
 
 
-def partial_jacobians(f: MapSpec, p, x_p: Vector) -> tuple[Operator, Operator]:
-    """(d_p f, d_x f) at (p, x_p), evaluated in the field."""
+def _joint_point(f: MapSpec, p, x_p: Vector) -> tuple:
+    """The components of (p, x_p); p may be a Vector or rationals."""
     desc = x_p.descriptor
     p_comps = (
         p.components
         if isinstance(p, Vector)
         else Vector.from_rationals(tuple(p), desc).components
     )
-    mp, mu = len(p_comps), x_p.dim
-    if f.domain_dim != mp + mu:
+    if f.domain_dim != len(p_comps) + x_p.dim:
         raise DimensionMismatch("map does not split as parameter x state")
-    point = p_comps + x_p.components
-    cols = [_eval_field(pd, point, desc) for pd in _partials(f)]
-    n = f.codomain_dim
-    beta1 = Operator(tuple(tuple(cols[j][i] for j in range(mp)) for i in range(n)))
-    beta2 = Operator(tuple(tuple(cols[mp + j][i] for j in range(mu)) for i in range(n)))
+    return p_comps + x_p.components
+
+
+def partial_jacobians(f: MapSpec, p, x_p: Vector) -> tuple[Operator, Operator]:
+    """(d_p f, d_x f) at (p, x_p), evaluated in the field."""
+    rows = jacobian(f, _joint_point(f, p, x_p)).entries
+    mp = f.domain_dim - x_p.dim
+    beta1 = Operator(tuple(row[:mp] for row in rows))
+    beta2 = Operator(tuple(row[mp:] for row in rows))
     return beta1, beta2
 
 
 def fixed_point_derivative(f: MapSpec, p, x_p: Vector) -> Operator:
     """Derivative of the fixed point with respect to the parameter:
     (id - d_x f)^{-1} composed with d_p f at (p, x_p)."""
-    desc = x_p.descriptor
-    p_comps = (
-        p.components
-        if isinstance(p, Vector)
-        else Vector.from_rationals(tuple(p), desc).components
-    )
     beta1, beta2 = partial_jacobians(f, p, x_p)
-    value = eval_map(f, Vector(p_comps + x_p.components))
+    value = eval_map(f, Vector(_joint_point(f, p, x_p)))
     residual = value - x_p
     if not residual.is_zero():
-        raise NotAFixedPoint(f"residual norm {vec_norm(residual)} at tracked precision")
+        raise NotAFixedPoint(f"residual norm {_num(vec_norm(residual))} at tracked precision")
     if operator_norm(beta2) >= 1:
-        raise NotAContraction(f"state Jacobian has norm {operator_norm(beta2)} >= 1")
+        raise NotAContraction(f"state Jacobian has norm {_num(operator_norm(beta2))} >= 1")
     inv, _ = neumann_invert(beta2)
     return inv.compose(beta1)

@@ -100,6 +100,27 @@ def floor_log(q, p: int) -> int:
     return e
 
 
+def _int_str(n: int) -> str:
+    """Decimal digits of n, also past the interpreter's int-to-str digit limit.
+
+    Up to 2000 bits (602 digits; the limit is never set below 640) str()
+    converts directly; longer integers are split in halves by divmod.
+    """
+    if n.bit_length() <= 2000:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    k = n.bit_length() * 3 // 20  # about half of the 0.301 * bits digits
+    high, low = divmod(n, 10**k)
+    return _int_str(high) + _int_str(low).zfill(k)
+
+
+def frac_str(q) -> str:
+    """An exact rational as "num/den", of any size."""
+    q = Fraction(q)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+
+
 def rational_valuation(q, p: int) -> int:
     q = Fraction(q)
     if q == 0:

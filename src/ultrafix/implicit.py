@@ -46,7 +46,6 @@ from .linalg import (
     Operator,
     Vector,
     invert_exact,
-    rat_mat_invert,
     rat_operator_norm,
     vec_norm,
 )
@@ -168,13 +167,9 @@ def build_window(
     f = f.without_domain()
     jac = jacobian_exact(f, p0 + x0)
     A_rows = tuple(tuple(row[mp:]) for row in jac)
-    try:
-        A_inv = rat_mat_invert(A_rows)
-    except SingularMatrix as exc:
-        raise SingularA(str(exc)) from exc
+    A_inv = InversionCertificate.anchor_inverse(A_rows)
 
     desc = descriptor
-    norm_a = rat_operator_norm(A_rows, desc)
     norm_a_inv = rat_operator_norm(A_inv, desc)
     tau = min(beta_target - 1, 1 - alpha_target) / norm_a_inv
 
@@ -204,30 +199,17 @@ def build_window(
         alpha_now = 1 - sigma_now * norm_a_inv
         cap = r if desc.ultrametric else alpha_now * r / 2
         if _drift_bound(f, A_inv, p_ball, x0) <= cap:
-            accepted = (sigma_now, alpha_now)
+            accepted = sigma_now
             break
         rho = _shrink(rho, desc)
     else:
         raise WindowNotFound(
             f"parameter drift would not fit the window after {max_shrink} shrinks"
         )
-    sigma, alpha = accepted
-
-    cert = InversionCertificate(
-        A=A_rows,
-        A_inv=A_inv,
-        norm_A=norm_a,
-        norm_A_inv=norm_a_inv,
-        sigma=sigma,
-        a=1 / norm_a_inv - sigma,
-        b=norm_a + sigma,
-        alpha=alpha,
-        beta=1 + sigma * norm_a_inv,
-        ball=state_ball,
-        ultrametric=desc.ultrametric,
-    )
+    # sigma <= tau < 1/||A^-1||, so the certificate exists
+    cert = InversionCertificate.from_anchor(A_rows, A_inv, accepted, state_ball)
     z0 = eval_map(f, p0 + x0)
-    delta = alpha * r / (2 * norm_a_inv)
+    delta = cert.alpha * r / (2 * norm_a_inv)
     if exact_image:
         if not desc.ultrametric:
             raise SchemaError("exact images exist only over ultrametric fields")

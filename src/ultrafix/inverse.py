@@ -72,6 +72,38 @@ class InversionCertificate:
         assert self.beta == 1 + self.sigma * self.norm_A_inv
         assert 1 <= self.beta < 2
 
+    @classmethod
+    def from_anchor(cls, A_rows, A_inv, sigma: Fraction, ball: Ball) -> "InversionCertificate":
+        """The certificate of anchor A, with its inverse, and strictness bound
+        sigma on the ball; NotCertifiable unless sigma < 1/||A^-1||."""
+        desc = ball.descriptor
+        norm_a = rat_operator_norm(A_rows, desc)
+        norm_a_inv = rat_operator_norm(A_inv, desc)
+        threshold = 1 / norm_a_inv
+        if sigma >= threshold:
+            raise NotCertifiable(sigma, threshold)
+        return cls(
+            A=A_rows,
+            A_inv=A_inv,
+            norm_A=norm_a,
+            norm_A_inv=norm_a_inv,
+            sigma=sigma,
+            a=threshold - sigma,
+            b=norm_a + sigma,
+            alpha=1 - sigma * norm_a_inv,
+            beta=1 + sigma * norm_a_inv,
+            ball=ball,
+            ultrametric=desc.ultrametric,
+        )
+
+    @staticmethod
+    def anchor_inverse(A_rows) -> tuple:
+        """The exact inverse of an anchor operator; SingularA if it has none."""
+        try:
+            return rat_mat_invert(A_rows)
+        except SingularMatrix as exc:
+            raise SingularA(str(exc)) from exc
+
     @property
     def descriptor(self) -> FieldDescriptor:
         return self.ball.descriptor
@@ -106,30 +138,9 @@ def certify(
         rows = A.to_rationals()
     else:
         rows = tuple(tuple(Fraction(v) for v in r) for r in A)
-    try:
-        inv_rows = rat_mat_invert(rows)
-    except SingularMatrix as exc:
-        raise SingularA(str(exc)) from exc
-    desc = ball.descriptor
-    norm_a = rat_operator_norm(rows, desc)
-    norm_a_inv = rat_operator_norm(inv_rows, desc)
+    inv_rows = InversionCertificate.anchor_inverse(rows)
     sigma = strictness_modulus(f, rows, ball)
-    threshold = 1 / norm_a_inv
-    if sigma >= threshold:
-        raise NotCertifiable(sigma, threshold)
-    return InversionCertificate(
-        A=rows,
-        A_inv=inv_rows,
-        norm_A=norm_a,
-        norm_A_inv=norm_a_inv,
-        sigma=sigma,
-        a=threshold - sigma,
-        b=norm_a + sigma,
-        alpha=1 - sigma * norm_a_inv,
-        beta=1 + sigma * norm_a_inv,
-        ball=ball,
-        ultrametric=desc.ultrametric,
-    )
+    return InversionCertificate.from_anchor(rows, inv_rows, sigma, ball)
 
 
 def _solve_ball(cert: InversionCertificate, base, radius) -> Ball:

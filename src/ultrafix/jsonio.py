@@ -14,32 +14,12 @@ from fractions import Fraction
 from .calculus import IdentityReport, MapSpec
 from .contraction import FixedPointReport
 from .errors import SchemaError
-from .field import FieldDescriptor, PadicScalar, RealScalar, Scalar
+from .field import FieldDescriptor, PadicScalar, RealScalar, Scalar, frac_str
 from .implicit import ImplicitSolution, ParamWindow
 from .inverse import ImageDescription, InversionCertificate
 from .linalg import Ball, Operator, Vector
 
 SCHEMA_VERSION = "1"
-
-
-def _int_str(n: int) -> str:
-    """Decimal digits of n, also past the interpreter's int-to-str digit limit.
-
-    Up to 2000 bits (602 digits; the limit is never set below 640) str()
-    converts directly; longer integers are split in halves by divmod.
-    """
-    if n.bit_length() <= 2000:
-        return str(n)
-    if n < 0:
-        return "-" + _int_str(-n)
-    k = n.bit_length() * 3 // 20  # about half of the 0.301 * bits digits
-    high, low = divmod(n, 10**k)
-    return _int_str(high) + _int_str(low).zfill(k)
-
-
-def frac_str(q) -> str:
-    q = Fraction(q)
-    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 def parse_rational(value) -> Fraction:
@@ -58,7 +38,12 @@ def parse_rational(value) -> Fraction:
 
 
 def encode_constant(q, descriptor: FieldDescriptor):
-    return frac_str(q) if descriptor.ultrametric else float(q)
+    if descriptor.ultrametric:
+        return frac_str(q)
+    try:
+        return float(q)
+    except OverflowError as exc:
+        raise SchemaError(f"real constant {frac_str(q)} is out of the range of a double") from exc
 
 
 def encode_scalar(s: Scalar):
@@ -143,7 +128,10 @@ def parse_ball(data, descriptor: FieldDescriptor) -> Ball:
     if not isinstance(data, dict):
         raise SchemaError("ball must be an object")
     try:
-        center = [parse_rational(c) for c in data["center"]]
+        center = data["center"]
+        if not isinstance(center, list):
+            raise SchemaError("ball center must be a list of rationals")
+        center = [parse_rational(c) for c in center]
         radius = parse_rational(data["radius"])
     except KeyError as exc:
         raise SchemaError(f"ball needs {exc}") from exc
@@ -167,12 +155,15 @@ def parse_map(data, descriptor: FieldDescriptor | None = None) -> MapSpec:
     if not isinstance(data, dict):
         raise SchemaError("map must be an object")
     try:
-        m = int(data["vars"])
+        m = _parse_int(data["vars"], "vars")
         outputs = []
         for row in data["outputs"]:
             outputs.append(
                 tuple(
-                    (tuple(int(e) for e in mono["exp"]), parse_rational(mono["coef"]))
+                    (
+                        tuple(_parse_int(e, "exponent") for e in mono["exp"]),
+                        parse_rational(mono["coef"]),
+                    )
                     for mono in row
                 )
             )

@@ -8,6 +8,7 @@ exact Fraction arithmetic and back the certificate computations.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -160,31 +161,55 @@ def _operator_norm_upper(A: Operator):
     return max(sum(abs_upper_bound(a) for a in row) for row in A.entries)
 
 
-def invert_exact(A: Operator) -> Operator:
-    """Gauss-Jordan inverse, pivoting on the entry of maximal absolute value."""
-    n, m = A.shape
-    if n != m:
-        raise DimensionMismatch("only square operators invert")
-    desc = A.descriptor
-    work = [list(row) for row in A.entries]
-    inv = [list(row) for row in Operator.identity(n, desc).entries]
+def _gauss_jordan(rows, one, zero, is_zero, size, singular: str):
+    """Gauss-Jordan elimination of a square matrix: (inverse rows, determinant).
+
+    The scalar protocol: `one` and `zero`, a zero test and a pivot size.  Each
+    column pivots on its entry of largest size; a column whose largest entry
+    is zero raises SingularMatrix with `singular` formatted by the column.
+    """
+    n = len(rows)
+    work = [list(row) for row in rows]
+    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    det = one
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: field_abs(work[r][col]))
-        if work[pivot_row][col].is_zero():
-            raise SingularMatrix(f"no nonzero pivot in column {col} at tracked precision")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+        pivot_row = max(range(col, n), key=lambda r: size(work[r][col]))
+        if is_zero(work[pivot_row][col]):
+            raise SingularMatrix(singular.format(col))
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+            det = -det
         piv = work[col][col]
+        det = det * piv
         work[col] = [a / piv for a in work[col]]
         inv[col] = [a / piv for a in inv[col]]
         for r in range(n):
             if r == col:
                 continue
             factor = work[r][col]
-            if factor.is_zero():
+            if is_zero(factor):
                 continue
             work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
             inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
+    return inv, det
+
+
+def _field_gauss_jordan(A: Operator):
+    """The elimination over field scalars, zero at tracked precision."""
+    desc = A.descriptor
+    return _gauss_jordan(
+        A.entries, desc.one(), desc.zero(), operator.methodcaller("is_zero"), field_abs,
+        "no nonzero pivot in column {} at tracked precision",
+    )
+
+
+def invert_exact(A: Operator) -> Operator:
+    """Gauss-Jordan inverse, pivoting on the entry of maximal absolute value."""
+    n, m = A.shape
+    if n != m:
+        raise DimensionMismatch("only square operators invert")
+    inv, _ = _field_gauss_jordan(A)
     return Operator(tuple(tuple(row) for row in inv))
 
 
@@ -269,8 +294,11 @@ def classify_isometry(alpha: Operator, samples: int = 32, seed: int = 0) -> str:
         return "in_omega"
     if _operator_norm_upper(alpha) > 1:
         return "neither"
-    det = _det_tracked(alpha)
-    if det.is_zero() or field_abs(det) != 1:
+    try:
+        _, det = _field_gauss_jordan(alpha)
+    except SingularMatrix:
+        return "neither"
+    if field_abs(det) != 1:
         return "neither"
     rng = random.Random(seed)
     points = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -283,25 +311,6 @@ def classify_isometry(alpha: Operator, samples: int = 32, seed: int = 0) -> str:
         if vec_norm(alpha.apply(v)) != vec_norm(v):
             return "neither"
     return "isometry"
-
-
-def _det_tracked(A: Operator):
-    n, _ = A.shape
-    work = [list(row) for row in A.entries]
-    det = A.descriptor.one()
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: field_abs(work[r][col]))
-        if work[pivot_row][col].is_zero():
-            return A.descriptor.zero()
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        piv = work[col][col]
-        det = det * piv
-        for r in range(col + 1, n):
-            factor = work[r][col] / piv
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +336,10 @@ def rat_mat_invert(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("only square matrices invert")
-    work = [[Fraction(x) for x in row] for row in rows]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrix(f"column {col} has no nonzero pivot")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        piv = work[col][col]
-        work[col] = [x / piv for x in work[col]]
-        inv[col] = [x / piv for x in inv[col]]
-        for r in range(n):
-            if r == col or work[r][col] == 0:
-                continue
-            f = work[r][col]
-            work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    inv, _ = _gauss_jordan(
+        [[Fraction(x) for x in row] for row in rows], Fraction(1), Fraction(0),
+        operator.not_, abs, "column {} has no nonzero pivot",
+    )
     return tuple(tuple(row) for row in inv)
 
 
@@ -387,6 +383,8 @@ class Ball:
         return len(self.center_exact)
 
     def contains_rational(self, point: Sequence) -> bool:
+        if len(point) != self.dim:
+            raise DimensionMismatch(f"point has {len(point)} coordinates, ball {self.dim}")
         d = max(
             rational_abs(Fraction(x) - c, self.descriptor)
             for x, c in zip(point, self.center_exact)

@@ -186,3 +186,70 @@ def test_cli_integer_strings_are_accepted_for_prime_and_precision():
     out = io.StringIO()
     assert cli.run(with_field("fixpoint_golden", field), stream=out) == 0
     assert out.getvalue() == (GOLDEN / "fixpoint_golden.json").read_text()
+
+
+def with_map(name, fmap):
+    """The golden request `name` with its --map replaced."""
+    args = CASES[name][:]
+    args[args.index("--map") + 1] = json.dumps(fmap)
+    return args
+
+
+def plus_square_with(exponent=2, nvars=1):
+    return {
+        "vars": nvars,
+        "outputs": [[{"coef": "1/1", "exp": [1]}, {"coef": "1/1", "exp": [exponent]}]],
+    }
+
+
+@pytest.mark.parametrize(
+    "fmap",
+    [
+        plus_square_with(exponent=1.5),  # was read as 1: x + x solved, exit 0
+        plus_square_with(exponent="x"),
+        plus_square_with(exponent="1/0"),
+        plus_square_with(exponent="1e400"),
+        plus_square_with(exponent=True),
+        plus_square_with(nvars=1.5),
+        plus_square_with(nvars="x"),
+    ],
+)
+def test_cli_malformed_map_exits_2(fmap):
+    code, payload = run_in_process(with_map("invert_golden", fmap))
+    assert code == 2
+    assert payload["error"]["kind"] == "SchemaError"
+
+
+@pytest.mark.parametrize("name", ["fixpoint_golden", "invert_golden"])
+def test_cli_unreachable_target_past_the_int_to_str_limit_exits_1(name):
+    # 199 999 steps exceed MAX_STEPS; the message prints the target 1/5^200000
+    field = {"kind": "padic", "prime": 5, "precision": 200000}
+    code, payload = run_in_process(with_field(name, field))
+    assert code == 1
+    assert payload["error"]["kind"] == "NotAContraction"
+    message = payload["error"]["message"]
+    assert message.startswith("a priori bound cannot reach 1/")
+    assert message.endswith(str(5**200000 % 10**20).zfill(20) + " in reasonable time")
+
+
+@pytest.mark.parametrize(
+    "name, flag, payload, kind",
+    [
+        # a ball center that is not a list (was a TypeError traceback)
+        ("certify_affine", "--geometry", {"ball": {"center": 2, "radius": 2}}, "SchemaError"),
+        ("fixpoint_golden", "--geometry", {"domain": {"center": None, "radius": "1/5"}, "x0": ["0/1"]}, "SchemaError"),
+        # points and balls of the wrong dimension (were IndexError / ValueError tracebacks)
+        ("invert_golden", "--geometry", {"ball": {"center": [], "radius": "1/5"}, "target": ["5/1"]}, "DimensionMismatch"),
+        ("certify_affine", "--geometry", {"ball": {"center": ["0/1"], "radius": 2}, "A": []}, "DimensionMismatch"),
+        ("fixpoint_golden", "--geometry", {"domain": {"center": ["0/1"], "radius": "1/5"}, "x0": []}, "DimensionMismatch"),
+        ("implicit_golden", "--geometry", {"p0": ["0/1"], "x0": ["0/1"], "p": []}, "DimensionMismatch"),
+        # a real constant beyond the range of a double (was an OverflowError traceback)
+        ("certify_affine", "--geometry", {"ball": {"center": ["0/1"], "radius": "1e400"}}, "SchemaError"),
+    ],
+)
+def test_cli_fuzz_findings_exit_with_json(name, flag, payload, kind):
+    args = CASES[name][:]
+    args[args.index(flag) + 1] = json.dumps(payload)
+    code, out = run_in_process(args)
+    assert code == (2 if kind == "SchemaError" else 1)
+    assert out["error"]["kind"] == kind

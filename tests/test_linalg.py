@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from ultrafix import (
     Ball,
+    FieldDescriptor,
     NotAContraction,
     Operator,
     SchemaError,
@@ -14,6 +16,7 @@ from ultrafix import (
     invert_exact,
     neumann_invert,
     operator_norm,
+    rational_abs,
     vec_norm,
 )
 from ultrafix.linalg import rat_mat_invert, rat_operator_norm
@@ -290,3 +293,53 @@ def test_ball_tracked_membership(q5):
     outside = Vector.from_rationals((1,), q5)
     assert ball.contains_tracked(inside)
     assert not ball.contains_tracked(outside)
+
+
+def _fraction_det(rows):
+    """Leibniz expansion: an exact determinant that shares no code with elimination."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _reference_class(rows, p):
+    def p_abs(q):
+        return rational_abs(q, FieldDescriptor.padic(p, 6))
+
+    n = len(rows)
+    if all(p_abs((1 if i == j else 0) - rows[i][j]) < 1 for i in range(n) for j in range(n)):
+        return "in_omega"
+    integral = all(p_abs(a) <= 1 for row in rows for a in row)
+    det = _fraction_det(rows)
+    return "isometry" if integral and det != 0 and p_abs(det) == 1 else "neither"
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_classify_isometry_matches_exact_determinants(p):
+    desc = FieldDescriptor.padic(p, 6)
+    rng = random.Random(100 + p)
+    seen = {"in_omega": 0, "isometry": 0, "neither": 0}
+    swaps = 0
+    for k in range(150):
+        n = rng.randint(2, 4)
+        rows = [[Fraction(rng.randint(-6, 6)) for _ in range(n)] for _ in range(n)]
+        if k % 3 == 0:
+            rows[0][0] = Fraction(0)  # the first column pivots off the diagonal
+        if k % 7 == 0:
+            rows = [[(1 if i == j else 0) + p * a for j, a in enumerate(row)] for i, row in enumerate(rows)]
+        if k % 11 == 0:
+            rows[-1] = list(rows[0])  # singular
+        if k % 13 == 0:
+            rows[rng.randrange(n)][rng.randrange(n)] /= p  # not integral
+        if rows[0][0] == 0 and any(rows[i][0] for i in range(1, n)):
+            swaps += 1
+        want = _reference_class(rows, p)
+        assert classify_isometry(Operator.from_rationals(rows, desc)) == want, rows
+        seen[want] += 1
+    assert min(seen.values()) >= 10 and swaps >= 30, (seen, swaps)
