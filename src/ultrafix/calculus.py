@@ -14,10 +14,19 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, DomainViolation, SchemaError
-from .field import FieldDescriptor, Scalar, embed_rational, rational_abs
+from .field import (
+    FieldDescriptor,
+    RealScalar,
+    Scalar,
+    embed_rational,
+    padic_monomial,
+    rational_abs,
+)
 from .linalg import Ball, Operator, Vector
 
 Monomial = tuple[tuple[int, ...], Fraction]
@@ -122,62 +131,86 @@ def eval_map(f: MapSpec, point):
     return _eval_exact(f, tuple(Fraction(c) for c in comps))
 
 
-def _power_table(comps, mul, one):
-    tables = [dict() for _ in comps]
+def _support(exps) -> tuple[tuple[int, int], ...]:
+    return tuple((i, e) for i, e in enumerate(exps) if e)
 
-    def power(i: int, e: int):
-        if e == 0:
-            return one
-        tab = tables[i]
-        got = tab.get(e)
-        if got is None:
-            got = comps[i]
-            for _ in range(e - 1):
-                got = mul(got, comps[i])
-            tab[e] = got
-        return got
 
-    return power
+def _int_table(f: MapSpec):
+    """f in integers: (degree, outputs), each output (D, terms) with D the lcm
+    of its coefficient denominators and one (c*D, |a|, support of a) per
+    monomial c*x^a."""
+    got = f._cache.get("int")
+    if got is None:
+        outputs = []
+        for monomials in f.outputs:
+            D = math.lcm(*(c.denominator for _, c in monomials))
+            outputs.append((D, tuple(
+                (c.numerator * (D // c.denominator), sum(exps), _support(exps))
+                for exps, c in monomials
+            )))
+        degree = max((deg for _, terms in outputs for _, deg, _ in terms), default=0)
+        got = f._cache["int"] = (degree, tuple(outputs))
+    return got
 
 
 def _eval_exact(f: MapSpec, comps: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    power = _power_table(comps, lambda a, b: a * b, Fraction(1))
+    """With x_i = n_i/L over one common denominator L, each output is
+    sum(c*D * L^(deg-|a|) * n^a) / (D * L^deg): integers until one Fraction."""
+    degree, outputs = _int_table(f)
+    L = math.lcm(*(x.denominator for x in comps))
+    nums = [x.numerator * (L // x.denominator) for x in comps]
+    scale = [1]
+    for _ in range(degree):
+        scale.append(scale[-1] * L)
     out = []
-    for monomials in f.outputs:
-        acc = Fraction(0)
-        for exps, coef in monomials:
-            term = coef
-            for i, e in enumerate(exps):
-                if e:
-                    term *= power(i, e)
+    for D, terms in outputs:
+        acc = 0
+        for c, deg, support in terms:
+            term = c * scale[degree - deg]
+            for i, e in support:
+                term *= nums[i] ** e
             acc += term
-        out.append(acc)
+        out.append(Fraction(acc, D * scale[degree]))
     return tuple(out)
 
 
-def _field_coefficients(f: MapSpec, desc: FieldDescriptor):
+def _field_table(f: MapSpec, desc: FieldDescriptor):
+    """Per output, (embedded coefficient, support of the exponents) per monomial."""
     cache = f._cache.setdefault("coef", {})
     got = cache.get(desc)
     if got is None:
-        got = tuple(
-            tuple((exps, embed_rational(coef, 1, desc)) for exps, coef in monomials)
+        got = cache[desc] = tuple(
+            tuple((embed_rational(coef, 1, desc), _support(exps)) for exps, coef in monomials)
             for monomials in f.outputs
         )
-        cache[desc] = got
     return got
 
+
 def _eval_field(f: MapSpec, comps, desc: FieldDescriptor) -> tuple:
-    power = _power_table(comps, lambda a, b: a * b, desc.one())
+    """The same values, bit for bit, as multiplying out and summing the
+    monomials one field operation at a time in monomial order."""
+    if any(getattr(x, "descriptor", None) != desc for x in comps):
+        raise SchemaError("operands from different fields")
+    table = _field_table(f, desc)
+    if desc.ultrametric:
+        # the sum starts at the first term, as the exact zero adds as the identity
+        return tuple(
+            reduce(add, [padic_monomial(coef, comps, s) for coef, s in terms] or [desc.zero()])
+            for terms in table
+        )
+    xs = [x.value for x in comps]
     out = []
-    for monomials in _field_coefficients(f, desc):
-        acc = desc.zero()
-        for exps, coef in monomials:
-            term = coef
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            acc = acc + term
-        out.append(acc)
+    for terms in table:
+        acc = 0.0
+        for coef, support in terms:
+            term = coef.value
+            for i, e in support:
+                power = xs[i]
+                for _ in range(e - 1):
+                    power *= xs[i]
+                term *= power
+            acc += term
+        out.append(RealScalar(desc, acc))
     return tuple(out)
 
 

@@ -29,12 +29,15 @@ def _load_json(text_or_path: str, what: str):
         payload = text_or_path
     else:
         path = Path(text_or_path)
-        if not path.exists():
-            raise SchemaError(f"{what} file not found: {text_or_path}")
-        payload = path.read_text()
+        try:
+            if not path.exists():
+                raise SchemaError(f"{what} file not found: {text_or_path}")
+            payload = path.read_text()
+        except (OSError, ValueError) as exc:  # a directory, a bad name, unreadable bytes
+            raise SchemaError(f"cannot read {what} file {text_or_path}: {exc}") from exc
     try:
         return json.loads(payload)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a huge integer literal, deep nesting
         raise SchemaError(f"invalid JSON for {what}: {exc}") from exc
 
 

@@ -36,7 +36,7 @@ from .field import (
     FieldDescriptor,
     abs_upper_bound,
     floor_log,
-    frac_str,
+    num_str,
     rational_abs,
     rational_valuation,
     truncate_precision,
@@ -50,11 +50,6 @@ from .linalg import (
     operator_norm,
     vec_norm,
 )
-
-
-def _num(x) -> str:
-    """A number for an error message: exact rationals of any size by frac_str."""
-    return frac_str(x) if isinstance(x, Fraction) else str(x)
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,7 @@ class ContractionProblem:
         if self.domain.dim != self.f.domain_dim:
             raise DimensionMismatch("ball dimension mismatch")
         if not 0 <= self.theta < 1:
-            raise NotAContraction(f"theta = {_num(self.theta)} is not in [0, 1)")
+            raise NotAContraction(f"theta = {num_str(self.theta)} is not in [0, 1)")
         if not self.domain.contains_rational(self.x0):
             raise NotAdmissible("x0 is outside the domain ball")
 
@@ -150,12 +145,12 @@ def _step_count(
         return 0
     if target < 0 or (target == 0 and theta > 0):
         # theta^n d0 > 0 for every n when theta > 0, and a bound is never negative
-        raise NotAContraction(f"a priori bound cannot reach {_num(target)}: it stays positive")
+        raise NotAContraction(f"a priori bound cannot reach {num_str(target)}: it stays positive")
     lo, hi = 0, 1  # invariant: not reached(lo)
     while not reached(hi):
         if hi >= MAX_STEPS:
             raise NotAContraction(
-                f"a priori bound cannot reach {_num(target)} in reasonable time"
+                f"a priori bound cannot reach {num_str(target)} in reasonable time"
             )
         lo, hi = hi, min(2 * hi, MAX_STEPS)
     while hi - lo > 1:
@@ -187,8 +182,8 @@ def _plan(problem: ContractionProblem, target_precision) -> tuple:
     """
     if not admissible(problem):
         raise NotAdmissible(
-            f"d(f(x0), x0) = {_num(problem.initial_displacement())} exceeds the "
-            f"admissible displacement for radius {_num(problem.domain.radius)}"
+            f"d(f(x0), x0) = {num_str(problem.initial_displacement())} exceeds the "
+            f"admissible displacement for radius {num_str(problem.domain.radius)}"
         )
     desc = problem.descriptor
     theta, d0 = problem.theta, problem.initial_displacement()
@@ -201,7 +196,7 @@ def _check_step(k: int, step, bound: Fraction, ultrametric: bool) -> None:
     violated = step > bound if ultrametric else step > float(bound) + 1e-12
     if violated:
         raise DomainEscape(
-            f"step {k} of size {_num(step)} exceeds its a priori bound {_num(bound)}: "
+            f"step {k} of size {num_str(step)} exceeds its a priori bound {num_str(bound)}: "
             "the supplied contraction constant is wrong"
         )
 
@@ -248,7 +243,7 @@ def iterate_fixed_point(
         fixed_ok = residual <= (1 + float(theta)) * float(target) + desc.tolerance
     if not fixed_ok:
         raise DomainEscape(
-            f"residual {_num(residual)} above target {_num(target)}: contraction claim failed"
+            f"residual {num_str(residual)} above target {num_str(target)}: contraction claim failed"
         )
     return FixedPointReport(
         fixed_point=x,
@@ -338,7 +333,7 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
     residual = vec_norm(eval_map(f, x) - x)
     if residual > target:
         raise DomainEscape(
-            f"residual {_num(residual)} above target {_num(target)}: contraction claim failed"
+            f"residual {num_str(residual)} above target {num_str(target)}: contraction claim failed"
         )
     return x
 
@@ -347,7 +342,7 @@ def lipschitz_theta(f: MapSpec, ball: Ball) -> Fraction:
     """Contraction constant from the coefficient-telescoped Lipschitz bound."""
     theta = lipschitz_bound(f, ball)
     if theta >= 1:
-        raise NotAContraction(f"Lipschitz bound {_num(theta)} is not below 1")
+        raise NotAContraction(f"Lipschitz bound {num_str(theta)} is not below 1")
     return theta
 
 
@@ -393,8 +388,8 @@ def fixed_point_derivative(f: MapSpec, p, x_p: Vector) -> Operator:
     value = eval_map(f, Vector(_joint_point(f, p, x_p)))
     residual = value - x_p
     if not residual.is_zero():
-        raise NotAFixedPoint(f"residual norm {_num(vec_norm(residual))} at tracked precision")
+        raise NotAFixedPoint(f"residual norm {num_str(vec_norm(residual))} at tracked precision")
     if operator_norm(beta2) >= 1:
-        raise NotAContraction(f"state Jacobian has norm {_num(operator_norm(beta2))} >= 1")
+        raise NotAContraction(f"state Jacobian has norm {num_str(operator_norm(beta2))} >= 1")
     inv, _ = neumann_invert(beta2)
     return inv.compose(beta1)

@@ -65,10 +65,12 @@ class NotCertifiable(UltrafixError):
     """Strictness modulus too large for the anchor operator."""
 
     def __init__(self, sigma, threshold):
+        from .field import num_str  # field imports this module
+
         super().__init__(
-            f"strictness bound {sigma} is not below 1/|A^-1| = {threshold}",
-            sigma=str(sigma),
-            threshold=str(threshold),
+            f"strictness bound {num_str(sigma)} is not below 1/|A^-1| = {num_str(threshold)}",
+            sigma=num_str(sigma),
+            threshold=num_str(threshold),
         )
         self.sigma = sigma
         self.threshold = threshold

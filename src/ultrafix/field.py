@@ -121,6 +121,11 @@ def frac_str(q) -> str:
     return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
+def num_str(x) -> str:
+    """A number for an error message: exact rationals of any size by frac_str."""
+    return frac_str(x) if isinstance(x, Fraction) else str(x)
+
+
 def rational_valuation(q, p: int) -> int:
     q = Fraction(q)
     if q == 0:
@@ -375,6 +380,40 @@ def _padic_mul(a: PadicScalar, b: PadicScalar) -> PadicScalar:
     p = desc.prime
     unit = (a.unit * b.unit) % p**k
     return PadicScalar(desc, a.val + b.val, unit, a.val + b.val + k)
+
+
+def padic_monomial(coef: PadicScalar, xs, powers) -> PadicScalar:
+    """coef * xs[i]**e * ... over the (i, e) pairs of `powers` (each e >= 1).
+
+    The product is the one the left fold of `_padic_mul` gives, formed in one
+    step: valuations add, the digit count is the least of the factors', and
+    the unit is the product of the units mod p^digits.  A bounded zero O(p^m)
+    makes the product O(p^(sum of e*w)), w being a factor's val, or its prec
+    for a bounded zero; an exact zero makes it the exact zero.
+    """
+    desc = coef.descriptor
+    if coef.is_exact_zero():
+        return coef
+    bounded = coef.val is None
+    val = coef.prec if bounded else coef.val
+    digits = desc.precision if bounded else coef.prec - coef.val
+    for i, e in powers:
+        x = xs[i]
+        if x.val is None:
+            if x.prec is None:
+                return desc.zero()
+            bounded = True
+            val += e * x.prec
+        else:
+            val += e * x.val
+            digits = min(digits, x.prec - x.val)
+    if bounded:
+        return PadicScalar(desc, None, 0, val)
+    mod = desc.prime**digits
+    unit = coef.unit % mod
+    for i, e in powers:
+        unit = unit * pow(xs[i].unit, e, mod) % mod
+    return PadicScalar(desc, val, unit, val + digits)
 
 
 def _padic_div(a: PadicScalar, b: PadicScalar) -> PadicScalar:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ from ultrafix import (
     Ball,
     DimensionMismatch,
     DomainViolation,
+    FieldDescriptor,
     MapSpec,
     Operator,
     QuotientPoint,
+    SchemaError,
     Vector,
     check_identities,
     compose,
@@ -24,7 +27,8 @@ from ultrafix import (
     strictness_modulus,
 )
 from ultrafix.sampling import sample_in_ball, sample_pair_in_ball
-from ultrafix.field import rational_abs
+from ultrafix.calculus import partial_map
+from ultrafix.field import PadicScalar, embed_rational, rational_abs, truncate_precision
 
 
 def poly(m, *outputs):
@@ -290,3 +294,149 @@ def test_domain_checked_for_scalar_quotients(q5):
     )
     with pytest.raises(DomainViolation):
         diff_quotient(f, outside)
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels against the scalar fold they replace
+
+
+def fold_eval(f, comps, one, zero, embed):
+    """Oracle: the scalar fold maps were evaluated with before the integer
+    kernels.  Powers are repeated products x*x*...*x, each term is multiplied
+    out factor by factor from its coefficient, and the terms are summed from
+    zero in monomial order, one field operation at a time."""
+    tables = [dict() for _ in comps]
+
+    def power(i, e):
+        if e == 0:
+            return one
+        got = tables[i].get(e)
+        if got is None:
+            got = comps[i]
+            for _ in range(e - 1):
+                got = got * comps[i]
+            tables[i][e] = got
+        return got
+
+    out = []
+    for monomials in f.outputs:
+        acc = zero
+        for exps, coef in monomials:
+            term = embed(coef)
+            for i, e in enumerate(exps):
+                if e:
+                    term = term * power(i, e)
+            acc = acc + term
+        out.append(acc)
+    return tuple(out)
+
+
+def random_map(rng, m, n, max_degree, coefficient):
+    rows = []
+    for _ in range(n):
+        rows.append([
+            (coefficient(), tuple(rng.randint(0, max_degree) if rng.random() < 0.6 else 0 for _ in range(m)))
+            for _ in range(rng.randint(0, 5))
+        ])
+    return poly(m, *rows)
+
+
+def padic_raw(x):
+    return (x.val, x.unit, x.prec)
+
+
+def random_padic(rng, desc):
+    p, n = desc.prime, desc.precision
+    kind = rng.random()
+    if kind < 0.1:
+        return desc.zero()
+    if kind < 0.25:
+        return PadicScalar(desc, None, 0, rng.randint(-3, 3))  # O(p^m), m <= 0 too
+    num = rng.choice((-1, 1)) * rng.randint(1, p**3) * p ** rng.randint(0, 2)
+    x = embed_rational(Fraction(num, rng.randint(1, 9) * p ** rng.randint(0, 2)), 1, desc)
+    if kind < 0.5:  # truncated: fewer known digits than the field's precision
+        x = truncate_precision(x, x.val + rng.randint(1, n))
+    return x
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5, 7])
+def test_padic_kernel_matches_the_scalar_fold(prime):
+    rng = random.Random(5000 + prime)
+    kinds = {"bounded": 0, "exact_zero": 0, "truncated": 0}
+    for _ in range(300):
+        desc = FieldDescriptor.padic(prime, rng.randint(1, 12))
+        m = rng.randint(1, 3)
+
+        def coefficient():
+            num = rng.choice((-1, 1)) * rng.randint(1, 3 * prime)
+            return Fraction(num, rng.randint(1, 4) * prime ** rng.randint(0, 2))
+
+        f = random_map(rng, m, rng.randint(1, 3), 4, coefficient)
+        point = tuple(random_padic(rng, desc) for _ in range(m))
+
+        def embed(c):
+            return embed_rational(c, 1, desc)
+
+        want = fold_eval(f, point, desc.one(), desc.zero(), embed)
+        got = eval_map(f, point)
+        assert [padic_raw(x) for x in got] == [padic_raw(x) for x in want], (f, point)
+        rows = jacobian(f, point).entries
+        for j in range(m):
+            col = fold_eval(partial_map(f, j), point, desc.one(), desc.zero(), embed)
+            assert [padic_raw(row[j]) for row in rows] == [padic_raw(x) for x in col]
+        for x in point:
+            kinds["exact_zero"] += x.is_exact_zero()
+            kinds["bounded"] += x.val is None and x.prec is not None
+            kinds["truncated"] += x.val is not None and x.prec - x.val < desc.precision
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_real_kernel_gives_the_folds_doubles(real):
+    rng = random.Random(77)
+    for _ in range(300):
+        m = rng.randint(1, 3)
+        f = random_map(rng, m, rng.randint(1, 3), 5,
+                       lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 30)))
+        point = tuple(real.from_rational(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**5)))
+                      for _ in range(m))
+        want = fold_eval(f, point, real.one(), real.zero(), lambda c: embed_rational(c, 1, real))
+        got = eval_map(f, point)
+        assert [x.value.hex() for x in got] == [x.value.hex() for x in want]
+
+
+def naive_eval(f, xs):
+    return tuple(
+        sum((c * math.prod(x**e for x, e in zip(xs, exps)) for exps, c in out), Fraction(0))
+        for out in f.outputs
+    )
+
+
+def test_exact_kernel_matches_naive_fractions():
+    rng = random.Random(31)
+    for _ in range(400):
+        m = rng.randint(1, 4)
+        f = random_map(rng, m, rng.randint(1, 3), 5,
+                       lambda: Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 40)))
+        xs = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(m))
+        assert eval_map(f, xs) == naive_eval(f, xs)
+        assert jacobian_exact(f, xs) == tuple(zip(*(naive_eval(partial_map(f, j), xs) for j in range(m))))
+
+
+def test_exact_kernel_constant_and_empty_outputs():
+    f = poly(2, [(Fraction(3, 4), (0, 0))], [], [(Fraction(1, 6), (0, 0)), (Fraction(-2, 9), (2, 1))])
+    for xs in ((Fraction(0), Fraction(0)), (Fraction(-1, 3), Fraction(5, 2)), (Fraction(7), Fraction(1, 9))):
+        got = eval_map(f, xs)
+        assert got == naive_eval(f, xs)
+        assert got[0] == Fraction(3, 4) and got[1] == 0
+    assert eval_map(poly(1, [(Fraction(5, 7), (0,))]), (Fraction(1, 3),)) == (Fraction(5, 7),)
+
+
+def test_mixed_descriptors_are_a_schema_error(q5, real):
+    q7 = FieldDescriptor.padic(7, 4)
+    for other in (q7.from_rational(2), real.from_rational(2), Fraction(2)):
+        with pytest.raises(SchemaError, match="operands from different fields"):
+            eval_map(PAIR, (q5.from_rational(3), other))
+        with pytest.raises(SchemaError, match="operands from different fields"):
+            jacobian(PAIR, (q5.from_rational(3), other))
+    with pytest.raises(SchemaError, match="operands from different fields"):
+        eval_map(PAIR, (real.from_rational(3), q5.from_rational(2)))

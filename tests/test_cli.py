@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ultrafix import cli
+from ultrafix.field import frac_str
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -173,6 +174,13 @@ def with_field(name, field):
         ("certify_affine", {"kind": "real", "tolerance": None}),
         ("fixpoint_golden", {"kind": "padic", "prime": 2**127 - 1, "precision": 4}),
         ("fixpoint_golden", {"kind": "padic", "prime": 41041, "precision": 4}),
+        # json.loads raised a plain ValueError / RecursionError (tracebacks)
+        pytest.param(
+            "fixpoint_golden",
+            '{"kind": "padic", "prime": 5, "precision": 1' + "1" * sys.get_int_max_str_digits() + "}",
+            id="fixpoint_golden-precision-past-the-int-to-str-limit",
+        ),
+        pytest.param("fixpoint_golden", "[" * 100_000 + "]" * 100_000, id="fixpoint_golden-deep-nesting"),
     ],
 )
 def test_cli_malformed_field_exits_2(name, field):
@@ -253,3 +261,34 @@ def test_cli_fuzz_findings_exit_with_json(name, flag, payload, kind):
     code, out = run_in_process(args)
     assert code == (2 if kind == "SchemaError" else 1)
     assert out["error"]["kind"] == kind
+
+
+def test_cli_not_certifiable_past_the_int_to_str_limit_exits_1():
+    # sigma = 5^10000 has 6 990 digits; its message and details printed it by str()
+    geometry = {"ball": {"center": ["0/1"], "radius": f"{5**5000}/1"}}
+    cube = {"vars": 1, "outputs": [[{"coef": "1/1", "exp": [1]}, {"coef": "1/1", "exp": [3]}]]}
+    args = with_map("invert_golden", cube)
+    args[0] = "certify"
+    args[args.index("--geometry") + 1] = json.dumps(geometry)
+    code, payload = run_in_process(args)
+    assert code == 1
+    error = payload["error"]
+    assert error["kind"] == "NotCertifiable"
+    assert (error["sigma"], error["threshold"]) == (frac_str(5**10000), "1/1")
+    assert error["message"].endswith(f"{frac_str(5**10000)} is not below 1/|A^-1| = 1/1")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        pytest.param("", id="empty"),
+        pytest.param(str(FIXTURES / "maps"), id="directory"),
+        pytest.param("x" * 5000, id="name-too-long"),
+    ],
+)
+def test_cli_unreadable_map_path_exits_2(path):
+    # a directory (the empty path is ".") or a name too long for the file
+    # system was an IsADirectoryError / OSError traceback
+    code, payload = run_in_process(["check", "--map", path])
+    assert code == 2
+    assert payload["error"]["kind"] == "SchemaError"

@@ -5,14 +5,20 @@ drops a key or swaps in a junk value at one or two random places.  Whatever
 comes in, `cli.run` must answer with exit code 0, 1 or 2 and JSON on stdout,
 and a failure must name its error kind; no exception may escape.  Junk values
 stay small: there are no budgets on precision or degree yet, so a huge value
-could make a well-formed request run for minutes.
+could make a well-formed request run for minutes.  A second test, with its
+own seed, mutates the serialized JSON text instead (truncation, a duplicate
+key, a spliced integer literal too long to parse) under the same property.
 """
 
 import copy
 import io
 import json
 import random
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 from ultrafix import cli
 
@@ -56,8 +62,7 @@ def _mutate(rng, payload):
     return payload
 
 
-def _request(rng):
-    command = rng.choice(sorted(REQUESTS))
+def _payloads(command):
     map_file, field_file, geometry_file = REQUESTS[command]
     payloads = {
         "--map": json.loads((FIXTURES / map_file).read_text()),
@@ -65,12 +70,22 @@ def _request(rng):
     }
     if geometry_file is not None:
         payloads["--geometry"] = json.loads((FIXTURES / geometry_file).read_text())
-    flag = rng.choice(sorted(payloads))
-    payloads[flag] = _mutate(rng, payloads[flag])
+    return payloads
+
+
+def _argv(command, payloads):
     argv = [command, "--samples", "8"]
     for flag, payload in payloads.items():
         argv += [flag, json.dumps(payload)]
     return argv
+
+
+def _request(rng):
+    command = rng.choice(sorted(REQUESTS))
+    payloads = _payloads(command)
+    flag = rng.choice(sorted(payloads))
+    payloads[flag] = _mutate(rng, payloads[flag])
+    return _argv(command, payloads)
 
 
 def test_mutated_requests_exit_0_1_or_2_with_json():
@@ -87,3 +102,54 @@ def test_mutated_requests_exit_0_1_or_2_with_json():
         codes[code] += 1
     # the mutations reach past parsing into the solvers
     assert min(codes.values()) >= 10, codes
+
+
+# Text-level mutations: the serialized request itself is cut, spliced or
+# given a duplicate key, so the payload can fail where json.loads does.
+TEXT_SEED, TEXT_COUNT = 20261118, 300
+TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|true|false|null')
+PAIR = re.compile(rf'("(?:[^"\\]|\\.)*")\s*:\s*(?:{TOKEN.pattern})')
+
+
+def _mutate_text(rng, text, kinds):
+    """One text mutation.  A spliced literal has one digit more than the
+    int-to-str limit allows, so it cannot parse as an integer and no request
+    can spin on a huge precision or degree."""
+    tokens = list(TOKEN.finditer(text))
+    pairs = list(PAIR.finditer(text))
+    kind = rng.choice(("splice", "truncate", "duplicate") if pairs else ("splice", "truncate"))
+    kinds[kind] += 1
+    if kind == "truncate":
+        return text[: rng.randrange(len(text))]
+    if kind == "duplicate":  # the later copy of a key wins in json.loads
+        pair = rng.choice(pairs)
+        return f"{text[:pair.end()]}, {pair.group(1)}: {rng.choice(tokens).group()}{text[pair.end():]}"
+    token = rng.choice(tokens)
+    literal = str(rng.randint(1, 9)) * (sys.get_int_max_str_digits() + 1)
+    if token.group().startswith('"') and rng.random() < 0.5:  # inside a string
+        at = rng.randint(token.start() + 1, token.end() - 1)
+        return text[:at] + literal + text[at:]
+    return text[: token.start()] + literal + text[token.end():]
+
+
+def test_mutated_request_text_exits_0_1_or_2_with_json():
+    if not sys.get_int_max_str_digits():
+        pytest.skip("no int-to-str digit limit: a spliced literal would parse")
+    rng = random.Random(TEXT_SEED)
+    codes = {0: 0, 1: 0, 2: 0}
+    kinds = {"splice": 0, "truncate": 0, "duplicate": 0}
+    for _ in range(TEXT_COUNT):
+        command = rng.choice(sorted(REQUESTS))
+        payloads = _payloads(command)
+        argv = _argv(command, payloads)
+        at = argv.index(rng.choice(sorted(payloads))) + 1
+        argv[at] = _mutate_text(rng, argv[at], kinds)
+        out = io.StringIO()
+        code = cli.run(argv, stream=out)
+        assert code in codes, argv
+        payload = json.loads(out.getvalue())
+        if code:
+            assert payload["error"]["kind"], argv
+        codes[code] += 1
+    assert min(kinds.values()) >= 50, kinds
+    assert codes[2] >= 100 and codes[0] + codes[1] >= 10, codes
