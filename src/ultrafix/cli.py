@@ -9,6 +9,7 @@ stdout), 2 malformed request.  Output is byte-identical for identical
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -188,7 +189,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every run."""
     parser = argparse.ArgumentParser(
         prog="ultrafix",
         description="Certified inversion, implicit-function and fixed-point "

@@ -13,6 +13,7 @@ residual of a closing Banach step and capped by the same a priori bound.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,6 +31,7 @@ from .errors import (
     NotAContraction,
     NotAdmissible,
     NotAFixedPoint,
+    PrecisionExhausted,
     SchemaError,
 )
 from .field import (
@@ -188,7 +190,25 @@ def _plan(problem: ContractionProblem, target_precision) -> tuple:
     desc = problem.descriptor
     theta, d0 = problem.theta, problem.initial_displacement()
     target = _target(target_precision, desc)
+    if not desc.ultrametric:
+        _check_double_resolution(target, problem.domain)
     return theta, d0, target, _step_count(theta, d0, target, desc)
+
+
+def _check_double_resolution(target: Fraction, ball: Ball) -> None:
+    """Real iterates are doubles: near the ball, neighbouring doubles are up
+    to eps * max(1, |center| + r) apart, so no smaller positive target can be
+    claimed.  Targets <= 0 are left to _step_count, which rejects them
+    unless theta = 0."""
+    extent = max((abs(c) for c in ball.center_exact), default=0) + ball.radius
+    resolution = Fraction(sys.float_info.epsilon) * max(1, extent)
+    if 0 < target < resolution:
+        raise PrecisionExhausted(
+            f"real target {num_str(target)} is below the double resolution "
+            f"{num_str(resolution)} of the ball",
+            target=num_str(target),
+            resolution=num_str(resolution),
+        )
 
 
 def _check_step(k: int, step, bound: Fraction, ultrametric: bool) -> None:

@@ -3,7 +3,10 @@
 A p-adic scalar stores its valuation, its unit digits and the absolute
 precision up to which the value is known.  Addition of near-cancelling values
 raises the valuation and shrinks the known digit range instead of fabricating
-zeros, so downstream certificates never overstate precision.  The real backend
+zeros, so downstream certificates never overstate precision.  There is one
+addition rule, the n-ary `padic_sum`: a two-term `+` is its two-term case,
+and a polynomial output is summed by one call over all its monomials, each
+formed in one modular product by `padic_monomial`.  The real backend
 is plain IEEE doubles with a global comparison tolerance; exactness on the
 real side lives in the rational helpers (`rational_abs`) used by the
 verification oracles, not in the scalar type.
@@ -339,29 +342,52 @@ def _padic_make(desc, val, residue, prec):
     residue %= p**span
     if residue == 0:
         return PadicScalar(desc, None, 0, prec)
-    shift = int_valuation(residue, p)
-    v = val + shift
-    unit = residue // p**shift
+    if residue % p:
+        v, unit = val, residue
+    else:
+        shift = int_valuation(residue, p)
+        v = val + shift
+        unit = residue // p**shift
     # cap the digit window at the descriptor's significance
     newprec = min(prec, v + desc.precision)
-    unit %= p ** (newprec - v)
-    if unit == 0:
-        return PadicScalar(desc, None, 0, newprec)
+    if newprec < prec:
+        unit %= p ** (newprec - v)
+        if unit == 0:
+            return PadicScalar(desc, None, 0, newprec)
     return PadicScalar(desc, v, unit, newprec)
 
 
-def _padic_add(a: PadicScalar, b: PadicScalar) -> PadicScalar:
-    desc = a.descriptor
-    if a.is_exact_zero():
-        return b
-    if b.is_exact_zero():
-        return a
-    m = min(a.prec, b.prec)
-    vals = [s.val for s in (a, b) if s.val is not None]
-    base = min(vals + [m]) if vals else m
+def padic_sum(desc, terms) -> PadicScalar:
+    """The sum of a sequence of p-adic scalars of `desc`, normalised once.
+
+    This is the one addition rule.  Exact zeros drop out; the sum of the
+    other terms is known modulo p^m, m their least `prec`.  Their units are
+    added as one integer at base = the least of their `val`s and m (a
+    bounded zero O(p^k) adds nothing but makes m <= k), and `_padic_make`
+    normalises the total once.  That equals the left fold of two-term sums:
+    reducing mod p^m at each step agrees with reducing once at the end, and
+    a sum's valuation is at least its least term valuation, so the
+    v + precision cap never binds inside the fold.  No terms, or only exact
+    zeros, give the exact zero.
+    """
+    m = base = None
+    for s in terms:
+        prec = s.prec
+        if prec is None:
+            continue
+        low = prec if s.val is None else s.val
+        if m is None:
+            m, base = prec, low
+        else:
+            if prec < m:
+                m = prec
+            if low < base:
+                base = low
+    if m is None:
+        return desc.zero()
     p = desc.prime
     r = 0
-    for s in (a, b):
+    for s in terms:
         if s.val is not None:
             r += s.unit * p ** (s.val - base)
     return _padic_make(desc, base, r, m)
@@ -436,13 +462,13 @@ def _padic_div(a: PadicScalar, b: PadicScalar) -> PadicScalar:
 
 def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
     """Field operation on two scalars of the same descriptor."""
-    if a.descriptor != b.descriptor:
+    if a.descriptor is not b.descriptor and a.descriptor != b.descriptor:
         raise SchemaError("operands from different fields")
     if isinstance(a, PadicScalar):
         if op == "add":
-            return _padic_add(a, b)
+            return padic_sum(a.descriptor, (a, b))
         if op == "sub":
-            return _padic_add(a, -b)
+            return padic_sum(a.descriptor, (a, -b))
         if op == "mul":
             return _padic_mul(a, b)
         if op == "div":
@@ -490,8 +516,9 @@ def abs_upper_bound(a: Scalar):
 def embed_rational(num, den, descriptor: FieldDescriptor) -> Scalar:
     """Exact embedding of num/den to full precision."""
     if isinstance(num, Fraction):
-        frac = num / den
-        num, den = frac.numerator, frac.denominator
+        if den != 1:
+            num = num / den
+        num, den = num.numerator, num.denominator
     if den == 0:
         raise DivisionByZero("zero denominator")
     if descriptor.kind == "real":

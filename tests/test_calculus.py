@@ -28,6 +28,7 @@ from ultrafix import (
 )
 from ultrafix.sampling import sample_in_ball, sample_pair_in_ball
 from ultrafix.calculus import partial_map
+from ultrafix import calculus
 from ultrafix.field import PadicScalar, embed_rational, rational_abs, truncate_precision
 
 
@@ -440,3 +441,74 @@ def test_mixed_descriptors_are_a_schema_error(q5, real):
             jacobian(PAIR, (q5.from_rational(3), other))
     with pytest.raises(SchemaError, match="operands from different fields"):
         eval_map(PAIR, (real.from_rational(3), q5.from_rational(2)))
+
+
+# ---------------------------------------------------------------------------
+# check_identities evaluates each distinct (map, point) once per sample
+
+REUSE_MAP = poly(
+    2,
+    [(Fraction(3, 2), (1, 0)), (-1, (0, 1)), (Fraction(2, 5), (2, 1))],
+    [(1, (0, 0)), (5, (1, 1)), (Fraction(-7, 3), (0, 3))],
+)
+EVAL_MAP_CALLS_BEFORE_REUSE = 156  # eval_map calls of one run below, evaluating every point anew
+
+
+def _plain(v):
+    if isinstance(v, PadicScalar):
+        return (v.val, v.unit, v.prec)
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, tuple):
+        return tuple(_plain(u) for u in v)
+    return {k: _plain(u) for k, u in v.items()}
+
+
+def _report_summary(report):
+    return [
+        (r.name, r.samples, r.failures, r.counterexample and _plain(r.counterexample))
+        for r in report.results
+    ]
+
+
+_CLEAN = [(name, 8, 0, None) for name in
+          ("chain_rule", "direction_difference", "quotient_scaling", "second_quotient_scaling")]
+
+
+def _mutant_report(lhs, rhs):
+    """The quotient-offset report of REUSE_MAP at seed 2026, as evaluating
+    every point anew gave it; lhs and rhs differ with the field."""
+    return [
+        ("chain_rule", 8, 5, {"x": ("7/2", "1/2"), "y": ("8/9", "0"), "t": "5/3",
+                              "lhs": lhs, "rhs": rhs}),
+        ("direction_difference", 8, 5, {"x": ("7/2", "1/2"), "y1": ("8/9", "0"),
+                                        "y2": ("9/5", "-3/2"), "t": "5/3"}),
+        ("quotient_scaling", 8, 7, {"x": ("-1", "7/9"), "y": ("-3/2", "8/7"), "t": "-2",
+                                    "s": "-7/2"}),
+        ("second_quotient_scaling", 8, 1, {"x": ("-4/7", "-1/7"), "y": ("8/7", "-1"),
+                                           "x1": ("-2/3", "7/8"), "y1": ("5/2", "7/9"),
+                                           "t": "6/7", "s": "0", "s1": "-1/2", "s2": "-3/4"}),
+    ]
+
+
+@pytest.mark.parametrize("padic", [False, True])
+def test_identity_samples_evaluate_each_point_once(monkeypatch, padic):
+    desc = FieldDescriptor.padic(5, 6) if padic else None
+    if padic:
+        mutant = _mutant_report(((-2, 2338, 3), (-1, 1169, 4)), ((-2, 523, 3), (-1, 3084, 4)))
+    else:
+        mutant = _mutant_report(("267622811/4428675", "22814/405"),
+                                ("389576006/4428675", "139841/1620"))
+    calls = []
+    real_eval_map = calculus.eval_map
+
+    def counting(f, point):
+        calls.append(point)
+        return real_eval_map(f, point)
+
+    monkeypatch.setattr(calculus, "eval_map", counting)
+    for mutation, want in ((None, _CLEAN), ("quotient-offset", mutant)):
+        calls.clear()
+        report = check_identities(REUSE_MAP, 8, seed=2026, descriptor=desc, mutation=mutation)
+        assert _report_summary(report) == want
+        assert 0 < len(calls) <= EVAL_MAP_CALLS_BEFORE_REUSE // 2

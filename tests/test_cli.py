@@ -292,3 +292,37 @@ def test_cli_unreadable_map_path_exits_2(path):
     code, payload = run_in_process(["check", "--map", path])
     assert code == 2
     assert payload["error"]["kind"] == "SchemaError"
+
+
+def test_cli_runs_in_one_process_match_first_runs(capsys):
+    """The parser is built once and reused: later runs in the same process
+    print the same bytes and exit codes as a first run."""
+    assert cli.build_parser() is cli.build_parser()
+    usage_error = ["invert", "--map", str(FIXTURES / "maps/plus_square.json")]
+    first = run_cli(usage_error)
+    assert first.returncode == 2 and first.stdout == ""
+    order = [*sorted(CASES), "usage", "invert_golden", "check_clean", "usage", *sorted(CASES)]
+    for name in order:
+        out = io.StringIO()
+        code = cli.run(usage_error if name == "usage" else CASES[name], stream=out)
+        if name == "usage":
+            assert (code, out.getvalue(), capsys.readouterr().err) == (2, "", first.stderr)
+        else:
+            assert (code, out.getvalue()) == (0, (GOLDEN / f"{name}.json").read_text()), name
+
+
+def test_cli_real_target_below_double_resolution_exits_1():
+    # the true fixed point of 3/40 + x/2 is 3/20; doubles cannot certify 10^-30
+    fmap = json.dumps({"vars": 1, "outputs": [[{"coef": "3/40", "exp": [0]},
+                                               {"coef": "1/2", "exp": [1]}]]})
+    args = ["fixpoint", "--map", fmap, "--field", json.dumps({"kind": "real"}),
+            "--geometry", str(FIXTURES / "geo/fixpoint_golden.json")]
+    code, payload = run_in_process([*args, "--tol", "1/" + "1" + "0" * 30])
+    assert code == 1
+    error = payload["error"]
+    assert error["kind"] == "PrecisionExhausted"
+    assert error["target"] == "1/" + "1" + "0" * 30
+    assert error["resolution"] == f"1/{2**52}"  # eps * max(1, |0| + 1/5)
+    code, payload = run_in_process([*args, "--tol", "1/" + "1" + "0" * 13])
+    assert code == 0
+    assert abs(payload["result"]["report"]["fixed_point"][0] - 0.15) <= 1e-13

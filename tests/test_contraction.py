@@ -33,7 +33,8 @@ from ultrafix.contraction import (
     newton_fixed_point,
     newton_pays,
 )
-from ultrafix.field import rational_valuation
+from ultrafix.errors import PrecisionExhausted
+from ultrafix.field import frac_str, rational_valuation
 from ultrafix.inverse import inversion_step_map
 
 
@@ -484,3 +485,18 @@ def test_newton_claims_only_what_its_residual_proves(q5_deep):
     assert (130 * 130 * 5 + 5 - 130) % 5**5 == 0 and (130 * 130 * 5 + 5 - 130) % 5**6 != 0
     with pytest.raises(DomainEscape, match="residual"):
         iterate_fixed_point(wrong, Fraction(1, 5**6))
+
+
+def test_real_target_below_the_double_resolution_of_the_ball(real):
+    # 500 + x/2 has its fixed point 1000 at the center of B_1(1000), where
+    # neighbouring doubles are 2^-43 apart: eps * (1000 + 1) bounds the gap
+    far = ContractionProblem(
+        poly(1, [(500, (0,)), (Fraction(1, 2), (1,))]), Ball(real, (1000,), 1), Fraction(1, 2), (999,)
+    )
+    with pytest.raises(PrecisionExhausted) as err:
+        iterate_fixed_point(far, Fraction(1, 10**13))
+    assert err.value.details == {"target": frac_str(Fraction(1, 10**13)),
+                                 "resolution": frac_str(Fraction(1001, 2**52))}
+    for target, tol in ((Fraction(1, 10**12), 1e-12), (None, 1e-9)):  # None: the default
+        x = iterate_fixed_point(far, target).fixed_point.components[0].value
+        assert abs(x - 1000) <= tol

@@ -14,6 +14,8 @@ from ultrafix import (
     rational_abs,
 )
 from ultrafix.field import PRIME_BOUND, _is_prime, floor_log, int_valuation, truncate_precision
+from ultrafix.field import PadicScalar, padic_sum
+from functools import reduce
 
 
 def test_padic_integer_addition(q5):
@@ -283,3 +285,118 @@ def test_primes_beyond_the_proven_bound_are_rejected():
         FieldDescriptor.padic(2**127 - 1, 4)
     # the largest prime below the bound is still accepted
     assert FieldDescriptor.padic(PRIME_BOUND - 168, 4).prime == 3317044064679887385961813
+
+
+# ---------------------------------------------------------------------------
+# The n-ary sum kernel against the two-term addition and the fold it replaced
+
+
+def _old_padic_make(desc, val, residue, prec):
+    """Normalize an integer residue known modulo p^prec at base valuation val."""
+    p = desc.prime
+    span = prec - val
+    residue %= p**span
+    if residue == 0:
+        return PadicScalar(desc, None, 0, prec)
+    shift = int_valuation(residue, p)
+    v = val + shift
+    unit = residue // p**shift
+    # cap the digit window at the descriptor's significance
+    newprec = min(prec, v + desc.precision)
+    unit %= p ** (newprec - v)
+    if unit == 0:
+        return PadicScalar(desc, None, 0, newprec)
+    return PadicScalar(desc, v, unit, newprec)
+
+
+def _old_padic_add(a: PadicScalar, b: PadicScalar) -> PadicScalar:
+    """Oracle: the two-term addition as it was before padic_sum."""
+    desc = a.descriptor
+    if a.is_exact_zero():
+        return b
+    if b.is_exact_zero():
+        return a
+    m = min(a.prec, b.prec)
+    vals = [s.val for s in (a, b) if s.val is not None]
+    base = min(vals + [m]) if vals else m
+    p = desc.prime
+    r = 0
+    for s in (a, b):
+        if s.val is not None:
+            r += s.unit * p ** (s.val - base)
+    return _old_padic_make(desc, base, r, m)
+
+
+def _old_fold(desc, terms):
+    """Oracle: an output summed term by term, as map evaluation did."""
+    return reduce(_old_padic_add, list(terms) or [desc.zero()])
+
+
+def _raw(x):
+    return (x.val, x.unit, x.prec)
+
+
+def _random_term(rng, desc, kinds):
+    p, n = desc.prime, desc.precision
+    kind = rng.random()
+    if kind < 0.12:
+        kinds["exact_zero"] += 1
+        return desc.zero()
+    if kind < 0.3:
+        m = rng.randint(-4, 4)
+        kinds["bounded_nonpositive" if m <= 0 else "bounded"] += 1
+        return PadicScalar(desc, None, 0, m)
+    val = rng.randint(-4, 4)
+    kinds["negative_val"] += val < 0
+    digits = rng.randint(1, n)
+    unit = rng.randrange(1, p**digits)
+    if unit % p == 0:
+        unit += 1
+    return PadicScalar(desc, val, unit, val + digits)
+
+
+def _descriptors(rng):
+    for prime in (2, 3, 5, 7):
+        for _ in range(250):
+            yield FieldDescriptor.padic(prime, rng.randint(1, 12))
+
+
+def test_two_term_sum_matches_the_old_padic_add():
+    rng = random.Random(2014)
+    kinds = {"exact_zero": 0, "bounded": 0, "bounded_nonpositive": 0, "negative_val": 0,
+             "cancelled": 0}
+    pairs = 0
+    for desc in _descriptors(rng):
+        for _ in range(14):
+            a = _random_term(rng, desc, kinds)
+            b = -a if rng.random() < 0.15 else _random_term(rng, desc, kinds)
+            for x, y in ((a, b), (b, a), (a, -b)):
+                want = _old_padic_add(x, y)
+                got = padic_sum(desc, (x, y))
+                assert _raw(got) == _raw(want), (desc, _raw(x), _raw(y))
+                assert _raw(field_arith(x, y, "add")) == _raw(want)
+                kinds["cancelled"] += want.val is None and x.val is not None and y.val is not None
+                pairs += 1
+    assert pairs >= 40_000
+    assert min(kinds.values()) >= 500, kinds
+
+
+def test_padic_sum_matches_the_fold():
+    rng = random.Random(2015)
+    kinds = {"exact_zero": 0, "bounded": 0, "bounded_nonpositive": 0, "negative_val": 0,
+             "cancelled": 0, "empty": 0}
+    sums = 0
+    for desc in _descriptors(rng):
+        for _ in range(10):
+            terms = [_random_term(rng, desc, kinds) for _ in range(rng.randint(0, 7))]
+            if terms and rng.random() < 0.25:
+                # cancel the sum of the other terms, to its known digits
+                terms.append(-_old_fold(desc, terms))
+            kinds["empty"] += not terms
+            want = _old_fold(desc, terms)
+            got = padic_sum(desc, terms)
+            assert _raw(got) == _raw(want), (desc, [_raw(t) for t in terms])
+            kinds["cancelled"] += want.val is None and any(t.val is not None for t in terms)
+            sums += 1
+    assert sums >= 10_000
+    assert min(kinds.values()) >= 100, kinds
