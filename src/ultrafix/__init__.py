@@ -28,6 +28,7 @@ from .contraction import (
     uniform_family_check,
 )
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
     DivisionByZero,
     DomainEscape,

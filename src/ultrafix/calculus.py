@@ -421,19 +421,19 @@ def _vec_add_scaled(x, y, t):
 
 
 def _quotient_value(
-    f: MapSpec, x, y, t, mutation: Callable | None = None, evaluate: Callable | None = None
+    f: MapSpec, x, y, t, mutation: Callable | None = None, evaluate: _SampleEvaluator | None = None
 ):
     """f^[1](x, y, t): difference quotient for t != 0, df(x, y) at t = 0.
 
-    `evaluate` stands in for eval_map (see _sample_evaluator)."""
-    evaluate = evaluate or eval_map
+    A _SampleEvaluator `evaluate` stands in for eval_map and jacobian."""
     x = _as_components(x)
     y = _as_components(y)
     _check_point_in_domain(f, x)
     if _is_zero_value(t):
-        return _jacobian_apply(f, x, y)
+        return _jacobian_apply(f, x, y, evaluate)
     shifted = _vec_add_scaled(x, y, t)
     _check_point_in_domain(f, shifted)
+    evaluate = evaluate or eval_map
     fx = evaluate(f.without_domain(), x)
     fs = evaluate(f.without_domain(), shifted)
     q = tuple((a - b) / t for a, b in zip(fs, fx))
@@ -442,11 +442,16 @@ def _quotient_value(
     return q
 
 
-def _jacobian_apply(f: MapSpec, x, y):
+def _jacobian_rows(f: MapSpec, x: tuple):
+    """The rows of Df(x): field scalars, or exact rationals at a rational x."""
     if x and isinstance(x[0], Scalar):
-        rows, zero = jacobian(f, x).entries, x[0].descriptor.zero()
-    else:
-        rows, zero = jacobian_exact(f, x), Fraction(0)
+        return jacobian(f, x).entries
+    return jacobian_exact(f, x)
+
+
+def _jacobian_apply(f: MapSpec, x, y, evaluate=None):
+    rows = _jacobian_rows(f, x) if evaluate is None else evaluate.jacobian(f, x)
+    zero = x[0].descriptor.zero() if x and isinstance(x[0], Scalar) else Fraction(0)
     out = []
     for row in rows:
         total = zero
@@ -486,7 +491,7 @@ def _second_quotient_value(f: MapSpec, a: tuple, b: tuple, t, mutation=None, eva
     m = f.domain_dim
     _check_inner_membership(f, a)
     if _is_zero_value(t):
-        return _jacobian_apply(quotient_map(f), a, b)
+        return _jacobian_apply(quotient_map(f), a, b, evaluate)
     shifted = _vec_add_scaled(a, b, t)
     _check_inner_membership(f, shifted)
     qa = _quotient_value(f, a[:m], a[m : 2 * m], a[2 * m], mutation, evaluate)
@@ -622,24 +627,32 @@ def _point_key(x):
     return x
 
 
-def _sample_evaluator() -> Callable:
-    """eval_map that evaluates each distinct (map, point) only once.
+class _SampleEvaluator:
+    """eval_map and Jacobian rows that evaluate each distinct (map, point)
+    only once.
 
     Evaluation is a deterministic function of the map and of the point's
     keys, so a repeated point gets the values it would get again.  Points
     must all come from one field; the maps are held for the evaluator's
     life, so their ids stay unique.  check_identities makes one per sample.
     """
-    seen = {}
 
-    def evaluate(f: MapSpec, point):
-        key = (id(f), tuple(_point_key(x) for x in point))
-        got = seen.get(key)
+    def __init__(self):
+        self._seen = {}
+
+    def _once(self, what: str, f: MapSpec, point):
+        key = (what, id(f), tuple(_point_key(x) for x in point))
+        got = self._seen.get(key)
         if got is None:
-            got = seen[key] = (f, eval_map(f, point))
+            value = eval_map(f, point) if what == "value" else _jacobian_rows(f, point)
+            got = self._seen[key] = (f, value)
         return got[1]
 
-    return evaluate
+    def __call__(self, f: MapSpec, point):
+        return self._once("value", f, point)
+
+    def jacobian(self, f: MapSpec, x: tuple):
+        return self._once("jacobian", f, x)
 
 
 def _companion_map(n: int) -> MapSpec:
@@ -721,7 +734,7 @@ def check_identities(
 
     gf = compose(g, f)
     for k in range(sample_count):
-        ev = _sample_evaluator()
+        ev = _SampleEvaluator()
         x, y = vec(), vec()
         t = rat() if k % 4 else Fraction(0)
 

@@ -9,10 +9,13 @@ orbit never leaves the closed ball.
 Ultrametric problems can instead be solved by Newton steps
 (`newton_fixed_point`), whose digits are proven a posteriori from the
 residual of a closing Banach step and capped by the same a priori bound.
+Each Newton step works at the digits it can use, which double from step to
+step; only the last ones run at full precision.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +39,7 @@ from .errors import (
 )
 from .field import (
     FieldDescriptor,
+    PadicScalar,
     abs_upper_bound,
     floor_log,
     num_str,
@@ -135,8 +139,12 @@ def _step_count(
 ) -> int:
     """Least n with _certified_bound(n) <= target.
 
-    The bound does not increase with n, so galloping to a bracket and then
-    bisecting needs O(log n) evaluations.  Raises NotAContraction when that
+    The bound B theta^n, B = d0 / (1 - theta), does not increase with n, so
+    n is estimated in floats from the logarithms of the numerators and
+    denominators, then confirmed exactly: reached(n) and not reached(n - 1),
+    walking by one while the estimate is off.  A padic bound is rounded down
+    to a p-power, so it reaches the target once B theta^n < p^(f + 1), with
+    p^f the largest p-power <= target.  Raises NotAContraction when the
     least n exceeds MAX_STEPS.
     """
 
@@ -148,20 +156,39 @@ def _step_count(
     if target < 0 or (target == 0 and theta > 0):
         # theta^n d0 > 0 for every n when theta > 0, and a bound is never negative
         raise NotAContraction(f"a priori bound cannot reach {num_str(target)}: it stays positive")
-    lo, hi = 0, 1  # invariant: not reached(lo)
-    while not reached(hi):
-        if hi >= MAX_STEPS:
+    if theta == 0:
+        return 1
+    n = _estimated_steps(theta, d0 / (1 - theta), target, descriptor)
+    while not reached(n):
+        if n >= MAX_STEPS:
             raise NotAContraction(
                 f"a priori bound cannot reach {num_str(target)} in reasonable time"
             )
-        lo, hi = hi, min(2 * hi, MAX_STEPS)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if reached(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        n += 1
+    while n > 1 and reached(n - 1):
+        n -= 1
+    return n
+
+
+def _log(q: Fraction) -> float:
+    """ln q of a positive rational whose parts may be past float range."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+def _estimated_steps(theta: Fraction, start: Fraction, target: Fraction, descriptor) -> int:
+    """The n in [1, MAX_STEPS] at which start * theta^n crosses the target,
+    in floats.
+
+    -ln theta is taken as log1p((1 - theta)/theta) when theta is near 1,
+    where the difference of two logarithms would cancel.
+    """
+    if descriptor.ultrametric:
+        log_target = (floor_log(target, descriptor.prime) + 1) * math.log(descriptor.prime)
+    else:
+        log_target = _log(target)
+    shrink = math.log1p((1 - theta) / theta) if theta > Fraction(1, 2) else -_log(theta)
+    estimate = (_log(start) - log_target) / shrink if shrink > 0 else math.inf
+    return MAX_STEPS if estimate >= MAX_STEPS else max(1, math.ceil(estimate))
 
 
 def default_target_precision(descriptor: FieldDescriptor) -> Fraction:
@@ -221,6 +248,21 @@ def _check_step(k: int, step, bound: Fraction, ultrametric: bool) -> None:
         )
 
 
+def _check_exact_real(problem: ContractionProblem, x: Vector) -> None:
+    """A real target 0 claims x is the fixed point itself.  _step_count lets
+    it through only when theta = 0 or d0 = 0, and then the fixed point is
+    g(x0) exactly, so the doubles of x must equal it."""
+    exact = eval_map(problem.f, problem.x0)
+    got = x.to_rationals()
+    if got != exact:
+        raise PrecisionExhausted(
+            "a real target of 0 claims the exact fixed point g(x0), "
+            "which the iterate's doubles do not hold",
+            value=[num_str(v) for v in got],
+            exact=[num_str(v) for v in exact],
+        )
+
+
 def iterate_fixed_point(
     problem: ContractionProblem, target_precision=None
 ) -> FixedPointReport:
@@ -256,6 +298,8 @@ def iterate_fixed_point(
         if guarantee > 0:
             exponent = -rational_valuation(guarantee, desc.prime)
             x = Vector(tuple(truncate_precision(c, exponent) for c in x.components))
+    if not desc.ultrametric and target == 0:
+        _check_exact_real(problem, x)
     residual = vec_norm(eval_map(problem.f, x) - x)
     if desc.ultrametric:
         fixed_ok = residual <= target
@@ -279,6 +323,11 @@ def iterate_fixed_point(
 
 NEWTON_STEPS_PER_DIM = 8
 """Newton pays once the Banach step count exceeds this many steps per variable.
+
+The table below was measured before Newton steps ran at a working precision
+that doubles (see newton_fixed_point), which makes deep Newton solves
+cheaper still.  The threshold is kept as it was, so that no solve changes
+between the Newton and the Banach path.
 
 A Newton step costs about n + 1 map evaluations and an n x n elimination,
 a Banach step one evaluation.  Newton / Banach time (min of 5-15 runs) of
@@ -309,17 +358,60 @@ def newton_pays(problem: ContractionProblem, target_precision=None) -> bool:
     return _certified_bound(problem.theta, d0, limit, desc) > target
 
 
+def _at_width(x: Vector, width) -> Vector:
+    """x at absolute precision `width`, or x itself once that drops none of
+    its known digits (a component knows at most val + N; an all-zero x
+    counts as known to N, as a point of valuation 0 would be)."""
+    desc = x.descriptor
+    top = max((c.prec for c in x.components if c.val is not None), default=desc.precision)
+    if width >= top:
+        return x
+    return Vector(tuple(truncate_precision(c, width) for c in x.components))
+
+
+def _exact(x: Vector) -> Vector:
+    """x read as the exact point its known digits spell, known to full
+    precision: a Newton iterate is a point like any other, whatever precision
+    the step that made it worked at, and a later step may read more of its
+    digits than that step knew."""
+    desc = x.descriptor
+    return Vector(
+        tuple(
+            desc.zero() if c.val is None else PadicScalar(desc, c.val, c.unit, c.val + desc.precision)
+            for c in x.components
+        )
+    )
+
+
 def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Vector:
     """The fixed point of an ultrametric contraction by Newton steps.
 
     Iterates x -> x + (I - Dg(x))^-1 (g(x) - x) until g(x) - x is zero at
-    tracked precision, at most as many steps as iterate_fixed_point would
-    take, with its admissibility, domain, per-step and residual checks.  The
+    full precision, at most as many steps as iterate_fixed_point would take,
+    with its admissibility, domain, per-step and residual checks.  The
     digits are proven a posteriori: on an ultrametric ball |x - x*| <=
     |g(x) - x|, and the closing Banach step g(x) is no farther from x*.  The
     result is g(x) truncated to the weaker of that bound and the a priori
     bound of iterate_fixed_point, so it never claims more digits than it
     proves or than the Banach iteration would.
+
+    Precision doubling (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 9): step k evaluates g and Dg at x truncated to an absolute working
+    precision W_k, so its evaluations and elimination run on about W_k
+    digits, and the iterate it makes is read as the exact point its digits
+    spell, to be truncated again by the next step.  With p^-e_j the largest
+    p-power <= theta^j d0, W_0 = max(3, e_1 + 2); a step whose residual has
+    valuation v leaves x right to about 2v digits, and the next step to 4v,
+    so W_(k+1) = max(W_k, 4v + 2, e_(k+2) + 2): the e term keeps the next
+    step's residual inside its a priori bound (Caruso, Roe & Vaccon,
+    "Tracking p-adic precision", 2014, on the digits a lift certifies).  A
+    residual that is zero at W_k only says x is right to W_k digits: W
+    doubles and the step is taken again, which counts as no step.  So does
+    a step that comes out short of W_k digits, because products of values
+    above 1 lost some: it is taken again that many digits wider.  Once W_k
+    drops none of x's digits, for the last step the a priori cap allows,
+    and for the closing Banach step and the posterior bound, g is evaluated
+    at full precision on x as tracked.
     """
     desc = problem.descriptor
     if not desc.ultrametric:
@@ -330,17 +422,41 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
     bound = _certified_bound(theta, d0, steps, desc)
     if steps:
         identity = Operator.identity(problem.domain.dim, desc)
-        gx = eval_map(f, x)
-        for k in range(steps):
-            if (gx - x).is_zero():
-                break
-            step = invert_exact(identity - jacobian(f, x)).apply(gx - x)
+
+        def apriori_exponent(j: int):
+            """e_j; infinite once theta^j d0 is 0 (theta = 0)."""
+            b = theta**j * d0
+            return -floor_log(b, desc.prime) if b else math.inf
+
+        width, lost, k = max(3, apriori_exponent(1) + 2), 0, 0
+        while True:  # each pass takes one step, or widens W and tries again
+            xw = x if k == steps - 1 else _at_width(x, width + lost)
+            gx = eval_map(f, xw)
+            residual = gx - xw
+            if residual.is_zero():
+                if xw is x:
+                    break
+                width *= 2
+                continue
+            step = invert_exact(identity - jacobian(f, xw)).apply(residual)
+            moved = x + step
+            if xw is not x:
+                short = width - min(c.prec for c in moved.components)
+                if short > 0:
+                    lost += short
+                    continue
+                moved = _exact(moved)
             # I - Dg(x) is an isometry, so the step is as long as g(x) - x
             _check_step(k, vec_norm(step), theta**k * d0, True)
-            x = x + step
+            x = moved
+            k += 1
             if not problem.domain.contains_tracked(x):
-                raise DomainEscape(f"Newton iterate {k + 1} left the domain ball")
-            gx = eval_map(f, x)
+                raise DomainEscape(f"Newton iterate {k} left the domain ball")
+            if k == steps:
+                gx = eval_map(f, x)
+                break
+            v = min(c.val for c in residual.components if c.val is not None)
+            width = max(width, 4 * v + 2, apriori_exponent(k + 1) + 2)
         if not problem.domain.contains_tracked(gx):
             raise DomainEscape("the closing Banach step left the domain ball")
         # |g(x) - x*| <= |x - x*| <= |g(x) - x| for any contraction, whatever theta

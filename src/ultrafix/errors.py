@@ -29,6 +29,10 @@ class PrecisionExhausted(UltrafixError):
     """An operation needed digits that the tracked precision no longer has."""
 
 
+class BudgetExceeded(UltrafixError):
+    """A request asks for more than a documented budget allows."""
+
+
 class SingularMatrix(UltrafixError):
     """No nonzero pivot at tracked precision."""
 

@@ -512,3 +512,33 @@ def test_identity_samples_evaluate_each_point_once(monkeypatch, padic):
         report = check_identities(REUSE_MAP, 8, seed=2026, descriptor=desc, mutation=mutation)
         assert _report_summary(report) == want
         assert 0 < len(calls) <= EVAL_MAP_CALLS_BEFORE_REUSE // 2
+
+
+JACOBIAN_CALLS_BEFORE_REUSE = 19  # Jacobians of the run below when each t = 0 quotient took its own
+
+
+@pytest.mark.parametrize("padic", [False, True])
+def test_identity_samples_take_each_jacobian_once(monkeypatch, padic):
+    # the t = 0 samples read Df at the same x for several directions (f^[1]
+    # of the chain rule and of the direction difference): 9 distinct
+    # (map, point) pairs, once each, with the reports unchanged
+    desc = FieldDescriptor.padic(5, 6) if padic else None
+    if padic:
+        mutant = _mutant_report(((-2, 2338, 3), (-1, 1169, 4)), ((-2, 523, 3), (-1, 3084, 4)))
+    else:
+        mutant = _mutant_report(("267622811/4428675", "22814/405"),
+                                ("389576006/4428675", "139841/1620"))
+    calls = {"eval_map": 0, "jacobian": 0, "jacobian_exact": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(calculus, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(calculus, name, counting)
+    for mutation, want in ((None, _CLEAN), ("quotient-offset", mutant)):
+        calls.update(dict.fromkeys(calls, 0))
+        report = check_identities(REUSE_MAP, 8, seed=2026, descriptor=desc, mutation=mutation)
+        assert _report_summary(report) == want
+        jacobians = calls["jacobian"] if padic else calls["jacobian_exact"]
+        assert jacobians == 9 <= JACOBIAN_CALLS_BEFORE_REUSE // 2
+        assert 0 < calls["eval_map"] <= EVAL_MAP_CALLS_BEFORE_REUSE // 2

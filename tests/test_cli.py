@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from ultrafix import cli
+from ultrafix import BudgetExceeded, FieldDescriptor, cli
 from ultrafix.field import frac_str
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -326,3 +327,19 @@ def test_cli_real_target_below_double_resolution_exits_1():
     code, payload = run_in_process([*args, "--tol", "1/" + "1" + "0" * 13])
     assert code == 0
     assert abs(payload["result"]["report"]["fixed_point"][0] - 0.15) <= 1e-13
+
+
+def test_cli_precision_over_the_budget_exits_1_at_once():
+    # 10^30 digits spun in embed_rational, which formed 5^(10^30)
+    field = {"kind": "padic", "prime": 5, "precision": 10**30}
+    start = time.perf_counter()
+    code, payload = run_in_process(with_field("check_clean", field))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert payload["error"]["kind"] == "BudgetExceeded"
+    assert payload["error"]["precision"] == str(10**30)
+    # the budget is 2^20 bits of p^N: 2^19 digits over Q2 (and Q3), 349 525 over Q5
+    for prime, most in ((2, 2**19), (3, 2**19), (5, 349_525)):
+        assert FieldDescriptor.padic(prime, most).precision == most
+        with pytest.raises(BudgetExceeded):
+            FieldDescriptor.padic(prime, most + 1)

@@ -23,19 +23,24 @@ from ultrafix import (
     uniform_family_check,
     vec_norm,
 )
-from ultrafix.calculus import quotient_map, eval_map
+from ultrafix import contraction
+from ultrafix.calculus import compose, quotient_map, eval_map, jacobian, substitute_prefix
 from ultrafix.contraction import (
     MAX_STEPS,
     NEWTON_STEPS_PER_DIM,
     _certified_bound,
+    _check_step,
+    _plan,
     _step_count,
     default_target_precision,
     newton_fixed_point,
     newton_pays,
 )
 from ultrafix.errors import PrecisionExhausted
-from ultrafix.field import frac_str, rational_valuation
+from ultrafix.field import abs_upper_bound, floor_log, frac_str, num_str, rational_valuation, truncate_precision
+from ultrafix.implicit import build_window
 from ultrafix.inverse import inversion_step_map
+from ultrafix.linalg import Operator, invert_exact
 
 
 def poly(m, *outputs):
@@ -500,3 +505,214 @@ def test_real_target_below_the_double_resolution_of_the_ball(real):
     for target, tol in ((Fraction(1, 10**12), 1e-12), (None, 1e-9)):  # None: the default
         x = iterate_fixed_point(far, target).fixed_point.components[0].value
         assert abs(x - 1000) <= tol
+
+
+def test_real_target_zero_needs_the_exact_fixed_point(real):
+    # theta = 0 lets target 0 through; the fixed point 1/3 of the constant
+    # map is not a double, so 0.3333333333333333 cannot claim bound 0
+    third = ContractionProblem(poly(1, [(Fraction(1, 3), (0,))]), Ball(real, (0,), 4), Fraction(0), (0,))
+    with pytest.raises(PrecisionExhausted) as err:
+        iterate_fixed_point(third, 0)
+    assert err.value.details == {"value": [frac_str(Fraction(1 / 3))], "exact": ["1/3"]}
+    assert abs(iterate_fixed_point(third).fixed_point.components[0].value - 1 / 3) <= 1e-9
+    # d0 = 0: x0 = 3/8 is the fixed point of 3/16 + x/2, and a double
+    fixed = ContractionProblem(poly(1, [(Fraction(3, 16), (0,)), (Fraction(1, 2), (1,))]),
+                               Ball(real, (0,), 4), Fraction(1, 2), (Fraction(3, 8),))
+    assert iterate_fixed_point(fixed, 0).fixed_point.components[0].value == 0.375
+
+
+# ---------------------------------------------------------------------------
+# Precision doubling, checked against the full-precision Newton loop
+
+
+def _full_precision_newton(problem, target_precision=None):
+    """newton_fixed_point before precision doubling, verbatim: every step
+    evaluates at the full precision of the iterate it produced."""
+    desc = problem.descriptor
+    if not desc.ultrametric:
+        raise SchemaError("Newton steps are certified on ultrametric fields only")
+    theta, d0, target, steps = _plan(problem, target_precision)
+    f = problem.f
+    x = Vector.from_rationals(problem.x0, desc)
+    bound = _certified_bound(theta, d0, steps, desc)
+    if steps:
+        identity = Operator.identity(problem.domain.dim, desc)
+        gx = eval_map(f, x)
+        for k in range(steps):
+            if (gx - x).is_zero():
+                break
+            step = invert_exact(identity - jacobian(f, x)).apply(gx - x)
+            # I - Dg(x) is an isometry, so the step is as long as g(x) - x
+            _check_step(k, vec_norm(step), theta**k * d0, True)
+            x = x + step
+            if not problem.domain.contains_tracked(x):
+                raise DomainEscape(f"Newton iterate {k + 1} left the domain ball")
+            gx = eval_map(f, x)
+        if not problem.domain.contains_tracked(gx):
+            raise DomainEscape("the closing Banach step left the domain ball")
+        # |g(x) - x*| <= |x - x*| <= |g(x) - x| for any contraction, whatever theta
+        posterior = max(abs_upper_bound(c) for c in (gx - x).components)
+        bound = max(posterior, bound)
+        x = gx
+    if bound > 0:
+        exponent = -floor_log(bound, desc.prime)
+        x = Vector(tuple(truncate_precision(c, exponent) for c in x.components))
+    residual = vec_norm(eval_map(f, x) - x)
+    if residual > target:
+        raise DomainEscape(
+            f"residual {num_str(residual)} above target {num_str(target)}: contraction claim failed"
+        )
+    return x
+
+
+def _p_unit(rng, p):
+    return rng.choice((-1, 1)) * (rng.randint(1, p - 1) + p * rng.randint(0, p - 1))
+
+
+def _deep_rows(rng, p, n, params=0, flat=1):
+    """Rows B q + A x + u x^a + c z^b over params + n variables, as the
+    benchmark's p-adic maps: A = L U unimodular, u a unit (times `flat`, so
+    that p | flat makes Newton converge faster than quadratically), c
+    p-integral."""
+    nvars = params + n
+
+    def basis(j):
+        return tuple(int(k == j) for k in range(nvars))
+
+    def monomial(degree, first):
+        exps = [0] * nvars
+        for _ in range(degree):
+            exps[rng.randrange(first, nvars)] += 1
+        return tuple(exps)
+
+    lower = [[1 if i == j else (rng.randint(-2, 2) if j < i else 0) for j in range(n)] for i in range(n)]
+    upper = [[_p_unit(rng, p) if i == j else (rng.randint(-2, 2) if j > i else 0) for j in range(n)] for i in range(n)]
+    rows = []
+    for i in range(n):
+        row = [(rng.choice((-2, -1, 1, 2)), basis(j)) for j in range(params)]
+        for j in range(n):
+            a = sum(lower[i][k] * upper[k][j] for k in range(n))
+            if a:
+                row.append((a, basis(params + j)))
+        row.append((Fraction(flat * _p_unit(rng, p), rng.choice([d for d in (1, 2, 4) if d % p])), monomial(2, params)))
+        row.append((Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice([d for d in (1, 2, 3, 4) if d % p])),
+                    monomial(3, 0)))
+        rows.append(row)
+    return rows
+
+
+def _deep_problem(rng, p, n, N, implicit, flat=1):
+    """The fixed-point problem local_invert (or solve_implicit) hands to
+    newton_fixed_point for a seeded map over Q_p with N digits."""
+    desc = FieldDescriptor.padic(p, N)
+    if implicit:
+        f = MapSpec.from_coefficients(1 + n, _deep_rows(rng, p, n, params=1, flat=flat))
+        window = build_window(f, (0,), (0,) * n, descriptor=desc)
+        f_q = substitute_prefix(f.without_domain(), (p * _p_unit(rng, p),))
+        g = inversion_step_map(window.cert, f_q, window.z0)
+        ball = window.state_ball
+        return ContractionProblem(g, ball, window.cert.theta, ball.center_exact)
+    f = MapSpec.from_coefficients(n, _deep_rows(rng, p, n, flat=flat))
+    ball = Ball(desc, (0,) * n, Fraction(1, p))
+    target = tuple(Fraction(p * _p_unit(rng, p), rng.choice([d for d in (1, 2, 4) if d % p])) for _ in range(n))
+    cert = certify(f, ball)
+    return ContractionProblem(inversion_step_map(cert, f, target), ball, cert.theta, (0,) * n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_precision_doubling_matches_full_precision_newton(p):
+    # 108 problems per prime; odd ones with a target of 2..12 digits, so the
+    # a priori step cap ends the loop as well as a zero residual; a third
+    # with p | u, where a step gains more digits than the schedule assumes
+    rng = random.Random(7300 + p)
+    solves = 0
+    for N in (8, 64, 256, 1024):
+        for n in (1, 2, 3):
+            for rep in range(9):
+                flat = (1, 1, p, p * p)[rep % 4]
+                problem = _deep_problem(rng, p, n, N, implicit=rep % 3 == 2, flat=flat)
+                target = None if rep % 2 == 0 else Fraction(1, p ** rng.randint(2, 12))
+                want = _full_precision_newton(problem, target)
+                assert _digits(newton_fixed_point(problem, target)) == _digits(want), (N, n, rep)
+                solves += 1
+    assert solves == 108
+
+
+def _recentred(problem, center, desc):
+    """x -> c + g(x - c) on B_r(c) over `desc`: the contraction g of
+    `problem` (centred at 0) moved to the centre c."""
+    n = len(center)
+
+    def affine(sign):
+        return MapSpec.from_coefficients(
+            n, [[(1, tuple(int(k == i) for k in range(n))), (sign * center[i], (0,) * n)] for i in range(n)]
+        )
+
+    g = compose(affine(1), compose(problem.f, affine(-1)))
+    return ContractionProblem(g, Ball(desc, center, problem.domain.radius), problem.theta, center)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_precision_doubling_on_centres_of_negative_valuation(p):
+    # at a centre of valuation -s products of coordinates lose digits, at
+    # working precision and at full precision alike; the iterate read as an
+    # exact point keeps what the full-precision loop loses, so it proves at
+    # least as many digits, and they agree with a solve at N + 60 digits
+    rng = random.Random(7400 + p)
+    more = 0
+    for rep in range(16):
+        n, N, s = 1 + rep % 2, (8, 12, 20, 40)[rep % 4], 1 + rep % 3
+        base = _deep_problem(rng, p, n, N, implicit=False, flat=(p, p * p)[rep % 2])
+        center = tuple(Fraction(_p_unit(rng, p), p**s) for _ in range(n))
+        problem = _recentred(base, center, base.descriptor)
+        reference = _full_precision_newton(
+            _recentred(base, center, FieldDescriptor.padic(p, N + 60)), Fraction(1, p ** (N + 30))
+        )
+        target = None if rep % 4 < 2 else Fraction(1, p ** rng.randint(3, 6))
+        got, old = newton_fixed_point(problem, target), _full_precision_newton(problem, target)
+        for a, b, r in zip(got.components, old.components, reference.components):
+            assert a.prec >= b.prec and r.prec >= a.prec + 30
+            for other in (b, r):
+                diff = a.to_rational() - other.to_rational()
+                assert diff == 0 or rational_valuation(diff, p) >= min(a.prec, other.prec)
+        more += _digits(got) != _digits(old)
+    assert more >= 1
+
+
+def test_capped_last_step_runs_at_full_precision(monkeypatch):
+    # a target of 5^-4 caps the loop at 2 steps on these maps (theta = 1/25);
+    # the step the cap allows last evaluates Dg at the full-precision
+    # iterate (val + N digits, or an exact zero), the first one at the
+    # working precision W_0 = e_1 + 2 = 5
+    points = []
+    real_jacobian = contraction.jacobian
+    monkeypatch.setattr(contraction, "jacobian", lambda f, x: points.append(x) or real_jacobian(f, x))
+    rng = random.Random(7500)
+    for rep in range(12):
+        points.clear()
+        problem = _deep_problem(rng, 5, 1 + rep % 2, 64, implicit=False, flat=5)
+        assert _plan(problem, Fraction(1, 5**4))[3] == 2
+        newton_fixed_point(problem, Fraction(1, 5**4))
+        first, last = points
+        assert all(c.prec == 5 for c in first.components)
+        assert all(c.prec is None or c.prec == c.val + 64 for c in last.components)
+
+
+@pytest.mark.parametrize("seed", [213, 250])
+def test_full_precision_step_keeps_only_the_digits_it_knows(seed):
+    # centres of valuation -3 at N = 8: products in a full-precision step
+    # lose more digits than the iterate has, so reading it as an exact point
+    # would put it outside the ball; like the full-precision loop, the step
+    # keeps what it knows, and the result agrees with that loop's
+    rng = random.Random(seed)
+    p, n = rng.choice((2, 3)), rng.choice((1, 2))
+    base = _deep_problem(rng, p, n, 8, implicit=False, flat=rng.choice((p, p * p)))
+    center = tuple(Fraction(_p_unit(rng, p), p**3) for _ in range(n))
+    problem = _recentred(base, center, base.descriptor)
+    target = rng.choice((None, Fraction(1, p**3)))
+    assert target is not None
+    got, old = newton_fixed_point(problem, target), _full_precision_newton(problem, target)
+    for a, b in zip(got.components, old.components):
+        assert _prec(a) >= _prec(b)
+        diff = a.to_rational() - b.to_rational()
+        assert diff == 0 or rational_valuation(diff, p) >= _prec(b)

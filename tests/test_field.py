@@ -15,6 +15,7 @@ from ultrafix import (
 )
 from ultrafix.field import PRIME_BOUND, _is_prime, floor_log, int_valuation, truncate_precision
 from ultrafix.field import PadicScalar, padic_sum
+from ultrafix.field import _padic_div, unit_inverse
 from functools import reduce
 
 
@@ -400,3 +401,37 @@ def test_padic_sum_matches_the_fold():
             sums += 1
     assert sums >= 10_000
     assert min(kinds.values()) >= 100, kinds
+
+
+def _pow_div(a, b):
+    """_padic_div of two nonzero scalars with the unit inverse by pow, as it
+    was before Newton lifting."""
+    k = min(a.prec - a.val, b.prec - b.val)
+    p = a.descriptor.prime
+    unit = (a.unit * pow(b.unit, -1, p**k)) % p**k
+    return PadicScalar(a.descriptor, a.val - b.val, unit, a.val - b.val + k)
+
+
+def test_lifted_unit_inverse_matches_pow():
+    # p^k on both sides of 2^64 (5^27 < 2^64 < 5^28); a prime past 2^64
+    # leaves no word-size power above p^0, and 2^61 - 1 only p itself
+    big = next(q for q in range(2**64 + 1, 2**64 + 1000, 2) if _is_prime(q))
+    cases = [(2, (63, 64, 65, 200)), (3, (40, 41, 100, 333)), (5, (27, 28, 55, 700)),
+             (7, (22, 23, 64, 512)), (2**61 - 1, (1, 2, 3, 17)), (big, (1, 2, 5))]
+    rng = random.Random(4401)
+    sides = {True: 0, False: 0}
+    for _ in range(435):  # 23 (prime, k) pairs: 10 005 cases
+        for prime, ks in cases:
+            desc = FieldDescriptor.padic(prime, max(ks))
+            for k in ks:
+                sides[prime**k < 2**64] += 1
+                digits = [k, rng.randint(k, max(ks))]
+                rng.shuffle(digits)  # either side may know more digits
+                a, b = (
+                    PadicScalar(desc, v, u if u % prime else u + 1, v + d)
+                    for v, u, d in ((rng.randint(-3, 3), rng.randrange(1, prime**d), d) for d in digits)
+                )
+                assert unit_inverse(b.unit, prime, k) == pow(b.unit, -1, prime**k)
+                got, want = _padic_div(a, b), _pow_div(a, b)
+                assert (got.val, got.unit, got.prec) == (want.val, want.unit, want.prec)
+    assert sides == {True: 435 * 5, False: 435 * 18}
