@@ -362,13 +362,12 @@ def _padic_make(desc, val, residue, prec):
         shift = int_valuation(residue, p)
         v = val + shift
         unit = residue // p**shift
-    # cap the digit window at the descriptor's significance
-    newprec = min(prec, v + desc.precision)
-    if newprec < prec:
-        unit %= p ** (newprec - v)
-        if unit == 0:
-            return PadicScalar(desc, None, 0, newprec)
-    return PadicScalar(desc, v, unit, newprec)
+    # Both callers pass prec <= v + N (N = desc.precision), so the digit
+    # count prec - v needs no cap.  padic_sum passes m <= prec <= val + N for
+    # each nonzero term, and the sum's valuation v is at least the least such
+    # val; truncate_precision passes prec < a.prec <= a.val + N <= v + N.
+    # PadicScalar still rejects more than N digits.
+    return PadicScalar(desc, v, unit, prec)
 
 
 def padic_sum(desc, terms) -> PadicScalar:
@@ -379,10 +378,8 @@ def padic_sum(desc, terms) -> PadicScalar:
     added as one integer at base = the least of their `val`s and m (a
     bounded zero O(p^k) adds nothing but makes m <= k), and `_padic_make`
     normalises the total once.  That equals the left fold of two-term sums:
-    reducing mod p^m at each step agrees with reducing once at the end, and
-    a sum's valuation is at least its least term valuation, so the
-    v + precision cap never binds inside the fold.  No terms, or only exact
-    zeros, give the exact zero.
+    reducing mod p^m at each step agrees with reducing once at the end.  No
+    terms, or only exact zeros, give the exact zero.
     """
     m = base = None
     for s in terms:

@@ -17,9 +17,9 @@ from typing import Sequence
 
 from .calculus import (
     MapSpec,
+    affine_map,
     eval_map,
     jacobian_exact,
-    linear_residual,
     substitute_prefix,
     telescoped_lipschitz,
 )
@@ -39,13 +39,14 @@ from .errors import (
     SingularMatrix,
     WindowNotFound,
 )
-from .field import FieldDescriptor, floor_log
+from .field import FieldDescriptor, floor_log, num_str
 from .inverse import ImageDescription, InversionCertificate, inversion_step_map
 from .linalg import (
     Ball,
     Operator,
     Vector,
     invert_exact,
+    rat_identity,
     rat_operator_norm,
     vec_norm,
 )
@@ -88,46 +89,29 @@ def _as_rationals(point, what: str) -> tuple[Fraction, ...]:
         raise SchemaError(f"{what} must be rational coordinates") from exc
 
 
-def _uniform_sigma(f: MapSpec, A_rows, p_ball: Ball, state_ball: Ball) -> Fraction:
-    """State-direction strictness bound, uniform over the parameter ball."""
+def _uniform_sigma(residual: MapSpec, p_ball: Ball, state_ball: Ball) -> Fraction:
+    """State-direction strictness bound of the residual f - A.x, uniform over
+    the parameter ball."""
     mp, n = p_ball.dim, state_ball.dim
-    padded = tuple(tuple([Fraction(0)] * mp) + tuple(row) for row in A_rows)
-    residual = linear_residual(f, padded)
     sups = p_ball.coordinate_sups() + state_ball.coordinate_sups()
     return telescoped_lipschitz(residual, sups, range(mp, mp + n), p_ball.descriptor)
 
 
-def _drift_bound(f: MapSpec, A_inv, p_ball: Ball, x0: Sequence) -> Fraction:
-    """Bound on ||A^-1 f(p, x0) - A^-1 f(p0, x0)|| over the parameter ball."""
-    mp = p_ball.dim
-    n = len(x0)
-    # A^-1 f with the state frozen at x0, as a map of the parameter alone
-    frozen_outputs = []
-    for i in range(n):
-        monos: dict[tuple[int, ...], Fraction] = {}
-        for j in range(n):
-            coef = A_inv[i][j]
-            if coef == 0:
-                continue
-            for exps, c in f.outputs[j]:
-                state_part = Fraction(1)
-                for k in range(n):
-                    if exps[mp + k]:
-                        state_part *= Fraction(x0[k]) ** exps[mp + k]
-                if state_part == 0:
-                    continue
-                key = exps[:mp]
-                monos[key] = monos.get(key, Fraction(0)) + coef * c * state_part
-        frozen_outputs.append(tuple(monos.items()))
-    frozen = MapSpec(mp, tuple(frozen_outputs))
-    lip = telescoped_lipschitz(
-        frozen, p_ball.coordinate_sups(), range(mp), p_ball.descriptor
-    )
-    return lip * p_ball.radius
-
-
-def _shrink(radius: Fraction, descriptor: FieldDescriptor) -> Fraction:
-    return radius / descriptor.prime if descriptor.ultrametric else radius / 2
+def _shrink_search(
+    radius: Fraction, desc: FieldDescriptor, max_shrink: int, measure, names, message
+) -> Fraction:
+    """The first of max_shrink radii, shrinking geometrically from `radius`
+    (factor 1/p padic, 1/2 real), at which measure(radius) gives a pair
+    (value, limit) with value <= limit.  WindowNotFound otherwise, with the
+    last radius tried and its pair under `names` in its details."""
+    details = {}
+    for _ in range(max_shrink):
+        value, limit = measure(radius)
+        if value <= limit:
+            return radius
+        details = {"radius": num_str(radius), names[0]: num_str(value), names[1]: num_str(limit)}
+        radius = radius / desc.prime if desc.ultrametric else radius / 2
+    raise WindowNotFound(message, **details)
 
 
 def build_window(
@@ -135,21 +119,16 @@ def build_window(
     p0,
     x0,
     descriptor: FieldDescriptor | None = None,
-    alpha_target: Fraction = Fraction(1, 2),
-    beta_target: Fraction = Fraction(3, 2),
-    initial_radius: Fraction = Fraction(1),
     max_shrink: int = 60,
     exact_image: bool = False,
 ) -> ParamWindow:
     """Find parameter and state radii certifying the implicit equation.
 
-    The state Jacobian at (p0, x0) anchors the certificate; radii shrink
-    geometrically until (i) the uniform strictness bound clears the
-    alpha/beta-target threshold and (ii) the parameter drift of the pulled
-    back equation stays within the solvable margin.
+    The state Jacobian A at (p0, x0) anchors the certificate.  Starting at
+    radius 1, radii shrink geometrically until (i) the uniform strictness
+    bound sigma is at most tau = 1/(2||A^-1||) and (ii) the parameter drift
+    of the pulled back equation stays within the solvable margin.
     """
-    if not 0 < alpha_target < 1 < beta_target:
-        raise SchemaError(f"need 0 < alpha < 1 < beta, got {alpha_target}, {beta_target}")
     if descriptor is None:
         if isinstance(p0, Vector):
             descriptor = p0.descriptor
@@ -168,46 +147,42 @@ def build_window(
     jac = jacobian_exact(f, p0 + x0)
     A_rows = tuple(tuple(row[mp:]) for row in jac)
     A_inv = InversionCertificate.anchor_inverse(A_rows)
+    # neither map depends on the radii: f - A.x (A acting on the state) and
+    # p -> A^-1 f(p, x0)
+    minus_a = tuple(tuple([Fraction(0)] * mp) + tuple(-a for a in row) for row in A_rows)
+    residual = affine_map(f, rat_identity(n), minus_a)
+    drift = substitute_prefix(affine_map(f, A_inv), x0, first=mp)
 
     desc = descriptor
     norm_a_inv = rat_operator_norm(A_inv, desc)
-    tau = min(beta_target - 1, 1 - alpha_target) / norm_a_inv
+    tau = 1 / (2 * norm_a_inv)
 
-    radius = Fraction(initial_radius)
-    if desc.ultrametric and not desc.valid_radius(radius):
-        raise SchemaError(f"initial radius {radius} is not a power of {desc.prime}")
-    sigma = None
-    for _ in range(max_shrink):
-        p_ball = Ball(desc, p0, radius)
-        state_ball = Ball(desc, x0, radius)
-        sigma = _uniform_sigma(f, A_rows, p_ball, state_ball)
-        if sigma <= tau:
-            break
-        radius = _shrink(radius, desc)
-    else:
-        raise WindowNotFound(
-            f"strictness bound stayed above {tau} after {max_shrink} shrinks"
-        )
+    def sigma_and_tau(radius):
+        return _uniform_sigma(residual, Ball(desc, p0, radius), Ball(desc, x0, radius)), tau
 
-    r = radius
+    r = _shrink_search(
+        Fraction(1), desc, max_shrink, sigma_and_tau, ("sigma", "tau"),
+        f"strictness bound stayed above {tau} after {max_shrink} shrinks",
+    )
     state_ball = Ball(desc, x0, r)
-    rho = radius
-    accepted = None
-    for _ in range(max_shrink):
+
+    def drift_and_cap(rho):
+        # a bound on ||A^-1 f(p, x0) - A^-1 f(p0, x0)|| over the parameter
+        # ball, and the margin it must fit in
         p_ball = Ball(desc, p0, rho)
-        sigma_now = _uniform_sigma(f, A_rows, p_ball, state_ball)
-        alpha_now = 1 - sigma_now * norm_a_inv
-        cap = r if desc.ultrametric else alpha_now * r / 2
-        if _drift_bound(f, A_inv, p_ball, x0) <= cap:
-            accepted = sigma_now
-            break
-        rho = _shrink(rho, desc)
-    else:
-        raise WindowNotFound(
-            f"parameter drift would not fit the window after {max_shrink} shrinks"
-        )
+        lip = telescoped_lipschitz(drift, p_ball.coordinate_sups(), range(mp), desc)
+        if desc.ultrametric:
+            return lip * rho, r
+        return lip * rho, (1 - _uniform_sigma(residual, p_ball, state_ball) * norm_a_inv) * r / 2
+
+    rho = _shrink_search(
+        r, desc, max_shrink, drift_and_cap, ("drift", "cap"),
+        f"parameter drift would not fit the window after {max_shrink} shrinks",
+    )
+    p_ball = Ball(desc, p0, rho)
+    sigma = _uniform_sigma(residual, p_ball, state_ball)
     # sigma <= tau < 1/||A^-1||, so the certificate exists
-    cert = InversionCertificate.from_anchor(A_rows, A_inv, accepted, state_ball)
+    cert = InversionCertificate.from_anchor(A_rows, A_inv, sigma, state_ball)
     z0 = eval_map(f, p0 + x0)
     delta = cert.alpha * r / (2 * norm_a_inv)
     if exact_image:
@@ -224,7 +199,7 @@ def build_window(
     else:
         target = Ball(desc, z0, delta, closed=False)
     return ParamWindow(
-        p_ball=Ball(desc, p0, rho),
+        p_ball=p_ball,
         state_ball=state_ball,
         target_ball=target,
         cert=cert,
@@ -238,13 +213,11 @@ def ultrametric_window(
     p0,
     x0,
     descriptor: FieldDescriptor | None = None,
-    initial_radius: Fraction = Fraction(1),
     max_shrink: int = 60,
 ) -> ParamWindow:
     """A window whose target set is the exact common image of every f(p, .)."""
     return build_window(
-        f, p0, x0, descriptor=descriptor, initial_radius=initial_radius,
-        max_shrink=max_shrink, exact_image=True,
+        f, p0, x0, descriptor=descriptor, max_shrink=max_shrink, exact_image=True
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .calculus import MapSpec, eval_map, jacobian_exact, strictness_modulus
+from .calculus import MapSpec, affine_map, eval_map, jacobian_exact, strictness_modulus
 from .contraction import (
     ContractionProblem,
     iterate_fixed_point,
@@ -39,6 +39,7 @@ from .linalg import (
     Ball,
     Operator,
     Vector,
+    rat_identity,
     rat_mat_invert,
     rat_mat_vec,
     rat_operator_norm,
@@ -113,14 +114,6 @@ class InversionCertificate:
         """Contraction constant of the inversion iteration."""
         return self.sigma * self.norm_A_inv
 
-    @property
-    def A_operator(self) -> Operator:
-        return Operator.from_rationals(self.A, self.descriptor)
-
-    @property
-    def A_inv_operator(self) -> Operator:
-        return Operator.from_rationals(self.A_inv, self.descriptor)
-
 
 def certify(
     f: MapSpec, ball: Ball, A: Sequence[Sequence] | Operator | None = None
@@ -166,24 +159,9 @@ def _solve_ball(cert: InversionCertificate, base, radius) -> Ball:
 
 def inversion_step_map(cert: InversionCertificate, f: MapSpec, c: Sequence) -> MapSpec:
     """The contraction v -> v - A^-1 (f(v) - c) as an exact polynomial map."""
-    n = f.domain_dim
-    cs = tuple(Fraction(v) for v in c)
-    shift = rat_mat_vec(cert.A_inv, cs)
-    outputs = []
-    for i in range(n):
-        monos: dict[tuple[int, ...], Fraction] = {}
-        e_i = tuple(1 if j == i else 0 for j in range(n))
-        monos[e_i] = Fraction(1)
-        for j in range(n):
-            coef = cert.A_inv[i][j]
-            if coef == 0:
-                continue
-            for exps, c_f in f.outputs[j]:
-                monos[exps] = monos.get(exps, Fraction(0)) - coef * c_f
-        zero = tuple([0] * n)
-        monos[zero] = monos.get(zero, Fraction(0)) + shift[i]
-        outputs.append(tuple(monos.items()))
-    return MapSpec(n, tuple(outputs))
+    minus_inv = tuple(tuple(-a for a in row) for row in cert.A_inv)
+    shift = rat_mat_vec(cert.A_inv, c)
+    return affine_map(f.without_domain(), minus_inv, rat_identity(f.domain_dim), shift)
 
 
 def local_invert(

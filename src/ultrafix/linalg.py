@@ -225,14 +225,17 @@ class NeumannResult:
         return iter((self.inverse, self.bound))
 
 
-def neumann_invert(alpha: Operator, max_terms: int = 200) -> NeumannResult:
+NEUMANN_MAX_TERMS = 200  # real branch: terms summed at most
+
+
+def neumann_invert(alpha: Operator) -> NeumannResult:
     """(id - alpha)^-1 as a truncated Neumann series, with its norm bound.
 
     Requires ||alpha|| < 1.  The padic branch sums until the next term no
     longer changes any tracked digit (exact from then on); the real branch
-    stops below 1e-15 term norm or at `max_terms` and reports the geometric
-    tail ||alpha||^K / (1 - ||alpha||) left out.  The bound is the a priori
-    1/(1 - ||alpha||) on the norm of the inverse.
+    stops below 1e-15 term norm or at NEUMANN_MAX_TERMS terms and reports the
+    geometric tail ||alpha||^K / (1 - ||alpha||) left out.  The bound is the
+    a priori 1/(1 - ||alpha||) on the norm of the inverse.
     """
     n, m = alpha.shape
     if n != m:
@@ -245,7 +248,7 @@ def neumann_invert(alpha: Operator, max_terms: int = 200) -> NeumannResult:
     total = Operator.identity(n, desc)
     term = total
     summed = 1
-    padic_cap = max_terms if desc.kind == "real" else 8 * (desc.precision + n + 4)
+    padic_cap = NEUMANN_MAX_TERMS if desc.kind == "real" else 8 * (desc.precision + n + 4)
     for _ in range(padic_cap):
         term = term.compose(alpha)
         if desc.kind == "real":
@@ -325,6 +328,10 @@ def rat_operator_norm(rows: Sequence[Sequence], descriptor: FieldDescriptor) -> 
     if descriptor.ultrametric:
         return max(rational_abs(a, descriptor) for row in rows for a in row)
     return max(sum(rational_abs(a, descriptor) for a in row) for row in rows)
+
+
+def rat_identity(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def rat_mat_vec(rows: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:

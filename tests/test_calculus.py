@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -28,8 +31,12 @@ from ultrafix import (
 )
 from ultrafix.sampling import sample_in_ball, sample_pair_in_ball
 from ultrafix.calculus import partial_map
-from ultrafix import calculus
+from ultrafix import calculus, jsonio
+from ultrafix.errors import UltrafixError
+from ultrafix.implicit import build_window
 from ultrafix.field import PadicScalar, embed_rational, rational_abs, truncate_precision
+from ultrafix.inverse import inversion_step_map
+from ultrafix.linalg import rat_identity, rat_mat_vec
 
 
 def poly(m, *outputs):
@@ -542,3 +549,214 @@ def test_identity_samples_take_each_jacobian_once(monkeypatch, padic):
         jacobians = calls["jacobian"] if padic else calls["jacobian_exact"]
         assert jacobians == 9 <= JACOBIAN_CALLS_BEFORE_REUSE // 2
         assert 0 < calls["eval_map"] <= EVAL_MAP_CALLS_BEFORE_REUSE // 2
+
+
+# ---------------------------------------------------------------------------
+# The affine builder against the hand-written loops it replaced.  The three
+# functions below are verbatim copies of the step map, the strictness
+# residual and the frozen-state loop of the window's drift bound as they were
+# before calculus.affine_map built all three.
+
+
+def _loop_inversion_step_map(cert, f, c):
+    """The contraction v -> v - A^-1 (f(v) - c) as an exact polynomial map."""
+    n = f.domain_dim
+    cs = tuple(Fraction(v) for v in c)
+    shift = rat_mat_vec(cert.A_inv, cs)
+    outputs = []
+    for i in range(n):
+        monos: dict[tuple[int, ...], Fraction] = {}
+        e_i = tuple(1 if j == i else 0 for j in range(n))
+        monos[e_i] = Fraction(1)
+        for j in range(n):
+            coef = cert.A_inv[i][j]
+            if coef == 0:
+                continue
+            for exps, c_f in f.outputs[j]:
+                monos[exps] = monos.get(exps, Fraction(0)) - coef * c_f
+        zero = tuple([0] * n)
+        monos[zero] = monos.get(zero, Fraction(0)) + shift[i]
+        outputs.append(tuple(monos.items()))
+    return MapSpec(n, tuple(outputs))
+
+
+def _loop_linear_residual(f, rows):
+    """f minus the linear map given by rational rows (the affine part cancels
+    exactly in all difference-based bounds)."""
+    if len(rows) != f.codomain_dim or any(len(r) != f.domain_dim for r in rows):
+        raise DimensionMismatch("linear part shape mismatch")
+    m = f.domain_dim
+    outputs = []
+    for i, monomials in enumerate(f.outputs):
+        extra = []
+        for j in range(m):
+            exps = tuple(1 if v == j else 0 for v in range(m))
+            extra.append((exps, -Fraction(rows[i][j])))
+        outputs.append(tuple(monomials) + tuple(extra))
+    return MapSpec(f.domain_dim, tuple(outputs), f.domain)
+
+
+def _loop_frozen_map(f, A_inv, mp, x0):
+    n = len(x0)
+    # A^-1 f with the state frozen at x0, as a map of the parameter alone
+    frozen_outputs = []
+    for i in range(n):
+        monos: dict[tuple[int, ...], Fraction] = {}
+        for j in range(n):
+            coef = A_inv[i][j]
+            if coef == 0:
+                continue
+            for exps, c in f.outputs[j]:
+                state_part = Fraction(1)
+                for k in range(n):
+                    if exps[mp + k]:
+                        state_part *= Fraction(x0[k]) ** exps[mp + k]
+                if state_part == 0:
+                    continue
+                key = exps[:mp]
+                monos[key] = monos.get(key, Fraction(0)) + coef * c * state_part
+        frozen_outputs.append(tuple(monos.items()))
+    return MapSpec(mp, tuple(frozen_outputs))
+
+
+ORACLE_FIELDS = (None, 3, 5, 7)  # the reals, then Q3, Q5, Q7
+
+
+def _oracle_field(p):
+    return FieldDescriptor.real() if p is None else FieldDescriptor.padic(p, 6)
+
+
+def _seeded_implicit_map(rng, p, n, params):
+    """Rows over params + n variables shaped like the benchmark's padic_map
+    (p prime) and real_map (p None): a parameter part B q, a linear part
+    A x with some zero entries off the diagonal, and terms of degree 2-3."""
+    nvars = params + n
+
+    def coef(size=8):
+        if p is None:
+            return Fraction(rng.randint(-size, size), 8)
+        return Fraction(rng.randint(-size, size), rng.choice([d for d in (1, 2, 4) if d % p]))
+
+    def unit(j):
+        return tuple(int(v == j) for v in range(nvars))
+
+    def monomial(degree, first):
+        exps = [0] * nvars
+        for _ in range(degree):
+            exps[rng.randrange(first, nvars)] += 1
+        return tuple(exps)
+
+    rows = []
+    for i in range(n):
+        row = [(coef(4), unit(j)) for j in range(params)]
+        for j in range(n):
+            if i == j:
+                row.append((rng.choice((-1, 1)) * (2 + rng.randint(0, 8 if p is None else 0)), unit(params + j)))
+            elif rng.random() < 0.5:
+                row.append((coef(1), unit(params + j)))
+        for _ in range(rng.randint(1, 3)):
+            row.append((coef(), monomial(rng.randint(2, 3), params if rng.random() < 0.5 else 0)))
+        rows.append(row)
+    return poly(nvars, *rows)
+
+
+def _seeded_rows(rng, rows, cols, p):
+    """A rational matrix with about a third of its entries zero."""
+    denominators = [d for d in (1, 2, 3, 4) if p is None or d % p]
+    return tuple(
+        tuple(Fraction(rng.randint(-5, 5), rng.choice(denominators)) if rng.random() < 0.65 else Fraction(0)
+              for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+def _seeded_point(rng, dim):
+    """Rational coordinates, about half of them zero."""
+    return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else Fraction(0)
+                 for _ in range(dim))
+
+
+def test_affine_builders_equal_the_loops_they_replaced():
+    rng = random.Random(20261018)
+    cases = zeros = 0
+    for p in ORACLE_FIELDS:
+        desc = _oracle_field(p)
+        for n in (1, 2, 3):
+            for params in (0, 1):
+                for k in range(13):
+                    m = params + n
+                    f = _seeded_implicit_map(rng, p, n, params)
+                    if k % 2:
+                        radius = Fraction(1, 2) if p is None else Fraction(1, p)
+                        f = MapSpec(f.domain_dim, f.outputs, Ball(desc, (0,) * m, radius))
+                    A_inv = _seeded_rows(rng, n, n, p)
+                    x = _seeded_point(rng, m)
+                    zeros += any(a == 0 for row in A_inv for a in row) and 0 in x
+                    cert = types.SimpleNamespace(A_inv=A_inv)
+                    if params == 0:
+                        for c in (x, (0,) * n):
+                            assert inversion_step_map(cert, f, c) == _loop_inversion_step_map(cert, f, c)
+                    A = _seeded_rows(rng, n, m, p)
+                    minus_a = tuple(tuple(-a for a in row) for row in A)
+                    residual = calculus.affine_map(f, rat_identity(n), minus_a)
+                    assert residual == _loop_linear_residual(f, A)
+                    assert residual.domain == f.domain
+                    if params:
+                        drift = calculus.substitute_prefix(
+                            calculus.affine_map(f.without_domain(), A_inv), x[params:], first=params
+                        )
+                        assert drift == _loop_frozen_map(f, A_inv, params, x[params:])
+                    cases += 1
+    assert cases >= 300
+    assert zeros >= 50  # A^-1 with zero entries and a point with zero coordinates
+
+
+def test_substitute_prefix_offset_fixes_the_named_variables():
+    # f(a, b, c) = a + 2 b^2 c + 3 c^2 with b = 5: a + 10 c + 3 c^2 over (a, c)
+    f = poly(3, [(1, (1, 0, 0)), (2, (0, 2, 1)), (3, (0, 0, 2))])
+    assert calculus.substitute_prefix(f, (5,), first=1) == poly(2, [(1, (1, 0)), (50, (0, 1)), (3, (0, 2))])
+    assert calculus.substitute_prefix(f, (5,)) == calculus.substitute_prefix(f, (5,), first=0)
+    assert calculus.substitute_prefix(f, (0, 2), first=1) == poly(1, [(1, (1,)), (12, (0,))])
+
+
+def test_affine_map_ragged_linear_part_is_a_dimension_mismatch(real):
+    f = PAIR
+    for linear in ([[1, 2], [3]], [[1, 2]], [[1], [2]]):
+        with pytest.raises(DimensionMismatch, match="^linear part shape mismatch$"):
+            calculus.affine_map(f, rat_identity(2), linear)
+        with pytest.raises(DimensionMismatch, match="^linear part shape mismatch$"):
+            strictness_modulus(f, linear, Ball(real, (0, 0), 1))
+    with pytest.raises(DimensionMismatch, match="^linear part shape mismatch$"):
+        calculus.affine_map(f, ((1,),))  # one column short of f's two outputs
+
+
+# sha256 of the encodings below, as build_window gave them before the
+# residual and drift maps came from calculus.affine_map
+WINDOW_DIGEST = "d128c8f581c591ac9bf55d52c8c02f1c20458acac66786868016d77fdcd3440a"
+
+
+def _seeded_anchor(rng, dim, p):
+    """A window anchor near 0, about half of its coordinates zero: the
+    telescoped bounds run over the ball's coordinate sups, so a window needs
+    an anchor of size at most about 1/p (p-adic) or 1/8 (real)."""
+    scale = Fraction(1, 32) if p is None else Fraction(p, 1 if p == 3 else 2)
+    return tuple(rng.randint(-3, 3) * scale if rng.random() < 0.5 else Fraction(0) for _ in range(dim))
+
+
+def test_windows_equal_those_of_the_loop_builders():
+    rng = random.Random(8)
+    encodings = []
+    for p in ORACLE_FIELDS:
+        desc = _oracle_field(p)
+        for n in (1, 2, 3):
+            for _ in range(10):
+                f = _seeded_implicit_map(rng, p, n, 1)
+                p0, x0 = _seeded_anchor(rng, 1, p), _seeded_anchor(rng, n, p)
+                try:
+                    encodings.append(jsonio.encode_window(build_window(f, p0, x0, descriptor=desc)))
+                except UltrafixError as exc:  # the messages must not change either
+                    encodings.append([exc.kind, str(exc)])
+    assert len(encodings) == 120
+    assert sum(isinstance(e, dict) for e in encodings) >= 100
+    text = json.dumps(encodings, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == WINDOW_DIGEST

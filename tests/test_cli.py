@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ultrafix import BudgetExceeded, FieldDescriptor, cli
+from ultrafix import BudgetExceeded, FieldDescriptor, calculus, cli
 from ultrafix.field import frac_str
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -343,3 +343,52 @@ def test_cli_precision_over_the_budget_exits_1_at_once():
         assert FieldDescriptor.padic(prime, most).precision == most
         with pytest.raises(BudgetExceeded):
             FieldDescriptor.padic(prime, most + 1)
+
+
+def test_cli_window_not_found_carries_its_numbers():
+    # f(p, x) = x + 10^30 x^2 - p over the reals: sigma = 2 10^30 r stays
+    # above tau = 1/2 down to the 60th radius, 2^-59
+    fmap = json.dumps({"vars": 2, "outputs": [[{"coef": "1", "exp": [0, 1]},
+                                               {"coef": str(10**30), "exp": [0, 2]},
+                                               {"coef": "-1", "exp": [1, 0]}]]})
+    geometry = json.dumps({"p0": ["0"], "x0": ["0"], "p": ["0"]})
+    code, payload = run_in_process(["implicit", "--map", fmap, "--field", json.dumps({"kind": "real"}),
+                                    "--geometry", geometry])
+    assert code == 1
+    assert payload["error"] == {
+        "kind": "WindowNotFound",
+        "message": "strictness bound stayed above 1/2 after 60 shrinks",
+        "radius": f"1/{2**59}",
+        "sigma": f"{5**30}/{2**28}",
+        "tau": "1/2",
+    }
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_check_nonpositive_samples_is_a_schema_error(samples):
+    # --samples -3 passed with 0 samples of every identity
+    code, payload = run_in_process(["check", "--map", str(FIXTURES / "maps/plus_square.json"),
+                                    "--samples", samples])
+    assert code == 2
+    assert payload["error"]["kind"] == "SchemaError"
+
+
+def test_cli_check_samples_over_the_budget_exit_1_before_sampling(monkeypatch):
+    args = CASES["check_clean"][:]
+    at = args.index("--samples") + 1
+    for samples in (calculus.SAMPLE_BUDGET + 1, 10**9):  # 10^9 would run for days
+        args[at] = str(samples)
+        start = time.perf_counter()
+        code, payload = run_in_process(args)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert payload["error"]["kind"] == "BudgetExceeded"
+        assert (payload["error"]["samples"], payload["error"]["budget"]) == (samples, calculus.SAMPLE_BUDGET)
+    # the boundary, with the budget lowered to the 40 samples of check_clean
+    # so the run stays short: 40 passes with the golden output, 41 does not
+    monkeypatch.setattr(calculus, "SAMPLE_BUDGET", 40)
+    out = io.StringIO()
+    assert cli.run(CASES["check_clean"], stream=out) == 0
+    assert out.getvalue() == (GOLDEN / "check_clean.json").read_text()
+    args[at] = "41"
+    assert run_in_process(args)[0] == 1

@@ -50,7 +50,7 @@ def test_uniform_sigma_bilinear_example(real):
     f = poly(2, [(1, (0, 1)), (1, (1, 1))])
     p_ball = Ball(real, (0,), Fraction(1, 4))
     state_ball = Ball(real, (0,), 1)
-    sigma = _uniform_sigma(f, ((Fraction(1),),), p_ball, state_ball)
+    sigma = _uniform_sigma(implicit.affine_map(f, ((1,),), ((0, -1),)), p_ball, state_ball)
     assert sigma == Fraction(1, 4)
     # oracle: sampled uniform quotients stay below the bound
     rng = random.Random(3)
@@ -214,3 +214,37 @@ def test_deep_padic_solve_implicit_takes_newton_steps(monkeypatch):
     x = lam.to_rational()
     assert lam.prec >= 48 and (x * x + x - 5) % 5**lam.prec == 0
     assert x % 5**4 == 230 and sol.residual == 0
+
+
+# f(p, x) = x + 1000 x^2 - p: over the reals sigma = 2000 r, so the strictness
+# search shrinks to r = 2^-12 and the drift search twice more
+WILD = poly(2, [(1, (0, 1)), (1000, (0, 2)), (-1, (1, 0))])
+
+
+def test_window_not_found_carries_its_numbers(real):
+    with pytest.raises(WindowNotFound) as info:
+        build_window(WILD, (0,), (0,), descriptor=real, max_shrink=2)
+    assert str(info.value) == "strictness bound stayed above 1/2 after 2 shrinks"
+    assert info.value.details == {"radius": "1/2", "sigma": "1000/1", "tau": "1/2"}
+    # f(p, x) = x - 1000 p: sigma is 0 at radius 1, but the drift 1000 rho
+    # does not fit in the cap r/2 after 2 shrinks
+    steep = poly(2, [(1, (0, 1)), (-1000, (1, 0))])
+    with pytest.raises(WindowNotFound) as info:
+        build_window(steep, (0,), (0,), descriptor=real, max_shrink=2)
+    assert str(info.value) == "parameter drift would not fit the window after 2 shrinks"
+    assert info.value.details == {"radius": "1/2", "drift": "500/1", "cap": "1/2"}
+
+
+def test_window_builds_its_residual_and_drift_maps_once(monkeypatch, real):
+    calls = dict.fromkeys(("affine_map", "substitute_prefix"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(implicit, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(implicit, name, counting)
+    w = build_window(WILD, (0,), (0,), descriptor=real)
+    # 12 shrinks of the strictness search and 2 of the drift search
+    assert (w.state_ball.radius, w.p_ball.radius) == (Fraction(1, 2**12), Fraction(1, 2**14))
+    # f - A.x, and A^-1 f with the state fixed at x0
+    assert calls == {"affine_map": 2, "substitute_prefix": 1}
