@@ -214,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="field JSON (file or inline)",
         )
         cmd.add_argument("--geometry", help="geometry JSON (file or inline)")
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--samples", type=int, default=1000)
+        if name == "check":
+            cmd.add_argument("--seed", type=int, default=0)
+            cmd.add_argument("--samples", type=int, default=1000)
         cmd.add_argument("--tol", help="target precision (rational string)")
     return parser
 

@@ -210,9 +210,10 @@ def _plan(problem: ContractionProblem, target_precision) -> tuple:
     NotAdmissible, or NotAContraction when the target is out of reach.
     """
     if not admissible(problem):
+        d0, radius = num_str(problem.initial_displacement()), num_str(problem.domain.radius)
         raise NotAdmissible(
-            f"d(f(x0), x0) = {num_str(problem.initial_displacement())} exceeds the "
-            f"admissible displacement for radius {num_str(problem.domain.radius)}"
+            f"d(f(x0), x0) = {d0} exceeds the admissible displacement for radius {radius}",
+            d0=d0, radius=radius, theta=num_str(problem.theta),
         )
     desc = problem.descriptor
     theta, d0 = problem.theta, problem.initial_displacement()
@@ -242,10 +243,21 @@ def _check_step(k: int, step, bound: Fraction, ultrametric: bool) -> None:
     """Step k of a contraction moves at most its a priori bound theta^k d0."""
     violated = step > bound if ultrametric else step > float(bound) + 1e-12
     if violated:
+        size, bound = num_str(step), num_str(bound)
         raise DomainEscape(
-            f"step {k} of size {num_str(step)} exceeds its a priori bound {num_str(bound)}: "
-            "the supplied contraction constant is wrong"
+            f"step {k} of size {size} exceeds its a priori bound {bound}: "
+            "the supplied contraction constant is wrong",
+            step=str(k), size=size, bound=bound,
         )
+
+
+def _residual_escape(residual, target: Fraction):
+    """The final residual of a solve missed its target."""
+    residual, target = num_str(residual), num_str(target)
+    raise DomainEscape(
+        f"residual {residual} above target {target}: contraction claim failed",
+        residual=residual, target=target,
+    )
 
 
 def _check_exact_real(problem: ContractionProblem, x: Vector) -> None:
@@ -306,9 +318,7 @@ def iterate_fixed_point(
     else:
         fixed_ok = residual <= (1 + float(theta)) * float(target) + desc.tolerance
     if not fixed_ok:
-        raise DomainEscape(
-            f"residual {num_str(residual)} above target {num_str(target)}: contraction claim failed"
-        )
+        _residual_escape(residual, target)
     return FixedPointReport(
         fixed_point=x,
         iterations=len(trace) - 1,
@@ -468,9 +478,7 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
         x = Vector(tuple(truncate_precision(c, exponent) for c in x.components))
     residual = vec_norm(eval_map(f, x) - x)
     if residual > target:
-        raise DomainEscape(
-            f"residual {num_str(residual)} above target {num_str(target)}: contraction claim failed"
-        )
+        _residual_escape(residual, target)
     return x
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import calculus
 from .calculus import IdentityReport, MapSpec
 from .contraction import FixedPointReport
-from .errors import SchemaError
+from .errors import BudgetExceeded, SchemaError
 from .field import FieldDescriptor, PadicScalar, RealScalar, Scalar, frac_str
 from .implicit import ImplicitSolution, ParamWindow
 from .inverse import ImageDescription, InversionCertificate
@@ -158,15 +159,17 @@ def parse_map(data, descriptor: FieldDescriptor | None = None) -> MapSpec:
         m = _parse_int(data["vars"], "vars")
         outputs = []
         for row in data["outputs"]:
-            outputs.append(
-                tuple(
-                    (
-                        tuple(_parse_int(e, "exponent") for e in mono["exp"]),
-                        parse_rational(mono["coef"]),
+            monomials = []
+            for mono in row:
+                exps = tuple(_parse_int(e, "exponent") for e in mono["exp"])
+                degree, budget = sum(exps), calculus.DEGREE_BUDGET
+                if degree > budget:
+                    raise BudgetExceeded(
+                        f"a monomial of degree {degree} exceeds the degree budget of {budget}",
+                        degree=degree, budget=budget,
                     )
-                    for mono in row
-                )
-            )
+                monomials.append((exps, parse_rational(mono["coef"])))
+            outputs.append(tuple(monomials))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad map encoding: {exc}") from exc
     domain = None

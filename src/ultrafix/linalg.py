@@ -2,13 +2,14 @@
 
 Everything is max-norm based: the operator norm is the max entry absolute
 value in the ultrametric case and the max row sum in the real case, both in
-closed form.  Rational twins of the matrix routines (suffix ``rat_``) run in
-exact Fraction arithmetic and back the certificate computations.
+closed form.  Rational twins of the matrix routines (suffix ``rat_``) are
+exact (the inverse eliminates in integers) and back the certificate
+computations.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -161,21 +162,22 @@ def _operator_norm_upper(A: Operator):
     return max(sum(abs_upper_bound(a) for a in row) for row in A.entries)
 
 
-def _gauss_jordan(rows, one, zero, is_zero, size, singular: str):
-    """Gauss-Jordan elimination of a square matrix: (inverse rows, determinant).
+def _field_gauss_jordan(A: Operator):
+    """Gauss-Jordan elimination over field scalars: (inverse rows, determinant).
 
-    The scalar protocol: `one` and `zero`, a zero test and a pivot size.  Each
-    column pivots on its entry of largest size; a column whose largest entry
-    is zero raises SingularMatrix with `singular` formatted by the column.
+    Each column pivots on its entry of largest absolute value; a column whose
+    largest entry is zero at tracked precision raises SingularMatrix.
     """
-    n = len(rows)
-    work = [list(row) for row in rows]
+    desc = A.descriptor
+    one, zero = desc.one(), desc.zero()
+    n = len(A.entries)
+    work = [list(row) for row in A.entries]
     inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
     det = one
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: size(work[r][col]))
-        if is_zero(work[pivot_row][col]):
-            raise SingularMatrix(singular.format(col))
+        pivot_row = max(range(col, n), key=lambda r: field_abs(work[r][col]))
+        if work[pivot_row][col].is_zero():
+            raise SingularMatrix(f"no nonzero pivot in column {col} at tracked precision")
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
             inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
@@ -188,20 +190,11 @@ def _gauss_jordan(rows, one, zero, is_zero, size, singular: str):
             if r == col:
                 continue
             factor = work[r][col]
-            if is_zero(factor):
+            if factor.is_zero():
                 continue
             work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
             inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
     return inv, det
-
-
-def _field_gauss_jordan(A: Operator):
-    """The elimination over field scalars, zero at tracked precision."""
-    desc = A.descriptor
-    return _gauss_jordan(
-        A.entries, desc.one(), desc.zero(), operator.methodcaller("is_zero"), field_abs,
-        "no nonzero pivot in column {} at tracked precision",
-    )
 
 
 def invert_exact(A: Operator) -> Operator:
@@ -339,15 +332,50 @@ def rat_mat_vec(rows: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:
 
 
 def rat_mat_invert(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse over the rationals."""
+    """Exact inverse over the rationals, by fraction-free Gauss-Jordan
+    elimination (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+
+    Row i is scaled to integers by the lcm s_i of its denominators, and
+    [S M | I] is eliminated in integers: each update
+    (pivot * a - factor * b) // previous pivot divides exactly, since every
+    entry is a minor of [S M | I].  That leaves [d I | X] with
+    X = d (S M)^-1, so M^-1[i][j] = X[i][j] * s_j / d, one Fraction per
+    entry.  A column whose remaining entries are all zero is the first one
+    that depends on the columns before it, whichever nonzero pivots were
+    taken, and raises SingularMatrix.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("only square matrices invert")
-    inv, _ = _gauss_jordan(
-        [[Fraction(x) for x in row] for row in rows], Fraction(1), Fraction(0),
-        operator.not_, abs, "column {} has no nonzero pivot",
+    rats = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
+    scale = [math.lcm(*(x.denominator for x in row)) for row in rats]
+    work = [
+        [x.numerator * (s // x.denominator) for x in row] + [int(i == j) for j in range(n)]
+        for i, (row, s) in enumerate(zip(rats, scale))
+    ]
+    prev = 1
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot_row is None:
+            raise SingularMatrix(f"column {col} has no nonzero pivot")
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+        top = work[col]
+        piv = top[col]
+        for r in range(n):
+            if r == col:
+                continue
+            row = work[r]
+            factor = row[col]
+            # left of col, row r holds at most its diagonal, which X does not need
+            for j in range(col + 1, 2 * n):
+                row[j] = (piv * row[j] - factor * top[j]) // prev
+            row[col] = 0
+        prev = piv
+    return tuple(
+        tuple(Fraction(a * s, prev) for a, s in zip(row[n:], scale)) for row in work
     )
-    return tuple(tuple(row) for row in inv)
 
 
 # ---------------------------------------------------------------------------

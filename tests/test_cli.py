@@ -392,3 +392,35 @@ def test_cli_check_samples_over_the_budget_exit_1_before_sampling(monkeypatch):
     assert out.getvalue() == (GOLDEN / "check_clean.json").read_text()
     args[at] = "41"
     assert run_in_process(args)[0] == 1
+
+
+@pytest.mark.parametrize("command", ["invert", "certify", "fixpoint", "implicit"])
+@pytest.mark.parametrize("flag", [["--samples", "-3"], ["--samples", "8"], ["--seed", "11"]])
+def test_cli_sampling_flags_belong_to_check_alone(command, flag):
+    # only check draws samples; `certify ... --samples -3` used to exit 0
+    name = next(n for n in CASES if CASES[n][0] == command)
+    out = io.StringIO()
+    assert cli.run([*CASES[name], *flag], stream=out) == 2
+    assert out.getvalue() == ""  # argparse reports the usage error on stderr
+
+
+def _monomial_map(degree):
+    return json.dumps({"vars": 1, "outputs": [[{"coef": "1", "exp": [1]}, {"coef": "1", "exp": [degree]}]]})
+
+
+def test_cli_degree_over_the_budget_exits_1_at_once(monkeypatch):
+    for degree in (calculus.DEGREE_BUDGET + 1, 10**9):  # 10^9 would not finish
+        start = time.perf_counter()
+        code, payload = run_in_process(["check", "--map", _monomial_map(degree), "--samples", "8"])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert payload["error"]["kind"] == "BudgetExceeded"
+        assert (payload["error"]["degree"], payload["error"]["budget"]) == (degree, calculus.DEGREE_BUDGET)
+    # the boundary, with the budget lowered to the degree 2 of plus_square:
+    # 2 gives the golden output, 3 does not
+    monkeypatch.setattr(calculus, "DEGREE_BUDGET", 2)
+    out = io.StringIO()
+    assert cli.run(CASES["check_clean"], stream=out) == 0
+    assert out.getvalue() == (GOLDEN / "check_clean.json").read_text()
+    code, payload = run_in_process(["check", "--map", _monomial_map(3), "--samples", "8"])
+    assert (code, payload["error"]["degree"], payload["error"]["budget"]) == (1, 3, 2)

@@ -4,12 +4,13 @@ Each request takes the fixture payloads of one of the five commands and
 drops a key or swaps in a junk value at one or two random places.  Whatever
 comes in, `cli.run` must answer with exit code 0, 1 or 2 and JSON on stdout,
 and a failure must name its error kind; no exception may escape.  Junk values
-stay small: precision and --samples have budgets (field.PRECISION_BUDGET_BITS,
-calculus.SAMPLE_BUDGET), but the polynomial degree has none yet, so a huge
-exponent could make a well-formed request run for minutes.  A second test,
-with its own seed, mutates the serialized JSON text instead (truncation, a
-duplicate key, a spliced integer literal too long to parse) under the same
-property.
+stay small: precision, --samples and the monomial degree have budgets
+(field.PRECISION_BUDGET_BITS, calculus.SAMPLE_BUDGET, calculus.DEGREE_BUDGET),
+but a `fixpoint` report grows quadratically with the precision and has no
+budget of its own, so a precision near its budget could make a well-formed
+request run for minutes.  A second test, with its own seed, mutates the
+serialized JSON text instead (truncation, a duplicate key, a spliced integer
+literal too long to parse) under the same property.
 """
 
 import copy
@@ -76,7 +77,7 @@ def _payloads(command):
 
 
 def _argv(command, payloads):
-    argv = [command, "--samples", "8"]
+    argv = [command, "--samples", "8"] if command == "check" else [command]
     for flag, payload in payloads.items():
         argv += [flag, json.dumps(payload)]
     return argv

@@ -133,15 +133,17 @@ def test_not_admissible(real):
     far = poly(1, [(Fraction(1, 2), (1,)), (10, (0,))])
     prob = ContractionProblem(far, Ball(real, (0,), 4), Fraction(1, 2), (0,))
     assert not admissible(prob)
-    with pytest.raises(NotAdmissible):
+    with pytest.raises(NotAdmissible) as err:
         iterate_fixed_point(prob)
+    assert err.value.details == {"d0": "10/1", "radius": "4/1", "theta": "1/2"}
 
 
 def test_wrong_theta_detected(real):
     # claiming theta = 1/10 for x -> x/2 + 1 breaks the step bounds
     prob = ContractionProblem(HALF_PLUS_ONE, Ball(real, (0,), 4), Fraction(1, 10), (0,))
-    with pytest.raises(DomainEscape):
+    with pytest.raises(DomainEscape) as err:
         iterate_fixed_point(prob)
+    assert err.value.details == {"step": "1", "size": "0.5", "bound": "1/10"}
 
 
 def test_theta_from_lipschitz(q5):
@@ -468,10 +470,10 @@ def test_newton_keeps_the_banach_checks(q5, q5_deep, real):
     # 5 + 5x^2 is a 1/25-contraction of B_{1/5}(0), not a 1/125 one: the
     # second Newton step is longer than theta * d0
     wrong = ContractionProblem(FIVE_PLUS_5SQ, Ball(q5_deep, (0,), Fraction(1, 5)), Fraction(1, 125), (0,))
-    with pytest.raises(DomainEscape, match="step 1 "):
-        newton_fixed_point(wrong)
-    with pytest.raises(DomainEscape, match="step 1 "):
-        iterate_fixed_point(wrong)
+    for solve in (newton_fixed_point, iterate_fixed_point):
+        with pytest.raises(DomainEscape, match="step 1 ") as err:
+            solve(wrong)
+        assert err.value.details == {"step": "1", "size": "1/125", "bound": "1/625"}
     with pytest.raises(NotAContraction):
         newton_fixed_point(ContractionProblem(FIVE_PLUS_SQ, Ball(q5, (0,), Fraction(1, 5)), Fraction(1, 5), (0,)), 0)
     with pytest.raises(SchemaError):
@@ -488,8 +490,20 @@ def test_newton_claims_only_what_its_residual_proves(q5_deep):
     assert x.prec == 3 and x.to_rational() % 5**3 == 5
     # x* = 5 + 5x*^2 is 130 mod 5^5, so 130 + O(5^7) would be wrong
     assert (130 * 130 * 5 + 5 - 130) % 5**5 == 0 and (130 * 130 * 5 + 5 - 130) % 5**6 != 0
-    with pytest.raises(DomainEscape, match="residual"):
+    with pytest.raises(DomainEscape, match="residual") as err:
         iterate_fixed_point(wrong, Fraction(1, 5**6))
+    assert err.value.details == {"residual": "1/125", "target": "1/15625"}
+
+
+def test_newton_residual_check_carries_its_numbers(q5_deep, monkeypatch):
+    # the Newton result is truncated to the digits its residual proves, so
+    # its final residual check fails only with the truncation switched off:
+    # g(130) - 130 = 84375 = 27 * 5^5 misses the target 5^-6
+    wrong = ContractionProblem(FIVE_PLUS_5SQ, Ball(q5_deep, (0,), Fraction(1, 5)), Fraction(1, 5**6), (0,))
+    monkeypatch.setattr(contraction, "truncate_precision", lambda c, exponent: c)
+    with pytest.raises(DomainEscape, match="residual") as err:
+        newton_fixed_point(wrong, Fraction(1, 5**6))
+    assert err.value.details == {"residual": "1/3125", "target": "1/15625"}
 
 
 def test_real_target_below_the_double_resolution_of_the_ball(real):
