@@ -18,16 +18,18 @@ from typing import Callable, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, DomainViolation, SchemaError
 from .field import (
+    RATIONAL_TYPES,
     FieldDescriptor,
     PadicScalar,
     RealScalar,
     Scalar,
+    all_rational,
     embed_rational,
     padic_monomial,
     padic_sum,
     rational_valuation,
 )
-from .linalg import Ball, Operator, Vector, rat_identity
+from .linalg import Ball, Operator, Vector, rat_identity, rat_mat_vec
 
 Monomial = tuple[tuple[int, ...], Fraction]
 
@@ -474,7 +476,32 @@ def _is_zero_value(t) -> bool:
 
 
 def _vec_add_scaled(x, y, t):
+    """x + t*y.  Over int and Fraction operands, each coordinate is one
+    Fraction of integer products, which normalises its sign and gcd."""
+    if type(t) in RATIONAL_TYPES and all_rational(x, y):
+        tn, td = t.numerator, t.denominator
+        return tuple(
+            Fraction(
+                a.numerator * b.denominator * td + tn * b.numerator * a.denominator,
+                a.denominator * b.denominator * td,
+            )
+            for a, b in zip(x, y)
+        )
     return tuple(a + t * b for a, b in zip(x, y))
+
+
+def _divided_difference(u, v, t):
+    """(u - v)/t per coordinate, in integers as _vec_add_scaled."""
+    if type(t) in RATIONAL_TYPES and all_rational(u, v):
+        tn, td = t.numerator, t.denominator
+        return tuple(
+            Fraction(
+                (a.numerator * b.denominator - b.numerator * a.denominator) * td,
+                a.denominator * b.denominator * tn,
+            )
+            for a, b in zip(u, v)
+        )
+    return tuple((a - b) / t for a, b in zip(u, v))
 
 
 def _quotient_value(
@@ -493,7 +520,7 @@ def _quotient_value(
     evaluate = evaluate or eval_map
     fx = evaluate(f.without_domain(), x)
     fs = evaluate(f.without_domain(), shifted)
-    q = tuple((a - b) / t for a, b in zip(fs, fx))
+    q = _divided_difference(fs, fx, t)
     if mutation is not None:
         q = mutation(q)
     return q
@@ -508,7 +535,9 @@ def _jacobian_rows(f: MapSpec, x: tuple):
 
 def _jacobian_apply(f: MapSpec, x, y, evaluate=None):
     rows = _jacobian_rows(f, x) if evaluate is None else evaluate.jacobian(f, x)
-    zero = x[0].descriptor.zero() if x and isinstance(x[0], Scalar) else Fraction(0)
+    if not (x and isinstance(x[0], Scalar)):
+        return rat_mat_vec(rows, y)
+    zero = x[0].descriptor.zero()
     out = []
     for row in rows:
         total = zero
@@ -553,7 +582,7 @@ def _second_quotient_value(f: MapSpec, a: tuple, b: tuple, t, mutation=None, eva
     _check_inner_membership(f, shifted)
     qa = _quotient_value(f, a[:m], a[m : 2 * m], a[2 * m], mutation, evaluate)
     qs = _quotient_value(f, shifted[:m], shifted[m : 2 * m], shifted[2 * m], mutation, evaluate)
-    return tuple((u - v) / t for u, v in zip(qs, qa))
+    return _divided_difference(qs, qa, t)
 
 
 def _check_inner_membership(f: MapSpec, a) -> None:
@@ -836,7 +865,7 @@ def check_identities(
 
     def lift(values):
         if descriptor is None:
-            return tuple(Fraction(v) for v in values)
+            return values
         return tuple(embed_rational(v, 1, descriptor) for v in values)
 
     def lift1(v):
@@ -904,12 +933,14 @@ def check_identities(
         lhs4 = _second_quotient_value(
             f, lx + ly + (ltn * ls,), lx1 + ly1 + (ltn * ls1,), ltn * ls2, mut, ev
         )
-        lhs4 = tuple(ltn * ltn * ltn * v for v in lhs4)
+        t2 = ltn * ltn
+        t3 = t2 * ltn
+        lhs4 = tuple(t3 * v for v in lhs4)
         rhs4 = _second_quotient_value(
             f,
-            lx + tuple(ltn * ltn * v for v in ly) + (ls / ltn,),
+            lx + tuple(t2 * v for v in ly) + (ls / ltn,),
             tuple(ltn * v for v in lx1)
-            + tuple(ltn * ltn * ltn * v for v in ly1)
+            + tuple(t3 * v for v in ly1)
             + (ls1,),
             ls2,
             mut,

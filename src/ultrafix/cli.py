@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "check":
             cmd.add_argument("--seed", type=int, default=0)
             cmd.add_argument("--samples", type=int, default=1000)
-        cmd.add_argument("--tol", help="target precision (rational string)")
+        if name in ("invert", "implicit", "fixpoint"):
+            cmd.add_argument("--tol", help="target precision (rational string)")
     return parser
 
 

@@ -135,9 +135,21 @@ def num_str(x) -> str:
     return frac_str(x) if isinstance(x, Fraction) else str(x)
 
 
+RATIONAL_TYPES = frozenset((int, Fraction))
+"""The operand types the exact kernels read by numerator and denominator.
+Any other type, a subclass such as bool included, takes the generic
+expression."""
+
+
+def all_rational(*groups) -> bool:
+    """Whether every value of every group is exactly an int or a Fraction."""
+    return all(RATIONAL_TYPES.issuperset(map(type, g)) for g in groups)
+
+
 def rational_valuation(q, p: int) -> int:
-    q = Fraction(q)
-    if q == 0:
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    if not q:
         raise ValueError("valuation of zero is undefined")
     return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
 
@@ -604,9 +616,12 @@ def rational_abs(q, descriptor: FieldDescriptor) -> Fraction:
     This is the workhorse of every verification oracle: sampling checks stay
     in exact arithmetic on both the ultrametric and the archimedean side.
     """
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if descriptor.kind == "real":
         return abs(q)
-    if q == 0:
+    if not q:
         return Fraction(0)
-    return Fraction(descriptor.prime) ** (-rational_valuation(q, descriptor.prime))
+    p = descriptor.prime
+    v = rational_valuation(q, p)
+    return Fraction(1, p**v) if v >= 0 else Fraction(p**-v)

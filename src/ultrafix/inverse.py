@@ -44,6 +44,7 @@ from .linalg import (
     rat_mat_vec,
     rat_operator_norm,
     rat_vec_norm,
+    rat_vec_sub,
 )
 from .sampling import sample_pair_in_ball
 
@@ -289,8 +290,9 @@ def verify_distortion(
         y, z = sample_pair_in_ball(rng, cert.ball)
         fy = eval_map(f_free, y)
         fz = eval_map(f_free, z)
-        dist = rat_vec_norm(tuple(a - b for a, b in zip(z, y)), desc)
-        fdist = rat_vec_norm(tuple(a - b for a, b in zip(fz, fy)), desc)
+        dist = rat_vec_norm(rat_vec_sub(z, y), desc)
+        image_step = rat_vec_sub(fz, fy)
+        fdist = rat_vec_norm(image_step, desc)
         if not cert.a * dist <= fdist <= cert.b * dist:
             report.sandwich_failures += 1
             if report.first_failure is None:
@@ -302,9 +304,7 @@ def verify_distortion(
                     "image_distance": str(fdist),
                 }
         if desc.ultrametric:
-            pulled = rat_vec_norm(
-                rat_mat_vec(cert.A_inv, tuple(a - b for a, b in zip(fz, fy))), desc
-            )
+            pulled = rat_vec_norm(rat_mat_vec(cert.A_inv, image_step), desc)
             if pulled != dist:
                 report.isometry_failures += 1
                 if report.first_failure is None:

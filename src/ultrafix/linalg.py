@@ -19,6 +19,7 @@ from .errors import DimensionMismatch, NotAContraction, SchemaError, SingularMat
 from .field import (
     FieldDescriptor,
     PadicScalar,
+    RATIONAL_TYPES,
     abs_upper_bound,
     embed_rational,
     field_abs,
@@ -328,7 +329,34 @@ def rat_identity(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def rat_mat_vec(rows: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:
-    return tuple(sum((Fraction(a) * Fraction(x) for a, x in zip(row, v)), Fraction(0)) for row in rows)
+    """A.v over the rationals, in integers: with v = n/V over the lcm V of
+    its denominators and row i = r/R_i over the lcm of its own, entry i is
+    sum(r * n) / (R_i * V), one Fraction.  An entry that is not an int or a
+    Fraction is read through Fraction first."""
+    v = _exact(v)
+    V = math.lcm(*(x.denominator for x in v))
+    nums = [x.numerator * (V // x.denominator) for x in v]
+    out = []
+    for row in rows:
+        row = _exact(row)
+        R = math.lcm(*(a.denominator for a in row))
+        total = 0
+        for a, n in zip(row, nums):
+            total += a.numerator * (R // a.denominator) * n
+        out.append(Fraction(total, R * V))
+    return tuple(out)
+
+
+def _exact(values: Sequence) -> list:
+    return [x if type(x) in RATIONAL_TYPES else Fraction(x) for x in values]
+
+
+def rat_vec_sub(u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
+    """u - v for int and Fraction entries, one Fraction per coordinate."""
+    return tuple(
+        Fraction(a.numerator * b.denominator - b.numerator * a.denominator, a.denominator * b.denominator)
+        for a, b in zip(u, v)
+    )
 
 
 def rat_mat_invert(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:

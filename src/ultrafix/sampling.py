@@ -15,6 +15,11 @@ from .linalg import Ball
 
 def unit_fraction(rng: random.Random, descriptor, strict: bool = False) -> Fraction:
     """A rational z with |z| <= 1 (or < 1 when strict) in the given field."""
+    return Fraction(*_unit_ratio(rng, descriptor, strict))
+
+
+def _unit_ratio(rng: random.Random, descriptor, strict: bool) -> tuple[int, int]:
+    """The numerator and denominator that unit_fraction draws."""
     if descriptor.kind == "padic":
         p = descriptor.prime
         den = rng.randint(1, 20)
@@ -23,11 +28,11 @@ def unit_fraction(rng: random.Random, descriptor, strict: bool = False) -> Fract
         num = rng.randint(-20, 20)
         if strict:
             num *= p
-        return Fraction(num, den)
+        return num, den
     den = rng.randint(1, 20)
     top = den - 1 if strict else den
     num = rng.randint(-top, top)
-    return Fraction(num, den)
+    return num, den
 
 
 def scaling_element(ball: Ball) -> Fraction:
@@ -41,12 +46,17 @@ def scaling_element(ball: Ball) -> Fraction:
 
 
 def sample_in_ball(rng: random.Random, ball: Ball) -> tuple[Fraction, ...]:
+    """c + t*u, with u drawn by unit_fraction per coordinate: one Fraction
+    per coordinate, from integer products."""
     strict = not ball.closed
     t = scaling_element(ball)
-    return tuple(
-        c + t * unit_fraction(rng, ball.descriptor, strict)
-        for c in ball.center_exact
-    )
+    tn, td = t.numerator, t.denominator
+    out = []
+    for c in ball.center_exact:
+        num, den = _unit_ratio(rng, ball.descriptor, strict)
+        cd = c.denominator
+        out.append(Fraction(c.numerator * td * den + tn * num * cd, cd * td * den))
+    return tuple(out)
 
 
 def sample_pair_in_ball(rng: random.Random, ball: Ball):

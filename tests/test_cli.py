@@ -404,6 +404,17 @@ def test_cli_sampling_flags_belong_to_check_alone(command, flag):
     assert out.getvalue() == ""  # argparse reports the usage error on stderr
 
 
+@pytest.mark.parametrize("command", ["certify", "check"])
+@pytest.mark.parametrize("tol", ["-5", "0", "1/625"])
+def test_cli_tol_belongs_to_the_solving_commands(command, tol):
+    # only invert, implicit and fixpoint solve to a target precision;
+    # `certify ... --tol -5` used to exit 0
+    name = next(n for n in CASES if CASES[n][0] == command)
+    out = io.StringIO()
+    assert cli.run([*CASES[name], "--tol", tol], stream=out) == 2
+    assert out.getvalue() == ""  # argparse reports the usage error on stderr
+
+
 def _monomial_map(degree):
     return json.dumps({"vars": 1, "outputs": [[{"coef": "1", "exp": [1]}, {"coef": "1", "exp": [degree]}]]})
 

@@ -1,0 +1,426 @@
+"""The integer glue of the sampled oracles against the Fraction expressions it
+replaced, and the reports of the two oracles against recorded digests.
+
+The functions prefixed `_fraction_` are verbatim copies of x + t*y, of the
+difference quotient (a - b)/t, of the Jacobian application, of ball sampling,
+of the rational matrix-vector product and of the rational absolute value, as
+they were before these worked in integers.  Exact results are unique
+normalised rationals, so the kernels must return Fractions with the same
+numerator and denominator on every seeded case; field scalars take the
+unchanged generic expressions and must give the same scalars.
+"""
+
+import hashlib
+import random
+from fractions import Fraction
+
+from ultrafix import calculus
+from ultrafix.calculus import MapSpec, check_identities
+from ultrafix.errors import UltrafixError
+from ultrafix.field import FieldDescriptor, Scalar, embed_rational, int_valuation, rational_abs
+from ultrafix.inverse import certify, verify_distortion
+from ultrafix.linalg import Ball, rat_mat_vec, rat_vec_sub
+from ultrafix.sampling import sample_in_ball, scaling_element
+
+PRIMES = (2, 3, 5, 7)
+FIELDS = (None,) + PRIMES  # the reals, then Q2, Q3, Q5, Q7
+
+
+def _field(p):
+    return FieldDescriptor.real() if p is None else FieldDescriptor.padic(p, 6)
+
+
+# ---------------------------------------------------------------------------
+# verbatim copies
+
+
+def _fraction_vec_add_scaled(x, y, t):
+    return tuple(a + t * b for a, b in zip(x, y))
+
+
+def _fraction_quotient(fs, fx, t):
+    """The quotient step of _quotient_value and _second_quotient_value."""
+    return tuple((a - b) / t for a, b in zip(fs, fx))
+
+
+def _fraction_jacobian_apply(f, x, y, evaluate=None):
+    rows = calculus._jacobian_rows(f, x) if evaluate is None else evaluate.jacobian(f, x)
+    zero = x[0].descriptor.zero() if x and isinstance(x[0], Scalar) else Fraction(0)
+    out = []
+    for row in rows:
+        total = zero
+        for a, yj in zip(row, y):
+            total = total + a * yj
+        out.append(total)
+    return tuple(out)
+
+
+def _fraction_unit_fraction(rng, descriptor, strict=False):
+    """A rational z with |z| <= 1 (or < 1 when strict) in the given field."""
+    if descriptor.kind == "padic":
+        p = descriptor.prime
+        den = rng.randint(1, 20)
+        while den % p == 0:
+            den = rng.randint(1, 20)
+        num = rng.randint(-20, 20)
+        if strict:
+            num *= p
+        return Fraction(num, den)
+    den = rng.randint(1, 20)
+    top = den - 1 if strict else den
+    num = rng.randint(-top, top)
+    return Fraction(num, den)
+
+
+def _fraction_sample_in_ball(rng, ball):
+    strict = not ball.closed
+    t = scaling_element(ball)
+    return tuple(
+        c + t * _fraction_unit_fraction(rng, ball.descriptor, strict)
+        for c in ball.center_exact
+    )
+
+
+def _fraction_difference(u, v):
+    """z - y and f(z) - f(y) in verify_distortion."""
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _fraction_rat_mat_vec(rows, v):
+    return tuple(sum((Fraction(a) * Fraction(x) for a, x in zip(row, v)), Fraction(0)) for row in rows)
+
+
+def _fraction_rational_valuation(q, p):
+    q = Fraction(q)
+    if q == 0:
+        raise ValueError("valuation of zero is undefined")
+    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
+
+
+def _fraction_rational_abs(q, descriptor):
+    """|q| of an exact rational, as an exact Fraction for either backend."""
+    q = Fraction(q)
+    if descriptor.kind == "real":
+        return abs(q)
+    if q == 0:
+        return Fraction(0)
+    return Fraction(descriptor.prime) ** (-_fraction_rational_valuation(q, descriptor.prime))
+
+
+# ---------------------------------------------------------------------------
+# seeded cases
+
+
+def _same(got, want):
+    """Equal values, each a Fraction normalised as Fraction(n, d) makes it:
+    the denominator positive and prime to the numerator."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is Fraction
+        assert (a.numerator, a.denominator) == (b.numerator, b.denominator)
+
+
+def _same_scalars(got, want):
+    assert [repr(a) for a in got] == [repr(b) for b in want]
+
+
+def _rational(rng, p=None):
+    """Zero, an int or a Fraction, with either sign; with a prime p, about
+    half of them have p in the numerator or the denominator."""
+    r = rng.random()
+    if r < 0.15:
+        return rng.choice((0, Fraction(0)))
+    if r < 0.35:
+        value = rng.randint(-30, 30)
+    else:
+        value = Fraction(rng.randint(-40, 40), rng.randint(1, 24))
+    if p is not None and rng.random() < 0.5:
+        k = rng.randint(1, 3)
+        value = value * p**k if rng.random() < 0.5 else Fraction(value, p**k)
+    return value
+
+
+def _vector(rng, p, dim):
+    return tuple(_rational(rng, p) for _ in range(dim))
+
+
+def _fractions(rng, p, dim):
+    """Evaluation outputs: always Fractions."""
+    return tuple(Fraction(_rational(rng, p)) for _ in range(dim))
+
+
+def test_vec_add_scaled_equals_the_fraction_expression():
+    rng = random.Random(1010)
+    reduced = negative = 0
+    for p in (None,) + PRIMES:
+        for _ in range(120):
+            dim = rng.randint(1, 5)
+            x, y, t = _vector(rng, p, dim), _vector(rng, p, dim), _rational(rng, p)
+            want = _fraction_vec_add_scaled(x, y, t)
+            _same(calculus._vec_add_scaled(x, y, t), want)
+            negative += t < 0
+            # a coordinate whose integer fraction has a common factor to cancel
+            reduced += any(
+                w.denominator < Fraction(a).denominator * Fraction(b).denominator * Fraction(t).denominator
+                for a, b, w in zip(x, y, want)
+            )
+    assert negative >= 150 and reduced >= 200
+
+
+def test_rat_vec_sub_equals_the_fraction_difference():
+    rng = random.Random(1017)
+    for p in FIELDS:
+        for _ in range(120):
+            dim = rng.randint(1, 5)
+            u, v = _fractions(rng, p, dim), _vector(rng, p, dim)
+            _same(rat_vec_sub(u, v), _fraction_difference(u, v))
+
+
+def test_divided_difference_equals_the_quotient_expression():
+    rng = random.Random(1011)
+    negative = 0
+    for p in (None,) + PRIMES:
+        for _ in range(120):
+            dim = rng.randint(1, 5)
+            fs, fx = _fractions(rng, p, dim), _vector(rng, p, dim)
+            t = _rational(rng, p) or rng.choice((-1, 1, Fraction(-3, 7)))
+            _same(calculus._divided_difference(fs, fx, t), _fraction_quotient(fs, fx, t))
+            negative += t < 0
+    assert negative >= 150
+
+
+def _seeded_map(rng, p, nvars, outputs):
+    rows = []
+    for _ in range(outputs):
+        row = []
+        for _ in range(rng.randint(1, 4)):
+            exps = [0] * nvars
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                exps[rng.randrange(nvars)] += 1
+            row.append((Fraction(_rational(rng, p)) or Fraction(1, 3), tuple(exps)))
+        rows.append(row)
+    return MapSpec.from_coefficients(nvars, rows)
+
+
+def test_jacobian_apply_equals_the_fraction_fold():
+    rng = random.Random(1012)
+    cases = 0
+    for p in FIELDS:
+        desc = _field(p)
+        for nvars in (1, 2, 3, 4):
+            for outputs in (1, 2, 3):
+                for _ in range(8):
+                    f = _seeded_map(rng, p, nvars, outputs)
+                    x, y = _vector(rng, p, nvars), _vector(rng, p, nvars)
+                    _same(calculus._jacobian_apply(f, x, y), _fraction_jacobian_apply(f, x, y))
+                    # through the per-sample evaluator, as check_identities calls it
+                    ev = calculus._SampleEvaluator()
+                    _same(calculus._jacobian_apply(f, x, y, ev), _fraction_jacobian_apply(f, x, y, ev))
+                    lx = tuple(embed_rational(v, 1, desc) for v in x)
+                    ly = tuple(embed_rational(v, 1, desc) for v in y)
+                    _same_scalars(calculus._jacobian_apply(f, lx, ly), _fraction_jacobian_apply(f, lx, ly))
+                    cases += 1
+    assert cases == 480
+
+
+def test_field_scalars_keep_the_generic_expressions():
+    rng = random.Random(1013)
+    for p in FIELDS:
+        desc = _field(p)
+        for _ in range(60):
+            dim = rng.randint(1, 4)
+            lift = lambda v: embed_rational(v, 1, desc)  # noqa: E731
+            x = tuple(map(lift, _vector(rng, p, dim)))
+            y = tuple(map(lift, _vector(rng, p, dim)))
+            t = lift(_rational(rng, p) or 3)
+            _same_scalars(calculus._vec_add_scaled(x, y, t), _fraction_vec_add_scaled(x, y, t))
+            if not t.is_zero():
+                _same_scalars(calculus._divided_difference(x, y, t), _fraction_quotient(x, y, t))
+
+
+def test_sample_in_ball_equals_the_fraction_draws():
+    rng = random.Random(1014)
+    cases = 0
+    for p in FIELDS:
+        desc = _field(p)
+        for _ in range(40):
+            dim = rng.randint(1, 4)
+            if p is None:
+                radius = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            else:
+                radius = Fraction(p) ** rng.randint(-2, 3)
+            ball = Ball(desc, _vector(rng, p, dim), radius, closed=rng.random() < 0.5)
+            seed = rng.randrange(10**6)
+            got, want = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                _same(sample_in_ball(got, ball), _fraction_sample_in_ball(want, ball))
+                cases += 1
+            assert got.random() == want.random()  # the same draws were taken
+    assert cases == 1000
+
+
+def test_rat_mat_vec_equals_the_fraction_sum():
+    rng = random.Random(1015)
+    for p in FIELDS:
+        for _ in range(80):
+            n, m = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [_vector(rng, p, m) for _ in range(n)]
+            v = _vector(rng, p, m)
+            _same(rat_mat_vec(rows, v), _fraction_rat_mat_vec(rows, v))
+    # strings and floats are read through Fraction
+    for rows, v in (([["1/2", 3]], (Fraction(1, 3), "2/5")), ([[0.5, 2]], (1, 0.25)), ([], (1,))):
+        _same(rat_mat_vec(rows, v), _fraction_rat_mat_vec(rows, v))
+
+
+def test_rational_abs_equals_the_fraction_power():
+    rng = random.Random(1016)
+    for p in FIELDS:
+        desc = _field(p)
+        for _ in range(200):
+            q = _rational(rng, p)
+            _same((rational_abs(q, desc),), (_fraction_rational_abs(q, desc),))
+        for q in ("-7/50", 0.375, True, 0, -(p or 2) ** 5):
+            _same((rational_abs(q, desc),), (_fraction_rational_abs(q, desc),))
+
+
+# ---------------------------------------------------------------------------
+# report digests
+
+# sha256 of the report reprs below, and for check_identities of the two sides
+# of every identity it compared, as the two oracles gave them before their
+# exact glue worked in integers
+IDENTITY_DIGESTS = {
+    "exact None": "32d359d92c94f9e03f27d242cefed2951dc7def78e1ced00d149add12bc1053a",
+    "exact quotient-offset": "9d6d14d1e15031415cec48c3c33e4f5e359ebc7b90db969853eefc04b687fe1c",
+    "Q5 None": "5444c95a1909d44a1175a7b01d500d276ef0558e142bdb63c23e987d2fa28035",
+    "Q5 quotient-offset": "7728b2e8b4e273a7213fb914df8755cca1dd8e86ad0440c5b4ee6f443bf9da08",
+    "real None": "5e807ca45a94375d7c6129b8ac8e2c2d907cc284cee858cb0a409b308a393d7f",
+    "real quotient-offset": "3b6111397bf43ac072fb76defae235a69087f50a7164550820c02db2efc519ea",
+}
+DISTORTION_DIGESTS = {
+    "5": "babb31ab1ff093ded0d89ca8d9eb910fa97b1166cc37e780a2c53c0343449361",
+    "7": "924a2d0cae9e9445d69b6ec1dc62d7252ad8a53dfc84491509faf3d363815cc7",
+    "None": "e287de4e138c966c5f88ca69726d1aa031accf821ccb35f98031cefc5955efc7",
+}
+
+
+def _identity_map(rng, m, n):
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(rng.randint(1, 3)):
+            exps = [0] * m
+            for _ in range(rng.randint(0, 3)):
+                exps[rng.randrange(m)] += 1
+            row.append((Fraction(rng.randint(-4, 4) or 1, rng.choice((1, 2, 3, 5))), tuple(exps)))
+        rows.append(row)
+    return MapSpec.from_coefficients(m, rows)
+
+
+def identity_report_texts(monkeypatch):
+    """Per field (exact, Q5, real) and mutation, the reprs of the reports of
+    check_identities on 100 seeded maps, each followed by the reprs of the
+    (lhs, rhs) pairs it compared: a report whose identities all hold has no
+    counterexample, so only these pairs carry its computed values."""
+    compared = []
+    values_equal = calculus._values_equal
+
+    def recording(lhs, rhs):
+        compared.append(repr((lhs, rhs)))
+        return values_equal(lhs, rhs)
+
+    monkeypatch.setattr(calculus, "_values_equal", recording)
+    texts = {}
+    for field in ("exact", "Q5", "real"):
+        desc = {"exact": None, "Q5": FieldDescriptor.padic(5, 6), "real": FieldDescriptor.real()}[field]
+        for mutation in (None, "quotient-offset"):
+            rng = random.Random(f"identities {field} {mutation}")
+            reports = []
+            for _ in range(100):
+                f = _identity_map(rng, rng.randint(1, 3), rng.randint(1, 3))
+                reports.append(repr(check_identities(f, 4, rng.randrange(10**6), desc, mutation)))
+                reports.extend(compared)
+                compared.clear()
+            texts[f"{field} {mutation}"] = reports
+    return texts
+
+
+def _distortion_map(rng, p, n, bent):
+    """A linear part A (I + pR over Q_p, diagonally dominant over the reals)
+    and terms of degree 2-3; bent, the first output is scaled by p or 1/16,
+    which breaks the certificate of the unbent map."""
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if p is None:
+                a = Fraction(rng.choice((-1, 1)) * rng.randint(8, 16), 4) if i == j else Fraction(rng.randint(-2, 2), 8)
+            else:
+                a = int(i == j) + p * rng.randint(-2, 2)
+            row.append((a, tuple(int(v == j) for v in range(n))))
+        for _ in range(rng.randint(1, 2)):
+            exps = [0] * n
+            for _ in range(rng.randint(2, 3)):
+                exps[rng.randrange(n)] += 1
+            den = 8 if p is None else rng.choice([d for d in (1, 2, 3, 4) if d % p])
+            row.append((Fraction(rng.randint(-3, 3) or 1, den), tuple(exps)))
+        if bent and i == 0:  # a smaller first output: the lower bound a fails
+            row = [(c * (Fraction(1, 16) if p is None else p), e) for c, e in row]
+        rows.append(row)
+    return MapSpec.from_coefficients(n, rows)
+
+
+def distortion_report_texts():
+    """Per field (Q5, Q7, real), the reprs of the verify_distortion reports of
+    100 seeded certified maps, each also run on a bent copy that breaks its
+    sandwich or its isometry."""
+    texts = {}
+    for p in (5, 7, None):
+        desc = _field(p)
+        rng = random.Random(f"distortion {p}")
+        reports = []
+        for _ in range(100):
+            n = rng.randint(1, 3)
+            state = rng.getstate()
+            f = _distortion_map(rng, p, n, False)
+            rng.setstate(state)
+            bent = _distortion_map(rng, p, n, True)
+            if p is None:
+                center = tuple(Fraction(rng.randint(-2, 2), 16) for _ in range(n))
+                radius = Fraction(1, rng.choice((4, 8)))
+            else:
+                center = tuple(Fraction(p * rng.randint(-3, 3), rng.choice([d for d in (1, 2, 3) if d % p])) for _ in range(n))
+                radius = Fraction(1, p ** rng.randint(1, 2))
+            seed = rng.randrange(10**6)
+            try:
+                cert = certify(f, Ball(desc, center, radius))
+            except UltrafixError as exc:
+                reports.append(f"{exc.kind}: {exc}")
+                continue
+            reports.append(repr(verify_distortion(cert, f, 20, seed)))
+            reports.append(repr(verify_distortion(cert, bent, 20, seed)))
+        texts[str(p)] = reports
+    return texts
+
+
+def _digest(reports):
+    return hashlib.sha256("\n".join(reports).encode()).hexdigest()
+
+
+def test_identity_reports_hash_equal_to_the_recorded_ones(monkeypatch):
+    texts = identity_report_texts(monkeypatch)
+    assert {key: _digest(r) for key, r in texts.items()} == IDENTITY_DIGESTS
+    assert len(set(IDENTITY_DIGESTS.values())) == 6
+    for reports in texts.values():
+        assert sum(r.startswith("IdentityReport(") for r in reports) == 100
+        assert len(reports) == 100 + 100 * 4 * 4  # 4 samples of 4 identities per map
+    failed = sum("counterexample={" in r for key, r2 in texts.items() if "offset" in key for r in r2)
+    assert failed >= 250  # the mutation's counterexamples are in the digests
+
+
+def test_distortion_reports_hash_equal_to_the_recorded_ones():
+    texts = distortion_report_texts()
+    assert {key: _digest(r) for key, r in texts.items()} == DISTORTION_DIGESTS
+    for reports in texts.values():
+        assert sum(r.startswith("DistortionReport(") for r in reports) == 200  # 100 maps certified
+        assert sum("first_failure={" in r for r in reports) >= 50
