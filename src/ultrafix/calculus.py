@@ -25,8 +25,7 @@ from .field import (
     Scalar,
     all_rational,
     embed_rational,
-    padic_monomial,
-    padic_sum,
+    padic_polynomial,
     rational_valuation,
 )
 from .linalg import Ball, Operator, Vector, rat_identity, rat_mat_vec
@@ -192,17 +191,15 @@ def _field_table(f: MapSpec, desc: FieldDescriptor):
 
 def _eval_field(f: MapSpec, comps, desc: FieldDescriptor) -> tuple:
     """The same values, bit for bit, as multiplying out and summing the
-    monomials one field operation at a time in monomial order."""
+    monomials one field operation at a time in monomial order.  Over Q_p
+    each output is one `padic_polynomial` pass, one scalar per output."""
     for x in comps:
         other = getattr(x, "descriptor", None)
         if other is not desc and other != desc:
             raise SchemaError("operands from different fields")
     table = _field_table(f, desc)
     if desc.ultrametric:
-        return tuple(
-            padic_sum(desc, [padic_monomial(coef, comps, s) for coef, s in terms])
-            for terms in table
-        )
+        return tuple(padic_polynomial(desc, terms, comps) for terms in table)
     xs = [x.value for x in comps]
     out = []
     for terms in table:
@@ -822,6 +819,22 @@ SAMPLE_BUDGET = 100_000
 VM, Python 3.11), so a `check` request at the budget, which runs the suite in
 exact arithmetic and over its field, takes about 75 s."""
 
+CHECK_COST_BUDGET = 10_000_000
+"""The most samples times evaluation cost one check_identities run may ask
+for, the cost being the map's monomial count times its highest degree (at
+least 1), a proxy for one evaluation.  The degree and sample budgets alone
+let x + x^1024 (cost 2048) take 100 000 samples: its 1000 default samples
+take about 7.5 s, so that request would run for about 750 s.  At this budget
+it may take 4882 samples (about 37 s); every map of cost up to 10 000, such
+as nine monomials of degree 1024, keeps the 1000-sample default."""
+
+
+def evaluation_cost(f: MapSpec) -> int:
+    """Monomials times highest degree (at least 1): the per-sample cost that
+    CHECK_COST_BUDGET bounds."""
+    degree, outputs = _int_table(f)
+    return sum(len(terms) for _, terms in outputs) * max(degree, 1)
+
 
 def check_identities(
     f: MapSpec,
@@ -836,7 +849,8 @@ def check_identities(
     otherwise inputs are embedded into the given field and compared at
     tracked precision.  A named mutation corrupts the quotient evaluation to
     demonstrate that the suite actually detects broken implementations.
-    sample_count must lie in 1..SAMPLE_BUDGET; it is checked before any
+    sample_count must lie in 1..SAMPLE_BUDGET, and times the map's
+    evaluation_cost within CHECK_COST_BUDGET; both are checked before any
     sample is drawn.
     """
     if sample_count <= 0:
@@ -845,6 +859,13 @@ def check_identities(
         raise BudgetExceeded(
             f"{sample_count} samples exceed the budget of {SAMPLE_BUDGET}",
             samples=sample_count, budget=SAMPLE_BUDGET,
+        )
+    cost = evaluation_cost(f)
+    if sample_count * cost > CHECK_COST_BUDGET:
+        raise BudgetExceeded(
+            f"{sample_count} samples of a map of evaluation cost {cost} "
+            f"(monomials times degree) exceed the budget of {CHECK_COST_BUDGET}",
+            samples=sample_count, cost=cost, budget=CHECK_COST_BUDGET,
         )
     if mutation is not None and mutation not in _MUTATIONS:
         raise SchemaError(f"unknown mutation {mutation!r}")

@@ -92,6 +92,35 @@ class ContractionProblem:
         fx0 = eval_map(self.f, self.x0)
         return max(rational_abs(a - b, self.descriptor) for a, b in zip(fx0, self.x0))
 
+    @cached_property
+    def rounding_bound(self) -> Fraction:
+        """What the doubles of a real solve can add to its a priori bound.
+
+        With u = 2^-53, the start x0 is rounded by at most u|x0|.  An output
+        with t monomials of degree at most d is evaluated with one rounding
+        for each coefficient, d products per monomial and t - 1 additions,
+        so it is off by at most gamma_K * sum(|c| s^|a|), K = d + t and
+        gamma_K = K u / (1 - K u) (Higham, Accuracy and Stability of
+        Numerical Algorithms, ch. 3), where s bounds every coordinate of the
+        iterates: the ball's extent plus the slack of its membership test.
+        The errors of the evaluations are contracted by theta from step to
+        step, so together they stay below delta / (1 - theta), delta the
+        largest of those output bounds.  Zero on ultrametric fields.
+        """
+        desc = self.descriptor
+        if desc.ultrametric:
+            return Fraction(0)
+        ball = self.domain
+        u = Fraction(1, 2**53)
+        slack = Fraction(desc.tolerance) * max(1, ball.radius)
+        s = max(abs(c) for c in ball.center_exact) + ball.radius + slack
+        delta = Fraction(0)
+        for monomials in self.f.outputs:
+            K = len(monomials) + max((sum(exps) for exps, _ in monomials), default=0)
+            size = sum(abs(c) * s ** sum(exps) for exps, c in monomials)
+            delta = max(delta, K * u / (1 - K * u) * size)
+        return u * max(abs(v) for v in self.x0) + delta / (1 - self.theta)
+
 
 @dataclass
 class FixedPointReport:
@@ -103,6 +132,11 @@ class FixedPointReport:
     theta: Fraction
     initial_distance: Fraction
     step_distances: list
+    error_bound: Fraction
+    """What the solve certifies for |fixed_point - x*|, never above the
+    target: the a priori bound after `iterations` steps (a p-power on
+    ultrametric fields), plus the rounding bound of a real solve; 0 for a
+    real target of 0, which only the exact fixed point meets."""
 
 
 def admissible(problem: ContractionProblem) -> bool:
@@ -206,8 +240,10 @@ def _target(target_precision, descriptor: FieldDescriptor) -> Fraction:
 def _plan(problem: ContractionProblem, target_precision) -> tuple:
     """(theta, d0, target, steps) of an admissible problem.
 
-    steps is the least n whose a priori bound clears the target.  Raises
-    NotAdmissible, or NotAContraction when the target is out of reach.
+    steps is the least n whose a priori bound clears the target, less the
+    rounding bound on real fields.  Raises NotAdmissible, NotAContraction
+    when the target is out of reach, or PrecisionExhausted when a positive
+    real target is not above the rounding bound.
     """
     if not admissible(problem):
         d0, radius = num_str(problem.initial_displacement()), num_str(problem.domain.radius)
@@ -218,9 +254,20 @@ def _plan(problem: ContractionProblem, target_precision) -> tuple:
     desc = problem.descriptor
     theta, d0 = problem.theta, problem.initial_displacement()
     target = _target(target_precision, desc)
+    reach = target
     if not desc.ultrametric:
         _check_double_resolution(target, problem.domain)
-    return theta, d0, target, _step_count(theta, d0, target, desc)
+        if target > 0:
+            rounding = problem.rounding_bound
+            if rounding >= target:
+                raise PrecisionExhausted(
+                    f"real target {num_str(target)} is not above the rounding bound "
+                    f"{num_str(rounding)} of the solve",
+                    target=num_str(target),
+                    rounding=num_str(rounding),
+                )
+            reach = target - rounding
+    return theta, d0, target, _step_count(theta, d0, reach, desc)
 
 
 def _check_double_resolution(target: Fraction, ball: Ball) -> None:
@@ -249,6 +296,21 @@ def _check_step(k: int, step, bound: Fraction, ultrametric: bool) -> None:
             "the supplied contraction constant is wrong",
             step=str(k), size=size, bound=bound,
         )
+
+
+def _domain_escape(what: str, x: Vector, ball: Ball, step: int):
+    """Iterate `step` left the domain ball: raise with its distance from
+    the centre and the radius.  The closing Banach step after k Newton
+    steps is step k + 1."""
+    if ball.descriptor.ultrametric:
+        distance = vec_norm(x - ball.center)
+    else:
+        distance = max(abs(a - c) for a, c in zip(x.to_rationals(), ball.center_exact))
+    distance, radius = num_str(distance), num_str(ball.radius)
+    raise DomainEscape(
+        f"{what} left the domain ball: distance {distance} from the centre, radius {radius}",
+        step=str(step), distance=distance, radius=radius,
+    )
 
 
 def _residual_escape(residual, target: Fraction):
@@ -293,7 +355,7 @@ def iterate_fixed_point(
     for k in range(steps):
         nxt = eval_map(problem.f, x)
         if not problem.domain.contains_tracked(nxt):
-            raise DomainEscape(f"iterate {k + 1} left the domain ball")
+            _domain_escape(f"iterate {k + 1}", nxt, problem.domain, k + 1)
         step = vec_norm(nxt - x)
         bound = theta**k * d0
         _check_step(k, step, bound, desc.ultrametric)
@@ -305,13 +367,14 @@ def iterate_fixed_point(
             # tracked digits can no longer change; further steps are no-ops
             break
     achieved = distances[-1] if distances else (Fraction(0) if desc.ultrametric else 0.0)
+    guarantee = _certified_bound(theta, d0, len(trace) - 1, desc) + problem.rounding_bound
     if desc.ultrametric and d0 > 0:
-        guarantee = _certified_bound(theta, d0, len(trace) - 1, desc)
         if guarantee > 0:
             exponent = -rational_valuation(guarantee, desc.prime)
             x = Vector(tuple(truncate_precision(c, exponent) for c in x.components))
     if not desc.ultrametric and target == 0:
         _check_exact_real(problem, x)
+        guarantee = Fraction(0)
     residual = vec_norm(eval_map(problem.f, x) - x)
     if desc.ultrametric:
         fixed_ok = residual <= target
@@ -328,6 +391,7 @@ def iterate_fixed_point(
         theta=theta,
         initial_distance=d0,
         step_distances=distances,
+        error_bound=guarantee,
     )
 
 
@@ -385,9 +449,10 @@ def _exact(x: Vector) -> Vector:
     the step that made it worked at, and a later step may read more of its
     digits than that step knew."""
     desc = x.descriptor
+    mod = desc.prime**desc.precision
     return Vector(
         tuple(
-            desc.zero() if c.val is None else PadicScalar(desc, c.val, c.unit, c.val + desc.precision)
+            desc.zero() if c.val is None else PadicScalar(desc, c.val, c.unit, c.val + desc.precision, mod)
             for c in x.components
         )
     )
@@ -461,14 +526,14 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
             x = moved
             k += 1
             if not problem.domain.contains_tracked(x):
-                raise DomainEscape(f"Newton iterate {k} left the domain ball")
+                _domain_escape(f"Newton iterate {k}", x, problem.domain, k)
             if k == steps:
                 gx = eval_map(f, x)
                 break
             v = min(c.val for c in residual.components if c.val is not None)
             width = max(width, 4 * v + 2, apriori_exponent(k + 1) + 2)
         if not problem.domain.contains_tracked(gx):
-            raise DomainEscape("the closing Banach step left the domain ball")
+            _domain_escape("the closing Banach step", gx, problem.domain, k + 1)
         # |g(x) - x*| <= |x - x*| <= |g(x) - x| for any contraction, whatever theta
         posterior = max(abs_upper_bound(c) for c in (gx - x).components)
         bound = max(posterior, bound)

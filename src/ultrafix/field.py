@@ -3,13 +3,17 @@
 A p-adic scalar stores its valuation, its unit digits and the absolute
 precision up to which the value is known.  Addition of near-cancelling values
 raises the valuation and shrinks the known digit range instead of fabricating
-zeros, so downstream certificates never overstate precision.  There is one
-addition rule, the n-ary `padic_sum`: a two-term `+` is its two-term case,
-and a polynomial output is summed by one call over all its monomials, each
-formed in one modular product by `padic_monomial`.  The real backend
-is plain IEEE doubles with a global comparison tolerance; exactness on the
-real side lives in the rational helpers (`rational_abs`) used by the
-verification oracles, not in the scalar type.
+zeros, so downstream certificates never overstate precision (Caruso, Roe &
+Vaccon, "Tracking p-adic precision", 2014).  There is one addition rule, the
+n-ary `padic_sum`; `a + b` is its two-term case and `a - b` the same sum
+formed as one residue.  A polynomial output is evaluated by
+`padic_polynomial` in two integer passes over its monomials: the first finds
+where the sum is known, the second adds the unit products as one residue
+modulo the power of p that reaches it, and one scalar is built per output.
+Each kernel that already holds p^digits hands it to the scalar's invariant
+check.  The real backend is plain IEEE doubles with a global comparison
+tolerance; exactness on the real side lives in the rational helpers
+(`rational_abs`) used by the verification oracles, not in the scalar type.
 """
 
 from __future__ import annotations
@@ -241,11 +245,14 @@ class PadicScalar(Scalar):
     the known digits (unit % p != 0, 0 < unit < p**(prec-val)).
     Zero at tracked precision: ``val is None``; ``prec is None`` for the exact
     zero, an integer m for a value only known to be O(p^m).
+
+    A kernel that already holds p**(prec-val) passes it as ``mod``, so the
+    invariant is checked without forming that power again.
     """
 
     __slots__ = ("descriptor", "val", "unit", "prec")
 
-    def __init__(self, descriptor, val, unit, prec):
+    def __init__(self, descriptor, val, unit, prec, mod=None):
         self.descriptor = descriptor
         self.val = val
         self.unit = unit
@@ -254,7 +261,10 @@ class PadicScalar(Scalar):
             digits = prec - val
             if digits < 1 or digits > descriptor.precision:
                 raise ValueError(f"digit count {digits} out of range")
-            if unit % descriptor.prime == 0 or not 0 < unit < descriptor.prime**digits:
+            p = descriptor.prime
+            if mod is None:
+                mod = p**digits
+            if unit % p == 0 or not 0 < unit < mod:
                 raise ValueError("unit digits out of range")
 
     def is_zero(self) -> bool:
@@ -305,9 +315,8 @@ class PadicScalar(Scalar):
     def __neg__(self):
         if self.val is None:
             return self
-        p = self.descriptor.prime
-        k = self.prec - self.val
-        return PadicScalar(self.descriptor, self.val, (-self.unit) % p**k, self.prec)
+        mod = self.descriptor.prime ** (self.prec - self.val)
+        return PadicScalar(self.descriptor, self.val, -self.unit % mod, self.prec, mod)
 
     def __eq__(self, other):
         if not isinstance(other, PadicScalar):
@@ -361,25 +370,25 @@ class RealScalar(Scalar):
     __hash__ = None
 
 
-def _padic_make(desc, val, residue, prec):
-    """Normalize an integer residue known modulo p^prec at base valuation val."""
+def _padic_make(desc, val, residue, prec, mod=None):
+    """Normalize an integer residue known modulo p^prec at base valuation val;
+    `mod` is p^(prec - val) when the caller holds it."""
     p = desc.prime
-    span = prec - val
-    residue %= p**span
+    if mod is None:
+        mod = p ** (prec - val)
+    residue %= mod
     if residue == 0:
         return PadicScalar(desc, None, 0, prec)
-    if residue % p:
-        v, unit = val, residue
-    else:
-        shift = int_valuation(residue, p)
-        v = val + shift
-        unit = residue // p**shift
-    # Both callers pass prec <= v + N (N = desc.precision), so the digit
-    # count prec - v needs no cap.  padic_sum passes m <= prec <= val + N for
+    # Every caller passes prec <= v + N (N = desc.precision), so the digit
+    # count prec - v needs no cap.  The sums pass m <= prec <= val + N for
     # each nonzero term, and the sum's valuation v is at least the least such
     # val; truncate_precision passes prec < a.prec <= a.val + N <= v + N.
     # PadicScalar still rejects more than N digits.
-    return PadicScalar(desc, v, unit, prec)
+    if residue % p:
+        return PadicScalar(desc, val, residue, prec, mod)
+    shift = int_valuation(residue, p)
+    scale = p**shift
+    return PadicScalar(desc, val + shift, residue // scale, prec, mod // scale)
 
 
 def padic_sum(desc, terms) -> PadicScalar:
@@ -426,43 +435,90 @@ def _padic_mul(a: PadicScalar, b: PadicScalar) -> PadicScalar:
         eb = b.prec if b.val is None else b.val
         return PadicScalar(desc, None, 0, ea + eb)
     k = min(a.prec - a.val, b.prec - b.val)
-    p = desc.prime
-    unit = (a.unit * b.unit) % p**k
-    return PadicScalar(desc, a.val + b.val, unit, a.val + b.val + k)
+    mod = desc.prime**k
+    return PadicScalar(desc, a.val + b.val, a.unit * b.unit % mod, a.val + b.val + k, mod)
 
 
-def padic_monomial(coef: PadicScalar, xs, powers) -> PadicScalar:
-    """coef * xs[i]**e * ... over the (i, e) pairs of `powers` (each e >= 1).
+def _padic_sub(a: PadicScalar, b: PadicScalar) -> PadicScalar:
+    """a - b, the value padic_sum(desc, (a, -b)) gives, as one residue.
 
-    The product is the one the left fold of `_padic_mul` gives, formed in one
-    step: valuations add, the digit count is the least of the factors', and
-    the unit is the product of the units mod p^digits.  A bounded zero O(p^m)
-    makes the product O(p^(sum of e*w)), w being a factor's val, or its prec
-    for a bounded zero; an exact zero makes it the exact zero.
+    -b's unit differs from -b.unit by a multiple of p^(b.prec - b.val), and
+    the sum is reduced mod p^(m - base) with m <= b.prec, so b's unit can be
+    subtracted as it is.
     """
-    desc = coef.descriptor
-    if coef.is_exact_zero():
-        return coef
-    bounded = coef.val is None
-    val = coef.prec if bounded else coef.val
-    digits = desc.precision if bounded else coef.prec - coef.val
-    for i, e in powers:
-        x = xs[i]
-        if x.val is None:
-            if x.prec is None:
-                return desc.zero()
-            bounded = True
-            val += e * x.prec
+    if b.prec is None:
+        return a
+    if a.prec is None:
+        return -b
+    p = a.descriptor.prime
+    m = min(a.prec, b.prec)
+    base = min(a.prec if a.val is None else a.val, b.prec if b.val is None else b.val)
+    r = 0
+    if a.val is not None:
+        r = a.unit * p ** (a.val - base)
+    if b.val is not None:
+        r -= b.unit * p ** (b.val - base)
+    return _padic_make(a.descriptor, base, r, m)
+
+
+def padic_polynomial(desc, terms, xs) -> PadicScalar:
+    """The sum of coef * xs[i]**e * ... over the (coef, ((i, e), ...)) of
+    `terms` (each coef nonzero, each e >= 1), in two integer passes.
+
+    The value is the one padic_sum gives over the monomials, each formed as
+    the left fold of products would form it: valuations add, the digit count
+    is the least of the factors', a bounded zero O(p^w) factor makes the
+    monomial O(p^(sum of e*w)), w being a factor's val, or its prec for a
+    bounded zero, and an exact zero factor makes it the exact zero.  The
+    first pass finds each monomial's valuation and precision, and from them
+    m, the least precision, and base, the least valuation (a bounded zero
+    counts at its precision): the sum is known mod p^m.  The second pass
+    multiplies each monomial's units mod p^(m - base), all of them that
+    reaches the sum, and adds them as one residue at base.
+    """
+    m = base = None
+    known = []  # (valuation, coefficient unit, support) of monomials with digits
+    for coef, support in terms:
+        val = coef.val
+        digits = coef.prec - val
+        bounded = False
+        for i, e in support:
+            x = xs[i]
+            if x.val is None:
+                if x.prec is None:
+                    break  # an exact zero factor
+                bounded = True
+                val += e * x.prec
+            else:
+                val += e * x.val
+                if x.prec - x.val < digits:
+                    digits = x.prec - x.val
         else:
-            val += e * x.val
-            digits = min(digits, x.prec - x.val)
-    if bounded:
-        return PadicScalar(desc, None, 0, val)
-    mod = desc.prime**digits
-    unit = coef.unit % mod
-    for i, e in powers:
-        unit = unit * pow(xs[i].unit, e, mod) % mod
-    return PadicScalar(desc, val, unit, val + digits)
+            if bounded:
+                prec = val
+            else:
+                prec = val + digits
+                known.append((val, coef.unit, support))
+            if m is None:
+                m, base = prec, val
+            else:
+                if prec < m:
+                    m = prec
+                if val < base:
+                    base = val
+    if m is None:
+        return desc.zero()
+    p = desc.prime
+    mod = p ** (m - base)
+    r = 0
+    for val, unit, support in known:
+        if val >= m:
+            continue  # a multiple of p^(m - base) at base
+        for i, e in support:
+            u = xs[i].unit
+            unit = unit * (u if e == 1 else pow(u, e, mod)) % mod
+        r += unit if val == base else unit * p ** (val - base)
+    return _padic_make(desc, base, r, m, mod)
 
 
 _WORD = 2**64
@@ -508,8 +564,9 @@ def _padic_div(a: PadicScalar, b: PadicScalar) -> PadicScalar:
         return PadicScalar(desc, None, 0, a.prec - b.val)
     k = min(a.prec - a.val, b.prec - b.val)
     p = desc.prime
-    unit = a.unit * unit_inverse(b.unit, p, k) % p**k
-    return PadicScalar(desc, a.val - b.val, unit, a.val - b.val + k)
+    mod = p**k
+    unit = a.unit * unit_inverse(b.unit, p, k) % mod
+    return PadicScalar(desc, a.val - b.val, unit, a.val - b.val + k, mod)
 
 
 def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
@@ -520,7 +577,7 @@ def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
         if op == "add":
             return padic_sum(a.descriptor, (a, b))
         if op == "sub":
-            return padic_sum(a.descriptor, (a, -b))
+            return _padic_sub(a, b)
         if op == "mul":
             return _padic_mul(a, b)
         if op == "div":
@@ -550,7 +607,7 @@ def field_abs(a: Scalar):
     if isinstance(a, PadicScalar):
         if a.val is None:
             return Fraction(0)
-        return Fraction(a.descriptor.prime) ** (-a.val)
+        return valuation_abs(a.descriptor.prime, a.val)
     return abs(a.value)
 
 
@@ -559,9 +616,7 @@ def abs_upper_bound(a: Scalar):
     if isinstance(a, PadicScalar):
         if a.is_exact_zero():
             return Fraction(0)
-        if a.val is None:
-            return Fraction(a.descriptor.prime) ** (-a.prec)
-        return Fraction(a.descriptor.prime) ** (-a.val)
+        return valuation_abs(a.descriptor.prime, a.prec if a.val is None else a.val)
     return abs(a.value)
 
 
@@ -581,10 +636,9 @@ def embed_rational(num, den, descriptor: FieldDescriptor) -> Scalar:
     vn = int_valuation(num, p)
     vd = int_valuation(den, p)
     val = vn - vd
-    unum = num // p**vn
-    uden = den // p**vd
-    unit = (unum * pow(uden, -1, p**n)) % p**n
-    return PadicScalar(descriptor, val, unit, val + n)
+    mod = p**n
+    unit = num // p**vn * pow(den // p**vd, -1, mod) % mod
+    return PadicScalar(descriptor, val, unit, val + n, mod)
 
 
 def truncate_precision(a: Scalar, abs_exponent: int) -> Scalar:
@@ -604,10 +658,7 @@ def truncate_precision(a: Scalar, abs_exponent: int) -> Scalar:
         return a
     if a.val >= abs_exponent:
         return PadicScalar(desc, None, 0, abs_exponent)
-    unit = a.unit % desc.prime ** (abs_exponent - a.val)
-    if unit == 0:
-        return PadicScalar(desc, None, 0, abs_exponent)
-    return _padic_make(desc, a.val, unit, abs_exponent)
+    return _padic_make(desc, a.val, a.unit, abs_exponent)
 
 
 def rational_abs(q, descriptor: FieldDescriptor) -> Fraction:
@@ -622,6 +673,9 @@ def rational_abs(q, descriptor: FieldDescriptor) -> Fraction:
         return abs(q)
     if not q:
         return Fraction(0)
-    p = descriptor.prime
-    v = rational_valuation(q, p)
+    return valuation_abs(descriptor.prime, rational_valuation(q, descriptor.prime))
+
+
+def valuation_abs(p: int, v: int) -> Fraction:
+    """p^-v, the absolute value of a p-adic number of valuation v, exactly."""
     return Fraction(1, p**v) if v >= 0 else Fraction(p**-v)

@@ -24,6 +24,8 @@ from .field import (
     embed_rational,
     field_abs,
     rational_abs,
+    rational_valuation,
+    valuation_abs,
 )
 
 
@@ -141,9 +143,10 @@ class Operator:
 
 def vec_norm(v: Vector):
     """Max norm over component absolute values (ultrametric when padic)."""
-    norms = [field_abs(c) for c in v.components]
-    zero = Fraction(0) if v.descriptor.ultrametric else 0.0
-    return max(norms, default=zero)
+    if v.descriptor.ultrametric:
+        vals = [c.val for c in v.components if c.val is not None]
+        return valuation_abs(v.descriptor.prime, min(vals)) if vals else Fraction(0)
+    return max(field_abs(c) for c in v.components)
 
 
 def operator_norm(A: Operator):
@@ -166,17 +169,25 @@ def _operator_norm_upper(A: Operator):
 def _field_gauss_jordan(A: Operator):
     """Gauss-Jordan elimination over field scalars: (inverse rows, determinant).
 
-    Each column pivots on its entry of largest absolute value; a column whose
-    largest entry is zero at tracked precision raises SingularMatrix.
+    Each column pivots on its first entry of largest absolute value (over
+    Q_p, of least valuation); a column whose largest entry is zero at
+    tracked precision raises SingularMatrix.  Over Q_p the pivot row is
+    scaled by one inverse r = 1/piv: a * r and a / piv agree in valuation,
+    digits and precision, since r keeps all of piv's digits.  Real rows are
+    divided, as a * (1/piv) would round differently.
     """
     desc = A.descriptor
+    ultra = desc.ultrametric
     one, zero = desc.one(), desc.zero()
     n = len(A.entries)
     work = [list(row) for row in A.entries]
     inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
     det = one
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: field_abs(work[r][col]))
+        if ultra:
+            pivot_row = min(range(col, n), key=lambda r: _pivot_valuation(work[r][col]))
+        else:
+            pivot_row = max(range(col, n), key=lambda r: field_abs(work[r][col]))
         if work[pivot_row][col].is_zero():
             raise SingularMatrix(f"no nonzero pivot in column {col} at tracked precision")
         if pivot_row != col:
@@ -185,8 +196,13 @@ def _field_gauss_jordan(A: Operator):
             det = -det
         piv = work[col][col]
         det = det * piv
-        work[col] = [a / piv for a in work[col]]
-        inv[col] = [a / piv for a in inv[col]]
+        if ultra:
+            r = one / piv
+            work[col] = [a * r for a in work[col]]
+            inv[col] = [a * r for a in inv[col]]
+        else:
+            work[col] = [a / piv for a in work[col]]
+            inv[col] = [a / piv for a in inv[col]]
         for r in range(n):
             if r == col:
                 continue
@@ -196,6 +212,11 @@ def _field_gauss_jordan(A: Operator):
             work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
             inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
     return inv, det
+
+
+def _pivot_valuation(a: PadicScalar):
+    """Rank of a pivot candidate: its valuation, infinite at tracked zero."""
+    return math.inf if a.val is None else a.val
 
 
 def invert_exact(A: Operator) -> Operator:
@@ -442,6 +463,14 @@ class Ball:
         return self._center_cache[key]
 
     @property
+    def _radius_exponent(self) -> int:
+        """k with radius p^-k, for a p-adic ball."""
+        key = "k"
+        if key not in self._center_cache:
+            self._center_cache[key] = -rational_valuation(self.radius, self.descriptor.prime)
+        return self._center_cache[key]
+
+    @property
     def dim(self) -> int:
         return len(self.center_exact)
 
@@ -455,10 +484,19 @@ class Ball:
         return d <= self.radius if self.closed else d < self.radius
 
     def contains_tracked(self, v: Vector) -> bool:
-        """Membership at tracked precision (never reports a false escape)."""
+        """Membership at tracked precision (never reports a false escape).
+
+        Over Q_p the radius is p^-k, so |a - c| = p^-v is inside exactly when
+        v >= k (closed) or v > k (open)."""
         center = self.center
-        ultra = self.descriptor.ultrametric
-        slack = 0 if ultra else self.descriptor.tolerance * max(1.0, float(self.radius))
+        if self.descriptor.ultrametric:
+            k = self._radius_exponent
+            for a, c in zip(v.components, center.components):
+                val = (a - c).val
+                if val is not None and (val < k if self.closed else val <= k):
+                    return False
+            return True
+        slack = self.descriptor.tolerance * max(1.0, float(self.radius))
         for a, c in zip(v.components, center.components):
             diff = a - c
             if diff.is_zero():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -435,3 +436,49 @@ def test_cli_degree_over_the_budget_exits_1_at_once(monkeypatch):
     assert out.getvalue() == (GOLDEN / "check_clean.json").read_text()
     code, payload = run_in_process(["check", "--map", _monomial_map(3), "--samples", "8"])
     assert (code, payload["error"]["degree"], payload["error"]["budget"]) == (1, 3, 2)
+
+
+AFFINE_99 = json.dumps({"vars": 1, "outputs": [[{"coef": "3/400", "exp": [0]}, {"coef": "99/100", "exp": [1]}]]})
+UNIT_BALL = json.dumps({"domain": {"center": ["0"], "radius": "1", "closed": True}, "x0": ["0"], "theta": "99/100"})
+
+
+def test_cli_real_fixpoint_meets_its_target_or_refuses_it():
+    # 99/100 x + 3/400 on B_1(0): --tol 2^-44 exited 0 with 0.7499999999999376,
+    # 6.24e-14 from the fixed point 3/4, as its rounding went uncounted
+    args = ["fixpoint", "--map", AFFINE_99, "--field", json.dumps({"kind": "real", "tolerance": 1e-9}),
+            "--geometry", UNIT_BALL]
+    code, payload = run_in_process([*args, "--tol", f"1/{2**44}"])
+    assert code == 0
+    x = payload["result"]["report"]["fixed_point"][0]
+    assert abs(Fraction(x) - Fraction(3, 4)) <= Fraction(1, 2**44)
+    # 2^-47 is above the double resolution 2^-52 of the ball, but not above
+    # the rounding bound of the solve, about 3.3e-14
+    code, payload = run_in_process([*args, "--tol", f"1/{2**47}"])
+    assert code == 1
+    error = payload["error"]
+    assert (error["kind"], error["target"]) == ("PrecisionExhausted", f"1/{2**47}")
+    assert Fraction(1, 2**47) <= Fraction(error["rounding"]) < Fraction(1, 2**44)
+
+
+def test_cli_check_samples_times_cost_over_the_budget_exit_1_before_sampling(monkeypatch):
+    args = ["check", "--map", _monomial_map(1024), "--samples", "100000"]
+    start = time.perf_counter()
+    code, payload = run_in_process(args)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    error = payload["error"]
+    assert error["kind"] == "BudgetExceeded"
+    assert (error["samples"], error["cost"], error["budget"]) == (100000, 2048, calculus.CHECK_COST_BUDGET)
+    # the 1000-sample default of x + x^1024 stays within it
+    assert 1000 * calculus.evaluation_cost(calculus.MapSpec.from_coefficients(1, [[(1, (1,)), (1, (1024,))]])) \
+        <= calculus.CHECK_COST_BUDGET
+    # the boundary, with the budget lowered to the 40 samples of check_clean
+    # times the cost 4 of x + x^2: 40 gives the golden output, 41 does not
+    monkeypatch.setattr(calculus, "CHECK_COST_BUDGET", 160)
+    out = io.StringIO()
+    assert cli.run(CASES["check_clean"], stream=out) == 0
+    assert out.getvalue() == (GOLDEN / "check_clean.json").read_text()
+    check = CASES["check_clean"][:]
+    check[check.index("--samples") + 1] = "41"
+    code, payload = run_in_process(check)
+    assert (code, payload["error"]["samples"], payload["error"]["cost"]) == (1, 41, 4)

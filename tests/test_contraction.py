@@ -730,3 +730,73 @@ def test_full_precision_step_keeps_only_the_digits_it_knows(seed):
         assert _prec(a) >= _prec(b)
         diff = a.to_rational() - b.to_rational()
         assert diff == 0 or rational_valuation(diff, p) >= _prec(b)
+
+
+# ---------------------------------------------------------------------------
+# Real solves count the rounding of their doubles; domain escapes carry numbers
+
+
+@pytest.mark.parametrize("theta", [Fraction(19, 20), Fraction(97, 100), Fraction(99, 100)])
+def test_real_affine_solves_stay_within_their_bound(real, theta):
+    # theta x + (1 - theta) 3/4 on B_1(0) from 0: the fixed point is 3/4, and
+    # before the rounding bound some of these errors exceeded the a priori one
+    f = poly(1, [((1 - theta) * Fraction(3, 4), (0,)), (theta, (1,))])
+    problem = ContractionProblem(f, Ball(real, (0,), 1), theta, (0,))
+    outcomes = {"solved": 0, "refused": 0}
+    for k in (30, 33, 36, 39, 42, 45, 48, 50):
+        target = Fraction(1, 2**k)
+        try:
+            report = iterate_fixed_point(problem, target)
+        except PrecisionExhausted as exc:
+            assert exc.details == {"target": frac_str(target), "rounding": frac_str(problem.rounding_bound)}
+            assert problem.rounding_bound >= target
+            outcomes["refused"] += 1
+            continue
+        error = abs(Fraction(report.fixed_point.components[0].value) - Fraction(3, 4))
+        assert error <= report.error_bound <= target, (k, float(error), float(report.error_bound))
+        assert report.error_bound == (
+            _certified_bound(theta, problem.initial_displacement(), report.iterations, real)
+            + problem.rounding_bound
+        )
+        outcomes["solved"] += 1
+    assert outcomes["solved"] >= 5 and outcomes["refused"] >= 1, outcomes
+
+
+def test_rounding_bound_is_zero_over_q_p(q5):
+    problem = ContractionProblem(FIVE_PLUS_SQ, Ball(q5, (0,), Fraction(1, 5)), Fraction(1, 5), (0,))
+    assert problem.rounding_bound == 0
+    report = iterate_fixed_point(problem)
+    assert report.error_bound == _certified_bound(
+        problem.theta, problem.initial_displacement(), report.iterations, q5
+    )
+
+
+def test_domain_escapes_carry_step_distance_and_radius(q5, real, monkeypatch):
+    # 129/125 + x/5 over Q5 on B_1(1/25) and 4x - 119/4 over the reals on
+    # B_1(10) are no 1/5- or 1/2-contractions: iterate 2 lands at
+    # 1/25 + 6/5 and at 45/4
+    cases = [
+        (lambda: iterate_fixed_point(ContractionProblem(
+            poly(1, [(Fraction(129, 125), (0,)), (Fraction(1, 5), (1,))]), Ball(q5, (Fraction(1, 25),), 1),
+            Fraction(1, 5), (Fraction(1, 25),))),
+         "iterate 2 left the domain ball", {"step": "2", "distance": "5/1", "radius": "1/1"}),
+        (lambda: iterate_fixed_point(ContractionProblem(
+            poly(1, [(Fraction(-119, 4), (0,)), (4, (1,))]), Ball(real, (10,), 1), Fraction(1, 2), (10,))),
+         "iterate 2 left the domain ball", {"step": "2", "distance": "5/4", "radius": "1/1"}),
+        # one Newton step (target 1/5) reaches x = 1, and g(1) = 26/25
+        (lambda: newton_fixed_point(ContractionProblem(
+            poly(1, [(1, (0,)), (Fraction(1, 25), (2,))]), Ball(q5, (0,), 1), Fraction(1, 5), (0,)),
+            Fraction(1, 5)),
+         "the closing Banach step left the domain ball", {"step": "2", "distance": "25/1", "radius": "1/1"}),
+    ]
+    for solve, message, details in cases:
+        with pytest.raises(DomainEscape, match=message) as err:
+            solve()
+        assert err.value.details == details
+    # on an ultrametric ball a step within its bound cannot leave it: with the
+    # step check off, 1 - 4x (I - Dg = 5) jumps from 0 to 1/5
+    monkeypatch.setattr(contraction, "_check_step", lambda *args: None)
+    with pytest.raises(DomainEscape, match="Newton iterate 1 left the domain ball") as err:
+        newton_fixed_point(ContractionProblem(
+            poly(1, [(1, (0,)), (-4, (1,))]), Ball(q5, (0,), 1), Fraction(1, 5), (0,)))
+    assert err.value.details == {"step": "1", "distance": "5/1", "radius": "1/1"}

@@ -14,9 +14,12 @@ from ultrafix import (
     rational_abs,
 )
 from ultrafix.field import PRIME_BOUND, _is_prime, floor_log, int_valuation, truncate_precision
-from ultrafix.field import PadicScalar, padic_sum
+from ultrafix.field import PadicScalar, padic_polynomial, padic_sum
 from ultrafix.field import _padic_div, unit_inverse
 from functools import reduce
+from ultrafix import contraction, field
+from ultrafix.errors import SingularMatrix
+from ultrafix.linalg import Ball, Operator, Vector, _field_gauss_jordan, vec_norm
 
 
 def test_padic_integer_addition(q5):
@@ -435,3 +438,271 @@ def test_lifted_unit_inverse_matches_pow():
                 got, want = _padic_div(a, b), _pow_div(a, b)
                 assert (got.val, got.unit, got.prec) == (want.val, want.unit, want.prec)
     assert sides == {True: 435 * 5, False: 435 * 18}
+
+
+# ---------------------------------------------------------------------------
+# The polynomial kernel, the one-inverse elimination, membership by valuation
+# and the scalar invariant, against the code they replaced
+
+
+def _oracle_padic_monomial(coef: PadicScalar, xs, powers) -> PadicScalar:
+    """coef * xs[i]**e * ... over the (i, e) pairs of `powers` (each e >= 1).
+
+    The product is the one the left fold of `_padic_mul` gives, formed in one
+    step: valuations add, the digit count is the least of the factors', and
+    the unit is the product of the units mod p^digits.  A bounded zero O(p^m)
+    makes the product O(p^(sum of e*w)), w being a factor's val, or its prec
+    for a bounded zero; an exact zero makes it the exact zero.
+    """
+    desc = coef.descriptor
+    if coef.is_exact_zero():
+        return coef
+    bounded = coef.val is None
+    val = coef.prec if bounded else coef.val
+    digits = desc.precision if bounded else coef.prec - coef.val
+    for i, e in powers:
+        x = xs[i]
+        if x.val is None:
+            if x.prec is None:
+                return desc.zero()
+            bounded = True
+            val += e * x.prec
+        else:
+            val += e * x.val
+            digits = min(digits, x.prec - x.val)
+    if bounded:
+        return PadicScalar(desc, None, 0, val)
+    mod = desc.prime**digits
+    unit = coef.unit % mod
+    for i, e in powers:
+        unit = unit * pow(xs[i].unit, e, mod) % mod
+    return PadicScalar(desc, val, unit, val + digits)
+
+
+def _nonzero_term(rng, desc, kinds):
+    while True:
+        x = _random_term(rng, desc, kinds)
+        if x.val is not None:
+            return x
+
+
+def _kernel_precision(rng):
+    return rng.choice((1, 2, 3, rng.randint(4, 16), rng.randint(17, 64)))
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5, 7])
+def test_padic_polynomial_matches_the_monomial_fold(prime):
+    rng = random.Random(6100 + prime)
+    kinds = {"exact_zero": 0, "bounded": 0, "bounded_nonpositive": 0, "negative_val": 0,
+             "cancelled": 0, "mixed_digits": 0, "exact_zero_sum": 0, "deep": 0}
+    for _ in range(500):
+        desc = FieldDescriptor.padic(prime, _kernel_precision(rng))
+        kinds["deep"] += desc.precision > 16
+        nvars = rng.randint(1, 3)
+        xs = [_random_term(rng, desc, kinds) for _ in range(nvars)]
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            coef = _nonzero_term(rng, desc, kinds)
+            chosen = sorted(rng.sample(range(nvars), rng.randint(0, nvars)))
+            terms.append((coef, tuple((i, rng.randint(1, 4)) for i in chosen)))
+        want = padic_sum(desc, [_oracle_padic_monomial(c, xs, s) for c, s in terms])
+        if want.val is not None and rng.random() < 0.3:
+            # a constant term that cancels the sum to its known digits
+            terms.append((-want, ()))
+            want = padic_sum(desc, [_oracle_padic_monomial(c, xs, s) for c, s in terms])
+            kinds["cancelled"] += want.val is None
+        got = padic_polynomial(desc, terms, xs)
+        assert _raw(got) == _raw(want), (desc, [_raw(x) for x in xs], terms)
+        digit_counts = {x.prec - x.val for x in xs if x.val is not None}
+        digit_counts |= {c.prec - c.val for c, _ in terms}
+        kinds["mixed_digits"] += len(digit_counts) > 1
+        kinds["exact_zero_sum"] += got.is_exact_zero()
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_difference_is_the_sum_with_the_negation():
+    rng = random.Random(6200)
+    kinds = {"exact_zero": 0, "bounded": 0, "bounded_nonpositive": 0, "negative_val": 0,
+             "cancelled": 0}
+    for desc in _descriptors(rng):
+        for _ in range(6):
+            a = _random_term(rng, desc, kinds)
+            b = a if rng.random() < 0.15 else _random_term(rng, desc, kinds)
+            for x, y in ((a, b), (b, a)):
+                want = padic_sum(desc, (x, -y))
+                got = field_arith(x, y, "sub")
+                assert _raw(got) == _raw(want), (desc, _raw(x), _raw(y))
+                kinds["cancelled"] += want.val is None and x.val is not None and y.val is not None
+    assert min(kinds.values()) >= 200, kinds
+
+
+def _dividing_gauss_jordan(A: Operator):
+    """Gauss-Jordan elimination over field scalars: (inverse rows, determinant).
+
+    Each column pivots on its entry of largest absolute value; a column whose
+    largest entry is zero at tracked precision raises SingularMatrix.
+    """
+    desc = A.descriptor
+    one, zero = desc.one(), desc.zero()
+    n = len(A.entries)
+    work = [list(row) for row in A.entries]
+    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    det = one
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: field_abs(work[r][col]))
+        if work[pivot_row][col].is_zero():
+            raise SingularMatrix(f"no nonzero pivot in column {col} at tracked precision")
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+            det = -det
+        piv = work[col][col]
+        det = det * piv
+        work[col] = [a / piv for a in work[col]]
+        inv[col] = [a / piv for a in inv[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = work[r][col]
+            if factor.is_zero():
+                continue
+            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+            inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
+    return inv, det
+
+
+def _elimination(A, eliminate=_field_gauss_jordan):
+    try:
+        inv, det = eliminate(A)
+    except SingularMatrix as exc:
+        return "singular", str(exc)
+    return [[_scalar_key(a) for a in row] for row in inv], _scalar_key(det)
+
+
+def _scalar_key(a):
+    return a.value.hex() if hasattr(a, "value") else _raw(a)
+
+
+def _matrix_entry(rng, desc, kinds):
+    if desc.kind == "real":
+        return desc.from_rational(Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
+    if rng.random() < 0.5:
+        p = desc.prime
+        num = rng.randint(-3 * p, 3 * p) * p ** rng.randint(0, 2)
+        return embed_rational(num, rng.randint(1, 6) * p ** rng.randint(0, 2), desc)
+    return _random_term(rng, desc, kinds)
+
+
+def test_one_inverse_per_pivot_matches_the_dividing_elimination():
+    rng = random.Random(6300)
+    kinds = {"exact_zero": 0, "bounded": 0, "bounded_nonpositive": 0, "negative_val": 0}
+    outcomes = {"singular": 0, "inverted": 0}
+    sizes = set()
+    for p in (None, 2, 3, 5, 7):
+        for _ in range(150):
+            desc = FieldDescriptor.real() if p is None else FieldDescriptor.padic(p, _kernel_precision(rng))
+            n = rng.randint(1, 4)
+            sizes.add(n)
+            rows = [[_matrix_entry(rng, desc, kinds) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.2:
+                rows[-1] = list(rows[0])  # equal rows
+            A = Operator(tuple(tuple(r) for r in rows))
+            got, want = _elimination(A), _elimination(A, _dividing_gauss_jordan)
+            assert got == want, (desc, [[_scalar_key(a) for a in r] for r in rows])
+            outcomes["singular" if got[0] == "singular" else "inverted"] += 1
+    assert sizes == {1, 2, 3, 4}
+    assert min(outcomes.values()) >= 100, outcomes
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_one_inverse_per_pivot_takes_one_unit_inverse_per_column(monkeypatch):
+    desc = FieldDescriptor.padic(5, 8)
+    calls = []
+    monkeypatch.setattr(field, "unit_inverse", lambda u, p, k: calls.append(k) or pow(u, -1, p**k))
+    A = Operator.from_rationals(((2, 1), (1, 3)), desc)
+    _field_gauss_jordan(A)
+    assert len(calls) == 2
+    calls.clear()
+    _dividing_gauss_jordan(A)
+    assert len(calls) == 6  # one per divided entry with digits: 3 per pivot row
+
+
+def _fraction_contains_tracked(ball, v):
+    """Ball.contains_tracked of a p-adic ball, comparing Fractions."""
+    for a, c in zip(v.components, ball.center.components):
+        diff = a - c
+        if diff.is_zero():
+            continue
+        d = field_abs(diff)
+        if ball.closed:
+            if d > ball.radius:
+                return False
+        elif d >= ball.radius:
+            return False
+    return True
+
+
+def test_membership_by_valuation_matches_the_fraction_comparison():
+    rng = random.Random(6400)
+    kinds = {"exact_zero": 0, "bounded": 0, "bounded_nonpositive": 0, "negative_val": 0}
+    answers = {True: 0, False: 0}
+    for p in (2, 3, 5, 7):
+        for _ in range(250):
+            desc = FieldDescriptor.padic(p, rng.randint(1, 8))
+            dim = rng.randint(1, 3)
+            center = [Fraction(rng.randint(-20, 20), p ** rng.randint(0, 2)) for _ in range(dim)]
+            ball = Ball(desc, center, Fraction(p) ** rng.randint(-3, 3), rng.random() < 0.5)
+            v = Vector(tuple(
+                c + _random_term(rng, desc, kinds) for c in ball.center.components
+            ))
+            want = _fraction_contains_tracked(ball, v)
+            assert ball.contains_tracked(v) == want, (ball, [_raw(x) for x in v.components])
+            answers[want] += 1
+            assert vec_norm(v) == max(field_abs(c) for c in v.components)
+    assert min(answers.values()) >= 200, answers
+
+
+def _unchecked(desc, val, unit, prec):
+    """A p-adic scalar that skipped the invariant check."""
+    x = object.__new__(PadicScalar)
+    x.descriptor, x.val, x.unit, x.prec = desc, val, unit, prec
+    return x
+
+
+def test_every_construction_checks_the_unit(monkeypatch):
+    desc = FieldDescriptor.padic(5, 4)
+    for mod in (None, 5**3):
+        PadicScalar(desc, -1, 7, 2, mod)
+        for bad in (0, -7, 5, 10, 5**3, 5**3 + 1):
+            with pytest.raises(ValueError, match="unit digits out of range"):
+                PadicScalar(desc, -1, bad, 2, mod)
+    # a unit divisible by p reaches the check through each kernel
+    bad, one = _unchecked(desc, 0, 10, 4), desc.one()
+    for make in (lambda: bad * one, lambda: one * bad, lambda: bad / one, lambda: -bad,
+                 lambda: contraction._exact(Vector((bad,)))):
+        with pytest.raises(ValueError, match="unit digits out of range"):
+            make()
+    # and every kernel hands the check the modulus p^digits, or none
+    seen = []
+    init = PadicScalar.__init__
+
+    def checked_init(self, descriptor, val, unit, prec, mod=None):
+        if val is not None and mod is not None:
+            assert mod == descriptor.prime ** (prec - val)
+            seen.append(mod)
+        init(self, descriptor, val, unit, prec, mod)
+
+    monkeypatch.setattr(PadicScalar, "__init__", checked_init)
+    rng = random.Random(6500)
+    kinds = {"exact_zero": 0, "bounded": 0, "bounded_nonpositive": 0, "negative_val": 0}
+    for desc in _descriptors(rng):
+        a, b = _random_term(rng, desc, kinds), _nonzero_term(rng, desc, kinds)
+        for op in ("add", "sub", "mul", "div"):
+            field_arith(a, b, op)
+        -b
+        truncate_precision(b, b.val + rng.randint(0, 3))
+        contraction._exact(Vector((a, b)))
+        padic_polynomial(desc, [(b, ((0, 2),)), (b, ())], [a])
+        embed_rational(rng.randint(-99, 99), rng.randint(1, 99), desc)
+        _elimination(Operator(((b, a), (a, b))))
+    assert len(seen) >= 5000
