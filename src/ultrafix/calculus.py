@@ -403,44 +403,24 @@ def affine_map(
 def quotient_map(f: MapSpec) -> MapSpec:
     """The extended difference quotient as a polynomial map in (x, y, t).
 
-    For each monomial c*x^a the quotient ((x+ty)^a - x^a)/t expands exactly by
-    the multinomial theorem, so the result is again a MapSpec, over 2m+1
-    variables ordered (x_1..x_m, y_1..y_m, t).
+    f(x + ty) is the composition of f after x + ty, over the 2m+1 variables
+    ordered (x_1..x_m, y_1..y_m, t).  Its terms free of t are f(x); the
+    others, with the exponent of t lowered by one, are (f(x+ty) - f(x))/t.
     """
     got = f._cache.get("quotient")
     if got is not None:
         return got
     m = f.domain_dim
-    outputs = []
-    for monomials in f.outputs:
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for exps, coef in monomials:
-            for kvec, binom in _sub_multi_indices(exps):
-                order = sum(kvec)
-                if order == 0:
-                    continue
-                key = (
-                    tuple(a - k for a, k in zip(exps, kvec))
-                    + tuple(kvec)
-                    + (order - 1,)
-                )
-                acc[key] = acc.get(key, Fraction(0)) + coef * binom
-        outputs.append(tuple(acc.items()))
-    got = MapSpec(2 * m + 1, tuple(outputs))
-    f._cache["quotient"] = got
+    n = 2 * m + 1
+    unit = lambda *indices: tuple(int(v in indices) for v in range(n))
+    shift = MapSpec(n, tuple(
+        ((unit(i), Fraction(1)), (unit(m + i, n - 1), Fraction(1))) for i in range(m)
+    ))
+    got = f._cache["quotient"] = MapSpec(n, tuple(
+        tuple((exps[:-1] + (exps[-1] - 1,), c) for exps, c in out if exps[-1])
+        for out in compose(f, shift).outputs
+    ))
     return got
-
-
-def _sub_multi_indices(exps):
-    """All k <= exps componentwise with the product of binomial coefficients."""
-    out = [((), 1)]
-    for a in exps:
-        nxt = []
-        for prefix, b in out:
-            for k in range(a + 1):
-                nxt.append((prefix + (k,), b * math.comb(a, k)))
-        out = nxt
-    return out
 
 
 @dataclass(frozen=True)
@@ -534,14 +514,7 @@ def _jacobian_apply(f: MapSpec, x, y, evaluate=None):
     rows = _jacobian_rows(f, x) if evaluate is None else evaluate.jacobian(f, x)
     if not (x and isinstance(x[0], Scalar)):
         return rat_mat_vec(rows, y)
-    zero = x[0].descriptor.zero()
-    out = []
-    for row in rows:
-        total = zero
-        for a, yj in zip(row, y):
-            total = total + a * yj
-        out.append(total)
-    return tuple(out)
+    return Operator(rows).apply(Vector(y)).components
 
 
 def diff_quotient(f: MapSpec, q: QuotientPoint):

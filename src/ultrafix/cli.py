@@ -166,17 +166,8 @@ def _cmd_check(args, field, fmap, geo):
             check_identities(fmap, args.samples, args.seed, field, mutation)
         )
     if not all(r["passed"] for r in reports.values()):
-        witness = None
-        for r in reports.values():
-            for entry in r["identities"]:
-                if not entry["passed"]:
-                    witness = entry
-                    break
-            if witness is not None:
-                break
-        raise UltrafixError(
-            "identity suite failed", reports=reports, witness=witness
-        )
+        witness = next(e for r in reports.values() for e in r["identities"] if not e["passed"])
+        raise UltrafixError("identity suite failed", reports=reports, witness=witness)
     return {"reports": reports}
 
 

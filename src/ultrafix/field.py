@@ -4,9 +4,9 @@ A p-adic scalar stores its valuation, its unit digits and the absolute
 precision up to which the value is known.  Addition of near-cancelling values
 raises the valuation and shrinks the known digit range instead of fabricating
 zeros, so downstream certificates never overstate precision (Caruso, Roe &
-Vaccon, "Tracking p-adic precision", 2014).  There is one addition rule, the
-n-ary `padic_sum`; `a + b` is its two-term case and `a - b` the same sum
-formed as one residue.  A polynomial output is evaluated by
+Vaccon, "Tracking p-adic precision", 2014).  `a + b` and `a - b` are one
+binary kernel, `_padic_add`, which adds or subtracts the shifted units as one
+residue.  A polynomial output is evaluated by
 `padic_polynomial` in two integer passes over its monomials: the first finds
 where the sum is known, the second adds the unit products as one residue
 modulo the power of p that reaches it, and one scalar is built per output.
@@ -391,40 +391,6 @@ def _padic_make(desc, val, residue, prec, mod=None):
     return PadicScalar(desc, val + shift, residue // scale, prec, mod // scale)
 
 
-def padic_sum(desc, terms) -> PadicScalar:
-    """The sum of a sequence of p-adic scalars of `desc`, normalised once.
-
-    This is the one addition rule.  Exact zeros drop out; the sum of the
-    other terms is known modulo p^m, m their least `prec`.  Their units are
-    added as one integer at base = the least of their `val`s and m (a
-    bounded zero O(p^k) adds nothing but makes m <= k), and `_padic_make`
-    normalises the total once.  That equals the left fold of two-term sums:
-    reducing mod p^m at each step agrees with reducing once at the end.  No
-    terms, or only exact zeros, give the exact zero.
-    """
-    m = base = None
-    for s in terms:
-        prec = s.prec
-        if prec is None:
-            continue
-        low = prec if s.val is None else s.val
-        if m is None:
-            m, base = prec, low
-        else:
-            if prec < m:
-                m = prec
-            if low < base:
-                base = low
-    if m is None:
-        return desc.zero()
-    p = desc.prime
-    r = 0
-    for s in terms:
-        if s.val is not None:
-            r += s.unit * p ** (s.val - base)
-    return _padic_make(desc, base, r, m)
-
-
 def _padic_mul(a: PadicScalar, b: PadicScalar) -> PadicScalar:
     desc = a.descriptor
     if a.is_exact_zero() or b.is_exact_zero():
@@ -439,25 +405,35 @@ def _padic_mul(a: PadicScalar, b: PadicScalar) -> PadicScalar:
     return PadicScalar(desc, a.val + b.val, a.unit * b.unit % mod, a.val + b.val + k, mod)
 
 
-def _padic_sub(a: PadicScalar, b: PadicScalar) -> PadicScalar:
-    """a - b, the value padic_sum(desc, (a, -b)) gives, as one residue.
+def _padic_add(a: PadicScalar, b: PadicScalar, subtract: bool = False) -> PadicScalar:
+    """a + b, or a - b when `subtract`, as one residue normalised once.
 
-    -b's unit differs from -b.unit by a multiple of p^(b.prec - b.val), and
-    the sum is reduced mod p^(m - base) with m <= b.prec, so b's unit can be
+    An exact zero adds nothing.  Otherwise the result is known modulo p^m,
+    m the lesser `prec`, and b's unit is added to or subtracted from a's at
+    base, the lesser `val` (a bounded zero O(p^k) counts at k).  -b's unit
+    differs from -b.unit by a multiple of p^(b.prec - b.val), and the
+    residue is reduced mod p^(m - base) with m <= b.prec, so b's unit is
     subtracted as it is.
     """
     if b.prec is None:
         return a
     if a.prec is None:
-        return -b
+        return -b if subtract else b
     p = a.descriptor.prime
-    m = min(a.prec, b.prec)
-    base = min(a.prec if a.val is None else a.val, b.prec if b.val is None else b.val)
+    # comparisons, not min(): this runs once per scalar addition
+    m = a.prec if a.prec < b.prec else b.prec
+    low = a.prec if a.val is None else a.val
+    base = b.prec if b.val is None else b.val
+    if low < base:
+        base = low
     r = 0
     if a.val is not None:
         r = a.unit * p ** (a.val - base)
     if b.val is not None:
-        r -= b.unit * p ** (b.val - base)
+        if subtract:
+            r -= b.unit * p ** (b.val - base)
+        else:
+            r += b.unit * p ** (b.val - base)
     return _padic_make(a.descriptor, base, r, m)
 
 
@@ -465,7 +441,7 @@ def padic_polynomial(desc, terms, xs) -> PadicScalar:
     """The sum of coef * xs[i]**e * ... over the (coef, ((i, e), ...)) of
     `terms` (each coef nonzero, each e >= 1), in two integer passes.
 
-    The value is the one padic_sum gives over the monomials, each formed as
+    The value is the left fold of `+` over the monomials, each formed as
     the left fold of products would form it: valuations add, the digit count
     is the least of the factors', a bounded zero O(p^w) factor makes the
     monomial O(p^(sum of e*w)), w being a factor's val, or its prec for a
@@ -575,9 +551,9 @@ def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
         raise SchemaError("operands from different fields")
     if isinstance(a, PadicScalar):
         if op == "add":
-            return padic_sum(a.descriptor, (a, b))
+            return _padic_add(a, b)
         if op == "sub":
-            return _padic_sub(a, b)
+            return _padic_add(a, b, subtract=True)
         if op == "mul":
             return _padic_mul(a, b)
         if op == "div":

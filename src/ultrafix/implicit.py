@@ -29,6 +29,7 @@ from .contraction import (
     newton_fixed_point,
     newton_pays,
     partial_jacobians,
+    uniform_family_check,
 )
 from .errors import (
     DimensionMismatch,
@@ -87,14 +88,6 @@ def _as_rationals(point, what: str) -> tuple[Fraction, ...]:
         return tuple(Fraction(v) for v in point)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what} must be rational coordinates") from exc
-
-
-def _uniform_sigma(residual: MapSpec, p_ball: Ball, state_ball: Ball) -> Fraction:
-    """State-direction strictness bound of the residual f - A.x, uniform over
-    the parameter ball."""
-    mp, n = p_ball.dim, state_ball.dim
-    sups = p_ball.coordinate_sups() + state_ball.coordinate_sups()
-    return telescoped_lipschitz(residual, sups, range(mp, mp + n), p_ball.descriptor)
 
 
 def _shrink_search(
@@ -158,7 +151,7 @@ def build_window(
     tau = 1 / (2 * norm_a_inv)
 
     def sigma_and_tau(radius):
-        return _uniform_sigma(residual, Ball(desc, p0, radius), Ball(desc, x0, radius)), tau
+        return uniform_family_check(residual, Ball(desc, p0, radius), Ball(desc, x0, radius)), tau
 
     r = _shrink_search(
         Fraction(1), desc, max_shrink, sigma_and_tau, ("sigma", "tau"),
@@ -173,14 +166,14 @@ def build_window(
         lip = telescoped_lipschitz(drift, p_ball.coordinate_sups(), range(mp), desc)
         if desc.ultrametric:
             return lip * rho, r
-        return lip * rho, (1 - _uniform_sigma(residual, p_ball, state_ball) * norm_a_inv) * r / 2
+        return lip * rho, (1 - uniform_family_check(residual, p_ball, state_ball) * norm_a_inv) * r / 2
 
     rho = _shrink_search(
         r, desc, max_shrink, drift_and_cap, ("drift", "cap"),
         f"parameter drift would not fit the window after {max_shrink} shrinks",
     )
     p_ball = Ball(desc, p0, rho)
-    sigma = _uniform_sigma(residual, p_ball, state_ball)
+    sigma = uniform_family_check(residual, p_ball, state_ball)
     # sigma <= tau < 1/||A^-1||, so the certificate exists
     cert = InversionCertificate.from_anchor(A_rows, A_inv, sigma, state_ball)
     z0 = eval_map(f, p0 + x0)

@@ -90,6 +90,73 @@ def test_symbolic_quotient_matches_direct():
         assert direct == symbolic
 
 
+# The multinomial expansion that built quotient_map before it became a
+# composition, verbatim but for its cache (the composition fills the same
+# cache slot, and the oracle must not read it back).
+def _multinomial_quotient_map(f: MapSpec) -> MapSpec:
+    """The extended difference quotient as a polynomial map in (x, y, t).
+
+    For each monomial c*x^a the quotient ((x+ty)^a - x^a)/t expands exactly by
+    the multinomial theorem, so the result is again a MapSpec, over 2m+1
+    variables ordered (x_1..x_m, y_1..y_m, t).
+    """
+    m = f.domain_dim
+    outputs = []
+    for monomials in f.outputs:
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for exps, coef in monomials:
+            for kvec, binom in _sub_multi_indices(exps):
+                order = sum(kvec)
+                if order == 0:
+                    continue
+                key = (
+                    tuple(a - k for a, k in zip(exps, kvec))
+                    + tuple(kvec)
+                    + (order - 1,)
+                )
+                acc[key] = acc.get(key, Fraction(0)) + coef * binom
+        outputs.append(tuple(acc.items()))
+    return MapSpec(2 * m + 1, tuple(outputs))
+
+
+def _sub_multi_indices(exps):
+    """All k <= exps componentwise with the product of binomial coefficients."""
+    out = [((), 1)]
+    for a in exps:
+        nxt = []
+        for prefix, b in out:
+            for k in range(a + 1):
+                nxt.append((prefix + (k,), b * math.comb(a, k)))
+        out = nxt
+    return out
+
+
+def test_quotient_map_equals_the_multinomial_expansion():
+    rng = random.Random(2004)
+    degree_eight = 0
+    for _ in range(420):
+        m = rng.randint(1, 3)
+        outputs = []
+        for _ in range(rng.randint(1, 2)):
+            monomials = []
+            for _ in range(rng.randint(0, 5)):
+                exps = [0] * m
+                for _ in range(rng.randint(0, 4)):
+                    exps[rng.randrange(m)] += 1
+                coef = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                monomials.append((coef, tuple(exps)))
+            if rng.random() < 0.1:
+                exps = [0] * m
+                for _ in range(8):
+                    exps[rng.randrange(m)] += 1
+                monomials.append((Fraction(rng.randint(1, 9), rng.randint(1, 9)), tuple(exps)))
+                degree_eight += 1
+            outputs.append(monomials)
+        f = poly(m, *outputs)
+        assert quotient_map(f) == _multinomial_quotient_map(f), f
+    assert degree_eight >= 30
+
+
 def test_second_quotient_examples():
     inner1 = QuotientPoint((Fraction(3),), (Fraction(2),), Fraction(0))
     inner2 = QuotientPoint((Fraction(7),), (Fraction(0),), Fraction(0))

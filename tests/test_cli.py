@@ -314,7 +314,8 @@ def test_cli_runs_in_one_process_match_first_runs(capsys):
 
 
 def test_cli_real_target_below_double_resolution_exits_1():
-    # the true fixed point of 3/40 + x/2 is 3/20; doubles cannot certify 10^-30
+    # the true fixed point of 3/40 + x/2 is 3/20; doubles cannot certify 10^-30,
+    # which is below the rounding bound of the solve, about 1.7e-17
     fmap = json.dumps({"vars": 1, "outputs": [[{"coef": "3/40", "exp": [0]},
                                                {"coef": "1/2", "exp": [1]}]]})
     args = ["fixpoint", "--map", fmap, "--field", json.dumps({"kind": "real"}),
@@ -324,7 +325,12 @@ def test_cli_real_target_below_double_resolution_exits_1():
     error = payload["error"]
     assert error["kind"] == "PrecisionExhausted"
     assert error["target"] == "1/" + "1" + "0" * 30
-    assert error["resolution"] == f"1/{2**52}"  # eps * max(1, |0| + 1/5)
+    # 3u/(1 - 3u) (|3/40| + |1/2| s) / (1 - 1/2), u = 2^-53, s = 1/5 + the
+    # membership slack: the rounding bound of the solve (x0 = 0 adds nothing)
+    u = Fraction(1, 2**53)
+    s = Fraction(1, 5) + Fraction(1e-9)
+    assert error["rounding"] == "25387442284442761845707451/217780714829400544081010571878581172961280"
+    assert Fraction(error["rounding"]) == 3 * u / (1 - 3 * u) * (Fraction(3, 40) + s / 2) * 2
     code, payload = run_in_process([*args, "--tol", "1/" + "1" + "0" * 13])
     assert code == 0
     assert abs(payload["result"]["report"]["fixed_point"][0] - 0.15) <= 1e-13
@@ -482,3 +488,43 @@ def test_cli_check_samples_times_cost_over_the_budget_exit_1_before_sampling(mon
     check[check.index("--samples") + 1] = "41"
     code, payload = run_in_process(check)
     assert (code, payload["error"]["samples"], payload["error"]["cost"]) == (1, 41, 4)
+
+
+def test_cli_check_mutant_output_is_pinned_byte_for_byte():
+    args = ["check",
+            "--map", str(FIXTURES / "maps/plus_square.json"),
+            "--field", str(FIXTURES / "fields/q5n4.json"),
+            "--samples", "40",
+            "--geometry", str(FIXTURES / "geo/check_mutant.json")]
+    out = io.StringIO()
+    code = cli.run(args, stream=out)
+    assert (code, out.getvalue()) == (1, (GOLDEN / "check_mutant.json").read_text())
+    # the witness is the first failing identity, exact report first
+    error = json.loads(out.getvalue())["error"]
+    failing = [e for r in error["reports"].values() for e in r["identities"] if not e["passed"]]
+    assert error["witness"] == failing[0] == error["reports"]["exact"]["identities"][0]
+
+
+def _exact_image_request(field):
+    geo = json.loads((FIXTURES / "geo/implicit_golden.json").read_text())
+    args = with_field("implicit_golden", field)
+    args[args.index("--geometry") + 1] = json.dumps({**geo, "exact_image": True})
+    return args
+
+
+def test_cli_implicit_exact_image_over_q5():
+    code, payload = run_in_process(_exact_image_request(str(FIXTURES / "fields/q5n4.json")))
+    assert code == 0
+    golden = json.loads((GOLDEN / "implicit_golden.json").read_text())["result"]
+    result = payload["result"]
+    # the exact common image f(p0, x0) + A.B_r(0) replaces the target ball
+    assert result["window"].pop("target") == {"center": ["0/1"], "A": [["1/1"]], "radius": "1/5", "exact": True}
+    del golden["window"]["target"]
+    assert result == golden
+
+
+def test_cli_implicit_exact_image_over_the_reals_is_a_schema_error():
+    code, payload = run_in_process(_exact_image_request({"kind": "real"}))
+    assert code == 2
+    assert payload["error"] == {"kind": "SchemaError",
+                                "message": "exact images exist only over ultrametric fields"}

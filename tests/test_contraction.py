@@ -508,14 +508,18 @@ def test_newton_residual_check_carries_its_numbers(q5_deep, monkeypatch):
 
 def test_real_target_below_the_double_resolution_of_the_ball(real):
     # 500 + x/2 has its fixed point 1000 at the center of B_1(1000), where
-    # neighbouring doubles are 2^-43 apart: eps * (1000 + 1) bounds the gap
+    # neighbouring doubles are 2^-43 apart; the rounding bound of the solve,
+    # u|x0| + 3u/(1 - 3u) (500 + s/2) / (1 - 1/2) with u = 2^-53 and s the
+    # ball's extent plus its membership slack, is about 7.8e-13
     far = ContractionProblem(
         poly(1, [(500, (0,)), (Fraction(1, 2), (1,))]), Ball(real, (1000,), 1), Fraction(1, 2), (999,)
     )
     with pytest.raises(PrecisionExhausted) as err:
         iterate_fixed_point(far, Fraction(1, 10**13))
+    u, s = Fraction(1, 2**53), 1001 + Fraction(1e-9)
+    rounding = u * 999 + 3 * u / (1 - 3 * u) * (500 + s / 2) * 2
     assert err.value.details == {"target": frac_str(Fraction(1, 10**13)),
-                                 "resolution": frac_str(Fraction(1001, 2**52))}
+                                 "rounding": frac_str(rounding)}
     for target, tol in ((Fraction(1, 10**12), 1e-12), (None, 1e-9)):  # None: the default
         x = iterate_fixed_point(far, target).fixed_point.components[0].value
         assert abs(x - 1000) <= tol
@@ -760,6 +764,50 @@ def test_real_affine_solves_stay_within_their_bound(real, theta):
         )
         outcomes["solved"] += 1
     assert outcomes["solved"] >= 5 and outcomes["refused"] >= 1, outcomes
+
+
+def test_real_targets_between_the_rounding_bound_and_the_double_resolution_are_met(real):
+    # a x + c on B_r(C), C from 1 to 10^6, r from C to 3C/2: the fixed point
+    # x* = c/(1 - a) and x0 lie in [0, 9C/10].  A target strictly between
+    # the rounding bound of the solve and eps * max(1, C + r), the gap of
+    # neighbouring doubles at the ball's edge, is met: the solve lands within
+    # it of x*
+    rng = random.Random(2052)
+    eps = Fraction(2) ** -52
+    for _ in range(180):
+        C = rng.randint(1, 10**6)
+        r = C * Fraction(rng.randint(100, 150), 100)
+        a = rng.choice((1, -1)) * Fraction(1, rng.choice((8, 10, 16, 32, 64)))
+        fixed = C * Fraction(rng.randint(0, 40), 100)
+        # d0 = |1 - a| |x* - x0| <= (1 - |a|) r: the problem is admissible
+        x0 = fixed + C * Fraction(rng.randint(0, 50), 100) * (1 - abs(a)) / (1 + abs(a))
+        f = poly(1, [(fixed * (1 - a), (0,)), (a, (1,))])
+        problem = ContractionProblem(f, Ball(real, (C,), r), abs(a), (x0,))
+        rounding, resolution = problem.rounding_bound, eps * max(1, C + r)
+        assert rounding < resolution
+        target = rounding + (resolution - rounding) * Fraction(rng.randint(1, 99), 100)
+        report = iterate_fixed_point(problem, target)
+        error = abs(Fraction(report.fixed_point.components[0].value) - fixed)
+        assert error <= report.error_bound <= target, (C, r, a, fixed, x0, float(error), float(target))
+
+
+def test_real_step_check_counts_the_rounding_of_the_iterates(real):
+    # 370371/10 + x/10 on B_100000(100000) from its centre, fixed point
+    # 123457/3: in doubles step 5 comes out 0.5296290000042063, 4.2e-12 above
+    # its a priori bound 529629/10^6, which a margin of 1e-12 alone refused
+    fixed = Fraction(123457, 3)
+    f = poly(1, [(Fraction(370371, 10), (0,)), (Fraction(1, 10), (1,))])
+    problem = ContractionProblem(f, Ball(real, (100000,), 100000), Fraction(1, 10), (100000,))
+    report = iterate_fixed_point(problem)
+    assert report.step_distances[5] == 0.5296290000042063
+    assert report.step_distances[5] > report.apriori_bounds[5] + Fraction(1, 10**12)
+    error = abs(Fraction(report.fixed_point.components[0].value) - fixed)
+    assert error <= report.error_bound <= Fraction(1e-9)
+    # a step past twice the rounding bound is still refused
+    slack = 2 * float(problem.rounding_bound)
+    _check_step(5, 0.5296290000042063, report.apriori_bounds[5], False, slack)
+    with pytest.raises(DomainEscape):
+        _check_step(5, 0.529629 + 2 * slack, report.apriori_bounds[5], False, slack)
 
 
 def test_rounding_bound_is_zero_over_q_p(q5):

@@ -14,12 +14,48 @@ from ultrafix import (
     rational_abs,
 )
 from ultrafix.field import PRIME_BOUND, _is_prime, floor_log, int_valuation, truncate_precision
-from ultrafix.field import PadicScalar, padic_polynomial, padic_sum
+from ultrafix.field import PadicScalar, _padic_make, padic_polynomial
 from ultrafix.field import _padic_div, unit_inverse
 from functools import reduce
 from ultrafix import contraction, field
 from ultrafix.errors import SingularMatrix
 from ultrafix.linalg import Ball, Operator, Vector, _field_gauss_jordan, vec_norm
+
+
+# The n-ary sum that was the package's addition rule, kept verbatim: the
+# oracle of `a + b`, `a - b` and padic_polynomial.
+def padic_sum(desc, terms) -> PadicScalar:
+    """The sum of a sequence of p-adic scalars of `desc`, normalised once.
+
+    This is the one addition rule.  Exact zeros drop out; the sum of the
+    other terms is known modulo p^m, m their least `prec`.  Their units are
+    added as one integer at base = the least of their `val`s and m (a
+    bounded zero O(p^k) adds nothing but makes m <= k), and `_padic_make`
+    normalises the total once.  That equals the left fold of two-term sums:
+    reducing mod p^m at each step agrees with reducing once at the end.  No
+    terms, or only exact zeros, give the exact zero.
+    """
+    m = base = None
+    for s in terms:
+        prec = s.prec
+        if prec is None:
+            continue
+        low = prec if s.val is None else s.val
+        if m is None:
+            m, base = prec, low
+        else:
+            if prec < m:
+                m = prec
+            if low < base:
+                base = low
+    if m is None:
+        return desc.zero()
+    p = desc.prime
+    r = 0
+    for s in terms:
+        if s.val is not None:
+            r += s.unit * p ** (s.val - base)
+    return _padic_make(desc, base, r, m)
 
 
 def test_padic_integer_addition(q5):

@@ -16,7 +16,7 @@ from ultrafix import (
     implicit,
     ultrametric_window,
 )
-from ultrafix.implicit import _uniform_sigma
+from ultrafix.contraction import uniform_family_check
 from ultrafix.field import rational_abs
 from ultrafix.sampling import sample_in_ball, unit_fraction
 
@@ -50,7 +50,7 @@ def test_uniform_sigma_bilinear_example(real):
     f = poly(2, [(1, (0, 1)), (1, (1, 1))])
     p_ball = Ball(real, (0,), Fraction(1, 4))
     state_ball = Ball(real, (0,), 1)
-    sigma = _uniform_sigma(implicit.affine_map(f, ((1,),), ((0, -1),)), p_ball, state_ball)
+    sigma = uniform_family_check(implicit.affine_map(f, ((1,),), ((0, -1),)), p_ball, state_ball)
     assert sigma == Fraction(1, 4)
     # oracle: sampled uniform quotients stay below the bound
     rng = random.Random(3)
