@@ -33,6 +33,7 @@ from .errors import (
     DivisionByZero,
     DomainEscape,
     DomainViolation,
+    InconsistentCertificate,
     NotAContraction,
     NotAdmissible,
     NotAFixedPoint,

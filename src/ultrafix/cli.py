@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import jsonio
 from .calculus import check_identities
-from .contraction import ContractionProblem, iterate_fixed_point, lipschitz_theta
+from .contraction import ContractionProblem, iterate_fixed_point, lipschitz_theta, planned_steps
 from .errors import SchemaError, UltrafixError
 from .implicit import build_window, solve_implicit
 from .inverse import certify, local_invert
@@ -129,7 +129,9 @@ def _cmd_fixpoint(args, field, fmap, geo):
     else:
         theta = lipschitz_theta(fmap, domain)
     problem = ContractionProblem(fmap, domain, theta, x0)
-    report = iterate_fixed_point(problem, _target_precision(args))
+    target = _target_precision(args)
+    jsonio.check_report_budget(problem, planned_steps(problem, target))
+    report = iterate_fixed_point(problem, target)
     return {"report": jsonio.encode_fixed_point_report(report, field)}
 
 

@@ -10,7 +10,10 @@ Ultrametric problems can instead be solved by Newton steps
 (`newton_fixed_point`), whose digits are proven a posteriori from the
 residual of a closing Banach step and capped by the same a priori bound.
 Each Newton step works at the digits it can use, which double from step to
-step; only the last ones run at full precision.
+step; only the last ones run at full precision.  A step solves
+(I - Dg(x)) s = g(x) - x by one elimination, with no inverse formed, and
+over Q_p the a priori exponents are integers from the numerators and
+denominators of theta and d0.
 """
 
 from __future__ import annotations
@@ -41,18 +44,20 @@ from .field import (
     PadicScalar,
     abs_upper_bound,
     floor_log,
+    int_floor_log,
     num_str,
     rational_abs,
     rational_valuation,
     truncate_precision,
+    valuation_abs,
 )
 from .linalg import (
     Ball,
     Operator,
     Vector,
-    invert_exact,
     neumann_invert,
     operator_norm,
+    solve_exact,
     vec_norm,
 )
 
@@ -151,6 +156,24 @@ def admissible(problem: ContractionProblem) -> bool:
 MAX_STEPS = 100_000
 
 
+def _power_exponent(theta: Fraction, d0: Fraction, n: int, p: int, geometric: bool = False):
+    """f with p^f the largest p-power <= theta^n d0, or <= theta^n d0 /
+    (1 - theta) when `geometric`; None when that value is 0.
+
+    Worked out in integers from the numerators and denominators of theta
+    and d0: theta^n d0 / (1 - theta) = a^n c b / (b^n d (b - a)) for
+    theta = a/b and d0 = c/d, and no Fraction is formed.
+    """
+    a, b = theta.numerator, theta.denominator
+    num = a**n * d0.numerator
+    if not num:
+        return None
+    den = b**n * d0.denominator
+    if geometric:
+        num, den = num * b, den * (b - a)
+    return int_floor_log(num, den, p)
+
+
 def _certified_bound(
     theta: Fraction, d0: Fraction, n: int, descriptor: FieldDescriptor
 ) -> Fraction:
@@ -159,12 +182,10 @@ def _certified_bound(
     Padic bounds are rounded down to the largest p-power <= bound: absolute
     values lie in the value group, so that power is all the bound certifies.
     """
-    bound = theta**n * d0 / (1 - theta)
     if descriptor.ultrametric:
-        if bound <= 0:
-            return Fraction(0)
-        return Fraction(descriptor.prime) ** floor_log(bound, descriptor.prime)
-    return bound
+        f = _power_exponent(theta, d0, n, descriptor.prime, geometric=True)
+        return Fraction(0) if f is None else valuation_abs(descriptor.prime, -f)
+    return theta**n * d0 / (1 - theta)
 
 
 def _step_count(
@@ -265,6 +286,12 @@ def _plan(problem: ContractionProblem, target_precision) -> tuple:
             )
         reach = target - rounding
     return theta, d0, target, _step_count(theta, d0, reach, desc)
+
+
+def planned_steps(problem: ContractionProblem, target_precision=None) -> int:
+    """The steps iterate_fixed_point plans for the problem, before taking
+    any; it raises what iterate_fixed_point would raise first."""
+    return _plan(problem, target_precision)[3]
 
 
 def _check_step(k: int, step, bound: Fraction, ultrametric: bool, slack: float = 0.0) -> None:
@@ -435,10 +462,20 @@ def _exact(x: Vector) -> Vector:
     )
 
 
+def _identity_minus(jac: Operator, one) -> Operator:
+    """I - J from J's entries: one - a on the diagonal, -a off it, the
+    values Operator.identity - J would give."""
+    return Operator(tuple(
+        tuple(one - a if i == j else -a for j, a in enumerate(row))
+        for i, row in enumerate(jac.entries)
+    ))
+
+
 def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Vector:
     """The fixed point of an ultrametric contraction by Newton steps.
 
-    Iterates x -> x + (I - Dg(x))^-1 (g(x) - x) until g(x) - x is zero at
+    Iterates x -> x + s, s solving (I - Dg(x)) s = g(x) - x by one
+    elimination (no inverse is formed), until g(x) - x is zero at
     full precision, at most as many steps as iterate_fixed_point would take,
     with its admissibility, domain, per-step and residual checks.  The
     digits are proven a posteriori: on an ultrametric ball |x - x*| <=
@@ -469,18 +506,19 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
     if not desc.ultrametric:
         raise SchemaError("Newton steps are certified on ultrametric fields only")
     theta, d0, target, steps = _plan(problem, target_precision)
-    f = problem.f
+    f, p = problem.f, desc.prime
     x = Vector.from_rationals(problem.x0, desc)
     bound = _certified_bound(theta, d0, steps, desc)
     if steps:
-        identity = Operator.identity(problem.domain.dim, desc)
+        one = desc.one()
 
         def apriori_exponent(j: int):
             """e_j; infinite once theta^j d0 is 0 (theta = 0)."""
-            b = theta**j * d0
-            return -floor_log(b, desc.prime) if b else math.inf
+            e = _power_exponent(theta, d0, j, p)
+            return math.inf if e is None else -e
 
-        width, lost, k = max(3, apriori_exponent(1) + 2), 0, 0
+        e_k, e_next = apriori_exponent(0), apriori_exponent(1)
+        width, lost, k = max(3, e_next + 2), 0, 0
         while True:  # each pass takes one step, or widens W and tries again
             xw = x if k == steps - 1 else _at_width(x, width + lost)
             gx = eval_map(f, xw)
@@ -490,7 +528,7 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
                     break
                 width *= 2
                 continue
-            step = invert_exact(identity - jacobian(f, xw)).apply(residual)
+            step = solve_exact(_identity_minus(jacobian(f, xw), one), residual)
             moved = x + step
             if xw is not x:
                 short = width - min(c.prec for c in moved.components)
@@ -498,17 +536,22 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
                     lost += short
                     continue
                 moved = _exact(moved)
-            # I - Dg(x) is an isometry, so the step is as long as g(x) - x
-            _check_step(k, vec_norm(step), theta**k * d0, True)
+            # I - Dg(x) is an isometry, so the step is as long as g(x) - x;
+            # |step| = p^-v is within theta^k d0 exactly when v >= e_k, and
+            # only a step past it builds the Fractions _check_step reports
+            step_val = min((c.val for c in step.components if c.val is not None), default=None)
+            if step_val is not None and step_val < e_k:
+                _check_step(k, valuation_abs(p, step_val), theta**k * d0, True)
             x = moved
             k += 1
+            e_k, e_next = e_next, apriori_exponent(k + 1)
             if not problem.domain.contains_tracked(x):
                 _domain_escape(f"Newton iterate {k}", x, problem.domain, k)
             if k == steps:
                 gx = eval_map(f, x)
                 break
             v = min(c.val for c in residual.components if c.val is not None)
-            width = max(width, 4 * v + 2, apriori_exponent(k + 1) + 2)
+            width = max(width, 4 * v + 2, e_next + 2)
         if not problem.domain.contains_tracked(gx):
             _domain_escape("the closing Banach step", gx, problem.domain, k + 1)
         # |g(x) - x*| <= |x - x*| <= |g(x) - x| for any contraction, whatever theta

@@ -80,6 +80,19 @@ class NotCertifiable(UltrafixError):
         self.threshold = threshold
 
 
+class InconsistentCertificate(UltrafixError):
+    """The constants of an inversion certificate contradict each other."""
+
+    def __init__(self, failed, constants):
+        from .field import num_str  # field imports this module
+
+        super().__init__(
+            "inversion certificate constants are inconsistent: " + "; ".join(failed),
+            failed=list(failed),
+            **{name: num_str(value) for name, value in constants.items()},
+        )
+
+
 class TargetOutsideGuarantee(UltrafixError):
     """Requested target lies outside the certified image."""
 

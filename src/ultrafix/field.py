@@ -10,10 +10,13 @@ residue.  A polynomial output is evaluated by
 `padic_polynomial` in two integer passes over its monomials: the first finds
 where the sum is known, the second adds the unit products as one residue
 modulo the power of p that reaches it, and one scalar is built per output.
-Each kernel that already holds p^digits hands it to the scalar's invariant
-check.  The real backend is plain IEEE doubles with a global comparison
-tolerance; exactness on the real side lives in the rational helpers
-(`rational_abs`) used by the verification oracles, not in the scalar type.
+The row update of an elimination, `a - f * b`, is one kernel as well,
+`padic_sub_product`: one residue and one scalar, bit for bit the product
+followed by the difference.  Each kernel that already holds p^digits hands
+it to the scalar's invariant check.  The real backend is plain IEEE doubles
+with a global comparison tolerance; exactness on the real side lives in the
+rational helpers (`rational_abs`) used by the verification oracles, not in
+the scalar type.
 """
 
 from __future__ import annotations
@@ -92,15 +95,20 @@ def int_valuation(n: int, p: int) -> int:
 
 
 def floor_log(q, p: int) -> int:
-    """Largest e with p**e <= q, for a positive rational q.
+    """Largest e with p**e <= q, for a positive rational q."""
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError(f"floor_log needs a positive rational, got {q}")
+    return int_floor_log(q.numerator, q.denominator, p)
+
+
+def int_floor_log(num: int, den: int, p: int) -> int:
+    """Largest e with p**e <= num/den, for positive integers num and den
+    that need not be coprime.
 
     The bit lengths of numerator and denominator estimate e to within one;
     exact integer comparisons then settle it.
     """
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError(f"floor_log needs a positive rational, got {q}")
-    num, den = q.numerator, q.denominator
 
     def at_most_q(e: int) -> bool:
         return p**e * den <= num if e >= 0 else den <= num * p ** (-e)
@@ -434,6 +442,45 @@ def _padic_add(a: PadicScalar, b: PadicScalar, subtract: bool = False) -> PadicS
             r -= b.unit * p ** (b.val - base)
         else:
             r += b.unit * p ** (b.val - base)
+    return _padic_make(a.descriptor, base, r, m)
+
+
+def padic_sub_product(a: PadicScalar, f: PadicScalar, b: PadicScalar) -> PadicScalar:
+    """a - f * b as one residue, bit for bit `_padic_mul(f, b)` followed by
+    `_padic_add(a, ..., subtract=True)`: the row update of an elimination.
+
+    The product q is the exact zero when a factor is, the bounded zero
+    O(p^(ef + eb)) when a factor is a bounded zero (e a factor's val, or its
+    prec for a bounded zero), and otherwise f.unit * b.unit at valuation
+    f.val + b.val, known to the lesser digit count k.  That unit is not
+    reduced mod p^k: the difference is reduced mod p^(m - base) with m <=
+    q's precision, so the unreduced product leaves the same residue.
+    """
+    if f.prec is None or b.prec is None:
+        return a
+    p = a.descriptor.prime
+    if f.val is None or b.val is None:
+        qval = None
+        qprec = (f.prec if f.val is None else f.val) + (b.prec if b.val is None else b.val)
+    else:
+        qval = f.val + b.val
+        fd, bd = f.prec - f.val, b.prec - b.val
+        qprec = qval + (fd if fd < bd else bd)
+    if a.prec is None:  # -q
+        if qval is None:
+            return PadicScalar(a.descriptor, None, 0, qprec)
+        mod = p ** (qprec - qval)
+        return PadicScalar(a.descriptor, qval, -(f.unit * b.unit) % mod, qprec, mod)
+    m = a.prec if a.prec < qprec else qprec
+    low = a.prec if a.val is None else a.val
+    base = qprec if qval is None else qval
+    if low < base:
+        base = low
+    r = 0
+    if a.val is not None:
+        r = a.unit if a.val == base else a.unit * p ** (a.val - base)
+    if qval is not None:
+        r -= f.unit * b.unit if qval == base else f.unit * b.unit * p ** (qval - base)
     return _padic_make(a.descriptor, base, r, m)
 
 

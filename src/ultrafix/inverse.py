@@ -29,6 +29,7 @@ from .contraction import (
 from .errors import (
     DimensionMismatch,
     DomainViolation,
+    InconsistentCertificate,
     NotCertifiable,
     SingularA,
     SingularMatrix,
@@ -66,13 +67,26 @@ class InversionCertificate:
     ultrametric: bool
 
     def __post_init__(self):
-        assert self.sigma < 1 / self.norm_A_inv
-        assert self.a == 1 / self.norm_A_inv - self.sigma and self.a > 0
-        assert self.b == self.norm_A + self.sigma
-        assert self.alpha == 1 - self.sigma * self.norm_A_inv
-        assert 0 < self.alpha <= 1
-        assert self.beta == 1 + self.sigma * self.norm_A_inv
-        assert 1 <= self.beta < 2
+        """One explicit check of the seven constants (not an assert, so it
+        holds under python -O): InconsistentCertificate names every relation
+        that fails and carries the constants."""
+        sigma, norm, norm_inv = self.sigma, self.norm_A, self.norm_A_inv
+        threshold = 1 / norm_inv if norm_inv > 0 else None
+        relations = (
+            ("sigma < 1/|A^-1|", threshold is not None and sigma < threshold),
+            ("a = 1/|A^-1| - sigma > 0", threshold is not None and self.a == threshold - sigma and self.a > 0),
+            ("b = |A| + sigma", self.b == norm + sigma),
+            ("alpha = 1 - sigma |A^-1|", self.alpha == 1 - sigma * norm_inv),
+            ("0 < alpha <= 1", 0 < self.alpha <= 1),
+            ("beta = 1 + sigma |A^-1|", self.beta == 1 + sigma * norm_inv),
+            ("1 <= beta < 2", 1 <= self.beta < 2),
+        )
+        failed = [name for name, holds in relations if not holds]
+        if failed:
+            raise InconsistentCertificate(failed, {
+                name: getattr(self, name)
+                for name in ("norm_A", "norm_A_inv", "sigma", "a", "b", "alpha", "beta")
+            })
 
     @classmethod
     def from_anchor(cls, A_rows, A_inv, sigma: Fraction, ball: Ball) -> "InversionCertificate":

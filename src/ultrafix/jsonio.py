@@ -9,11 +9,12 @@ real side.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import calculus
 from .calculus import IdentityReport, MapSpec
-from .contraction import FixedPointReport
+from .contraction import ContractionProblem, FixedPointReport
 from .errors import BudgetExceeded, SchemaError
 from .field import FieldDescriptor, PadicScalar, RealScalar, Scalar, frac_str
 from .implicit import ImplicitSolution, ParamWindow
@@ -216,6 +217,44 @@ def encode_image(img: ImageDescription):
             skew_outer=enc(img.skew_outer),
         )
     return out
+
+
+REPORT_BUDGET = 2**20
+"""The most characters the step list of a `fixpoint` report may take as
+the CLI prints it.  Each step lists its bound theta^k d0 and its actual
+size, exact rationals over Q_p, so the list grows quadratically with the
+step count: over Q5 the golden map's report is 0.79 MB at N = 1000 and
+11.5 MB at N = 4000.  `check_report_budget` refuses a larger one before
+the first step."""
+
+_STEP_LAYOUT = 63
+"""Characters of one printed step besides its two constants: the keys,
+quotes, indentation and line breaks at the report's depth."""
+
+
+def check_report_budget(problem: ContractionProblem, steps: int) -> None:
+    """Raise BudgetExceeded (`steps`, `size`, `budget`) when the step list
+    of a `fixpoint` report of `steps` steps would pass REPORT_BUDGET.
+
+    The size is estimated before any step, from logarithms: step k prints
+    two constants the size of its bound theta^k d0, "num/den" with the
+    digits of a^k c and b^k d over Q_p (theta = a/b, d0 = c/d), a double of
+    at most 24 characters over the reals.
+    """
+    if problem.descriptor.ultrametric:
+        theta, d0 = problem.theta, problem.initial_displacement()
+        growth = sum(math.log10(max(n, 1)) for n in (theta.numerator, theta.denominator))
+        start = math.log10(max(d0.numerator, 1)) + math.log10(d0.denominator) + 5  # digits, "/" and quotes
+        constant = growth * (steps - 1) / 2 + start  # the mean over k < steps
+    else:
+        constant = 24
+    size = math.ceil(steps * (_STEP_LAYOUT + 2 * constant))
+    if size > REPORT_BUDGET:
+        raise BudgetExceeded(
+            f"a fixpoint report of {steps} steps would print about {size} characters "
+            f"of steps, above the budget of {REPORT_BUDGET}",
+            steps=steps, size=size, budget=REPORT_BUDGET,
+        )
 
 
 def encode_fixed_point_report(report: FixedPointReport, descriptor: FieldDescriptor):

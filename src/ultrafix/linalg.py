@@ -2,9 +2,13 @@
 
 Everything is max-norm based: the operator norm is the max entry absolute
 value in the ultrametric case and the max row sum in the real case, both in
-closed form.  Rational twins of the matrix routines (suffix ``rat_``) are
-exact (the inverse eliminates in integers) and back the certificate
-computations.
+closed form.  Over field scalars there is one Gauss-Jordan elimination, on
+[A | B]: the inverse eliminates on [A | I], a solve of A x = v on the
+column v, forming no inverse, and only the isometry test reads the
+determinant.
+Over Q_p each row update is one fused `a - f * b` kernel.  Rational twins
+of the matrix routines (suffix ``rat_``) are exact (the inverse eliminates
+in integers) and back the certificate computations.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .field import (
     abs_upper_bound,
     embed_rational,
     field_abs,
+    padic_sub_product,
     rational_abs,
     rational_valuation,
     valuation_abs,
@@ -166,23 +171,34 @@ def _operator_norm_upper(A: Operator):
     return max(sum(abs_upper_bound(a) for a in row) for row in A.entries)
 
 
-def _field_gauss_jordan(A: Operator):
-    """Gauss-Jordan elimination over field scalars: (inverse rows, determinant).
+def _field_gauss_jordan(A: Operator, B=None):
+    """Gauss-Jordan elimination over field scalars on [A | B]: (X rows, det)
+    with A X = B.
+
+    B is a sequence of rows, the identity when omitted: X is then A^-1, and
+    only then is det, A's determinant, formed (None otherwise).  A solve
+    passes its right-hand side as one column and forms no inverse.
 
     Each column pivots on its first entry of largest absolute value (over
     Q_p, of least valuation); a column whose largest entry is zero at
-    tracked precision raises SingularMatrix.  Over Q_p the pivot row is
-    scaled by one inverse r = 1/piv: a * r and a / piv agree in valuation,
-    digits and precision, since r keeps all of piv's digits.  Real rows are
-    divided, as a * (1/piv) would round differently.
+    tracked precision raises SingularMatrix.  Once column col is the pivot
+    column, no later step reads columns up to col, so only the entries right
+    of it are updated.  Over Q_p the pivot row is scaled by one inverse
+    r = 1/piv: a * r and a / piv agree in valuation, digits and precision,
+    since r keeps all of piv's digits; and each row update a - factor * b
+    is one `padic_sub_product`.  Real rows are divided, as a * (1/piv) would
+    round differently, and updated by `a - factor * b`.
     """
     desc = A.descriptor
     ultra = desc.ultrametric
-    one, zero = desc.one(), desc.zero()
+    one = desc.one()
     n = len(A.entries)
-    work = [list(row) for row in A.entries]
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    det = one
+    det = None
+    if B is None:
+        zero = desc.zero()
+        B = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        det = one
+    work = [list(a) + list(b) for a, b in zip(A.entries, B)]
     for col in range(n):
         if ultra:
             pivot_row = min(range(col, n), key=lambda r: _pivot_valuation(work[r][col]))
@@ -192,26 +208,29 @@ def _field_gauss_jordan(A: Operator):
             raise SingularMatrix(f"no nonzero pivot in column {col} at tracked precision")
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-            det = -det
+            if det is not None:
+                det = -det
         piv = work[col][col]
-        det = det * piv
+        if det is not None:
+            det = det * piv
         if ultra:
             r = one / piv
-            work[col] = [a * r for a in work[col]]
-            inv[col] = [a * r for a in inv[col]]
+            top = [a * r for a in work[col][col + 1:]]
         else:
-            work[col] = [a / piv for a in work[col]]
-            inv[col] = [a / piv for a in inv[col]]
-        for r in range(n):
-            if r == col:
+            top = [a / piv for a in work[col][col + 1:]]
+        work[col][col + 1:] = top
+        for i in range(n):
+            if i == col:
                 continue
-            factor = work[r][col]
+            row = work[i]
+            factor = row[col]
             if factor.is_zero():
                 continue
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-            inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
-    return inv, det
+            if ultra:
+                row[col + 1:] = [padic_sub_product(a, factor, b) for a, b in zip(row[col + 1:], top)]
+            else:
+                row[col + 1:] = [a - factor * b for a, b in zip(row[col + 1:], top)]
+    return [row[n:] for row in work], det
 
 
 def _pivot_valuation(a: PadicScalar):
@@ -226,6 +245,16 @@ def invert_exact(A: Operator) -> Operator:
         raise DimensionMismatch("only square operators invert")
     inv, _ = _field_gauss_jordan(A)
     return Operator(tuple(tuple(row) for row in inv))
+
+
+def solve_exact(A: Operator, v: Vector) -> Vector:
+    """The x with A x = v, by the same elimination on [A | v]: no inverse,
+    no product with it."""
+    n, m = A.shape
+    if n != m or v.dim != n:
+        raise DimensionMismatch(f"operator is {n}x{m}, vector has dim {v.dim}")
+    x, _ = _field_gauss_jordan(A, [(c,) for c in v.components])
+    return Vector(tuple(row[0] for row in x))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ultrafix import BudgetExceeded, FieldDescriptor, calculus, cli
+from ultrafix import BudgetExceeded, FieldDescriptor, calculus, cli, jsonio
 from ultrafix.field import frac_str
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -528,3 +528,34 @@ def test_cli_implicit_exact_image_over_the_reals_is_a_schema_error():
     assert code == 2
     assert payload["error"] == {"kind": "SchemaError",
                                 "message": "exact images exist only over ultrametric fields"}
+
+
+def _printed_steps(text):
+    """The characters of the step list of a printed fixpoint report."""
+    start = text.index('"steps": [') + len('"steps": [')
+    return text.index("\n      ]", start) - start
+
+
+def test_cli_fixpoint_report_over_the_budget_exits_1_before_the_first_step(monkeypatch):
+    # the golden map over Q5 (the golden itself has 3 steps): 999 steps at
+    # N = 1000 print 0.77 MB of steps, within the budget; 1999 at N = 2000
+    # would print about 2.9 MB
+    q5 = {"kind": "padic", "prime": 5, "precision": 1000}
+    out = io.StringIO()
+    assert cli.run(with_field("fixpoint_golden", q5), stream=out) == 0
+    printed = _printed_steps(out.getvalue())
+    assert 0.7e6 < printed < jsonio.REPORT_BUDGET
+    solved = []
+    real_iterate = cli.iterate_fixed_point
+    monkeypatch.setattr(cli, "iterate_fixed_point", lambda *args: solved.append(args) or real_iterate(*args))
+    start = time.perf_counter()
+    code, payload = run_in_process(with_field("fixpoint_golden", dict(q5, precision=2000)))
+    assert time.perf_counter() - start < 0.5
+    assert (code, payload["error"]["kind"], solved) == (1, "BudgetExceeded", [])
+    error = payload["error"]
+    assert (error["steps"], error["budget"]) == (1999, jsonio.REPORT_BUDGET) and 2.8e6 < error["size"] < 3e6
+    # the estimate is within 1% of what N = 1000 prints
+    monkeypatch.setattr(jsonio, "REPORT_BUDGET", 0)
+    code, payload = run_in_process(with_field("fixpoint_golden", q5))
+    assert (code, payload["error"]["steps"], solved) == (1, 999, [])
+    assert abs(payload["error"]["size"] - printed) < printed / 100

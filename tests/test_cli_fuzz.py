@@ -4,13 +4,12 @@ Each request takes the fixture payloads of one of the five commands and
 drops a key or swaps in a junk value at one or two random places.  Whatever
 comes in, `cli.run` must answer with exit code 0, 1 or 2 and JSON on stdout,
 and a failure must name its error kind; no exception may escape.  Junk values
-stay small: precision, --samples and the monomial degree have budgets
-(field.PRECISION_BUDGET_BITS, calculus.SAMPLE_BUDGET, calculus.DEGREE_BUDGET),
-but a `fixpoint` report grows quadratically with the precision and has no
-budget of its own, so a precision near its budget could make a well-formed
-request run for minutes.  A second test, with its own seed, mutates the
-serialized JSON text instead (truncation, a duplicate key, a spliced integer
-literal too long to parse) under the same property.
+stay small; precision, --samples, the monomial degree and the step list of a
+`fixpoint` report have budgets (field.PRECISION_BUDGET_BITS,
+calculus.SAMPLE_BUDGET, calculus.DEGREE_BUDGET, jsonio.REPORT_BUDGET).  A
+second test, with its own seed, mutates the serialized JSON text instead
+(truncation, a duplicate key, a spliced integer literal too long to parse)
+under the same property.
 """
 
 import copy

@@ -31,6 +31,7 @@ from ultrafix.contraction import (
     _certified_bound,
     _check_step,
     _plan,
+    _power_exponent,
     _step_count,
     default_target_precision,
     newton_fixed_point,
@@ -40,6 +41,7 @@ from ultrafix.errors import PrecisionExhausted
 from ultrafix.field import abs_upper_bound, floor_log, frac_str, num_str, rational_valuation, truncate_precision
 from ultrafix.implicit import build_window
 from ultrafix.inverse import inversion_step_map
+from ultrafix import linalg
 from ultrafix.linalg import Operator, invert_exact
 
 
@@ -848,3 +850,56 @@ def test_domain_escapes_carry_step_distance_and_radius(q5, real, monkeypatch):
         newton_fixed_point(ContractionProblem(
             poly(1, [(1, (0,)), (-4, (1,))]), Ball(q5, (0,), 1), Fraction(1, 5), (0,)))
     assert err.value.details == {"step": "1", "distance": "5/1", "radius": "1/1"}
+
+
+def test_newton_passes_solve_as_the_inverse_would(monkeypatch):
+    # every (I - Dg) s = g(x) - x a Newton pass solves, over seeded deep
+    # problems, equals invert_exact(I - Dg).apply(g(x) - x) bit for bit; the
+    # pass forms no inverse and applies no operator
+    systems = []
+    real_solve = contraction.solve_exact
+    rng = random.Random(7600)
+    problems = []
+    for p in (3, 5, 7):
+        for N in (8, 64, 256):
+            for n in (1, 2, 3, 4):
+                for rep in range(4):
+                    flat = (1, p, p * p, 1)[rep]
+                    target = None if rep % 3 else Fraction(1, p ** rng.randint(2, 12))
+                    problems.append((_deep_problem(rng, p, n, N, implicit=rep == 1, flat=flat), target))
+
+    def refuse(*args):
+        raise AssertionError("a Newton pass formed an inverse or applied an operator")
+
+    monkeypatch.setattr(contraction, "solve_exact", lambda A, v: systems.append((A, v)) or real_solve(A, v))
+    monkeypatch.setattr(linalg, "invert_exact", refuse)
+    monkeypatch.setattr(Operator, "apply", refuse)
+    for problem, target in problems:
+        newton_fixed_point(problem, target)
+    monkeypatch.undo()
+    assert len(systems) >= 600 and {v.dim for _, v in systems} == {1, 2, 3, 4}
+    for A, v in systems:
+        want = invert_exact(A).apply(v).components
+        assert [_raw(c) for c in real_solve(A, v).components] == [_raw(c) for c in want]
+
+
+def _raw(x):
+    return (x.val, x.unit, x.prec)
+
+
+def test_integer_exponents_match_floor_log():
+    # p^e, the largest p-power <= theta^n d0 (/ (1 - theta)), from the
+    # integer parts of theta and d0, against floor_log of the Fraction
+    for p in (2, 3, 5, 7):
+        thetas = [Fraction(0), Fraction(1, p), Fraction(1, p**3), Fraction(2, 7), Fraction(3, 10),
+                  Fraction(p - 1, p + 1), 1 - Fraction(1, 10**6)]
+        for theta in thetas:
+            for d0 in (Fraction(0), Fraction(1), Fraction(1, p), Fraction(p**2), Fraction(1, p**40)):
+                for n in (0, 1, 2, 3, 5, 64, 1000, 4095, 4096):
+                    for geometric in (False, True):
+                        value = theta**n * d0 / (1 - theta if geometric else 1)
+                        want = floor_log(value, p) if value else None
+                        assert _power_exponent(theta, d0, n, p, geometric) == want, (p, theta, d0, n)
+                    desc = FieldDescriptor.padic(p, 8)
+                    bound = _certified_bound(theta, d0, n, desc)
+                    assert bound == (Fraction(p) ** want if value else 0)

@@ -14,12 +14,13 @@ from ultrafix import (
     rational_abs,
 )
 from ultrafix.field import PRIME_BOUND, _is_prime, floor_log, int_valuation, truncate_precision
-from ultrafix.field import PadicScalar, _padic_make, padic_polynomial
+from ultrafix.field import PadicScalar, _padic_make, padic_polynomial, rational_valuation
 from ultrafix.field import _padic_div, unit_inverse
 from functools import reduce
 from ultrafix import contraction, field
 from ultrafix.errors import SingularMatrix
 from ultrafix.linalg import Ball, Operator, Vector, _field_gauss_jordan, vec_norm
+from ultrafix.linalg import _pivot_valuation, invert_exact, solve_exact
 
 
 # The n-ary sum that was the package's addition rule, kept verbatim: the
@@ -742,3 +743,109 @@ def test_every_construction_checks_the_unit(monkeypatch):
         embed_rational(rng.randint(-99, 99), rng.randint(1, 99), desc)
         _elimination(Operator(((b, a), (a, b))))
     assert len(seen) >= 5000
+
+
+def _zero_kind(x):
+    if x.is_exact_zero():
+        return "exact_zero"
+    return "bounded_zero" if x.val is None else "nonzero"
+
+
+def test_row_update_is_the_product_then_the_difference():
+    # padic_sub_product(a, f, b) against a - f * b, every zero kind on every
+    # side, and a third of the pairs set up so that f * b cancels a
+    rng = random.Random(6600)
+    kinds = {"exact_zero": 0, "bounded": 0, "bounded_nonpositive": 0, "negative_val": 0}
+    sides = {(side, kind): 0 for side in "afb" for kind in ("exact_zero", "bounded_zero", "nonzero")}
+    cancelled = triples = 0
+    for desc in _descriptors(rng):
+        for _ in range(3):
+            f, b = _random_term(rng, desc, kinds), _random_term(rng, desc, kinds)
+            a = f * b if rng.random() < 0.3 else _random_term(rng, desc, kinds)
+            want = a - f * b
+            got = field.padic_sub_product(a, f, b)
+            assert _raw(got) == _raw(want), (desc, _raw(a), _raw(f), _raw(b))
+            for side, x in zip("afb", (a, f, b)):
+                sides[side, _zero_kind(x)] += 1
+            cancelled += want.val is None and a.val is not None
+            triples += 1
+    assert triples >= 2000 and cancelled >= 100
+    assert min(sides.values()) >= 100, sides
+    assert min(kinds.values()) >= 100, kinds
+
+
+def _uniform_entry(rng, desc, m, least_val):
+    """An entry known modulo p^m: the exact zero, O(p^m), or a value of
+    valuation least_val..m - 1."""
+    p, r = desc.prime, rng.random()
+    if r < 0.1:
+        return desc.zero()
+    if r < 0.2:
+        return PadicScalar(desc, None, 0, m)
+    val = rng.randint(max(least_val, m - desc.precision), m - 1)
+    unit = rng.randrange(1, p ** (m - val))
+    return PadicScalar(desc, val, unit + (unit % p == 0), m)
+
+
+def test_right_hand_side_elimination_matches_the_inverse_on_newton_systems():
+    # I - D with |D| < 1 and a right-hand side, all known to one absolute
+    # precision m, as in a Newton pass at working precision: both ways
+    # compute the one solution modulo p^m, so they agree bit for bit
+    rng = random.Random(6700)
+    sizes, kinds = set(), {"exact_zero": 0, "bounded_zero": 0, "nonzero": 0}
+    for _ in range(800):
+        desc = FieldDescriptor.padic(rng.choice((2, 3, 5, 7)), rng.randint(2, 24))
+        n, m = rng.randint(1, 4), rng.randint(2, desc.precision)
+        one = desc.one()
+        D = [[_uniform_entry(rng, desc, m, 1) for _ in range(n)] for _ in range(n)]
+        A = Operator(tuple(tuple(one - a if i == j else -a for j, a in enumerate(row)) for i, row in enumerate(D)))
+        v = Vector(tuple(_uniform_entry(rng, desc, m, 0) for _ in range(n)))
+        got = [_raw(c) for c in solve_exact(A, v).components]
+        assert got == [_raw(c) for c in invert_exact(A).apply(v).components], (desc, m)
+        sizes.add(n)
+        for x in [a for row in D for a in row] + list(v.components):
+            kinds[_zero_kind(x)] += 1
+    assert sizes == {1, 2, 3, 4}
+    assert min(kinds.values()) >= 300, kinds
+
+
+def test_right_hand_side_elimination_agrees_with_the_inverse_on_general_systems():
+    # Any square system: the same pivots, so the same SingularMatrix message;
+    # otherwise the solution agrees with A^-1 v on the digits both know.  The
+    # known digits themselves may differ (the two ways track precision along
+    # different sums), except for n = 1, where both are v * (1/a).
+    rng = random.Random(6800)
+    kinds = {"exact_zero": 0, "bounded": 0, "bounded_nonpositive": 0, "negative_val": 0}
+    outcomes = {"singular": 0, "solved": 0, "positive_pivot": 0, "one_by_one": 0}
+    for _ in range(700):
+        desc = FieldDescriptor.padic(rng.choice((2, 3, 5, 7)), _kernel_precision(rng))
+        p, n = desc.prime, rng.randint(1, 4)
+        rows = [[_matrix_entry(rng, desc, kinds) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            rows[-1] = list(rows[0])  # equal rows
+        if rng.random() < 0.3:  # a column of positive valuation
+            scale = embed_rational(p ** rng.randint(1, 3), 1, desc)
+            for row in rows:
+                row[0] = row[0] * scale
+        A = Operator(tuple(tuple(r) for r in rows))
+        v = Vector(tuple(_random_term(rng, desc, kinds) for _ in range(n)))
+        try:
+            want = invert_exact(A).apply(v).components
+        except SingularMatrix as exc:
+            with pytest.raises(SingularMatrix) as err:
+                solve_exact(A, v)
+            assert str(err.value) == str(exc)
+            outcomes["singular"] += 1
+            continue
+        got = solve_exact(A, v).components
+        for x, y in zip(got, want):
+            diff = x.to_rational() - y.to_rational()
+            known = [c.prec for c in (x, y) if c.prec is not None]  # the exact zero knows all
+            assert diff == 0 or (known and rational_valuation(diff, p) >= min(known)), (desc, _raw(x), _raw(y))
+        if n == 1:
+            assert [_raw(c) for c in got] == [_raw(c) for c in want]
+            outcomes["one_by_one"] += 1
+        outcomes["solved"] += 1
+        outcomes["positive_pivot"] += min(_pivot_valuation(r[0]) for r in rows) > 0
+    assert min(outcomes.values()) >= 80, outcomes
+    assert min(kinds.values()) >= 100, kinds

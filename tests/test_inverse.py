@@ -227,3 +227,45 @@ def test_deep_padic_invert_takes_newton_steps_and_matches_banach():
     assert (v.val, v.unit, v.prec) == (oracle.val, oracle.unit, oracle.prec)
     x = v.to_rational()
     assert v.prec >= 64 and (x * x + x - 5) % 5**v.prec == 0
+
+
+
+_INCONSISTENT = """
+import dataclasses, json
+from fractions import Fraction
+from ultrafix import Ball, FieldDescriptor, InconsistentCertificate, MapSpec, certify
+
+q5 = FieldDescriptor.padic(5, 4)
+cert = certify(MapSpec.from_coefficients(1, [[(1, (1,)), (1, (2,))]]), Ball(q5, (0,), Fraction(1, 5)))
+try:
+    dataclasses.replace(cert, a=cert.a + 1, beta=Fraction(2))
+except InconsistentCertificate as exc:
+    print(json.dumps(exc.details))
+"""
+
+
+def test_inconsistent_certificate_is_refused_also_under_python_O(q5):
+    # the seven constants are checked by one explicit test, which python -O
+    # keeps, not by asserts, which it strips
+    import dataclasses
+    import json
+    import os
+    import subprocess
+    import sys
+
+    from ultrafix import InconsistentCertificate
+
+    cert = certify(PLUS_SQUARE, Ball(q5, (0,), Fraction(1, 5)))
+    assert dataclasses.replace(cert) == cert
+    with pytest.raises(InconsistentCertificate, match="a = 1/|A\\^-1| - sigma > 0") as err:
+        dataclasses.replace(cert, a=cert.a + 1, beta=Fraction(2))
+    details = err.value.details
+    assert details["failed"] == ["a = 1/|A^-1| - sigma > 0", "beta = 1 + sigma |A^-1|", "1 <= beta < 2"]
+    assert (details["sigma"], details["a"], details["beta"], details["norm_A_inv"]) == ("1/5", "9/5", "2/1", "1/1")
+    with pytest.raises(InconsistentCertificate) as err:
+        dataclasses.replace(cert, norm_A_inv=Fraction(0))
+    assert "sigma < 1/|A^-1|" in err.value.details["failed"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-O", "-c", _INCONSISTENT], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == details
