@@ -63,7 +63,6 @@ from .implicit import (
     ParamWindow,
     build_window,
     solve_implicit,
-    ultrametric_window,
 )
 from .inverse import (
     ImageDescription,

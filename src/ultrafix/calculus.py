@@ -28,7 +28,7 @@ from .field import (
     padic_polynomial,
     rational_valuation,
 )
-from .linalg import Ball, Operator, Vector, rat_identity, rat_mat_vec
+from .linalg import Ball, Operator, Vector, _exact, rat_identity, rat_mat_vec
 
 Monomial = tuple[tuple[int, ...], Fraction]
 
@@ -349,12 +349,6 @@ def substitute_prefix(f: MapSpec, values: Sequence, first: int = 0) -> MapSpec:
     return MapSpec(f.domain_dim - len(vals), tuple(outputs))
 
 
-def _rational(x):
-    """An int or Fraction as it is (both have numerator and denominator),
-    anything else as a Fraction."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
-
-
 def affine_map(
     f: MapSpec, rows: Sequence[Sequence], linear: Sequence[Sequence] | None = None,
     shift: Sequence | None = None,
@@ -374,12 +368,13 @@ def affine_map(
         raise DimensionMismatch("linear part shape mismatch")
     _, table = _int_table(f)
     units = tuple(tuple(int(v == j) for v in range(m)) for j in range(m))
+    shift = None if shift is None else _exact(shift)
     outputs = []
     for i, row in enumerate(rows):
-        row = [_rational(a) for a in row]
-        extra = [] if linear is None else list(zip(units, map(_rational, linear[i])))
+        row = _exact(row)
+        extra = [] if linear is None else list(zip(units, _exact(linear[i])))
         if shift is not None:
-            extra.append(((0,) * m, _rational(shift[i])))
+            extra.append(((0,) * m, shift[i]))
         den = math.lcm(
             *(a.denominator * D for a, (D, _) in zip(row, table) if a),
             *(b.denominator for _, b in extra),

@@ -47,7 +47,6 @@ from .field import (
     int_floor_log,
     num_str,
     rational_abs,
-    rational_valuation,
     truncate_precision,
     valuation_abs,
 )
@@ -325,13 +324,30 @@ def _domain_escape(what: str, x: Vector, ball: Ball, step: int):
     )
 
 
-def _residual_escape(residual, target: Fraction):
-    """The final residual of a solve missed its target."""
-    residual, target = num_str(residual), num_str(target)
-    raise DomainEscape(
-        f"residual {residual} above target {target}: contraction claim failed",
-        residual=residual, target=target,
-    )
+def _certified_close(problem: ContractionProblem, x: Vector, bound: Fraction, target: Fraction) -> Vector:
+    """x truncated to the digits its certified bound proves, once the final
+    residual |g(x) - x| is checked against the target.
+
+    Over Q_p the bound is a p-power p^-e, and x keeps e digits (all of them
+    at bound 0).  A real residual may pass the target by theta times it,
+    as |g(x) - x| <= (1 + theta) |x - x*|, and by the field tolerance.
+    """
+    desc = problem.descriptor
+    if desc.ultrametric and bound > 0:
+        exponent = -floor_log(bound, desc.prime)
+        x = Vector(tuple(truncate_precision(c, exponent) for c in x.components))
+    residual = vec_norm(eval_map(problem.f, x) - x)
+    if desc.ultrametric:
+        fixed_ok = residual <= target
+    else:
+        fixed_ok = residual <= (1 + float(problem.theta)) * float(target) + desc.tolerance
+    if not fixed_ok:
+        residual, target = num_str(residual), num_str(target)
+        raise DomainEscape(
+            f"residual {residual} above target {target}: contraction claim failed",
+            residual=residual, target=target,
+        )
+    return x
 
 
 def _check_exact_real(problem: ContractionProblem, x: Vector) -> None:
@@ -381,22 +397,11 @@ def iterate_fixed_point(
             break
     achieved = distances[-1] if distances else (Fraction(0) if desc.ultrametric else 0.0)
     guarantee = _certified_bound(theta, d0, len(trace) - 1, desc) + problem.rounding_bound
-    if desc.ultrametric and d0 > 0:
-        if guarantee > 0:
-            exponent = -rational_valuation(guarantee, desc.prime)
-            x = Vector(tuple(truncate_precision(c, exponent) for c in x.components))
     if not desc.ultrametric and target == 0:
         _check_exact_real(problem, x)
         guarantee = Fraction(0)
-    residual = vec_norm(eval_map(problem.f, x) - x)
-    if desc.ultrametric:
-        fixed_ok = residual <= target
-    else:
-        fixed_ok = residual <= (1 + float(theta)) * float(target) + desc.tolerance
-    if not fixed_ok:
-        _residual_escape(residual, target)
     return FixedPointReport(
-        fixed_point=x,
+        fixed_point=_certified_close(problem, x, guarantee, target),
         iterations=len(trace) - 1,
         trace=trace,
         apriori_bounds=bounds,
@@ -558,13 +563,7 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
         posterior = max(abs_upper_bound(c) for c in (gx - x).components)
         bound = max(posterior, bound)
         x = gx
-    if bound > 0:
-        exponent = -floor_log(bound, desc.prime)
-        x = Vector(tuple(truncate_precision(c, exponent) for c in x.components))
-    residual = vec_norm(eval_map(f, x) - x)
-    if residual > target:
-        _residual_escape(residual, target)
-    return x
+    return _certified_close(problem, x, bound, target)
 
 
 def lipschitz_theta(f: MapSpec, ball: Ball) -> Fraction:

@@ -201,19 +201,6 @@ def build_window(
     )
 
 
-def ultrametric_window(
-    f: MapSpec,
-    p0,
-    x0,
-    descriptor: FieldDescriptor | None = None,
-    max_shrink: int = 60,
-) -> ParamWindow:
-    """A window whose target set is the exact common image of every f(p, .)."""
-    return build_window(
-        f, p0, x0, descriptor=descriptor, max_shrink=max_shrink, exact_image=True
-    )
-
-
 def solve_implicit(
     window: ParamWindow,
     f: MapSpec,

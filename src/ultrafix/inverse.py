@@ -35,7 +35,7 @@ from .errors import (
     SingularMatrix,
     TargetOutsideGuarantee,
 )
-from .field import FieldDescriptor, rational_abs
+from .field import FieldDescriptor
 from .linalg import (
     Ball,
     Operator,
@@ -152,24 +152,16 @@ def certify(
 
 
 def _solve_ball(cert: InversionCertificate, base, radius) -> Ball:
+    """The closed sub-ball B[base, radius] of the certified ball, each
+    defaulting to the certified one's."""
     ball = cert.ball
     if base is None and radius is None:
         return ball
-    base = ball.center_exact if base is None else tuple(Fraction(v) for v in base)
-    radius = ball.radius if radius is None else Fraction(radius)
-    if not ball.contains_rational(base):
-        raise DomainViolation("base point outside the certified ball")
-    desc = cert.descriptor
-    if desc.ultrametric:
-        if radius > ball.radius:
-            raise DomainViolation("sub-ball radius exceeds the certified radius")
-    else:
-        dist = max(
-            rational_abs(a - b, desc) for a, b in zip(base, ball.center_exact)
-        )
-        if dist + radius > ball.radius:
-            raise DomainViolation("sub-ball leaves the certified ball")
-    return Ball(desc, base, radius, closed=True)
+    base = ball.center_exact if base is None else base
+    sub = Ball(cert.descriptor, base, ball.radius if radius is None else radius, closed=True)
+    if not ball.contains_ball(sub):
+        raise DomainViolation("sub-ball is not inside the certified ball")
+    return sub
 
 
 def inversion_step_map(cert: InversionCertificate, f: MapSpec, c: Sequence) -> MapSpec:

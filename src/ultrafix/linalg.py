@@ -3,9 +3,8 @@
 Everything is max-norm based: the operator norm is the max entry absolute
 value in the ultrametric case and the max row sum in the real case, both in
 closed form.  Over field scalars there is one Gauss-Jordan elimination, on
-[A | B]: the inverse eliminates on [A | I], a solve of A x = v on the
-column v, forming no inverse, and only the isometry test reads the
-determinant.
+[A | B]: the inverse eliminates on [A | I] and a solve of A x = v on the
+column v, forming no inverse; no determinant is formed.
 Over Q_p each row update is one fused `a - f * b` kernel.  Rational twins
 of the matrix routines (suffix ``rat_``) are exact (the inverse eliminates
 in integers) and back the certificate computations.
@@ -14,7 +13,6 @@ in integers) and back the certificate computations.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
@@ -171,13 +169,12 @@ def _operator_norm_upper(A: Operator):
     return max(sum(abs_upper_bound(a) for a in row) for row in A.entries)
 
 
-def _field_gauss_jordan(A: Operator, B=None):
-    """Gauss-Jordan elimination over field scalars on [A | B]: (X rows, det)
-    with A X = B.
+def _field_gauss_jordan(A: Operator, B) -> list:
+    """Gauss-Jordan elimination over field scalars on [A | B]: the rows of
+    X with A X = B.
 
-    B is a sequence of rows, the identity when omitted: X is then A^-1, and
-    only then is det, A's determinant, formed (None otherwise).  A solve
-    passes its right-hand side as one column and forms no inverse.
+    B is a sequence of rows: the inverse passes the identity, a solve its
+    right-hand side as one column, forming no inverse.
 
     Each column pivots on its first entry of largest absolute value (over
     Q_p, of least valuation); a column whose largest entry is zero at
@@ -193,11 +190,6 @@ def _field_gauss_jordan(A: Operator, B=None):
     ultra = desc.ultrametric
     one = desc.one()
     n = len(A.entries)
-    det = None
-    if B is None:
-        zero = desc.zero()
-        B = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        det = one
     work = [list(a) + list(b) for a, b in zip(A.entries, B)]
     for col in range(n):
         if ultra:
@@ -208,11 +200,7 @@ def _field_gauss_jordan(A: Operator, B=None):
             raise SingularMatrix(f"no nonzero pivot in column {col} at tracked precision")
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
-            if det is not None:
-                det = -det
         piv = work[col][col]
-        if det is not None:
-            det = det * piv
         if ultra:
             r = one / piv
             top = [a * r for a in work[col][col + 1:]]
@@ -230,7 +218,7 @@ def _field_gauss_jordan(A: Operator, B=None):
                 row[col + 1:] = [padic_sub_product(a, factor, b) for a, b in zip(row[col + 1:], top)]
             else:
                 row[col + 1:] = [a - factor * b for a, b in zip(row[col + 1:], top)]
-    return [row[n:] for row in work], det
+    return [row[n:] for row in work]
 
 
 def _pivot_valuation(a: PadicScalar):
@@ -243,8 +231,8 @@ def invert_exact(A: Operator) -> Operator:
     n, m = A.shape
     if n != m:
         raise DimensionMismatch("only square operators invert")
-    inv, _ = _field_gauss_jordan(A)
-    return Operator(tuple(tuple(row) for row in inv))
+    identity = Operator.identity(n, A.descriptor).entries
+    return Operator(tuple(tuple(row) for row in _field_gauss_jordan(A, identity)))
 
 
 def solve_exact(A: Operator, v: Vector) -> Vector:
@@ -253,7 +241,7 @@ def solve_exact(A: Operator, v: Vector) -> Vector:
     n, m = A.shape
     if n != m or v.dim != n:
         raise DimensionMismatch(f"operator is {n}x{m}, vector has dim {v.dim}")
-    x, _ = _field_gauss_jordan(A, [(c,) for c in v.components])
+    x = _field_gauss_jordan(A, [(c,) for c in v.components])
     return Vector(tuple(row[0] for row in x))
 
 
@@ -322,13 +310,13 @@ def _same_repr(a: PadicScalar, b: PadicScalar) -> bool:
     return a.val == b.val and a.unit == b.unit and a.prec == b.prec
 
 
-def classify_isometry(alpha: Operator, samples: int = 32, seed: int = 0) -> str:
+def classify_isometry(alpha: Operator) -> str:
     """Place a square padic operator among {"in_omega", "isometry", "neither"}.
 
     "in_omega" means ||id - alpha|| < 1 (every such operator preserves the
     ultrametric max norm).  General isometries of the max norm are exactly
-    the integral matrices with unit determinant; a deterministic sampled
-    norm-preservation check cross-validates the criterion.
+    the integral matrices with integral inverse (for integral alpha, the
+    same as a unit determinant).
     """
     desc = alpha.descriptor
     if not desc.ultrametric:
@@ -342,22 +330,10 @@ def classify_isometry(alpha: Operator, samples: int = 32, seed: int = 0) -> str:
     if _operator_norm_upper(alpha) > 1:
         return "neither"
     try:
-        _, det = _field_gauss_jordan(alpha)
+        inverse = invert_exact(alpha)
     except SingularMatrix:
         return "neither"
-    if field_abs(det) != 1:
-        return "neither"
-    rng = random.Random(seed)
-    points = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(samples):
-        points.append([rng.randint(-50, 50) for _ in range(n)])
-    for pt in points:
-        if all(x == 0 for x in pt):
-            continue
-        v = Vector.from_rationals(pt, desc)
-        if vec_norm(alpha.apply(v)) != vec_norm(v):
-            return "neither"
-    return "isometry"
+    return "isometry" if _operator_norm_upper(inverse) <= 1 else "neither"
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +402,7 @@ def rat_mat_invert(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("only square matrices invert")
-    rats = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
+    rats = [_exact(row) for row in rows]
     scale = [math.lcm(*(x.denominator for x in row)) for row in rats]
     work = [
         [x.numerator * (s // x.denominator) for x in row] + [int(i == j) for j in range(n)]
@@ -539,13 +515,26 @@ class Ball:
         return True
 
     def contains_ball(self, other: "Ball") -> bool:
+        """Is every point of `other` in this ball?
+
+        Over Q_p an open ball of radius s is the closed one of radius s/p,
+        and a closed ball is inside a closed one when both its distance and
+        its radius are within that radius.  Over the reals other is inside
+        when dist + its radius <= this radius, strictly when this ball is
+        open and other closed."""
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"ball has {other.dim} coordinates, this one {self.dim}")
         dist = max(
             rational_abs(a - b, self.descriptor)
             for a, b in zip(self.center_exact, other.center_exact)
         )
         if self.descriptor.ultrametric:
-            return other.radius <= self.radius and dist <= self.radius
-        return dist + other.radius <= self.radius
+            p = self.descriptor.prime
+            r = self.radius if self.closed else self.radius / p
+            s = other.radius if other.closed else other.radius / p
+            return dist <= r and s <= r
+        reach = dist + other.radius
+        return reach < self.radius if other.closed and not self.closed else reach <= self.radius
 
     def coordinate_sups(self) -> tuple[Fraction, ...]:
         """Per-coordinate sup of |x_i| over the ball (exact)."""

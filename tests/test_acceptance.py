@@ -32,7 +32,6 @@ from ultrafix import (
     neumann_invert,
     operator_norm,
     solve_implicit,
-    ultrametric_window,
     vec_norm,
     verify_distortion,
 )
@@ -170,7 +169,7 @@ def built_windows():
     out = []
     for name, f, p0, x0, desc, exact in cases:
         if exact:
-            w = ultrametric_window(f, p0, x0, descriptor=desc)
+            w = build_window(f, p0, x0, descriptor=desc, exact_image=True)
         else:
             w = build_window(f, p0, x0, descriptor=desc)
         out.append((name, f, w))

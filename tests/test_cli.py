@@ -559,3 +559,24 @@ def test_cli_fixpoint_report_over_the_budget_exits_1_before_the_first_step(monke
     code, payload = run_in_process(with_field("fixpoint_golden", q5))
     assert (code, payload["error"]["steps"], solved) == (1, 999, [])
     assert abs(payload["error"]["size"] - printed) < printed / 100
+
+
+def test_cli_certify_refuses_a_ball_outside_an_open_domain():
+    # over Q5 the open B(0, 1/5) is the closed B[0, 1/25]: B[5, 1/25] is
+    # outside it, as |5| = 1/5, while B[25, 1/25] is inside
+    plus_square = json.loads((FIXTURES / "maps/plus_square.json").read_text())
+    plus_square["domain"] = {"center": ["0/1"], "radius": "1/5", "closed": False}
+    q5 = {"kind": "padic", "prime": 5, "precision": 8}
+
+    def certify(center):
+        geometry = {"ball": {"center": [center], "radius": "1/25"}}
+        return run_in_process([
+            "certify", "--map", json.dumps(plus_square), "--field", json.dumps(q5),
+            "--geometry", json.dumps(geometry),
+        ])
+
+    code, payload = certify("5/1")
+    assert code == 1, payload
+    assert payload["error"] == {"kind": "DomainViolation", "message": "ball is not inside the map's domain"}
+    code, payload = certify("25/1")
+    assert code == 0 and payload["result"]["certificate"]["ball"]["center"] == ["25/1"], payload

@@ -3,13 +3,15 @@
 Each request takes the fixture payloads of one of the five commands and
 drops a key or swaps in a junk value at one or two random places.  Whatever
 comes in, `cli.run` must answer with exit code 0, 1 or 2 and JSON on stdout,
-and a failure must name its error kind; no exception may escape.  Junk values
-stay small; precision, --samples, the monomial degree and the step list of a
-`fixpoint` report have budgets (field.PRECISION_BUDGET_BITS,
-calculus.SAMPLE_BUDGET, calculus.DEGREE_BUDGET, jsonio.REPORT_BUDGET).  A
-second test, with its own seed, mutates the serialized JSON text instead
+and a failure must name its error kind; no exception may escape.  A second
+test, with its own seed, mutates the serialized JSON text instead
 (truncation, a duplicate key, a spliced integer literal too long to parse)
-under the same property.
+under the same property.  A third, with its own seed, swaps in junk of any
+size: integers and rationals of 300-1500 digits, p-powers far past the
+precision, 4096 and 10^18, also as --tol, and each request must also answer
+within BIG_SECONDS, as precision, --samples, the monomial degree and the
+step list of a `fixpoint` report have budgets (field.PRECISION_BUDGET_BITS,
+calculus.SAMPLE_BUDGET, calculus.DEGREE_BUDGET, jsonio.REPORT_BUDGET).
 """
 
 import copy
@@ -18,6 +20,7 @@ import json
 import random
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -155,3 +158,76 @@ def test_mutated_request_text_exits_0_1_or_2_with_json():
         codes[code] += 1
     assert min(kinds.values()) >= 50, kinds
     assert codes[2] >= 100 and codes[0] + codes[1] >= 10, codes
+
+
+# Large junk: values far past any fixture's size, where a missing budget
+# would show as a request that spins or runs out of memory.
+BIG_SEED, BIG_COUNT = 20261019, 300
+BIG_SECONDS = 2.0
+
+
+def _digits(rng):
+    count = rng.randint(300, 1500)
+    return str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(count - 1))
+
+
+def _big_junk(rng):
+    """An integer or rational of 300-1500 digits (as a JSON number or a
+    string), a p-power far past the precision, 4096 or 10^18."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice((1, -1)) * int(_digits(rng))
+    if kind == 1:
+        return rng.choice(("", "-")) + _digits(rng)
+    if kind == 2:
+        return f"{rng.choice(('', '-'))}{_digits(rng)}/{_digits(rng)}"
+    if kind == 3:
+        power = rng.choice((2, 3, 5, 7)) ** rng.randint(100, 1700)
+        return rng.choice((power, str(power), f"1/{power}"))
+    return rng.choice((4096, 10**18, -(10**18), "4096", str(10**18), f"1/{10**18}"))
+
+
+def _leaves(node, prefix=()):
+    """The key paths of every value in a JSON value that is not a container."""
+    for place in _paths(node, prefix):
+        child = node
+        for key in place:
+            child = child[key]
+        if not isinstance(child, (dict, list)):
+            yield place
+
+
+def _big_request(rng):
+    command = rng.choice(sorted(REQUESTS))
+    payloads = _payloads(command)
+    flag = rng.choice(sorted(payloads))
+    payload = payloads[flag]
+    for _ in range(rng.randint(1, 2)):
+        place = rng.choice(list(_leaves(payload)))
+        parent = payload
+        for key in place[:-1]:
+            parent = parent[key]
+        parent[place[-1]] = _big_junk(rng)
+    argv = _argv(command, payloads)
+    if command in ("invert", "implicit", "fixpoint") and rng.random() < 0.3:
+        tol = _big_junk(rng)
+        argv += ["--tol", str(tol).lstrip("-")]
+    return argv
+
+
+def test_large_junk_requests_exit_0_1_or_2_with_json_in_time():
+    rng = random.Random(BIG_SEED)
+    codes = {0: 0, 1: 0, 2: 0}
+    for _ in range(BIG_COUNT):
+        argv = _big_request(rng)
+        out = io.StringIO()
+        start = time.perf_counter()
+        code = cli.run(argv, stream=out)
+        elapsed = time.perf_counter() - start
+        assert code in codes, argv
+        assert elapsed < BIG_SECONDS, (elapsed, argv)
+        payload = json.loads(out.getvalue())
+        if code:
+            assert payload["error"]["kind"], argv
+        codes[code] += 1
+    assert min(codes.values()) >= 10, codes

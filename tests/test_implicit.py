@@ -14,7 +14,6 @@ from ultrafix import (
     eval_map,
     solve_implicit,
     implicit,
-    ultrametric_window,
 )
 from ultrafix.contraction import uniform_family_check
 from ultrafix.field import rational_abs
@@ -123,7 +122,7 @@ def test_window_soundness_sampled(q5, real):
 
 
 def test_ultrametric_window_shared_image(q5):
-    w = ultrametric_window(SADDLE, (0,), (0,), descriptor=q5)
+    w = build_window(SADDLE, (0,), (0,), descriptor=q5, exact_image=True)
     assert w.target_ball.exact
     assert w.target_ball.radius == w.state_ball.radius == Fraction(1, 5)
     rng = random.Random(21)
@@ -143,7 +142,7 @@ def test_ultrametric_window_shared_image(q5):
 def test_ultrametric_window_shifted_linear(q5):
     # f(p, x) = x - p at p0 = 5: the image ball sits at x0 - p0
     lin = poly(2, [(1, (0, 1)), (-1, (1, 0))])
-    w = ultrametric_window(lin, (5,), (0,), descriptor=q5)
+    w = build_window(lin, (5,), (0,), descriptor=q5, exact_image=True)
     assert w.z0 == (-5,)
     assert w.target_ball.contains((-5 + 1,)) and w.target_ball.contains((-5,))
     assert not w.target_ball.contains((Fraction(-5, 7) + Fraction(1, 5),))
@@ -152,7 +151,7 @@ def test_ultrametric_window_shifted_linear(q5):
 def test_ultrametric_window_scaled_anchor(q5):
     # state derivative 5*id scales the image radius by 1/5
     f = poly(2, [(5, (0, 1)), (-1, (1, 0)), (25, (0, 3))])
-    w = ultrametric_window(f, (0,), (0,), descriptor=q5)
+    w = build_window(f, (0,), (0,), descriptor=q5, exact_image=True)
     r = w.state_ball.radius
     assert w.target_ball.exact and r == 1
     # pullback membership: |A^-1 w| <= 1 means |w| <= 1/5, e.g. the rational 5

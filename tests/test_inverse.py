@@ -6,6 +6,7 @@ import pytest
 from ultrafix import (
     Ball,
     ContractionProblem,
+    DomainViolation,
     FieldDescriptor,
     MapSpec,
     NotCertifiable,
@@ -18,6 +19,7 @@ from ultrafix import (
     local_invert,
     verify_distortion,
 )
+from ultrafix import inverse
 from ultrafix.contraction import newton_pays
 from ultrafix.field import rational_abs
 from ultrafix.inverse import inversion_step_map
@@ -269,3 +271,74 @@ def test_inconsistent_certificate_is_refused_also_under_python_O(q5):
     out = subprocess.run([sys.executable, "-O", "-c", _INCONSISTENT], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == details
+
+
+def _arithmetic_solve_ball(cert, base, radius):
+    """The sub-ball rule by its own distance and radius arithmetic, an
+    oracle for the rule that asks Ball.contains_ball."""
+    ball = cert.ball
+    if base is None and radius is None:
+        return ball
+    base = ball.center_exact if base is None else tuple(Fraction(v) for v in base)
+    radius = ball.radius if radius is None else Fraction(radius)
+    if not ball.contains_rational(base):
+        raise DomainViolation("base point outside the certified ball")
+    desc = cert.descriptor
+    if desc.ultrametric:
+        if radius > ball.radius:
+            raise DomainViolation("sub-ball radius exceeds the certified radius")
+    else:
+        dist = max(
+            rational_abs(a - b, desc) for a, b in zip(base, ball.center_exact)
+        )
+        if dist + radius > ball.radius:
+            raise DomainViolation("sub-ball leaves the certified ball")
+    return Ball(desc, base, radius, closed=True)
+
+
+def _sub_ball_outcome(solve, cert, base, radius):
+    try:
+        return solve(cert, base, radius)
+    except DomainViolation:
+        return "refused"
+
+
+def test_sub_ball_rule_matches_the_distance_and_radius_arithmetic():
+    # closed certified balls of an affine map (certifiable at any centre);
+    # bases inside, on the boundary and outside; radii at, one p-power or a
+    # hair above, and below the certified one and what is left of it
+    rng = random.Random(1954)
+    outcomes = {"refused": 0, "accepted": 0}
+    for p in (None, 5, 7):
+        desc = FieldDescriptor.real() if p is None else FieldDescriptor.padic(p, 6)
+        for _ in range(250):
+            n = rng.randint(1, 2)
+            f = poly(n, *([(3, tuple(int(i == j) for i in range(n))), (1, (0,) * n)] for j in range(n)))
+            center = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 5)) for _ in range(n))
+            if p is None:
+                r = Fraction(rng.randint(1, 40), rng.randint(1, 8))
+                hair = Fraction(1, 10**12)
+                offsets = (0, r, -r, r / 2, r + hair, Fraction(rng.randint(-80, 80), 16))
+            else:
+                k = rng.randint(-2, 3)
+                r = Fraction(p) ** -k
+                # |u p^(k + d)| = p^-(k + d): on the boundary at d = 0
+                offsets = (0, *(rng.randint(1, p - 1) * Fraction(p) ** (k + d) for d in (-1, 0, 0, 1)))
+            cert = certify(f, Ball(desc, center, r))
+            base = tuple(c + rng.choice(offsets) for c in center) if rng.random() < 0.9 else None
+            if base is None:
+                dist = 0
+            else:
+                dist = max(rational_abs(a - c, desc) for a, c in zip(base, center))
+            if p is None:
+                radii = (r, r + hair, r - dist, r - dist + hair, Fraction(rng.randint(1, 40), 8))
+                radius = rng.choice(radii)
+                radius = radius if radius > 0 else r
+            else:
+                radius = r * Fraction(p) ** rng.choice((-2, -1, 0, 0, 1))
+            radius = None if base is not None and rng.random() < 0.1 else radius
+            got = _sub_ball_outcome(inverse._solve_ball, cert, base, radius)
+            want = _sub_ball_outcome(_arithmetic_solve_ball, cert, base, radius)
+            assert got == want, (desc, center, r, base, radius)
+            outcomes["refused" if got == "refused" else "accepted"] += 1
+    assert min(outcomes.values()) >= 200, outcomes

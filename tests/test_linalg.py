@@ -287,6 +287,78 @@ def test_ball_radius_validation(q5, real):
     assert not open_ball.contains_rational((5,)) and open_ball.contains_rational((25,))
 
 
+def test_contains_ball_reads_open_and_closed(q5, real):
+    # over Q5 the open B(0, 1/5) is the closed B[0, 1/25], and |5| = 1/5
+    open_q5 = Ball(q5, (0,), Fraction(1, 5), closed=False)
+    assert not open_q5.contains_ball(Ball(q5, (5,), Fraction(1, 25)))
+    assert not open_q5.contains_ball(Ball(q5, (0,), Fraction(1, 5)))
+    assert open_q5.contains_ball(Ball(q5, (25,), Fraction(1, 25)))
+    assert open_q5.contains_ball(Ball(q5, (0,), Fraction(1, 5), closed=False))
+    assert not open_q5.contains_ball(Ball(q5, (5,), Fraction(1, 5), closed=False))
+    assert Ball(q5, (0,), Fraction(1, 25)).contains_ball(Ball(q5, (0,), Fraction(1, 5), closed=False))
+    # over the reals the open B(0, 1) misses 1, which B[1/2, 1/2] holds
+    open_real = Ball(real, (0,), 1, closed=False)
+    assert not open_real.contains_ball(Ball(real, (Fraction(1, 2),), Fraction(1, 2)))
+    assert open_real.contains_ball(Ball(real, (Fraction(1, 2),), Fraction(1, 2), closed=False))
+    assert open_real.contains_ball(Ball(real, (Fraction(1, 2),), Fraction(1, 4)))
+    assert Ball(real, (0,), 1).contains_ball(Ball(real, (Fraction(1, 2),), Fraction(1, 2)))
+    assert Ball(real, (0,), 1).contains_ball(Ball(real, (Fraction(-1, 2),), Fraction(1, 2), closed=False))
+
+
+def _farthest_points(ball, other):
+    """Points of `other` (or of its closure, for an open real ball) that
+    lie in `ball` exactly when other is inside it.
+
+    Over Q_p: other's centre b and each b + p^k e_j, with p^-k the largest
+    distance from b inside other, which ball misses when other's radius
+    passes its own.
+    Over the reals: b moved by other's radius away from ball's centre along
+    a coordinate of largest distance, the farthest point of other's closure.
+    """
+    desc, b = ball.descriptor, other.center_exact
+    if desc.ultrametric:
+        p = desc.prime
+        s = other.radius if other.closed else other.radius / p
+        step = 1 / s
+        return [b] + [tuple(x + step * (i == j) for i, x in enumerate(b)) for j in range(len(b))]
+    gaps = [x - c for x, c in zip(b, ball.center_exact)]
+    j = max(range(len(b)), key=lambda i: abs(gaps[i]))
+    sign = 1 if gaps[j] >= 0 else -1
+    return [tuple(x + sign * other.radius * (i == j) for i, x in enumerate(b))]
+
+
+def test_contains_ball_agrees_with_its_farthest_points():
+    rng = random.Random(2610)
+    outcomes = {True: 0, False: 0}
+    for p in (None, 3, 5, 7):
+        desc = FieldDescriptor.real() if p is None else FieldDescriptor.padic(p, 6)
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            if p is None:
+                r = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+                s = Fraction(rng.randint(1, 12), rng.randint(1, 8))
+                c = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n)]
+                b = [x + rng.choice((0, s, -s, r - s, s - r, Fraction(rng.randint(-8, 8), 4))) for x in c]
+            else:
+                k = rng.randint(-2, 2)
+                r = Fraction(p) ** k
+                s = r * Fraction(p) ** rng.randint(-2, 1)
+                c = [Fraction(rng.randint(-p * p, p * p), p ** rng.randint(0, 2)) for _ in range(n)]
+                b = [x + Fraction(rng.randint(-p, p)) * Fraction(p) ** rng.randint(-k - 2, -k + 2) for x in c]
+            ball = Ball(desc, c, r, closed=rng.random() < 0.5)
+            other = Ball(desc, b, s, closed=rng.random() < 0.5)
+            points = _farthest_points(ball, other)
+            if p is None and not other.closed:
+                # the closure's farthest point decides, as in a closed ball
+                want = all(Ball(desc, c, r).contains_rational(w) for w in points)
+            else:
+                assert all(other.contains_rational(w) for w in points)
+                want = all(ball.contains_rational(w) for w in points)
+            assert ball.contains_ball(other) == want, (desc, ball, other)
+            outcomes[want] += 1
+    assert min(outcomes.values()) >= 300, outcomes
+
+
 def test_ball_tracked_membership(q5):
     ball = Ball(q5, (0,), Fraction(1, 5))
     inside = Vector.from_rationals((10,), q5)

@@ -38,3 +38,23 @@ def test_every_definition_has_a_reference():
     words = Counter(re.findall(r"\w+", text))
     unused = sorted(name for name, defined in _definitions().items() if words[name] <= defined)
     assert unused == []
+
+
+def test_every_import_is_read():
+    """Each name a module imports appears again in that module, outside its
+    import statements; __init__ only re-exports, and `annotations` is a
+    compiler switch."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        imported = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+        words = Counter(re.findall(r"\w+", "\n".join(lines)))
+        unread += [f"{path.name}: {name}" for name in imported if name != "annotations" and not words[name]]
+    assert unread == []
