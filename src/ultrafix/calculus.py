@@ -14,18 +14,18 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Sequence
+from operator import add, attrgetter
+from typing import Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, DomainViolation, SchemaError
 from .field import (
-    RATIONAL_TYPES,
     FieldDescriptor,
-    PadicScalar,
     RealScalar,
     Scalar,
-    all_rational,
     embed_rational,
+    padic_divided_difference,
     padic_polynomial,
+    padic_sub_product,
     rational_valuation,
 )
 from .linalg import Ball, Operator, Vector, _exact, rat_identity, rat_mat_vec
@@ -220,42 +220,65 @@ def _eval_field(f: MapSpec, comps, desc: FieldDescriptor) -> tuple:
 # Exact polynomial algebra
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, ...], Fraction] = {}
+def _int_poly_mul(a: dict, b: dict) -> dict:
+    """The product of two integer polynomials, dicts from exponent vectors
+    to integer coefficients."""
+    out: dict[tuple[int, ...], int] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _poly_pow(a: dict, n: int, dim: int) -> dict:
-    out = {tuple([0] * dim): Fraction(1)}
-    for _ in range(n):
-        out = _poly_mul(out, a)
+            key = tuple(map(add, ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
     return out
 
 
 def compose(g: MapSpec, f: MapSpec) -> MapSpec:
-    """Exact polynomial composition g after f."""
+    """Exact polynomial composition g after f, in integers.
+
+    From the integer tables, output j of f is P_j / D_j, P_j an integer
+    polynomial, and output i of g sums C_a y^a / D_i.  With E_j the largest
+    exponent of y_j in output i, g_i(f) is the sum of
+    C_a * prod_j D_j^(E_j - a_j) P_j^(a_j) over D_i * prod_j D_j^(E_j):
+    integer products over one denominator, each power P_j^e formed once,
+    and one Fraction per coefficient.
+    """
     if g.domain_dim != f.codomain_dim:
         raise DimensionMismatch(
             f"composition needs codomain {g.domain_dim}, map produces {f.codomain_dim}"
         )
-    dim = f.domain_dim
-    f_dicts = [dict(out) for out in f.outputs]
+    _, f_table = _int_table(f)
+    _, g_table = _int_table(g)
+    dens = [D for D, _ in f_table]
+    one = {(0,) * f.domain_dim: 1}
+    powers = [
+        [one, {exps: c for (exps, _), (c, _, _) in zip(monomials, terms)}]
+        for monomials, (_, terms) in zip(f.outputs, f_table)
+    ]
+
+    def power(j: int, e: int) -> dict:
+        got = powers[j]
+        while len(got) <= e:
+            got.append(_int_poly_mul(got[-1], got[1]))
+        return got[e]
+
     outputs = []
-    for monomials in g.outputs:
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for exps, coef in monomials:
-            term = {tuple([0] * dim): coef}
-            for j, e in enumerate(exps):
-                if e:
-                    term = _poly_mul(term, _poly_pow(f_dicts[j], e, dim))
-            for key, c in term.items():
-                acc[key] = acc.get(key, Fraction(0)) + c
-        outputs.append(tuple(acc.items()))
-    return MapSpec(dim, tuple(outputs), f.domain)
+    for D, terms in g_table:
+        top: dict[int, int] = {}
+        for _, _, support in terms:
+            for j, e in support:
+                if e > top.get(j, 0):
+                    top[j] = e
+        den = math.prod(dens[j] ** e for j, e in top.items())
+        acc: dict[tuple[int, ...], int] = {}
+        for c, _, support in terms:
+            scale = c * den // math.prod(dens[j] ** e for j, e in support)
+            term = power(*support[0]) if support else one
+            for j, e in support[1:]:
+                term = _int_poly_mul(term, power(j, e))
+            for exps, v in term.items():
+                acc[exps] = acc.get(exps, 0) + scale * v
+        den *= D
+        outputs.append(tuple((exps, Fraction(v, den)) for exps, v in acc.items() if v))
+    return MapSpec(f.domain_dim, tuple(outputs), f.domain)
 
 
 def partial_map(f: MapSpec, j: int) -> MapSpec:
@@ -441,16 +464,15 @@ def _flatten(q) -> tuple:
     return (q,)
 
 
-def _is_zero_value(t) -> bool:
-    if isinstance(t, Scalar):
-        return t.is_zero()
-    return t == 0
+def _is_zero_value(t, desc: FieldDescriptor | None) -> bool:
+    return t == 0 if desc is None else t.is_zero()
 
 
-def _vec_add_scaled(x, y, t):
-    """x + t*y.  Over int and Fraction operands, each coordinate is one
-    Fraction of integer products, which normalises its sign and gcd."""
-    if type(t) in RATIONAL_TYPES and all_rational(x, y):
+def _vec_add_scaled(x, y, t, desc: FieldDescriptor | None):
+    """x + t*y over the field desc, or exactly when desc is None.  An exact
+    coordinate is one Fraction of integer products, which normalises its
+    sign and gcd; a p-adic one is one fused `padic_sub_product`."""
+    if desc is None:
         tn, td = t.numerator, t.denominator
         return tuple(
             Fraction(
@@ -459,12 +481,15 @@ def _vec_add_scaled(x, y, t):
             )
             for a, b in zip(x, y)
         )
+    if desc.ultrametric:
+        return tuple(padic_sub_product(a, t, b, subtract=False) for a, b in zip(x, y))
     return tuple(a + t * b for a, b in zip(x, y))
 
 
-def _divided_difference(u, v, t):
-    """(u - v)/t per coordinate, in integers as _vec_add_scaled."""
-    if type(t) in RATIONAL_TYPES and all_rational(u, v):
+def _divided_difference(u, v, t, desc: FieldDescriptor | None):
+    """(u - v)/t per coordinate: exactly in integers as _vec_add_scaled, or
+    over Q_p by `padic_divided_difference`, one unit inverse of t."""
+    if desc is None:
         tn, td = t.numerator, t.denominator
         return tuple(
             Fraction(
@@ -473,48 +498,61 @@ def _divided_difference(u, v, t):
             )
             for a, b in zip(u, v)
         )
+    if desc.ultrametric:
+        return padic_divided_difference(u, v, t)
     return tuple((a - b) / t for a, b in zip(u, v))
 
 
-def _quotient_value(
-    f: MapSpec, x, y, t, mutation: Callable | None = None, evaluate: _SampleEvaluator | None = None
-):
+def _quotient_value(f: MapSpec, x: tuple, y: tuple, t, evaluate: _SampleEvaluator, mutation=None):
     """f^[1](x, y, t): difference quotient for t != 0, df(x, y) at t = 0.
 
-    A _SampleEvaluator `evaluate` stands in for eval_map and jacobian."""
-    x = _as_components(x)
-    y = _as_components(y)
-    _check_point_in_domain(f, x)
-    if _is_zero_value(t):
+    The values lie in the field of `evaluate`, which evaluates f and its
+    Jacobian; the domain is checked only when f has one."""
+    desc = evaluate.descriptor
+    if f.domain is not None:
+        _check_point_in_domain(f, x)
+    if _is_zero_value(t, desc):
         return _jacobian_apply(f, x, y, evaluate)
-    shifted = _vec_add_scaled(x, y, t)
-    _check_point_in_domain(f, shifted)
-    evaluate = evaluate or eval_map
-    fx = evaluate(f.without_domain(), x)
-    fs = evaluate(f.without_domain(), shifted)
-    q = _divided_difference(fs, fx, t)
+    shifted = _vec_add_scaled(x, y, t, desc)
+    if f.domain is not None:
+        _check_point_in_domain(f, shifted)
+        f = f.without_domain()
+    fx = evaluate(f, x)
+    q = _divided_difference(evaluate(f, shifted), fx, t, desc)
     if mutation is not None:
-        q = mutation(q)
+        q = mutation(q, desc)
     return q
 
 
-def _jacobian_rows(f: MapSpec, x: tuple):
-    """The rows of Df(x): field scalars, or exact rationals at a rational x."""
-    if x and isinstance(x[0], Scalar):
-        return jacobian(f, x).entries
-    return jacobian_exact(f, x)
-
-
-def _jacobian_apply(f: MapSpec, x, y, evaluate=None):
-    rows = _jacobian_rows(f, x) if evaluate is None else evaluate.jacobian(f, x)
-    if not (x and isinstance(x[0], Scalar)):
+def _jacobian_apply(f: MapSpec, x, y, evaluate: _SampleEvaluator):
+    """Df(x).y in the field of `evaluate`: exact rows by rat_mat_vec, field
+    rows by Operator.apply.  A map of no variables or no outputs has no
+    Jacobian entries to apply."""
+    desc = evaluate.descriptor
+    if not (y and f.outputs):
+        return (Fraction(0) if desc is None else desc.zero(),) * f.codomain_dim
+    rows = evaluate.jacobian(f, x)
+    if desc is None:
         return rat_mat_vec(rows, y)
     return Operator(rows).apply(Vector(y)).components
 
 
+def _public_point(*groups):
+    """The one field of a public quotient point's values, None when all are
+    exact rationals (values of two fields, or scalars among rationals, are a
+    SchemaError), and its groups as tuples, read through Fraction when exact."""
+    groups = [_as_components(g) for g in groups]
+    fields = {getattr(v, "descriptor", None) for g in groups for v in g}
+    if len(fields) > 1:
+        raise SchemaError("operands from different fields")
+    desc = fields.pop() if fields else None
+    return desc, [g if desc is not None else tuple(_exact(g)) for g in groups]
+
+
 def diff_quotient(f: MapSpec, q: QuotientPoint):
     """Evaluate the extended difference quotient at (x, y, t)."""
-    value = _quotient_value(f, q.x, q.y, q.t)
+    desc, (x, y, (t,)) = _public_point(q.x, q.y, (q.t,))
+    value = _quotient_value(f, x, y, t, _SampleEvaluator(desc))
     if isinstance(q.x, Vector):
         return Vector(value)
     return value
@@ -527,37 +565,37 @@ def second_quotient(f: MapSpec, outer: QuotientPoint):
     at outer scalar zero this is the directional derivative of the symbolic
     quotient map.
     """
-    a = _flatten(outer.x)
-    b = _flatten(outer.y)
+    desc, (a, b, (t,)) = _public_point(_flatten(outer.x), _flatten(outer.y), (outer.t,))
     m = f.domain_dim
     if len(a) != 2 * m + 1 or len(b) != 2 * m + 1:
         raise DimensionMismatch("second quotient needs inner points of U^[1]")
-    return _second_quotient_value(f, a, b, outer.t)
+    return _second_quotient_value(f, a, b, t, _SampleEvaluator(desc))
 
 
-def _second_quotient_value(f: MapSpec, a: tuple, b: tuple, t, mutation=None, evaluate=None):
+def _second_quotient_value(f: MapSpec, a: tuple, b: tuple, t, evaluate: _SampleEvaluator, mutation=None):
     """f^[2](a, b, t) for flat inner points a, b of U^[1]; a mutation
     corrupts the inner quotients, and `evaluate` evaluates f, as in
     _quotient_value."""
+    desc = evaluate.descriptor
     m = f.domain_dim
-    _check_inner_membership(f, a)
-    if _is_zero_value(t):
+    if f.domain is not None:
+        _check_inner_membership(f, a, desc)
+    if _is_zero_value(t, desc):
         return _jacobian_apply(quotient_map(f), a, b, evaluate)
-    shifted = _vec_add_scaled(a, b, t)
-    _check_inner_membership(f, shifted)
-    qa = _quotient_value(f, a[:m], a[m : 2 * m], a[2 * m], mutation, evaluate)
-    qs = _quotient_value(f, shifted[:m], shifted[m : 2 * m], shifted[2 * m], mutation, evaluate)
-    return _divided_difference(qs, qa, t)
+    shifted = _vec_add_scaled(a, b, t, desc)
+    if f.domain is not None:
+        _check_inner_membership(f, shifted, desc)
+    qa = _quotient_value(f, a[:m], a[m : 2 * m], a[2 * m], evaluate, mutation)
+    qs = _quotient_value(f, shifted[:m], shifted[m : 2 * m], shifted[2 * m], evaluate, mutation)
+    return _divided_difference(qs, qa, t, desc)
 
 
-def _check_inner_membership(f: MapSpec, a) -> None:
-    if f.domain is None:
-        return
+def _check_inner_membership(f: MapSpec, a, desc: FieldDescriptor | None) -> None:
     m = f.domain_dim
     x, y, t = a[:m], a[m : 2 * m], a[2 * m]
     _check_point_in_domain(f, x)
-    if not _is_zero_value(t):
-        _check_point_in_domain(f, _vec_add_scaled(x, y, t))
+    if not _is_zero_value(t, desc):
+        _check_point_in_domain(f, _vec_add_scaled(x, y, t, desc))
 
 
 # ---------------------------------------------------------------------------
@@ -712,43 +750,50 @@ def _values_equal(a, b) -> bool:
     return True
 
 
-def _point_key(x):
-    """A coordinate as a hashable key that decides its evaluation: a p-adic
-    scalar by its digits, a real one by its exact double, a rational by its
-    numerator and denominator (Fraction.__hash__ takes a modular inverse)."""
-    if isinstance(x, PadicScalar):
-        return (x.val, x.unit, x.prec)
-    if isinstance(x, RealScalar):
-        return x.value.hex()
-    return (x.numerator, x.denominator)
+_POINT_KEYS = {
+    None: attrgetter("numerator", "denominator"),
+    "padic": attrgetter("val", "unit", "prec"),
+    "real": lambda x: x.value.hex(),
+}
+"""A coordinate as a hashable key that decides its evaluation, per field: a
+rational by its numerator and denominator (Fraction.__hash__ takes a modular
+inverse), a p-adic scalar by its digits, a real one by its exact double."""
 
 
 class _SampleEvaluator:
-    """eval_map and Jacobian rows that evaluate each distinct (map, point)
-    only once.
+    """eval_map and Jacobian rows over one field (None: exact rationals) that
+    evaluate each distinct (map, point) only once.
 
     Evaluation is a deterministic function of the map and of the point's
-    keys, so a repeated point gets the values it would get again.  Points
-    must all come from one field; the maps are held for the evaluator's
-    life, so their ids stay unique.  check_identities makes one per sample.
+    keys, so a repeated point gets the values it would get again.  The maps
+    are held for the evaluator's life, so their ids stay unique.
+    check_identities makes one per sample.
     """
 
-    def __init__(self):
+    def __init__(self, descriptor: FieldDescriptor | None):
+        self.descriptor = descriptor
+        self._key = _POINT_KEYS[None if descriptor is None else descriptor.kind]
         self._seen = {}
 
-    def _once(self, what: str, f: MapSpec, point):
-        key = (what, id(f), tuple(_point_key(x) for x in point))
+    def __call__(self, f: MapSpec, point):
+        key = ("value", id(f), tuple(map(self._key, point)))
         got = self._seen.get(key)
         if got is None:
-            value = eval_map(f, point) if what == "value" else _jacobian_rows(f, point)
+            value = eval_map(f, point)
+            if not point and self.descriptor is not None:
+                # no coordinate carries the field: f is constant
+                value = tuple(embed_rational(v, 1, self.descriptor) for v in value)
             got = self._seen[key] = (f, value)
         return got[1]
 
-    def __call__(self, f: MapSpec, point):
-        return self._once("value", f, point)
-
     def jacobian(self, f: MapSpec, x: tuple):
-        return self._once("jacobian", f, x)
+        """The rows of Df(x): field scalars, or exact rationals."""
+        key = ("jacobian", id(f), tuple(map(self._key, x)))
+        got = self._seen.get(key)
+        if got is None:
+            rows = jacobian_exact(f, x) if self.descriptor is None else jacobian(f, x).entries
+            got = self._seen[key] = (f, rows)
+        return got[1]
 
 
 def _companion_map(n: int) -> MapSpec:
@@ -764,11 +809,9 @@ def _companion_map(n: int) -> MapSpec:
     return MapSpec.from_coefficients(n, outputs)
 
 
-def quotient_offset_mutation(values):
+def quotient_offset_mutation(values, descriptor: FieldDescriptor | None):
     """Deliberate off-by-one corruption of the t != 0 quotient branch."""
-    one = (
-        values[0].descriptor.one() if isinstance(values[0], Scalar) else Fraction(1)
-    )
+    one = Fraction(1) if descriptor is None else descriptor.one()
     return tuple(v + one for v in values)
 
 
@@ -876,15 +919,15 @@ def check_identities(
 
     gf = compose(g, f)
     for k in range(sample_count):
-        ev = _SampleEvaluator()
+        ev = _SampleEvaluator(descriptor)
         x, y = vec(), vec()
         t = rat() if k % 4 else Fraction(0)
 
         # chain rule: (g o f)^[1](x,y,t) = g^[1](f(x), f^[1](x,y,t), t)
         lx, ly, lt = lift(x), lift(y), lift1(t)
-        lhs = _quotient_value(gf, lx, ly, lt, mut, ev)
-        inner = _quotient_value(f, lx, ly, lt, mut, ev)
-        rhs = _quotient_value(g, ev(f, lx), inner, lt, mut, ev)
+        lhs = _quotient_value(gf, lx, ly, lt, ev, mut)
+        inner = _quotient_value(f, lx, ly, lt, ev, mut)
+        rhs = _quotient_value(g, ev(f, lx), inner, lt, ev, mut)
         record(
             results[0],
             _values_equal(lhs, rhs),
@@ -894,10 +937,10 @@ def check_identities(
         # direction difference: f^[1](x,y1,t) - f^[1](x,y2,t) = f^[1](x+t*y2, y1-y2, t)
         y2 = vec()
         ly2 = lift(y2)
-        qb = _quotient_value(f, lx, ly2, lt, mut, ev)
-        shifted = _vec_add_scaled(lx, ly2, lt)
+        qb = _quotient_value(f, lx, ly2, lt, ev, mut)
+        shifted = _vec_add_scaled(lx, ly2, lt, descriptor)
         qd = _quotient_value(
-            f, shifted, tuple(a - b for a, b in zip(ly, ly2)), lt, mut, ev
+            f, shifted, tuple(a - b for a, b in zip(ly, ly2)), lt, ev, mut
         )
         record(
             results[1],
@@ -908,9 +951,9 @@ def check_identities(
         # scaling: t * f^[1](x, y, t*s) = f^[1](x, t*y, s), t != 0
         tnz, s = rat(nonzero=True), rat()
         ltn, ls = lift1(tnz), lift1(s)
-        lhs3 = _quotient_value(f, lx, ly, ltn * ls, mut, ev)
+        lhs3 = _quotient_value(f, lx, ly, ltn * ls, ev, mut)
         lhs3 = tuple(ltn * v for v in lhs3)
-        rhs3 = _quotient_value(f, lx, tuple(ltn * v for v in ly), ls, mut, ev)
+        rhs3 = _quotient_value(f, lx, tuple(ltn * v for v in ly), ls, ev, mut)
         record(results[2], _values_equal(lhs3, rhs3), {"x": x, "y": y, "t": tnz, "s": s})
 
         # second quotient scaling:
@@ -920,7 +963,7 @@ def check_identities(
         lx1, ly1 = lift(x1), lift(y1)
         ls1, ls2 = lift1(s1), lift1(s2)
         lhs4 = _second_quotient_value(
-            f, lx + ly + (ltn * ls,), lx1 + ly1 + (ltn * ls1,), ltn * ls2, mut, ev
+            f, lx + ly + (ltn * ls,), lx1 + ly1 + (ltn * ls1,), ltn * ls2, ev, mut
         )
         t2 = ltn * ltn
         t3 = t2 * ltn
@@ -932,8 +975,8 @@ def check_identities(
             + tuple(t3 * v for v in ly1)
             + (ls1,),
             ls2,
-            mut,
             ev,
+            mut,
         )
         record(
             results[3],

@@ -10,13 +10,16 @@ residue.  A polynomial output is evaluated by
 `padic_polynomial` in two integer passes over its monomials: the first finds
 where the sum is known, the second adds the unit products as one residue
 modulo the power of p that reaches it, and one scalar is built per output.
-The row update of an elimination, `a - f * b`, is one kernel as well,
+`a - f * b` and `a + f * b` are one signed kernel as well,
 `padic_sub_product`: one residue and one scalar, bit for bit the product
-followed by the difference.  Each kernel that already holds p^digits hands
-it to the scalar's invariant check.  The real backend is plain IEEE doubles
-with a global comparison tolerance; exactness on the real side lives in the
-rational helpers (`rational_abs`) used by the verification oracles, not in
-the scalar type.
+followed by the difference or the sum (an elimination's row update, x + t*y,
+a step of a matrix-vector fold).  `padic_divided_difference` forms (u - v)/t
+over two vectors with one unit inverse of t, one scalar per coordinate, bit
+for bit the subtraction followed by the division.  Each kernel that already
+holds p^digits hands it to the scalar's invariant check.  The real backend
+is plain IEEE doubles with a global comparison tolerance; exactness on the
+real side lives in the rational helpers (`rational_abs`) used by the
+verification oracles, not in the scalar type.
 """
 
 from __future__ import annotations
@@ -149,13 +152,8 @@ def num_str(x) -> str:
 
 RATIONAL_TYPES = frozenset((int, Fraction))
 """The operand types the exact kernels read by numerator and denominator.
-Any other type, a subclass such as bool included, takes the generic
-expression."""
-
-
-def all_rational(*groups) -> bool:
-    """Whether every value of every group is exactly an int or a Fraction."""
-    return all(RATIONAL_TYPES.issuperset(map(type, g)) for g in groups)
+`linalg._exact` reads any other type, a subclass such as bool included,
+through Fraction first."""
 
 
 def rational_valuation(q, p: int) -> int:
@@ -445,16 +443,20 @@ def _padic_add(a: PadicScalar, b: PadicScalar, subtract: bool = False) -> PadicS
     return _padic_make(a.descriptor, base, r, m)
 
 
-def padic_sub_product(a: PadicScalar, f: PadicScalar, b: PadicScalar) -> PadicScalar:
-    """a - f * b as one residue, bit for bit `_padic_mul(f, b)` followed by
-    `_padic_add(a, ..., subtract=True)`: the row update of an elimination.
+def padic_sub_product(
+    a: PadicScalar, f: PadicScalar, b: PadicScalar, subtract: bool = True
+) -> PadicScalar:
+    """a - f * b, or a + f * b when not `subtract`, as one residue: bit for
+    bit `_padic_mul(f, b)` followed by `_padic_add(a, ..., subtract)`.  The
+    row update of an elimination subtracts; x + t*y and each step of a
+    matrix-vector fold add.
 
     The product q is the exact zero when a factor is, the bounded zero
     O(p^(ef + eb)) when a factor is a bounded zero (e a factor's val, or its
     prec for a bounded zero), and otherwise f.unit * b.unit at valuation
     f.val + b.val, known to the lesser digit count k.  That unit is not
-    reduced mod p^k: the difference is reduced mod p^(m - base) with m <=
-    q's precision, so the unreduced product leaves the same residue.
+    reduced mod p^k: the sum is reduced mod p^(m - base) with m <= q's
+    precision, so the unreduced product leaves the same residue.
     """
     if f.prec is None or b.prec is None:
         return a
@@ -466,11 +468,12 @@ def padic_sub_product(a: PadicScalar, f: PadicScalar, b: PadicScalar) -> PadicSc
         qval = f.val + b.val
         fd, bd = f.prec - f.val, b.prec - b.val
         qprec = qval + (fd if fd < bd else bd)
-    if a.prec is None:  # -q
+    if a.prec is None:  # -q or q
         if qval is None:
             return PadicScalar(a.descriptor, None, 0, qprec)
         mod = p ** (qprec - qval)
-        return PadicScalar(a.descriptor, qval, -(f.unit * b.unit) % mod, qprec, mod)
+        q = f.unit * b.unit
+        return PadicScalar(a.descriptor, qval, (-q if subtract else q) % mod, qprec, mod)
     m = a.prec if a.prec < qprec else qprec
     low = a.prec if a.val is None else a.val
     base = qprec if qval is None else qval
@@ -480,7 +483,8 @@ def padic_sub_product(a: PadicScalar, f: PadicScalar, b: PadicScalar) -> PadicSc
     if a.val is not None:
         r = a.unit if a.val == base else a.unit * p ** (a.val - base)
     if qval is not None:
-        r -= f.unit * b.unit if qval == base else f.unit * b.unit * p ** (qval - base)
+        q = f.unit * b.unit if qval == base else f.unit * b.unit * p ** (qval - base)
+        r = r - q if subtract else r + q
     return _padic_make(a.descriptor, base, r, m)
 
 
@@ -590,6 +594,69 @@ def _padic_div(a: PadicScalar, b: PadicScalar) -> PadicScalar:
     mod = p**k
     unit = a.unit * unit_inverse(b.unit, p, k) % mod
     return PadicScalar(desc, a.val - b.val, unit, a.val - b.val + k, mod)
+
+
+def padic_divided_difference(us, vs, t: PadicScalar) -> tuple:
+    """(u - v)/t per coordinate of the p-adic vectors us and vs, bit for bit
+    `_padic_add(u, v, subtract=True)` followed by `_padic_div(..., t)`, with
+    one scalar per coordinate and one unit inverse of t per vector.
+
+    The divisor is checked first, as each division would: an exact zero
+    raises DivisionByZero, a bounded zero PrecisionExhausted.  Its unit is
+    inverted mod p^(t's digit count); each quotient keeps the lesser digit
+    count k of u - v and t, and an inverse mod a power of p is one mod every
+    lower power, so reducing it mod p^k gives the digits `_padic_div` gives.
+    u - v is the residue `_padic_add` forms, at its least valuation base
+    modulo p^(m - base), m the lesser precision; it is not built as a
+    scalar, only its valuation is stripped.
+    """
+    desc = t.descriptor
+    if t.prec is None:
+        raise DivisionByZero("division by zero")
+    if t.val is None:
+        raise PrecisionExhausted(
+            f"divisor is O({desc.prime}^{t.prec}): no known digits to divide by"
+        )
+    p, tval = desc.prime, t.val
+    tdigits = t.prec - tval
+    inverse = unit_inverse(t.unit, p, tdigits)
+    out = []
+    for u, v in zip(us, vs):
+        if v.prec is None:
+            if u.prec is None:  # 0/t
+                out.append(u)
+                continue
+            val, unit, prec = u.val, u.unit, u.prec
+        elif u.prec is None:  # -v; its unit is reduced with the quotient's
+            val, unit, prec = v.val, -v.unit, v.prec
+        else:
+            prec = u.prec if u.prec < v.prec else v.prec
+            low = u.prec if u.val is None else u.val
+            base = v.prec if v.val is None else v.val
+            if low < base:
+                base = low
+            r = 0
+            if u.val is not None:
+                r = u.unit * p ** (u.val - base)
+            if v.val is not None:
+                r -= v.unit * p ** (v.val - base)
+            r %= p ** (prec - base)
+            if r == 0:
+                val = None
+            elif r % p:
+                val, unit = base, r
+            else:
+                shift = int_valuation(r, p)
+                val, unit = base + shift, r // p**shift
+        if val is None:
+            out.append(PadicScalar(desc, None, 0, prec - tval))
+            continue
+        k = prec - val
+        if tdigits < k:
+            k = tdigits
+        mod = p**k
+        out.append(PadicScalar(desc, val - tval, unit * inverse % mod, val - tval + k, mod))
+    return tuple(out)
 
 
 def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:

@@ -158,6 +158,8 @@ def parse_map(data, descriptor: FieldDescriptor | None = None) -> MapSpec:
         raise SchemaError("map must be an object")
     try:
         m = _parse_int(data["vars"], "vars")
+        if m < 1:
+            raise SchemaError(f"a map needs at least one variable, got vars = {m}")
         outputs = []
         for row in data["outputs"]:
             monomials = []
@@ -173,6 +175,8 @@ def parse_map(data, descriptor: FieldDescriptor | None = None) -> MapSpec:
             outputs.append(tuple(monomials))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad map encoding: {exc}") from exc
+    if not outputs:
+        raise SchemaError("a map needs at least one output")
     domain = None
     if data.get("domain") is not None:
         if descriptor is None:

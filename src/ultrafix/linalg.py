@@ -5,9 +5,11 @@ value in the ultrametric case and the max row sum in the real case, both in
 closed form.  Over field scalars there is one Gauss-Jordan elimination, on
 [A | B]: the inverse eliminates on [A | I] and a solve of A x = v on the
 column v, forming no inverse; no determinant is formed.
-Over Q_p each row update is one fused `a - f * b` kernel.  Rational twins
-of the matrix routines (suffix ``rat_``) are exact (the inverse eliminates
-in integers) and back the certificate computations.
+Over Q_p each row update is one fused `a - f * b` kernel, and each step of
+the `acc + a * x` fold of `Operator.apply` and `Operator.compose` one fused
+`a + f * b`.  Rational twins of the matrix routines (suffix ``rat_``) are
+exact (the inverse eliminates in integers) and back the certificate
+computations.
 """
 
 from __future__ import annotations
@@ -99,33 +101,37 @@ class Operator:
         one, zero = descriptor.one(), descriptor.zero()
         return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
+    def _dot(self, row, column):
+        """The fold acc + a * x from zero over a row and a column; over Q_p
+        each step is one fused `padic_sub_product`, bit for bit the same."""
+        desc = self.descriptor
+        other = column[0].descriptor
+        if other is not desc and other != desc:
+            raise SchemaError("operands from different fields")
+        acc = desc.zero()
+        if desc.ultrametric:
+            for a, x in zip(row, column):
+                acc = padic_sub_product(acc, a, x, subtract=False)
+        else:
+            for a, x in zip(row, column):
+                acc = acc + a * x
+        return acc
+
     def apply(self, v: Vector) -> Vector:
         n, m = self.shape
         if v.dim != m:
             raise DimensionMismatch(f"operator is {n}x{m}, vector has dim {v.dim}")
-        out = []
-        for row in self.entries:
-            acc = self.descriptor.zero()
-            for a, x in zip(row, v.components):
-                acc = acc + a * x
-            out.append(acc)
-        return Vector(tuple(out))
+        return Vector(tuple(self._dot(row, v.components) for row in self.entries))
 
     def compose(self, other: "Operator") -> "Operator":
         n, k = self.shape
         k2, m = other.shape
         if k != k2:
             raise DimensionMismatch("shape mismatch in composition")
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = self.descriptor.zero()
-                for t in range(k):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return Operator(tuple(rows))
+        columns = tuple(zip(*other.entries))
+        return Operator(tuple(
+            tuple(self._dot(row, column) for column in columns) for row in self.entries
+        ))
 
     def __add__(self, other: "Operator") -> "Operator":
         return Operator(

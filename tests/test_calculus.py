@@ -343,6 +343,17 @@ def test_identity_suite_catches_mutant():
     assert scaling.failures > 0 and scaling.counterexample is not None
 
 
+def test_identity_suite_on_a_map_of_no_variables(q5, real):
+    # constants over Q5 were evaluated as Fractions and divided by a p-adic
+    # t (TypeError); every quotient of a constant map is zero
+    const = poly(0, [(1, ())], [(Fraction(-3, 5), ())])
+    for desc in (None, q5, real):
+        report = check_identities(const, 40, seed=3, descriptor=desc)
+        assert report.passed and [r.samples for r in report.results] == [40] * 4
+        mutant = check_identities(const, 40, seed=3, descriptor=desc, mutation="quotient-offset")
+        assert not mutant.passed
+
+
 def test_domain_violations(q5):
     ball = Ball(q5, (0,), Fraction(1, 5))
     f = MapSpec(1, PLUS_SQUARE.outputs, ball)

@@ -230,6 +230,39 @@ def test_cli_malformed_map_exits_2(fmap):
     assert payload["error"]["kind"] == "SchemaError"
 
 
+NO_VARIABLES = {"vars": 0, "outputs": []}
+CONSTANT = {"vars": 0, "outputs": [[{"coef": "1/1", "exp": []}]]}
+
+
+@pytest.mark.parametrize(
+    "command, fmap, geometry, message",
+    [
+        # were ValueError tracebacks (max() of an empty sequence)
+        pytest.param("certify", NO_VARIABLES, {"ball": {"center": [], "radius": "1/5"}}, "vars = 0",
+                     id="certify-no-variables"),
+        pytest.param("invert", NO_VARIABLES, {"ball": {"center": [], "radius": "1/5"}, "target": []},
+                     "vars = 0", id="invert-no-variables"),
+        pytest.param("fixpoint", NO_VARIABLES, {"domain": {"center": [], "radius": "1/5"}, "x0": []},
+                     "vars = 0", id="fixpoint-no-variables"),
+        # was a TypeError traceback (Fraction / PadicScalar)
+        pytest.param("check", CONSTANT, None, "vars = 0", id="check-constant"),
+        # was an IndexError traceback in the mutation
+        pytest.param("check", {"vars": 1, "outputs": []}, {"mutation": "quotient-offset"},
+                     "at least one output", id="check-mutant-no-outputs"),
+        # exited 1 with DimensionMismatch
+        pytest.param("invert", {"vars": -1, "outputs": []}, str(FIXTURES / "geo/invert_golden.json"),
+                     "vars = -1", id="invert-negative-variables"),
+    ],
+)
+def test_cli_maps_with_no_variables_or_no_outputs_exit_2(command, fmap, geometry, message):
+    args = [command, "--map", json.dumps(fmap), "--field", str(FIXTURES / "fields/q5n4.json")]
+    if geometry is not None:
+        args += ["--geometry", geometry if isinstance(geometry, str) else json.dumps(geometry)]
+    code, payload = run_in_process(args)
+    assert code == 2
+    assert payload["error"]["kind"] == "SchemaError" and message in payload["error"]["message"]
+
+
 @pytest.mark.parametrize("name", ["fixpoint_golden", "invert_golden"])
 def test_cli_unreachable_target_past_the_int_to_str_limit_exits_1(name):
     # 199 999 steps exceed MAX_STEPS; the message prints the target 1/5^200000

@@ -574,7 +574,7 @@ def test_difference_is_the_sum_with_the_negation():
 
 
 def _dividing_gauss_jordan(A: Operator):
-    """Gauss-Jordan elimination over field scalars: (inverse rows, determinant).
+    """Gauss-Jordan elimination over field scalars: the inverse rows.
 
     Each column pivots on its entry of largest absolute value; a column whose
     largest entry is zero at tracked precision raises SingularMatrix.
@@ -584,7 +584,6 @@ def _dividing_gauss_jordan(A: Operator):
     n = len(A.entries)
     work = [list(row) for row in A.entries]
     inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    det = one
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: field_abs(work[r][col]))
         if work[pivot_row][col].is_zero():
@@ -592,9 +591,7 @@ def _dividing_gauss_jordan(A: Operator):
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
             inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-            det = -det
         piv = work[col][col]
-        det = det * piv
         work[col] = [a / piv for a in work[col]]
         inv[col] = [a / piv for a in inv[col]]
         for r in range(n):
@@ -605,7 +602,7 @@ def _dividing_gauss_jordan(A: Operator):
                 continue
             work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
             inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
-    return inv, det
+    return inv
 
 
 def _elimination(A, eliminate=lambda A: invert_exact(A).entries):
@@ -644,7 +641,7 @@ def test_one_inverse_per_pivot_matches_the_dividing_elimination():
             if n > 1 and rng.random() < 0.2:
                 rows[-1] = list(rows[0])  # equal rows
             A = Operator(tuple(tuple(r) for r in rows))
-            got, want = _elimination(A), _elimination(A, lambda A: _dividing_gauss_jordan(A)[0])
+            got, want = _elimination(A), _elimination(A, _dividing_gauss_jordan)
             assert got == want, (desc, [[_scalar_key(a) for a in r] for r in rows])
             outcomes["singular" if got[0] == "singular" else "inverted"] += 1
     assert sizes == {1, 2, 3, 4}
@@ -772,6 +769,83 @@ def test_row_update_is_the_product_then_the_difference():
     assert triples >= 2000 and cancelled >= 100
     assert min(sides.values()) >= 100, sides
     assert min(kinds.values()) >= 100, kinds
+
+
+def test_signed_row_kernel_is_the_product_then_the_sum_or_the_difference():
+    # padic_sub_product(a, f, b, subtract) against a - f * b and a + f * b
+    # over Q2-Q7: every zero kind on every side, digit counts that differ,
+    # and a third of the triples set up so that f * b cancels a
+    rng = random.Random(6900)
+    kinds = {"exact_zero": 0, "bounded": 0, "bounded_nonpositive": 0, "negative_val": 0}
+    sides = {(side, kind): 0 for side in "afb" for kind in ("exact_zero", "bounded_zero", "nonzero")}
+    cancelled = {True: 0, False: 0}
+    mixed = 0
+    for desc in _descriptors(rng):
+        for _ in range(4):
+            subtract = rng.random() < 0.5
+            f, b = _random_term(rng, desc, kinds), _random_term(rng, desc, kinds)
+            q = f * b
+            if rng.random() < 0.3:
+                a = q if subtract else -q
+            else:
+                a = _random_term(rng, desc, kinds)
+            want = a - q if subtract else a + q
+            got = field.padic_sub_product(a, f, b, subtract=subtract)
+            assert _raw(got) == _raw(want), (desc, subtract, _raw(a), _raw(f), _raw(b))
+            for side, x in zip("afb", (a, f, b)):
+                sides[side, _zero_kind(x)] += 1
+            cancelled[subtract] += want.val is None and a.val is not None
+            mixed += len({x.prec - x.val for x in (a, f, b) if x.val is not None}) > 1
+    assert min(cancelled.values()) >= 150 and mixed >= 1000, (cancelled, mixed)
+    assert min(sides.values()) >= 150, sides
+    assert min(kinds.values()) >= 150, kinds
+
+
+def test_divided_difference_is_the_difference_then_the_quotient():
+    # padic_divided_difference(us, vs, t) against (u - v)/t per coordinate:
+    # every zero kind in u and v, v equal to u or to u plus a term, so that
+    # u - v cancels, and divisors that know fewer or more digits than u - v
+    rng = random.Random(7000)
+    kinds = {"exact_zero": 0, "bounded": 0, "bounded_nonpositive": 0, "negative_val": 0}
+    seen = {"exact_zero": 0, "bounded_zero": 0, "nonzero": 0, "cancelled": 0,
+            "t_knows_less": 0, "t_knows_more": 0}
+    for desc in _descriptors(rng):
+        for _ in range(2):
+            dim = rng.randint(1, 4)
+            us = tuple(_random_term(rng, desc, kinds) for _ in range(dim))
+            vs = []
+            for u in us:
+                r = rng.random()
+                vs.append(u if r < 0.15 else u + _random_term(rng, desc, kinds) if r < 0.3
+                          else _random_term(rng, desc, kinds))
+            t = _nonzero_term(rng, desc, kinds)
+            want = tuple((u - v) / t for u, v in zip(us, vs))
+            got = field.padic_divided_difference(us, tuple(vs), t)
+            assert [_raw(x) for x in got] == [_raw(x) for x in want], (desc, us, vs, t)
+            for u, v, w in zip(us, vs, want):
+                d = u - v
+                seen[_zero_kind(w)] += 1
+                seen["cancelled"] += d.val is None and u.val is not None and v.val is not None
+                if d.val is not None:
+                    known = d.prec - d.val
+                    seen["t_knows_less" if t.prec - t.val < known else "t_knows_more"] += 1
+    assert min(seen.values()) >= 150, seen
+    assert min(kinds.values()) >= 300, kinds
+
+
+def test_divided_difference_refuses_the_divisors_a_division_refuses():
+    rng = random.Random(7001)
+    kinds = {"exact_zero": 0, "bounded": 0, "bounded_nonpositive": 0, "negative_val": 0}
+    for desc in _descriptors(rng):
+        us = tuple(_random_term(rng, desc, kinds) for _ in range(2))
+        vs = tuple(_random_term(rng, desc, kinds) for _ in range(2))
+        for t, error in ((PadicScalar(desc, None, 0, rng.randint(-4, 4)), PrecisionExhausted),
+                         (desc.zero(), DivisionByZero)):
+            with pytest.raises(error) as want:
+                (us[0] - vs[0]) / t
+            with pytest.raises(error) as got:
+                field.padic_divided_difference(us, vs, t)
+            assert str(got.value) == str(want.value)
 
 
 def _uniform_entry(rng, desc, m, least_val):

@@ -19,6 +19,7 @@ from ultrafix import (
     rational_abs,
     vec_norm,
 )
+from ultrafix.field import PadicScalar
 from ultrafix.linalg import rat_mat_invert, rat_operator_norm
 
 
@@ -415,3 +416,70 @@ def test_classify_isometry_matches_exact_determinants(p):
         assert classify_isometry(Operator.from_rationals(rows, desc)) == want, rows
         seen[want] += 1
     assert min(seen.values()) >= 10 and swaps >= 30, (seen, swaps)
+
+
+# ---------------------------------------------------------------------------
+# p-adic Operator.apply and Operator.compose against the scalar fold: each
+# step of the fused kernel must give the digits acc + a * x gives
+
+
+def _fold(row, column, zero):
+    acc = zero
+    for a, x in zip(row, column):
+        acc = acc + a * x
+    return acc
+
+
+def _padic_entry(rng, desc, kinds):
+    """The exact zero, a bounded zero O(p^m), or a value of valuation -3..3
+    that knows 1..N digits."""
+    p, r = desc.prime, rng.random()
+    if r < 0.12:
+        kinds["exact_zero"] += 1
+        return desc.zero()
+    if r < 0.25:
+        kinds["bounded_zero"] += 1
+        return PadicScalar(desc, None, 0, rng.randint(-3, 4))
+    val, digits = rng.randint(-3, 3), rng.randint(1, desc.precision)
+    kinds["truncated"] += digits < desc.precision
+    unit = rng.randrange(1, p**digits)
+    return PadicScalar(desc, val, unit + (unit % p == 0), val + digits)
+
+
+def _raw(x):
+    return (x.val, x.unit, x.prec)
+
+
+def test_padic_apply_and_compose_are_the_scalar_fold():
+    rng = random.Random(7100)
+    kinds = {"exact_zero": 0, "bounded_zero": 0, "truncated": 0, "cancelled": 0}
+    shapes = set()
+    for p in (2, 3, 5, 7):
+        for _ in range(150):
+            desc = FieldDescriptor.padic(p, rng.randint(1, 12))
+            n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            shapes.add((n, k))
+            A = Operator(tuple(tuple(_padic_entry(rng, desc, kinds) for _ in range(k)) for _ in range(n)))
+            B = Operator(tuple(tuple(_padic_entry(rng, desc, kinds) for _ in range(m)) for _ in range(k)))
+            v = Vector(tuple(_padic_entry(rng, desc, kinds) for _ in range(k)))
+            zero = desc.zero()
+            got = A.apply(v).components
+            assert [_raw(x) for x in got] == [_raw(_fold(row, v.components, zero)) for row in A.entries]
+            columns = list(zip(*B.entries))
+            want = [[_raw(_fold(row, col, zero)) for col in columns] for row in A.entries]
+            assert [[_raw(x) for x in row] for row in A.compose(B).entries] == want
+            kinds["cancelled"] += sum(
+                x.val is None and any(a.val is not None and b.val is not None for a, b in zip(row, v.components))
+                for row, x in zip(A.entries, got)
+            )
+    assert len(shapes) == 16
+    assert min(kinds.values()) >= 200, kinds
+
+
+def test_apply_and_compose_refuse_operands_of_another_field(q5, real):
+    A = Operator.from_rationals(((1, 2), (3, 4)), q5)
+    for other in (FieldDescriptor.padic(7, 4), real):
+        with pytest.raises(SchemaError, match="operands from different fields"):
+            A.apply(Vector.from_rationals((1, 1), other))
+        with pytest.raises(SchemaError, match="operands from different fields"):
+            A.compose(Operator.from_rationals(((1,), (1,)), other))

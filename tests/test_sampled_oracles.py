@@ -2,9 +2,11 @@
 replaced, and the reports of the two oracles against recorded digests.
 
 The functions prefixed `_fraction_` are verbatim copies of x + t*y, of the
-difference quotient (a - b)/t, of the Jacobian application, of ball sampling,
-of the rational matrix-vector product and of the rational absolute value, as
-they were before these worked in integers.  Exact results are unique
+difference quotient (a - b)/t, of the Jacobian application (which takes its
+rows from the evaluator it is given), of polynomial composition (with its
+helpers `_poly_mul` and `_poly_pow`), of ball sampling, of the rational
+matrix-vector product and of the rational absolute value, as they were
+before these worked in integers.  Exact results are unique
 normalised rationals, so the kernels must return Fractions with the same
 numerator and denominator on every seeded case; field scalars take the
 unchanged generic expressions and must give the same scalars.
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from ultrafix import calculus
 from ultrafix.calculus import MapSpec, check_identities
-from ultrafix.errors import UltrafixError
+from ultrafix.errors import DimensionMismatch, UltrafixError
 from ultrafix.field import FieldDescriptor, Scalar, embed_rational, int_valuation, rational_abs
 from ultrafix.inverse import certify, verify_distortion
 from ultrafix.linalg import Ball, rat_mat_vec, rat_vec_sub
@@ -43,8 +45,8 @@ def _fraction_quotient(fs, fx, t):
     return tuple((a - b) / t for a, b in zip(fs, fx))
 
 
-def _fraction_jacobian_apply(f, x, y, evaluate=None):
-    rows = calculus._jacobian_rows(f, x) if evaluate is None else evaluate.jacobian(f, x)
+def _fraction_jacobian_apply(f, x, y, evaluate):
+    rows = evaluate.jacobian(f, x)
     zero = x[0].descriptor.zero() if x and isinstance(x[0], Scalar) else Fraction(0)
     out = []
     for row in rows:
@@ -53,6 +55,44 @@ def _fraction_jacobian_apply(f, x, y, evaluate=None):
             total = total + a * yj
         out.append(total)
     return tuple(out)
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict[tuple[int, ...], Fraction] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _poly_pow(a: dict, n: int, dim: int) -> dict:
+    out = {tuple([0] * dim): Fraction(1)}
+    for _ in range(n):
+        out = _poly_mul(out, a)
+    return out
+
+
+def _fraction_compose(g: MapSpec, f: MapSpec) -> MapSpec:
+    """Exact polynomial composition g after f."""
+    if g.domain_dim != f.codomain_dim:
+        raise DimensionMismatch(
+            f"composition needs codomain {g.domain_dim}, map produces {f.codomain_dim}"
+        )
+    dim = f.domain_dim
+    f_dicts = [dict(out) for out in f.outputs]
+    outputs = []
+    for monomials in g.outputs:
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for exps, coef in monomials:
+            term = {tuple([0] * dim): coef}
+            for j, e in enumerate(exps):
+                if e:
+                    term = _poly_mul(term, _poly_pow(f_dicts[j], e, dim))
+            for key, c in term.items():
+                acc[key] = acc.get(key, Fraction(0)) + c
+        outputs.append(tuple(acc.items()))
+    return MapSpec(dim, tuple(outputs), f.domain)
 
 
 def _fraction_unit_fraction(rng, descriptor, strict=False):
@@ -157,7 +197,7 @@ def test_vec_add_scaled_equals_the_fraction_expression():
             dim = rng.randint(1, 5)
             x, y, t = _vector(rng, p, dim), _vector(rng, p, dim), _rational(rng, p)
             want = _fraction_vec_add_scaled(x, y, t)
-            _same(calculus._vec_add_scaled(x, y, t), want)
+            _same(calculus._vec_add_scaled(x, y, t, None), want)
             negative += t < 0
             # a coordinate whose integer fraction has a common factor to cancel
             reduced += any(
@@ -184,7 +224,7 @@ def test_divided_difference_equals_the_quotient_expression():
             dim = rng.randint(1, 5)
             fs, fx = _fractions(rng, p, dim), _vector(rng, p, dim)
             t = _rational(rng, p) or rng.choice((-1, 1, Fraction(-3, 7)))
-            _same(calculus._divided_difference(fs, fx, t), _fraction_quotient(fs, fx, t))
+            _same(calculus._divided_difference(fs, fx, t, None), _fraction_quotient(fs, fx, t))
             negative += t < 0
     assert negative >= 150
 
@@ -212,15 +252,82 @@ def test_jacobian_apply_equals_the_fraction_fold():
                 for _ in range(8):
                     f = _seeded_map(rng, p, nvars, outputs)
                     x, y = _vector(rng, p, nvars), _vector(rng, p, nvars)
-                    _same(calculus._jacobian_apply(f, x, y), _fraction_jacobian_apply(f, x, y))
                     # through the per-sample evaluator, as check_identities calls it
-                    ev = calculus._SampleEvaluator()
+                    ev = calculus._SampleEvaluator(None)
                     _same(calculus._jacobian_apply(f, x, y, ev), _fraction_jacobian_apply(f, x, y, ev))
                     lx = tuple(embed_rational(v, 1, desc) for v in x)
                     ly = tuple(embed_rational(v, 1, desc) for v in y)
-                    _same_scalars(calculus._jacobian_apply(f, lx, ly), _fraction_jacobian_apply(f, lx, ly))
+                    ev = calculus._SampleEvaluator(desc)
+                    _same_scalars(calculus._jacobian_apply(f, lx, ly, ev), _fraction_jacobian_apply(f, lx, ly, ev))
                     cases += 1
     assert cases == 480
+
+
+def _compose_operand(rng, p, nvars, outputs):
+    """A map with 0-4 monomials per output (an empty output too) of degree
+    0-3; in half of them the last output repeats the first, so that terms
+    of g after this map may cancel."""
+    rows = []
+    for _ in range(outputs):
+        row = []
+        for _ in range(rng.choice((0, 1, 2, 2, 3, 4))):
+            exps = [0] * nvars
+            for _ in range(rng.choice((0, 1, 1, 2, 3)) if nvars else 0):
+                exps[rng.randrange(nvars)] += 1
+            row.append((Fraction(_rational(rng, p)) or Fraction(1, 3), tuple(exps)))
+        rows.append(row)
+    if outputs > 1 and rng.random() < 0.5:
+        rows[-1] = rows[0]
+    return MapSpec.from_coefficients(nvars, rows)
+
+
+def _expanded_sizes(g, f):
+    """Per output of g after f, how many exponents its expanded monomials
+    reach before they are summed."""
+    dim = f.domain_dim
+    sizes = []
+    for monomials in g.outputs:
+        keys = set()
+        for exps, coef in monomials:
+            term = {(0,) * dim: coef}
+            for j, e in enumerate(exps):
+                if e:
+                    term = _poly_mul(term, _poly_pow(dict(f.outputs[j]), e, dim))
+            keys |= term.keys()
+        sizes.append(len(keys))
+    return sizes
+
+
+def test_compose_equals_the_fraction_composition():
+    rng = random.Random(1018)
+    seen = {"domain": 0, "empty_output": 0, "no_variables": 0, "cancelled": 0}
+    pairs = 0
+    for p in FIELDS:
+        desc = _field(p)
+        for _ in range(110):
+            m, n = rng.randint(0, 3), rng.randint(0, 3)
+            f = _compose_operand(rng, p, m, n)
+            g = _compose_operand(rng, p, n, rng.randint(1, 3))
+            if n > 1 and f.outputs[0] == f.outputs[-1]:
+                # c y^a - c y^b, b being a with y_0's exponent moved to the
+                # last variable: the two sum to zero after f
+                a = [rng.randint(1, 2)] + [rng.randint(0, 1) for _ in range(n - 1)]
+                b = [0] + a[1:-1] + [a[-1] + a[0]]
+                c = Fraction(_rational(rng, p)) or Fraction(2, 3)
+                first = g.outputs[0] + ((tuple(a), c), (tuple(b), -c))
+                g = MapSpec(n, (first,) + g.outputs[1:])
+            if m and rng.random() < 0.3:
+                radius = Fraction(1, 2) if p is None else Fraction(p) ** rng.randint(-1, 2)
+                f = MapSpec(m, f.outputs, Ball(desc, _vector(rng, p, m), radius))
+                seen["domain"] += 1
+            got, want = calculus.compose(g, f), _fraction_compose(g, f)
+            assert (got.domain_dim, got.outputs, got.domain) == (want.domain_dim, want.outputs, want.domain), (g, f)
+            seen["empty_output"] += any(not out for out in got.outputs)
+            seen["no_variables"] += m == 0
+            seen["cancelled"] += any(len(out) < k for out, k in zip(got.outputs, _expanded_sizes(g, f)))
+            pairs += 1
+    assert pairs >= 500
+    assert min(seen.values()) >= 50, seen
 
 
 def test_field_scalars_keep_the_generic_expressions():
@@ -233,9 +340,9 @@ def test_field_scalars_keep_the_generic_expressions():
             x = tuple(map(lift, _vector(rng, p, dim)))
             y = tuple(map(lift, _vector(rng, p, dim)))
             t = lift(_rational(rng, p) or 3)
-            _same_scalars(calculus._vec_add_scaled(x, y, t), _fraction_vec_add_scaled(x, y, t))
+            _same_scalars(calculus._vec_add_scaled(x, y, t, desc), _fraction_vec_add_scaled(x, y, t))
             if not t.is_zero():
-                _same_scalars(calculus._divided_difference(x, y, t), _fraction_quotient(x, y, t))
+                _same_scalars(calculus._divided_difference(x, y, t, desc), _fraction_quotient(x, y, t))
 
 
 def test_sample_in_ball_equals_the_fraction_draws():
