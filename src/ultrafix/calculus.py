@@ -23,6 +23,7 @@ from .field import (
     RealScalar,
     Scalar,
     embed_rational,
+    int_valuation,
     padic_divided_difference,
     padic_polynomial,
     padic_sub_product,
@@ -352,6 +353,78 @@ def jacobian_exact(f: MapSpec, x: Sequence) -> tuple[tuple[Fraction, ...], ...]:
         den = D * scale[top]
         rows.append(tuple(Fraction(a, den) for a in acc))
     return tuple(rows)
+
+
+def _frame_table(f: MapSpec, p: int, s: int):
+    """f over Z_p in the frame X = p^s x: (guard, outputs), each output
+    (u, d, terms) with p^s f_i(X / p^s) = sum(K * X^a) / (u * p^d) over
+    one (K, support of a) per monomial c*x^a of f_i.
+
+    From the integer table, f_i = sum(c * x^a) / D with D = u * p^delta, so
+    the term of c*x^a in the frame is c * p^(s(1 - |a|) - delta) * X^a; d,
+    the output's guard digits, is the least d >= 0 that leaves every K an
+    integer, and guard the largest d."""
+    key = ("frame", p, s)
+    got = f._cache.get(key)
+    if got is None:
+        _, outputs = _int_table(f)
+        table = []
+        for D, terms in outputs:
+            delta = int_valuation(D, p)
+            shifts = [s * (1 - deg) - delta for _, deg, _ in terms]
+            d = max([0] + [-(e + int_valuation(c, p)) for (c, _, _), e in zip(terms, shifts)])
+            table.append((D // p**delta, d, tuple(
+                (c * p ** (e + d) if e + d >= 0 else c // p ** -(e + d), support)
+                for (c, _, support), e in zip(terms, shifts)
+            )))
+        guard = max((d for _, d, _ in table), default=0)
+        got = f._cache[key] = (guard, tuple(table))
+    return got
+
+
+def modular_sweep(f: MapSpec, p: int, s: int, xs, width: int) -> list:
+    """The values and Jacobian rows of f at the integer point xs of the frame
+    X = p^s x, in one pass over its frame table (`_frame_table`), modulo
+    p^(width + guard).
+
+    Returns one (u, d, value, row) per output: p^s f_i(x) = value / (u p^d)
+    and row[j] / (u p^d) = d f_i / d x_j, row read from the same table as
+    jacobian_exact reads it.  Each power of a coordinate is formed once,
+    reduced mod p^(width + guard)."""
+    guard, table = _frame_table(f, p, s)
+    mod = p ** (width + guard)
+    powers = {}
+
+    def power(i: int, e: int) -> int:
+        if e < 2:
+            return xs[i] if e else 1
+        got = powers.get((i, e))
+        if got is None:
+            got = powers[i, e] = pow(xs[i], e, mod)
+        return got
+
+    out = []
+    for u, d, terms in table:
+        value, row = 0, [0] * f.domain_dim
+        for c, support in terms:
+            if len(support) == 1:
+                ((i, e),) = support
+                value += c * power(i, e)
+                row[i] += c * e * power(i, e - 1)
+                continue
+            factors = [power(i, e) for i, e in support]
+            term = c
+            for x in factors:
+                term = term * x % mod
+            value += term
+            for k, (j, e) in enumerate(support):
+                term = c * e * power(j, e - 1)
+                for k2, x in enumerate(factors):
+                    if k2 != k:
+                        term = term * x % mod
+                row[j] += term
+        out.append((u, d, value % mod, [a % mod for a in row]))
+    return out
 
 
 def substitute_prefix(f: MapSpec, values: Sequence, first: int = 0) -> MapSpec:

@@ -124,10 +124,8 @@ def _cmd_fixpoint(args, field, fmap, geo):
     if "x0" not in geo:
         raise SchemaError("fixpoint needs 'x0' in the geometry")
     x0 = _rational_list(geo["x0"], "x0")
-    if geo.get("theta") is not None:
-        theta = parse_rational(geo["theta"])
-    else:
-        theta = lipschitz_theta(fmap, domain)
+    supplied = parse_rational(geo["theta"]) if geo.get("theta") is not None else None
+    theta = lipschitz_theta(fmap, domain, supplied)
     problem = ContractionProblem(fmap, domain, theta, x0)
     target = _target_precision(args)
     jsonio.check_report_budget(problem, planned_steps(problem, target))

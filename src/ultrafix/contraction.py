@@ -9,11 +9,13 @@ orbit never leaves the closed ball.
 Ultrametric problems can instead be solved by Newton steps
 (`newton_fixed_point`), whose digits are proven a posteriori from the
 residual of a closing Banach step and capped by the same a priori bound.
-Each Newton step works at the digits it can use, which double from step to
-step; only the last ones run at full precision.  A step solves
-(I - Dg(x)) s = g(x) - x by one elimination, with no inverse formed, and
-over Q_p the a priori exponents are integers from the numerators and
-denominators of theta and d0.
+The Newton passes run on integers modulo p^W in the frame X = p^s x, where
+every point of the ball is p-integral: one `calculus.modular_sweep` gives
+g(X) and Dg(X), one `linalg.modular_solve` solves (I - Dg) s = g(X) - X on
+unit pivots, and W doubles from step to step up to the full width of the
+iterate.  Only the closing Banach step, the posterior bound and the
+certified close run in tracked arithmetic.  The a priori exponents are
+integers from the numerators and denominators of theta and d0.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .calculus import (
     eval_map,
     jacobian,
     lipschitz_bound,
+    modular_sweep,
     telescoped_lipschitz,
 )
 from .errors import (
@@ -38,6 +41,7 @@ from .errors import (
     NotAFixedPoint,
     PrecisionExhausted,
     SchemaError,
+    SingularMatrix,
 )
 from .field import (
     FieldDescriptor,
@@ -45,18 +49,21 @@ from .field import (
     abs_upper_bound,
     floor_log,
     int_floor_log,
+    int_valuation,
     num_str,
     rational_abs,
+    rational_valuation,
     truncate_precision,
+    unit_inverse,
     valuation_abs,
 )
 from .linalg import (
     Ball,
     Operator,
     Vector,
+    modular_solve,
     neumann_invert,
     operator_norm,
-    solve_exact,
     vec_norm,
 )
 
@@ -309,14 +316,17 @@ def _check_step(k: int, step, bound: Fraction, ultrametric: bool, slack: float =
         )
 
 
-def _domain_escape(what: str, x: Vector, ball: Ball, step: int):
+def _distance(x: Vector, ball: Ball):
+    """The distance of x from the ball's centre."""
+    if ball.descriptor.ultrametric:
+        return vec_norm(x - ball.center)
+    return max(abs(a - c) for a, c in zip(x.to_rationals(), ball.center_exact))
+
+
+def _domain_escape(what: str, distance, ball: Ball, step: int):
     """Iterate `step` left the domain ball: raise with its distance from
     the centre and the radius.  The closing Banach step after k Newton
     steps is step k + 1."""
-    if ball.descriptor.ultrametric:
-        distance = vec_norm(x - ball.center)
-    else:
-        distance = max(abs(a - c) for a, c in zip(x.to_rationals(), ball.center_exact))
     distance, radius = num_str(distance), num_str(ball.radius)
     raise DomainEscape(
         f"{what} left the domain ball: distance {distance} from the centre, radius {radius}",
@@ -384,7 +394,7 @@ def iterate_fixed_point(
     for k in range(steps):
         nxt = eval_map(problem.f, x)
         if not problem.domain.contains_tracked(nxt):
-            _domain_escape(f"iterate {k + 1}", nxt, problem.domain, k + 1)
+            _domain_escape(f"iterate {k + 1}", _distance(nxt, problem.domain), problem.domain, k + 1)
         step = vec_norm(nxt - x)
         bound = theta**k * d0
         _check_step(k, step, bound, desc.ultrametric, slack)
@@ -416,12 +426,18 @@ def iterate_fixed_point(
 NEWTON_STEPS_PER_DIM = 8
 """Newton pays once the Banach step count exceeds this many steps per variable.
 
-A Newton step costs about n + 1 map evaluations and an n x n elimination,
-a Banach step one evaluation.  With Newton forced on every p-adic solve of
-the `request_mix` benchmark rounds (seeds 77, 78, 5 and 7, rounds 0-2, 708
-operations; minimum of 7 runs on a 2-core x86_64 VM, Python 3.11), its
-p-adic `invert` requests take 1.8x as long and its p-adic `implicit`
-requests 1.1-1.15x, the whole mix about 18% longer; the threshold stays.
+A Newton pass costs one modular sweep of g and Dg and an n x n elimination
+modulo p^W, a Banach step one tracked evaluation.  On seeded inversion
+problems over Q3, Q5 and Q7 (18 per row, minimum of 5 runs on a 2-core
+x86_64 VM, Python 3.11), Newton takes this share of the Banach time: N = 4
+(3 Banach steps) 1.35x for n = 1 and 1.74x for n = 2; N = 16 (15 steps)
+0.56x and 0.61x; N = 32 (31 steps) 0.33x and 0.36x; N = 128 (127 steps)
+0.09x.  With Newton forced on every p-adic solve of the `request_mix`
+benchmark rounds (seeds 77, 78, 5 and 7, rounds 0-2, 708 operations;
+minimum of 5 runs), its p-adic `invert` requests take 1.06x as long and its
+p-adic `implicit` requests within 3% of the same, the whole mix 1.4%
+longer, against 1.8x, 1.1-1.15x and 18% with tracked passes.  The threshold
+stays: moving it changes the digits of `request_mix` outputs.
 """
 
 
@@ -441,137 +457,215 @@ def newton_pays(problem: ContractionProblem, target_precision=None) -> bool:
     return _certified_bound(problem.theta, d0, limit, desc) > target
 
 
-def _at_width(x: Vector, width) -> Vector:
-    """x at absolute precision `width`, or x itself once that drops none of
-    its known digits (a component knows at most val + N; an all-zero x
-    counts as known to N, as a point of valuation 0 would be)."""
-    desc = x.descriptor
-    top = max((c.prec for c in x.components if c.val is not None), default=desc.precision)
-    if width >= top:
-        return x
-    return Vector(tuple(truncate_precision(c, width) for c in x.components))
+def _frame(problem: ContractionProblem):
+    """The integer frame of an ultrametric problem: (s, p^k, centre).
+
+    s >= 0 is the least integer that makes p^s x p-integral at every point
+    x of the ball, so that the frame point X = p^s x is an integer known
+    modulo a power of p.  A frame point is inside the ball when
+    X = centre mod p^k, centre being p^s times the ball's centre."""
+    ball, p = problem.domain, problem.descriptor.prime
+    k = -rational_valuation(ball.radius, p) + (0 if ball.closed else 1)
+    least = min([k] + [rational_valuation(c, p) for c in ball.center_exact if c])
+    s = max(0, -least)
+    k += s
+    return s, p**k, [_frame_residue(c, s, k, p) for c in ball.center_exact]
 
 
-def _exact(x: Vector) -> Vector:
-    """x read as the exact point its known digits spell, known to full
-    precision: a Newton iterate is a point like any other, whatever precision
-    the step that made it worked at, and a later step may read more of its
-    digits than that step knew."""
-    desc = x.descriptor
-    mod = desc.prime**desc.precision
-    return Vector(
-        tuple(
-            desc.zero() if c.val is None else PadicScalar(desc, c.val, c.unit, c.val + desc.precision, mod)
-            for c in x.components
-        )
+def _frame_residue(q: Fraction, s: int, k: int, p: int) -> int:
+    """p^s q mod p^k, for a rational q with p^s q p-integral."""
+    num, den = q.numerator, q.denominator
+    if not num or k <= 0:
+        return 0
+    vd = int_valuation(den, p)
+    num = num * p ** (s - vd) if s >= vd else num // p ** (vd - s)
+    mod = p**k
+    return num * unit_inverse(den // p**vd % mod, p, k) % mod
+
+
+def _known_width(xs, s: int, N: int, p: int) -> int:
+    """The frame width that drops none of the digits of the point xs: a
+    coordinate of valuation v knows N digits, up to p^(v + N); an all-zero
+    point counts as known to N, as a point of valuation 0 would be."""
+    return max((int_valuation(c, p) for c in xs if c), default=s) + N
+
+
+def _frame_point(xs, s: int, desc: FieldDescriptor) -> Vector:
+    """The frame point xs as the tracked x = xs / p^s, each coordinate of
+    valuation v known to its N digits, up to p^(v + N); a zero coordinate
+    is the exact zero."""
+    p, mod = desc.prime, desc.prime**desc.precision
+    out = []
+    for c in xs:
+        if not c:
+            out.append(desc.zero())
+            continue
+        v = int_valuation(c, p)
+        out.append(PadicScalar(desc, v - s, c // p**v % mod, v - s + desc.precision, mod))
+    return Vector(tuple(out))
+
+
+def _least_valuation(values, p: int):
+    """The least valuation of the nonzero integers among values, None when
+    all are zero."""
+    return min((int_valuation(c, p) for c in values if c), default=None)
+
+
+def _newton_pass(problem: ContractionProblem, s: int, xs, width: int, k: int):
+    """One Newton pass at the frame point xs (Newton iterate k), modulo
+    p^width: (v, step valuation, xs + step) with v the valuation of the
+    residual g(x) - x and the step solving (I - Dg(x)) step = g(x) - x, or
+    None when the residual is zero mod p^width.
+
+    The values and Jacobian rows come from one `modular_sweep`; an output
+    with guard digits d is divided by p^d.  Row i of the system is scaled by
+    the unit part u_i of the output's denominator, so that no inverse of it
+    is formed.  An output that is not p-integral in the frame puts g(x)
+    outside the ball, and a Jacobian entry that is not p-integral, or a
+    system with no unit pivot, shows |Dg(x)| >= 1: both raise DomainEscape.
+    """
+    p = problem.descriptor.prime
+    mod = p**width
+    rows, rhs, outside, steep = [], [], [], False
+    for i, (u, d, value, row) in enumerate(modular_sweep(problem.f, p, s, xs, width)):
+        if d:
+            scale = p**d
+            if value % scale:
+                outside.append(int_valuation(value, p) - d)
+            steep = steep or any(a % scale for a in row)
+            value //= scale
+            row = [a // scale for a in row]
+        rhs.append((value - u * xs[i]) % mod)
+        row[i] -= u
+        rows.append([-a for a in row])
+    if outside:
+        _domain_escape(f"g(Newton iterate {k})", valuation_abs(p, min(outside) - s), problem.domain, k + 1)
+    if steep:
+        _not_contracting(problem, k)
+    v = _least_valuation(rhs, p)
+    if v is None:
+        return None
+    try:
+        step = modular_solve(rows, rhs, p, width)
+    except SingularMatrix:
+        _not_contracting(problem, k)
+    return v, _least_valuation(step, p), [(a + b) % mod for a, b in zip(xs, step)]
+
+
+def _not_contracting(problem: ContractionProblem, k: int):
+    """I - Dg(x) at Newton iterate k is singular mod p: no contraction of
+    constant theta < 1 has |Dg(x)| >= 1."""
+    theta = num_str(problem.theta)
+    raise DomainEscape(
+        f"I - Dg(x) at Newton iterate {k} has no unit pivot: |Dg(x)| >= 1, so "
+        f"the supplied contraction constant {theta} is wrong",
+        step=str(k), theta=theta,
     )
-
-
-def _identity_minus(jac: Operator, one) -> Operator:
-    """I - J from J's entries: one - a on the diagonal, -a off it, the
-    values Operator.identity - J would give."""
-    return Operator(tuple(
-        tuple(one - a if i == j else -a for j, a in enumerate(row))
-        for i, row in enumerate(jac.entries)
-    ))
 
 
 def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Vector:
     """The fixed point of an ultrametric contraction by Newton steps.
 
-    Iterates x -> x + s, s solving (I - Dg(x)) s = g(x) - x by one
-    elimination (no inverse is formed), until g(x) - x is zero at
-    full precision, at most as many steps as iterate_fixed_point would take,
-    with its admissibility, domain, per-step and residual checks.  The
-    digits are proven a posteriori: on an ultrametric ball |x - x*| <=
-    |g(x) - x|, and the closing Banach step g(x) is no farther from x*.  The
-    result is g(x) truncated to the weaker of that bound and the a priori
-    bound of iterate_fixed_point, so it never claims more digits than it
-    proves or than the Banach iteration would.
+    Iterates x -> x + s, s solving (I - Dg(x)) s = g(x) - x, until g(x) - x
+    is zero at full precision, at most as many steps as iterate_fixed_point
+    would take, with its admissibility, domain, per-step and residual
+    checks.  The digits are proven a posteriori: on an ultrametric ball
+    |x - x*| <= |g(x) - x|, and the closing Banach step g(x) is no farther
+    from x*.  The result is g(x) truncated to the weaker of that bound and
+    the a priori bound of iterate_fixed_point, so it never claims more
+    digits than it proves or than the Banach iteration would.
 
-    Precision doubling (von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 9): step k evaluates g and Dg at x truncated to an absolute working
-    precision W_k, so its evaluations and elimination run on about W_k
-    digits, and the iterate it makes is read as the exact point its digits
-    spell, to be truncated again by the next step.  With p^-e_j the largest
+    Every pass works on integers modulo p^W (von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 9): the iterate is the exact frame point
+    X = p^s x (see `_frame`), one `modular_sweep` gives g(X) and Dg(X) mod
+    p^W, and one `modular_solve` the step, with the step's valuation checked
+    against the a priori bound and X + step checked for membership as
+    v_p(X - centre) >= k.  Only the closing Banach step, the posterior
+    bound and the certified close run in tracked arithmetic (Caruso,
+    "Computations with p-adic numbers", 2017, on fixed-point against
+    tracked arithmetic).
+
+    The working width doubles from step to step.  With p^-e_j the largest
     p-power <= theta^j d0, W_0 = max(3, e_1 + 2); a step whose residual has
     valuation v leaves x right to about 2v digits, and the next step to 4v,
     so W_(k+1) = max(W_k, 4v + 2, e_(k+2) + 2): the e term keeps the next
     step's residual inside its a priori bound (Caruso, Roe & Vaccon,
     "Tracking p-adic precision", 2014, on the digits a lift certifies).  A
     residual that is zero at W_k only says x is right to W_k digits: W
-    doubles and the step is taken again, which counts as no step.  So does
-    a step that comes out short of W_k digits, because products of values
-    above 1 lost some: it is taken again that many digits wider.  Once W_k
-    drops none of x's digits, for the last step the a priori cap allows,
-    and for the closing Banach step and the posterior bound, g is evaluated
-    at full precision on x as tracked.
+    doubles and the step is taken again, which counts as no step.  Once W_k
+    drops none of the digits of x, a coordinate of valuation v knowing N
+    digits up to p^(v + N), and for the last step the a priori cap allows,
+    the pass runs at that full width; when its result's valuation raises
+    the full width, it runs again that much wider.
     """
     desc = problem.descriptor
     if not desc.ultrametric:
         raise SchemaError("Newton steps are certified on ultrametric fields only")
     theta, d0, target, steps = _plan(problem, target_precision)
-    f, p = problem.f, desc.prime
-    x = Vector.from_rationals(problem.x0, desc)
+    p, N = desc.prime, desc.precision
     bound = _certified_bound(theta, d0, steps, desc)
-    if steps:
-        one = desc.one()
+    if not steps:
+        return _certified_close(problem, Vector.from_rationals(problem.x0, desc), bound, target)
 
-        def apriori_exponent(j: int):
-            """e_j; infinite once theta^j d0 is 0 (theta = 0)."""
-            e = _power_exponent(theta, d0, j, p)
-            return math.inf if e is None else -e
+    def apriori_exponent(j: int):
+        """e_j; infinite once theta^j d0 is 0 (theta = 0)."""
+        e = _power_exponent(theta, d0, j, p)
+        return math.inf if e is None else -e
 
-        e_k, e_next = apriori_exponent(0), apriori_exponent(1)
-        width, lost, k = max(3, e_next + 2), 0, 0
-        while True:  # each pass takes one step, or widens W and tries again
-            xw = x if k == steps - 1 else _at_width(x, width + lost)
-            gx = eval_map(f, xw)
-            residual = gx - xw
-            if residual.is_zero():
-                if xw is x:
-                    break
-                width *= 2
-                continue
-            step = solve_exact(_identity_minus(jacobian(f, xw), one), residual)
-            moved = x + step
-            if xw is not x:
-                short = width - min(c.prec for c in moved.components)
-                if short > 0:
-                    lost += short
-                    continue
-                moved = _exact(moved)
-            # I - Dg(x) is an isometry, so the step is as long as g(x) - x;
-            # |step| = p^-v is within theta^k d0 exactly when v >= e_k, and
-            # only a step past it builds the Fractions _check_step reports
-            step_val = min((c.val for c in step.components if c.val is not None), default=None)
-            if step_val is not None and step_val < e_k:
-                _check_step(k, valuation_abs(p, step_val), theta**k * d0, True)
-            x = moved
-            k += 1
-            e_k, e_next = e_next, apriori_exponent(k + 1)
-            if not problem.domain.contains_tracked(x):
-                _domain_escape(f"Newton iterate {k}", x, problem.domain, k)
-            if k == steps:
-                gx = eval_map(f, x)
+    s, inside, centre = _frame(problem)
+    # x0 as the exact point its N digits spell
+    xs = [_frame_residue(c, s, rational_valuation(c, p) + s + N, p) if c else 0 for c in problem.x0]
+    e_k, e_next = apriori_exponent(0), apriori_exponent(1)
+    width, k = max(3, e_next + 2), 0
+    while True:  # each pass takes one step, or widens W and tries again
+        full = _known_width(xs, s, N, p)
+        at_full = k == steps - 1 or width + s >= full
+        pass_width = full if at_full else width + s
+        got = _newton_pass(problem, s, xs, pass_width, k)
+        while at_full and got is not None and (wider := _known_width(got[2], s, N, p)) > pass_width:
+            pass_width = wider
+            got = _newton_pass(problem, s, xs, pass_width, k)
+        if got is None:
+            if at_full:
                 break
-            v = min(c.val for c in residual.components if c.val is not None)
-            width = max(width, 4 * v + 2, e_next + 2)
-        if not problem.domain.contains_tracked(gx):
-            _domain_escape("the closing Banach step", gx, problem.domain, k + 1)
-        # |g(x) - x*| <= |x - x*| <= |g(x) - x| for any contraction, whatever theta
-        posterior = max(abs_upper_bound(c) for c in (gx - x).components)
-        bound = max(posterior, bound)
-        x = gx
-    return _certified_close(problem, x, bound, target)
+            width *= 2
+            continue
+        v, step_val, xs = got
+        if step_val - s < e_k:
+            # only a step past its bound builds the Fractions _check_step reports
+            _check_step(k, valuation_abs(p, step_val - s), theta**k * d0, True)
+        k += 1
+        e_k, e_next = e_next, apriori_exponent(k + 1)
+        escape = _least_valuation([(a - c) % inside for a, c in zip(xs, centre)], p)
+        if escape is not None:
+            _domain_escape(f"Newton iterate {k}", valuation_abs(p, escape - s), problem.domain, k)
+        if k == steps:
+            break
+        width = max(width, 4 * (v - s) + 2, e_next + 2)
+    x = _frame_point(xs, s, desc)
+    gx = eval_map(problem.f, x)
+    if not problem.domain.contains_tracked(gx):
+        _domain_escape("the closing Banach step", _distance(gx, problem.domain), problem.domain, k + 1)
+    # |g(x) - x*| <= |x - x*| <= |g(x) - x| for any contraction, whatever theta
+    posterior = max(abs_upper_bound(c) for c in (gx - x).components)
+    return _certified_close(problem, gx, max(posterior, bound), target)
 
 
-def lipschitz_theta(f: MapSpec, ball: Ball) -> Fraction:
-    """Contraction constant from the coefficient-telescoped Lipschitz bound."""
-    theta = lipschitz_bound(f, ball)
-    if theta >= 1:
-        raise NotAContraction(f"Lipschitz bound {num_str(theta)} is not below 1")
-    return theta
+def lipschitz_theta(f: MapSpec, ball: Ball, supplied=None) -> Fraction:
+    """Contraction constant from the coefficient-telescoped Lipschitz bound,
+    or the supplied theta once that bound does not exceed it."""
+    bound = lipschitz_bound(f, ball)
+    if supplied is not None:
+        if bound > supplied:
+            bound, theta = num_str(bound), num_str(Fraction(supplied))
+            raise NotAContraction(
+                f"Lipschitz bound {bound} exceeds the supplied theta {theta}",
+                lipschitz=bound, theta=theta,
+            )
+        return Fraction(supplied)
+    if bound >= 1:
+        raise NotAContraction(f"Lipschitz bound {num_str(bound)} is not below 1")
+    return bound
 
 
 def uniform_family_check(f: MapSpec, p_ball: Ball, u_ball: Ball) -> Fraction:

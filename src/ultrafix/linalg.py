@@ -3,8 +3,8 @@
 Everything is max-norm based: the operator norm is the max entry absolute
 value in the ultrametric case and the max row sum in the real case, both in
 closed form.  Over field scalars there is one Gauss-Jordan elimination, on
-[A | B]: the inverse eliminates on [A | I] and a solve of A x = v on the
-column v, forming no inverse; no determinant is formed.
+[A | I], forming no determinant; `modular_solve` eliminates an integer
+system modulo p^width on unit pivots.
 Over Q_p each row update is one fused `a - f * b` kernel, and each step of
 the `acc + a * x` fold of `Operator.apply` and `Operator.compose` one fused
 `a + f * b`.  Rational twins of the matrix routines (suffix ``rat_``) are
@@ -30,6 +30,7 @@ from .field import (
     padic_sub_product,
     rational_abs,
     rational_valuation,
+    unit_inverse,
     valuation_abs,
 )
 
@@ -175,12 +176,8 @@ def _operator_norm_upper(A: Operator):
     return max(sum(abs_upper_bound(a) for a in row) for row in A.entries)
 
 
-def _field_gauss_jordan(A: Operator, B) -> list:
-    """Gauss-Jordan elimination over field scalars on [A | B]: the rows of
-    X with A X = B.
-
-    B is a sequence of rows: the inverse passes the identity, a solve its
-    right-hand side as one column, forming no inverse.
+def invert_exact(A: Operator) -> Operator:
+    """Gauss-Jordan inverse over field scalars, by elimination on [A | I].
 
     Each column pivots on its first entry of largest absolute value (over
     Q_p, of least valuation); a column whose largest entry is zero at
@@ -192,11 +189,14 @@ def _field_gauss_jordan(A: Operator, B) -> list:
     is one `padic_sub_product`.  Real rows are divided, as a * (1/piv) would
     round differently, and updated by `a - factor * b`.
     """
+    n, m = A.shape
+    if n != m:
+        raise DimensionMismatch("only square operators invert")
     desc = A.descriptor
     ultra = desc.ultrametric
     one = desc.one()
-    n = len(A.entries)
-    work = [list(a) + list(b) for a, b in zip(A.entries, B)]
+    identity = Operator.identity(n, desc).entries
+    work = [list(a) + list(b) for a, b in zip(A.entries, identity)]
     for col in range(n):
         if ultra:
             pivot_row = min(range(col, n), key=lambda r: _pivot_valuation(work[r][col]))
@@ -224,7 +224,7 @@ def _field_gauss_jordan(A: Operator, B) -> list:
                 row[col + 1:] = [padic_sub_product(a, factor, b) for a, b in zip(row[col + 1:], top)]
             else:
                 row[col + 1:] = [a - factor * b for a, b in zip(row[col + 1:], top)]
-    return [row[n:] for row in work]
+    return Operator(tuple(tuple(row[n:]) for row in work))
 
 
 def _pivot_valuation(a: PadicScalar):
@@ -232,23 +232,34 @@ def _pivot_valuation(a: PadicScalar):
     return math.inf if a.val is None else a.val
 
 
-def invert_exact(A: Operator) -> Operator:
-    """Gauss-Jordan inverse, pivoting on the entry of maximal absolute value."""
-    n, m = A.shape
-    if n != m:
-        raise DimensionMismatch("only square operators invert")
-    identity = Operator.identity(n, A.descriptor).entries
-    return Operator(tuple(tuple(row) for row in _field_gauss_jordan(A, identity)))
+def modular_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], p: int, width: int) -> list[int]:
+    """The integer x with A x = rhs modulo p^width, A an integer matrix
+    invertible mod p, by Gauss-Jordan elimination on [A | rhs].
 
-
-def solve_exact(A: Operator, v: Vector) -> Vector:
-    """The x with A x = v, by the same elimination on [A | v]: no inverse,
-    no product with it."""
-    n, m = A.shape
-    if n != m or v.dim != n:
-        raise DimensionMismatch(f"operator is {n}x{m}, vector has dim {v.dim}")
-    x = _field_gauss_jordan(A, [(c,) for c in v.components])
-    return Vector(tuple(row[0] for row in x))
+    Each column pivots on its first entry prime to p, and the pivot row is
+    scaled by that entry's inverse mod p^width, one `unit_inverse` (the
+    Hensel inverse) per column; every entry is reduced mod p^width as it is
+    updated.  The solution mod p^width is unique, whichever unit pivots are
+    taken.  A column with no entry prime to p left raises SingularMatrix: A
+    is singular mod p.
+    """
+    mod = p**width
+    n = len(rows)
+    work = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col] % p), None)
+        if pivot_row is None:
+            raise SingularMatrix(f"no unit pivot in column {col} modulo {p}")
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+        inverse = unit_inverse(work[col][col], p, width)
+        top = [a * inverse % mod for a in work[col][col + 1:]]
+        work[col][col + 1:] = top
+        for i, row in enumerate(work):
+            factor = row[col] % mod
+            if factor and i != col:
+                row[col + 1:] = [(a - factor * b) % mod for a, b in zip(row[col + 1:], top)]
+    return [row[n] for row in work]
 
 
 @dataclass(frozen=True)

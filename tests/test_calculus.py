@@ -838,3 +838,36 @@ def test_windows_equal_those_of_the_loop_builders():
     assert sum(isinstance(e, dict) for e in encodings) >= 100
     text = json.dumps(encodings, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == WINDOW_DIGEST
+
+
+def test_modular_sweep_is_the_exact_value_and_jacobian_in_the_frame():
+    # seeded maps whose coefficients carry p in numerators and denominators,
+    # at integer points of the frames s = 0..3: value = u p^d p^s f(X / p^s)
+    # and row[j] = u p^d df/dx_j(X / p^s), both integers, modulo p^(W + guard)
+    rng = random.Random(8100)
+    guards = set()
+    for _ in range(300):
+        p, m = rng.choice((2, 3, 5, 7)), rng.randint(1, 3)
+        outputs = []
+        for _ in range(m):
+            terms = [(Fraction(rng.randint(-9, 9) * p ** rng.randint(0, 2), rng.choice((1, 2, p, p * p, 3 * p))),
+                      tuple(rng.randint(0, 3) for _ in range(m))) for _ in range(rng.randint(1, 4))]
+            outputs.append(terms)
+        f = MapSpec.from_coefficients(m, outputs)
+        s, width = rng.randint(0, 3), rng.randint(1, 40)
+        xs = [rng.randrange(p ** (width + 4)) for _ in range(m)]
+        point = tuple(Fraction(x, p**s) for x in xs)
+        values, rows = eval_map(f, point), calculus.jacobian_exact(f, point)
+        guard = calculus._frame_table(f, p, s)[0]
+        mod = p ** (width + guard)
+        swept = calculus.modular_sweep(f, p, s, xs, width)
+        assert len(swept) == m
+        for (u, d, value, row), exact, exact_row in zip(swept, values, rows):
+            assert u % p and 0 <= d <= guard
+            scale = u * p**d
+            assert (scale * p**s * exact).denominator == 1
+            assert (scale * p**s * exact - value) % mod == 0
+            for a, b in zip(row, exact_row):
+                assert (scale * b).denominator == 1 and (scale * b - a) % mod == 0
+            guards.add(d)
+    assert {0, 1, 2} <= guards

@@ -499,6 +499,23 @@ def test_cli_real_fixpoint_meets_its_target_or_refuses_it():
     assert Fraction(1, 2**47) <= Fraction(error["rounding"]) < Fraction(1, 2**44)
 
 
+def test_cli_fixpoint_takes_a_theta_only_above_the_lipschitz_bound():
+    # x^2 over the reals on B[0, 1] from 1/4 has Lipschitz bound 2: a supplied
+    # theta of 1/2 exited 0 and printed "theta": 0.5
+    square = json.dumps({"vars": 1, "outputs": [[{"coef": "1", "exp": [2]}]]})
+    real = json.dumps({"kind": "real", "tolerance": 1e-9})
+    geometry = {"domain": {"center": ["0"], "radius": "1", "closed": True}, "x0": ["1/4"], "theta": "1/2"}
+    code, payload = run_in_process(["fixpoint", "--map", square, "--field", real, "--geometry", json.dumps(geometry)])
+    assert code == 1
+    error = payload["error"]
+    assert (error["kind"], error["lipschitz"], error["theta"]) == ("NotAContraction", "2/1", "1/2")
+    # on B[0, 1/4] the bound is 1/2: that theta, and any above it, is taken as supplied
+    for theta in ("1/2", "3/4"):
+        geometry = {"domain": {"center": ["0"], "radius": "1/4", "closed": True}, "x0": ["1/16"], "theta": theta}
+        code, payload = run_in_process(["fixpoint", "--map", square, "--field", real, "--geometry", json.dumps(geometry)])
+        assert code == 0 and payload["result"]["report"]["theta"] == float(Fraction(theta))
+
+
 def test_cli_check_samples_times_cost_over_the_budget_exit_1_before_sampling(monkeypatch):
     args = ["check", "--map", _monomial_map(1024), "--samples", "100000"]
     start = time.perf_counter()

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from ultrafix import (
     vec_norm,
 )
 from ultrafix import contraction
-from ultrafix.calculus import compose, quotient_map, eval_map, jacobian, substitute_prefix
+from ultrafix.calculus import _frame_table, compose, quotient_map, eval_map, jacobian, substitute_prefix
 from ultrafix.contraction import (
     MAX_STEPS,
     NEWTON_STEPS_PER_DIM,
@@ -37,8 +38,20 @@ from ultrafix.contraction import (
     newton_fixed_point,
     newton_pays,
 )
-from ultrafix.errors import PrecisionExhausted
-from ultrafix.field import abs_upper_bound, floor_log, frac_str, num_str, rational_valuation, truncate_precision
+from ultrafix.errors import PrecisionExhausted, SingularMatrix
+from ultrafix.field import (
+    PadicScalar,
+    abs_upper_bound,
+    field_abs,
+    floor_log,
+    frac_str,
+    int_valuation,
+    num_str,
+    padic_sub_product,
+    rational_valuation,
+    truncate_precision,
+    valuation_abs,
+)
 from ultrafix.implicit import build_window
 from ultrafix.inverse import inversion_step_map
 from ultrafix import linalg
@@ -701,21 +714,22 @@ def test_precision_doubling_on_centres_of_negative_valuation(p):
 
 def test_capped_last_step_runs_at_full_precision(monkeypatch):
     # a target of 5^-4 caps the loop at 2 steps on these maps (theta = 1/25);
-    # the step the cap allows last evaluates Dg at the full-precision
-    # iterate (val + N digits, or an exact zero), the first one at the
-    # working precision W_0 = e_1 + 2 = 5
-    points = []
-    real_jacobian = contraction.jacobian
-    monkeypatch.setattr(contraction, "jacobian", lambda f, x: points.append(x) or real_jacobian(f, x))
+    # the step the cap allows last evaluates g and Dg modulo the full width
+    # of its iterate (every coordinate to val + N digits), the first one at
+    # the working width W_0 = e_1 + 2 = 5
+    sweeps = []
+    real_sweep = contraction.modular_sweep
+    monkeypatch.setattr(contraction, "modular_sweep",
+                        lambda f, p, s, xs, width: sweeps.append((xs, width)) or real_sweep(f, p, s, xs, width))
     rng = random.Random(7500)
     for rep in range(12):
-        points.clear()
+        sweeps.clear()
         problem = _deep_problem(rng, 5, 1 + rep % 2, 64, implicit=False, flat=5)
         assert _plan(problem, Fraction(1, 5**4))[3] == 2
         newton_fixed_point(problem, Fraction(1, 5**4))
-        first, last = points
-        assert all(c.prec == 5 for c in first.components)
-        assert all(c.prec is None or c.prec == c.val + 64 for c in last.components)
+        (first, w0), (last, w1) = sweeps[0], sweeps[-1]
+        assert w0 == 5 and not any(first)
+        assert w1 >= max(int_valuation(c, 5) for c in last if c) + 64
 
 
 @pytest.mark.parametrize("seed", [213, 250])
@@ -736,6 +750,226 @@ def test_full_precision_step_keeps_only_the_digits_it_knows(seed):
         assert _prec(a) >= _prec(b)
         diff = a.to_rational() - b.to_rational()
         assert diff == 0 or rational_valuation(diff, p) >= _prec(b)
+
+
+# ---------------------------------------------------------------------------
+# The integer pass, checked against the tracked pass it replaced
+
+
+def _tracked_gauss_jordan(A, B):
+    """The elimination of the tracked solve, verbatim (field scalars, [A | B])."""
+    desc = A.descriptor
+    ultra = desc.ultrametric
+    one = desc.one()
+    n = len(A.entries)
+    work = [list(a) + list(b) for a, b in zip(A.entries, B)]
+    for col in range(n):
+        if ultra:
+            pivot_row = min(range(col, n), key=lambda r: linalg._pivot_valuation(work[r][col]))
+        else:
+            pivot_row = max(range(col, n), key=lambda r: field_abs(work[r][col]))
+        if work[pivot_row][col].is_zero():
+            raise SingularMatrix(f"no nonzero pivot in column {col} at tracked precision")
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+        piv = work[col][col]
+        if ultra:
+            r = one / piv
+            top = [a * r for a in work[col][col + 1:]]
+        else:
+            top = [a / piv for a in work[col][col + 1:]]
+        work[col][col + 1:] = top
+        for i in range(n):
+            if i == col:
+                continue
+            row = work[i]
+            factor = row[col]
+            if factor.is_zero():
+                continue
+            if ultra:
+                row[col + 1:] = [padic_sub_product(a, factor, b) for a, b in zip(row[col + 1:], top)]
+            else:
+                row[col + 1:] = [a - factor * b for a, b in zip(row[col + 1:], top)]
+    return [row[n:] for row in work]
+
+
+def _tracked_solve(A, v):
+    x = _tracked_gauss_jordan(A, [(c,) for c in v.components])
+    return Vector(tuple(row[0] for row in x))
+
+
+def _tracked_at_width(x, width):
+    desc = x.descriptor
+    top = max((c.prec for c in x.components if c.val is not None), default=desc.precision)
+    if width >= top:
+        return x
+    return Vector(tuple(truncate_precision(c, width) for c in x.components))
+
+
+def _tracked_exact(x):
+    desc = x.descriptor
+    mod = desc.prime**desc.precision
+    return Vector(
+        tuple(
+            desc.zero() if c.val is None else PadicScalar(desc, c.val, c.unit, c.val + desc.precision, mod)
+            for c in x.components
+        )
+    )
+
+
+def _tracked_identity_minus(jac, one):
+    return Operator(tuple(
+        tuple(one - a if i == j else -a for j, a in enumerate(row))
+        for i, row in enumerate(jac.entries)
+    ))
+
+
+def _tracked_domain_escape(what, x, ball, step):
+    contraction._domain_escape(what, contraction._distance(x, ball), ball, step)
+
+
+def _tracked_newton(problem, target_precision=None):
+    """newton_fixed_point with every pass in tracked arithmetic, verbatim:
+    each pass evaluates g and Dg at x truncated to the working width W_k
+    and solves on tracked scalars; a step short of W_k digits is taken again
+    that many digits wider (only the domain escape reads its distance
+    through contraction._distance)."""
+    desc = problem.descriptor
+    if not desc.ultrametric:
+        raise SchemaError("Newton steps are certified on ultrametric fields only")
+    theta, d0, target, steps = _plan(problem, target_precision)
+    f, p = problem.f, desc.prime
+    x = Vector.from_rationals(problem.x0, desc)
+    bound = _certified_bound(theta, d0, steps, desc)
+    if steps:
+        one = desc.one()
+
+        def apriori_exponent(j: int):
+            """e_j; infinite once theta^j d0 is 0 (theta = 0)."""
+            e = _power_exponent(theta, d0, j, p)
+            return math.inf if e is None else -e
+
+        e_k, e_next = apriori_exponent(0), apriori_exponent(1)
+        width, lost, k = max(3, e_next + 2), 0, 0
+        while True:  # each pass takes one step, or widens W and tries again
+            xw = x if k == steps - 1 else _tracked_at_width(x, width + lost)
+            gx = eval_map(f, xw)
+            residual = gx - xw
+            if residual.is_zero():
+                if xw is x:
+                    break
+                width *= 2
+                continue
+            step = _tracked_solve(_tracked_identity_minus(jacobian(f, xw), one), residual)
+            moved = x + step
+            if xw is not x:
+                short = width - min(c.prec for c in moved.components)
+                if short > 0:
+                    lost += short
+                    continue
+                moved = _tracked_exact(moved)
+            # I - Dg(x) is an isometry, so the step is as long as g(x) - x;
+            # |step| = p^-v is within theta^k d0 exactly when v >= e_k, and
+            # only a step past it builds the Fractions _check_step reports
+            step_val = min((c.val for c in step.components if c.val is not None), default=None)
+            if step_val is not None and step_val < e_k:
+                _check_step(k, valuation_abs(p, step_val), theta**k * d0, True)
+            x = moved
+            k += 1
+            e_k, e_next = e_next, apriori_exponent(k + 1)
+            if not problem.domain.contains_tracked(x):
+                _tracked_domain_escape(f"Newton iterate {k}", x, problem.domain, k)
+            if k == steps:
+                gx = eval_map(f, x)
+                break
+            v = min(c.val for c in residual.components if c.val is not None)
+            width = max(width, 4 * v + 2, e_next + 2)
+        if not problem.domain.contains_tracked(gx):
+            _tracked_domain_escape("the closing Banach step", gx, problem.domain, k + 1)
+        # |g(x) - x*| <= |x - x*| <= |g(x) - x| for any contraction, whatever theta
+        posterior = max(abs_upper_bound(c) for c in (gx - x).components)
+        bound = max(posterior, bound)
+        x = gx
+    return contraction._certified_close(problem, x, bound, target)
+
+
+def _agrees_on_common_digits(got, old):
+    """got knows at least the digits old knows, and they are the same;
+    returns whether it knows more."""
+    p = got.descriptor.prime
+    for a, b in zip(got.components, old.components):
+        assert _prec(a) >= _prec(b)
+        diff = a.to_rational() - b.to_rational()
+        assert diff == 0 or rational_valuation(diff, p) >= _prec(b)
+    return _digits(got) != _digits(old)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_integer_pass_matches_the_tracked_pass(p):
+    # 108 seeded problems per prime at N = 8..1024, as local_invert and
+    # solve_implicit pose them: the same digits, bit for bit
+    rng = random.Random(7700 + p)
+    solves = 0
+    for N in (8, 64, 256, 1024):
+        for n in (1, 2, 3):
+            for rep in range(9):
+                flat = (1, 1, p, p * p)[rep % 4]
+                problem = _deep_problem(rng, p, n, N, implicit=rep % 3 == 2, flat=flat)
+                target = None if rep % 2 == 0 else Fraction(1, p ** rng.randint(2, 12))
+                want = _tracked_newton(problem, target)
+                assert _digits(newton_fixed_point(problem, target)) == _digits(want), (N, n, rep)
+                solves += 1
+    assert solves == 108
+
+
+def test_integer_pass_matches_the_tracked_pass_at_4096_digits():
+    rng = random.Random(7800)
+    problem = _deep_problem(rng, 5, 2, 4096, implicit=False)
+    got = newton_fixed_point(problem)
+    assert _digits(got) == _digits(_tracked_newton(problem))
+    assert min(c.prec for c in got.components) >= 4096
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_integer_pass_on_centres_of_negative_valuation(p):
+    # a centre of valuation -s puts the problem in the frame X = p^s x with
+    # guard digits; the tracked pass loses digits to products of values
+    # above 1, the integer pass none: at least as many digits, the same ones
+    rng = random.Random(7900 + p)
+    frames, more = set(), 0
+    for rep in range(24):
+        n, N, s = 1 + rep % 2, (8, 12, 20, 40)[rep % 4], 1 + rep % 3
+        base = _deep_problem(rng, p, n, N, implicit=False, flat=(p, p * p)[rep % 2])
+        center = tuple(Fraction(_p_unit(rng, p), p**s) for _ in range(n))
+        problem = _recentred(base, center, base.descriptor)
+        frames.add((contraction._frame(problem)[0], _frame_table(problem.f, p, s)[0]))
+        target = None if rep % 4 < 2 else Fraction(1, p ** rng.randint(3, 6))
+        more += _agrees_on_common_digits(newton_fixed_point(problem, target), _tracked_newton(problem, target))
+    assert {s for s, _ in frames} == {1, 2, 3} and all(guard > 0 for _, guard in frames)
+    assert more >= 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_integer_pass_on_maps_with_p_in_a_denominator(p):
+    # x -> p g(x / p) on B_{1/p^2}(0): the degree-2 and degree-3 terms of
+    # g get p and p^2 in their denominators, so the outputs carry guard
+    # digits d >= 1 in the frame s = 0
+    rng = random.Random(8000 + p)
+    guards = set()
+    for rep in range(24):
+        n, N = 1 + rep % 2, (8, 16, 64, 256)[rep % 4]
+        base = _deep_problem(rng, p, n, N, implicit=False, flat=(1, p)[rep % 2])
+
+        def scaled(c):
+            return MapSpec.from_coefficients(n, [[(c, tuple(int(k == i) for k in range(n)))] for i in range(n)])
+
+        g = compose(scaled(p), compose(base.f, scaled(Fraction(1, p))))
+        problem = ContractionProblem(g, Ball(base.descriptor, (0,) * n, Fraction(1, p * p)), base.theta, (0,) * n)
+        assert contraction._frame(problem)[0] == 0
+        guards.add(_frame_table(g, p, 0)[0])
+        target = None if rep % 3 else Fraction(1, p ** rng.randint(3, 6))
+        _agrees_on_common_digits(newton_fixed_point(problem, target), _tracked_newton(problem, target))
+    assert min(guards) >= 1 and max(guards) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +1055,7 @@ def test_rounding_bound_is_zero_over_q_p(q5):
     )
 
 
-def test_domain_escapes_carry_step_distance_and_radius(q5, real, monkeypatch):
+def test_domain_escapes_carry_step_distance_and_radius(q5, q5_deep, real, monkeypatch):
     # 129/125 + x/5 over Q5 on B_1(1/25) and 4x - 119/4 over the reals on
     # B_1(10) are no 1/5- or 1/2-contractions: iterate 2 lands at
     # 1/25 + 6/5 and at 45/4
@@ -843,21 +1077,37 @@ def test_domain_escapes_carry_step_distance_and_radius(q5, real, monkeypatch):
         with pytest.raises(DomainEscape, match=message) as err:
             solve()
         assert err.value.details == details
+    # 1 - 4x has I - Dg = 5: no unit pivot, so |Dg| = 1 refutes theta = 1/5,
+    # with the step check or without it
+    steep = ContractionProblem(poly(1, [(1, (0,)), (-4, (1,))]), Ball(q5, (0,), 1), Fraction(1, 5), (0,))
+    # 5 + x^125/5^126 on B_{1/5}(0): Dg(5) = 5, but g(5) = 5 + 1/5 leaves the ball
+    leaving = ContractionProblem(poly(1, [(5, (0,)), (Fraction(1, 5**126), (125,))]),
+                                 Ball(q5_deep, (0,), Fraction(1, 5)), Fraction(1, 5), (0,))
+    for check in (True, False):
+        if not check:
+            monkeypatch.setattr(contraction, "_check_step", lambda *args: None)
+        with pytest.raises(DomainEscape, match="Newton iterate 0 has no unit pivot") as err:
+            newton_fixed_point(steep)
+        assert err.value.details == {"step": "0", "theta": "1/5"}
+        with pytest.raises(DomainEscape, match=r"g\(Newton iterate 1\) left the domain ball") as err:
+            newton_fixed_point(leaving)
+        assert err.value.details == {"step": "2", "distance": "5/1", "radius": "1/5"}
     # on an ultrametric ball a step within its bound cannot leave it: with the
-    # step check off, 1 - 4x (I - Dg = 5) jumps from 0 to 1/5
-    monkeypatch.setattr(contraction, "_check_step", lambda *args: None)
+    # step check off, a step of 1 from 0 leaves B_{1/5}(0)
+    monkeypatch.setattr(contraction, "modular_solve", lambda rows, rhs, p, width: [1] * len(rhs))
     with pytest.raises(DomainEscape, match="Newton iterate 1 left the domain ball") as err:
-        newton_fixed_point(ContractionProblem(
-            poly(1, [(1, (0,)), (-4, (1,))]), Ball(q5, (0,), 1), Fraction(1, 5), (0,)))
-    assert err.value.details == {"step": "1", "distance": "5/1", "radius": "1/1"}
+        newton_fixed_point(ContractionProblem(FIVE_PLUS_SQ, Ball(q5, (0,), Fraction(1, 5)), Fraction(1, 5), (0,)))
+    assert err.value.details == {"step": "1", "distance": "1/1", "radius": "1/5"}
 
 
 def test_newton_passes_solve_as_the_inverse_would(monkeypatch):
-    # every (I - Dg) s = g(x) - x a Newton pass solves, over seeded deep
-    # problems, equals invert_exact(I - Dg).apply(g(x) - x) bit for bit; the
-    # pass forms no inverse and applies no operator
-    systems = []
-    real_solve = contraction.solve_exact
+    # every (I - Dg) s = g(x) - x a Newton pass solves modulo p^W, over seeded
+    # deep problems, agrees modulo p^W with invert_exact(I - Dg).apply(g(x) - x)
+    # over Q_p at W digits; the passes form no inverse, apply no operator and
+    # build no p-adic scalar before the closing Banach step
+    systems, scalars, closing = [], [], [False]
+    real_solve, real_point = contraction.modular_solve, contraction._frame_point
+    init = PadicScalar.__init__
     rng = random.Random(7600)
     problems = []
     for p in (3, 5, 7):
@@ -871,16 +1121,33 @@ def test_newton_passes_solve_as_the_inverse_would(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Newton pass formed an inverse or applied an operator")
 
-    monkeypatch.setattr(contraction, "solve_exact", lambda A, v: systems.append((A, v)) or real_solve(A, v))
+    def close(*args):
+        closing[0] = True
+        return real_point(*args)
+
+    def counted_init(self, *args):
+        scalars.append(closing[0])
+        init(self, *args)
+
+    monkeypatch.setattr(contraction, "modular_solve", lambda *args: systems.append(args) or real_solve(*args))
+    monkeypatch.setattr(contraction, "_frame_point", close)
     monkeypatch.setattr(linalg, "invert_exact", refuse)
     monkeypatch.setattr(Operator, "apply", refuse)
+    monkeypatch.setattr(PadicScalar, "__init__", counted_init)
     for problem, target in problems:
+        closing[0] = False
         newton_fixed_point(problem, target)
+        assert closing[0]
     monkeypatch.undo()
-    assert len(systems) >= 600 and {v.dim for _, v in systems} == {1, 2, 3, 4}
-    for A, v in systems:
-        want = invert_exact(A).apply(v).components
-        assert [_raw(c) for c in real_solve(A, v).components] == [_raw(c) for c in want]
+    assert scalars and all(scalars)
+    assert len(systems) >= 600 and {len(rhs) for _, rhs, _, _ in systems} == {1, 2, 3, 4}
+    for rows, rhs, p, width in systems:
+        desc = FieldDescriptor.padic(p, width)
+        A = Operator.from_rationals(rows, desc)
+        want = invert_exact(A).apply(Vector.from_rationals(rhs, desc)).components
+        for x, c in zip(real_solve(rows, rhs, p, width), want):
+            assert c.prec is None or c.prec >= width
+            assert (c.to_rational() - x) % p**width == 0
 
 
 def _raw(x):

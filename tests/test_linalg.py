@@ -483,3 +483,35 @@ def test_apply_and_compose_refuse_operands_of_another_field(q5, real):
             A.apply(Vector.from_rationals((1, 1), other))
         with pytest.raises(SchemaError, match="operands from different fields"):
             A.compose(Operator.from_rationals(((1,), (1,)), other))
+
+
+def test_modular_solve_on_unit_pivots():
+    # integer systems invertible mod p: A x = b modulo p^width, whichever
+    # unit pivot each column takes; no unit pivot left raises SingularMatrix
+    from ultrafix.errors import SingularMatrix
+    from ultrafix.linalg import modular_solve
+
+    rng = random.Random(8200)
+    swapped = singular = 0
+    for _ in range(400):
+        p, n, width = rng.choice((2, 3, 5, 7)), rng.randint(1, 4), rng.randint(1, 60)
+        mod = p**width
+        # I - D with D = 0 mod p, as a Newton pass poses it, and entries of either sign
+        rows = [[int(i == j) + p * rng.randrange(-mod, mod) for j in range(n)] for i in range(n)]
+        if n > 1 and rng.random() < 0.3:  # no unit on the diagonal: the pivot is found below
+            rows[0], rows[1] = rows[1], rows[0]
+            swapped += 1
+        if rng.random() < 0.2:  # a column of multiples of p
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] *= p
+            with pytest.raises(SingularMatrix, match="no unit pivot"):
+                modular_solve(rows, [0] * n, p, width)
+            singular += 1
+            continue
+        rhs = [rng.randrange(mod) for _ in range(n)]
+        x = modular_solve(rows, rhs, p, width)
+        assert all(0 <= c < mod for c in x)
+        for row, b in zip(rows, rhs):
+            assert (sum(a * c for a, c in zip(row, x)) - b) % mod == 0
+    assert swapped >= 50 and singular >= 50
