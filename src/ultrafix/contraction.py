@@ -1,10 +1,18 @@
 """Banach fixed-point iteration with a priori/a posteriori certificates.
 
-The stopping rule is driven by the a priori bound theta^n/(1-theta) * d0, so
-the returned precision claim holds even without observing convergence.  On
-the ultrametric side admissibility is sharpened from d0 <= (1-theta)r to
-d0 <= r: the iteration displacements form a max-telescoping sequence, so the
-orbit never leaves the closed ball.
+The step count is planned from the a priori bound theta^n/(1-theta) * d0.
+Over Q_p that bound is the claim, and admissibility is sharpened from
+d0 <= (1-theta)r to d0 <= r: the iteration displacements form a
+max-telescoping sequence, so the orbit never leaves the closed ball.
+
+A real solve iterates in doubles and certifies its answer, not its orbit.
+A double is an exact rational, and a point x of the ball is within
+|g(x) - x| / (1 - theta) of the fixed point of a theta-contraction g (Rump,
+"Verification methods", Acta Numerica 19, 2010), so the close evaluates
+that bound exactly, with `eval_map` on the rationals of x.  The plan aims
+the a priori bound at half the target; the other half is room for the drift
+of the doubles, and an answer whose exact bound misses the target is
+refused with PrecisionExhausted.
 
 Ultrametric problems can instead be solved by Newton steps
 (`newton_fixed_point`), whose digits are proven a posteriori from the
@@ -102,35 +110,6 @@ class ContractionProblem:
         fx0 = eval_map(self.f, self.x0)
         return max(rational_abs(a - b, self.descriptor) for a, b in zip(fx0, self.x0))
 
-    @cached_property
-    def rounding_bound(self) -> Fraction:
-        """What the doubles of a real solve can add to its a priori bound.
-
-        With u = 2^-53, the start x0 is rounded by at most u|x0|.  An output
-        with t monomials of degree at most d is evaluated with one rounding
-        for each coefficient, d products per monomial and t - 1 additions,
-        so it is off by at most gamma_K * sum(|c| s^|a|), K = d + t and
-        gamma_K = K u / (1 - K u) (Higham, Accuracy and Stability of
-        Numerical Algorithms, ch. 3), where s bounds every coordinate of the
-        iterates: the ball's extent plus the slack of its membership test.
-        The errors of the evaluations are contracted by theta from step to
-        step, so together they stay below delta / (1 - theta), delta the
-        largest of those output bounds.  Zero on ultrametric fields.
-        """
-        desc = self.descriptor
-        if desc.ultrametric:
-            return Fraction(0)
-        ball = self.domain
-        u = Fraction(1, 2**53)
-        slack = Fraction(desc.tolerance) * max(1, ball.radius)
-        s = max(abs(c) for c in ball.center_exact) + ball.radius + slack
-        delta = Fraction(0)
-        for monomials in self.f.outputs:
-            K = len(monomials) + max((sum(exps) for exps, _ in monomials), default=0)
-            size = sum(abs(c) * s ** sum(exps) for exps, c in monomials)
-            delta = max(delta, K * u / (1 - K * u) * size)
-        return u * max(abs(v) for v in self.x0) + delta / (1 - self.theta)
-
 
 @dataclass
 class FixedPointReport:
@@ -144,9 +123,9 @@ class FixedPointReport:
     step_distances: list
     error_bound: Fraction
     """What the solve certifies for |fixed_point - x*|, never above the
-    target: the a priori bound after `iterations` steps (a p-power on
-    ultrametric fields), plus the rounding bound of a real solve; 0 for a
-    real target of 0, which only the exact fixed point meets."""
+    target: over Q_p the a priori bound after `iterations` steps, a p-power;
+    over the reals the exact bound |g(x) - x| / (1 - theta) of the returned
+    point x, which meets a target of 0 only when x is the fixed point."""
 
 
 def admissible(problem: ContractionProblem) -> bool:
@@ -266,10 +245,10 @@ def _target(target_precision, descriptor: FieldDescriptor) -> Fraction:
 def _plan(problem: ContractionProblem, target_precision) -> tuple:
     """(theta, d0, target, steps) of an admissible problem.
 
-    steps is the least n whose a priori bound clears the target, less the
-    rounding bound on real fields.  Raises NotAdmissible, NotAContraction
-    when the target is out of reach, or PrecisionExhausted when a positive
-    real target is not above the rounding bound.
+    steps is the least n whose a priori bound clears the target, over the
+    reals half of it: the other half is room for the drift of the doubles,
+    which the exact close measures.  Raises NotAdmissible, or
+    NotAContraction when the target is out of reach.
     """
     if not admissible(problem):
         d0, radius = num_str(problem.initial_displacement()), num_str(problem.domain.radius)
@@ -280,17 +259,7 @@ def _plan(problem: ContractionProblem, target_precision) -> tuple:
     desc = problem.descriptor
     theta, d0 = problem.theta, problem.initial_displacement()
     target = _target(target_precision, desc)
-    reach = target
-    if not desc.ultrametric and target > 0:
-        rounding = problem.rounding_bound
-        if rounding >= target:
-            raise PrecisionExhausted(
-                f"real target {num_str(target)} is not above the rounding bound "
-                f"{num_str(rounding)} of the solve",
-                target=num_str(target),
-                rounding=num_str(rounding),
-            )
-        reach = target - rounding
+    reach = target if desc.ultrametric else target / 2
     return theta, d0, target, _step_count(theta, d0, reach, desc)
 
 
@@ -300,14 +269,10 @@ def planned_steps(problem: ContractionProblem, target_precision=None) -> int:
     return _plan(problem, target_precision)[3]
 
 
-def _check_step(k: int, step, bound: Fraction, ultrametric: bool, slack: float = 0.0) -> None:
-    """Step k of a contraction moves at most its a priori bound theta^k d0.
-
-    A real step, the rounded difference of two doubles each within the
-    rounding bound R of the exact orbit, may pass it by slack = 2R and a
-    relative 2^-51 (its own rounding and that of the sum), and by 1e-12."""
-    violated = step > bound if ultrametric else step > (float(bound) + slack) * (1 + 2**-51) + 1e-12
-    if violated:
+def _check_step(k: int, step: Fraction, bound: Fraction) -> None:
+    """Step k of an ultrametric contraction moves at most its a priori bound
+    theta^k d0."""
+    if step > bound:
         size, bound = num_str(step), num_str(bound)
         raise DomainEscape(
             f"step {k} of size {size} exceeds its a priori bound {bound}: "
@@ -316,11 +281,16 @@ def _check_step(k: int, step, bound: Fraction, ultrametric: bool, slack: float =
         )
 
 
+def _sup_distance(xs, ys) -> Fraction:
+    """max |x_i - y_i| of two real points given as rationals."""
+    return max(abs(a - b) for a, b in zip(xs, ys))
+
+
 def _distance(x: Vector, ball: Ball):
     """The distance of x from the ball's centre."""
     if ball.descriptor.ultrametric:
         return vec_norm(x - ball.center)
-    return max(abs(a - c) for a, c in zip(x.to_rationals(), ball.center_exact))
+    return _sup_distance(x.to_rationals(), ball.center_exact)
 
 
 def _domain_escape(what: str, distance, ball: Ball, step: int):
@@ -335,23 +305,14 @@ def _domain_escape(what: str, distance, ball: Ball, step: int):
 
 
 def _certified_close(problem: ContractionProblem, x: Vector, bound: Fraction, target: Fraction) -> Vector:
-    """x truncated to the digits its certified bound proves, once the final
-    residual |g(x) - x| is checked against the target.
-
-    Over Q_p the bound is a p-power p^-e, and x keeps e digits (all of them
-    at bound 0).  A real residual may pass the target by theta times it,
-    as |g(x) - x| <= (1 + theta) |x - x*|, and by the field tolerance.
-    """
-    desc = problem.descriptor
-    if desc.ultrametric and bound > 0:
-        exponent = -floor_log(bound, desc.prime)
+    """x over Q_p truncated to the e digits its certified bound p^-e proves
+    (all of them at bound 0), once the final residual |g(x) - x| is checked
+    against the target."""
+    if bound > 0:
+        exponent = -floor_log(bound, problem.descriptor.prime)
         x = Vector(tuple(truncate_precision(c, exponent) for c in x.components))
     residual = vec_norm(eval_map(problem.f, x) - x)
-    if desc.ultrametric:
-        fixed_ok = residual <= target
-    else:
-        fixed_ok = residual <= (1 + float(problem.theta)) * float(target) + desc.tolerance
-    if not fixed_ok:
+    if residual > target:
         residual, target = num_str(residual), num_str(target)
         raise DomainEscape(
             f"residual {residual} above target {target}: contraction claim failed",
@@ -360,25 +321,47 @@ def _certified_close(problem: ContractionProblem, x: Vector, bound: Fraction, ta
     return x
 
 
-def _check_exact_real(problem: ContractionProblem, x: Vector) -> None:
-    """A real target 0 claims x is the fixed point itself.  _step_count lets
-    it through only when theta = 0 or d0 = 0, and then the fixed point is
-    g(x0) exactly, so the doubles of x must equal it."""
-    exact = eval_map(problem.f, problem.x0)
-    got = x.to_rationals()
-    if got != exact:
+def _exact_close(problem: ContractionProblem, trace: list[Vector], target: Fraction) -> Fraction:
+    """The certified bound |g(x) - x| / (1 - theta) of a real solve's answer
+    x = trace[-1], computed exactly from the rationals of its doubles.
+
+    The bound holds for x in the ball, checked here exactly, when g is a
+    theta-contraction of it; theta is tested on the last two iterates,
+    |g(x_n) - g(x_(n-1))| <= theta |x_n - x_(n-1)|.  Either failure raises
+    DomainEscape, and a bound above the target PrecisionExhausted, so a
+    target of 0 is met only by a residual of exactly 0.
+    """
+    f, ball, theta = problem.f, problem.domain, problem.theta
+    n = len(trace) - 1
+    x = trace[-1].to_rationals()
+    if not ball.contains_rational(x):
+        _domain_escape(f"iterate {n}", _sup_distance(x, ball.center_exact), ball, n)
+    gx = eval_map(f, x)
+    if n:
+        prev = trace[-2].to_rationals()
+        moved, image = _sup_distance(x, prev), _sup_distance(gx, eval_map(f, prev))
+        if image > theta * moved:
+            moved, image, theta = num_str(moved), num_str(image), num_str(theta)
+            raise DomainEscape(
+                f"g moves iterates {n - 1} and {n}, {moved} apart, to {image} apart: "
+                f"the supplied contraction constant {theta} is wrong",
+                step=str(n), distance=moved, image_distance=image, theta=theta,
+            )
+    bound = _sup_distance(gx, x) / (1 - theta)
+    if bound > target:
         raise PrecisionExhausted(
-            "a real target of 0 claims the exact fixed point g(x0), "
-            "which the iterate's doubles do not hold",
-            value=[num_str(v) for v in got],
-            exact=[num_str(v) for v in exact],
+            f"real target {num_str(target)} is not met: the answer's doubles "
+            f"certify {num_str(bound)}",
+            target=num_str(target), bound=num_str(bound),
         )
+    return bound
 
 
 def iterate_fixed_point(
     problem: ContractionProblem, target_precision=None
 ) -> FixedPointReport:
-    """Iterate x -> f(x) until the a priori bound clears target_precision.
+    """Iterate x -> f(x) until the a priori bound clears target_precision,
+    half of it over the reals, where `_exact_close` then certifies the answer.
 
     Padic targets are value-group elements (default p^-N); real targets are
     absolute tolerances (default the field tolerance).
@@ -390,14 +373,14 @@ def iterate_fixed_point(
     trace = [x]
     bounds: list[Fraction] = []
     distances = []
-    slack = 2 * float(problem.rounding_bound)
     for k in range(steps):
         nxt = eval_map(problem.f, x)
         if not problem.domain.contains_tracked(nxt):
             _domain_escape(f"iterate {k + 1}", _distance(nxt, problem.domain), problem.domain, k + 1)
         step = vec_norm(nxt - x)
         bound = theta**k * d0
-        _check_step(k, step, bound, desc.ultrametric, slack)
+        if desc.ultrametric:
+            _check_step(k, step, bound)
         distances.append(step)
         bounds.append(bound)
         trace.append(nxt)
@@ -406,12 +389,13 @@ def iterate_fixed_point(
             # tracked digits can no longer change; further steps are no-ops
             break
     achieved = distances[-1] if distances else (Fraction(0) if desc.ultrametric else 0.0)
-    guarantee = _certified_bound(theta, d0, len(trace) - 1, desc) + problem.rounding_bound
-    if not desc.ultrametric and target == 0:
-        _check_exact_real(problem, x)
-        guarantee = Fraction(0)
+    if desc.ultrametric:
+        guarantee = _certified_bound(theta, d0, len(trace) - 1, desc)
+        x = _certified_close(problem, x, guarantee, target)
+    else:
+        guarantee = _exact_close(problem, trace, target)
     return FixedPointReport(
-        fixed_point=_certified_close(problem, x, guarantee, target),
+        fixed_point=x,
         iterations=len(trace) - 1,
         trace=trace,
         apriori_bounds=bounds,
@@ -633,7 +617,7 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
         v, step_val, xs = got
         if step_val - s < e_k:
             # only a step past its bound builds the Fractions _check_step reports
-            _check_step(k, valuation_abs(p, step_val - s), theta**k * d0, True)
+            _check_step(k, valuation_abs(p, step_val - s), theta**k * d0)
         k += 1
         e_k, e_next = e_next, apriori_exponent(k + 1)
         escape = _least_valuation([(a - c) % inside for a, c in zip(xs, centre)], p)

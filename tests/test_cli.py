@@ -347,8 +347,8 @@ def test_cli_runs_in_one_process_match_first_runs(capsys):
 
 
 def test_cli_real_target_below_double_resolution_exits_1():
-    # the true fixed point of 3/40 + x/2 is 3/20; doubles cannot certify 10^-30,
-    # which is below the rounding bound of the solve, about 1.7e-17
+    # the true fixed point of 3/40 + x/2 is 3/20; doubles cannot certify 10^-30:
+    # 3/20 is no double, so the exact bound of the answer stays positive
     fmap = json.dumps({"vars": 1, "outputs": [[{"coef": "3/40", "exp": [0]},
                                                {"coef": "1/2", "exp": [1]}]]})
     args = ["fixpoint", "--map", fmap, "--field", json.dumps({"kind": "real"}),
@@ -358,12 +358,10 @@ def test_cli_real_target_below_double_resolution_exits_1():
     error = payload["error"]
     assert error["kind"] == "PrecisionExhausted"
     assert error["target"] == "1/" + "1" + "0" * 30
-    # 3u/(1 - 3u) (|3/40| + |1/2| s) / (1 - 1/2), u = 2^-53, s = 1/5 + the
-    # membership slack: the rounding bound of the solve (x0 = 0 adds nothing)
-    u = Fraction(1, 2**53)
-    s = Fraction(1, 5) + Fraction(1e-9)
-    assert error["rounding"] == "25387442284442761845707451/217780714829400544081010571878581172961280"
-    assert Fraction(error["rounding"]) == 3 * u / (1 - 3 * u) * (Fraction(3, 40) + s / 2) * 2
+    # |x - 3/20| for the double x the orbit stops at, since the bound
+    # |g(x) - x| / (1 - theta) of an affine map is its true error; the
+    # doubles next to 3/20 are 2^-55 apart
+    assert Fraction(1, 10**30) < Fraction(error["bound"]) < Fraction(1, 2**53)
     code, payload = run_in_process([*args, "--tol", "1/" + "1" + "0" * 13])
     assert code == 0
     assert abs(payload["result"]["report"]["fixed_point"][0] - 0.15) <= 1e-13
@@ -481,22 +479,37 @@ AFFINE_99 = json.dumps({"vars": 1, "outputs": [[{"coef": "3/400", "exp": [0]}, {
 UNIT_BALL = json.dumps({"domain": {"center": ["0"], "radius": "1", "closed": True}, "x0": ["0"], "theta": "99/100"})
 
 
+def _affine_99_fixpoint(k: int):
+    args = ["fixpoint", "--map", AFFINE_99, "--field", json.dumps({"kind": "real", "tolerance": 1e-9}),
+            "--geometry", UNIT_BALL, "--tol", f"1/{2**k}"]
+    return run_in_process(args)
+
+
 def test_cli_real_fixpoint_meets_its_target_or_refuses_it():
     # 99/100 x + 3/400 on B_1(0): --tol 2^-44 exited 0 with 0.7499999999999376,
     # 6.24e-14 from the fixed point 3/4, as its rounding went uncounted
-    args = ["fixpoint", "--map", AFFINE_99, "--field", json.dumps({"kind": "real", "tolerance": 1e-9}),
-            "--geometry", UNIT_BALL]
-    code, payload = run_in_process([*args, "--tol", f"1/{2**44}"])
+    code, payload = _affine_99_fixpoint(44)
     assert code == 0
     x = payload["result"]["report"]["fixed_point"][0]
     assert abs(Fraction(x) - Fraction(3, 4)) <= Fraction(1, 2**44)
-    # 2^-47 is above the double resolution 2^-52 of the ball, but not above
-    # the rounding bound of the solve, about 3.3e-14
-    code, payload = run_in_process([*args, "--tol", f"1/{2**47}"])
+    # 2^-47 is above the double resolution 2^-52 of the ball, but below the
+    # exact bound of the answer the doubles reach, about 1.10e-14
+    code, payload = _affine_99_fixpoint(47)
     assert code == 1
     error = payload["error"]
     assert (error["kind"], error["target"]) == ("PrecisionExhausted", f"1/{2**47}")
-    assert Fraction(1, 2**47) <= Fraction(error["rounding"]) < Fraction(1, 2**44)
+    assert Fraction(1, 2**47) < Fraction(error["bound"]) < Fraction(1, 2**46)
+
+
+def test_cli_real_fixpoint_certifies_its_answer_not_a_rounding_model():
+    # the same solve rested on an a priori model of its rounding, about
+    # 3.32e-14, and refused 2^-45 and 2^-46; the exact bound of the answer
+    # meets both, within 2.01e-14 and 1.24e-14 of 3/4
+    for k in (45, 46):
+        code, payload = _affine_99_fixpoint(k)
+        assert code == 0, payload
+        x = payload["result"]["report"]["fixed_point"][0]
+        assert abs(Fraction(x) - Fraction(3, 4)) <= Fraction(1, 2**k)
 
 
 def test_cli_fixpoint_takes_a_theta_only_above_the_lipschitz_bound():

@@ -154,11 +154,12 @@ def test_not_admissible(real):
 
 
 def test_wrong_theta_detected(real):
-    # claiming theta = 1/10 for x -> x/2 + 1 breaks the step bounds
+    # claiming theta = 1/10 for x -> x/2 + 1: g halves the distance of the
+    # last two iterates, 2 - 2^-9 and 2 - 2^-10, where 1/10 claims a tenth
     prob = ContractionProblem(HALF_PLUS_ONE, Ball(real, (0,), 4), Fraction(1, 10), (0,))
     with pytest.raises(DomainEscape) as err:
         iterate_fixed_point(prob)
-    assert err.value.details == {"step": "1", "size": "0.5", "bound": "1/10"}
+    assert err.value.details == {"step": "10", "distance": "1/512", "image_distance": "1/1024", "theta": "1/10"}
 
 
 def test_theta_from_lipschitz(q5):
@@ -522,36 +523,45 @@ def test_newton_residual_check_carries_its_numbers(q5_deep, monkeypatch):
 
 
 def test_real_target_below_the_double_resolution_of_the_ball(real):
-    # 500 + x/2 has its fixed point 1000 at the center of B_1(1000), where
-    # neighbouring doubles are 2^-43 apart; the rounding bound of the solve,
-    # u|x0| + 3u/(1 - 3u) (500 + s/2) / (1 - 1/2) with u = 2^-53 and s the
-    # ball's extent plus its membership slack, is about 7.8e-13
+    # 500 + x/2 on B_1(1000), where neighbouring doubles are 2^-43 apart: its
+    # fixed point 1000 is a double, and the orbit from 999 lands on it, so
+    # the exact close certifies targets far below that gap with bound 0
     far = ContractionProblem(
         poly(1, [(500, (0,)), (Fraction(1, 2), (1,))]), Ball(real, (1000,), 1), Fraction(1, 2), (999,)
     )
+    for target in (Fraction(1, 10**13), Fraction(1, 10**15)):
+        report = iterate_fixed_point(far, target)
+        assert (report.fixed_point.components[0].value, report.error_bound) == (1000.0, 0)
+    report = iterate_fixed_point(far)  # the default target, the field tolerance
+    assert abs(Fraction(report.fixed_point.components[0].value) - 1000) <= report.error_bound <= Fraction(1e-9)
+    # the fixed point 3001/3 of 3001/6 + x/2 is no double: the orbit from
+    # 1000 stops 1/(3 * 2^42) from it, the bound of an affine map is the
+    # true error, and a target below it is refused with that bound
+    third = ContractionProblem(
+        poly(1, [(Fraction(3001, 6), (0,)), (Fraction(1, 2), (1,))]), Ball(real, (1000,), 1), Fraction(1, 2), (1000,)
+    )
+    report = iterate_fixed_point(third, Fraction(1, 10**13))
+    error = abs(Fraction(report.fixed_point.components[0].value) - Fraction(3001, 3))
+    assert error == report.error_bound == Fraction(1, 3 * 2**42)
     with pytest.raises(PrecisionExhausted) as err:
-        iterate_fixed_point(far, Fraction(1, 10**13))
-    u, s = Fraction(1, 2**53), 1001 + Fraction(1e-9)
-    rounding = u * 999 + 3 * u / (1 - 3 * u) * (500 + s / 2) * 2
-    assert err.value.details == {"target": frac_str(Fraction(1, 10**13)),
-                                 "rounding": frac_str(rounding)}
-    for target, tol in ((Fraction(1, 10**12), 1e-12), (None, 1e-9)):  # None: the default
-        x = iterate_fixed_point(far, target).fixed_point.components[0].value
-        assert abs(x - 1000) <= tol
+        iterate_fixed_point(third, Fraction(1, 10**14))
+    assert err.value.details == {"target": frac_str(Fraction(1, 10**14)), "bound": frac_str(Fraction(1, 3 * 2**42))}
 
 
 def test_real_target_zero_needs_the_exact_fixed_point(real):
     # theta = 0 lets target 0 through; the fixed point 1/3 of the constant
-    # map is not a double, so 0.3333333333333333 cannot claim bound 0
+    # map is not a double, so 0.3333333333333333 cannot claim bound 0: its
+    # exact bound |g(x) - x| / (1 - 0) is its distance from 1/3
     third = ContractionProblem(poly(1, [(Fraction(1, 3), (0,))]), Ball(real, (0,), 4), Fraction(0), (0,))
     with pytest.raises(PrecisionExhausted) as err:
         iterate_fixed_point(third, 0)
-    assert err.value.details == {"value": [frac_str(Fraction(1 / 3))], "exact": ["1/3"]}
+    assert err.value.details == {"target": "0/1", "bound": frac_str(Fraction(1, 3) - Fraction(1 / 3))}
     assert abs(iterate_fixed_point(third).fixed_point.components[0].value - 1 / 3) <= 1e-9
     # d0 = 0: x0 = 3/8 is the fixed point of 3/16 + x/2, and a double
     fixed = ContractionProblem(poly(1, [(Fraction(3, 16), (0,)), (Fraction(1, 2), (1,))]),
                                Ball(real, (0,), 4), Fraction(1, 2), (Fraction(3, 8),))
-    assert iterate_fixed_point(fixed, 0).fixed_point.components[0].value == 0.375
+    report = iterate_fixed_point(fixed, 0)
+    assert (report.fixed_point.components[0].value, report.error_bound) == (0.375, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +586,7 @@ def _full_precision_newton(problem, target_precision=None):
                 break
             step = invert_exact(identity - jacobian(f, x)).apply(gx - x)
             # I - Dg(x) is an isometry, so the step is as long as g(x) - x
-            _check_step(k, vec_norm(step), theta**k * d0, True)
+            _check_step(k, vec_norm(step), theta**k * d0)
             x = x + step
             if not problem.domain.contains_tracked(x):
                 raise DomainEscape(f"Newton iterate {k + 1} left the domain ball")
@@ -873,7 +883,7 @@ def _tracked_newton(problem, target_precision=None):
             # only a step past it builds the Fractions _check_step reports
             step_val = min((c.val for c in step.components if c.val is not None), default=None)
             if step_val is not None and step_val < e_k:
-                _check_step(k, valuation_abs(p, step_val), theta**k * d0, True)
+                _check_step(k, valuation_abs(p, step_val), theta**k * d0)
             x = moved
             k += 1
             e_k, e_next = e_next, apriori_exponent(k + 1)
@@ -973,39 +983,63 @@ def test_integer_pass_on_maps_with_p_in_a_denominator(p):
 
 
 # ---------------------------------------------------------------------------
-# Real solves count the rounding of their doubles; domain escapes carry numbers
+# Real solves certify their answer exactly; domain escapes carry numbers
+
+
+def _rounding_model(problem):
+    """The worst-case model of the rounding of a real solve's doubles that
+    the real solvers once added to their a priori bound, kept to generate
+    tight targets: u|x0| + delta / (1 - theta), u = 2^-53 and delta the
+    largest gamma_K * sum(|c| s^|a|) over the outputs, K = degree + terms,
+    gamma_K = K u / (1 - K u), s the ball's extent plus its membership
+    slack (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3)."""
+    ball = problem.domain
+    u = Fraction(1, 2**53)
+    slack = Fraction(problem.descriptor.tolerance) * max(1, ball.radius)
+    s = max(abs(c) for c in ball.center_exact) + ball.radius + slack
+    delta = Fraction(0)
+    for monomials in problem.f.outputs:
+        K = len(monomials) + max((sum(exps) for exps, _ in monomials), default=0)
+        size = sum(abs(c) * s ** sum(exps) for exps, c in monomials)
+        delta = max(delta, K * u / (1 - K * u) * size)
+    return u * max(abs(v) for v in problem.x0) + delta / (1 - problem.theta)
+
+
+def _met_or_refused(problem, target, fixed):
+    """Solve to the target: True when met with |x - x*| <= error_bound <=
+    target exactly, False when refused with a bound above the target."""
+    try:
+        report = iterate_fixed_point(problem, target)
+    except PrecisionExhausted as exc:
+        assert exc.details["target"] == frac_str(target)
+        assert Fraction(exc.details["bound"]) > target
+        return False
+    error = max(abs(Fraction(c.value) - x) for c, x in zip(report.fixed_point.components, fixed))
+    assert error <= report.error_bound <= target, (float(error), float(report.error_bound), float(target))
+    return True
 
 
 @pytest.mark.parametrize("theta", [Fraction(19, 20), Fraction(97, 100), Fraction(99, 100)])
 def test_real_affine_solves_stay_within_their_bound(real, theta):
-    # theta x + (1 - theta) 3/4 on B_1(0) from 0: the fixed point is 3/4, and
-    # before the rounding bound some of these errors exceeded the a priori one
+    # theta x + (1 - theta) 3/4 on B_1(0) from 0: the fixed point is 3/4.
+    # Every target above the rounding model is met, and two below it too:
+    # 19/20 at 2^-48 and 99/100 at 2^-45
     f = poly(1, [((1 - theta) * Fraction(3, 4), (0,)), (theta, (1,))])
     problem = ContractionProblem(f, Ball(real, (0,), 1), theta, (0,))
-    outcomes = {"solved": 0, "refused": 0}
+    met = {}
     for k in (30, 33, 36, 39, 42, 45, 48, 50):
         target = Fraction(1, 2**k)
-        try:
-            report = iterate_fixed_point(problem, target)
-        except PrecisionExhausted as exc:
-            assert exc.details == {"target": frac_str(target), "rounding": frac_str(problem.rounding_bound)}
-            assert problem.rounding_bound >= target
-            outcomes["refused"] += 1
-            continue
-        error = abs(Fraction(report.fixed_point.components[0].value) - Fraction(3, 4))
-        assert error <= report.error_bound <= target, (k, float(error), float(report.error_bound))
-        assert report.error_bound == (
-            _certified_bound(theta, problem.initial_displacement(), report.iterations, real)
-            + problem.rounding_bound
-        )
-        outcomes["solved"] += 1
-    assert outcomes["solved"] >= 5 and outcomes["refused"] >= 1, outcomes
+        met[k] = _met_or_refused(problem, target, (Fraction(3, 4),))
+        if target > _rounding_model(problem):
+            assert met[k], k
+    assert [k for k in met if not met[k]] == {Fraction(19, 20): [50], Fraction(97, 100): [48, 50],
+                                              Fraction(99, 100): [48, 50]}[theta]
 
 
 def test_real_targets_between_the_rounding_bound_and_the_double_resolution_are_met(real):
     # a x + c on B_r(C), C from 1 to 10^6, r from C to 3C/2: the fixed point
     # x* = c/(1 - a) and x0 lie in [0, 9C/10].  A target strictly between
-    # the rounding bound of the solve and eps * max(1, C + r), the gap of
+    # the rounding model of the solve and eps * max(1, C + r), the gap of
     # neighbouring doubles at the ball's edge, is met: the solve lands within
     # it of x*
     rng = random.Random(2052)
@@ -1019,36 +1053,100 @@ def test_real_targets_between_the_rounding_bound_and_the_double_resolution_are_m
         x0 = fixed + C * Fraction(rng.randint(0, 50), 100) * (1 - abs(a)) / (1 + abs(a))
         f = poly(1, [(fixed * (1 - a), (0,)), (a, (1,))])
         problem = ContractionProblem(f, Ball(real, (C,), r), abs(a), (x0,))
-        rounding, resolution = problem.rounding_bound, eps * max(1, C + r)
+        rounding, resolution = _rounding_model(problem), eps * max(1, C + r)
         assert rounding < resolution
         target = rounding + (resolution - rounding) * Fraction(rng.randint(1, 99), 100)
-        report = iterate_fixed_point(problem, target)
-        error = abs(Fraction(report.fixed_point.components[0].value) - fixed)
-        assert error <= report.error_bound <= target, (C, r, a, fixed, x0, float(error), float(target))
+        assert _met_or_refused(problem, target, (fixed,)), (C, r, a, fixed, x0, float(target))
+
+
+def _around(fixed, L, Q):
+    """x* + L(x - x*) + Q(x - x*) as a map of x, Q[i] listing (c, j, k) for
+    the terms c (x_j - x*_j)(x_k - x*_k) of output i."""
+    n = len(fixed)
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    h = MapSpec.from_coefficients(n, [
+        [(fixed[i], (0,) * n)] + [(L[i][j], unit[j]) for j in range(n)]
+        + [(c, tuple(a + b for a, b in zip(unit[j], unit[k]))) for c, j, k in Q[i]]
+        for i in range(n)
+    ])
+    shift = MapSpec.from_coefficients(n, [[(1, unit[i]), (-fixed[i], (0,) * n)] for i in range(n)])
+    return compose(h, shift)
+
+
+def test_real_solves_are_sound_on_seeded_maps(real):
+    # maps around a known rational fixed point x*, affine or with a quadratic
+    # term, on balls centred anywhere in [0, 10^6]: a met target holds
+    # exactly, and a refusal carries a bound above its target
+    rng = random.Random(1717)
+    outcomes = {True: 0, False: 0}
+    for rep in range(300):
+        n = 1 + rep % 3
+        centre = tuple(Fraction(rng.randint(0, 10**6), rng.choice((1, 3, 8))) for _ in range(n))
+        r = Fraction(rng.randint(1, 1000), rng.choice((1, 10, 1000)))
+        fixed = tuple(c + r * Fraction(rng.randint(-25, 25), 100) for c in centre)
+        rate = Fraction(rng.choice((1, 10, 50, 90)), 100)
+        L = [[rate * Fraction(rng.randint(-100, 100), 100 * n) for _ in range(n)] for _ in range(n)]
+        sup = max(abs(c) for c in centre) + r
+        Q = [[] if rep % 2 else [(Fraction(rng.randint(-100, 100), 1600 * n * n) / sup, rng.randrange(n), rng.randrange(n))
+                                 for _ in range(n)] for _ in range(n)]
+        f = _around(fixed, L, Q)
+        ball = Ball(real, centre, r)
+        theta = lipschitz_theta(f, ball)
+        # |g(x0) - x0| <= (1 + theta) |x0 - x*| <= (1 - theta) r: admissible
+        spread = (1 - theta) * r / (2 * (1 + theta))
+        x0 = tuple(x + spread * Fraction(rng.randint(-100, 100), 100) for x in fixed)
+        problem = ContractionProblem(f, ball, theta, x0)
+        assert admissible(problem)
+        target = Fraction(rng.randint(1, 9), 2 ** rng.randint(36, 58)) * max(1, sup)
+        outcomes[_met_or_refused(problem, target, fixed)] += 1
+    assert min(outcomes.values()) >= 40, outcomes
 
 
 def test_real_step_check_counts_the_rounding_of_the_iterates(real):
     # 370371/10 + x/10 on B_100000(100000) from its centre, fixed point
     # 123457/3: in doubles step 5 comes out 0.5296290000042063, 4.2e-12 above
-    # its a priori bound 529629/10^6, which a margin of 1e-12 alone refused
+    # the a priori bound 529629/10^6 of the exact orbit.  No step is checked
+    # against that bound: the exact close bounds the answer x itself by
+    # |g(x) - x| / (1 - theta), whatever the rounding of the orbit was
     fixed = Fraction(123457, 3)
     f = poly(1, [(Fraction(370371, 10), (0,)), (Fraction(1, 10), (1,))])
     problem = ContractionProblem(f, Ball(real, (100000,), 100000), Fraction(1, 10), (100000,))
     report = iterate_fixed_point(problem)
     assert report.step_distances[5] == 0.5296290000042063
     assert report.step_distances[5] > report.apriori_bounds[5] + Fraction(1, 10**12)
-    error = abs(Fraction(report.fixed_point.components[0].value) - fixed)
-    assert error <= report.error_bound <= Fraction(1e-9)
-    # a step past twice the rounding bound is still refused
-    slack = 2 * float(problem.rounding_bound)
-    _check_step(5, 0.5296290000042063, report.apriori_bounds[5], False, slack)
-    with pytest.raises(DomainEscape):
-        _check_step(5, 0.529629 + 2 * slack, report.apriori_bounds[5], False, slack)
+    (x,) = report.fixed_point.to_rationals()
+    (gx,) = eval_map(f, (x,))
+    assert report.error_bound == abs(gx - x) / (1 - Fraction(1, 10))
+    assert abs(x - fixed) <= report.error_bound <= Fraction(1e-9)
 
 
-def test_rounding_bound_is_zero_over_q_p(q5):
+def test_exact_close_refuses_a_theta_below_the_rate_of_the_map(real):
+    # x/2 + 1/4 on B[0, 1] from 0 contracts by 1/2, not 1/4; its orbit stays
+    # in the ball and nears 1/2, and the exact test on the last two
+    # iterates, 1/2 - 2^-15 and 1/2 - 2^-16, finds g halving their distance
+    problem = ContractionProblem(poly(1, [(Fraction(1, 4), (0,)), (Fraction(1, 2), (1,))]),
+                                 Ball(real, (0,), 1), Fraction(1, 4), (0,))
+    with pytest.raises(DomainEscape, match="contraction constant 1/4 is wrong") as err:
+        iterate_fixed_point(problem)
+    assert err.value.details == {"step": "15", "distance": frac_str(Fraction(1, 2**16)),
+                                 "image_distance": frac_str(Fraction(1, 2**17)), "theta": "1/4"}
+
+
+def test_exact_close_needs_the_answer_in_the_ball(real):
+    # 1/10 + x/2 on B[0, 1/5] has its fixed point 1/5 on the sphere, and the
+    # double 0.2 lies above it: at target 10^-17 the orbit lands on 0.2,
+    # which each step's membership test lets through within its tolerance,
+    # but the bound |g(x) - x| / (1 - theta) holds only inside the ball
+    problem = ContractionProblem(poly(1, [(Fraction(1, 10), (0,)), (Fraction(1, 2), (1,))]),
+                                 Ball(real, (0,), Fraction(1, 5)), Fraction(1, 2), (0,))
+    with pytest.raises(DomainEscape, match="iterate 56 left the domain ball") as err:
+        iterate_fixed_point(problem, Fraction(1, 10**17))
+    assert err.value.details == {"step": "56", "distance": frac_str(Fraction(0.2)), "radius": "1/5"}
+    assert _met_or_refused(problem, Fraction(1, 10**15), (Fraction(1, 5),))
+
+
+def test_padic_error_bound_is_the_a_priori_bound(q5):
     problem = ContractionProblem(FIVE_PLUS_SQ, Ball(q5, (0,), Fraction(1, 5)), Fraction(1, 5), (0,))
-    assert problem.rounding_bound == 0
     report = iterate_fixed_point(problem)
     assert report.error_bound == _certified_bound(
         problem.theta, problem.initial_displacement(), report.iterations, q5
