@@ -382,15 +382,16 @@ def _frame_table(f: MapSpec, p: int, s: int):
     return got
 
 
-def modular_sweep(f: MapSpec, p: int, s: int, xs, width: int) -> list:
+def modular_sweep(f: MapSpec, p: int, s: int, xs, width: int, jacobian: bool = True) -> list:
     """The values and Jacobian rows of f at the integer point xs of the frame
     X = p^s x, in one pass over its frame table (`_frame_table`), modulo
     p^(width + guard).
 
     Returns one (u, d, value, row) per output: p^s f_i(x) = value / (u p^d)
     and row[j] / (u p^d) = d f_i / d x_j, row read from the same table as
-    jacobian_exact reads it.  Each power of a coordinate is formed once,
-    reduced mod p^(width + guard)."""
+    jacobian_exact reads it; without `jacobian` row is None and only the
+    values are formed.  Each power of a coordinate is formed once, reduced
+    mod p^(width + guard)."""
     guard, table = _frame_table(f, p, s)
     mod = p ** (width + guard)
     powers = {}
@@ -410,20 +411,23 @@ def modular_sweep(f: MapSpec, p: int, s: int, xs, width: int) -> list:
             if len(support) == 1:
                 ((i, e),) = support
                 value += c * power(i, e)
-                row[i] += c * e * power(i, e - 1)
+                if jacobian:
+                    row[i] += c * e * power(i, e - 1)
                 continue
             factors = [power(i, e) for i, e in support]
             term = c
             for x in factors:
                 term = term * x % mod
             value += term
+            if not jacobian:
+                continue
             for k, (j, e) in enumerate(support):
                 term = c * e * power(j, e - 1)
                 for k2, x in enumerate(factors):
                     if k2 != k:
                         term = term * x % mod
                 row[j] += term
-        out.append((u, d, value % mod, [a % mod for a in row]))
+        out.append((u, d, value % mod, [a % mod for a in row] if jacobian else None))
     return out
 
 

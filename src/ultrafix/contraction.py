@@ -9,10 +9,10 @@ A real solve iterates in doubles and certifies its answer, not its orbit.
 A double is an exact rational, and a point x of the ball is within
 |g(x) - x| / (1 - theta) of the fixed point of a theta-contraction g (Rump,
 "Verification methods", Acta Numerica 19, 2010), so the close evaluates
-that bound exactly, with `eval_map` on the rationals of x.  The plan aims
-the a priori bound at half the target; the other half is room for the drift
-of the doubles, and an answer whose exact bound misses the target is
-refused with PrecisionExhausted.
+that bound exactly, with `eval_map` on the rationals of x, the last iterate
+that lies in the ball.  The plan aims the a priori bound at half the
+target; the other half is room for the drift of the doubles, and an answer
+whose exact bound misses the target is refused with PrecisionExhausted.
 
 Ultrametric problems can instead be solved by Newton steps
 (`newton_fixed_point`), whose digits are proven a posteriori from the
@@ -21,9 +21,10 @@ The Newton passes run on integers modulo p^W in the frame X = p^s x, where
 every point of the ball is p-integral: one `calculus.modular_sweep` gives
 g(X) and Dg(X), one `linalg.modular_solve` solves (I - Dg) s = g(X) - X on
 unit pivots, and W doubles from step to step up to the full width of the
-iterate.  Only the closing Banach step, the posterior bound and the
-certified close run in tracked arithmetic.  The a priori exponents are
-integers from the numerators and denominators of theta and d0.
+iterate.  The close stays in integers: the full-width pass that finds
+g(X) = X mod p^W proves |g(x) - x| <= p^-(W - s) for the exact x = X / p^s,
+and PadicScalars are built for the answer alone.  The a priori exponents
+are integers from the numerators and denominators of theta and d0.
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ from .errors import (
 )
 from .field import (
     FieldDescriptor,
-    PadicScalar,
-    abs_upper_bound,
+    _padic_make,
     floor_log,
     int_floor_log,
     int_valuation,
@@ -114,6 +114,7 @@ class ContractionProblem:
 @dataclass
 class FixedPointReport:
     fixed_point: Vector
+    """Over the reals the last iterate of `trace` that lies in the ball."""
     iterations: int
     trace: list[Vector]
     apriori_bounds: list[Fraction]
@@ -321,24 +322,30 @@ def _certified_close(problem: ContractionProblem, x: Vector, bound: Fraction, ta
     return x
 
 
-def _exact_close(problem: ContractionProblem, trace: list[Vector], target: Fraction) -> Fraction:
-    """The certified bound |g(x) - x| / (1 - theta) of a real solve's answer
-    x = trace[-1], computed exactly from the rationals of its doubles.
+def _exact_close(problem: ContractionProblem, trace: list[Vector], target: Fraction) -> tuple:
+    """(x, B) for a real solve: x the last iterate of the trace that lies in
+    the ball, checked exactly, and B = |g(x) - x| / (1 - theta) its certified
+    bound, computed exactly from the rationals of its doubles.
 
-    The bound holds for x in the ball, checked here exactly, when g is a
-    theta-contraction of it; theta is tested on the last two iterates,
-    |g(x_n) - g(x_(n-1))| <= theta |x_n - x_(n-1)|.  Either failure raises
-    DomainEscape, and a bound above the target PrecisionExhausted, so a
-    target of 0 is met only by a residual of exactly 0.
+    The bound holds for x in the ball when g is a theta-contraction of it;
+    theta is tested on x = x_m and the iterate before it,
+    |g(x_m) - g(x_(m-1))| <= theta |x_m - x_(m-1)|.  An iterate past the
+    last one in the ball lies outside it only within the tolerance of each
+    step's membership test (a fixed point on the sphere, say).  A trace with
+    no iterate in the ball, or a failed theta test, raises DomainEscape, and
+    a bound above the target PrecisionExhausted, so a target of 0 is met
+    only by a residual of exactly 0.
     """
     f, ball, theta = problem.f, problem.domain, problem.theta
-    n = len(trace) - 1
-    x = trace[-1].to_rationals()
-    if not ball.contains_rational(x):
-        _domain_escape(f"iterate {n}", _sup_distance(x, ball.center_exact), ball, n)
+    last = n = len(trace) - 1
+    while not ball.contains_rational(x := trace[n].to_rationals()):
+        if not n:
+            x = trace[last].to_rationals()
+            _domain_escape(f"iterate {last}", _sup_distance(x, ball.center_exact), ball, last)
+        n -= 1
     gx = eval_map(f, x)
     if n:
-        prev = trace[-2].to_rationals()
+        prev = trace[n - 1].to_rationals()
         moved, image = _sup_distance(x, prev), _sup_distance(gx, eval_map(f, prev))
         if image > theta * moved:
             moved, image, theta = num_str(moved), num_str(image), num_str(theta)
@@ -354,7 +361,7 @@ def _exact_close(problem: ContractionProblem, trace: list[Vector], target: Fract
             f"certify {num_str(bound)}",
             target=num_str(target), bound=num_str(bound),
         )
-    return bound
+    return trace[n], bound
 
 
 def iterate_fixed_point(
@@ -393,7 +400,7 @@ def iterate_fixed_point(
         guarantee = _certified_bound(theta, d0, len(trace) - 1, desc)
         x = _certified_close(problem, x, guarantee, target)
     else:
-        guarantee = _exact_close(problem, trace, target)
+        x, guarantee = _exact_close(problem, trace, target)
     return FixedPointReport(
         fixed_point=x,
         iterations=len(trace) - 1,
@@ -442,7 +449,7 @@ def newton_pays(problem: ContractionProblem, target_precision=None) -> bool:
 
 
 def _frame(problem: ContractionProblem):
-    """The integer frame of an ultrametric problem: (s, p^k, centre).
+    """The integer frame of an ultrametric problem: (s, k, centre).
 
     s >= 0 is the least integer that makes p^s x p-integral at every point
     x of the ball, so that the frame point X = p^s x is an integer known
@@ -453,7 +460,7 @@ def _frame(problem: ContractionProblem):
     least = min([k] + [rational_valuation(c, p) for c in ball.center_exact if c])
     s = max(0, -least)
     k += s
-    return s, p**k, [_frame_residue(c, s, k, p) for c in ball.center_exact]
+    return s, k, [_frame_residue(c, s, k, p) for c in ball.center_exact]
 
 
 def _frame_residue(q: Fraction, s: int, k: int, p: int) -> int:
@@ -474,21 +481,6 @@ def _known_width(xs, s: int, N: int, p: int) -> int:
     return max((int_valuation(c, p) for c in xs if c), default=s) + N
 
 
-def _frame_point(xs, s: int, desc: FieldDescriptor) -> Vector:
-    """The frame point xs as the tracked x = xs / p^s, each coordinate of
-    valuation v known to its N digits, up to p^(v + N); a zero coordinate
-    is the exact zero."""
-    p, mod = desc.prime, desc.prime**desc.precision
-    out = []
-    for c in xs:
-        if not c:
-            out.append(desc.zero())
-            continue
-        v = int_valuation(c, p)
-        out.append(PadicScalar(desc, v - s, c // p**v % mod, v - s + desc.precision, mod))
-    return Vector(tuple(out))
-
-
 def _least_valuation(values, p: int):
     """The least valuation of the nonzero integers among values, None when
     all are zero."""
@@ -497,9 +489,9 @@ def _least_valuation(values, p: int):
 
 def _newton_pass(problem: ContractionProblem, s: int, xs, width: int, k: int):
     """One Newton pass at the frame point xs (Newton iterate k), modulo
-    p^width: (v, step valuation, xs + step) with v the valuation of the
-    residual g(x) - x and the step solving (I - Dg(x)) step = g(x) - x, or
-    None when the residual is zero mod p^width.
+    p^width: (v, step, xs + step) with v the valuation of the residual
+    g(x) - x and the step solving (I - Dg(x)) step = g(x) - x, or None when
+    the residual is zero mod p^width.
 
     The values and Jacobian rows come from one `modular_sweep`; an output
     with guard digits d is divided by p^d.  Row i of the system is scaled by
@@ -533,7 +525,7 @@ def _newton_pass(problem: ContractionProblem, s: int, xs, width: int, k: int):
         step = modular_solve(rows, rhs, p, width)
     except SingularMatrix:
         _not_contracting(problem, k)
-    return v, _least_valuation(step, p), [(a + b) % mod for a, b in zip(xs, step)]
+    return v, step, [(a + b) % mod for a, b in zip(xs, step)]
 
 
 def _not_contracting(problem: ContractionProblem, k: int):
@@ -545,6 +537,67 @@ def _not_contracting(problem: ContractionProblem, k: int):
         f"the supplied contraction constant {theta} is wrong",
         step=str(k), theta=theta,
     )
+
+
+def _answer(xs, s: int, exponent: int, desc: FieldDescriptor):
+    """The frame point xs as the answer x = xs / p^s, its digits below
+    p^exponent kept: (the kept frame residues, x).  No coordinate may keep
+    more than N digits."""
+    top = exponent + s
+    cut = desc.prime**top if top > 0 else 1
+    kept = [c % cut for c in xs]
+    return kept, Vector(tuple(_padic_make(desc, -s, c, exponent, cut) for c in kept))
+
+
+def _residual(problem: ContractionProblem, s: int, xs, width: int):
+    """The least valuation of g(X) - X at the frame point xs, None when it
+    is zero modulo p^width, from one value-only `modular_sweep`; an output
+    whose frame denominator holds p^d is compared as p^d (g(X) - X)."""
+    p = problem.descriptor.prime
+    found = []
+    for x, (u, d, value, _) in zip(xs, modular_sweep(problem.f, p, s, xs, width, jacobian=False)):
+        r = (value - u * p**d * x) % p ** (width + d)
+        if r:
+            found.append(int_valuation(r, p) - d)
+    return min(found, default=None)
+
+
+def _newton_close(problem: ContractionProblem, frame, xs, k: int, met: bool, cap, target: Fraction) -> Vector:
+    """The answer of a Newton solve whose last frame point is xs, Newton
+    iterate k, built in integers.
+
+    x = xs / p^s carries its digits to the width C = min(v_i) + N, v_i
+    the valuations of its coordinates.  When `met`, the last pass found
+    g(X) = X modulo a width of at least C; a solve that stopped after its
+    planned steps instead takes the exact valuation of g(X) - X modulo p^C
+    from one more sweep.  On an ultrametric ball |g(x) - x*| <= |x - x*| <= |g(x) - x|
+    for any contraction, whatever theta, so the answer is g(X), which must
+    lie in the ball, truncated to the weaker of that posterior bound and
+    the a priori bound p^-cap (cap None for a bound of 0); g(X) = X to
+    those digits.  The residual of the answer is then checked against the
+    target on the digits it carries.
+    """
+    desc = problem.descriptor
+    p = desc.prime
+    s, depth = frame[:2]
+    proven = min((int_valuation(c, p) for c in xs if c), default=s) + desc.precision
+    # X passed the membership check (x0 its exact one), so g(X) lies in
+    # the ball unless g(X) - X has a valuation below the ball's depth
+    moved = None if met else _residual(problem, s, xs, proven)
+    if moved is not None:
+        if moved < depth:
+            _domain_escape("the closing Banach step", valuation_abs(p, moved - s), problem.domain, k + 1)
+        proven = moved
+    exponent = proven - s if cap is None else min(proven - s, -cap)
+    kept, x = _answer(xs, s, exponent, desc)
+    found = _residual(problem, s, kept, min(c.prec for c in x.components) + s)
+    if found is not None and (residual := valuation_abs(p, found - s)) > target:
+        residual, target = num_str(residual), num_str(target)
+        raise DomainEscape(
+            f"residual {residual} above target {target}: contraction claim failed",
+            residual=residual, target=target,
+        )
+    return x
 
 
 def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Vector:
@@ -562,12 +615,12 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
     Every pass works on integers modulo p^W (von zur Gathen & Gerhard,
     Modern Computer Algebra, ch. 9): the iterate is the exact frame point
     X = p^s x (see `_frame`), one `modular_sweep` gives g(X) and Dg(X) mod
-    p^W, and one `modular_solve` the step, with the step's valuation checked
-    against the a priori bound and X + step checked for membership as
-    v_p(X - centre) >= k.  Only the closing Banach step, the posterior
-    bound and the certified close run in tracked arithmetic (Caruso,
-    "Computations with p-adic numbers", 2017, on fixed-point against
-    tracked arithmetic).
+    p^W, and one `modular_solve` the step, with the step checked against
+    the a priori bound by divisibility and X + step checked for membership
+    as v_p(X - centre) >= k.  The close stays in integers too
+    (`_newton_close`), and PadicScalars are built for the answer alone
+    (Caruso, "Computations with p-adic numbers", 2017, on fixed-point
+    against tracked arithmetic).
 
     The working width doubles from step to step.  With p^-e_j the largest
     p-power <= theta^j d0, W_0 = max(3, e_1 + 2); a step whose residual has
@@ -587,8 +640,8 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
         raise SchemaError("Newton steps are certified on ultrametric fields only")
     theta, d0, target, steps = _plan(problem, target_precision)
     p, N = desc.prime, desc.precision
-    bound = _certified_bound(theta, d0, steps, desc)
     if not steps:
+        bound = _certified_bound(theta, d0, steps, desc)
         return _certified_close(problem, Vector.from_rationals(problem.x0, desc), bound, target)
 
     def apriori_exponent(j: int):
@@ -596,14 +649,17 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
         e = _power_exponent(theta, d0, j, p)
         return math.inf if e is None else -e
 
-    s, inside, centre = _frame(problem)
+    frame = s, depth, centre = _frame(problem)
+    inside = p**depth
     # x0 as the exact point its N digits spell
     xs = [_frame_residue(c, s, rational_valuation(c, p) + s + N, p) if c else 0 for c in problem.x0]
     e_k, e_next = apriori_exponent(0), apriori_exponent(1)
     width, k = max(3, e_next + 2), 0
     while True:  # each pass takes one step, or widens W and tries again
-        full = _known_width(xs, s, N, p)
-        at_full = k == steps - 1 or width + s >= full
+        last = k == steps - 1
+        # a full width is at least N: below N no valuation is taken
+        full = _known_width(xs, s, N, p) if last or width + s >= N else math.inf
+        at_full = last or width + s >= full
         pass_width = full if at_full else width + s
         got = _newton_pass(problem, s, xs, pass_width, k)
         while at_full and got is not None and (wider := _known_width(got[2], s, N, p)) > pass_width:
@@ -614,10 +670,11 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
                 break
             width *= 2
             continue
-        v, step_val, xs = got
-        if step_val - s < e_k:
-            # only a step past its bound builds the Fractions _check_step reports
-            _check_step(k, valuation_abs(p, step_val - s), theta**k * d0)
+        v, step, xs = got
+        # a step within theta^k d0 = p^-e_k is divisible by p^(e_k + s) in the frame;
+        # only one past it forms its valuation and the Fractions _check_step reports
+        if e_k + s > 0 and any(a % p ** (e_k + s) for a in step):
+            _check_step(k, valuation_abs(p, _least_valuation(step, p) - s), theta**k * d0)
         k += 1
         e_k, e_next = e_next, apriori_exponent(k + 1)
         escape = _least_valuation([(a - c) % inside for a, c in zip(xs, centre)], p)
@@ -626,13 +683,8 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
         if k == steps:
             break
         width = max(width, 4 * (v - s) + 2, e_next + 2)
-    x = _frame_point(xs, s, desc)
-    gx = eval_map(problem.f, x)
-    if not problem.domain.contains_tracked(gx):
-        _domain_escape("the closing Banach step", _distance(gx, problem.domain), problem.domain, k + 1)
-    # |g(x) - x*| <= |x - x*| <= |g(x) - x| for any contraction, whatever theta
-    posterior = max(abs_upper_bound(c) for c in (gx - x).components)
-    return _certified_close(problem, gx, max(posterior, bound), target)
+    cap = _power_exponent(theta, d0, steps, p, geometric=True)
+    return _newton_close(problem, frame, xs, k, got is None, cap, target)
 
 
 def lipschitz_theta(f: MapSpec, ball: Ball, supplied=None) -> Fraction:

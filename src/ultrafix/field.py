@@ -388,8 +388,9 @@ def _padic_make(desc, val, residue, prec, mod=None):
     # Every caller passes prec <= v + N (N = desc.precision), so the digit
     # count prec - v needs no cap.  The sums pass m <= prec <= val + N for
     # each nonzero term, and the sum's valuation v is at least the least such
-    # val; truncate_precision passes prec < a.prec <= a.val + N <= v + N.
-    # PadicScalar still rejects more than N digits.
+    # val; truncate_precision passes prec < a.prec <= a.val + N <= v + N;
+    # the Newton answer passes the exponent its least coordinate carries,
+    # at most v + N.  PadicScalar still rejects more than N digits.
     if residue % p:
         return PadicScalar(desc, val, residue, prec, mod)
     shift = int_valuation(residue, p)

@@ -42,6 +42,19 @@ CASES = {
         "--field", str(FIXTURES / "fields/q5n4.json"),
         "--geometry", str(FIXTURES / "geo/implicit_golden.json"),
     ],
+    # the invert and implicit requests at N = 64, where each takes one Newton solve
+    "invert_newton": [
+        "invert",
+        "--map", str(FIXTURES / "maps/plus_square.json"),
+        "--field", str(FIXTURES / "fields/q5n64.json"),
+        "--geometry", str(FIXTURES / "geo/invert_golden.json"),
+    ],
+    "implicit_newton": [
+        "implicit",
+        "--map", str(FIXTURES / "maps/saddle.json"),
+        "--field", str(FIXTURES / "fields/q5n64.json"),
+        "--geometry", str(FIXTURES / "geo/implicit_golden.json"),
+    ],
     "check_clean": [
         "check",
         "--map", str(FIXTURES / "maps/plus_square.json"),

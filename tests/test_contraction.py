@@ -514,12 +514,23 @@ def test_newton_claims_only_what_its_residual_proves(q5_deep):
 def test_newton_residual_check_carries_its_numbers(q5_deep, monkeypatch):
     # the Newton result is truncated to the digits its residual proves, so
     # its final residual check fails only with the truncation switched off:
-    # g(130) - 130 = 84375 = 27 * 5^5 misses the target 5^-6
+    # one Newton step from 0 lands on 5, and g(5) - 5 = 125 = 5^3 misses
+    # the target 5^-6
     wrong = ContractionProblem(FIVE_PLUS_5SQ, Ball(q5_deep, (0,), Fraction(1, 5)), Fraction(1, 5**6), (0,))
-    monkeypatch.setattr(contraction, "truncate_precision", lambda c, exponent: c)
+    answer = contraction._answer
+    # the exponent N keeps every digit of the frame points 5 and 25 below
+    monkeypatch.setattr(contraction, "_answer", lambda xs, s, exponent, desc: answer(xs, s, desc.precision, desc))
     with pytest.raises(DomainEscape, match="residual") as err:
         newton_fixed_point(wrong, Fraction(1, 5**6))
-    assert err.value.details == {"residual": "1/3125", "target": "1/15625"}
+    assert err.value.details == {"residual": "1/125", "target": "1/15625"}
+    # 25 + x^2/5 = 5 g(x/5) on B_{1/25}(0), whose frame denominator holds 5:
+    # the step lands on 25, and g(25) - 25 = 125 again, read as the
+    # valuation of 5 (g(25) - 25) less one
+    scaled = ContractionProblem(poly(1, [(25, (0,)), (Fraction(1, 5), (2,))]), Ball(q5_deep, (0,), Fraction(1, 25)),
+                                Fraction(1, 5**6), (0,))
+    with pytest.raises(DomainEscape, match="residual") as err:
+        newton_fixed_point(scaled, Fraction(1, 5**6))
+    assert err.value.details == {"residual": "1/125", "target": "1/15625"}
 
 
 def test_real_target_below_the_double_resolution_of_the_ball(real):
@@ -700,7 +711,8 @@ def test_precision_doubling_on_centres_of_negative_valuation(p):
     # at a centre of valuation -s products of coordinates lose digits, at
     # working precision and at full precision alike; the iterate read as an
     # exact point keeps what the full-precision loop loses, so it proves at
-    # least as many digits, and they agree with a solve at N + 60 digits
+    # least as many digits, and they agree with a tracked solve at N + 90
+    # digits, deep enough to keep 30 more after the products take theirs
     rng = random.Random(7400 + p)
     more = 0
     for rep in range(16):
@@ -709,7 +721,7 @@ def test_precision_doubling_on_centres_of_negative_valuation(p):
         center = tuple(Fraction(_p_unit(rng, p), p**s) for _ in range(n))
         problem = _recentred(base, center, base.descriptor)
         reference = _full_precision_newton(
-            _recentred(base, center, FieldDescriptor.padic(p, N + 60)), Fraction(1, p ** (N + 30))
+            _recentred(base, center, FieldDescriptor.padic(p, N + 90)), Fraction(1, p ** (N + 60))
         )
         target = None if rep % 4 < 2 else Fraction(1, p ** rng.randint(3, 6))
         got, old = newton_fixed_point(problem, target), _full_precision_newton(problem, target)
@@ -729,8 +741,13 @@ def test_capped_last_step_runs_at_full_precision(monkeypatch):
     # the working width W_0 = e_1 + 2 = 5
     sweeps = []
     real_sweep = contraction.modular_sweep
-    monkeypatch.setattr(contraction, "modular_sweep",
-                        lambda f, p, s, xs, width: sweeps.append((xs, width)) or real_sweep(f, p, s, xs, width))
+
+    def sweep(f, p, s, xs, width, jacobian=True):
+        if jacobian:  # a Newton pass; the close sweeps values only
+            sweeps.append((xs, width))
+        return real_sweep(f, p, s, xs, width, jacobian)
+
+    monkeypatch.setattr(contraction, "modular_sweep", sweep)
     rng = random.Random(7500)
     for rep in range(12):
         sweeps.clear()
@@ -983,6 +1000,130 @@ def test_integer_pass_on_maps_with_p_in_a_denominator(p):
 
 
 # ---------------------------------------------------------------------------
+# The integer close, checked against the tracked close it replaced
+
+
+def _frame_point(xs, s: int, desc):
+    """The frame point xs as the tracked x = xs / p^s, each coordinate of
+    valuation v known to its N digits, up to p^(v + N); a zero coordinate
+    is the exact zero (verbatim from the tracked close)."""
+    p, mod = desc.prime, desc.prime**desc.precision
+    out = []
+    for c in xs:
+        if not c:
+            out.append(desc.zero())
+            continue
+        v = int_valuation(c, p)
+        out.append(PadicScalar(desc, v - s, c // p**v % mod, v - s + desc.precision, mod))
+    return Vector(tuple(out))
+
+
+def _tracked_close(problem, s, xs, k, bound, target):
+    """The close of newton_fixed_point in tracked arithmetic, verbatim: g is
+    evaluated at the frame point read as tracked scalars, its residual
+    bounds the posterior, and `_certified_close` evaluates g once more."""
+    x = _frame_point(xs, s, problem.descriptor)
+    gx = eval_map(problem.f, x)
+    if not problem.domain.contains_tracked(gx):
+        _tracked_domain_escape("the closing Banach step", gx, problem.domain, k + 1)
+    # |g(x) - x*| <= |x - x*| <= |g(x) - x| for any contraction, whatever theta
+    posterior = max(abs_upper_bound(c) for c in (gx - x).components)
+    return contraction._certified_close(problem, gx, max(posterior, bound), target)
+
+
+def _both_closes(problem, target, monkeypatch):
+    """(answer, tracked answer, last frame point): the Newton solve's answer
+    and `_tracked_close` at the frame point its close received."""
+    seen, close = [], contraction._newton_close
+
+    def record(problem, frame, xs, k, *rest):
+        seen.append((frame[0], list(xs), k))
+        return close(problem, frame, xs, k, *rest)
+
+    monkeypatch.setattr(contraction, "_newton_close", record)
+    got = newton_fixed_point(problem, target)
+    monkeypatch.undo()
+    ((s, xs, k),) = seen
+    theta, d0, target, steps = _plan(problem, target)
+    return got, _tracked_close(problem, s, xs, k, _certified_bound(theta, d0, steps, problem.descriptor), target), xs
+
+
+def test_integer_close_matches_the_tracked_close(monkeypatch):
+    # centred solves as local_invert and solve_implicit pose them, over Q3,
+    # Q5 and Q7 at N = 8..1024, close on the same digits; at centres of
+    # valuation -1..-3 and on maps with p in a denominator the tracked close
+    # loses digits to products of values above 1, the integer close none:
+    # at least as many digits, the same ones
+    more, cases = 0, 0
+    for p in (3, 5, 7):
+        rng = random.Random(8100 + p)
+        for N in (8, 64, 256, 1024):
+            for n in (1, 2, 3):
+                for rep in range(3):
+                    problem = _deep_problem(rng, p, n, N, implicit=rep == 2, flat=(1, p, p * p)[rep])
+                    target = None if rep == 0 else Fraction(1, p ** rng.randint(2, 12))
+                    got, old, _ = _both_closes(problem, target, monkeypatch)
+                    assert _digits(got) == _digits(old), (p, N, n, rep)
+                    cases += 1
+        for rep in range(6):
+            n, N, s = 1 + rep % 2, (8, 12, 20)[rep % 3], 1 + rep % 3
+            base = _deep_problem(rng, p, n, N, implicit=False, flat=(p, p * p)[rep % 2])
+            center = tuple(Fraction(_p_unit(rng, p), p**s) for _ in range(n))
+            problem = _recentred(base, center, base.descriptor)
+            target = None if rep < 3 else Fraction(1, p ** rng.randint(3, 6))
+            more += _agrees_on_common_digits(*_both_closes(problem, target, monkeypatch)[:2])
+            cases += 1
+        for rep in range(6):
+            n, N = 1 + rep % 2, (8, 16, 64)[rep % 3]
+            base = _deep_problem(rng, p, n, N, implicit=False, flat=(1, p)[rep % 2])
+
+            def scaled(c):
+                return MapSpec.from_coefficients(n, [[(c, tuple(int(k == i) for k in range(n)))] for i in range(n)])
+
+            g = compose(scaled(p), compose(base.f, scaled(Fraction(1, p))))
+            problem = ContractionProblem(g, Ball(base.descriptor, (0,) * n, Fraction(1, p * p)), base.theta, (0,) * n)
+            more += _agrees_on_common_digits(*_both_closes(problem, None, monkeypatch)[:2])
+            cases += 1
+    assert cases == 144 and more >= 1
+    # the benchmark's Q5 map of seed 3001 in 3 variables at N = 1024: its
+    # last frame point has an exactly zero coordinate
+    problem = _deep_problem(random.Random(3001), 5, 3, 1024, implicit=False)
+    got, old, xs = _both_closes(problem, None, monkeypatch)
+    assert 0 in xs and _digits(got) == _digits(old)
+    # the understated theta of test_newton_claims_only_what_its_residual_proves
+    wrong = ContractionProblem(FIVE_PLUS_5SQ, Ball(FieldDescriptor.padic(5, 8), (0,), Fraction(1, 5)),
+                               Fraction(1, 5**6), (0,))
+    got, old, _ = _both_closes(wrong, Fraction(1, 5**6), monkeypatch)
+    assert _digits(got) == _digits(old) == [(1, 1, 3)]
+
+
+def test_met_newton_solve_evaluates_no_tracked_map(monkeypatch):
+    # between its plan and its answer a met Newton solve calls eval_map no
+    # time and builds p-adic scalars only for its answer, one per coordinate
+    rng = random.Random(8200)
+    calls, scalars = [], []
+    init, evaluate = PadicScalar.__init__, contraction.eval_map
+
+    def counted_init(self, *args):
+        scalars.append(args)
+        init(self, *args)
+
+    for p in (3, 5, 7):
+        for n in (1, 2, 3):
+            for rep in range(4):
+                problem = _deep_problem(rng, p, n, (16, 64, 256, 1024)[rep], implicit=rep == 1, flat=(1, p)[rep % 2])
+                target = None if rep % 2 else Fraction(1, p ** rng.randint(2, 12))
+                assert _plan(problem, target)[3] > 0  # the plan, with d0, comes first
+                calls.clear()
+                scalars.clear()
+                monkeypatch.setattr(contraction, "eval_map", lambda *args: calls.append(args) or evaluate(*args))
+                monkeypatch.setattr(PadicScalar, "__init__", counted_init)
+                got = newton_fixed_point(problem, target)
+                monkeypatch.undo()
+                assert not calls and len(scalars) == n == got.dim
+
+
+# ---------------------------------------------------------------------------
 # Real solves certify their answer exactly; domain escapes carry numbers
 
 
@@ -1134,14 +1275,22 @@ def test_exact_close_refuses_a_theta_below_the_rate_of_the_map(real):
 
 def test_exact_close_needs_the_answer_in_the_ball(real):
     # 1/10 + x/2 on B[0, 1/5] has its fixed point 1/5 on the sphere, and the
-    # double 0.2 lies above it: at target 10^-17 the orbit lands on 0.2,
-    # which each step's membership test lets through within its tolerance,
-    # but the bound |g(x) - x| / (1 - theta) holds only inside the ball
+    # double 0.2 lies above it: the orbit lands on 0.2, which each step's
+    # membership test lets through within its tolerance.  The bound
+    # |g(x) - x| / (1 - theta) holds only inside the ball, so the close
+    # certifies the last iterate in it, the double below 1/5, whose bound is
+    # 1/5 - x: it meets 2 * 10^-17 and misses 10^-17
     problem = ContractionProblem(poly(1, [(Fraction(1, 10), (0,)), (Fraction(1, 2), (1,))]),
                                  Ball(real, (0,), Fraction(1, 5)), Fraction(1, 2), (0,))
-    with pytest.raises(DomainEscape, match="iterate 56 left the domain ball") as err:
+    below = math.nextafter(0.2, 0)
+    with pytest.raises(PrecisionExhausted) as err:
         iterate_fixed_point(problem, Fraction(1, 10**17))
-    assert err.value.details == {"step": "56", "distance": frac_str(Fraction(0.2)), "radius": "1/5"}
+    assert err.value.details == {"target": frac_str(Fraction(1, 10**17)),
+                                 "bound": frac_str(Fraction(1, 5) - Fraction(below))}
+    report = iterate_fixed_point(problem, Fraction(2, 10**17))
+    assert [x.components[0].value for x in report.trace[-2:]] == [0.2, 0.2]
+    assert report.fixed_point.components[0].value == below
+    assert report.error_bound == Fraction(1, 5) - Fraction(below)
     assert _met_or_refused(problem, Fraction(1, 10**15), (Fraction(1, 5),))
 
 
@@ -1170,6 +1319,12 @@ def test_domain_escapes_carry_step_distance_and_radius(q5, q5_deep, real, monkey
             poly(1, [(1, (0,)), (Fraction(1, 25), (2,))]), Ball(q5, (0,), 1), Fraction(1, 5), (0,)),
             Fraction(1, 5)),
          "the closing Banach step left the domain ball", {"step": "2", "distance": "25/1", "radius": "1/1"}),
+        # one Newton step (target 1/25) reaches x = 5 in B_{1/5}(0), and g(5) = 6
+        # is a p-adic integer, 1 from the centre
+        (lambda: newton_fixed_point(ContractionProblem(
+            poly(1, [(5, (0,)), (Fraction(1, 25), (2,))]), Ball(q5, (0,), Fraction(1, 5)), Fraction(1, 5), (0,)),
+            Fraction(1, 25)),
+         "the closing Banach step left the domain ball", {"step": "2", "distance": "1/1", "radius": "1/5"}),
     ]
     for solve, message, details in cases:
         with pytest.raises(DomainEscape, match=message) as err:
@@ -1202,9 +1357,9 @@ def test_newton_passes_solve_as_the_inverse_would(monkeypatch):
     # every (I - Dg) s = g(x) - x a Newton pass solves modulo p^W, over seeded
     # deep problems, agrees modulo p^W with invert_exact(I - Dg).apply(g(x) - x)
     # over Q_p at W digits; the passes form no inverse, apply no operator and
-    # build no p-adic scalar before the closing Banach step
+    # build no p-adic scalar before the answer
     systems, scalars, closing = [], [], [False]
-    real_solve, real_point = contraction.modular_solve, contraction._frame_point
+    real_solve, real_answer = contraction.modular_solve, contraction._answer
     init = PadicScalar.__init__
     rng = random.Random(7600)
     problems = []
@@ -1219,16 +1374,16 @@ def test_newton_passes_solve_as_the_inverse_would(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Newton pass formed an inverse or applied an operator")
 
-    def close(*args):
+    def answer(*args):
         closing[0] = True
-        return real_point(*args)
+        return real_answer(*args)
 
     def counted_init(self, *args):
         scalars.append(closing[0])
         init(self, *args)
 
     monkeypatch.setattr(contraction, "modular_solve", lambda *args: systems.append(args) or real_solve(*args))
-    monkeypatch.setattr(contraction, "_frame_point", close)
+    monkeypatch.setattr(contraction, "_answer", answer)
     monkeypatch.setattr(linalg, "invert_exact", refuse)
     monkeypatch.setattr(Operator, "apply", refuse)
     monkeypatch.setattr(PadicScalar, "__init__", counted_init)

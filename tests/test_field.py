@@ -734,7 +734,7 @@ def test_every_construction_checks_the_unit(monkeypatch):
             field_arith(a, b, op)
         -b
         truncate_precision(b, b.val + rng.randint(0, 3))
-        contraction._frame_point((b.unit * desc.prime**2, 0), 1, desc)
+        contraction._answer((b.unit * desc.prime**2, 0), 1, 1 + b.prec - b.val, desc)
         padic_polynomial(desc, [(b, ((0, 2),)), (b, ())], [a])
         embed_rational(rng.randint(-99, 99), rng.randint(1, 99), desc)
         _elimination(Operator(((b, a), (a, b))))
