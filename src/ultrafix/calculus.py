@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from operator import add, attrgetter
+from operator import add, attrgetter, mul, truediv
 from typing import Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, DomainViolation, SchemaError
@@ -29,7 +29,23 @@ from .field import (
     padic_sub_product,
     rational_valuation,
 )
-from .linalg import Ball, Operator, Vector, _exact, rat_identity, rat_mat_vec
+from .linalg import (
+    Ball,
+    Operator,
+    Vector,
+    _exact,
+    field_dot,
+    int_mat_vec,
+    int_vec_add_scaled,
+    int_vec_divided,
+    int_vec_scale,
+    int_vec_sub,
+    int_vector,
+    int_vector_fractions,
+    int_vectors_equal,
+    rat_identity,
+    ratio_vector,
+)
 
 Monomial = tuple[tuple[int, ...], Fraction]
 
@@ -122,17 +138,31 @@ def _as_components(point) -> tuple:
     return tuple(point)
 
 
-def eval_map(f: MapSpec, point):
-    """Exact polynomial evaluation; rational in, rational out (same for scalars)."""
+def eval_map(f: MapSpec, point, descriptor: FieldDescriptor | None = None):
+    """Exact polynomial evaluation; rational in, rational out (same for scalars).
+
+    `descriptor` is the field of the values where the point has no
+    coordinates (a constant f); a point whose coordinates are not scalars
+    of that field is a SchemaError."""
     comps = _as_components(point)
     if len(comps) != f.domain_dim:
         raise DimensionMismatch(f"expected {f.domain_dim} coordinates, got {len(comps)}")
     _check_point_in_domain(f, point)
     if comps and isinstance(comps[0], Scalar):
         desc = comps[0].descriptor
-        values = _eval_field(f, comps, desc)
-        return Vector(values) if isinstance(point, Vector) else values
-    return _eval_exact(f, tuple(c if isinstance(c, Fraction) else Fraction(c) for c in comps))
+        if descriptor is not None and descriptor is not desc and descriptor != desc:
+            raise SchemaError("point coordinates are not scalars of the given field")
+    elif descriptor is None:
+        xs = _exact(comps)
+        L = math.lcm(*(x.denominator for x in xs))
+        values, den = eval_ints(f, [x.numerator * (L // x.denominator) for x in xs], L)
+        return tuple(Fraction(v, den) for v in values)
+    elif comps:
+        raise SchemaError("point coordinates are not scalars of the given field")
+    else:
+        desc = descriptor
+    values = _eval_field(f, comps, desc)
+    return Vector(values) if isinstance(point, Vector) else values
 
 
 def _support(exps) -> tuple[tuple[int, int], ...]:
@@ -157,25 +187,36 @@ def _int_table(f: MapSpec):
     return got
 
 
-def _eval_exact(f: MapSpec, comps: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """With x_i = n_i/L over one common denominator L, each output is
-    sum(c*D * L^(deg-|a|) * n^a) / (D * L^deg): integers until one Fraction."""
-    degree, outputs = _int_table(f)
-    L = math.lcm(*(x.denominator for x in comps))
-    nums = [x.numerator * (L // x.denominator) for x in comps]
+def _common_table(f: MapSpec):
+    """The integer table over one denominator: (degree, D, outputs), D the
+    lcm of the outputs' denominators D_i and, per output, (D / D_i, terms
+    of `_int_table`)."""
+    got = f._cache.get("common")
+    if got is None:
+        degree, outputs = _int_table(f)
+        D = math.lcm(*(d for d, _ in outputs))
+        got = f._cache["common"] = (degree, D, tuple((D // d, terms) for d, terms in outputs))
+    return got
+
+
+def eval_ints(f: MapSpec, nums, den: int) -> tuple[tuple[int, ...], int]:
+    """f at the rational point nums/den, as an integer vector (see
+    `linalg.int_vector`): from the common table of f, output i is
+    D/D_i * sum(c*D_i * den^(deg-|a|) * nums^a) over D * den^deg."""
+    degree, D, outputs = _common_table(f)
     scale = [1]
     for _ in range(degree):
-        scale.append(scale[-1] * L)
+        scale.append(scale[-1] * den)
     out = []
-    for D, terms in outputs:
+    for ratio, terms in outputs:
         acc = 0
         for c, deg, support in terms:
             term = c * scale[degree - deg]
             for i, e in support:
                 term *= nums[i] ** e
             acc += term
-        out.append(Fraction(acc, D * scale[degree]))
-    return tuple(out)
+        out.append(acc * ratio)
+    return tuple(out), D * scale[degree]
 
 
 def _field_table(f: MapSpec, desc: FieldDescriptor):
@@ -307,37 +348,46 @@ def _partials(f: MapSpec) -> tuple[MapSpec, ...]:
 
 def jacobian(f: MapSpec, x) -> Operator:
     """The derivative at x as an operator (column j = d f(x, e_j))."""
+    if not f.domain_dim:
+        raise DimensionMismatch("a map of no variables has an empty Jacobian, "
+                                "and an Operator needs at least one column")
     comps = _as_components(x)
     _check_point_in_domain(f, x)
     if not (comps and isinstance(comps[0], Scalar)):
         raise SchemaError("jacobian over the field needs scalar coordinates; "
                           "use jacobian_exact for rational points")
-    desc = comps[0].descriptor
+    return Operator(_jacobian_field(f, comps, comps[0].descriptor))
+
+
+def _jacobian_field(f: MapSpec, comps, desc: FieldDescriptor) -> tuple:
+    """The rows of Df at a point of scalars of desc, one `_eval_field` pass
+    per partial map; a map of no variables has empty rows."""
     cols = [_eval_field(p, comps, desc) for p in _partials(f)]
-    rows = tuple(
-        tuple(cols[j][i] for j in range(f.domain_dim)) for i in range(f.codomain_dim)
-    )
-    return Operator(rows)
+    return tuple(tuple(col[i] for col in cols) for i in range(f.codomain_dim))
 
 
 def jacobian_exact(f: MapSpec, x: Sequence) -> tuple[tuple[Fraction, ...], ...]:
-    """The derivative at a rational point, as exact rational rows.
-
-    From the integer table of f, as _eval_exact: with x_i = n_i/L, the
-    entry (i, j) sums c*D * a_j * L^(deg-|a|) * n^(a - e_j) over the
-    monomials c*x^a of output i, over D * L^(deg-1)."""
-    xs = tuple(Fraction(v) for v in x)
+    """The derivative at a rational point, as exact rational rows."""
+    xs = _exact(x)
     if len(xs) != f.domain_dim:
         raise DimensionMismatch(f"expected {f.domain_dim} coordinates, got {len(xs)}")
-    degree, outputs = _int_table(f)
-    L = math.lcm(*(v.denominator for v in xs))
-    nums = [v.numerator * (L // v.denominator) for v in xs]
+    rows, den = jacobian_ints(f, *int_vector(xs))
+    return tuple(tuple(Fraction(a, den) for a in row) for row in rows)
+
+
+def jacobian_ints(f: MapSpec, nums, den: int):
+    """Df at the rational point nums/den as an integer matrix (rows, D') (see
+    `linalg.int_matrix`): from the common table of f, as eval_ints, entry
+    (i, j) is D/D_i times the sum of c*D_i * a_j * den^(deg-|a|) *
+    nums^(a - e_j) over the monomials c*x^a of output i, and
+    D' = D * den^(deg-1)."""
+    degree, D, outputs = _common_table(f)
     top = max(degree - 1, 0)
     scale = [1]
     for _ in range(top):
-        scale.append(scale[-1] * L)
+        scale.append(scale[-1] * den)
     rows = []
-    for D, terms in outputs:
+    for ratio, terms in outputs:
         acc = [0] * f.domain_dim
         for c, deg, support in terms:
             if not deg:
@@ -350,9 +400,8 @@ def jacobian_exact(f: MapSpec, x: Sequence) -> tuple[tuple[Fraction, ...], ...]:
                     if k2 != k:
                         term *= lowered[k2] * nums[i]
                 acc[j] += term
-        den = D * scale[top]
-        rows.append(tuple(Fraction(a, den) for a in acc))
-    return tuple(rows)
+        rows.append(tuple(a * ratio for a in acc))
+    return tuple(rows), D * scale[top]
 
 
 def _frame_table(f: MapSpec, p: int, s: int):
@@ -541,77 +590,25 @@ def _flatten(q) -> tuple:
     return (q,)
 
 
-def _is_zero_value(t, desc: FieldDescriptor | None) -> bool:
-    return t == 0 if desc is None else t.is_zero()
-
-
-def _vec_add_scaled(x, y, t, desc: FieldDescriptor | None):
-    """x + t*y over the field desc, or exactly when desc is None.  An exact
-    coordinate is one Fraction of integer products, which normalises its
-    sign and gcd; a p-adic one is one fused `padic_sub_product`."""
-    if desc is None:
-        tn, td = t.numerator, t.denominator
-        return tuple(
-            Fraction(
-                a.numerator * b.denominator * td + tn * b.numerator * a.denominator,
-                a.denominator * b.denominator * td,
-            )
-            for a, b in zip(x, y)
-        )
-    if desc.ultrametric:
-        return tuple(padic_sub_product(a, t, b, subtract=False) for a, b in zip(x, y))
-    return tuple(a + t * b for a, b in zip(x, y))
-
-
-def _divided_difference(u, v, t, desc: FieldDescriptor | None):
-    """(u - v)/t per coordinate: exactly in integers as _vec_add_scaled, or
-    over Q_p by `padic_divided_difference`, one unit inverse of t."""
-    if desc is None:
-        tn, td = t.numerator, t.denominator
-        return tuple(
-            Fraction(
-                (a.numerator * b.denominator - b.numerator * a.denominator) * td,
-                a.denominator * b.denominator * tn,
-            )
-            for a, b in zip(u, v)
-        )
-    if desc.ultrametric:
-        return padic_divided_difference(u, v, t)
-    return tuple((a - b) / t for a, b in zip(u, v))
-
-
-def _quotient_value(f: MapSpec, x: tuple, y: tuple, t, evaluate: _SampleEvaluator, mutation=None):
+def _quotient_value(f: MapSpec, x, y, t, evaluate, mutation=None):
     """f^[1](x, y, t): difference quotient for t != 0, df(x, y) at t = 0.
 
-    The values lie in the field of `evaluate`, which evaluates f and its
+    The values and their arithmetic are those of `evaluate` (see
+    `_ExactSamples` and `_FieldSamples`), which evaluates f and its
     Jacobian; the domain is checked only when f has one."""
-    desc = evaluate.descriptor
     if f.domain is not None:
-        _check_point_in_domain(f, x)
-    if _is_zero_value(t, desc):
-        return _jacobian_apply(f, x, y, evaluate)
-    shifted = _vec_add_scaled(x, y, t, desc)
+        _check_point_in_domain(f, evaluate.show(x))
+    if evaluate.is_zero(t):
+        return evaluate.derivative(f, x, y)
+    shifted = evaluate.add_scaled(x, y, t)
     if f.domain is not None:
-        _check_point_in_domain(f, shifted)
+        _check_point_in_domain(f, evaluate.show(shifted))
         f = f.without_domain()
     fx = evaluate(f, x)
-    q = _divided_difference(evaluate(f, shifted), fx, t, desc)
+    q = evaluate.divided_difference(evaluate(f, shifted), fx, t)
     if mutation is not None:
-        q = mutation(q, desc)
+        q = mutation(q, evaluate.descriptor)
     return q
-
-
-def _jacobian_apply(f: MapSpec, x, y, evaluate: _SampleEvaluator):
-    """Df(x).y in the field of `evaluate`: exact rows by rat_mat_vec, field
-    rows by Operator.apply.  A map of no variables or no outputs has no
-    Jacobian entries to apply."""
-    desc = evaluate.descriptor
-    if not (y and f.outputs):
-        return (Fraction(0) if desc is None else desc.zero(),) * f.codomain_dim
-    rows = evaluate.jacobian(f, x)
-    if desc is None:
-        return rat_mat_vec(rows, y)
-    return Operator(rows).apply(Vector(y)).components
 
 
 def _public_point(*groups):
@@ -629,7 +626,8 @@ def _public_point(*groups):
 def diff_quotient(f: MapSpec, q: QuotientPoint):
     """Evaluate the extended difference quotient at (x, y, t)."""
     desc, (x, y, (t,)) = _public_point(q.x, q.y, (q.t,))
-    value = _quotient_value(f, x, y, t, _SampleEvaluator(desc))
+    ev = _samples(desc)
+    value = ev.show(_quotient_value(f, ev.enter(x), ev.enter(y), ev.enter1(t), ev))
     if isinstance(q.x, Vector):
         return Vector(value)
     return value
@@ -646,33 +644,32 @@ def second_quotient(f: MapSpec, outer: QuotientPoint):
     m = f.domain_dim
     if len(a) != 2 * m + 1 or len(b) != 2 * m + 1:
         raise DimensionMismatch("second quotient needs inner points of U^[1]")
-    return _second_quotient_value(f, a, b, t, _SampleEvaluator(desc))
+    ev = _samples(desc)
+    return ev.show(_second_quotient_value(f, ev.enter(a), ev.enter(b), ev.enter1(t), ev))
 
 
-def _second_quotient_value(f: MapSpec, a: tuple, b: tuple, t, evaluate: _SampleEvaluator, mutation=None):
+def _second_quotient_value(f: MapSpec, a, b, t, evaluate, mutation=None):
     """f^[2](a, b, t) for flat inner points a, b of U^[1]; a mutation
     corrupts the inner quotients, and `evaluate` evaluates f, as in
     _quotient_value."""
-    desc = evaluate.descriptor
     m = f.domain_dim
     if f.domain is not None:
-        _check_inner_membership(f, a, desc)
-    if _is_zero_value(t, desc):
-        return _jacobian_apply(quotient_map(f), a, b, evaluate)
-    shifted = _vec_add_scaled(a, b, t, desc)
+        _check_inner_membership(f, a, evaluate)
+    if evaluate.is_zero(t):
+        return evaluate.derivative(quotient_map(f), a, b)
+    shifted = evaluate.add_scaled(a, b, t)
     if f.domain is not None:
-        _check_inner_membership(f, shifted, desc)
-    qa = _quotient_value(f, a[:m], a[m : 2 * m], a[2 * m], evaluate, mutation)
-    qs = _quotient_value(f, shifted[:m], shifted[m : 2 * m], shifted[2 * m], evaluate, mutation)
-    return _divided_difference(qs, qa, t, desc)
+        _check_inner_membership(f, shifted, evaluate)
+    qa = _quotient_value(f, *evaluate.split(a, m), evaluate, mutation)
+    qs = _quotient_value(f, *evaluate.split(shifted, m), evaluate, mutation)
+    return evaluate.divided_difference(qs, qa, t)
 
 
-def _check_inner_membership(f: MapSpec, a, desc: FieldDescriptor | None) -> None:
-    m = f.domain_dim
-    x, y, t = a[:m], a[m : 2 * m], a[2 * m]
-    _check_point_in_domain(f, x)
-    if not _is_zero_value(t, desc):
-        _check_point_in_domain(f, _vec_add_scaled(x, y, t, desc))
+def _check_inner_membership(f: MapSpec, a, evaluate) -> None:
+    x, y, t = evaluate.split(a, f.domain_dim)
+    _check_point_in_domain(f, evaluate.show(x))
+    if not evaluate.is_zero(t):
+        _check_point_in_domain(f, evaluate.show(evaluate.add_scaled(x, y, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -817,60 +814,148 @@ class IdentityReport:
         return None
 
 
-def _values_equal(a, b) -> bool:
-    for u, v in zip(a, b):
-        if isinstance(u, Scalar):
-            if not (u - v).is_zero():
-                return False
-        elif u != v:
-            return False
-    return True
-
-
 _POINT_KEYS = {
-    None: attrgetter("numerator", "denominator"),
     "padic": attrgetter("val", "unit", "prec"),
     "real": lambda x: x.value.hex(),
 }
-"""A coordinate as a hashable key that decides its evaluation, per field: a
-rational by its numerator and denominator (Fraction.__hash__ takes a modular
-inverse), a p-adic scalar by its digits, a real one by its exact double."""
+"""A field coordinate as a hashable key that decides its evaluation: a
+p-adic scalar by its digits, a real one by its exact double."""
 
 
-class _SampleEvaluator:
-    """eval_map and Jacobian rows over one field (None: exact rationals) that
-    evaluate each distinct (map, point) only once.
+class _ExactSamples:
+    """The values of one exact sample of the identity suite, and their
+    arithmetic in integer products: a vector is an integer vector (nums,
+    den) over one denominator (`linalg.int_vector`), a scalar a pair (n, d)
+    with d > 0.  Fractions are formed only by `show`, for a report.
 
-    Evaluation is a deterministic function of the map and of the point's
-    keys, so a repeated point gets the values it would get again.  The maps
-    are held for the evaluator's life, so their ids stay unique.
-    check_identities makes one per sample.
+    As an evaluator it evaluates each distinct (map, point) once: the key is
+    the map's id and the point reduced by the gcd of its numerators and den,
+    which is canonical.  The maps are held for the evaluator's life, so
+    their ids stay unique.  check_identities makes one per sample.
     """
 
-    def __init__(self, descriptor: FieldDescriptor | None):
+    descriptor = None
+
+    def __init__(self):
+        self._values = {}
+        self._jacobians = {}
+
+    @staticmethod
+    def _key(f: MapSpec, x):
+        nums, den = x
+        g = math.gcd(*nums, den)
+        if g > 1:
+            nums, den = tuple(n // g for n in nums), den // g
+        return (id(f), den, nums), nums, den
+
+    def __call__(self, f: MapSpec, x):
+        key, nums, den = self._key(f, x)
+        got = self._values.get(key)
+        if got is None:
+            got = self._values[key] = (f, eval_ints(f, nums, den))
+        return got[1]
+
+    def derivative(self, f: MapSpec, x, y):
+        """Df(x).y, the Jacobian of f at x formed once."""
+        key, nums, den = self._key(f, x)
+        got = self._jacobians.get(key)
+        if got is None:
+            got = self._jacobians[key] = (f, jacobian_ints(f, nums, den))
+        return int_mat_vec(got[1], y)
+
+    lift, lift1 = staticmethod(ratio_vector), staticmethod(lambda draw: draw)
+    enter, show = staticmethod(int_vector), staticmethod(int_vector_fractions)
+    enter1 = staticmethod(lambda q: (q.numerator, q.denominator))
+    sub, equal = staticmethod(int_vec_sub), staticmethod(int_vectors_equal)
+    scale, add_scaled = staticmethod(int_vec_scale), staticmethod(int_vec_add_scaled)
+    divided_difference = staticmethod(int_vec_divided)
+    is_zero = staticmethod(lambda t: not t[0])
+    mul = staticmethod(lambda s, t: (s[0] * t[0], s[1] * t[1]))
+
+    @staticmethod
+    def div(s, t):
+        sign = -1 if t[0] < 0 else 1
+        return sign * s[0] * t[1], sign * s[1] * t[0]
+
+    @staticmethod
+    def point(x, y, t):
+        """The flat point (x, y, t) of U^[1], over the lcm of the three
+        denominators."""
+        (a, dx), (b, dy), (tn, td) = x, y, t
+        den = math.lcm(dx, dy, td)
+        kx, ky = den // dx, den // dy
+        return tuple(n * kx for n in a) + tuple(n * ky for n in b) + (tn * (den // td),), den
+
+    @staticmethod
+    def split(a, m: int):
+        """A flat point of U^[1] as (x, y, t) over its denominator."""
+        nums, den = a
+        return (nums[:m], den), (nums[m : 2 * m], den), (nums[2 * m], den)
+
+
+class _FieldSamples:
+    """The values of one sample of the identity suite over a field, tuples of
+    its scalars, with the arithmetic and the evaluator of _ExactSamples.
+
+    A point's key is its coordinates' `_POINT_KEYS`: evaluation is a
+    deterministic function of the map and of them, so a repeated point gets
+    the values it would get again.  Over Q_p, x + t*y is one fused
+    `padic_sub_product` per coordinate and (u - v)/t one
+    `padic_divided_difference`.
+    """
+
+    def __init__(self, descriptor: FieldDescriptor):
         self.descriptor = descriptor
-        self._key = _POINT_KEYS[None if descriptor is None else descriptor.kind]
-        self._seen = {}
+        self._point_key = _POINT_KEYS[descriptor.kind]
+        self._values = {}
+        self._jacobians = {}
 
-    def __call__(self, f: MapSpec, point):
-        key = ("value", id(f), tuple(map(self._key, point)))
-        got = self._seen.get(key)
+    def __call__(self, f: MapSpec, x):
+        key = (id(f), *map(self._point_key, x))
+        got = self._values.get(key)
         if got is None:
-            value = eval_map(f, point)
-            if not point and self.descriptor is not None:
-                # no coordinate carries the field: f is constant
-                value = tuple(embed_rational(v, 1, self.descriptor) for v in value)
-            got = self._seen[key] = (f, value)
+            got = self._values[key] = (f, eval_map(f, x, self.descriptor))
         return got[1]
 
-    def jacobian(self, f: MapSpec, x: tuple):
-        """The rows of Df(x): field scalars, or exact rationals."""
-        key = ("jacobian", id(f), tuple(map(self._key, x)))
-        got = self._seen.get(key)
+    def derivative(self, f: MapSpec, x, y):
+        """Df(x).y, the Jacobian rows of f at x formed once, each applied
+        by `linalg.field_dot`."""
+        key = (id(f), *map(self._point_key, x))
+        got = self._jacobians.get(key)
         if got is None:
-            rows = jacobian_exact(f, x) if self.descriptor is None else jacobian(f, x).entries
-            got = self._seen[key] = (f, rows)
-        return got[1]
+            got = self._jacobians[key] = (f, _jacobian_field(f, x, self.descriptor))
+        return tuple(field_dot(self.descriptor, row, y) for row in got[1])
+
+    def lift(self, draws):
+        return tuple(embed_rational(n, d, self.descriptor) for n, d in draws)
+
+    def lift1(self, draw):
+        return embed_rational(*draw, self.descriptor)
+
+    enter = staticmethod(tuple)
+    enter1 = show = staticmethod(lambda values: values)
+    mul, div = staticmethod(mul), staticmethod(truediv)
+    is_zero = staticmethod(lambda t: t.is_zero())
+    scale = staticmethod(lambda t, v: tuple(t * a for a in v))
+    sub = staticmethod(lambda u, v: tuple(a - b for a, b in zip(u, v)))
+    equal = staticmethod(lambda u, v: all((a - b).is_zero() for a, b in zip(u, v)))
+    point = staticmethod(lambda x, y, t: x + y + (t,))
+    split = staticmethod(lambda a, m: (a[:m], a[m : 2 * m], a[2 * m]))
+
+    def add_scaled(self, x, y, t):
+        if self.descriptor.ultrametric:
+            return tuple(padic_sub_product(a, t, b, subtract=False) for a, b in zip(x, y))
+        return tuple(a + t * b for a, b in zip(x, y))
+
+    def divided_difference(self, u, v, t):
+        if self.descriptor.ultrametric:
+            return padic_divided_difference(u, v, t)
+        return tuple((a - b) / t for a, b in zip(u, v))
+
+
+def _samples(descriptor: FieldDescriptor | None):
+    """A fresh sample over the field, or in exact arithmetic for None."""
+    return _ExactSamples() if descriptor is None else _FieldSamples(descriptor)
 
 
 def _companion_map(n: int) -> MapSpec:
@@ -887,8 +972,12 @@ def _companion_map(n: int) -> MapSpec:
 
 
 def quotient_offset_mutation(values, descriptor: FieldDescriptor | None):
-    """Deliberate off-by-one corruption of the t != 0 quotient branch."""
-    one = Fraction(1) if descriptor is None else descriptor.one()
+    """Deliberate off-by-one corruption of the t != 0 quotient branch, on an
+    integer vector when descriptor is None."""
+    if descriptor is None:
+        nums, den = values
+        return tuple(n + den for n in nums), den
+    one = descriptor.one()
     return tuple(v + one for v in values)
 
 
@@ -897,23 +986,24 @@ _MUTATIONS = {"quotient-offset": quotient_offset_mutation}
 DEGREE_BUDGET = 1024
 """The highest total degree of a monomial in a map read from JSON.  `check`
 is the command whose cost grows with the degree: its 1000 default samples,
-exact and over Q5 at 4 digits, take about 0.9 s on x + x^2, 7.5 s on
-x + x^1024 and 181 s on x + x^6400 (2-core x86_64 VM, Python 3.11);
-certify, invert and fixpoint on x + x^1024 take a few milliseconds."""
+exact and over Q5 at 4 digits, take about 0.25 s on x + x^2, 2.4 s on
+x + x^1024 and 49 s on x + x^6400 (2-core x86_64 VM, Python 3.11);
+certify, invert and fixpoint on x + x^1024 take a millisecond or less."""
 
 SAMPLE_BUDGET = 100_000
 """The most samples one check_identities run may draw; the CLI default is
-1000.  On the plus_square test map a sample takes about 0.4 ms (2-core x86_64
-VM, Python 3.11), so a `check` request at the budget, which runs the suite in
-exact arithmetic and over its field, takes about 75 s."""
+1000.  On the plus_square test map a sample takes about 0.09 ms in exact
+arithmetic and 0.16 ms over Q5 at 4 digits (2-core x86_64 VM, Python 3.11),
+so a `check` request at the budget, which runs the suite in exact arithmetic
+and over its field, takes about 25 s."""
 
 CHECK_COST_BUDGET = 10_000_000
 """The most samples times evaluation cost one check_identities run may ask
 for, the cost being the map's monomial count times its highest degree (at
 least 1), a proxy for one evaluation.  The degree and sample budgets alone
 let x + x^1024 (cost 2048) take 100 000 samples: its 1000 default samples
-take about 7.5 s, so that request would run for about 750 s.  At this budget
-it may take 4882 samples (about 37 s); every map of cost up to 10 000, such
+take about 2.4 s, so that request would run for about 240 s.  At this budget
+it may take 4882 samples (about 12 s); every map of cost up to 10 000, such
 as nine monomials of degree 1024, keeps the 1000-sample default."""
 
 
@@ -933,9 +1023,9 @@ def check_identities(
 ) -> IdentityReport:
     """Check the structural quotient identities at seeded rational points.
 
-    With descriptor=None the checks run in exact rational arithmetic;
-    otherwise inputs are embedded into the given field and compared at
-    tracked precision.  A named mutation corrupts the quotient evaluation to
+    With descriptor=None the checks run in exact rational arithmetic, on
+    integer vectors (`_ExactSamples`); otherwise the draws are embedded
+    into the given field and compared at tracked precision.  A named mutation corrupts the quotient evaluation to
     demonstrate that the suite actually detects broken implementations.
     sample_count must lie in 1..SAMPLE_BUDGET, and times the map's
     evaluation_cost within CHECK_COST_BUDGET; both are checked before any
@@ -964,21 +1054,17 @@ def check_identities(
     g = _companion_map(f.codomain_dim)
 
     def rat(nonzero=False):
+        """A drawn rational as its pair (n, d), d > 0."""
         while True:
-            q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            if not nonzero or q != 0:
-                return q
+            draw = rng.randint(-9, 9), rng.randint(1, 9)
+            if draw[0] or not nonzero:
+                return draw
 
     def vec():
-        return tuple(rat() for _ in range(m))
+        return [rat() for _ in range(m)]
 
-    def lift(values):
-        if descriptor is None:
-            return values
-        return tuple(embed_rational(v, 1, descriptor) for v in values)
-
-    def lift1(v):
-        return lift((v,))[0]
+    def shown(draws):
+        return tuple(Fraction(n, d) for n, d in draws)
 
     results = [
         IdentityResult("chain_rule", 0, 0),
@@ -987,78 +1073,71 @@ def check_identities(
         IdentityResult("second_quotient_scaling", 0, 0),
     ]
 
-    def record(res: IdentityResult, ok: bool, witness: dict):
+    def record(res: IdentityResult, ok: bool, witness):
+        """Count a sample; the first failure keeps witness(), the
+        counterexample as rationals and the compared values."""
         res.samples += 1
         if not ok:
             res.failures += 1
             if res.counterexample is None:
-                res.counterexample = witness
+                res.counterexample = witness()
 
     gf = compose(g, f)
     for k in range(sample_count):
-        ev = _SampleEvaluator(descriptor)
+        ev = _samples(descriptor)
         x, y = vec(), vec()
-        t = rat() if k % 4 else Fraction(0)
+        t = rat() if k % 4 else (0, 1)
 
         # chain rule: (g o f)^[1](x,y,t) = g^[1](f(x), f^[1](x,y,t), t)
-        lx, ly, lt = lift(x), lift(y), lift1(t)
+        lx, ly, lt = ev.lift(x), ev.lift(y), ev.lift1(t)
         lhs = _quotient_value(gf, lx, ly, lt, ev, mut)
         inner = _quotient_value(f, lx, ly, lt, ev, mut)
         rhs = _quotient_value(g, ev(f, lx), inner, lt, ev, mut)
-        record(
-            results[0],
-            _values_equal(lhs, rhs),
-            {"x": x, "y": y, "t": t, "lhs": lhs, "rhs": rhs},
-        )
+        record(results[0], ev.equal(lhs, rhs), lambda: {
+            "x": shown(x), "y": shown(y), "t": Fraction(*t), "lhs": ev.show(lhs), "rhs": ev.show(rhs),
+        })
 
         # direction difference: f^[1](x,y1,t) - f^[1](x,y2,t) = f^[1](x+t*y2, y1-y2, t)
         y2 = vec()
-        ly2 = lift(y2)
+        ly2 = ev.lift(y2)
         qb = _quotient_value(f, lx, ly2, lt, ev, mut)
-        shifted = _vec_add_scaled(lx, ly2, lt, descriptor)
-        qd = _quotient_value(
-            f, shifted, tuple(a - b for a, b in zip(ly, ly2)), lt, ev, mut
-        )
-        record(
-            results[1],
-            _values_equal(tuple(a - b for a, b in zip(inner, qb)), qd),
-            {"x": x, "y1": y, "y2": y2, "t": t},
-        )
+        qd = _quotient_value(f, ev.add_scaled(lx, ly2, lt), ev.sub(ly, ly2), lt, ev, mut)
+        record(results[1], ev.equal(ev.sub(inner, qb), qd), lambda: {
+            "x": shown(x), "y1": shown(y), "y2": shown(y2), "t": Fraction(*t),
+        })
 
         # scaling: t * f^[1](x, y, t*s) = f^[1](x, t*y, s), t != 0
         tnz, s = rat(nonzero=True), rat()
-        ltn, ls = lift1(tnz), lift1(s)
-        lhs3 = _quotient_value(f, lx, ly, ltn * ls, ev, mut)
-        lhs3 = tuple(ltn * v for v in lhs3)
-        rhs3 = _quotient_value(f, lx, tuple(ltn * v for v in ly), ls, ev, mut)
-        record(results[2], _values_equal(lhs3, rhs3), {"x": x, "y": y, "t": tnz, "s": s})
+        ltn, ls = ev.lift1(tnz), ev.lift1(s)
+        lhs3 = ev.scale(ltn, _quotient_value(f, lx, ly, ev.mul(ltn, ls), ev, mut))
+        rhs3 = _quotient_value(f, lx, ev.scale(ltn, ly), ls, ev, mut)
+        record(results[2], ev.equal(lhs3, rhs3), lambda: {
+            "x": shown(x), "y": shown(y), "t": Fraction(*tnz), "s": Fraction(*s),
+        })
 
         # second quotient scaling:
         # t^3 f^[2]((x,y,ts),(x1,y1,ts1),ts2) = f^[2]((x,t^2 y,s/t),(t x1,t^3 y1,s1),s2)
         x1, y1 = vec(), vec()
         s1, s2 = rat(), rat(nonzero=True)
-        lx1, ly1 = lift(x1), lift(y1)
-        ls1, ls2 = lift1(s1), lift1(s2)
+        lx1, ly1 = ev.lift(x1), ev.lift(y1)
+        ls1, ls2 = ev.lift1(s1), ev.lift1(s2)
         lhs4 = _second_quotient_value(
-            f, lx + ly + (ltn * ls,), lx1 + ly1 + (ltn * ls1,), ltn * ls2, ev, mut
+            f, ev.point(lx, ly, ev.mul(ltn, ls)), ev.point(lx1, ly1, ev.mul(ltn, ls1)),
+            ev.mul(ltn, ls2), ev, mut,
         )
-        t2 = ltn * ltn
-        t3 = t2 * ltn
-        lhs4 = tuple(t3 * v for v in lhs4)
+        t2 = ev.mul(ltn, ltn)
+        t3 = ev.mul(t2, ltn)
+        lhs4 = ev.scale(t3, lhs4)
         rhs4 = _second_quotient_value(
             f,
-            lx + tuple(t2 * v for v in ly) + (ls / ltn,),
-            tuple(ltn * v for v in lx1)
-            + tuple(t3 * v for v in ly1)
-            + (ls1,),
+            ev.point(lx, ev.scale(t2, ly), ev.div(ls, ltn)),
+            ev.point(ev.scale(ltn, lx1), ev.scale(t3, ly1), ls1),
             ls2,
             ev,
             mut,
         )
-        record(
-            results[3],
-            _values_equal(lhs4, rhs4),
-            {"x": x, "y": y, "x1": x1, "y1": y1, "t": tnz, "s": s, "s1": s1, "s2": s2},
-        )
+        record(results[3], ev.equal(lhs4, rhs4), lambda: {
+            "x": shown(x), "y": shown(y), "x1": shown(x1), "y1": shown(y1),
+            "t": Fraction(*tnz), "s": Fraction(*s), "s1": Fraction(*s1), "s2": Fraction(*s2),
+        })
     return IdentityReport(results)
-

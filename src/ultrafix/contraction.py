@@ -114,7 +114,8 @@ class ContractionProblem:
 @dataclass
 class FixedPointReport:
     fixed_point: Vector
-    """Over the reals the last iterate of `trace` that lies in the ball."""
+    """The last iterate of `trace`.  Over the reals it is the last iterate
+    of the orbit that lies in the ball, and the report ends at it."""
     iterations: int
     trace: list[Vector]
     apriori_bounds: list[Fraction]
@@ -323,9 +324,10 @@ def _certified_close(problem: ContractionProblem, x: Vector, bound: Fraction, ta
 
 
 def _exact_close(problem: ContractionProblem, trace: list[Vector], target: Fraction) -> tuple:
-    """(x, B) for a real solve: x the last iterate of the trace that lies in
-    the ball, checked exactly, and B = |g(x) - x| / (1 - theta) its certified
-    bound, computed exactly from the rationals of its doubles.
+    """(n, B) for a real solve: n the index of x, the last iterate of the
+    trace that lies in the ball, checked exactly, and B = |g(x) - x| /
+    (1 - theta) its certified bound, computed exactly from the rationals of
+    its doubles.
 
     The bound holds for x in the ball when g is a theta-contraction of it;
     theta is tested on x = x_m and the iterate before it,
@@ -361,7 +363,7 @@ def _exact_close(problem: ContractionProblem, trace: list[Vector], target: Fract
             f"certify {num_str(bound)}",
             target=num_str(target), bound=num_str(bound),
         )
-    return trace[n], bound
+    return n, bound
 
 
 def iterate_fixed_point(
@@ -395,18 +397,20 @@ def iterate_fixed_point(
         if desc.ultrametric and (nxt - prev).is_zero():
             # tracked digits can no longer change; further steps are no-ops
             break
-    achieved = distances[-1] if distances else (Fraction(0) if desc.ultrametric else 0.0)
     if desc.ultrametric:
         guarantee = _certified_bound(theta, d0, len(trace) - 1, desc)
         x = _certified_close(problem, x, guarantee, target)
     else:
-        x, guarantee = _exact_close(problem, trace, target)
+        # the answer may be an earlier iterate: the report ends at it
+        n, guarantee = _exact_close(problem, trace, target)
+        x = trace[n]
+        del trace[n + 1:], bounds[n:], distances[n:]
     return FixedPointReport(
         fixed_point=x,
         iterations=len(trace) - 1,
         trace=trace,
         apriori_bounds=bounds,
-        achieved_distance=achieved,
+        achieved_distance=distances[-1] if distances else (Fraction(0) if desc.ultrametric else 0.0),
         theta=theta,
         initial_distance=d0,
         step_distances=distances,

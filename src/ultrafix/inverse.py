@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .calculus import MapSpec, affine_map, eval_map, jacobian_exact, strictness_modulus
+from .calculus import MapSpec, affine_map, eval_ints, eval_map, jacobian_exact, strictness_modulus
 from .contraction import (
     ContractionProblem,
     iterate_fixed_point,
@@ -40,14 +40,18 @@ from .linalg import (
     Ball,
     Operator,
     Vector,
+    int_mat_vec,
+    int_matrix,
+    int_vec_norm,
+    int_vec_sub,
+    int_vector_fractions,
     rat_identity,
     rat_mat_invert,
     rat_mat_vec,
     rat_operator_norm,
     rat_vec_norm,
-    rat_vec_sub,
 )
-from .sampling import sample_pair_in_ball
+from .sampling import sample_pair_vectors
 
 
 @dataclass(frozen=True)
@@ -287,38 +291,38 @@ def verify_distortion(
 ) -> DistortionReport:
     """Sample pairs in the certified ball and check, in exact arithmetic,
     a||z-y|| <= ||f(z)-f(y)|| <= b||z-y||, plus exact norm preservation of
-    A^-1 f on the ultrametric side."""
+    A^-1 f on the ultrametric side.
+
+    The pairs, their images and A^-1 (f(z) - f(y)) are integer vectors
+    (`linalg.int_vector`); each compared norm is one Fraction."""
     rng = random.Random(seed)
     desc = cert.descriptor
     report = DistortionReport(pairs=samples, sandwich_failures=0, isometry_failures=0)
     f_free = f.without_domain()
+    pull_back = int_matrix(cert.A_inv) if desc.ultrametric else None
+
+    def failure(kind, y, z, dist, name, value):
+        report.first_failure = {
+            "kind": kind,
+            "y": [str(v) for v in int_vector_fractions(y)],
+            "z": [str(v) for v in int_vector_fractions(z)],
+            "distance": str(dist),
+            name: str(value),
+        }
+
     for _ in range(samples):
-        y, z = sample_pair_in_ball(rng, cert.ball)
-        fy = eval_map(f_free, y)
-        fz = eval_map(f_free, z)
-        dist = rat_vec_norm(rat_vec_sub(z, y), desc)
-        image_step = rat_vec_sub(fz, fy)
-        fdist = rat_vec_norm(image_step, desc)
+        y, z = sample_pair_vectors(rng, cert.ball)
+        dist = int_vec_norm(int_vec_sub(z, y), desc)
+        image_step = int_vec_sub(eval_ints(f_free, *z), eval_ints(f_free, *y))
+        fdist = int_vec_norm(image_step, desc)
         if not cert.a * dist <= fdist <= cert.b * dist:
             report.sandwich_failures += 1
             if report.first_failure is None:
-                report.first_failure = {
-                    "kind": "sandwich",
-                    "y": [str(v) for v in y],
-                    "z": [str(v) for v in z],
-                    "distance": str(dist),
-                    "image_distance": str(fdist),
-                }
-        if desc.ultrametric:
-            pulled = rat_vec_norm(rat_mat_vec(cert.A_inv, image_step), desc)
+                failure("sandwich", y, z, dist, "image_distance", fdist)
+        if pull_back is not None:
+            pulled = int_vec_norm(int_mat_vec(pull_back, image_step), desc)
             if pulled != dist:
                 report.isometry_failures += 1
                 if report.first_failure is None:
-                    report.first_failure = {
-                        "kind": "isometry",
-                        "y": [str(v) for v in y],
-                        "z": [str(v) for v in z],
-                        "distance": str(dist),
-                        "pulled_distance": str(pulled),
-                    }
+                    failure("isometry", y, z, dist, "pulled_distance", pulled)
     return report

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotAContraction, SchemaError, SingularMatrix
@@ -27,6 +28,7 @@ from .field import (
     abs_upper_bound,
     embed_rational,
     field_abs,
+    int_valuation,
     padic_sub_product,
     rational_abs,
     rational_valuation,
@@ -68,6 +70,20 @@ class Vector:
         return all(c.is_zero() for c in self.components)
 
 
+def field_dot(desc: FieldDescriptor, row, column):
+    """The fold acc + a * x from zero over a row and a column of scalars of
+    desc; over Q_p each step is one fused `padic_sub_product`, bit for bit
+    the same.  An empty row gives zero."""
+    acc = desc.zero()
+    if desc.ultrametric:
+        for a, x in zip(row, column):
+            acc = padic_sub_product(acc, a, x, subtract=False)
+    else:
+        for a, x in zip(row, column):
+            acc = acc + a * x
+    return acc
+
+
 @dataclass(frozen=True)
 class Operator:
     """n x m matrix of scalars acting by left multiplication."""
@@ -103,20 +119,11 @@ class Operator:
         return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
     def _dot(self, row, column):
-        """The fold acc + a * x from zero over a row and a column; over Q_p
-        each step is one fused `padic_sub_product`, bit for bit the same."""
         desc = self.descriptor
         other = column[0].descriptor
         if other is not desc and other != desc:
             raise SchemaError("operands from different fields")
-        acc = desc.zero()
-        if desc.ultrametric:
-            for a, x in zip(row, column):
-                acc = padic_sub_product(acc, a, x, subtract=False)
-        else:
-            for a, x in zip(row, column):
-                acc = acc + a * x
-        return acc
+        return field_dot(desc, row, column)
 
     def apply(self, v: Vector) -> Vector:
         n, m = self.shape
@@ -394,12 +401,91 @@ def _exact(values: Sequence) -> list:
     return [x if type(x) in RATIONAL_TYPES else Fraction(x) for x in values]
 
 
-def rat_vec_sub(u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
-    """u - v for int and Fraction entries, one Fraction per coordinate."""
-    return tuple(
-        Fraction(a.numerator * b.denominator - b.numerator * a.denominator, a.denominator * b.denominator)
-        for a, b in zip(u, v)
-    )
+# ---------------------------------------------------------------------------
+# Integer vectors: a rational vector as (numerators, den) over one
+# denominator den > 0, which need not be reduced against the numerators
+
+
+def ratio_vector(pairs) -> tuple[tuple[int, ...], int]:
+    """The rationals n/d of pairs (n, d), d > 0, over the lcm of the d."""
+    den = math.lcm(*(d for _, d in pairs))
+    return tuple(n * (den // d) for n, d in pairs), den
+
+
+def int_vector(values: Sequence) -> tuple[tuple[int, ...], int]:
+    """Ints and Fractions over the lcm of their denominators."""
+    return ratio_vector([(x.numerator, x.denominator) for x in values])
+
+
+def int_vector_fractions(v) -> tuple[Fraction, ...]:
+    """The coordinates of an integer vector, one normalised Fraction each."""
+    nums, den = v
+    return tuple(Fraction(n, den) for n in nums)
+
+
+def int_vec_sub(u, v):
+    """u - v over the product of the denominators, or over their common one."""
+    (a, d), (b, e) = u, v
+    if d == e:
+        return tuple(x - y for x, y in zip(a, b)), d
+    return tuple(x * e - y * d for x, y in zip(a, b)), d * e
+
+
+def int_vec_scale(t, v):
+    """t*v for a rational t = (n, d), d > 0."""
+    tn = t[0]
+    return tuple(tn * a for a in v[0]), t[1] * v[1]
+
+
+def int_vec_add_scaled(x, y, t):
+    """x + t*y for a rational t = (n, d), d > 0: the numerators
+    a*d_y*t_d + t_n*d_x*b over d_x*d_y*t_d."""
+    (a, dx), (b, dy), (tn, td) = x, y, t
+    k, l = dy * td, tn * dx
+    return tuple(u * k + l * w for u, w in zip(a, b)), dx * k
+
+
+def int_vec_divided(u, v, t):
+    """(u - v)/t for a rational t = (n, d) != 0, d > 0: the numerators
+    (a*d_v - b*d_u) * t_d over d_u*d_v*t_n, the sign of t_n moved to the
+    numerators."""
+    (a, du), (b, dv), (tn, td) = u, v, t
+    if tn < 0:
+        tn, td = -tn, -td
+    return tuple((x * dv - w * du) * td for x, w in zip(a, b)), du * dv * tn
+
+
+def int_vectors_equal(u, v) -> bool:
+    """Equal rational vectors, by cross-multiplication."""
+    (a, d), (b, e) = u, v
+    return all(x * e == y * d for x, y in zip(a, b))
+
+
+def int_matrix(rows: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rational rows as (integer rows, D) over the lcm D of all denominators."""
+    rows = [_exact(row) for row in rows]
+    D = math.lcm(*(a.denominator for row in rows for a in row))
+    return tuple(tuple(a.numerator * (D // a.denominator) for a in row) for row in rows), D
+
+
+def int_mat_vec(matrix, v):
+    """M.v for an integer matrix (rows, D), the rational matrix rows / D."""
+    (rows, D), (nums, den) = matrix, v
+    return tuple(sum(map(mul, row, nums)) for row in rows), D * den
+
+
+def int_vec_norm(v, descriptor: FieldDescriptor) -> Fraction:
+    """The max norm of an integer vector, one Fraction: over Q_p p^-w with w
+    the valuation of the gcd of the numerators less that of den, over the
+    reals the largest numerator in absolute value over den."""
+    nums, den = v
+    if descriptor.ultrametric:
+        g = math.gcd(*nums)
+        if not g:
+            return Fraction(0)
+        p = descriptor.prime
+        return valuation_abs(p, int_valuation(g, p) - int_valuation(den, p))
+    return Fraction(max(map(abs, nums), default=0), den)
 
 
 def rat_mat_invert(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:

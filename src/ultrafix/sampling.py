@@ -2,7 +2,9 @@
 
 Samples are exact rationals with bounded numerators/denominators so every
 verification oracle can run in exact arithmetic; padic ball membership is a
-valuation threshold and holds by construction.
+valuation threshold and holds by construction.  A sample is drawn as an
+integer vector (numerators, den) over one denominator (see `linalg`);
+`sample_in_ball` and `sample_pair_in_ball` are its Fraction views.
 """
 
 from __future__ import annotations
@@ -10,7 +12,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .linalg import Ball
+from .linalg import (
+    Ball,
+    int_vec_add_scaled,
+    int_vector,
+    int_vector_fractions,
+    int_vectors_equal,
+    ratio_vector,
+)
 
 
 def unit_fraction(rng: random.Random, descriptor, strict: bool = False) -> Fraction:
@@ -35,34 +44,44 @@ def _unit_ratio(rng: random.Random, descriptor, strict: bool) -> tuple[int, int]
     return num, den
 
 
+def _scaling_ratio(ball: Ball) -> tuple[int, int]:
+    """The numerator and denominator of scaling_element(ball)."""
+    r = ball.radius
+    if ball.descriptor.ultrametric:
+        return r.denominator, r.numerator
+    return r.numerator, r.denominator
+
+
 def scaling_element(ball: Ball) -> Fraction:
     """A rational t with |t| equal to the ball radius.
 
     Real: the radius itself.  Padic: the reciprocal, since the radius p^-k is
     the absolute value of the rational p^k."""
-    if ball.descriptor.ultrametric:
-        return 1 / ball.radius
-    return ball.radius
+    return Fraction(*_scaling_ratio(ball))
+
+
+def sample_vector(rng: random.Random, ball: Ball) -> tuple[tuple[int, ...], int]:
+    """c + t*u as an integer vector, with u drawn by unit_fraction per
+    coordinate."""
+    draws = [_unit_ratio(rng, ball.descriptor, not ball.closed) for _ in ball.center_exact]
+    return int_vec_add_scaled(int_vector(ball.center_exact), ratio_vector(draws), _scaling_ratio(ball))
 
 
 def sample_in_ball(rng: random.Random, ball: Ball) -> tuple[Fraction, ...]:
-    """c + t*u, with u drawn by unit_fraction per coordinate: one Fraction
-    per coordinate, from integer products."""
-    strict = not ball.closed
-    t = scaling_element(ball)
-    tn, td = t.numerator, t.denominator
-    out = []
-    for c in ball.center_exact:
-        num, den = _unit_ratio(rng, ball.descriptor, strict)
-        cd = c.denominator
-        out.append(Fraction(c.numerator * td * den + tn * num * cd, cd * td * den))
-    return tuple(out)
+    """sample_vector as Fractions."""
+    return int_vector_fractions(sample_vector(rng, ball))
+
+
+def sample_pair_vectors(rng: random.Random, ball: Ball):
+    """Two distinct points of the ball, drawn by sample_vector."""
+    while True:
+        y = sample_vector(rng, ball)
+        z = sample_vector(rng, ball)
+        if not int_vectors_equal(y, z):
+            return y, z
 
 
 def sample_pair_in_ball(rng: random.Random, ball: Ball):
-    """Two distinct rational points of the ball."""
-    while True:
-        y = sample_in_ball(rng, ball)
-        z = sample_in_ball(rng, ball)
-        if y != z:
-            return y, z
+    """sample_pair_vectors as Fractions."""
+    y, z = sample_pair_vectors(rng, ball)
+    return int_vector_fractions(y), int_vector_fractions(z)

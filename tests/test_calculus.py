@@ -354,6 +354,30 @@ def test_identity_suite_on_a_map_of_no_variables(q5, real):
         assert not mutant.passed
 
 
+def test_a_map_of_no_variables_evaluates_over_the_given_field(q5, real):
+    # no coordinate carries a field, so the descriptor names it; without
+    # one the values stay exact rationals
+    const = poly(0, [(Fraction(-3, 5), ())], [(25, ())], [])
+    assert eval_map(const, ()) == (Fraction(-3, 5), Fraction(25), Fraction(0))
+    for desc in (q5, real):
+        want = (embed_rational(Fraction(-3, 5), 1, desc), embed_rational(25, 1, desc), desc.zero())
+        assert [repr(v) for v in eval_map(const, (), desc)] == [repr(v) for v in want]
+    # the descriptor must be the field of the point's coordinates
+    x = Vector.from_rationals((2,), q5)
+    assert eval_map(PLUS_SQUARE, x, q5) == eval_map(PLUS_SQUARE, x)
+    assert eval_map(PLUS_SQUARE, (2,), None) == (Fraction(6),)
+    for point, desc in ((x, real), (x.components, FieldDescriptor.padic(5, 6)), ((2,), q5)):
+        with pytest.raises(SchemaError, match="not scalars of the given field"):
+            eval_map(PLUS_SQUARE, point, desc)
+
+
+def test_jacobian_of_a_map_of_no_variables_is_a_dimension_mismatch(q5):
+    const = poly(0, [(1, ())])
+    with pytest.raises(DimensionMismatch, match="map of no variables has an empty Jacobian"):
+        jacobian(const, ())
+    assert jacobian_exact(const, ()) == ((),)
+
+
 def test_domain_violations(q5):
     ball = Ball(q5, (0,), Fraction(1, 5))
     f = MapSpec(1, PLUS_SQUARE.outputs, ball)
@@ -585,13 +609,15 @@ def test_identity_samples_evaluate_each_point_once(monkeypatch, padic):
         mutant = _mutant_report(("267622811/4428675", "22814/405"),
                                 ("389576006/4428675", "139841/1620"))
     calls = []
-    real_eval_map = calculus.eval_map
+    # the exact half evaluates on the integer core, the field half by eval_map
+    name = "eval_map" if padic else "eval_ints"
+    real_eval = getattr(calculus, name)
 
-    def counting(f, point):
+    def counting(f, *point):
         calls.append(point)
-        return real_eval_map(f, point)
+        return real_eval(f, *point)
 
-    monkeypatch.setattr(calculus, "eval_map", counting)
+    monkeypatch.setattr(calculus, name, counting)
     for mutation, want in ((None, _CLEAN), ("quotient-offset", mutant)):
         calls.clear()
         report = check_identities(REUSE_MAP, 8, seed=2026, descriptor=desc, mutation=mutation)
@@ -613,7 +639,9 @@ def test_identity_samples_take_each_jacobian_once(monkeypatch, padic):
     else:
         mutant = _mutant_report(("267622811/4428675", "22814/405"),
                                 ("389576006/4428675", "139841/1620"))
-    calls = {"eval_map": 0, "jacobian": 0, "jacobian_exact": 0}
+    # the field half takes its Jacobian rows from _jacobian_field, the exact
+    # half from the integer core
+    calls = {"eval_map": 0, "eval_ints": 0, "_jacobian_field": 0, "jacobian_ints": 0}
     for name in calls:
         def counting(*args, _name=name, _real=getattr(calculus, name)):
             calls[_name] += 1
@@ -624,9 +652,10 @@ def test_identity_samples_take_each_jacobian_once(monkeypatch, padic):
         calls.update(dict.fromkeys(calls, 0))
         report = check_identities(REUSE_MAP, 8, seed=2026, descriptor=desc, mutation=mutation)
         assert _report_summary(report) == want
-        jacobians = calls["jacobian"] if padic else calls["jacobian_exact"]
+        jacobians = calls["_jacobian_field"] if padic else calls["jacobian_ints"]
         assert jacobians == 9 <= JACOBIAN_CALLS_BEFORE_REUSE // 2
-        assert 0 < calls["eval_map"] <= EVAL_MAP_CALLS_BEFORE_REUSE // 2
+        evaluations = calls["eval_map"] if padic else calls["eval_ints"]
+        assert 0 < evaluations <= EVAL_MAP_CALLS_BEFORE_REUSE // 2
 
 
 # ---------------------------------------------------------------------------

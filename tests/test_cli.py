@@ -64,6 +64,24 @@ CASES = {
     ],
 }
 
+# the mutant checks fail (exit 1) and print their reports; the exact-only one
+# prints multi-coordinate lhs and rhs from the integer vectors of the suite
+MUTANT_CASES = {
+    "check_mutant": [
+        "check",
+        "--map", str(FIXTURES / "maps/plus_square.json"),
+        "--field", str(FIXTURES / "fields/q5n4.json"),
+        "--samples", "40",
+        "--geometry", str(FIXTURES / "geo/check_mutant.json"),
+    ],
+    "check_mutant_exact": [
+        "check",
+        "--map", str(FIXTURES / "maps/quadric_pair.json"),
+        "--samples", "40",
+        "--geometry", str(FIXTURES / "geo/check_mutant.json"),
+    ],
+}
+
 
 def run_cli(args):
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
@@ -83,6 +101,13 @@ def test_cli_fixture_matches_golden_and_reruns_identically(name):
     assert first.stdout == second.stdout
     golden = (GOLDEN / f"{name}.json").read_text()
     assert first.stdout == golden
+
+
+@pytest.mark.parametrize("name", sorted(MUTANT_CASES))
+def test_cli_mutant_check_matches_golden_with_exit_1(name):
+    out = run_cli(MUTANT_CASES[name])
+    assert out.returncode == 1, out.stderr
+    assert out.stdout == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_cli_invert_solution_digits():

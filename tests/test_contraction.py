@@ -1288,7 +1288,13 @@ def test_exact_close_needs_the_answer_in_the_ball(real):
     assert err.value.details == {"target": frac_str(Fraction(1, 10**17)),
                                  "bound": frac_str(Fraction(1, 5) - Fraction(below))}
     report = iterate_fixed_point(problem, Fraction(2, 10**17))
-    assert [x.components[0].value for x in report.trace[-2:]] == [0.2, 0.2]
+    # the orbit went on to the double 0.2 at steps 54 and 55; the report
+    # ends at its answer, iterate 53
+    assert report.iterations == 53 and len(report.trace) == 54
+    assert [x.components[0].value for x in report.trace[-2:]] == [math.nextafter(below, 0), below]
+    assert report.fixed_point is report.trace[-1]
+    assert len(report.step_distances) == len(report.apriori_bounds) == 53
+    assert report.achieved_distance == report.step_distances[-1] == below - math.nextafter(below, 0)
     assert report.fixed_point.components[0].value == below
     assert report.error_bound == Fraction(1, 5) - Fraction(below)
     assert _met_or_refused(problem, Fraction(1, 10**15), (Fraction(1, 5),))

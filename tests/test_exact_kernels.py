@@ -98,7 +98,7 @@ def _fraction_jacobian_exact(f, x):
     xs = tuple(Fraction(v) for v in x)
     if len(xs) != f.domain_dim:
         raise DimensionMismatch(f"expected {f.domain_dim} coordinates, got {len(xs)}")
-    cols = [calculus._eval_exact(p, xs) for p in (_fraction_partial_map(f, j) for j in range(f.domain_dim))]
+    cols = [calculus.eval_map(p, xs) for p in (_fraction_partial_map(f, j) for j in range(f.domain_dim))]
     return tuple(
         tuple(cols[j][i] for j in range(f.domain_dim)) for i in range(f.codomain_dim)
     )

@@ -17,11 +17,11 @@ import random
 from fractions import Fraction
 
 from ultrafix import calculus
-from ultrafix.calculus import MapSpec, check_identities
+from ultrafix.calculus import MapSpec, check_identities, jacobian, jacobian_exact
 from ultrafix.errors import DimensionMismatch, UltrafixError
 from ultrafix.field import FieldDescriptor, Scalar, embed_rational, int_valuation, rational_abs
 from ultrafix.inverse import certify, verify_distortion
-from ultrafix.linalg import Ball, rat_mat_vec, rat_vec_sub
+from ultrafix.linalg import Ball, int_vec_sub, int_vector, int_vector_fractions, rat_mat_vec
 from ultrafix.sampling import sample_in_ball, scaling_element
 
 PRIMES = (2, 3, 5, 7)
@@ -189,6 +189,14 @@ def _fractions(rng, p, dim):
     return tuple(Fraction(_rational(rng, p)) for _ in range(dim))
 
 
+def _on_integers(op, u, v, t):
+    """An exact operation of the identity suite on two rational vectors and
+    a rational scalar, run on their integer forms and read back as
+    Fractions."""
+    t = Fraction(t)
+    return int_vector_fractions(op(int_vector(u), int_vector(v), (t.numerator, t.denominator)))
+
+
 def test_vec_add_scaled_equals_the_fraction_expression():
     rng = random.Random(1010)
     reduced = negative = 0
@@ -197,7 +205,7 @@ def test_vec_add_scaled_equals_the_fraction_expression():
             dim = rng.randint(1, 5)
             x, y, t = _vector(rng, p, dim), _vector(rng, p, dim), _rational(rng, p)
             want = _fraction_vec_add_scaled(x, y, t)
-            _same(calculus._vec_add_scaled(x, y, t, None), want)
+            _same(_on_integers(calculus._ExactSamples.add_scaled, x, y, t), want)
             negative += t < 0
             # a coordinate whose integer fraction has a common factor to cancel
             reduced += any(
@@ -207,13 +215,20 @@ def test_vec_add_scaled_equals_the_fraction_expression():
     assert negative >= 150 and reduced >= 200
 
 
-def test_rat_vec_sub_equals_the_fraction_difference():
+def test_int_vec_sub_equals_the_fraction_difference():
     rng = random.Random(1017)
+    shared = 0
     for p in FIELDS:
         for _ in range(120):
             dim = rng.randint(1, 5)
             u, v = _fractions(rng, p, dim), _vector(rng, p, dim)
-            _same(rat_vec_sub(u, v), _fraction_difference(u, v))
+            _same(int_vector_fractions(int_vec_sub(int_vector(u), int_vector(v))), _fraction_difference(u, v))
+            # both over one denominator: the numerators are subtracted
+            (a, d), (b, e) = int_vector(u), int_vector(v)
+            got = int_vec_sub((tuple(x * e for x in a), d * e), (tuple(y * d for y in b), d * e))
+            _same(int_vector_fractions(got), _fraction_difference(u, v))
+            shared += 1
+    assert shared == 600
 
 
 def test_divided_difference_equals_the_quotient_expression():
@@ -224,7 +239,7 @@ def test_divided_difference_equals_the_quotient_expression():
             dim = rng.randint(1, 5)
             fs, fx = _fractions(rng, p, dim), _vector(rng, p, dim)
             t = _rational(rng, p) or rng.choice((-1, 1, Fraction(-3, 7)))
-            _same(calculus._divided_difference(fs, fx, t, None), _fraction_quotient(fs, fx, t))
+            _same(_on_integers(calculus._ExactSamples.divided_difference, fs, fx, t), _fraction_quotient(fs, fx, t))
             negative += t < 0
     assert negative >= 150
 
@@ -242,6 +257,15 @@ def _seeded_map(rng, p, nvars, outputs):
     return MapSpec.from_coefficients(nvars, rows)
 
 
+class _Rows:
+    """The Jacobian rows the fold above reads: exact rows for rationals,
+    the entries of the field Jacobian for scalars."""
+
+    @staticmethod
+    def jacobian(f, x):
+        return jacobian(f, x).entries if isinstance(x[0], Scalar) else jacobian_exact(f, x)
+
+
 def test_jacobian_apply_equals_the_fraction_fold():
     rng = random.Random(1012)
     cases = 0
@@ -253,12 +277,13 @@ def test_jacobian_apply_equals_the_fraction_fold():
                     f = _seeded_map(rng, p, nvars, outputs)
                     x, y = _vector(rng, p, nvars), _vector(rng, p, nvars)
                     # through the per-sample evaluator, as check_identities calls it
-                    ev = calculus._SampleEvaluator(None)
-                    _same(calculus._jacobian_apply(f, x, y, ev), _fraction_jacobian_apply(f, x, y, ev))
+                    ev = calculus._ExactSamples()
+                    got = ev.derivative(f, int_vector(x), int_vector(y))
+                    _same(int_vector_fractions(got), _fraction_jacobian_apply(f, x, y, _Rows))
                     lx = tuple(embed_rational(v, 1, desc) for v in x)
                     ly = tuple(embed_rational(v, 1, desc) for v in y)
-                    ev = calculus._SampleEvaluator(desc)
-                    _same_scalars(calculus._jacobian_apply(f, lx, ly, ev), _fraction_jacobian_apply(f, lx, ly, ev))
+                    ev = calculus._FieldSamples(desc)
+                    _same_scalars(ev.derivative(f, lx, ly), _fraction_jacobian_apply(f, lx, ly, _Rows))
                     cases += 1
     assert cases == 480
 
@@ -340,9 +365,10 @@ def test_field_scalars_keep_the_generic_expressions():
             x = tuple(map(lift, _vector(rng, p, dim)))
             y = tuple(map(lift, _vector(rng, p, dim)))
             t = lift(_rational(rng, p) or 3)
-            _same_scalars(calculus._vec_add_scaled(x, y, t, desc), _fraction_vec_add_scaled(x, y, t))
+            ev = calculus._FieldSamples(desc)
+            _same_scalars(ev.add_scaled(x, y, t), _fraction_vec_add_scaled(x, y, t))
             if not t.is_zero():
-                _same_scalars(calculus._divided_difference(x, y, t, desc), _fraction_quotient(x, y, t))
+                _same_scalars(ev.divided_difference(x, y, t), _fraction_quotient(x, y, t))
 
 
 def test_sample_in_ball_equals_the_fraction_draws():
@@ -430,13 +456,19 @@ def identity_report_texts(monkeypatch):
     (lhs, rhs) pairs it compared: a report whose identities all hold has no
     counterexample, so only these pairs carry its computed values."""
     compared = []
-    values_equal = calculus._values_equal
 
-    def recording(lhs, rhs):
-        compared.append(repr((lhs, rhs)))
-        return values_equal(lhs, rhs)
+    def recording(samples, show):
+        equal = samples.equal
 
-    monkeypatch.setattr(calculus, "_values_equal", recording)
+        def wrapper(lhs, rhs):
+            compared.append(repr((show(lhs), show(rhs))))
+            return equal(lhs, rhs)
+
+        monkeypatch.setattr(samples, "equal", staticmethod(wrapper))
+
+    # exact values are integer vectors, recorded as the Fractions they stand for
+    recording(calculus._ExactSamples, int_vector_fractions)
+    recording(calculus._FieldSamples, lambda values: values)
     texts = {}
     for field in ("exact", "Q5", "real"):
         desc = {"exact": None, "Q5": FieldDescriptor.padic(5, 6), "real": FieldDescriptor.real()}[field]
