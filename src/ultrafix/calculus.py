@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from operator import add, attrgetter, mul, truediv
+from operator import add, mul, truediv
 from typing import Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, DomainViolation, SchemaError
@@ -22,10 +22,16 @@ from .field import (
     FieldDescriptor,
     RealScalar,
     Scalar,
+    _padic_add,
+    _padic_div,
+    _padic_embed,
+    _padic_mul,
     embed_rational,
     int_valuation,
     padic_divided_difference,
+    padic_dot,
     padic_polynomial,
+    padic_scalar,
     padic_sub_product,
     rational_valuation,
 )
@@ -220,31 +226,43 @@ def eval_ints(f: MapSpec, nums, den: int) -> tuple[tuple[int, ...], int]:
 
 
 def _field_table(f: MapSpec, desc: FieldDescriptor):
-    """Per output, (embedded coefficient, support of the exponents) per monomial."""
+    """Per output, (embedded coefficient, support of the exponents) per
+    monomial; over Q_p the coefficient is its triple."""
     cache = f._cache.setdefault("coef", {})
     got = cache.get(desc)
     if got is None:
+        if desc.ultrametric:
+            embed = lambda c: _padic_embed(desc, c.numerator, c.denominator)  # noqa: E731
+        else:
+            embed = lambda c: embed_rational(c, 1, desc)  # noqa: E731
         got = cache[desc] = tuple(
-            tuple((embed_rational(coef, 1, desc), _support(exps)) for exps, coef in monomials)
+            tuple((embed(coef), _support(exps)) for exps, coef in monomials)
             for monomials in f.outputs
         )
     return got
 
 
+def _eval_padic(f: MapSpec, xs, desc: FieldDescriptor) -> tuple:
+    """f at a point of Q_p triples, one triple per output: each output is
+    one `padic_polynomial` pass."""
+    return tuple([padic_polynomial(desc, terms, xs) for terms in _field_table(f, desc)])
+
+
 def _eval_field(f: MapSpec, comps, desc: FieldDescriptor) -> tuple:
     """The same values, bit for bit, as multiplying out and summing the
     monomials one field operation at a time in monomial order.  Over Q_p
-    each output is one `padic_polynomial` pass, one scalar per output."""
+    each output is one `padic_polynomial` pass on the point's triples, as
+    in `_eval_padic`, and one scalar."""
     for x in comps:
         other = getattr(x, "descriptor", None)
         if other is not desc and other != desc:
             raise SchemaError("operands from different fields")
-    table = _field_table(f, desc)
     if desc.ultrametric:
-        return tuple(padic_polynomial(desc, terms, comps) for terms in table)
+        xs = [x.raw for x in comps]
+        return tuple([padic_scalar(desc, padic_polynomial(desc, terms, xs)) for terms in _field_table(f, desc)])
     xs = [x.value for x in comps]
     out = []
-    for terms in table:
+    for terms in _field_table(f, desc):
         acc = 0.0
         for coef, support in terms:
             term = coef.value
@@ -359,10 +377,12 @@ def jacobian(f: MapSpec, x) -> Operator:
     return Operator(_jacobian_field(f, comps, comps[0].descriptor))
 
 
-def _jacobian_field(f: MapSpec, comps, desc: FieldDescriptor) -> tuple:
-    """The rows of Df at a point of scalars of desc, one `_eval_field` pass
-    per partial map; a map of no variables has empty rows."""
-    cols = [_eval_field(p, comps, desc) for p in _partials(f)]
+def _jacobian_field(f: MapSpec, comps, desc: FieldDescriptor, evaluate=None) -> tuple:
+    """The rows of Df at a point of desc, one `evaluate` pass per partial
+    map: `_eval_field` on scalars, or `_eval_padic` on Q_p triples; a map of
+    no variables has empty rows."""
+    evaluate = evaluate or _eval_field
+    cols = [evaluate(p, comps, desc) for p in _partials(f)]
     return tuple(tuple(col[i] for col in cols) for i in range(f.codomain_dim))
 
 
@@ -594,8 +614,8 @@ def _quotient_value(f: MapSpec, x, y, t, evaluate, mutation=None):
     """f^[1](x, y, t): difference quotient for t != 0, df(x, y) at t = 0.
 
     The values and their arithmetic are those of `evaluate` (see
-    `_ExactSamples` and `_FieldSamples`), which evaluates f and its
-    Jacobian; the domain is checked only when f has one."""
+    `_ExactSamples`, `_PadicSamples` and `_FieldSamples`), which evaluates
+    f and its Jacobian; the domain is checked only when f has one."""
     if f.domain is not None:
         _check_point_in_domain(f, evaluate.show(x))
     if evaluate.is_zero(t):
@@ -626,6 +646,9 @@ def _public_point(*groups):
 def diff_quotient(f: MapSpec, q: QuotientPoint):
     """Evaluate the extended difference quotient at (x, y, t)."""
     desc, (x, y, (t,)) = _public_point(q.x, q.y, (q.t,))
+    for v in (x, y):
+        if len(v) != f.domain_dim:
+            raise DimensionMismatch(f"expected {f.domain_dim} coordinates, got {len(v)}")
     ev = _samples(desc)
     value = ev.show(_quotient_value(f, ev.enter(x), ev.enter(y), ev.enter1(t), ev))
     if isinstance(q.x, Vector):
@@ -814,14 +837,6 @@ class IdentityReport:
         return None
 
 
-_POINT_KEYS = {
-    "padic": attrgetter("val", "unit", "prec"),
-    "real": lambda x: x.value.hex(),
-}
-"""A field coordinate as a hashable key that decides its evaluation: a
-p-adic scalar by its digits, a real one by its exact double."""
-
-
 class _ExactSamples:
     """The values of one exact sample of the identity suite, and their
     arithmetic in integer products: a vector is an integer vector (nums,
@@ -894,24 +909,21 @@ class _ExactSamples:
 
 
 class _FieldSamples:
-    """The values of one sample of the identity suite over a field, tuples of
-    its scalars, with the arithmetic and the evaluator of _ExactSamples.
+    """The values of one sample of the identity suite over the reals, tuples
+    of its scalars, with the arithmetic and the evaluator of _ExactSamples.
 
-    A point's key is its coordinates' `_POINT_KEYS`: evaluation is a
+    A point's key is its coordinates' exact doubles: evaluation is a
     deterministic function of the map and of them, so a repeated point gets
-    the values it would get again.  Over Q_p, x + t*y is one fused
-    `padic_sub_product` per coordinate and (u - v)/t one
-    `padic_divided_difference`.
+    the values it would get again.
     """
 
     def __init__(self, descriptor: FieldDescriptor):
         self.descriptor = descriptor
-        self._point_key = _POINT_KEYS[descriptor.kind]
         self._values = {}
         self._jacobians = {}
 
     def __call__(self, f: MapSpec, x):
-        key = (id(f), *map(self._point_key, x))
+        key = (id(f), *(a.value.hex() for a in x))
         got = self._values.get(key)
         if got is None:
             got = self._values[key] = (f, eval_map(f, x, self.descriptor))
@@ -920,7 +932,7 @@ class _FieldSamples:
     def derivative(self, f: MapSpec, x, y):
         """Df(x).y, the Jacobian rows of f at x formed once, each applied
         by `linalg.field_dot`."""
-        key = (id(f), *map(self._point_key, x))
+        key = (id(f), *(a.value.hex() for a in x))
         got = self._jacobians.get(key)
         if got is None:
             got = self._jacobians[key] = (f, _jacobian_field(f, x, self.descriptor))
@@ -939,23 +951,94 @@ class _FieldSamples:
     scale = staticmethod(lambda t, v: tuple(t * a for a in v))
     sub = staticmethod(lambda u, v: tuple(a - b for a, b in zip(u, v)))
     equal = staticmethod(lambda u, v: all((a - b).is_zero() for a, b in zip(u, v)))
+    add_scaled = staticmethod(lambda x, y, t: tuple(a + t * b for a, b in zip(x, y)))
+    divided_difference = staticmethod(lambda u, v, t: tuple((a - b) / t for a, b in zip(u, v)))
     point = staticmethod(lambda x, y, t: x + y + (t,))
     split = staticmethod(lambda a, m: (a[:m], a[m : 2 * m], a[2 * m]))
 
+
+class _PadicSamples:
+    """The values of one sample of the identity suite over Q_p, as the
+    triples (val, unit, prec) that a PadicScalar holds, with the arithmetic
+    and the evaluator of _ExactSamples: each operation is one kernel of
+    `field` (x + t*y one `padic_sub_product` per coordinate, (u - v)/t one
+    `padic_divided_difference`), and PadicScalars are formed only by
+    `show`, for a report or a domain check.
+
+    A point's key is its tuple of triples, which decides its evaluation.
+    """
+
+    def __init__(self, descriptor: FieldDescriptor):
+        self.descriptor = descriptor
+        self._values = {}
+        self._jacobians = {}
+
+    def __call__(self, f: MapSpec, x):
+        key = (id(f), x)
+        got = self._values.get(key)
+        if got is None:
+            got = self._values[key] = (f, _eval_padic(f, x, self.descriptor))
+        return got[1]
+
+    def derivative(self, f: MapSpec, x, y):
+        """Df(x).y, the Jacobian rows of f at x formed once, each applied
+        by `field.padic_dot`."""
+        desc = self.descriptor
+        key = (id(f), x)
+        got = self._jacobians.get(key)
+        if got is None:
+            got = self._jacobians[key] = (f, _jacobian_field(f, x, desc, _eval_padic))
+        return tuple(padic_dot(desc, row, y) for row in got[1])
+
+    def lift(self, draws):
+        desc = self.descriptor
+        return tuple(_padic_embed(desc, n, d) for n, d in draws)
+
+    def lift1(self, draw):
+        return _padic_embed(self.descriptor, *draw)
+
+    enter = staticmethod(lambda values: tuple(a.raw for a in values))
+    enter1 = staticmethod(lambda t: t.raw)
+
+    def show(self, values):
+        desc = self.descriptor
+        return tuple(padic_scalar(desc, a) for a in values)
+
+    def mul(self, s, t):
+        return _padic_mul(self.descriptor, s, t)
+
+    def div(self, s, t):
+        return _padic_div(self.descriptor, s, t)
+
+    is_zero = staticmethod(lambda t: t[0] is None)
+
+    def scale(self, t, v):
+        desc = self.descriptor
+        return tuple(_padic_mul(desc, t, a) for a in v)
+
+    def sub(self, u, v):
+        desc = self.descriptor
+        return tuple(_padic_add(desc, a, b, True) for a, b in zip(u, v))
+
+    def equal(self, u, v):
+        desc = self.descriptor
+        return all(_padic_add(desc, a, b, True)[0] is None for a, b in zip(u, v))
+
     def add_scaled(self, x, y, t):
-        if self.descriptor.ultrametric:
-            return tuple(padic_sub_product(a, t, b, subtract=False) for a, b in zip(x, y))
-        return tuple(a + t * b for a, b in zip(x, y))
+        desc = self.descriptor
+        return tuple(padic_sub_product(desc, a, t, b, False) for a, b in zip(x, y))
 
     def divided_difference(self, u, v, t):
-        if self.descriptor.ultrametric:
-            return padic_divided_difference(u, v, t)
-        return tuple((a - b) / t for a, b in zip(u, v))
+        return padic_divided_difference(self.descriptor, u, v, t)
+
+    point, split = staticmethod(_FieldSamples.point), staticmethod(_FieldSamples.split)
 
 
 def _samples(descriptor: FieldDescriptor | None):
     """A fresh sample over the field, or in exact arithmetic for None."""
-    return _ExactSamples() if descriptor is None else _FieldSamples(descriptor)
+    if descriptor is None:
+        return _ExactSamples()
+    return _PadicSamples(descriptor) if descriptor.ultrametric else _FieldSamples(descriptor)
 
 
 def _companion_map(n: int) -> MapSpec:
@@ -973,10 +1056,13 @@ def _companion_map(n: int) -> MapSpec:
 
 def quotient_offset_mutation(values, descriptor: FieldDescriptor | None):
     """Deliberate off-by-one corruption of the t != 0 quotient branch, on an
-    integer vector when descriptor is None."""
+    integer vector when descriptor is None and on triples over Q_p."""
     if descriptor is None:
         nums, den = values
         return tuple(n + den for n in nums), den
+    if descriptor.ultrametric:
+        one = _padic_embed(descriptor, 1, 1)
+        return tuple(_padic_add(descriptor, v, one) for v in values)
     one = descriptor.one()
     return tuple(v + one for v in values)
 
@@ -986,24 +1072,24 @@ _MUTATIONS = {"quotient-offset": quotient_offset_mutation}
 DEGREE_BUDGET = 1024
 """The highest total degree of a monomial in a map read from JSON.  `check`
 is the command whose cost grows with the degree: its 1000 default samples,
-exact and over Q5 at 4 digits, take about 0.25 s on x + x^2, 2.4 s on
-x + x^1024 and 49 s on x + x^6400 (2-core x86_64 VM, Python 3.11);
+exact and over Q5 at 4 digits, take about 0.20 s on x + x^2, 2.3 s on
+x + x^1024 and 46 s on x + x^6400 (2-core x86_64 VM, Python 3.11);
 certify, invert and fixpoint on x + x^1024 take a millisecond or less."""
 
 SAMPLE_BUDGET = 100_000
 """The most samples one check_identities run may draw; the CLI default is
-1000.  On the plus_square test map a sample takes about 0.09 ms in exact
-arithmetic and 0.16 ms over Q5 at 4 digits (2-core x86_64 VM, Python 3.11),
+1000.  On the plus_square test map a sample takes about 0.08 ms in exact
+arithmetic and 0.11 ms over Q5 at 4 digits (2-core x86_64 VM, Python 3.11),
 so a `check` request at the budget, which runs the suite in exact arithmetic
-and over its field, takes about 25 s."""
+and over its field, takes about 20 s."""
 
 CHECK_COST_BUDGET = 10_000_000
 """The most samples times evaluation cost one check_identities run may ask
 for, the cost being the map's monomial count times its highest degree (at
 least 1), a proxy for one evaluation.  The degree and sample budgets alone
 let x + x^1024 (cost 2048) take 100 000 samples: its 1000 default samples
-take about 2.4 s, so that request would run for about 240 s.  At this budget
-it may take 4882 samples (about 12 s); every map of cost up to 10 000, such
+take about 2.3 s, so that request would run for about 230 s.  At this budget
+it may take 4882 samples (about 11 s); every map of cost up to 10 000, such
 as nine monomials of degree 1024, keeps the 1000-sample default."""
 
 
@@ -1025,8 +1111,10 @@ def check_identities(
 
     With descriptor=None the checks run in exact rational arithmetic, on
     integer vectors (`_ExactSamples`); otherwise the draws are embedded
-    into the given field and compared at tracked precision.  A named mutation corrupts the quotient evaluation to
-    demonstrate that the suite actually detects broken implementations.
+    into the given field and compared at tracked precision, over Q_p on
+    (val, unit, prec) triples (`_PadicSamples`).  A named mutation corrupts
+    the quotient evaluation to demonstrate that the suite actually detects
+    broken implementations.
     sample_count must lie in 1..SAMPLE_BUDGET, and times the map's
     evaluation_cost within CHECK_COST_BUDGET; both are checked before any
     sample is drawn.

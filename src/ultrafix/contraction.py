@@ -59,6 +59,7 @@ from .field import (
     int_floor_log,
     int_valuation,
     num_str,
+    padic_scalar,
     rational_abs,
     rational_valuation,
     truncate_precision,
@@ -386,15 +387,16 @@ def iterate_fixed_point(
         nxt = eval_map(problem.f, x)
         if not problem.domain.contains_tracked(nxt):
             _domain_escape(f"iterate {k + 1}", _distance(nxt, problem.domain), problem.domain, k + 1)
-        step = vec_norm(nxt - x)
+        moved = nxt - x
+        step = vec_norm(moved)
         bound = theta**k * d0
         if desc.ultrametric:
             _check_step(k, step, bound)
         distances.append(step)
         bounds.append(bound)
         trace.append(nxt)
-        prev, x = x, nxt
-        if desc.ultrametric and (nxt - prev).is_zero():
+        x = nxt
+        if desc.ultrametric and moved.is_zero():
             # tracked digits can no longer change; further steps are no-ops
             break
     if desc.ultrametric:
@@ -550,7 +552,7 @@ def _answer(xs, s: int, exponent: int, desc: FieldDescriptor):
     top = exponent + s
     cut = desc.prime**top if top > 0 else 1
     kept = [c % cut for c in xs]
-    return kept, Vector(tuple(_padic_make(desc, -s, c, exponent, cut) for c in kept))
+    return kept, Vector(tuple(padic_scalar(desc, _padic_make(desc, -s, c, exponent, cut)) for c in kept))
 
 
 def _residual(problem: ContractionProblem, s: int, xs, width: int):

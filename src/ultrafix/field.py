@@ -1,25 +1,30 @@
 """Valued-field scalar arithmetic: exact p-adic (fixed precision) and real doubles.
 
-A p-adic scalar stores its valuation, its unit digits and the absolute
-precision up to which the value is known.  Addition of near-cancelling values
-raises the valuation and shrinks the known digit range instead of fabricating
-zeros, so downstream certificates never overstate precision (Caruso, Roe &
-Vaccon, "Tracking p-adic precision", 2014).  `a + b` and `a - b` are one
-binary kernel, `_padic_add`, which adds or subtracts the shifted units as one
-residue.  A polynomial output is evaluated by
-`padic_polynomial` in two integer passes over its monomials: the first finds
-where the sum is known, the second adds the unit products as one residue
-modulo the power of p that reaches it, and one scalar is built per output.
+A p-adic value is the triple (val, unit, prec): its valuation, its unit
+digits and the absolute precision up to which it is known.  Addition of
+near-cancelling values raises the valuation and shrinks the known digit range
+instead of fabricating zeros, so downstream certificates never overstate
+precision (Caruso, Roe & Vaccon, "Tracking p-adic precision", 2014).  Each
+p-adic kernel is written once, over triples, and checks every nonzero triple
+it returns as a scalar would be checked; `PadicScalar` arithmetic, map
+evaluation, the dot products and eliminations of `linalg` and the identity
+samples of `calculus` all call them, and only the scalars wrap their result
+(Caruso, "Computations with p-adic numbers", 2017: zealous arithmetic needs
+only the numbers).  `a + b` and `a - b` are one binary kernel, `_padic_add`,
+which adds or subtracts the shifted units as one residue.  A polynomial
+output is evaluated by `padic_polynomial` in two integer passes over its
+monomials: the first finds where the sum is known, the second adds the unit
+products as one residue modulo the power of p that reaches it.
 `a - f * b` and `a + f * b` are one signed kernel as well,
-`padic_sub_product`: one residue and one scalar, bit for bit the product
-followed by the difference or the sum (an elimination's row update, x + t*y,
-a step of a matrix-vector fold).  `padic_divided_difference` forms (u - v)/t
-over two vectors with one unit inverse of t, one scalar per coordinate, bit
-for bit the subtraction followed by the division.  Each kernel that already
-holds p^digits hands it to the scalar's invariant check.  The real backend
-is plain IEEE doubles with a global comparison tolerance; exactness on the
-real side lives in the rational helpers (`rational_abs`) used by the
-verification oracles, not in the scalar type.
+`padic_sub_product`: one residue, bit for bit the product followed by the
+difference or the sum (an elimination's row update, x + t*y, a step of a
+dot product).  `padic_divided_difference` forms (u - v)/t over two vectors
+with one unit inverse of t, bit for bit the subtraction followed by the
+division.  Each kernel that already holds p^digits hands it to the
+invariant check.  The real backend is plain IEEE doubles with a global
+comparison tolerance; exactness on the real side lives in the rational
+helpers (`rational_abs`) used by the verification oracles, not in the
+scalar type.
 """
 
 from __future__ import annotations
@@ -252,26 +257,23 @@ class PadicScalar(Scalar):
     Zero at tracked precision: ``val is None``; ``prec is None`` for the exact
     zero, an integer m for a value only known to be O(p^m).
 
-    A kernel that already holds p**(prec-val) passes it as ``mod``, so the
-    invariant is checked without forming that power again.
+    ``raw`` is the triple (val, unit, prec) on which every p-adic kernel
+    below works; `padic_scalar` wraps a kernel's triple, which the kernel
+    has already checked.  A caller that already holds p**(prec-val) passes
+    it as ``mod``, so the invariant is checked without forming that power
+    again.
     """
 
-    __slots__ = ("descriptor", "val", "unit", "prec")
+    __slots__ = ("descriptor", "val", "unit", "prec", "raw")
 
     def __init__(self, descriptor, val, unit, prec, mod=None):
+        if val is not None:
+            _checked(descriptor, val, unit, prec, mod)
         self.descriptor = descriptor
         self.val = val
         self.unit = unit
         self.prec = prec
-        if val is not None:
-            digits = prec - val
-            if digits < 1 or digits > descriptor.precision:
-                raise ValueError(f"digit count {digits} out of range")
-            p = descriptor.prime
-            if mod is None:
-                mod = p**digits
-            if unit % p == 0 or not 0 < unit < mod:
-                raise ValueError("unit digits out of range")
+        self.raw = val, unit, prec
 
     def is_zero(self) -> bool:
         """Zero at tracked precision (exactly zero, or no known digits left)."""
@@ -321,8 +323,7 @@ class PadicScalar(Scalar):
     def __neg__(self):
         if self.val is None:
             return self
-        mod = self.descriptor.prime ** (self.prec - self.val)
-        return PadicScalar(self.descriptor, self.val, -self.unit % mod, self.prec, mod)
+        return padic_scalar(self.descriptor, _padic_neg(self.descriptor, self.raw))
 
     def __eq__(self, other):
         if not isinstance(other, PadicScalar):
@@ -376,7 +377,40 @@ class RealScalar(Scalar):
     __hash__ = None
 
 
-def _padic_make(desc, val, residue, prec, mod=None):
+_ZERO = (None, 0, None)
+"""The exact zero as a triple."""
+
+
+def _checked(desc, val, unit, prec, mod=None) -> tuple:
+    """The triple (val, unit, prec) of a nonzero p-adic value of desc, after
+    the invariant checks: a digit count prec - val in 1..N and a unit prime
+    to p and below p^(prec - val), which the caller passes as `mod` when it
+    holds it."""
+    digits = prec - val
+    if digits < 1 or digits > desc.precision:
+        raise ValueError(f"digit count {digits} out of range")
+    p = desc.prime
+    if mod is None:
+        mod = p**digits
+    if unit % p == 0 or not 0 < unit < mod:
+        raise ValueError("unit digits out of range")
+    return val, unit, prec
+
+
+_new = object.__new__
+
+
+def padic_scalar(desc, triple) -> PadicScalar:
+    """The scalar of desc holding a kernel's triple, which the kernel has
+    checked."""
+    x = _new(PadicScalar)
+    x.descriptor = desc
+    x.raw = triple
+    x.val, x.unit, x.prec = triple
+    return x
+
+
+def _padic_make(desc, val, residue, prec, mod=None) -> tuple:
     """Normalize an integer residue known modulo p^prec at base valuation val;
     `mod` is p^(prec - val) when the caller holds it."""
     p = desc.prime
@@ -384,35 +418,43 @@ def _padic_make(desc, val, residue, prec, mod=None):
         mod = p ** (prec - val)
     residue %= mod
     if residue == 0:
-        return PadicScalar(desc, None, 0, prec)
+        return None, 0, prec
     # Every caller passes prec <= v + N (N = desc.precision), so the digit
     # count prec - v needs no cap.  The sums pass m <= prec <= val + N for
     # each nonzero term, and the sum's valuation v is at least the least such
     # val; truncate_precision passes prec < a.prec <= a.val + N <= v + N;
     # the Newton answer passes the exponent its least coordinate carries,
-    # at most v + N.  PadicScalar still rejects more than N digits.
+    # at most v + N.  The check still rejects more than N digits.
     if residue % p:
-        return PadicScalar(desc, val, residue, prec, mod)
+        return _checked(desc, val, residue, prec, mod)
     shift = int_valuation(residue, p)
     scale = p**shift
-    return PadicScalar(desc, val + shift, residue // scale, prec, mod // scale)
+    return _checked(desc, val + shift, residue // scale, prec, mod // scale)
 
 
-def _padic_mul(a: PadicScalar, b: PadicScalar) -> PadicScalar:
-    desc = a.descriptor
-    if a.is_exact_zero() or b.is_exact_zero():
-        return desc.zero()
-    if a.val is None or b.val is None:
+def _padic_neg(desc, a) -> tuple:
+    """-a; a zero at tracked precision is its own negation."""
+    val, unit, prec = a
+    if val is None:
+        return a
+    mod = desc.prime ** (prec - val)
+    return _checked(desc, val, -unit % mod, prec, mod)
+
+
+def _padic_mul(desc, a, b) -> tuple:
+    av, au, ap = a
+    bv, bu, bp = b
+    if ap is None or bp is None:
+        return _ZERO
+    if av is None or bv is None:
         # O(p^m) times a value of known (or bounded) size stays a bounded zero
-        ea = a.prec if a.val is None else a.val
-        eb = b.prec if b.val is None else b.val
-        return PadicScalar(desc, None, 0, ea + eb)
-    k = min(a.prec - a.val, b.prec - b.val)
+        return None, 0, (ap if av is None else av) + (bp if bv is None else bv)
+    k = min(ap - av, bp - bv)
     mod = desc.prime**k
-    return PadicScalar(desc, a.val + b.val, a.unit * b.unit % mod, a.val + b.val + k, mod)
+    return _checked(desc, av + bv, au * bu % mod, av + bv + k, mod)
 
 
-def _padic_add(a: PadicScalar, b: PadicScalar, subtract: bool = False) -> PadicScalar:
+def _padic_add(desc, a, b, subtract: bool = False) -> tuple:
     """a + b, or a - b when `subtract`, as one residue normalised once.
 
     An exact zero adds nothing.  Otherwise the result is known modulo p^m,
@@ -422,76 +464,88 @@ def _padic_add(a: PadicScalar, b: PadicScalar, subtract: bool = False) -> PadicS
     residue is reduced mod p^(m - base) with m <= b.prec, so b's unit is
     subtracted as it is.
     """
-    if b.prec is None:
+    bv, bu, bp = b
+    if bp is None:
         return a
-    if a.prec is None:
-        return -b if subtract else b
-    p = a.descriptor.prime
+    av, au, ap = a
+    if ap is None:
+        return _padic_neg(desc, b) if subtract else b
+    p = desc.prime
     # comparisons, not min(): this runs once per scalar addition
-    m = a.prec if a.prec < b.prec else b.prec
-    low = a.prec if a.val is None else a.val
-    base = b.prec if b.val is None else b.val
+    m = ap if ap < bp else bp
+    low = ap if av is None else av
+    base = bp if bv is None else bv
     if low < base:
         base = low
     r = 0
-    if a.val is not None:
-        r = a.unit * p ** (a.val - base)
-    if b.val is not None:
+    if av is not None:
+        r = au * p ** (av - base)
+    if bv is not None:
         if subtract:
-            r -= b.unit * p ** (b.val - base)
+            r -= bu * p ** (bv - base)
         else:
-            r += b.unit * p ** (b.val - base)
-    return _padic_make(a.descriptor, base, r, m)
+            r += bu * p ** (bv - base)
+    return _padic_make(desc, base, r, m)
 
 
-def padic_sub_product(
-    a: PadicScalar, f: PadicScalar, b: PadicScalar, subtract: bool = True
-) -> PadicScalar:
+def padic_sub_product(desc, a, f, b, subtract: bool = True) -> tuple:
     """a - f * b, or a + f * b when not `subtract`, as one residue: bit for
-    bit `_padic_mul(f, b)` followed by `_padic_add(a, ..., subtract)`.  The
-    row update of an elimination subtracts; x + t*y and each step of a
-    matrix-vector fold add.
+    bit `_padic_mul(desc, f, b)` followed by `_padic_add(desc, a, ...,
+    subtract)`.  The row update of an elimination subtracts; x + t*y and
+    each step of a dot product add.
 
     The product q is the exact zero when a factor is, the bounded zero
     O(p^(ef + eb)) when a factor is a bounded zero (e a factor's val, or its
-    prec for a bounded zero), and otherwise f.unit * b.unit at valuation
-    f.val + b.val, known to the lesser digit count k.  That unit is not
+    prec for a bounded zero), and otherwise f's unit times b's at valuation
+    the sum of theirs, known to the lesser digit count k.  That unit is not
     reduced mod p^k: the sum is reduced mod p^(m - base) with m <= q's
     precision, so the unreduced product leaves the same residue.
     """
-    if f.prec is None or b.prec is None:
+    fv, fu, fp = f
+    bv, bu, bp = b
+    if fp is None or bp is None:
         return a
-    p = a.descriptor.prime
-    if f.val is None or b.val is None:
+    p = desc.prime
+    if fv is None or bv is None:
         qval = None
-        qprec = (f.prec if f.val is None else f.val) + (b.prec if b.val is None else b.val)
+        qprec = (fp if fv is None else fv) + (bp if bv is None else bv)
     else:
-        qval = f.val + b.val
-        fd, bd = f.prec - f.val, b.prec - b.val
+        qval = fv + bv
+        fd, bd = fp - fv, bp - bv
         qprec = qval + (fd if fd < bd else bd)
-    if a.prec is None:  # -q or q
+    av, au, ap = a
+    if ap is None:  # -q or q
         if qval is None:
-            return PadicScalar(a.descriptor, None, 0, qprec)
+            return None, 0, qprec
         mod = p ** (qprec - qval)
-        q = f.unit * b.unit
-        return PadicScalar(a.descriptor, qval, (-q if subtract else q) % mod, qprec, mod)
-    m = a.prec if a.prec < qprec else qprec
-    low = a.prec if a.val is None else a.val
+        q = fu * bu
+        return _checked(desc, qval, (-q if subtract else q) % mod, qprec, mod)
+    m = ap if ap < qprec else qprec
+    low = ap if av is None else av
     base = qprec if qval is None else qval
     if low < base:
         base = low
     r = 0
-    if a.val is not None:
-        r = a.unit if a.val == base else a.unit * p ** (a.val - base)
+    if av is not None:
+        r = au if av == base else au * p ** (av - base)
     if qval is not None:
-        q = f.unit * b.unit if qval == base else f.unit * b.unit * p ** (qval - base)
+        q = fu * bu if qval == base else fu * bu * p ** (qval - base)
         r = r - q if subtract else r + q
-    return _padic_make(a.descriptor, base, r, m)
+    return _padic_make(desc, base, r, m)
 
 
-def padic_polynomial(desc, terms, xs) -> PadicScalar:
+def padic_dot(desc, row, column) -> tuple:
+    """The fold acc + a * x from the exact zero over a row and a column of
+    triples, one `padic_sub_product` per step."""
+    acc = _ZERO
+    for a, x in zip(row, column):
+        acc = padic_sub_product(desc, acc, a, x, False)
+    return acc
+
+
+def padic_polynomial(desc, terms, xs) -> tuple:
     """The sum of coef * xs[i]**e * ... over the (coef, ((i, e), ...)) of
-    `terms` (each coef nonzero, each e >= 1), in two integer passes.
+    `terms` (each coef a nonzero triple, each e >= 1), in two integer passes.
 
     The value is the left fold of `+` over the monomials, each formed as
     the left fold of products would form it: valuations add, the digit count
@@ -506,27 +560,26 @@ def padic_polynomial(desc, terms, xs) -> PadicScalar:
     """
     m = base = None
     known = []  # (valuation, coefficient unit, support) of monomials with digits
-    for coef, support in terms:
-        val = coef.val
-        digits = coef.prec - val
+    for (val, unit, prec), support in terms:
+        digits = prec - val
         bounded = False
         for i, e in support:
-            x = xs[i]
-            if x.val is None:
-                if x.prec is None:
+            xv, _, xp = xs[i]
+            if xv is None:
+                if xp is None:
                     break  # an exact zero factor
                 bounded = True
-                val += e * x.prec
+                val += e * xp
             else:
-                val += e * x.val
-                if x.prec - x.val < digits:
-                    digits = x.prec - x.val
+                val += e * xv
+                if xp - xv < digits:
+                    digits = xp - xv
         else:
             if bounded:
                 prec = val
             else:
                 prec = val + digits
-                known.append((val, coef.unit, support))
+                known.append((val, unit, support))
             if m is None:
                 m, base = prec, val
             else:
@@ -535,7 +588,7 @@ def padic_polynomial(desc, terms, xs) -> PadicScalar:
                 if val < base:
                     base = val
     if m is None:
-        return desc.zero()
+        return _ZERO
     p = desc.prime
     mod = p ** (m - base)
     r = 0
@@ -543,7 +596,7 @@ def padic_polynomial(desc, terms, xs) -> PadicScalar:
         if val >= m:
             continue  # a multiple of p^(m - base) at base
         for i, e in support:
-            u = xs[i].unit
+            u = xs[i][1]
             unit = unit * (u if e == 1 else pow(u, e, mod)) % mod
         r += unit if val == base else unit * p ** (val - base)
     return _padic_make(desc, base, r, m, mod)
@@ -578,69 +631,68 @@ def unit_inverse(u: int, p: int, k: int) -> int:
     return y
 
 
-def _padic_div(a: PadicScalar, b: PadicScalar) -> PadicScalar:
-    desc = a.descriptor
-    if b.is_exact_zero():
+def _divisor(desc, t) -> tuple:
+    """The divisor triple t, refused as a division refuses it: the exact
+    zero raises DivisionByZero, a bounded zero PrecisionExhausted."""
+    if t[2] is None:
         raise DivisionByZero("division by zero")
-    if b.val is None:
+    if t[0] is None:
         raise PrecisionExhausted(
-            f"divisor is O({desc.prime}^{b.prec}): no known digits to divide by"
+            f"divisor is O({desc.prime}^{t[2]}): no known digits to divide by"
         )
-    if a.is_exact_zero():
+    return t
+
+
+def _padic_div(desc, a, b) -> tuple:
+    bv, bu, bp = _divisor(desc, b)
+    av, au, ap = a
+    if ap is None:
         return a
-    if a.val is None:
-        return PadicScalar(desc, None, 0, a.prec - b.val)
-    k = min(a.prec - a.val, b.prec - b.val)
+    if av is None:
+        return None, 0, ap - bv
+    k = min(ap - av, bp - bv)
     p = desc.prime
     mod = p**k
-    unit = a.unit * unit_inverse(b.unit, p, k) % mod
-    return PadicScalar(desc, a.val - b.val, unit, a.val - b.val + k, mod)
+    return _checked(desc, av - bv, au * unit_inverse(bu, p, k) % mod, av - bv + k, mod)
 
 
-def padic_divided_difference(us, vs, t: PadicScalar) -> tuple:
-    """(u - v)/t per coordinate of the p-adic vectors us and vs, bit for bit
-    `_padic_add(u, v, subtract=True)` followed by `_padic_div(..., t)`, with
-    one scalar per coordinate and one unit inverse of t per vector.
+def padic_divided_difference(desc, us, vs, t) -> tuple:
+    """(u - v)/t per coordinate of the triple vectors us and vs, bit for bit
+    `_padic_add(desc, u, v, subtract=True)` followed by `_padic_div(desc,
+    ..., t)`, with one unit inverse of t per vector.
 
-    The divisor is checked first, as each division would: an exact zero
-    raises DivisionByZero, a bounded zero PrecisionExhausted.  Its unit is
+    The divisor is checked first, as each division would.  Its unit is
     inverted mod p^(t's digit count); each quotient keeps the lesser digit
     count k of u - v and t, and an inverse mod a power of p is one mod every
     lower power, so reducing it mod p^k gives the digits `_padic_div` gives.
     u - v is the residue `_padic_add` forms, at its least valuation base
-    modulo p^(m - base), m the lesser precision; it is not built as a
-    scalar, only its valuation is stripped.
+    modulo p^(m - base), m the lesser precision; it is not normalised as a
+    triple, only its valuation is stripped.
     """
-    desc = t.descriptor
-    if t.prec is None:
-        raise DivisionByZero("division by zero")
-    if t.val is None:
-        raise PrecisionExhausted(
-            f"divisor is O({desc.prime}^{t.prec}): no known digits to divide by"
-        )
-    p, tval = desc.prime, t.val
-    tdigits = t.prec - tval
-    inverse = unit_inverse(t.unit, p, tdigits)
+    tval, tunit, tprec = _divisor(desc, t)
+    p = desc.prime
+    tdigits = tprec - tval
+    inverse = unit_inverse(tunit, p, tdigits)
     out = []
-    for u, v in zip(us, vs):
-        if v.prec is None:
-            if u.prec is None:  # 0/t
-                out.append(u)
+    for (uv, uu, up), (vv, vu, vp) in zip(us, vs):
+        if vp is None:
+            if up is None:  # 0/t
+                out.append(_ZERO)
                 continue
-            val, unit, prec = u.val, u.unit, u.prec
-        elif u.prec is None:  # -v; its unit is reduced with the quotient's
-            val, unit, prec = v.val, -v.unit, v.prec
+            val, unit, prec = uv, uu, up
+        elif up is None:  # -v; its unit is reduced with the quotient's
+            val, unit, prec = vv, -vu, vp
         else:
-            prec = u.prec if u.prec < v.prec else v.prec
-            low = u.prec if u.val is None else u.val
-            base = v.prec if v.val is None else v.val
+            prec = up if up < vp else vp
+            low = up if uv is None else uv
+            base = vp if vv is None else vv
             if low < base:
                 base = low
             r = 0
-            if u.val is not None:
-                r = u.unit * p ** (u.val - base)
-            if v.val is not None:
-                r -= v.unit * p ** (v.val - base)
+            if uv is not None:
+                r = uu * p ** (uv - base)
+            if vv is not None:
+                r -= vu * p ** (vv - base)
             r %= p ** (prec - base)
             if r == 0:
                 val = None
@@ -650,41 +702,57 @@ def padic_divided_difference(us, vs, t: PadicScalar) -> tuple:
                 shift = int_valuation(r, p)
                 val, unit = base + shift, r // p**shift
         if val is None:
-            out.append(PadicScalar(desc, None, 0, prec - tval))
+            out.append((None, 0, prec - tval))
             continue
         k = prec - val
         if tdigits < k:
             k = tdigits
         mod = p**k
-        out.append(PadicScalar(desc, val - tval, unit * inverse % mod, val - tval + k, mod))
+        out.append(_checked(desc, val - tval, unit * inverse % mod, val - tval + k, mod))
     return tuple(out)
 
 
+def _padic_embed(desc, num: int, den: int) -> tuple:
+    """num/den (integers, den != 0) as a triple of N digits."""
+    if num == 0:
+        return _ZERO
+    p, n = desc.prime, desc.precision
+    vn = int_valuation(num, p)
+    vd = int_valuation(den, p)
+    val = vn - vd
+    mod = p**n
+    unit = num // p**vn * pow(den // p**vd, -1, mod) % mod
+    return _checked(desc, val, unit, val + n, mod)
+
+
 def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Field operation on two scalars of the same descriptor."""
-    if a.descriptor is not b.descriptor and a.descriptor != b.descriptor:
+    """Field operation on two scalars of the same descriptor; a p-adic one is
+    its kernel on the two triples."""
+    desc = a.descriptor
+    if desc is not b.descriptor and desc != b.descriptor:
         raise SchemaError("operands from different fields")
     if isinstance(a, PadicScalar):
+        x, y = a.raw, b.raw
         if op == "add":
-            return _padic_add(a, b)
+            return padic_scalar(desc, _padic_add(desc, x, y))
         if op == "sub":
-            return _padic_add(a, b, subtract=True)
+            return padic_scalar(desc, _padic_add(desc, x, y, True))
         if op == "mul":
-            return _padic_mul(a, b)
+            return padic_scalar(desc, _padic_mul(desc, x, y))
         if op == "div":
-            return _padic_div(a, b)
+            return padic_scalar(desc, _padic_div(desc, x, y))
     else:
         x, y = a.value, b.value
         if op == "add":
-            return RealScalar(a.descriptor, x + y)
+            return RealScalar(desc, x + y)
         if op == "sub":
-            return RealScalar(a.descriptor, x - y)
+            return RealScalar(desc, x - y)
         if op == "mul":
-            return RealScalar(a.descriptor, x * y)
+            return RealScalar(desc, x * y)
         if op == "div":
             if y == 0.0:
                 raise DivisionByZero("division by zero")
-            return RealScalar(a.descriptor, x / y)
+            return RealScalar(desc, x / y)
     raise SchemaError(f"unknown op {op!r}")
 
 
@@ -721,15 +789,7 @@ def embed_rational(num, den, descriptor: FieldDescriptor) -> Scalar:
         raise DivisionByZero("zero denominator")
     if descriptor.kind == "real":
         return RealScalar(descriptor, num / den)
-    if num == 0:
-        return descriptor.zero()
-    p, n = descriptor.prime, descriptor.precision
-    vn = int_valuation(num, p)
-    vd = int_valuation(den, p)
-    val = vn - vd
-    mod = p**n
-    unit = num // p**vn * pow(den // p**vd, -1, mod) % mod
-    return PadicScalar(descriptor, val, unit, val + n, mod)
+    return padic_scalar(descriptor, _padic_embed(descriptor, num, den))
 
 
 def truncate_precision(a: Scalar, abs_exponent: int) -> Scalar:
@@ -749,7 +809,7 @@ def truncate_precision(a: Scalar, abs_exponent: int) -> Scalar:
         return a
     if a.val >= abs_exponent:
         return PadicScalar(desc, None, 0, abs_exponent)
-    return _padic_make(desc, a.val, a.unit, abs_exponent)
+    return padic_scalar(desc, _padic_make(desc, a.val, a.unit, abs_exponent))
 
 
 def rational_abs(q, descriptor: FieldDescriptor) -> Fraction:

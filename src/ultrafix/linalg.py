@@ -5,11 +5,11 @@ value in the ultrametric case and the max row sum in the real case, both in
 closed form.  Over field scalars there is one Gauss-Jordan elimination, on
 [A | I], forming no determinant; `modular_solve` eliminates an integer
 system modulo p^width on unit pivots.
-Over Q_p each row update is one fused `a - f * b` kernel, and each step of
-the `acc + a * x` fold of `Operator.apply` and `Operator.compose` one fused
-`a + f * b`.  Rational twins of the matrix routines (suffix ``rat_``) are
-exact (the inverse eliminates in integers) and back the certificate
-computations.
+Over Q_p the elimination runs on the entries' (val, unit, prec) triples,
+each row update one fused `a - f * b` kernel, and the `acc + a * x` fold of
+`Operator.apply` and `Operator.compose` is one fused `a + f * b` per step.
+Rational twins of the matrix routines (suffix ``rat_``) are exact (the
+inverse eliminates in integers) and back the certificate computations.
 """
 
 from __future__ import annotations
@@ -22,13 +22,19 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, NotAContraction, SchemaError, SingularMatrix
 from .field import (
+    _ZERO,
     FieldDescriptor,
     PadicScalar,
     RATIONAL_TYPES,
+    _padic_div,
+    _padic_embed,
+    _padic_mul,
     abs_upper_bound,
     embed_rational,
     field_abs,
     int_valuation,
+    padic_dot,
+    padic_scalar,
     padic_sub_product,
     rational_abs,
     rational_valuation,
@@ -72,15 +78,13 @@ class Vector:
 
 def field_dot(desc: FieldDescriptor, row, column):
     """The fold acc + a * x from zero over a row and a column of scalars of
-    desc; over Q_p each step is one fused `padic_sub_product`, bit for bit
-    the same.  An empty row gives zero."""
-    acc = desc.zero()
+    desc; over Q_p it is one `padic_dot` on their triples, bit for bit the
+    same.  An empty row gives zero."""
     if desc.ultrametric:
-        for a, x in zip(row, column):
-            acc = padic_sub_product(acc, a, x, subtract=False)
-    else:
-        for a, x in zip(row, column):
-            acc = acc + a * x
+        return padic_scalar(desc, padic_dot(desc, [a.raw for a in row], [x.raw for x in column]))
+    acc = desc.zero()
+    for a, x in zip(row, column):
+        acc = acc + a * x
     return acc
 
 
@@ -190,33 +194,40 @@ def invert_exact(A: Operator) -> Operator:
     Q_p, of least valuation); a column whose largest entry is zero at
     tracked precision raises SingularMatrix.  Once column col is the pivot
     column, no later step reads columns up to col, so only the entries right
-    of it are updated.  Over Q_p the pivot row is scaled by one inverse
-    r = 1/piv: a * r and a / piv agree in valuation, digits and precision,
-    since r keeps all of piv's digits; and each row update a - factor * b
-    is one `padic_sub_product`.  Real rows are divided, as a * (1/piv) would
-    round differently, and updated by `a - factor * b`.
+    of it are updated.  Over Q_p the elimination runs on the entries'
+    triples, and the pivot row is scaled by one inverse r = 1/piv: a * r
+    and a / piv agree in valuation, digits and precision, since r keeps all
+    of piv's digits; and each row update a - factor * b is one
+    `padic_sub_product`.  Real rows are divided, as a * (1/piv) would round
+    differently, and updated by `a - factor * b`.
     """
     n, m = A.shape
     if n != m:
         raise DimensionMismatch("only square operators invert")
     desc = A.descriptor
     ultra = desc.ultrametric
-    one = desc.one()
-    identity = Operator.identity(n, desc).entries
-    work = [list(a) + list(b) for a, b in zip(A.entries, identity)]
+    if ultra:
+        one, zero = _padic_embed(desc, 1, 1), _ZERO
+        rows = [[a.raw for a in row] for row in A.entries]
+    else:
+        one, zero = desc.one(), desc.zero()
+        rows = [list(row) for row in A.entries]
+    work = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(rows)]
     for col in range(n):
         if ultra:
             pivot_row = min(range(col, n), key=lambda r: _pivot_valuation(work[r][col]))
+            singular = work[pivot_row][col][0] is None
         else:
             pivot_row = max(range(col, n), key=lambda r: field_abs(work[r][col]))
-        if work[pivot_row][col].is_zero():
+            singular = work[pivot_row][col].is_zero()
+        if singular:
             raise SingularMatrix(f"no nonzero pivot in column {col} at tracked precision")
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
         piv = work[col][col]
         if ultra:
-            r = one / piv
-            top = [a * r for a in work[col][col + 1:]]
+            r = _padic_div(desc, one, piv)
+            top = [_padic_mul(desc, a, r) for a in work[col][col + 1:]]
         else:
             top = [a / piv for a in work[col][col + 1:]]
         work[col][col + 1:] = top
@@ -225,18 +236,20 @@ def invert_exact(A: Operator) -> Operator:
                 continue
             row = work[i]
             factor = row[col]
-            if factor.is_zero():
-                continue
             if ultra:
-                row[col + 1:] = [padic_sub_product(a, factor, b) for a, b in zip(row[col + 1:], top)]
-            else:
+                if factor[0] is not None:
+                    row[col + 1:] = [padic_sub_product(desc, a, factor, b) for a, b in zip(row[col + 1:], top)]
+            elif not factor.is_zero():
                 row[col + 1:] = [a - factor * b for a, b in zip(row[col + 1:], top)]
+    if ultra:
+        return Operator(tuple(tuple(padic_scalar(desc, a) for a in row[n:]) for row in work))
     return Operator(tuple(tuple(row[n:]) for row in work))
 
 
-def _pivot_valuation(a: PadicScalar):
-    """Rank of a pivot candidate: its valuation, infinite at tracked zero."""
-    return math.inf if a.val is None else a.val
+def _pivot_valuation(a: tuple):
+    """Rank of a pivot candidate's triple: its valuation, infinite at
+    tracked zero."""
+    return math.inf if a[0] is None else a[0]
 
 
 def modular_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], p: int, width: int) -> list[int]:

@@ -157,6 +157,24 @@ def test_quotient_map_equals_the_multinomial_expansion():
     assert degree_eight >= 30
 
 
+@pytest.mark.parametrize("field", [None, "Q5", "real"])
+def test_diff_quotient_refuses_a_point_of_another_dimension(field):
+    # a 2-variable map at x or y of 1 or 3 coordinates, at t = 0 and t != 0:
+    # DimensionMismatch in every field (exact points once raised IndexError,
+    # or read the first two of three coordinates)
+    f = poly(2, [(1, (2, 0)), (1, (0, 1))])
+    desc = {None: None, "Q5": FieldDescriptor.padic(5, 4), "real": FieldDescriptor.real()}[field]
+    lift = (lambda v: Fraction(v)) if desc is None else (lambda v: desc.from_rational(v))  # noqa: E731
+    for x, y in (((1,), (1,)), ((1, 2, 3), (1, 2, 3)), ((1, 2), (1,)), ((1,), (1, 2)), ((1, 2), (1, 2, 3))):
+        for t in (0, 2):
+            point = QuotientPoint(tuple(map(lift, x)), tuple(map(lift, y)), lift(t))
+            bad = len(x) if len(x) != 2 else len(y)
+            with pytest.raises(DimensionMismatch, match=f"expected 2 coordinates, got {bad}"):
+                diff_quotient(f, point)
+    good = QuotientPoint(tuple(map(lift, (1, 2))), tuple(map(lift, (3, 4))), lift(2))
+    assert len(diff_quotient(f, good)) == 1
+
+
 def test_second_quotient_examples():
     inner1 = QuotientPoint((Fraction(3),), (Fraction(2),), Fraction(0))
     inner2 = QuotientPoint((Fraction(7),), (Fraction(0),), Fraction(0))
@@ -609,15 +627,27 @@ def test_identity_samples_evaluate_each_point_once(monkeypatch, padic):
         mutant = _mutant_report(("267622811/4428675", "22814/405"),
                                 ("389576006/4428675", "139841/1620"))
     calls = []
-    # the exact half evaluates on the integer core, the field half by eval_map
-    name = "eval_map" if padic else "eval_ints"
-    real_eval = getattr(calculus, name)
+    # the exact half evaluates on the integer core, the Q_p half on triples
+    # by _eval_padic; the Jacobians' partial maps, which _jacobian_field
+    # evaluates by it too, are not counted
+    name = "_eval_padic" if padic else "eval_ints"
+    real_eval, real_jacobian = getattr(calculus, name), calculus._jacobian_field
+    depth = [0]  # Jacobians being formed
 
     def counting(f, *point):
-        calls.append(point)
+        if not depth[0]:
+            calls.append(point)
         return real_eval(f, *point)
 
+    def jacobian(*args):
+        depth[0] += 1
+        try:
+            return real_jacobian(*args)
+        finally:
+            depth[0] -= 1
+
     monkeypatch.setattr(calculus, name, counting)
+    monkeypatch.setattr(calculus, "_jacobian_field", jacobian)
     for mutation, want in ((None, _CLEAN), ("quotient-offset", mutant)):
         calls.clear()
         report = check_identities(REUSE_MAP, 8, seed=2026, descriptor=desc, mutation=mutation)
@@ -639,13 +669,20 @@ def test_identity_samples_take_each_jacobian_once(monkeypatch, padic):
     else:
         mutant = _mutant_report(("267622811/4428675", "22814/405"),
                                 ("389576006/4428675", "139841/1620"))
-    # the field half takes its Jacobian rows from _jacobian_field, the exact
-    # half from the integer core
-    calls = {"eval_map": 0, "eval_ints": 0, "_jacobian_field": 0, "jacobian_ints": 0}
+    # the Q_p half takes its Jacobian rows from _jacobian_field and
+    # evaluates on triples by _eval_padic, the exact half both on the
+    # integer core; evaluations inside a Jacobian are not counted
+    calls = {"_eval_padic": 0, "eval_ints": 0, "_jacobian_field": 0, "jacobian_ints": 0}
+    depth = [0]  # Jacobians being formed
     for name in calls:
         def counting(*args, _name=name, _real=getattr(calculus, name)):
-            calls[_name] += 1
-            return _real(*args)
+            nested = _name == "_jacobian_field"
+            calls[_name] += not depth[0]
+            depth[0] += nested
+            try:
+                return _real(*args)
+            finally:
+                depth[0] -= nested
 
         monkeypatch.setattr(calculus, name, counting)
     for mutation, want in ((None, _CLEAN), ("quotient-offset", mutant)):
@@ -654,7 +691,7 @@ def test_identity_samples_take_each_jacobian_once(monkeypatch, padic):
         assert _report_summary(report) == want
         jacobians = calls["_jacobian_field"] if padic else calls["jacobian_ints"]
         assert jacobians == 9 <= JACOBIAN_CALLS_BEFORE_REUSE // 2
-        evaluations = calls["eval_map"] if padic else calls["eval_ints"]
+        evaluations = calls["_eval_padic"] if padic else calls["eval_ints"]
         assert 0 < evaluations <= EVAL_MAP_CALLS_BEFORE_REUSE // 2
 
 

@@ -80,6 +80,15 @@ MUTANT_CASES = {
         "--samples", "40",
         "--geometry", str(FIXTURES / "geo/check_mutant.json"),
     ],
+    # the same 2-variable mutant over Q7 at 16 digits: its field report
+    # prints 16-digit counterexamples of the Q_p sampler
+    "check_mutant_q7": [
+        "check",
+        "--map", str(FIXTURES / "maps/quadric_pair.json"),
+        "--field", str(FIXTURES / "fields/q7n16.json"),
+        "--samples", "40",
+        "--geometry", str(FIXTURES / "geo/check_mutant.json"),
+    ],
 }
 
 

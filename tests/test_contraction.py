@@ -24,7 +24,7 @@ from ultrafix import (
     uniform_family_check,
     vec_norm,
 )
-from ultrafix import contraction
+from ultrafix import calculus, contraction, field
 from ultrafix.calculus import _frame_table, compose, quotient_map, eval_map, jacobian, substitute_prefix
 from ultrafix.contraction import (
     MAX_STEPS,
@@ -47,6 +47,7 @@ from ultrafix.field import (
     frac_str,
     int_valuation,
     num_str,
+    padic_scalar,
     padic_sub_product,
     rational_valuation,
     truncate_precision,
@@ -784,7 +785,9 @@ def test_full_precision_step_keeps_only_the_digits_it_knows(seed):
 
 
 def _tracked_gauss_jordan(A, B):
-    """The elimination of the tracked solve, verbatim (field scalars, [A | B])."""
+    """The elimination of the tracked solve, verbatim (field scalars, [A | B])
+    but for the pivot rank and the row update, which read the scalars'
+    triples."""
     desc = A.descriptor
     ultra = desc.ultrametric
     one = desc.one()
@@ -792,7 +795,7 @@ def _tracked_gauss_jordan(A, B):
     work = [list(a) + list(b) for a, b in zip(A.entries, B)]
     for col in range(n):
         if ultra:
-            pivot_row = min(range(col, n), key=lambda r: linalg._pivot_valuation(work[r][col]))
+            pivot_row = min(range(col, n), key=lambda r: linalg._pivot_valuation(work[r][col].raw))
         else:
             pivot_row = max(range(col, n), key=lambda r: field_abs(work[r][col]))
         if work[pivot_row][col].is_zero():
@@ -814,7 +817,8 @@ def _tracked_gauss_jordan(A, B):
             if factor.is_zero():
                 continue
             if ultra:
-                row[col + 1:] = [padic_sub_product(a, factor, b) for a, b in zip(row[col + 1:], top)]
+                row[col + 1:] = [padic_scalar(desc, padic_sub_product(desc, a.raw, factor.raw, b.raw))
+                                 for a, b in zip(row[col + 1:], top)]
             else:
                 row[col + 1:] = [a - factor * b for a, b in zip(row[col + 1:], top)]
     return [row[n:] for row in work]
@@ -1097,16 +1101,27 @@ def test_integer_close_matches_the_tracked_close(monkeypatch):
     assert _digits(got) == _digits(old) == [(1, 1, 3)]
 
 
+def _count_scalars(monkeypatch, record):
+    """Call record() for each p-adic scalar built, by its checking
+    constructor or by `padic_scalar` around a kernel's triple in any module
+    that wraps one."""
+    init, wrap = PadicScalar.__init__, field.padic_scalar
+
+    def counted_init(self, *args):
+        record()
+        init(self, *args)
+
+    monkeypatch.setattr(PadicScalar, "__init__", counted_init)
+    for module in (field, linalg, calculus, contraction):
+        monkeypatch.setattr(module, "padic_scalar", lambda desc, triple: record() or wrap(desc, triple))
+
+
 def test_met_newton_solve_evaluates_no_tracked_map(monkeypatch):
     # between its plan and its answer a met Newton solve calls eval_map no
     # time and builds p-adic scalars only for its answer, one per coordinate
     rng = random.Random(8200)
     calls, scalars = [], []
-    init, evaluate = PadicScalar.__init__, contraction.eval_map
-
-    def counted_init(self, *args):
-        scalars.append(args)
-        init(self, *args)
+    evaluate = contraction.eval_map
 
     for p in (3, 5, 7):
         for n in (1, 2, 3):
@@ -1117,7 +1132,7 @@ def test_met_newton_solve_evaluates_no_tracked_map(monkeypatch):
                 calls.clear()
                 scalars.clear()
                 monkeypatch.setattr(contraction, "eval_map", lambda *args: calls.append(args) or evaluate(*args))
-                monkeypatch.setattr(PadicScalar, "__init__", counted_init)
+                _count_scalars(monkeypatch, lambda: scalars.append(1))
                 got = newton_fixed_point(problem, target)
                 monkeypatch.undo()
                 assert not calls and len(scalars) == n == got.dim
@@ -1366,7 +1381,6 @@ def test_newton_passes_solve_as_the_inverse_would(monkeypatch):
     # build no p-adic scalar before the answer
     systems, scalars, closing = [], [], [False]
     real_solve, real_answer = contraction.modular_solve, contraction._answer
-    init = PadicScalar.__init__
     rng = random.Random(7600)
     problems = []
     for p in (3, 5, 7):
@@ -1384,15 +1398,11 @@ def test_newton_passes_solve_as_the_inverse_would(monkeypatch):
         closing[0] = True
         return real_answer(*args)
 
-    def counted_init(self, *args):
-        scalars.append(closing[0])
-        init(self, *args)
-
     monkeypatch.setattr(contraction, "modular_solve", lambda *args: systems.append(args) or real_solve(*args))
     monkeypatch.setattr(contraction, "_answer", answer)
     monkeypatch.setattr(linalg, "invert_exact", refuse)
     monkeypatch.setattr(Operator, "apply", refuse)
-    monkeypatch.setattr(PadicScalar, "__init__", counted_init)
+    _count_scalars(monkeypatch, lambda: scalars.append(closing[0]))
     for problem, target in problems:
         closing[0] = False
         newton_fixed_point(problem, target)

@@ -14,7 +14,7 @@ from ultrafix import (
     rational_abs,
 )
 from ultrafix.field import PRIME_BOUND, _is_prime, floor_log, int_valuation, truncate_precision
-from ultrafix.field import PadicScalar, _padic_make, padic_polynomial, rational_valuation
+from ultrafix.field import PadicScalar, _padic_make, padic_polynomial, padic_scalar, rational_valuation
 from ultrafix.field import _padic_div, unit_inverse
 from functools import reduce
 from ultrafix import contraction, field
@@ -56,7 +56,7 @@ def padic_sum(desc, terms) -> PadicScalar:
     for s in terms:
         if s.val is not None:
             r += s.unit * p ** (s.val - base)
-    return _padic_make(desc, base, r, m)
+    return padic_scalar(desc, _padic_make(desc, base, r, m))
 
 
 def test_padic_integer_addition(q5):
@@ -472,8 +472,8 @@ def test_lifted_unit_inverse_matches_pow():
                     for v, u, d in ((rng.randint(-3, 3), rng.randrange(1, prime**d), d) for d in digits)
                 )
                 assert unit_inverse(b.unit, prime, k) == pow(b.unit, -1, prime**k)
-                got, want = _padic_div(a, b), _pow_div(a, b)
-                assert (got.val, got.unit, got.prec) == (want.val, want.unit, want.prec)
+                got, want = _padic_div(desc, a.raw, b.raw), _pow_div(a, b)
+                assert got == (want.val, want.unit, want.prec)
     assert sides == {True: 435 * 5, False: 435 * 18}
 
 
@@ -548,7 +548,7 @@ def test_padic_polynomial_matches_the_monomial_fold(prime):
             terms.append((-want, ()))
             want = padic_sum(desc, [_oracle_padic_monomial(c, xs, s) for c, s in terms])
             kinds["cancelled"] += want.val is None
-        got = padic_polynomial(desc, terms, xs)
+        got = padic_scalar(desc, padic_polynomial(desc, [(c.raw, s) for c, s in terms], [x.raw for x in xs]))
         assert _raw(got) == _raw(want), (desc, [_raw(x) for x in xs], terms)
         digit_counts = {x.prec - x.val for x in xs if x.val is not None}
         digit_counts |= {c.prec - c.val for c, _ in terms}
@@ -700,6 +700,7 @@ def _unchecked(desc, val, unit, prec):
     """A p-adic scalar that skipped the invariant check."""
     x = object.__new__(PadicScalar)
     x.descriptor, x.val, x.unit, x.prec = desc, val, unit, prec
+    x.raw = val, unit, prec
     return x
 
 
@@ -717,15 +718,15 @@ def test_every_construction_checks_the_unit(monkeypatch):
             make()
     # and every kernel hands the check the modulus p^digits, or none
     seen = []
-    init = PadicScalar.__init__
+    check = field._checked
 
-    def checked_init(self, descriptor, val, unit, prec, mod=None):
-        if val is not None and mod is not None:
+    def checked(descriptor, val, unit, prec, mod=None):
+        if mod is not None:
             assert mod == descriptor.prime ** (prec - val)
             seen.append(mod)
-        init(self, descriptor, val, unit, prec, mod)
+        return check(descriptor, val, unit, prec, mod)
 
-    monkeypatch.setattr(PadicScalar, "__init__", checked_init)
+    monkeypatch.setattr(field, "_checked", checked)
     rng = random.Random(6500)
     kinds = {"exact_zero": 0, "bounded": 0, "bounded_nonpositive": 0, "negative_val": 0}
     for desc in _descriptors(rng):
@@ -735,7 +736,7 @@ def test_every_construction_checks_the_unit(monkeypatch):
         -b
         truncate_precision(b, b.val + rng.randint(0, 3))
         contraction._answer((b.unit * desc.prime**2, 0), 1, 1 + b.prec - b.val, desc)
-        padic_polynomial(desc, [(b, ((0, 2),)), (b, ())], [a])
+        padic_polynomial(desc, [(b.raw, ((0, 2),)), (b.raw, ())], [a.raw])
         embed_rational(rng.randint(-99, 99), rng.randint(1, 99), desc)
         _elimination(Operator(((b, a), (a, b))))
     assert len(seen) >= 5000
@@ -748,7 +749,7 @@ def _zero_kind(x):
 
 
 def test_row_update_is_the_product_then_the_difference():
-    # padic_sub_product(a, f, b) against a - f * b, every zero kind on every
+    # padic_sub_product on the triples of a, f and b against a - f * b, every zero kind on every
     # side, and a third of the pairs set up so that f * b cancels a
     rng = random.Random(6600)
     kinds = {"exact_zero": 0, "bounded": 0, "bounded_nonpositive": 0, "negative_val": 0}
@@ -759,8 +760,8 @@ def test_row_update_is_the_product_then_the_difference():
             f, b = _random_term(rng, desc, kinds), _random_term(rng, desc, kinds)
             a = f * b if rng.random() < 0.3 else _random_term(rng, desc, kinds)
             want = a - f * b
-            got = field.padic_sub_product(a, f, b)
-            assert _raw(got) == _raw(want), (desc, _raw(a), _raw(f), _raw(b))
+            got = field.padic_sub_product(desc, a.raw, f.raw, b.raw)
+            assert got == _raw(want), (desc, _raw(a), _raw(f), _raw(b))
             for side, x in zip("afb", (a, f, b)):
                 sides[side, _zero_kind(x)] += 1
             cancelled += want.val is None and a.val is not None
@@ -771,7 +772,7 @@ def test_row_update_is_the_product_then_the_difference():
 
 
 def test_signed_row_kernel_is_the_product_then_the_sum_or_the_difference():
-    # padic_sub_product(a, f, b, subtract) against a - f * b and a + f * b
+    # padic_sub_product on triples, subtract or not, against a - f * b and a + f * b
     # over Q2-Q7: every zero kind on every side, digit counts that differ,
     # and a third of the triples set up so that f * b cancels a
     rng = random.Random(6900)
@@ -789,8 +790,8 @@ def test_signed_row_kernel_is_the_product_then_the_sum_or_the_difference():
             else:
                 a = _random_term(rng, desc, kinds)
             want = a - q if subtract else a + q
-            got = field.padic_sub_product(a, f, b, subtract=subtract)
-            assert _raw(got) == _raw(want), (desc, subtract, _raw(a), _raw(f), _raw(b))
+            got = field.padic_sub_product(desc, a.raw, f.raw, b.raw, subtract=subtract)
+            assert got == _raw(want), (desc, subtract, _raw(a), _raw(f), _raw(b))
             for side, x in zip("afb", (a, f, b)):
                 sides[side, _zero_kind(x)] += 1
             cancelled[subtract] += want.val is None and a.val is not None
@@ -801,7 +802,7 @@ def test_signed_row_kernel_is_the_product_then_the_sum_or_the_difference():
 
 
 def test_divided_difference_is_the_difference_then_the_quotient():
-    # padic_divided_difference(us, vs, t) against (u - v)/t per coordinate:
+    # padic_divided_difference on triples against (u - v)/t per coordinate:
     # every zero kind in u and v, v equal to u or to u plus a term, so that
     # u - v cancels, and divisors that know fewer or more digits than u - v
     rng = random.Random(7000)
@@ -819,8 +820,8 @@ def test_divided_difference_is_the_difference_then_the_quotient():
                           else _random_term(rng, desc, kinds))
             t = _nonzero_term(rng, desc, kinds)
             want = tuple((u - v) / t for u, v in zip(us, vs))
-            got = field.padic_divided_difference(us, tuple(vs), t)
-            assert [_raw(x) for x in got] == [_raw(x) for x in want], (desc, us, vs, t)
+            got = field.padic_divided_difference(desc, [u.raw for u in us], [v.raw for v in vs], t.raw)
+            assert list(got) == [_raw(x) for x in want], (desc, us, vs, t)
             for u, v, w in zip(us, vs, want):
                 d = u - v
                 seen[_zero_kind(w)] += 1
@@ -843,5 +844,5 @@ def test_divided_difference_refuses_the_divisors_a_division_refuses():
             with pytest.raises(error) as want:
                 (us[0] - vs[0]) / t
             with pytest.raises(error) as got:
-                field.padic_divided_difference(us, vs, t)
+                field.padic_divided_difference(desc, [u.raw for u in us], [v.raw for v in vs], t.raw)
             assert str(got.value) == str(want.value)

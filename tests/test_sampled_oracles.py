@@ -282,8 +282,9 @@ def test_jacobian_apply_equals_the_fraction_fold():
                     _same(int_vector_fractions(got), _fraction_jacobian_apply(f, x, y, _Rows))
                     lx = tuple(embed_rational(v, 1, desc) for v in x)
                     ly = tuple(embed_rational(v, 1, desc) for v in y)
-                    ev = calculus._FieldSamples(desc)
-                    _same_scalars(ev.derivative(f, lx, ly), _fraction_jacobian_apply(f, lx, ly, _Rows))
+                    ev = calculus._samples(desc)  # over Q_p on the scalars' triples
+                    got = ev.show(ev.derivative(f, ev.enter(lx), ev.enter(ly)))
+                    _same_scalars(got, _fraction_jacobian_apply(f, lx, ly, _Rows))
                     cases += 1
     assert cases == 480
 
@@ -365,10 +366,11 @@ def test_field_scalars_keep_the_generic_expressions():
             x = tuple(map(lift, _vector(rng, p, dim)))
             y = tuple(map(lift, _vector(rng, p, dim)))
             t = lift(_rational(rng, p) or 3)
-            ev = calculus._FieldSamples(desc)
-            _same_scalars(ev.add_scaled(x, y, t), _fraction_vec_add_scaled(x, y, t))
+            ev = calculus._samples(desc)  # over Q_p on the scalars' triples
+            vx, vy, vt = ev.enter(x), ev.enter(y), ev.enter1(t)
+            _same_scalars(ev.show(ev.add_scaled(vx, vy, vt)), _fraction_vec_add_scaled(x, y, t))
             if not t.is_zero():
-                _same_scalars(ev.divided_difference(x, y, t), _fraction_quotient(x, y, t))
+                _same_scalars(ev.show(ev.divided_difference(vx, vy, vt)), _fraction_quotient(x, y, t))
 
 
 def test_sample_in_ball_equals_the_fraction_draws():
@@ -457,18 +459,19 @@ def identity_report_texts(monkeypatch):
     counterexample, so only these pairs carry its computed values."""
     compared = []
 
-    def recording(samples, show):
-        equal = samples.equal
+    def recording(samples):
+        equal = vars(samples)["equal"]  # a method or a staticmethod
 
-        def wrapper(lhs, rhs):
-            compared.append(repr((show(lhs), show(rhs))))
-            return equal(lhs, rhs)
+        def wrapper(self, lhs, rhs):
+            compared.append(repr((self.show(lhs), self.show(rhs))))
+            return equal.__get__(self)(lhs, rhs)
 
-        monkeypatch.setattr(samples, "equal", staticmethod(wrapper))
+        monkeypatch.setattr(samples, "equal", wrapper)
 
-    # exact values are integer vectors, recorded as the Fractions they stand for
-    recording(calculus._ExactSamples, int_vector_fractions)
-    recording(calculus._FieldSamples, lambda values: values)
+    # exact values are integer vectors and Q_p values triples, each recorded
+    # as the Fractions or scalars they stand for
+    for samples in (calculus._ExactSamples, calculus._PadicSamples, calculus._FieldSamples):
+        recording(samples)
     texts = {}
     for field in ("exact", "Q5", "real"):
         desc = {"exact": None, "Q5": FieldDescriptor.padic(5, 6), "real": FieldDescriptor.real()}[field]
