@@ -1,9 +1,9 @@
 """Banach fixed-point iteration with a priori/a posteriori certificates.
 
 The step count is planned from the a priori bound theta^n/(1-theta) * d0.
-Over Q_p that bound is the claim, and admissibility is sharpened from
-d0 <= (1-theta)r to d0 <= r: the iteration displacements form a
-max-telescoping sequence, so the orbit never leaves the closed ball.
+Over Q_p admissibility is sharpened from d0 <= (1-theta)r to d0 <= r: the
+iteration displacements form a max-telescoping sequence, so the orbit never
+leaves the closed ball.
 
 A real solve iterates in doubles and certifies its answer, not its orbit.
 A double is an exact rational, and a point x of the ball is within
@@ -14,17 +14,21 @@ that lies in the ball.  The plan aims the a priori bound at half the
 target; the other half is room for the drift of the doubles, and an answer
 whose exact bound misses the target is refused with PrecisionExhausted.
 
-Ultrametric problems can instead be solved by Newton steps
-(`newton_fixed_point`), whose digits are proven a posteriori from the
-residual of a closing Banach step and capped by the same a priori bound.
-The Newton passes run on integers modulo p^W in the frame X = p^s x, where
-every point of the ball is p-integral: one `calculus.modular_sweep` gives
-g(X) and Dg(X), one `linalg.modular_solve` solves (I - Dg) s = g(X) - X on
-unit pivots, and W doubles from step to step up to the full width of the
-iterate.  The close stays in integers: the full-width pass that finds
-g(X) = X mod p^W proves |g(x) - x| <= p^-(W - s) for the exact x = X / p^s,
-and PadicScalars are built for the answer alone.  The a priori exponents
-are integers from the numerators and denominators of theta and d0.
+Over Q_p no solve runs tracked arithmetic.  Banach steps and Newton steps
+(`newton_fixed_point`) both run on integers modulo p^W in the frame
+X = p^s x, where every point of the ball is p-integral: one value sweep
+(`calculus.modular_sweep`) gives g(X) for a Banach step, and a Newton step
+adds Dg(X) and one `linalg.modular_solve` of (I - Dg) s = g(X) - X on unit
+pivots, its W doubling from step to step up to the full width of the
+iterate.  Both end in one a posteriori close, in integers: as
+|x - x*| <= |g(x) - x| for any contraction of an ultrametric ball, the
+exact valuation of g(X) - X at the last iterate, or a full-width pass that
+finds g(X) = X mod p^W, proves the answer's digits, capped by the a priori
+bound of the planned steps; a measured residual above the target is
+refused.
+PadicScalars are built for the answer and the report alone.  The a priori
+exponents are integers from the numerators and denominators of theta and
+d0.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, repeat
+from operator import mul
 
 from .calculus import (
     MapSpec,
@@ -62,7 +68,6 @@ from .field import (
     padic_scalar,
     rational_abs,
     rational_valuation,
-    truncate_precision,
     unit_inverse,
     valuation_abs,
 )
@@ -116,7 +121,9 @@ class ContractionProblem:
 class FixedPointReport:
     fixed_point: Vector
     """The last iterate of `trace`.  Over the reals it is the last iterate
-    of the orbit that lies in the ball, and the report ends at it."""
+    of the orbit that lies in the ball, and the report ends at it; over Q_p
+    every iterate of the trace carries the digits the close proves, at most
+    N per coordinate."""
     iterations: int
     trace: list[Vector]
     apriori_bounds: list[Fraction]
@@ -126,9 +133,11 @@ class FixedPointReport:
     step_distances: list
     error_bound: Fraction
     """What the solve certifies for |fixed_point - x*|, never above the
-    target: over Q_p the a priori bound after `iterations` steps, a p-power;
-    over the reals the exact bound |g(x) - x| / (1 - theta) of the returned
-    point x, which meets a target of 0 only when x is the fixed point."""
+    target: over Q_p the p-power the close proves, the weaker of the
+    residual |g(x) - x| of the last iterate and the a priori bound of the
+    planned steps (0 when x0 is the fixed point); over the reals the exact
+    bound |g(x) - x| / (1 - theta) of the returned point x, which meets a
+    target of 0 only when x is the fixed point."""
 
 
 def admissible(problem: ContractionProblem) -> bool:
@@ -289,13 +298,6 @@ def _sup_distance(xs, ys) -> Fraction:
     return max(abs(a - b) for a, b in zip(xs, ys))
 
 
-def _distance(x: Vector, ball: Ball):
-    """The distance of x from the ball's centre."""
-    if ball.descriptor.ultrametric:
-        return vec_norm(x - ball.center)
-    return _sup_distance(x.to_rationals(), ball.center_exact)
-
-
 def _domain_escape(what: str, distance, ball: Ball, step: int):
     """Iterate `step` left the domain ball: raise with its distance from
     the centre and the radius.  The closing Banach step after k Newton
@@ -305,23 +307,6 @@ def _domain_escape(what: str, distance, ball: Ball, step: int):
         f"{what} left the domain ball: distance {distance} from the centre, radius {radius}",
         step=str(step), distance=distance, radius=radius,
     )
-
-
-def _certified_close(problem: ContractionProblem, x: Vector, bound: Fraction, target: Fraction) -> Vector:
-    """x over Q_p truncated to the e digits its certified bound p^-e proves
-    (all of them at bound 0), once the final residual |g(x) - x| is checked
-    against the target."""
-    if bound > 0:
-        exponent = -floor_log(bound, problem.descriptor.prime)
-        x = Vector(tuple(truncate_precision(c, exponent) for c in x.components))
-    residual = vec_norm(eval_map(problem.f, x) - x)
-    if residual > target:
-        residual, target = num_str(residual), num_str(target)
-        raise DomainEscape(
-            f"residual {residual} above target {target}: contraction claim failed",
-            residual=residual, target=target,
-        )
-    return x
 
 
 def _exact_close(problem: ContractionProblem, trace: list[Vector], target: Fraction) -> tuple:
@@ -372,51 +357,44 @@ def iterate_fixed_point(
 ) -> FixedPointReport:
     """Iterate x -> f(x) until the a priori bound clears target_precision,
     half of it over the reals, where `_exact_close` then certifies the answer.
+    Over Q_p the steps run on integer residues (`_padic_solve`).
 
     Padic targets are value-group elements (default p^-N); real targets are
     absolute tolerances (default the field tolerance).
     """
+    if problem.descriptor.ultrametric:
+        return _padic_solve(problem, target_precision, newton=False)
     theta, d0, target, steps = _plan(problem, target_precision)
-    desc = problem.descriptor
-
-    x = Vector.from_rationals(problem.x0, desc)
-    trace = [x]
-    bounds: list[Fraction] = []
-    distances = []
+    ball = problem.domain
+    trace = [Vector.from_rationals(problem.x0, problem.descriptor)]
     for k in range(steps):
-        nxt = eval_map(problem.f, x)
-        if not problem.domain.contains_tracked(nxt):
-            _domain_escape(f"iterate {k + 1}", _distance(nxt, problem.domain), problem.domain, k + 1)
-        moved = nxt - x
-        step = vec_norm(moved)
-        bound = theta**k * d0
-        if desc.ultrametric:
-            _check_step(k, step, bound)
-        distances.append(step)
-        bounds.append(bound)
-        trace.append(nxt)
-        x = nxt
-        if desc.ultrametric and moved.is_zero():
-            # tracked digits can no longer change; further steps are no-ops
-            break
-    if desc.ultrametric:
-        guarantee = _certified_bound(theta, d0, len(trace) - 1, desc)
-        x = _certified_close(problem, x, guarantee, target)
-    else:
-        # the answer may be an earlier iterate: the report ends at it
-        n, guarantee = _exact_close(problem, trace, target)
-        x = trace[n]
-        del trace[n + 1:], bounds[n:], distances[n:]
+        x = eval_map(problem.f, trace[-1])
+        if not ball.contains_tracked(x):
+            _domain_escape(f"iterate {k + 1}", _sup_distance(x.to_rationals(), ball.center_exact), ball, k + 1)
+        trace.append(x)
+    # the answer may be an earlier iterate: the report ends at it
+    n, guarantee = _exact_close(problem, trace, target)
+    del trace[n + 1:]
+    distances = [vec_norm(b - a) for a, b in zip(trace, trace[1:])]
+    return _report(trace, distances, theta, d0, guarantee)
+
+
+def _report(trace, distances, theta: Fraction, d0: Fraction, bound: Fraction) -> FixedPointReport:
+    """The report of a solve whose iterates are `trace`, the last one its
+    answer."""
+    n = len(distances)
+    # the a priori bounds theta^k d0, k < n, each one product from the last
+    bounds = list(accumulate(repeat(theta, n - 1), mul, initial=d0))[:n]
     return FixedPointReport(
-        fixed_point=x,
-        iterations=len(trace) - 1,
+        fixed_point=trace[-1],
+        iterations=n,
         trace=trace,
         apriori_bounds=bounds,
-        achieved_distance=distances[-1] if distances else (Fraction(0) if desc.ultrametric else 0.0),
+        achieved_distance=distances[-1] if distances else Fraction(0),
         theta=theta,
         initial_distance=d0,
         step_distances=distances,
-        error_bound=guarantee,
+        error_bound=bound,
     )
 
 
@@ -424,17 +402,18 @@ NEWTON_STEPS_PER_DIM = 8
 """Newton pays once the Banach step count exceeds this many steps per variable.
 
 A Newton pass costs one modular sweep of g and Dg and an n x n elimination
-modulo p^W, a Banach step one tracked evaluation.  On seeded inversion
-problems over Q3, Q5 and Q7 (18 per row, minimum of 5 runs on a 2-core
-x86_64 VM, Python 3.11), Newton takes this share of the Banach time: N = 4
-(3 Banach steps) 1.35x for n = 1 and 1.74x for n = 2; N = 16 (15 steps)
-0.56x and 0.61x; N = 32 (31 steps) 0.33x and 0.36x; N = 128 (127 steps)
-0.09x.  With Newton forced on every p-adic solve of the `request_mix`
-benchmark rounds (seeds 77, 78, 5 and 7, rounds 0-2, 708 operations;
-minimum of 5 runs), its p-adic `invert` requests take 1.06x as long and its
-p-adic `implicit` requests within 3% of the same, the whole mix 1.4%
-longer, against 1.8x, 1.1-1.15x and 18% with tracked passes.  The threshold
-stays: moving it changes the digits of `request_mix` outputs.
+modulo p^W, a Banach step one value sweep modulo the full width of the
+iterate.  On seeded inversion problems of the benchmark's shape over Q3, Q5
+and Q7 (18 per row, minimum of 5 runs on a 2-core x86_64 VM, Python 3.11),
+Newton takes this share of the Banach time: N = 4 (3 Banach steps) 0.96-0.97x
+for n = 1 and 1.16-1.17x for n = 2; N = 16 (15 steps) 0.46-0.47x and
+0.53-0.54x; N = 32 (31 steps) 0.26-0.27x and 0.33-0.34x; N = 128 (127
+steps) 0.08x and 0.09x.  With Newton forced on every p-adic solve of the
+`request_mix` benchmark rounds (seeds 77, 78, 5 and 7, rounds 0-2, 708
+operations; minimum of 5 runs), every output is byte-identical, its p-adic
+`invert` and `implicit` requests take 0.95x as long and the whole mix
+0.99x.  Both solvers close the same way, so the threshold moves time, not
+digits.
 """
 
 
@@ -487,17 +466,25 @@ def _known_width(xs, s: int, N: int, p: int) -> int:
     return max((int_valuation(c, p) for c in xs if c), default=s) + N
 
 
+def _carried_width(xs, s: int, N: int, p: int) -> int:
+    """The width C = min(v_i) + N to which every coordinate of the frame
+    point xs, of valuation v_i, knows its digits."""
+    return min((int_valuation(c, p) for c in xs if c), default=s) + N
+
+
 def _least_valuation(values, p: int):
     """The least valuation of the nonzero integers among values, None when
     all are zero."""
     return min((int_valuation(c, p) for c in values if c), default=None)
 
 
-def _newton_pass(problem: ContractionProblem, s: int, xs, width: int, k: int):
-    """One Newton pass at the frame point xs (Newton iterate k), modulo
-    p^width: (v, step, xs + step) with v the valuation of the residual
-    g(x) - x and the step solving (I - Dg(x)) step = g(x) - x, or None when
-    the residual is zero mod p^width.
+def _newton_pass(problem: ContractionProblem, s: int, xs, width: int, k: int, newton: bool):
+    """One pass at the frame point xs (iterate k), modulo p^width:
+    (v, xs + step) with v the valuation of the residual g(x) - x and the
+    step solving (I - Dg(x)) step = g(x) - x, or None when the residual is
+    zero mod p^width.  A Banach pass (`newton` false) leaves Dg out, so that
+    its step is g(x) - x and xs + step is g(x).  I - Dg(x) is an isometry,
+    so the step has valuation v as well.
 
     The values and Jacobian rows come from one `modular_sweep`; an output
     with guard digits d is divided by p^d.  Row i of the system is scaled by
@@ -509,29 +496,37 @@ def _newton_pass(problem: ContractionProblem, s: int, xs, width: int, k: int):
     p = problem.descriptor.prime
     mod = p**width
     rows, rhs, outside, steep = [], [], [], False
-    for i, (u, d, value, row) in enumerate(modular_sweep(problem.f, p, s, xs, width)):
+    for i, (u, d, value, row) in enumerate(modular_sweep(problem.f, p, s, xs, width, jacobian=newton)):
         if d:
             scale = p**d
             if value % scale:
                 outside.append(int_valuation(value, p) - d)
-            steep = steep or any(a % scale for a in row)
             value //= scale
-            row = [a // scale for a in row]
+            if newton:
+                steep = steep or any(a % scale for a in row)
+                row = [a // scale for a in row]
         rhs.append((value - u * xs[i]) % mod)
-        row[i] -= u
-        rows.append([-a for a in row])
+        if newton:
+            row[i] -= u
+            rows.append([-a for a in row])
+        else:  # row i of the system is u_i e_i: keep u_i
+            rows.append(u)
     if outside:
-        _domain_escape(f"g(Newton iterate {k})", valuation_abs(p, min(outside) - s), problem.domain, k + 1)
+        what = f"g(Newton iterate {k})" if newton else f"iterate {k + 1}"
+        _domain_escape(what, valuation_abs(p, min(outside) - s), problem.domain, k + 1)
     if steep:
         _not_contracting(problem, k)
     v = _least_valuation(rhs, p)
     if v is None:
         return None
-    try:
-        step = modular_solve(rows, rhs, p, width)
-    except SingularMatrix:
-        _not_contracting(problem, k)
-    return v, step, [(a + b) % mod for a, b in zip(xs, step)]
+    if newton:
+        try:
+            step = modular_solve(rows, rhs, p, width)
+        except SingularMatrix:
+            _not_contracting(problem, k)
+    else:
+        step = [b * unit_inverse(u, p, width) for u, b in zip(rows, rhs)]
+    return v, [(a + b) % mod for a, b in zip(xs, step)]
 
 
 def _not_contracting(problem: ContractionProblem, k: int):
@@ -545,14 +540,12 @@ def _not_contracting(problem: ContractionProblem, k: int):
     )
 
 
-def _answer(xs, s: int, exponent: int, desc: FieldDescriptor):
-    """The frame point xs as the answer x = xs / p^s, its digits below
-    p^exponent kept: (the kept frame residues, x).  No coordinate may keep
-    more than N digits."""
+def _answer(xs, s: int, exponent: int, desc: FieldDescriptor) -> Vector:
+    """The frame point xs as the point x = xs / p^s, its digits below
+    p^exponent kept.  No coordinate may keep more than N digits."""
     top = exponent + s
     cut = desc.prime**top if top > 0 else 1
-    kept = [c % cut for c in xs]
-    return kept, Vector(tuple(padic_scalar(desc, _padic_make(desc, -s, c, exponent, cut)) for c in kept))
+    return Vector(tuple(padic_scalar(desc, _padic_make(desc, -s, c % cut, exponent, cut)) for c in xs))
 
 
 def _residual(problem: ContractionProblem, s: int, xs, width: int):
@@ -568,42 +561,38 @@ def _residual(problem: ContractionProblem, s: int, xs, width: int):
     return min(found, default=None)
 
 
-def _newton_close(problem: ContractionProblem, frame, xs, k: int, met: bool, cap, target: Fraction) -> Vector:
-    """The answer of a Newton solve whose last frame point is xs, Newton
-    iterate k, built in integers.
+def _newton_close(problem: ContractionProblem, frame, xs, k: int, met: bool, cap, target: Fraction) -> int:
+    """The exponent e of the bound p^-e that a p-adic solve, Newton or
+    Banach, proves for its last frame point xs, iterate k, worked out in
+    integers: its answer is x = xs / p^s to its digits below p^e.
 
-    x = xs / p^s carries its digits to the width C = min(v_i) + N, v_i
-    the valuations of its coordinates.  When `met`, the last pass found
-    g(X) = X modulo a width of at least C; a solve that stopped after its
-    planned steps instead takes the exact valuation of g(X) - X modulo p^C
-    from one more sweep.  On an ultrametric ball |g(x) - x*| <= |x - x*| <= |g(x) - x|
-    for any contraction, whatever theta, so the answer is g(X), which must
-    lie in the ball, truncated to the weaker of that posterior bound and
-    the a priori bound p^-cap (cap None for a bound of 0); g(X) = X to
-    those digits.  The residual of the answer is then checked against the
-    target on the digits it carries.
+    x carries its digits to the width C = min(v_i) + N, v_i the valuations
+    of its coordinates.  When `met`, the last pass found g(X) = X modulo a
+    width of at least C; otherwise the exact valuation of g(X) - X modulo
+    p^C comes from one more sweep, and a residual above the target is
+    refused.  On an ultrametric ball |g(x) - x*| <= |x - x*| <= |g(x) - x|
+    for any contraction, whatever theta, so g(x), which must lie in the
+    ball, agrees with x to the digits of the weaker of that posterior bound
+    and the a priori bound p^-cap (cap None for a bound of 0).
     """
     desc = problem.descriptor
     p = desc.prime
     s, depth = frame[:2]
-    proven = min((int_valuation(c, p) for c in xs if c), default=s) + desc.precision
+    proven = _carried_width(xs, s, desc.precision, p)
     # X passed the membership check (x0 its exact one), so g(X) lies in
     # the ball unless g(X) - X has a valuation below the ball's depth
     moved = None if met else _residual(problem, s, xs, proven)
     if moved is not None:
         if moved < depth:
             _domain_escape("the closing Banach step", valuation_abs(p, moved - s), problem.domain, k + 1)
+        if (residual := valuation_abs(p, moved - s)) > target:
+            residual, target = num_str(residual), num_str(target)
+            raise DomainEscape(
+                f"residual {residual} above target {target}: contraction claim failed",
+                residual=residual, target=target,
+            )
         proven = moved
-    exponent = proven - s if cap is None else min(proven - s, -cap)
-    kept, x = _answer(xs, s, exponent, desc)
-    found = _residual(problem, s, kept, min(c.prec for c in x.components) + s)
-    if found is not None and (residual := valuation_abs(p, found - s)) > target:
-        residual, target = num_str(residual), num_str(target)
-        raise DomainEscape(
-            f"residual {residual} above target {target}: contraction claim failed",
-            residual=residual, target=target,
-        )
-    return x
+    return proven - s if cap is None else min(proven - s, -cap)
 
 
 def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Vector:
@@ -612,43 +601,57 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
     Iterates x -> x + s, s solving (I - Dg(x)) s = g(x) - x, until g(x) - x
     is zero at full precision, at most as many steps as iterate_fixed_point
     would take, with its admissibility, domain, per-step and residual
-    checks.  The digits are proven a posteriori: on an ultrametric ball
-    |x - x*| <= |g(x) - x|, and the closing Banach step g(x) is no farther
-    from x*.  The result is g(x) truncated to the weaker of that bound and
-    the a priori bound of iterate_fixed_point, so it never claims more
-    digits than it proves or than the Banach iteration would.
+    checks and its close (`_padic_solve`).  The result is g(x) truncated
+    to the weaker of the posterior bound |g(x) - x| and the a priori bound
+    of iterate_fixed_point, so it never claims more digits than it proves
+    or than the Banach iteration would.
 
     Every pass works on integers modulo p^W (von zur Gathen & Gerhard,
-    Modern Computer Algebra, ch. 9): the iterate is the exact frame point
-    X = p^s x (see `_frame`), one `modular_sweep` gives g(X) and Dg(X) mod
-    p^W, and one `modular_solve` the step, with the step checked against
-    the a priori bound by divisibility and X + step checked for membership
-    as v_p(X - centre) >= k.  The close stays in integers too
-    (`_newton_close`), and PadicScalars are built for the answer alone
-    (Caruso, "Computations with p-adic numbers", 2017, on fixed-point
-    against tracked arithmetic).
-
-    The working width doubles from step to step.  With p^-e_j the largest
-    p-power <= theta^j d0, W_0 = max(3, e_1 + 2); a step whose residual has
-    valuation v leaves x right to about 2v digits, and the next step to 4v,
-    so W_(k+1) = max(W_k, 4v + 2, e_(k+2) + 2): the e term keeps the next
-    step's residual inside its a priori bound (Caruso, Roe & Vaccon,
-    "Tracking p-adic precision", 2014, on the digits a lift certifies).  A
-    residual that is zero at W_k only says x is right to W_k digits: W
-    doubles and the step is taken again, which counts as no step.  Once W_k
-    drops none of the digits of x, a coordinate of valuation v knowing N
-    digits up to p^(v + N), and for the last step the a priori cap allows,
-    the pass runs at that full width; when its result's valuation raises
-    the full width, it runs again that much wider.
+    Modern Computer Algebra, ch. 9): one `modular_sweep` gives g(X) and
+    Dg(X) mod p^W at the frame point X = p^s x, and one `modular_solve` the
+    step.  The working width doubles from step to step.  With p^-e_j the
+    largest p-power <= theta^j d0, W_0 = max(3, e_1 + 2); a step whose
+    residual has valuation v leaves x right to about 2v digits, and the
+    next step to 4v, so W_(k+1) = max(W_k, 4v + 2, e_(k+2) + 2): the e term
+    keeps the next step's residual inside its a priori bound (Caruso, Roe &
+    Vaccon, "Tracking p-adic precision", 2014, on the digits a lift
+    certifies).  A residual that is zero at W_k only says x is right to W_k
+    digits: W doubles and the step is taken again, which counts as no step.
+    Once W_k drops none of the digits of x, a coordinate of valuation v
+    knowing N digits up to p^(v + N), and for the last step the a priori
+    cap allows, the pass runs at that full width.
     """
-    desc = problem.descriptor
-    if not desc.ultrametric:
+    if not problem.descriptor.ultrametric:
         raise SchemaError("Newton steps are certified on ultrametric fields only")
+    return _padic_solve(problem, target_precision, newton=True)
+
+
+def _padic_solve(problem: ContractionProblem, target_precision, newton: bool):
+    """The fixed point of an ultrametric contraction, by Newton passes (the
+    answer) or by Banach passes (the report), on integer residues.
+
+    The iterate is the exact frame point X = p^s x (see `_frame`), x0 the
+    point its N digits spell.  A Banach pass is X -> g(X) modulo the full
+    width of X, which drops none of its digits; a pass at full width whose
+    result's valuation raises that width runs again that much wider.  Each
+    new iterate is checked for membership as v_p(X - centre) >= k, then its
+    step against the a priori bound theta^k d0 = p^-e_k: a step of valuation
+    v is within it when v >= e_k + s.  The solve ends after its planned
+    steps, or once a pass at full width finds g(X) = X (a Banach report
+    counts that pass as a step of size 0), and closes in integers
+    (`_newton_close`): its digits are proven a posteriori, as on an
+    ultrametric ball |x - x*| <= |g(x) - x|, capped by the a priori bound
+    of the planned steps.  PadicScalars are built for the answer and the
+    report's iterates alone, to the digits the close proves (Caruso,
+    "Computations with p-adic numbers", 2017, on fixed-point against
+    tracked arithmetic).  At d0 = 0, x0 is the answer, exactly.
+    """
     theta, d0, target, steps = _plan(problem, target_precision)
+    desc = problem.descriptor
+    if not d0:
+        x = Vector.from_rationals(problem.x0, desc)
+        return x if newton else _report([x], [], theta, d0, Fraction(0))
     p, N = desc.prime, desc.precision
-    if not steps:
-        bound = _certified_bound(theta, d0, steps, desc)
-        return _certified_close(problem, Vector.from_rationals(problem.x0, desc), bound, target)
 
     def apriori_exponent(j: int):
         """e_j; infinite once theta^j d0 is 0 (theta = 0)."""
@@ -657,40 +660,43 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
 
     frame = s, depth, centre = _frame(problem)
     inside = p**depth
-    # x0 as the exact point its N digits spell
     xs = [_frame_residue(c, s, rational_valuation(c, p) + s + N, p) if c else 0 for c in problem.x0]
+    orbit, sizes = [xs], []
     e_k, e_next = apriori_exponent(0), apriori_exponent(1)
-    width, k = max(3, e_next + 2), 0
-    while True:  # each pass takes one step, or widens W and tries again
-        last = k == steps - 1
-        # a full width is at least N: below N no valuation is taken
-        full = _known_width(xs, s, N, p) if last or width + s >= N else math.inf
-        at_full = last or width + s >= full
-        pass_width = full if at_full else width + s
-        got = _newton_pass(problem, s, xs, pass_width, k)
-        while at_full and got is not None and (wider := _known_width(got[2], s, N, p)) > pass_width:
-            pass_width = wider
-            got = _newton_pass(problem, s, xs, pass_width, k)
+    width, k, met = max(3, e_next + 2) if newton else math.inf, 0, False
+    name = "Newton iterate" if newton else "iterate"
+    known = _known_width(xs, s, N, p)  # the full width of xs
+    while k < steps:  # each pass takes one step, or widens W and tries again
+        at_full = k == steps - 1 or width + s >= known
+        pass_width = known if at_full else width + s
+        got = _newton_pass(problem, s, xs, pass_width, k, newton)
+        while got is not None and (known := _known_width(got[1], s, N, p)) > pass_width and at_full:
+            pass_width = known
+            got = _newton_pass(problem, s, xs, pass_width, k, newton)
         if got is None:
-            if at_full:
+            if met := at_full:
                 break
             width *= 2
             continue
-        v, step, xs = got
-        # a step within theta^k d0 = p^-e_k is divisible by p^(e_k + s) in the frame;
-        # only one past it forms its valuation and the Fractions _check_step reports
-        if e_k + s > 0 and any(a % p ** (e_k + s) for a in step):
-            _check_step(k, valuation_abs(p, _least_valuation(step, p) - s), theta**k * d0)
-        k += 1
-        e_k, e_next = e_next, apriori_exponent(k + 1)
+        v, xs = got
         escape = _least_valuation([(a - c) % inside for a, c in zip(xs, centre)], p)
         if escape is not None:
-            _domain_escape(f"Newton iterate {k}", valuation_abs(p, escape - s), problem.domain, k)
-        if k == steps:
-            break
+            _domain_escape(f"{name} {k + 1}", valuation_abs(p, escape - s), problem.domain, k + 1)
+        # only a step past its bound builds the Fractions _check_step reports
+        if v < e_k + s:
+            _check_step(k, valuation_abs(p, v - s), theta**k * d0)
+        orbit.append(xs)
+        sizes.append(v)
+        k += 1
+        e_k, e_next = e_next, apriori_exponent(k + 1)
         width = max(width, 4 * (v - s) + 2, e_next + 2)
     cap = _power_exponent(theta, d0, steps, p, geometric=True)
-    return _newton_close(problem, frame, xs, k, got is None, cap, target)
+    exponent = _newton_close(problem, frame, xs, k, met, cap, target)
+    if newton:
+        return _answer(xs, s, exponent, desc)
+    trace = [_answer(c, s, min(exponent, _carried_width(c, s, N, p) - s), desc) for c in orbit + [xs] * met]
+    distances = [valuation_abs(p, v - s) for v in sizes] + [Fraction(0)] * met
+    return _report(trace, distances, theta, d0, valuation_abs(p, exponent))
 
 
 def lipschitz_theta(f: MapSpec, ball: Ball, supplied=None) -> Fraction:

@@ -422,9 +422,9 @@ def _padic_make(desc, val, residue, prec, mod=None) -> tuple:
     # Every caller passes prec <= v + N (N = desc.precision), so the digit
     # count prec - v needs no cap.  The sums pass m <= prec <= val + N for
     # each nonzero term, and the sum's valuation v is at least the least such
-    # val; truncate_precision passes prec < a.prec <= a.val + N <= v + N;
-    # the Newton answer passes the exponent its least coordinate carries,
-    # at most v + N.  The check still rejects more than N digits.
+    # val; the answers and trace points of the p-adic solves pass at most the
+    # exponent their least coordinate carries, at most v + N.  The check
+    # still rejects more than N digits.
     if residue % p:
         return _checked(desc, val, residue, prec, mod)
     shift = int_valuation(residue, p)
@@ -790,26 +790,6 @@ def embed_rational(num, den, descriptor: FieldDescriptor) -> Scalar:
     if descriptor.kind == "real":
         return RealScalar(descriptor, num / den)
     return padic_scalar(descriptor, _padic_embed(descriptor, num, den))
-
-
-def truncate_precision(a: Scalar, abs_exponent: int) -> Scalar:
-    """Forget padic digits at and above p^abs_exponent (no-op for reals).
-
-    Used to shrink an iterate to the precision actually certified by an a
-    priori bound, so reported values never claim digits beyond the proof.
-    """
-    if not isinstance(a, PadicScalar):
-        return a
-    desc = a.descriptor
-    if a.val is None:
-        if a.prec is None:
-            return PadicScalar(desc, None, 0, abs_exponent)
-        return PadicScalar(desc, None, 0, min(a.prec, abs_exponent))
-    if a.prec <= abs_exponent:
-        return a
-    if a.val >= abs_exponent:
-        return PadicScalar(desc, None, 0, abs_exponent)
-    return padic_scalar(desc, _padic_make(desc, a.val, a.unit, abs_exponent))
 
 
 def rational_abs(q, descriptor: FieldDescriptor) -> Fraction:

@@ -34,7 +34,7 @@ from ultrafix.calculus import partial_map
 from ultrafix import calculus, jsonio
 from ultrafix.errors import UltrafixError
 from ultrafix.implicit import build_window
-from ultrafix.field import PadicScalar, embed_rational, rational_abs, truncate_precision
+from ultrafix.field import PadicScalar, _padic_make, embed_rational, padic_scalar, rational_abs
 from ultrafix.inverse import inversion_step_map
 from ultrafix.linalg import rat_identity, rat_mat_vec
 
@@ -483,7 +483,7 @@ def random_padic(rng, desc):
     num = rng.choice((-1, 1)) * rng.randint(1, p**3) * p ** rng.randint(0, 2)
     x = embed_rational(Fraction(num, rng.randint(1, 9) * p ** rng.randint(0, 2)), 1, desc)
     if kind < 0.5:  # truncated: fewer known digits than the field's precision
-        x = truncate_precision(x, x.val + rng.randint(1, n))
+        x = padic_scalar(desc, _padic_make(desc, x.val, x.unit, x.val + rng.randint(1, n)))
     return x
 
 

@@ -41,6 +41,7 @@ from ultrafix.contraction import (
 from ultrafix.errors import PrecisionExhausted, SingularMatrix
 from ultrafix.field import (
     PadicScalar,
+    _padic_make,
     abs_upper_bound,
     field_abs,
     floor_log,
@@ -50,7 +51,6 @@ from ultrafix.field import (
     padic_scalar,
     padic_sub_product,
     rational_valuation,
-    truncate_precision,
     valuation_abs,
 )
 from ultrafix.implicit import build_window
@@ -135,6 +135,17 @@ def test_trace_obeys_stepwise_bounds(q5, real):
             d = vec_norm(report.trace[n] - x)
             bound = theta**n / (1 - theta) * d0
             assert Fraction(d) <= bound + max(slack, Fraction(2, 10**9))
+
+
+def test_padic_trace_keeps_each_iterate_to_its_digits():
+    # 25x from 1 over Q5 at N = 3: the close proves 5^-4 for the last
+    # iterate 625, which carries 7 digits, but the first iterate 1 knows 3
+    desc = FieldDescriptor.padic(5, 3)
+    problem = ContractionProblem(poly(1, [(25, (1,))]), Ball(desc, (0,), 1), Fraction(1, 25), (1,))
+    report = iterate_fixed_point(problem)
+    assert report.error_bound == Fraction(1, 5**4)
+    assert [_digits(x) for x in report.trace] == [[(0, 1, 3)], [(2, 1, 4)], [(None, 0, 4)]]
+    assert report.fixed_point is report.trace[-1]
 
 
 def test_uniqueness_from_two_starts(q5):
@@ -501,15 +512,21 @@ def test_newton_keeps_the_banach_checks(q5, q5_deep, real):
 def test_newton_claims_only_what_its_residual_proves(q5_deep):
     # with the understated theta = 5^-6 the a priori bound asks for one step;
     # one Newton step from 0 lands on 5, and |g(5) - 5| = 5^-3 is all the
-    # closing Banach step proves, although the a priori bound claims 5^-7
+    # closing Banach step proves, although the a priori bound claims 5^-7:
+    # that residual misses the target 5^-6, and both solvers refuse
     wrong = ContractionProblem(FIVE_PLUS_5SQ, Ball(q5_deep, (0,), Fraction(1, 5)), Fraction(1, 5**6), (0,))
-    (x,) = newton_fixed_point(wrong, Fraction(1, 5**6)).components
-    assert x.prec == 3 and x.to_rational() % 5**3 == 5
     # x* = 5 + 5x*^2 is 130 mod 5^5, so 130 + O(5^7) would be wrong
     assert (130 * 130 * 5 + 5 - 130) % 5**5 == 0 and (130 * 130 * 5 + 5 - 130) % 5**6 != 0
-    with pytest.raises(DomainEscape, match="residual") as err:
-        iterate_fixed_point(wrong, Fraction(1, 5**6))
-    assert err.value.details == {"residual": "1/125", "target": "1/15625"}
+    for solve in (newton_fixed_point, iterate_fixed_point):
+        with pytest.raises(DomainEscape, match="residual") as err:
+            solve(wrong, Fraction(1, 5**6))
+        assert err.value.details == {"residual": "1/125", "target": "1/15625"}
+    # at the target 5^-3 the same residual proves the 3 digits both claim;
+    # the a priori bound alone would claim 5 + O(5^7)
+    report = iterate_fixed_point(wrong, Fraction(1, 5**3))
+    for x in (newton_fixed_point(wrong, Fraction(1, 5**3)), report.fixed_point):
+        assert _digits(x) == [(1, 1, 3)]
+    assert report.error_bound == Fraction(1, 5**3)
 
 
 def test_newton_residual_check_carries_its_numbers(q5_deep, monkeypatch):
@@ -574,6 +591,43 @@ def test_real_target_zero_needs_the_exact_fixed_point(real):
                                Ball(real, (0,), 4), Fraction(1, 2), (Fraction(3, 8),))
     report = iterate_fixed_point(fixed, 0)
     assert (report.fixed_point.components[0].value, report.error_bound) == (0.375, 0)
+
+
+# ---------------------------------------------------------------------------
+# The tracked close the solvers used before they closed on integer residues,
+# kept verbatim as the oracle of the tracked reference solves below
+
+
+def truncate_precision(a, abs_exponent: int):
+    """Forget the digits of the p-adic scalar a at and above p^abs_exponent
+    (formerly `field.truncate_precision`)."""
+    desc = a.descriptor
+    if a.val is None:
+        if a.prec is None:
+            return PadicScalar(desc, None, 0, abs_exponent)
+        return PadicScalar(desc, None, 0, min(a.prec, abs_exponent))
+    if a.prec <= abs_exponent:
+        return a
+    if a.val >= abs_exponent:
+        return PadicScalar(desc, None, 0, abs_exponent)
+    return padic_scalar(desc, _padic_make(desc, a.val, a.unit, abs_exponent))
+
+
+def _certified_close(problem: ContractionProblem, x: Vector, bound: Fraction, target: Fraction) -> Vector:
+    """x over Q_p truncated to the e digits its certified bound p^-e proves
+    (all of them at bound 0), once the final residual |g(x) - x| is checked
+    against the target."""
+    if bound > 0:
+        exponent = -floor_log(bound, problem.descriptor.prime)
+        x = Vector(tuple(truncate_precision(c, exponent) for c in x.components))
+    residual = vec_norm(eval_map(problem.f, x) - x)
+    if residual > target:
+        residual, target = num_str(residual), num_str(target)
+        raise DomainEscape(
+            f"residual {residual} above target {target}: contraction claim failed",
+            residual=residual, target=target,
+        )
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +910,7 @@ def _tracked_identity_minus(jac, one):
 
 
 def _tracked_domain_escape(what, x, ball, step):
-    contraction._domain_escape(what, contraction._distance(x, ball), ball, step)
+    contraction._domain_escape(what, vec_norm(x - ball.center), ball, step)
 
 
 def _tracked_newton(problem, target_precision=None):
@@ -864,7 +918,7 @@ def _tracked_newton(problem, target_precision=None):
     each pass evaluates g and Dg at x truncated to the working width W_k
     and solves on tracked scalars; a step short of W_k digits is taken again
     that many digits wider (only the domain escape reads its distance
-    through contraction._distance)."""
+    from the centre as vec_norm)."""
     desc = problem.descriptor
     if not desc.ultrametric:
         raise SchemaError("Newton steps are certified on ultrametric fields only")
@@ -921,7 +975,7 @@ def _tracked_newton(problem, target_precision=None):
         posterior = max(abs_upper_bound(c) for c in (gx - x).components)
         bound = max(posterior, bound)
         x = gx
-    return contraction._certified_close(problem, x, bound, target)
+    return _certified_close(problem, x, bound, target)
 
 
 def _agrees_on_common_digits(got, old):
@@ -965,7 +1019,9 @@ def test_integer_pass_matches_the_tracked_pass_at_4096_digits():
 def test_integer_pass_on_centres_of_negative_valuation(p):
     # a centre of valuation -s puts the problem in the frame X = p^s x with
     # guard digits; the tracked pass loses digits to products of values
-    # above 1, the integer pass none: at least as many digits, the same ones
+    # above 1, the integer pass none: at least as many digits, the same ones.
+    # Banach steps on the same residues prove as many digits as Newton's,
+    # and the same ones
     rng = random.Random(7900 + p)
     frames, more = set(), 0
     for rep in range(24):
@@ -975,7 +1031,11 @@ def test_integer_pass_on_centres_of_negative_valuation(p):
         problem = _recentred(base, center, base.descriptor)
         frames.add((contraction._frame(problem)[0], _frame_table(problem.f, p, s)[0]))
         target = None if rep % 4 < 2 else Fraction(1, p ** rng.randint(3, 6))
-        more += _agrees_on_common_digits(newton_fixed_point(problem, target), _tracked_newton(problem, target))
+        got = newton_fixed_point(problem, target)
+        more += _agrees_on_common_digits(got, _tracked_newton(problem, target))
+        banach = iterate_fixed_point(problem, target).fixed_point
+        assert [c.prec for c in banach.components] == [c.prec for c in got.components]
+        _agrees_on_common_digits(banach, got)
     assert {s for s, _ in frames} == {1, 2, 3} and all(guard > 0 for _, guard in frames)
     assert more >= 1
 
@@ -1032,7 +1092,7 @@ def _tracked_close(problem, s, xs, k, bound, target):
         _tracked_domain_escape("the closing Banach step", gx, problem.domain, k + 1)
     # |g(x) - x*| <= |x - x*| <= |g(x) - x| for any contraction, whatever theta
     posterior = max(abs_upper_bound(c) for c in (gx - x).components)
-    return contraction._certified_close(problem, gx, max(posterior, bound), target)
+    return _certified_close(problem, gx, max(posterior, bound), target)
 
 
 def _both_closes(problem, target, monkeypatch):
@@ -1094,11 +1154,6 @@ def test_integer_close_matches_the_tracked_close(monkeypatch):
     problem = _deep_problem(random.Random(3001), 5, 3, 1024, implicit=False)
     got, old, xs = _both_closes(problem, None, monkeypatch)
     assert 0 in xs and _digits(got) == _digits(old)
-    # the understated theta of test_newton_claims_only_what_its_residual_proves
-    wrong = ContractionProblem(FIVE_PLUS_5SQ, Ball(FieldDescriptor.padic(5, 8), (0,), Fraction(1, 5)),
-                               Fraction(1, 5**6), (0,))
-    got, old, _ = _both_closes(wrong, Fraction(1, 5**6), monkeypatch)
-    assert _digits(got) == _digits(old) == [(1, 1, 3)]
 
 
 def _count_scalars(monkeypatch, record):

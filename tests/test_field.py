@@ -13,7 +13,7 @@ from ultrafix import (
     field_arith,
     rational_abs,
 )
-from ultrafix.field import PRIME_BOUND, _is_prime, floor_log, int_valuation, truncate_precision
+from ultrafix.field import PRIME_BOUND, _is_prime, floor_log, int_valuation
 from ultrafix.field import PadicScalar, _padic_make, padic_polynomial, padic_scalar, rational_valuation
 from ultrafix.field import _padic_div, unit_inverse
 from functools import reduce
@@ -179,14 +179,6 @@ def test_rational_abs(q5, real):
     assert rational_abs(Fraction(-7, 2), real) == Fraction(7, 2)
 
 
-def test_truncate_precision(q5):
-    a = embed_rational(280, 1, q5)  # val 1, known mod 5^5
-    t = truncate_precision(a, 4)
-    assert t.prec == 4 and t.to_rational() == 280 % 625
-    gone = truncate_precision(a, 1)
-    assert gone.is_zero() and gone.prec == 1
-
-
 def test_ops_agree_with_exact_rational_arithmetic(q5):
     # oracle: compute in Q exactly, re-embed, compare at tracked precision
     rng = random.Random(23)
@@ -209,7 +201,7 @@ def test_ops_agree_with_exact_rational_arithmetic(q5):
 
 def test_truncate_negative_valuation(q5):
     a = embed_rational(1, 25, q5)  # val -2, known mod 5^2
-    t = truncate_precision(a, 0)
+    t = padic_scalar(q5, _padic_make(q5, a.val, a.unit, 0))
     assert t.val == -2 and t.prec == 0 and t.digit_list() == [1, 0]
 
 
@@ -734,7 +726,7 @@ def test_every_construction_checks_the_unit(monkeypatch):
         for op in ("add", "sub", "mul", "div"):
             field_arith(a, b, op)
         -b
-        truncate_precision(b, b.val + rng.randint(0, 3))
+        _padic_make(desc, b.val, b.unit, min(b.prec, b.val + rng.randint(0, 3)))
         contraction._answer((b.unit * desc.prime**2, 0), 1, 1 + b.prec - b.val, desc)
         padic_polynomial(desc, [(b.raw, ((0, 2),)), (b.raw, ())], [a.raw])
         embed_rational(rng.randint(-99, 99), rng.randint(1, 99), desc)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ultrafix import Ball, FieldDescriptor, MapSpec, SchemaError, embed_rational
-from ultrafix.field import truncate_precision
+from ultrafix.field import _padic_make, padic_scalar
 from ultrafix.jsonio import (
     encode_ball,
     encode_map,
@@ -20,9 +20,9 @@ def test_scalar_encoding_examples(q5):
     # embeddings anchor at min(valuation, 0), trailing zeros trimmed
     assert encode_scalar(embed_rational(-1, 4, q5)) == {"val": 0, "digits": [1, 1, 1, 1]}
     assert encode_scalar(embed_rational(1, 5, q5)) == {"val": -1, "digits": [1]}
-    got = encode_scalar(truncate_precision(embed_rational(230, 1, q5), 4))
+    got = encode_scalar(padic_scalar(q5, _padic_make(q5, 0, 230, 4)))
     assert got == {"val": 0, "digits": [0, 1, 4, 1]}
-    got = encode_scalar(truncate_precision(embed_rational(280, 1, q5), 4))
+    got = encode_scalar(padic_scalar(q5, _padic_make(q5, 0, 280, 4)))
     assert got == {"val": 0, "digits": [0, 1, 1, 2]}
     assert encode_scalar(q5.zero()) == {"val": None, "digits": []}
 
