@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from fractions import Fraction
 from operator import add, mul, truediv
 from typing import Sequence
@@ -54,77 +55,118 @@ from .linalg import (
 )
 
 Monomial = tuple[tuple[int, ...], Fraction]
+Term = tuple[int, tuple[int, ...]]
 
 
-def _normalize_output(monomials) -> tuple[Monomial, ...]:
+def _rational(value, what: str) -> Fraction:
+    try:
+        return value if type(value) is Fraction else Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise SchemaError(f"{what} {value!r} is not a finite rational") from None
+
+
+def _exponent(value) -> int:
+    q = _rational(value, "exponent")
+    if q.denominator != 1 or q < 0:
+        raise SchemaError(f"exponent {value!r} is not a non-negative integer")
+    return q.numerator
+
+
+def _table_row(monomials, dim: int) -> tuple[int, tuple[Term, ...]]:
+    """One output of the table (see MapSpec) from (exponent vector,
+    coefficient) pairs, each validated: like monomials merged, zeros
+    dropped."""
     acc: dict[tuple[int, ...], Fraction] = {}
     for exps, coef in monomials:
         if type(exps) is not tuple or not all(type(e) is int for e in exps):
-            exps = tuple(int(e) for e in exps)
-        if type(coef) is not Fraction:
-            coef = Fraction(coef)
-        if not coef:
-            continue
-        acc[exps] = acc[exps] + coef if exps in acc else coef
-    return tuple(sorted((e, c) for e, c in acc.items() if c))
+            exps = tuple(map(_exponent, exps))
+        if len(exps) != dim or min(exps, default=0) < 0:
+            raise SchemaError("exponent vector does not match domain dimension")
+        coef = _rational(coef, "coefficient")
+        if coef:
+            acc[exps] = acc[exps] + coef if exps in acc else coef
+    terms = sorted((e, c) for e, c in acc.items() if c)
+    D = math.lcm(*(c.denominator for _, c in terms))
+    return D, tuple((c.numerator * (D // c.denominator), e) for e, c in terms)
 
 
-@dataclass(frozen=True)
+def _reduced(acc: dict, den: int) -> tuple[int, tuple[Term, ...]]:
+    """One output of the table from integer numerators over den > 0, keyed
+    by exponent vector: zeros dropped, and den and the numerators divided by
+    their gcd, which leaves den the lcm of the reduced denominators."""
+    terms = sorted((e, v) for e, v in acc.items() if v)
+    g = math.gcd(den, *(v for _, v in terms))
+    return den // g, tuple((v // g, e) for e, v in terms)
+
+
+@dataclass(frozen=True, init=False)
 class MapSpec:
     """A polynomial map K^m -> K^n with exact rational coefficients.
 
+    It is stored as its integer table: per output i, (D_i, terms), D_i the
+    lcm of the reduced denominators of its coefficients and one (c * D_i, a)
+    per nonzero monomial c*x^a, sorted by exponent vector a.  The
+    constructor and `from_coefficients` validate and normalise monomials
+    once; the builders of this module emit tables.  `outputs` is the
+    read-only Fraction view, per output its sorted (a, c) monomials.
+
     Instances are immutable values; the private cache only memoizes derived
-    data (partials, the symbolic quotient, embedded coefficients), so sharing
-    across threads is safe.
+    data (the common, frame, field and valuation tables, partials, the
+    symbolic quotient, the twin without a domain) and `outputs` is a cached
+    view, so sharing across threads is safe.
     """
 
     domain_dim: int
-    outputs: tuple[tuple[Monomial, ...], ...]
+    table: tuple[tuple[int, tuple[Term, ...]], ...]
     domain: Ball | None = None
     _cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "outputs", tuple(_normalize_output(out) for out in self.outputs)
-        )
-        for out in self.outputs:
-            for exps, _ in out:
-                if len(exps) != self.domain_dim or any(e < 0 for e in exps):
-                    raise SchemaError("exponent vector does not match domain dimension")
-        if self.domain is not None and self.domain.dim != self.domain_dim:
+    def __init__(self, domain_dim: int, outputs, domain: Ball | None = None):
+        """outputs: per coordinate, an iterable of (exponent vector, coefficient)."""
+        self._fill(domain_dim, tuple(_table_row(out, domain_dim) for out in outputs), domain)
+
+    def _fill(self, domain_dim: int, table, domain: Ball | None) -> None:
+        if domain is not None and domain.dim != domain_dim:
             raise DimensionMismatch("domain ball dimension mismatch")
+        for name, value in (("domain_dim", domain_dim), ("table", table), ("domain", domain), ("_cache", {})):
+            object.__setattr__(self, name, value)
 
     @property
     def codomain_dim(self) -> int:
-        return len(self.outputs)
+        return len(self.table)
+
+    @cached_property
+    def outputs(self) -> tuple[tuple[Monomial, ...], ...]:
+        return tuple(tuple((e, Fraction(c, D)) for c, e in terms) for D, terms in self.table)
 
     @classmethod
     def from_coefficients(cls, domain_dim, outputs, domain=None) -> "MapSpec":
         """outputs: per coordinate, an iterable of (coef, exponent-vector)."""
-        return cls(
-            domain_dim,
-            tuple(tuple((tuple(e), Fraction(c)) for c, e in out) for out in outputs),
-            domain,
-        )
+        return cls(domain_dim, (((e, c) for c, e in out) for out in outputs), domain)
 
     @classmethod
     def identity(cls, dim: int) -> "MapSpec":
-        return cls(
-            dim,
-            tuple(
-                ((tuple(1 if i == j else 0 for i in range(dim)), Fraction(1)),)
-                for j in range(dim)
-            ),
-        )
+        return _from_table(dim, tuple((1, ((1, _unit(j, dim)),)) for j in range(dim)))
 
     def without_domain(self) -> "MapSpec":
         if self.domain is None:
             return self
         got = self._cache.get("bare")
         if got is None:
-            got = MapSpec(self.domain_dim, self.outputs)
-            self._cache["bare"] = got
+            got = self._cache["bare"] = _from_table(self.domain_dim, self.table)
         return got
+
+
+def _from_table(domain_dim: int, table, domain: Ball | None = None) -> MapSpec:
+    """The map of a normalised table, as the builders emit it."""
+    f = object.__new__(MapSpec)
+    f._fill(domain_dim, table, domain)
+    return f
+
+
+def _unit(j: int, dim: int, e: int = 1) -> tuple[int, ...]:
+    """The exponent vector of x_j^e."""
+    return tuple(e if i == j else 0 for i in range(dim))
 
 
 def _check_point_in_domain(f: MapSpec, point) -> None:
@@ -159,9 +201,7 @@ def eval_map(f: MapSpec, point, descriptor: FieldDescriptor | None = None):
         if descriptor is not None and descriptor is not desc and descriptor != desc:
             raise SchemaError("point coordinates are not scalars of the given field")
     elif descriptor is None:
-        xs = _exact(comps)
-        L = math.lcm(*(x.denominator for x in xs))
-        values, den = eval_ints(f, [x.numerator * (L // x.denominator) for x in xs], L)
+        values, den = eval_ints(f, *int_vector(_exact(comps)))
         return tuple(Fraction(v, den) for v in values)
     elif comps:
         raise SchemaError("point coordinates are not scalars of the given field")
@@ -175,33 +215,18 @@ def _support(exps) -> tuple[tuple[int, int], ...]:
     return tuple((i, e) for i, e in enumerate(exps) if e)
 
 
-def _int_table(f: MapSpec):
-    """f in integers: (degree, outputs), each output (D, terms) with D the lcm
-    of its coefficient denominators and one (c*D, |a|, support of a) per
-    monomial c*x^a."""
-    got = f._cache.get("int")
-    if got is None:
-        outputs = []
-        for monomials in f.outputs:
-            D = math.lcm(*(c.denominator for _, c in monomials))
-            outputs.append((D, tuple(
-                (c.numerator * (D // c.denominator), sum(exps), _support(exps))
-                for exps, c in monomials
-            )))
-        degree = max((deg for _, terms in outputs for _, deg, _ in terms), default=0)
-        got = f._cache["int"] = (degree, tuple(outputs))
-    return got
-
-
 def _common_table(f: MapSpec):
-    """The integer table over one denominator: (degree, D, outputs), D the
-    lcm of the outputs' denominators D_i and, per output, (D / D_i, terms
-    of `_int_table`)."""
+    """The table of f over one denominator: (degree, D, outputs), D the lcm
+    of the outputs' denominators D_i and, per output, D / D_i and one
+    (c, |a|, support of a) per term (c, a)."""
     got = f._cache.get("common")
     if got is None:
-        degree, outputs = _int_table(f)
-        D = math.lcm(*(d for d, _ in outputs))
-        got = f._cache["common"] = (degree, D, tuple((D // d, terms) for d, terms in outputs))
+        D = math.lcm(*(d for d, _ in f.table))
+        outputs = tuple(
+            (D // d, tuple((c, sum(exps), _support(exps)) for c, exps in terms)) for d, terms in f.table
+        )
+        degree = max((deg for _, terms in outputs for _, deg, _ in terms), default=0)
+        got = f._cache["common"] = (degree, D, outputs)
     return got
 
 
@@ -232,12 +257,11 @@ def _field_table(f: MapSpec, desc: FieldDescriptor):
     got = cache.get(desc)
     if got is None:
         if desc.ultrametric:
-            embed = lambda c: _padic_embed(desc, c.numerator, c.denominator)  # noqa: E731
+            embed = lambda c, D: _padic_embed(desc, c, D)  # noqa: E731
         else:
-            embed = lambda c: embed_rational(c, 1, desc)  # noqa: E731
+            embed = lambda c, D: embed_rational(c, D, desc)  # noqa: E731
         got = cache[desc] = tuple(
-            tuple((embed(coef), _support(exps)) for exps, coef in monomials)
-            for monomials in f.outputs
+            tuple((embed(c, D), _support(exps)) for c, exps in terms) for D, terms in f.table
         )
     return got
 
@@ -294,25 +318,19 @@ def _int_poly_mul(a: dict, b: dict) -> dict:
 def compose(g: MapSpec, f: MapSpec) -> MapSpec:
     """Exact polynomial composition g after f, in integers.
 
-    From the integer tables, output j of f is P_j / D_j, P_j an integer
-    polynomial, and output i of g sums C_a y^a / D_i.  With E_j the largest
-    exponent of y_j in output i, g_i(f) is the sum of
-    C_a * prod_j D_j^(E_j - a_j) P_j^(a_j) over D_i * prod_j D_j^(E_j):
-    integer products over one denominator, each power P_j^e formed once,
-    and one Fraction per coefficient.
+    From the tables, output j of f is P_j / D_j, P_j an integer polynomial,
+    and output i of g sums C_a y^a / D_i.  With E_j the largest exponent of
+    y_j in output i, g_i(f) is the sum of C_a * prod_j D_j^(E_j - a_j)
+    P_j^(a_j) over D_i * prod_j D_j^(E_j): integer products over one
+    denominator, each power P_j^e formed once.
     """
     if g.domain_dim != f.codomain_dim:
         raise DimensionMismatch(
             f"composition needs codomain {g.domain_dim}, map produces {f.codomain_dim}"
         )
-    _, f_table = _int_table(f)
-    _, g_table = _int_table(g)
-    dens = [D for D, _ in f_table]
+    dens = [D for D, _ in f.table]
     one = {(0,) * f.domain_dim: 1}
-    powers = [
-        [one, {exps: c for (exps, _), (c, _, _) in zip(monomials, terms)}]
-        for monomials, (_, terms) in zip(f.outputs, f_table)
-    ]
+    powers = [[one, {exps: c for c, exps in terms}] for _, terms in f.table]
 
     def power(j: int, e: int) -> dict:
         got = powers[j]
@@ -321,39 +339,27 @@ def compose(g: MapSpec, f: MapSpec) -> MapSpec:
         return got[e]
 
     outputs = []
-    for D, terms in g_table:
-        top: dict[int, int] = {}
-        for _, _, support in terms:
-            for j, e in support:
-                if e > top.get(j, 0):
-                    top[j] = e
-        den = math.prod(dens[j] ** e for j, e in top.items())
+    for D, terms in g.table:
+        top = [max(column) for column in zip(*(exps for _, exps in terms))]
         acc: dict[tuple[int, ...], int] = {}
-        for c, _, support in terms:
-            scale = c * den // math.prod(dens[j] ** e for j, e in support)
+        for c, exps in terms:
+            scale = c * math.prod(d ** (t - a) for d, t, a in zip(dens, top, exps))
+            support = _support(exps)
             term = power(*support[0]) if support else one
             for j, e in support[1:]:
                 term = _int_poly_mul(term, power(j, e))
-            for exps, v in term.items():
-                acc[exps] = acc.get(exps, 0) + scale * v
-        den *= D
-        outputs.append(tuple((exps, Fraction(v, den)) for exps, v in acc.items() if v))
-    return MapSpec(f.domain_dim, tuple(outputs), f.domain)
+            for key, v in term.items():
+                acc[key] = acc.get(key, 0) + scale * v
+        outputs.append(_reduced(acc, D * math.prod(d**t for d, t in zip(dens, top))))
+    return _from_table(f.domain_dim, tuple(outputs), f.domain)
 
 
 def partial_map(f: MapSpec, j: int) -> MapSpec:
     """Exact partial derivative with respect to variable j."""
-    outputs = []
-    for monomials in f.outputs:
-        acc = []
-        for exps, coef in monomials:
-            if exps[j] == 0:
-                continue
-            new = list(exps)
-            new[j] -= 1
-            acc.append((tuple(new), coef * exps[j]))
-        outputs.append(tuple(acc))
-    return MapSpec(f.domain_dim, tuple(outputs))
+    return _from_table(f.domain_dim, tuple(
+        _reduced({exps[:j] + (exps[j] - 1,) + exps[j + 1:]: c * exps[j] for c, exps in terms if exps[j]}, D)
+        for D, terms in f.table
+    ))
 
 
 def _partials(f: MapSpec) -> tuple[MapSpec, ...]:
@@ -429,22 +435,21 @@ def _frame_table(f: MapSpec, p: int, s: int):
     (u, d, terms) with p^s f_i(X / p^s) = sum(K * X^a) / (u * p^d) over
     one (K, support of a) per monomial c*x^a of f_i.
 
-    From the integer table, f_i = sum(c * x^a) / D with D = u * p^delta, so
+    From the table, f_i = sum(c * x^a) / D with D = u * p^delta, so
     the term of c*x^a in the frame is c * p^(s(1 - |a|) - delta) * X^a; d,
     the output's guard digits, is the least d >= 0 that leaves every K an
     integer, and guard the largest d."""
     key = ("frame", p, s)
     got = f._cache.get(key)
     if got is None:
-        _, outputs = _int_table(f)
         table = []
-        for D, terms in outputs:
+        for D, terms in f.table:
             delta = int_valuation(D, p)
-            shifts = [s * (1 - deg) - delta for _, deg, _ in terms]
-            d = max([0] + [-(e + int_valuation(c, p)) for (c, _, _), e in zip(terms, shifts)])
+            shifts = [s * (1 - sum(exps)) - delta for _, exps in terms]
+            d = max([0] + [-(e + int_valuation(c, p)) for (c, _), e in zip(terms, shifts)])
             table.append((D // p**delta, d, tuple(
-                (c * p ** (e + d) if e + d >= 0 else c // p ** -(e + d), support)
-                for (c, _, support), e in zip(terms, shifts)
+                (c * p ** (e + d) if e + d >= 0 else c // p ** -(e + d), _support(exps))
+                for (c, exps), e in zip(terms, shifts)
             )))
         guard = max((d for _, d, _ in table), default=0)
         got = f._cache[key] = (guard, tuple(table))
@@ -501,21 +506,26 @@ def modular_sweep(f: MapSpec, p: int, s: int, xs, width: int, jacobian: bool = T
 
 
 def substitute_prefix(f: MapSpec, values: Sequence, first: int = 0) -> MapSpec:
-    """Fix the variables first, ..., first + len(values) - 1 to exact rationals."""
+    """Fix the variables first, ..., first + len(values) - 1 to exact rationals.
+
+    With the values nums / L over one denominator, a term (c, a) of output i
+    becomes c * nums^a' * L^(E - |a'|) x^a'' over D_i * L^E, a' the exponents
+    of the fixed variables, a'' the others and E the largest |a'|."""
     stop = first + len(values)
-    vals = [Fraction(v) for v in values]
+    nums, L = int_vector(_exact(values))
     outputs = []
-    for monomials in f.outputs:
-        acc = []
-        for exps, coef in monomials:
-            c = coef
-            for i in range(first, stop):
-                if exps[i]:
-                    c *= vals[i - first] ** exps[i]
-            if c != 0:
-                acc.append((exps[:first] + exps[stop:], c))
-        outputs.append(tuple(acc))
-    return MapSpec(f.domain_dim - len(vals), tuple(outputs))
+    for D, terms in f.table:
+        top = max((sum(exps[first:stop]) for _, exps in terms), default=0)
+        acc: dict[tuple[int, ...], int] = {}
+        for c, exps in terms:
+            fixed = exps[first:stop]
+            for v, e in zip(nums, fixed):
+                if e:
+                    c *= v**e
+            key = exps[:first] + exps[stop:]
+            acc[key] = acc.get(key, 0) + c * L ** (top - sum(fixed))
+        outputs.append(_reduced(acc, D * L**top))
+    return _from_table(f.domain_dim - len(values), tuple(outputs))
 
 
 def affine_map(
@@ -527,7 +537,7 @@ def affine_map(
     rows has one column per output of f, linear one per variable; a term whose
     coefficient sums to zero drops out of the MapSpec.  Each output is summed
     in integers over one common denominator of its row's entries and of the
-    integer table of f, and becomes one Fraction per surviving coefficient.
+    table of f.
     """
     m = f.domain_dim
     if any(len(r) != f.codomain_dim for r in rows) or (
@@ -535,8 +545,7 @@ def affine_map(
         and (len(linear) != len(rows) or any(len(r) != m for r in linear))
     ):
         raise DimensionMismatch("linear part shape mismatch")
-    _, table = _int_table(f)
-    units = tuple(tuple(int(v == j) for v in range(m)) for j in range(m))
+    units = tuple(_unit(j, m) for j in range(m))
     shift = None if shift is None else _exact(shift)
     outputs = []
     for i, row in enumerate(rows):
@@ -545,19 +554,19 @@ def affine_map(
         if shift is not None:
             extra.append(((0,) * m, shift[i]))
         den = math.lcm(
-            *(a.denominator * D for a, (D, _) in zip(row, table) if a),
+            *(a.denominator * D for a, (D, _) in zip(row, f.table) if a),
             *(b.denominator for _, b in extra),
         )
         acc: dict[tuple[int, ...], int] = {}
-        for a, (D, terms), monomials in zip(row, table, f.outputs):
+        for a, (D, terms) in zip(row, f.table):
             if a:
                 k = a.numerator * (den // (a.denominator * D))
-                for (exps, _), (c, _, _) in zip(monomials, terms):
+                for c, exps in terms:
                     acc[exps] = acc.get(exps, 0) + k * c
         for exps, b in extra:
             acc[exps] = acc.get(exps, 0) + b.numerator * (den // b.denominator)
-        outputs.append(tuple((exps, Fraction(v, den)) for exps, v in acc.items() if v))
-    return MapSpec(m, tuple(outputs), f.domain)
+        outputs.append(_reduced(acc, den))
+    return _from_table(m, tuple(outputs), f.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +586,11 @@ def quotient_map(f: MapSpec) -> MapSpec:
     m = f.domain_dim
     n = 2 * m + 1
     unit = lambda *indices: tuple(int(v in indices) for v in range(n))
-    shift = MapSpec(n, tuple(
-        ((unit(i), Fraction(1)), (unit(m + i, n - 1), Fraction(1))) for i in range(m)
-    ))
-    got = f._cache["quotient"] = MapSpec(n, tuple(
-        tuple((exps[:-1] + (exps[-1] - 1,), c) for exps, c in out if exps[-1])
-        for out in compose(f, shift).outputs
+    # x_i + t y_i, its terms in table order
+    shift = _from_table(n, tuple((1, ((1, unit(m + i, n - 1)), (1, unit(i)))) for i in range(m)))
+    got = f._cache["quotient"] = _from_table(n, tuple(
+        _reduced({exps[:-1] + (exps[-1] - 1,): c for c, exps in terms if exps[-1]}, D)
+        for D, terms in compose(f, shift).table
     ))
     return got
 
@@ -714,23 +722,14 @@ def telescoped_lipschitz(
         return _ultrametric_lipschitz(f, sups, chosen, descriptor.prime)
     zero = Fraction(0)
     row_bounds = []
-    for monomials in f.outputs:
+    for D, terms in f.table:
         bound = zero
-        for exps, coef in monomials:
-            c = abs(coef)
-            for j in chosen:
-                if exps[j] == 0:
-                    continue
-                term = c
-                for i, e in enumerate(exps):
-                    if i == j:
-                        if e - 1:
-                            term *= sups[i] ** (e - 1)
-                        term *= e
-                    elif e:
-                        term *= sups[i] ** e
-                bound += term
-        row_bounds.append(bound)
+        for c, exps in terms:
+            support = _support(exps)
+            for j, a in support:
+                if j in chosen:
+                    bound += abs(c) * a * math.prod(sups[i] ** (e - (i == j)) for i, e in support)
+        row_bounds.append(bound / D)
     return max(row_bounds, default=zero)
 
 
@@ -740,8 +739,8 @@ def _valuation_table(f: MapSpec, p: int):
     got = cache.get(p)
     if got is None:
         got = cache[p] = tuple(
-            (rational_valuation(c, p), _support(exps))
-            for monomials in f.outputs for exps, c in monomials
+            (int_valuation(c, p) - int_valuation(D, p), _support(exps))
+            for D, terms in f.table for c, exps in terms
         )
     return got
 
@@ -1043,15 +1042,8 @@ def _samples(descriptor: FieldDescriptor | None):
 
 def _companion_map(n: int) -> MapSpec:
     """Fixed quadratic companion used to exercise the chain rule."""
-    outputs = []
-    for i in range(n):
-        monos = []
-        sq = tuple(2 if j == i else 0 for j in range(n))
-        monos.append((Fraction(1), sq))
-        for j in range(n):
-            monos.append((Fraction(1), tuple(1 if v == j else 0 for v in range(n))))
-        outputs.append([(c, e) for c, e in monos])
-    return MapSpec.from_coefficients(n, outputs)
+    linear = {_unit(j, n): 1 for j in range(n)}
+    return _from_table(n, tuple(_reduced({_unit(i, n, 2): 1, **linear}, 1) for i in range(n)))
 
 
 def quotient_offset_mutation(values, descriptor: FieldDescriptor | None):
@@ -1096,8 +1088,8 @@ as nine monomials of degree 1024, keeps the 1000-sample default."""
 def evaluation_cost(f: MapSpec) -> int:
     """Monomials times highest degree (at least 1): the per-sample cost that
     CHECK_COST_BUDGET bounds."""
-    degree, outputs = _int_table(f)
-    return sum(len(terms) for _, terms in outputs) * max(degree, 1)
+    degree = max((sum(exps) for _, terms in f.table for _, exps in terms), default=0)
+    return sum(len(terms) for _, terms in f.table) * max(degree, 1)
 
 
 def check_identities(

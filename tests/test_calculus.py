@@ -937,3 +937,111 @@ def test_modular_sweep_is_the_exact_value_and_jacobian_in_the_frame():
                 assert (scale * b).denominator == 1 and (scale * b - a) % mod == 0
             guards.add(d)
     assert {0, 1, 2} <= guards
+
+
+# ---------------------------------------------------------------------------
+# the stored integer table
+
+
+def test_malformed_exponents_are_schema_errors():
+    # a non-integral exponent was truncated: x^1.5 evaluated as x, x^2.9
+    # stored as x^2, and x^-0.5 passed the negative-exponent check as x^0
+    for exps in ((1.5,), (2.9,), (-0.5,), ("2.5",), (Fraction(1, 2),)):
+        with pytest.raises(SchemaError, match="^exponent .* is not a non-negative integer$"):
+            MapSpec(1, (((exps, 1),),))
+        with pytest.raises(SchemaError, match="^exponent .* is not a non-negative integer$"):
+            MapSpec.from_coefficients(1, [[(1, exps)]])
+    for exps in (("x",), (None,), (float("nan"),)):
+        with pytest.raises(SchemaError, match="^exponent .* is not a finite rational$"):
+            MapSpec(1, (((exps, 1),),))
+    for exps in ((-1,), ("-1",), (1, 0), ()):
+        with pytest.raises(SchemaError):
+            MapSpec(1, (((exps, 1),),))
+    # ints, bools, lists, digit strings and integral values stay accepted
+    for exps in ((2,), [2], ("2",), (2.0,), (Fraction(2),)):
+        assert MapSpec(1, (((exps, 1),),)) == SQUARE
+    assert MapSpec(2, ((((True, False), 1),),)) == MapSpec(2, ((((1, 0), 1),),))
+
+
+def test_malformed_coefficients_are_one_schema_error():
+    # 'abc' and NaN gave ValueError, inf OverflowError, None TypeError
+    for coef in ("abc", float("nan"), float("inf"), -float("inf"), None, "1/0", [1], 1j):
+        with pytest.raises(SchemaError, match="^coefficient .* is not a finite rational$"):
+            MapSpec(1, ((((1,), coef),),))
+        with pytest.raises(SchemaError, match="^coefficient .* is not a finite rational$"):
+            MapSpec.from_coefficients(1, [[(coef, (1,))]])
+    for coef in ("1/3", 0.5, True, Fraction(2, 4), 3):
+        assert MapSpec(1, ((((1,), coef),),)).outputs == ((((1,), Fraction(coef)),),)
+
+
+# f = (x/6 + 3/4 y^2 - 5/2 x y, 7/10 + x^2 y/15 - y), its monomials as the
+# (coefficient, exponents) of `from_coefficients`
+CANONICAL_ROWS = (
+    ((Fraction(1, 6), (1, 0)), (Fraction(3, 4), (0, 2)), (Fraction(-5, 2), (1, 1))),
+    ((Fraction(7, 10), (0, 0)), (Fraction(1, 15), (2, 1)), (Fraction(-1), (0, 1))),
+)
+
+
+def _canonical_ways():
+    """The map of CANONICAL_ROWS, built every way that can build it."""
+    f = MapSpec.from_coefficients(2, CANONICAL_ROWS)
+    rng = random.Random(22)
+    messy = []  # permuted, split in two halves, with zero coefficients
+    for row in CANONICAL_ROWS:
+        terms = [(c / 3, e) for c, e in row] + [(2 * c / 3, list(e)) for c, e in row] + [(0, (5, 5)), (Fraction(0), (0, 0))]
+        rng.shuffle(terms)
+        messy.append(terms)
+    text = json.dumps({"vars": 2, "outputs": [
+        [{"coef": f"{c.numerator}/{c.denominator}", "exp": list(e)} for c, e in reversed(row)] for row in CANONICAL_ROWS
+    ]})
+    I = rat_identity(2)
+    L, s = ((Fraction(1, 7), 2), (0, Fraction(-3, 8))), (Fraction(5, 9), 11)
+    shifted = calculus.affine_map(f, I, L, s)
+    # F(z, x, y) = f(x, y) + (3/2 z - 1)(x y^2 / 7 + 5), and z = 2/3
+    extra = ((Fraction(1, 7), (1, 2)), (Fraction(5), (0, 0)))
+    lifted = MapSpec.from_coefficients(3, [
+        [(c, (0,) + e) for c, e in row] + [(Fraction(3, 2) * k, (1,) + e) for k, e in extra] + [(-k, (0,) + e) for k, e in extra]
+        for row in CANONICAL_ROWS
+    ])
+    # G with dG/dx = f: each c x^a y^b integrated in x, plus terms free of x
+    antiderivative = MapSpec.from_coefficients(2, [
+        [(c / (e[0] + 1), (e[0] + 1, e[1])) for c, e in row] + [(Fraction(4, 9), (0, 3))] for row in CANONICAL_ROWS
+    ])
+    bounded = MapSpec(2, f.outputs, Ball(FieldDescriptor.real(), (0, 0), 1))
+    return f, {
+        "json": jsonio.parse_map(json.loads(text)),
+        "from_coefficients, messy": MapSpec.from_coefficients(2, messy),
+        "MapSpec of the outputs view": MapSpec(2, f.outputs),
+        "compose(identity, f)": compose(MapSpec.identity(2), f),
+        "compose(f, identity)": compose(f, MapSpec.identity(2)),
+        "affine_map(f, I)": calculus.affine_map(f, I),
+        "affine_map(affine_map(f, 6 I), I / 6)": calculus.affine_map(
+            calculus.affine_map(f, ((6, 0), (0, 6))), ((Fraction(1, 6), 0), (0, Fraction(1, 6)))
+        ),
+        "affine_map undoing a shift": calculus.affine_map(shifted, I, tuple(tuple(-a for a in r) for r in L), tuple(-a for a in s)),
+        "substitute_prefix": calculus.substitute_prefix(lifted, (Fraction(2, 3),)),
+        "partial_map": partial_map(antiderivative, 0),
+        "without_domain": bounded.without_domain(),
+    }
+
+
+def test_every_way_to_build_a_map_gives_one_table():
+    f, ways = _canonical_ways()
+    # D_i is the lcm of the reduced denominators, the terms sorted by exponents
+    assert f.table == (
+        (12, ((9, (0, 2)), (2, (1, 0)), (-30, (1, 1)))),
+        (30, ((21, (0, 0)), (-30, (0, 1)), (2, (2, 1)))),
+    )
+    for name, got in ways.items():
+        assert got.table == f.table, name
+        assert got == f and hash(got) == hash(f), name
+        assert got.outputs == f.outputs, name
+        assert got.domain is None, name
+    # the quotient of f plus a constant drops the constant: its table is the
+    # one of the multinomial oracle, whose terms keep the denominators 15 and 2
+    plus_constant = MapSpec.from_coefficients(2, [list(row) + [(Fraction(1, 77), (0, 0))] for row in CANONICAL_ROWS])
+    want = _multinomial_quotient_map(f)
+    assert quotient_map(plus_constant).table == quotient_map(f).table == want.table
+    assert quotient_map(plus_constant) == want and hash(quotient_map(plus_constant)) == hash(want)
+    for D, terms in want.table:
+        assert D == math.lcm(*(Fraction(c, D).denominator for c, _ in terms))

@@ -71,6 +71,19 @@ CASES = {
         "--field", str(FIXTURES / "fields/q5n12.json"),
         "--geometry", str(FIXTURES / "geo/fixpoint_golden.json"),
     ],
+    # real solutions: the invert and implicit requests over the reals
+    "invert_real": [
+        "invert",
+        "--map", str(FIXTURES / "maps/plus_square.json"),
+        "--field", str(FIXTURES / "fields/real.json"),
+        "--geometry", str(FIXTURES / "geo/invert_real.json"),
+    ],
+    "implicit_real": [
+        "implicit",
+        "--map", str(FIXTURES / "maps/saddle.json"),
+        "--field", str(FIXTURES / "fields/real.json"),
+        "--geometry", str(FIXTURES / "geo/implicit_real.json"),
+    ],
 }
 
 # the mutant checks fail (exit 1) and print their reports; the exact-only one

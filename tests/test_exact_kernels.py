@@ -9,6 +9,7 @@ kernels must return equal values, and raise the same errors with the same
 messages, on every seeded case.
 """
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -287,8 +288,8 @@ def test_jacobian_exact_equals_the_partial_map_jacobian():
 def test_jacobian_exact_builds_no_map(monkeypatch):
     f = _seeded_map(random.Random(4), 5, 3, 3)
     built = []
-    real_post_init = MapSpec.__post_init__
-    monkeypatch.setattr(MapSpec, "__post_init__", lambda self: built.append(self) or real_post_init(self))
+    real_fill = MapSpec._fill  # every MapSpec, built or constructed, is filled here
+    monkeypatch.setattr(MapSpec, "_fill", lambda self, *args: built.append(self) or real_fill(self, *args))
     rows = jacobian_exact(f, (Fraction(1, 2), 0, 3))
     assert built == []
     monkeypatch.undo()
@@ -370,7 +371,10 @@ def test_normalized_outputs_equal_the_coercing_ones():
                 exps = tuple(bool(e) for e in exps)
             coef = rng.choice((_rational(rng), rng.randint(-2, 2), "1/3", -Fraction(1, 3), 0.5))
             monomials.append((exps, coef))
-        got = calculus._normalize_output(monomials)
+        f = MapSpec(2, (monomials,))
+        got = f.outputs[0]
         assert got == _fraction_normalize_output(monomials)
         assert all(type(e) is int for exps, _ in got for e in exps)
         assert all(type(c) is Fraction for _, c in got)
+        D = math.lcm(*(c.denominator for _, c in got))
+        assert f.table == ((D, tuple((c.numerator * (D // c.denominator), e) for e, c in got)),)

@@ -17,10 +17,11 @@ import random
 from fractions import Fraction
 
 from ultrafix import calculus
-from ultrafix.calculus import MapSpec, check_identities, jacobian, jacobian_exact
+from ultrafix.calculus import MapSpec, check_identities, eval_map, jacobian, jacobian_exact
+from ultrafix.contraction import ContractionProblem, iterate_fixed_point
 from ultrafix.errors import DimensionMismatch, UltrafixError
 from ultrafix.field import FieldDescriptor, Scalar, embed_rational, int_valuation, rational_abs
-from ultrafix.inverse import certify, verify_distortion
+from ultrafix.inverse import certify, inversion_step_map, local_invert, verify_distortion
 from ultrafix.linalg import Ball, int_vec_sub, int_vector, int_vector_fractions, rat_mat_vec
 from ultrafix.sampling import sample_in_ball, scaling_element
 
@@ -566,3 +567,55 @@ def test_distortion_reports_hash_equal_to_the_recorded_ones():
     for reports in texts.values():
         assert sum(r.startswith("DistortionReport(") for r in reports) == 200  # 100 maps certified
         assert sum("first_failure={" in r for r in reports) >= 50
+
+
+# sha256 of the solver reports below, as they were before MapSpec stored its
+# integer table
+SOLVER_DIGESTS = {
+    "None": "ec3feee7f504c9d2ee6dc5524b0c3081af37d551a036df4fa8dc5cef32207a9b",
+    "3": "8c5104267b4686c4c1c5c3a70816f12de552c309ab99922213a697af61b2cc7d",
+    "5": "fb7fceb7be9a2091bbbfb47e22ae468e41680893166ece07c9b14b4e64b54df1",
+    "7": "5561774a18b581cd54f17af983f15cade37e51cb4e69f7dc1ddf57a82e77bee5",
+}
+
+
+def _solver_case(rng, p, n):
+    """A nonlinear map of `_distortion_map`, its ball, and a target near the
+    image of the ball's centre."""
+    f = _distortion_map(rng, p, n, False)
+    if p is None:
+        center = tuple(Fraction(rng.randint(-2, 2), 16) for _ in range(n))
+        radius = Fraction(1, rng.choice((4, 8)))
+        nudge = radius / 64
+    else:
+        center = tuple(Fraction(p * rng.randint(-3, 3), rng.choice([d for d in (1, 2, 3) if d % p])) for _ in range(n))
+        e = rng.randint(1, 2)
+        radius, nudge = Fraction(1, p**e), Fraction(p ** (e + 1), rng.choice([d for d in (1, 2, 3) if d % p]))
+    c = tuple(v + nudge * rng.randint(-3, 3) for v in eval_map(f, center))
+    return f, center, radius, c
+
+
+def solver_report_texts():
+    """Per field (reals, Q3, Q5, Q7; N = 4, 8 or 16 digits), the reprs of
+    certify, local_invert and iterate_fixed_point on 40 seeded nonlinear
+    maps: the certificate, the preimage of a target near f(centre) (Newton
+    at N = 16 in one variable) and the Banach report of the inversion step
+    map from the centre."""
+    texts = {}
+    for p in (None, 3, 5, 7):
+        rng = random.Random(f"solvers {p}")
+        reports = []
+        for k in range(40):
+            desc = FieldDescriptor.real() if p is None else FieldDescriptor.padic(p, (4, 8, 16)[k % 3])
+            f, center, radius, c = _solver_case(rng, p, rng.randint(1, 3))
+            cert = certify(f, Ball(desc, center, radius))
+            step = ContractionProblem(inversion_step_map(cert, f, c), cert.ball, cert.theta, center)
+            reports += [repr(cert), repr(local_invert(cert, f, c)), repr(iterate_fixed_point(step))]
+        texts[str(p)] = reports
+    return texts
+
+
+def test_solver_reports_hash_equal_to_the_recorded_ones():
+    texts = solver_report_texts()
+    assert {key: _digest(r) for key, r in texts.items()} == SOLVER_DIGESTS
+    assert len(set(SOLVER_DIGESTS.values())) == 4
