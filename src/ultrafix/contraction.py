@@ -20,12 +20,17 @@ X = p^s x, where every point of the ball is p-integral: one value sweep
 (`calculus.modular_sweep`) gives g(X) for a Banach step, and a Newton step
 adds Dg(X) and one `linalg.modular_solve` of (I - Dg) s = g(X) - X on unit
 pivots, its W doubling from step to step up to the full width of the
-iterate.  Both end in one a posteriori close, in integers: as
+iterate.  A residual of valuation v is divided by p^v before either step
+is solved, so the solve runs to the W - v digits the step depends on.
+Both end in one a posteriori close, in integers: as
 |x - x*| <= |g(x) - x| for any contraction of an ultrametric ball, the
 exact valuation of g(X) - X at the last iterate, or a full-width pass that
 finds g(X) = X mod p^W, proves the answer's digits, capped by the a priori
 bound of the planned steps; a measured residual above the target is
-refused.
+refused.  A solve that returns its answer alone (`padic_fixed_point`,
+which also picks Newton or Banach, and `newton_fixed_point`) ends at the
+first pass whose measured residual already proves every digit the close
+could return, and answers with the iterate that pass measured.
 PadicScalars are built for the answer and the report alone.  The a priori
 exponents are integers from the numerators and denominators of theta and
 d0.
@@ -363,7 +368,7 @@ def iterate_fixed_point(
     absolute tolerances (default the field tolerance).
     """
     if problem.descriptor.ultrametric:
-        return _padic_solve(problem, target_precision, newton=False)
+        return _padic_solve(problem, target_precision, newton=False, report=True)
     theta, d0, target, steps = _plan(problem, target_precision)
     ball = problem.domain
     trace = [Vector.from_rationals(problem.x0, problem.descriptor)]
@@ -398,22 +403,26 @@ def _report(trace, distances, theta: Fraction, d0: Fraction, bound: Fraction) ->
     )
 
 
-NEWTON_STEPS_PER_DIM = 8
+NEWTON_STEPS_PER_DIM = 2
 """Newton pays once the Banach step count exceeds this many steps per variable.
 
 A Newton pass costs one modular sweep of g and Dg and an n x n elimination
-modulo p^W, a Banach step one value sweep modulo the full width of the
-iterate.  On seeded inversion problems of the benchmark's shape over Q3, Q5
-and Q7 (18 per row, minimum of 5 runs on a 2-core x86_64 VM, Python 3.11),
-Newton takes this share of the Banach time: N = 4 (3 Banach steps) 0.96-0.97x
-for n = 1 and 1.16-1.17x for n = 2; N = 16 (15 steps) 0.46-0.47x and
-0.53-0.54x; N = 32 (31 steps) 0.26-0.27x and 0.33-0.34x; N = 128 (127
-steps) 0.08x and 0.09x.  With Newton forced on every p-adic solve of the
-`request_mix` benchmark rounds (seeds 77, 78, 5 and 7, rounds 0-2, 708
-operations; minimum of 5 runs), every output is byte-identical, its p-adic
-`invert` and `implicit` requests take 0.95x as long and the whole mix
-0.99x.  Both solvers close the same way, so the threshold moves time, not
-digits.
+modulo p^(W - v), a Banach step one value sweep modulo the full width of
+the iterate and n unit inverses modulo p^(W - v).  On seeded inversion
+problems of the benchmark's shape over Q3, Q5 and Q7 (18 per row, minimum
+of 5 runs on a 2-core x86_64 VM, Python 3.11), Newton takes this share of
+the time of a Banach solve that builds no report: N = 4 (3 Banach steps)
+1.18-1.19x for n = 1 and 1.35-1.37x for n = 2; N = 16 (15 steps)
+0.57-0.59x and 0.63-0.69x; N = 32 (31 steps) 0.34-0.35x and 0.37-0.41x;
+N = 128 (127 steps) 0.09-0.10x and 0.10-0.12x.  The two break even near 5
+steps for n = 1 (N = 6: 0.88-0.91x), 7 for n = 2 to 4 and 10 for n = 6,
+so no one count per variable fits every n.  On the `request_mix`
+benchmark rounds (seeds 77, 78, 5 and 7, rounds 0-2, 708 operations;
+minimum of 9 runs) every output is byte-identical at 8, 3 and 2 steps
+per variable and with Newton forced on every p-adic solve, and against 8
+its p-adic `invert` and `implicit` requests take 0.95x as long at 2 (the
+whole mix 0.98x), 0.97x at 3 (0.99x) and 0.96x forced (0.99x).  Both
+solvers close the same way, so the threshold moves time, not digits.
 """
 
 
@@ -459,17 +468,14 @@ def _frame_residue(q: Fraction, s: int, k: int, p: int) -> int:
     return num * unit_inverse(den // p**vd % mod, p, k) % mod
 
 
-def _known_width(xs, s: int, N: int, p: int) -> int:
-    """The frame width that drops none of the digits of the point xs: a
-    coordinate of valuation v knows N digits, up to p^(v + N); an all-zero
-    point counts as known to N, as a point of valuation 0 would be."""
-    return max((int_valuation(c, p) for c in xs if c), default=s) + N
-
-
-def _carried_width(xs, s: int, N: int, p: int) -> int:
-    """The width C = min(v_i) + N to which every coordinate of the frame
-    point xs, of valuation v_i, knows its digits."""
-    return min((int_valuation(c, p) for c in xs if c), default=s) + N
+def _widths(xs, s: int, N: int, p: int) -> tuple:
+    """(C, K) of the frame point xs, whose coordinate of valuation v_i knows
+    N digits, up to p^(v_i + N): every coordinate knows its digits to the
+    width C = min(v_i) + N, and the width K = max(v_i) + N drops none of
+    them.  An all-zero point counts as known to N, as a point of valuation
+    0 would be."""
+    vals = [int_valuation(c, p) for c in xs if c] or [s]
+    return min(vals) + N, max(vals) + N
 
 
 def _least_valuation(values, p: int):
@@ -484,7 +490,10 @@ def _newton_pass(problem: ContractionProblem, s: int, xs, width: int, k: int, ne
     step solving (I - Dg(x)) step = g(x) - x, or None when the residual is
     zero mod p^width.  A Banach pass (`newton` false) leaves Dg out, so that
     its step is g(x) - x and xs + step is g(x).  I - Dg(x) is an isometry,
-    so the step has valuation v as well.
+    so the step has valuation v as well: it is p^v times the solution for
+    the residual over p^v, which `modular_solve` (or, Banach, one
+    `unit_inverse` per row) finds modulo p^(width - v).  At the top of the
+    Newton schedule, where v nears the width, that is a few digits.
 
     The values and Jacobian rows come from one `modular_sweep`; an output
     with guard digits d is divided by p^d.  Row i of the system is scaled by
@@ -519,14 +528,16 @@ def _newton_pass(problem: ContractionProblem, s: int, xs, width: int, k: int, ne
     v = _least_valuation(rhs, p)
     if v is None:
         return None
+    scale, digits = p**v, width - v
+    rhs = [b // scale for b in rhs]
     if newton:
         try:
-            step = modular_solve(rows, rhs, p, width)
+            step = modular_solve(rows, rhs, p, digits)
         except SingularMatrix:
             _not_contracting(problem, k)
     else:
-        step = [b * unit_inverse(u, p, width) for u, b in zip(rows, rhs)]
-    return v, [(a + b) % mod for a, b in zip(xs, step)]
+        step = [b * unit_inverse(u, p, digits) for u, b in zip(rows, rhs)]
+    return v, [(a + scale * b) % mod for a, b in zip(xs, step)]
 
 
 def _not_contracting(problem: ContractionProblem, k: int):
@@ -548,8 +559,8 @@ def _answer(xs, s: int, exponent: int, desc: FieldDescriptor) -> Vector:
     return Vector(tuple(padic_scalar(desc, _padic_make(desc, -s, c % cut, exponent, cut)) for c in xs))
 
 
-def _residual(problem: ContractionProblem, s: int, xs, width: int):
-    """The least valuation of g(X) - X at the frame point xs, None when it
+def _residual(problem: ContractionProblem, s: int, xs, width: int) -> int:
+    """The least valuation of g(X) - X at the frame point xs, width when it
     is zero modulo p^width, from one value-only `modular_sweep`; an output
     whose frame denominator holds p^d is compared as p^d (g(X) - X)."""
     p = problem.descriptor.prime
@@ -558,31 +569,34 @@ def _residual(problem: ContractionProblem, s: int, xs, width: int):
         r = (value - u * p**d * x) % p ** (width + d)
         if r:
             found.append(int_valuation(r, p) - d)
-    return min(found, default=None)
+    return min(found, default=width)
 
 
-def _newton_close(problem: ContractionProblem, frame, xs, k: int, met: bool, cap, target: Fraction) -> int:
+def _newton_close(problem: ContractionProblem, frame, xs, k: int, moved, cap, target: Fraction) -> int:
     """The exponent e of the bound p^-e that a p-adic solve, Newton or
     Banach, proves for its last frame point xs, iterate k, worked out in
     integers: its answer is x = xs / p^s to its digits below p^e.
 
     x carries its digits to the width C = min(v_i) + N, v_i the valuations
-    of its coordinates.  When `met`, the last pass found g(X) = X modulo a
-    width of at least C; otherwise the exact valuation of g(X) - X modulo
-    p^C comes from one more sweep, and a residual above the target is
-    refused.  On an ultrametric ball |g(x) - x*| <= |x - x*| <= |g(x) - x|
-    for any contraction, whatever theta, so g(x), which must lie in the
-    ball, agrees with x to the digits of the weaker of that posterior bound
-    and the a priori bound p^-cap (cap None for a bound of 0).
+    of its coordinates.  `moved` is the valuation of g(X) - X that the last
+    pass measured at xs (the pass's width, when it found g(X) = X; v, when
+    the solve stopped at the pass that proves its digits), or None after
+    the last planned step: then it comes from one more sweep modulo p^C.
+    A residual above the target is refused.  On an ultrametric ball
+    |g(x) - x*| <= |x - x*| <= |g(x) - x| for any contraction, whatever
+    theta, so g(x), which must lie in the ball, agrees with x to the digits
+    of the weakest of that posterior bound, C and the a priori bound p^-cap
+    (cap None for a bound of 0).
     """
     desc = problem.descriptor
     p = desc.prime
     s, depth = frame[:2]
-    proven = _carried_width(xs, s, desc.precision, p)
+    proven = _widths(xs, s, desc.precision, p)[0]
+    if moved is None:
+        moved = _residual(problem, s, xs, proven)
     # X passed the membership check (x0 its exact one), so g(X) lies in
     # the ball unless g(X) - X has a valuation below the ball's depth
-    moved = None if met else _residual(problem, s, xs, proven)
-    if moved is not None:
+    if moved < proven:
         if moved < depth:
             _domain_escape("the closing Banach step", valuation_abs(p, moved - s), problem.domain, k + 1)
         if (residual := valuation_abs(p, moved - s)) > target:
@@ -598,18 +612,20 @@ def _newton_close(problem: ContractionProblem, frame, xs, k: int, met: bool, cap
 def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Vector:
     """The fixed point of an ultrametric contraction by Newton steps.
 
-    Iterates x -> x + s, s solving (I - Dg(x)) s = g(x) - x, until g(x) - x
-    is zero at full precision, at most as many steps as iterate_fixed_point
-    would take, with its admissibility, domain, per-step and residual
-    checks and its close (`_padic_solve`).  The result is g(x) truncated
-    to the weaker of the posterior bound |g(x) - x| and the a priori bound
-    of iterate_fixed_point, so it never claims more digits than it proves
-    or than the Banach iteration would.
+    Iterates x -> x + s, s solving (I - Dg(x)) s = g(x) - x, until the
+    residual g(x) - x proves every digit the close could return, or is zero
+    at full precision, at most as many steps as iterate_fixed_point would
+    take, with its admissibility, domain, per-step and residual checks and
+    its close (`_padic_solve`).  The result is x truncated to the weaker of
+    the posterior bound |g(x) - x| and the a priori bound of
+    iterate_fixed_point, so it never claims more digits than it proves or
+    than the Banach iteration would.
 
     Every pass works on integers modulo p^W (von zur Gathen & Gerhard,
     Modern Computer Algebra, ch. 9): one `modular_sweep` gives g(X) and
     Dg(X) mod p^W at the frame point X = p^s x, and one `modular_solve` the
-    step.  The working width doubles from step to step.  With p^-e_j the
+    step, to the W - v digits a residual of valuation v leaves it.  The
+    working width doubles from step to step.  With p^-e_j the
     largest p-power <= theta^j d0, W_0 = max(3, e_1 + 2); a step whose
     residual has valuation v leaves x right to about 2v digits, and the
     next step to 4v, so W_(k+1) = max(W_k, 4v + 2, e_(k+2) + 2): the e term
@@ -626,9 +642,17 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
     return _padic_solve(problem, target_precision, newton=True)
 
 
-def _padic_solve(problem: ContractionProblem, target_precision, newton: bool):
-    """The fixed point of an ultrametric contraction, by Newton passes (the
-    answer) or by Banach passes (the report), on integer residues.
+def padic_fixed_point(problem: ContractionProblem, target_precision=None) -> Vector:
+    """The fixed point of an ultrametric contraction, by Newton passes when
+    `newton_pays`, else by Banach passes: iterate_fixed_point's answer
+    without its report."""
+    return _padic_solve(problem, target_precision, newton_pays(problem, target_precision))
+
+
+def _padic_solve(problem: ContractionProblem, target_precision, newton: bool, report: bool = False):
+    """The fixed point of an ultrametric contraction, by Newton or Banach
+    passes on integer residues: its answer, or with `report` (Banach only)
+    the report of the iteration.
 
     The iterate is the exact frame point X = p^s x (see `_frame`), x0 the
     point its N digits spell.  A Banach pass is X -> g(X) modulo the full
@@ -641,16 +665,23 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton: bool):
     counts that pass as a step of size 0), and closes in integers
     (`_newton_close`): its digits are proven a posteriori, as on an
     ultrametric ball |x - x*| <= |g(x) - x|, capped by the a priori bound
-    of the planned steps.  PadicScalars are built for the answer and the
-    report's iterates alone, to the digits the close proves (Caruso,
-    "Computations with p-adic numbers", 2017, on fixed-point against
-    tracked arithmetic).  At d0 = 0, x0 is the answer, exactly.
+    p^cap of the planned steps.  The close proves at most p^-min(C_k - s,
+    -cap) of iterate k, C_k its carried width, so a solve without a report
+    ends at the first pass whose residual v reaches min(C_k, s - cap),
+    once that pass's membership and step checks have run, and answers with
+    x_k: every later step moves x by at most p^-(v - s), later residuals
+    are no larger (the map contracts) and C_(k+1) >= min(C_k, v + N), so
+    the close of any later iterate would return the same digits.
+    PadicScalars are built for the answer and the report's iterates alone,
+    to the digits the close proves (Caruso, "Computations with p-adic
+    numbers", 2017, on fixed-point against tracked arithmetic).  At d0 = 0,
+    x0 is the answer, exactly.
     """
     theta, d0, target, steps = _plan(problem, target_precision)
     desc = problem.descriptor
     if not d0:
         x = Vector.from_rationals(problem.x0, desc)
-        return x if newton else _report([x], [], theta, d0, Fraction(0))
+        return _report([x], [], theta, d0, Fraction(0)) if report else x
     p, N = desc.prime, desc.precision
 
     def apriori_exponent(j: int):
@@ -665,36 +696,47 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton: bool):
     e_k, e_next = apriori_exponent(0), apriori_exponent(1)
     width, k, met = max(3, e_next + 2) if newton else math.inf, 0, False
     name = "Newton iterate" if newton else "iterate"
-    known = _known_width(xs, s, N, p)  # the full width of xs
+    carried, known = _widths(xs, s, N, p)  # known: the full width of xs
+    cap = _power_exponent(theta, d0, steps, p, geometric=True)
+    # the most the close can prove of x_k is p^-min(C_k - s, -cap): a
+    # residual of valuation v >= min(C_k, s - cap) proves it
+    reach = math.inf if cap is None else s - cap
+    moved = None  # the residual valuation at xs that the last pass measured
     while k < steps:  # each pass takes one step, or widens W and tries again
         at_full = k == steps - 1 or width + s >= known
         pass_width = known if at_full else width + s
         got = _newton_pass(problem, s, xs, pass_width, k, newton)
-        while got is not None and (known := _known_width(got[1], s, N, p)) > pass_width and at_full:
-            pass_width = known
+        while got is not None and (widths := _widths(got[1], s, N, p))[1] > pass_width and at_full:
+            pass_width = widths[1]
             got = _newton_pass(problem, s, xs, pass_width, k, newton)
         if got is None:
             if met := at_full:
+                moved = pass_width
                 break
             width *= 2
             continue
-        v, xs = got
-        escape = _least_valuation([(a - c) % inside for a, c in zip(xs, centre)], p)
+        v, ys = got
+        escape = _least_valuation([(a - c) % inside for a, c in zip(ys, centre)], p)
         if escape is not None:
             _domain_escape(f"{name} {k + 1}", valuation_abs(p, escape - s), problem.domain, k + 1)
         # only a step past its bound builds the Fractions _check_step reports
         if v < e_k + s:
             _check_step(k, valuation_abs(p, v - s), theta**k * d0)
+        if not report and v >= min(carried, reach):
+            # x_(k+1) = x_k mod p^v, and no later pass proves more of it
+            moved = v
+            break
+        xs = ys
+        carried, known = widths
         orbit.append(xs)
         sizes.append(v)
         k += 1
         e_k, e_next = e_next, apriori_exponent(k + 1)
         width = max(width, 4 * (v - s) + 2, e_next + 2)
-    cap = _power_exponent(theta, d0, steps, p, geometric=True)
-    exponent = _newton_close(problem, frame, xs, k, met, cap, target)
-    if newton:
+    exponent = _newton_close(problem, frame, xs, k, moved, cap, target)
+    if not report:
         return _answer(xs, s, exponent, desc)
-    trace = [_answer(c, s, min(exponent, _carried_width(c, s, N, p) - s), desc) for c in orbit + [xs] * met]
+    trace = [_answer(c, s, min(exponent, _widths(c, s, N, p)[0] - s), desc) for c in orbit + [xs] * met]
     distances = [valuation_abs(p, v - s) for v in sizes] + [Fraction(0)] * met
     return _report(trace, distances, theta, d0, valuation_abs(p, exponent))
 

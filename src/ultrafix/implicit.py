@@ -26,8 +26,7 @@ from .calculus import (
 from .contraction import (
     ContractionProblem,
     iterate_fixed_point,
-    newton_fixed_point,
-    newton_pays,
+    padic_fixed_point,
     partial_jacobians,
     uniform_family_check,
 )
@@ -223,8 +222,8 @@ def solve_implicit(
     problem = ContractionProblem(
         g, window.state_ball, cert.theta, window.state_ball.center_exact
     )
-    if cert.ultrametric and newton_pays(problem, target_precision):
-        lam = newton_fixed_point(problem, target_precision)
+    if cert.ultrametric:
+        lam = padic_fixed_point(problem, target_precision)
     else:
         lam = iterate_fixed_point(problem, target_precision).fixed_point
 

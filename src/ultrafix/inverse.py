@@ -23,8 +23,7 @@ from .calculus import MapSpec, affine_map, eval_ints, eval_map, jacobian_exact, 
 from .contraction import (
     ContractionProblem,
     iterate_fixed_point,
-    newton_fixed_point,
-    newton_pays,
+    padic_fixed_point,
 )
 from .errors import (
     DimensionMismatch,
@@ -203,8 +202,8 @@ def local_invert(
         )
     g = inversion_step_map(cert, f, cs)
     problem = ContractionProblem(g, sub, cert.theta, sub.center_exact)
-    if cert.ultrametric and newton_pays(problem, target_precision):
-        return newton_fixed_point(problem, target_precision)
+    if cert.ultrametric:
+        return padic_fixed_point(problem, target_precision)
     return iterate_fixed_point(problem, target_precision).fixed_point
 
 

@@ -56,6 +56,14 @@ CASES = {
         "--field", str(FIXTURES / "fields/q5n64.json"),
         "--geometry", str(FIXTURES / "geo/implicit_golden.json"),
     ],
+    # the invert request at N = 256: a Newton solve whose answer has valuation
+    # 1, so the a priori cap binds below its 257 carried digits
+    "invert_newton_deep": [
+        "invert",
+        "--map", str(FIXTURES / "maps/plus_square.json"),
+        "--field", str(FIXTURES / "fields/q5n256.json"),
+        "--geometry", str(FIXTURES / "geo/invert_golden.json"),
+    ],
     "check_clean": [
         "check",
         "--map", str(FIXTURES / "maps/plus_square.json"),

@@ -37,6 +37,7 @@ from ultrafix.contraction import (
     default_target_precision,
     newton_fixed_point,
     newton_pays,
+    planned_steps,
 )
 from ultrafix.errors import PrecisionExhausted, SingularMatrix
 from ultrafix.field import (
@@ -1423,7 +1424,13 @@ def test_domain_escapes_carry_step_distance_and_radius(q5, q5_deep, real, monkey
         assert err.value.details == {"step": "2", "distance": "5/1", "radius": "1/5"}
     # on an ultrametric ball a step within its bound cannot leave it: with the
     # step check off, a step of 1 from 0 leaves B_{1/5}(0)
-    monkeypatch.setattr(contraction, "modular_solve", lambda rows, rhs, p, width: [1] * len(rhs))
+    real_pass = contraction._newton_pass
+
+    def step_of_one(*args):
+        v, _ = real_pass(*args)
+        return v, [x + 1 for x in args[2]]
+
+    monkeypatch.setattr(contraction, "_newton_pass", step_of_one)
     with pytest.raises(DomainEscape, match="Newton iterate 1 left the domain ball") as err:
         newton_fixed_point(ContractionProblem(FIVE_PLUS_SQ, Ball(q5, (0,), Fraction(1, 5)), Fraction(1, 5), (0,)))
     assert err.value.details == {"step": "1", "distance": "1/1", "radius": "1/5"}
@@ -1472,6 +1479,80 @@ def test_newton_passes_solve_as_the_inverse_would(monkeypatch):
         for x, c in zip(real_solve(rows, rhs, p, width), want):
             assert c.prec is None or c.prec >= width
             assert (c.to_rational() - x) % p**width == 0
+
+
+def _stop_problems():
+    """Seeded problems of the benchmark's shape over Q3, Q5 and Q7: in 1 and
+    2 variables at N = 128, 256 and 1024 digits and the default target p^-N,
+    then in 1-3 variables at N = 64 and 256 and a target p^-k, k < N, at
+    which the a priori cap binds below N.  The two-variable ones are posed
+    as solve_implicit poses them."""
+    rng = random.Random(7800)
+    problems = []
+    for p in (3, 5, 7):
+        for N in (128, 256, 1024):
+            for n in (1, 2):
+                problems.append((_deep_problem(rng, p, n, N, implicit=n == 2), None))
+        for N in (64, 256):
+            for n in (1, 2, 3):
+                target = Fraction(1, p ** rng.randint(2, N - 1))
+                problems.append((_deep_problem(rng, p, n, N, implicit=n == 2), target))
+    return problems
+
+
+# the passes newton_fixed_point made on each of _stop_problems() when every
+# solve ran to a full-width pass that found g(X) = X or to its last planned step
+PASSES_BEFORE_THE_STOP = (
+    9, 8, 10, 10, 12, 11, 8, 6, 7, 9, 5, 9,
+    9, 9, 10, 10, 12, 11, 8, 8, 8, 10, 10, 9,
+    9, 8, 10, 9, 12, 11, 7, 4, 8, 10, 9, 9,
+)
+
+
+def test_solves_stop_at_the_proving_pass_and_solve_to_w_minus_v_digits(monkeypatch):
+    # a one-variable Newton solve at the default target makes one pass fewer
+    # than it did before it stopped at the pass that proves its digits, and
+    # no solve makes more; a solve that stops early runs no closing sweep;
+    # and every pass, Newton or Banach, solves for its step to W - v digits
+    passes, sweeps, solves, widths = [], [], [], []
+    real_pass, real_residual = contraction._newton_pass, contraction._residual
+    real_solve, real_inverse = contraction.modular_solve, contraction.unit_inverse
+
+    def one_pass(problem, s, xs, width, k, newton):
+        widths.clear()
+        got = real_pass(problem, s, xs, width, k, newton)
+        passes.append(got)
+        if got is not None:
+            solves.append((newton, width - got[0], tuple(widths)))
+        return got
+
+    monkeypatch.setattr(contraction, "_newton_pass", one_pass)
+    monkeypatch.setattr(contraction, "_residual", lambda *args: sweeps.append(args) or real_residual(*args))
+    monkeypatch.setattr(contraction, "modular_solve", lambda rows, rhs, p, w: widths.append(w) or real_solve(rows, rhs, p, w))
+    monkeypatch.setattr(contraction, "unit_inverse", lambda u, p, w: widths.append(w) or real_inverse(u, p, w))
+    problems = _stop_problems()
+    assert len(problems) == len(PASSES_BEFORE_THE_STOP) == 36
+    for (problem, target), before in zip(problems, PASSES_BEFORE_THE_STOP):
+        passes.clear(), sweeps.clear()
+        newton_fixed_point(problem, target)
+        if target is None and problem.domain.dim == 1:
+            # it ends at a pass whose step it does not take, the pass
+            # before the one that found g(X) = X, and sweeps no more
+            assert len(passes) == before - 1 and passes[-1] is not None and sweeps == []
+        else:
+            assert len(passes) <= before
+            # only a solve that took all its planned steps sweeps once more
+            assert not sweeps or sum(got is not None for got in passes) == planned_steps(problem, target)
+    # Banach solves that build no report, as padic_fixed_point takes them
+    rng = random.Random(7801)
+    for problem, _ in problems:
+        p = problem.descriptor.prime
+        contraction._padic_solve(problem, Fraction(1, p ** rng.randint(2, 8)), newton=False)
+    assert {newton for newton, _, _ in solves} == {True, False}
+    # one modular_solve per Newton pass, one unit_inverse per row of a
+    # Banach pass, each to W - v digits
+    for newton, digits, used in solves:
+        assert used and set(used) == {digits} and (len(used) == 1 or not newton)
 
 
 def _raw(x):

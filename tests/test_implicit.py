@@ -14,6 +14,7 @@ from ultrafix import (
     eval_map,
     solve_implicit,
     implicit,
+    contraction,
 )
 from ultrafix.contraction import uniform_family_check
 from ultrafix.field import rational_abs
@@ -203,12 +204,14 @@ def test_derivative_matches_resolve(q5_deep):
 
 
 def test_deep_padic_solve_implicit_takes_newton_steps(monkeypatch):
-    newton_calls = []
-    newton = implicit.newton_fixed_point
-    monkeypatch.setattr(implicit, "newton_fixed_point", lambda *a: newton_calls.append(a) or newton(*a))
+    # one solve through padic_fixed_point, and it takes Newton passes
+    entries, solves = [], []
+    entry, solve = implicit.padic_fixed_point, contraction._padic_solve
+    monkeypatch.setattr(implicit, "padic_fixed_point", lambda *a: entries.append(a) or entry(*a))
+    monkeypatch.setattr(contraction, "_padic_solve", lambda *a, **k: solves.append(a[2]) or solve(*a, **k))
     w = build_window(SADDLE, (0,), (0,), descriptor=FieldDescriptor.padic(5, 48))
     sol = solve_implicit(w, SADDLE, (5,))
-    assert len(newton_calls) == 1
+    assert len(entries) == 1 and solves == [True]
     (lam,) = sol.lambda_value.components
     x = lam.to_rational()
     assert lam.prec >= 48 and (x * x + x - 5) % 5**lam.prec == 0

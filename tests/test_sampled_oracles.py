@@ -21,6 +21,7 @@ from ultrafix.calculus import MapSpec, check_identities, eval_map, jacobian, jac
 from ultrafix.contraction import ContractionProblem, iterate_fixed_point
 from ultrafix.errors import DimensionMismatch, UltrafixError
 from ultrafix.field import FieldDescriptor, Scalar, embed_rational, int_valuation, rational_abs
+from ultrafix.implicit import build_window, solve_implicit
 from ultrafix.inverse import certify, inversion_step_map, local_invert, verify_distortion
 from ultrafix.linalg import Ball, int_vec_sub, int_vector, int_vector_fractions, rat_mat_vec
 from ultrafix.sampling import sample_in_ball, scaling_element
@@ -619,3 +620,82 @@ def test_solver_reports_hash_equal_to_the_recorded_ones():
     texts = solver_report_texts()
     assert {key: _digest(r) for key, r in texts.items()} == SOLVER_DIGESTS
     assert len(set(SOLVER_DIGESTS.values())) == 4
+
+
+# sha256 of the deep answers below, as they were before a p-adic pass solved
+# its step to W - v digits and a solve ended at the pass that proves its digits
+DEEP_ANSWER_DIGESTS = {
+    "3": "3b33ea706404b29df036a952553301c4e5dc8b1aabfdcb3dfbc9594d559737f5",
+    "5": "bf8715ab6dcdc09c880d2c828b328ea2673950bed655fa8b9ccb600d30be6995",
+    "7": "568c7523c5f36bcb92c94b02a4e923381d65a81f44eb678b77288e0e1e0ec955",
+}
+
+
+def _unit(rng, p):
+    return rng.choice((-1, 1)) * (rng.randint(1, p - 1) + p * rng.randint(0, p - 1))
+
+
+def _deep_map(rng, p, n, params=0, coupled=True):
+    """Rows B q + (I + pR) x + u x^a + c x^b over params + n variables, as
+    the benchmark's p-adic maps, u a unit and c p-integral; not `coupled`,
+    output i reads x_i alone, so a zero coordinate of the target is an
+    exactly zero coordinate of the solution."""
+    nvars = params + n
+
+    def monomial(i, degree):
+        exps = [0] * nvars
+        for _ in range(degree):
+            exps[params + (rng.randrange(n) if coupled else i)] += 1
+        return tuple(exps)
+
+    rows = []
+    for i in range(n):
+        row = [(_unit(rng, p), tuple(int(k == j) for k in range(nvars))) for j in range(params)]
+        for j in range(n) if coupled else (i,):
+            if a := int(i == j) + p * rng.randint(-2, 2) * coupled:
+                row.append((a, tuple(int(k == params + j) for k in range(nvars))))
+        row.append((Fraction(_unit(rng, p), rng.choice([d for d in (1, 2, 4) if d % p])), monomial(i, 2)))
+        row.append((Fraction(rng.randint(-3, 3) or 1, rng.choice([d for d in (1, 2, 3) if d % p])), monomial(i, 3)))
+        rows.append(row)
+    return MapSpec.from_coefficients(nvars, rows)
+
+
+def deep_answer_texts():
+    """Per prime (Q3, Q5, Q7), the reprs of the local_invert and
+    solve_implicit answers at N = 64, 256 and 1024 digits in 1-3 variables,
+    each at the default target p^-N and at a target p^-k, k < N, where the
+    a priori cap binds below N: targets of valuation 1 on coupled maps, and
+    targets (p a, 0, p^2 b) on decoupled ones, whose solutions have
+    coordinates of different valuations and an exactly zero one."""
+    texts = {}
+    for p in (3, 5, 7):
+        rng = random.Random(f"deep answers {p}")
+        answers = []
+        for N in (64, 256, 1024):
+            desc = FieldDescriptor.padic(p, N)
+            targets = (None, Fraction(1, p ** rng.randint(2, N - 1)))
+            for n in (1, 2, 3):
+                ball = Ball(desc, (0,) * n, Fraction(1, p))
+                coupled = _deep_map(rng, p, n)
+                c = tuple(Fraction(p * _unit(rng, p), rng.choice([d for d in (1, 2, 4) if d % p])) for _ in range(n))
+                decoupled = _deep_map(rng, p, n, coupled=False)
+                z = (p * _unit(rng, p), 0, p**2 * _unit(rng, p))[:n]
+                for f, target in ((coupled, c), (decoupled, z)):
+                    cert = certify(f, ball)
+                    answers += [repr(local_invert(cert, f, target, target_precision=t)) for t in targets]
+            for n in (1, 2):
+                f = _deep_map(rng, p, n, params=1)
+                window = build_window(f, (0,), (0,) * n, descriptor=desc)
+                q = (p * _unit(rng, p),)
+                answers += [repr(solve_implicit(window, f, q, target_precision=t).lambda_value) for t in targets]
+        texts[str(p)] = answers
+    return texts
+
+
+def test_deep_newton_answers_hash_equal_to_the_recorded_ones():
+    texts = deep_answer_texts()
+    assert {key: _digest(r) for key, r in texts.items()} == DEEP_ANSWER_DIGESTS
+    assert len(set(DEEP_ANSWER_DIGESTS.values())) == 3
+    for answers in texts.values():
+        assert len(answers) == 3 * (3 * 2 * 2 + 2 * 2)
+        assert sum("Padic(O(" in a for a in answers) == 12  # the decoupled maps' zero coordinates
