@@ -31,9 +31,12 @@ refused.  A solve that returns its answer alone (`padic_fixed_point`,
 which also picks Newton or Banach, and `newton_fixed_point`) ends at the
 first pass whose measured residual already proves every digit the close
 could return, and answers with the iterate that pass measured.
-PadicScalars are built for the answer and the report alone.  The a priori
-exponents are integers from the numerators and denominators of theta and
-d0.
+PadicScalars are built for the answer and the report alone.  Each solve
+plans once, in exponents of p: with theta = p^-t, as a certificate's nonzero
+theta is, the step count, the Newton choice, every a priori bound and the
+cap are integer sums of t and the floor logarithms of d0 and d0 / (1 -
+theta) (`_Exponents`); theta = 0, or a supplied theta that is no
+p-power, forms its powers bound by bound.
 """
 
 from __future__ import annotations
@@ -195,13 +198,37 @@ def _step_count(
 ) -> int:
     """Least n with _certified_bound(n) <= target.
 
+    Over Q_p it comes from the problem's exponents (`_Exponents.steps`):
+    a sum when theta is a p-power, else `_searched_steps`.  Raises
+    NotAContraction when the least n exceeds MAX_STEPS.
+    """
+    if descriptor.ultrametric:
+        return _Exponents(theta, d0, descriptor).steps(target)
+    return _searched_steps(theta, d0, target, descriptor)
+
+
+def _over_budget(target: Fraction, steps=None) -> NotAContraction:
+    """The error of a target whose a priori bound needs more than MAX_STEPS
+    steps; `steps` is the least count, when it is known."""
+    details = {"target": num_str(target), "budget": str(MAX_STEPS)}
+    if steps is not None:
+        details["steps"] = str(steps)
+    return NotAContraction(
+        f"a priori bound cannot reach {details['target']} in reasonable time", **details
+    )
+
+
+def _searched_steps(
+    theta: Fraction, d0: Fraction, target: Fraction, descriptor: FieldDescriptor
+) -> int:
+    """Least n with _certified_bound(n) <= target, searched.
+
     The bound B theta^n, B = d0 / (1 - theta), does not increase with n, so
     n is estimated in floats from the logarithms of the numerators and
     denominators, then confirmed exactly: reached(n) and not reached(n - 1),
     walking by one while the estimate is off.  A padic bound is rounded down
     to a p-power, so it reaches the target once B theta^n < p^(f + 1), with
-    p^f the largest p-power <= target.  Raises NotAContraction when the
-    least n exceeds MAX_STEPS.
+    p^f the largest p-power <= target.
     """
 
     def reached(n: int) -> bool:
@@ -217,13 +244,64 @@ def _step_count(
     n = _estimated_steps(theta, d0 / (1 - theta), target, descriptor)
     while not reached(n):
         if n >= MAX_STEPS:
-            raise NotAContraction(
-                f"a priori bound cannot reach {num_str(target)} in reasonable time"
-            )
+            raise _over_budget(target)
         n += 1
     while n > 1 and reached(n - 1):
         n -= 1
     return n
+
+
+class _Exponents:
+    """The a priori bounds of an ultrametric problem as exponents of p.
+
+    Every absolute value the plan reads lies in the value group: d0, and
+    theta = sigma |A^-1| of a certificate, a p-power unless it is 0.
+    With theta = p^-t, the largest p-power <= theta^j d0 is p^(L0 - t j),
+    and <= theta^j d0 / (1 - theta) is p^(L1 - t j), where L0 and L1 are
+    the floor logarithms of d0 and d0 / (1 - theta), each taken once: the
+    step count, every a priori bound and the cap are integer sums (Caruso,
+    "Computations with p-adic numbers", 2017, on precision as integer
+    exponents).  Any other theta, 0 or one a caller supplies, forms the
+    powers each time (`_power_exponent`), and its step count is
+    searched (`_searched_steps`).
+    """
+
+    def __init__(self, theta: Fraction, d0: Fraction, descriptor: FieldDescriptor):
+        self.theta, self.d0, self.descriptor = theta, d0, descriptor
+        p, (a, b) = descriptor.prime, (theta.numerator, theta.denominator)
+        t = int_valuation(b, p) if a == 1 and d0 else 0
+        self.t = t if t and b == p**t else None
+        if self.t is not None:
+            c, d = d0.numerator, d0.denominator
+            self.l0 = int_floor_log(c, d, p)
+            self.l1 = int_floor_log(c * b, d * (b - 1), p)
+
+    def apriori(self, j: int):
+        """e_j, with p^-e_j the largest p-power <= theta^j d0, the a priori
+        bound of step j; infinite once theta^j d0 is 0 (theta = 0)."""
+        if self.t is not None:
+            return self.t * j - self.l0
+        e = _power_exponent(self.theta, self.d0, j, self.descriptor.prime)
+        return math.inf if e is None else -e
+
+    def cap(self, n: int):
+        """f with p^f the largest p-power <= theta^n d0 / (1 - theta), the
+        a priori bound after n steps; None when that value is 0."""
+        if self.t is not None:
+            return self.l1 - self.t * n
+        return _power_exponent(self.theta, self.d0, n, self.descriptor.prime, geometric=True)
+
+    def steps(self, target: Fraction) -> int:
+        """Least n with p^cap(n) <= target: with theta = p^-t and p^F the
+        largest p-power <= target, n = max(0, ceil((L1 - F) / t)).  A
+        target of 0 or below, which no bound reaches, is left to
+        `_searched_steps`, which refuses it."""
+        if self.t is None or target <= 0:
+            return _searched_steps(self.theta, self.d0, target, self.descriptor)
+        n = max(0, -((floor_log(target, self.descriptor.prime) - self.l1) // self.t))
+        if n > MAX_STEPS:
+            raise _over_budget(target, n)
+        return n
 
 
 def _log(q: Fraction) -> float:
@@ -259,6 +337,17 @@ def _target(target_precision, descriptor: FieldDescriptor) -> Fraction:
     return Fraction(target_precision)
 
 
+def _admitted_target(problem: ContractionProblem, target_precision) -> Fraction:
+    """The target of a problem, once it is admissible; raises NotAdmissible."""
+    if not admissible(problem):
+        d0, radius = num_str(problem.initial_displacement()), num_str(problem.domain.radius)
+        raise NotAdmissible(
+            f"d(f(x0), x0) = {d0} exceeds the admissible displacement for radius {radius}",
+            d0=d0, radius=radius, theta=num_str(problem.theta),
+        )
+    return _target(target_precision, problem.descriptor)
+
+
 def _plan(problem: ContractionProblem, target_precision) -> tuple:
     """(theta, d0, target, steps) of an admissible problem.
 
@@ -267,15 +356,9 @@ def _plan(problem: ContractionProblem, target_precision) -> tuple:
     which the exact close measures.  Raises NotAdmissible, or
     NotAContraction when the target is out of reach.
     """
-    if not admissible(problem):
-        d0, radius = num_str(problem.initial_displacement()), num_str(problem.domain.radius)
-        raise NotAdmissible(
-            f"d(f(x0), x0) = {d0} exceeds the admissible displacement for radius {radius}",
-            d0=d0, radius=radius, theta=num_str(problem.theta),
-        )
+    target = _admitted_target(problem, target_precision)
     desc = problem.descriptor
     theta, d0 = problem.theta, problem.initial_displacement()
-    target = _target(target_precision, desc)
     reach = target if desc.ultrametric else target / 2
     return theta, d0, target, _step_count(theta, d0, reach, desc)
 
@@ -408,21 +491,23 @@ NEWTON_STEPS_PER_DIM = 2
 
 A Newton pass costs one modular sweep of g and Dg and an n x n elimination
 modulo p^(W - v), a Banach step one value sweep modulo the full width of
-the iterate and n unit inverses modulo p^(W - v).  On seeded inversion
-problems of the benchmark's shape over Q3, Q5 and Q7 (18 per row, minimum
-of 5 runs on a 2-core x86_64 VM, Python 3.11), Newton takes this share of
-the time of a Banach solve that builds no report: N = 4 (3 Banach steps)
-1.18-1.19x for n = 1 and 1.35-1.37x for n = 2; N = 16 (15 steps)
-0.57-0.59x and 0.63-0.69x; N = 32 (31 steps) 0.34-0.35x and 0.37-0.41x;
-N = 128 (127 steps) 0.09-0.10x and 0.10-0.12x.  The two break even near 5
-steps for n = 1 (N = 6: 0.88-0.91x), 7 for n = 2 to 4 and 10 for n = 6,
+the iterate and n unit inverses modulo p^(W - v); neither forms a power of
+theta, as the plan's bounds are integer sums.  On seeded inversion
+problems of the benchmark's shape over Q3, Q5 and Q7 (18 per row, 6 per
+prime; minimum of 5 runs on a 2-core x86_64 VM, Python 3.11), Newton takes
+this share of the time of a Banach solve that builds no report, the range
+over the three primes: N = 4 (3 Banach steps) 1.25x for n = 1 and
+1.45-1.46x for n = 2; N = 16 (15 steps) 0.57-0.59x and 0.57-0.66x; N = 32
+(31 steps) 0.34x and 0.37-0.38x; N = 128 (127 steps) 0.08-0.09x and
+0.09-0.11x.  The two break even near 4 steps for n = 1 (N = 5:
+1.01-1.03x), 6 to 7 for n = 2, 9 for n = 3 and 4 and 10 to 11 for n = 6,
 so no one count per variable fits every n.  On the `request_mix`
 benchmark rounds (seeds 77, 78, 5 and 7, rounds 0-2, 708 operations;
-minimum of 9 runs) every output is byte-identical at 8, 3 and 2 steps
-per variable and with Newton forced on every p-adic solve, and against 8
-its p-adic `invert` and `implicit` requests take 0.95x as long at 2 (the
-whole mix 0.98x), 0.97x at 3 (0.99x) and 0.96x forced (0.99x).  Both
-solvers close the same way, so the threshold moves time, not digits.
+minimum of 9 runs) every output is byte-identical at 0 (Newton whenever a
+step is planned), 1, 2, 3 and 4 steps per variable, and against 2 its 192
+p-adic `invert` and `implicit` requests take 1.00x as long at 1, 1.02x at
+3, 1.03x at 4 and 1.03x at 0 (the whole mix 1.00-1.01x).  Both solvers
+close the same way, so the threshold moves time, not digits.
 """
 
 
@@ -431,7 +516,9 @@ def newton_pays(problem: ContractionProblem, target_precision=None) -> bool:
 
     Decided from what is known before any step: the Banach step count
     exceeds NEWTON_STEPS_PER_DIM * n exactly when the a priori bound after
-    that many steps still misses the target, so one bound decides it.
+    that many steps still misses the target, so one bound decides it.  A
+    solve makes the same choice from the step count of its own plan
+    (`padic_fixed_point`).
     """
     desc = problem.descriptor
     if not desc.ultrametric:
@@ -646,13 +733,18 @@ def padic_fixed_point(problem: ContractionProblem, target_precision=None) -> Vec
     """The fixed point of an ultrametric contraction, by Newton passes when
     `newton_pays`, else by Banach passes: iterate_fixed_point's answer
     without its report."""
-    return _padic_solve(problem, target_precision, newton_pays(problem, target_precision))
+    return _padic_solve(problem, target_precision)
 
 
-def _padic_solve(problem: ContractionProblem, target_precision, newton: bool, report: bool = False):
+def _padic_solve(problem: ContractionProblem, target_precision, newton=None, report: bool = False):
     """The fixed point of an ultrametric contraction, by Newton or Banach
     passes on integer residues: its answer, or with `report` (Banach only)
-    the report of the iteration.
+    the report of the iteration.  With `newton` None the solve takes
+    Newton passes when its planned Banach steps exceed
+    NEWTON_STEPS_PER_DIM per variable, the choice of `newton_pays`.
+
+    The plan is made once, in exponents (`_Exponents`): the step count, the
+    a priori exponent e_k of each step and the cap.
 
     The iterate is the exact frame point X = p^s x (see `_frame`), x0 the
     point its N digits spell.  A Banach pass is X -> g(X) modulo the full
@@ -660,12 +752,13 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton: bool, re
     result's valuation raises that width runs again that much wider.  Each
     new iterate is checked for membership as v_p(X - centre) >= k, then its
     step against the a priori bound theta^k d0 = p^-e_k: a step of valuation
-    v is within it when v >= e_k + s.  The solve ends after its planned
-    steps, or once a pass at full width finds g(X) = X (a Banach report
-    counts that pass as a step of size 0), and closes in integers
-    (`_newton_close`): its digits are proven a posteriori, as on an
-    ultrametric ball |x - x*| <= |g(x) - x|, capped by the a priori bound
-    p^cap of the planned steps.  The close proves at most p^-min(C_k - s,
+    v is within it when v >= e_k + s.  Both are comparisons of integers; a
+    valuation of X - centre is taken only to report an escape.  The solve
+    ends after its planned steps, or once a pass at full width finds
+    g(X) = X (a Banach report counts that pass as a step of size 0), and
+    closes in integers (`_newton_close`): its digits are proven a
+    posteriori, as on an ultrametric ball |x - x*| <= |g(x) - x|, capped by
+    the a priori bound p^cap of the planned steps.  The close proves at most p^-min(C_k - s,
     -cap) of iterate k, C_k its carried width, so a solve without a report
     ends at the first pass whose residual v reaches min(C_k, s - cap),
     once that pass's membership and step checks have run, and answers with
@@ -677,27 +770,26 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton: bool, re
     numbers", 2017, on fixed-point against tracked arithmetic).  At d0 = 0,
     x0 is the answer, exactly.
     """
-    theta, d0, target, steps = _plan(problem, target_precision)
+    target = _admitted_target(problem, target_precision)
     desc = problem.descriptor
+    theta, d0 = problem.theta, problem.initial_displacement()
+    plan = _Exponents(theta, d0, desc)
+    steps = plan.steps(target)
     if not d0:
         x = Vector.from_rationals(problem.x0, desc)
         return _report([x], [], theta, d0, Fraction(0)) if report else x
+    if newton is None:
+        newton = steps > NEWTON_STEPS_PER_DIM * problem.domain.dim
     p, N = desc.prime, desc.precision
-
-    def apriori_exponent(j: int):
-        """e_j; infinite once theta^j d0 is 0 (theta = 0)."""
-        e = _power_exponent(theta, d0, j, p)
-        return math.inf if e is None else -e
-
     frame = s, depth, centre = _frame(problem)
     inside = p**depth
     xs = [_frame_residue(c, s, rational_valuation(c, p) + s + N, p) if c else 0 for c in problem.x0]
     orbit, sizes = [xs], []
-    e_k, e_next = apriori_exponent(0), apriori_exponent(1)
+    e_k, e_next = plan.apriori(0), plan.apriori(1)
     width, k, met = max(3, e_next + 2) if newton else math.inf, 0, False
     name = "Newton iterate" if newton else "iterate"
     carried, known = _widths(xs, s, N, p)  # known: the full width of xs
-    cap = _power_exponent(theta, d0, steps, p, geometric=True)
+    cap = plan.cap(steps)
     # the most the close can prove of x_k is p^-min(C_k - s, -cap): a
     # residual of valuation v >= min(C_k, s - cap) proves it
     reach = math.inf if cap is None else s - cap
@@ -716,8 +808,9 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton: bool, re
             width *= 2
             continue
         v, ys = got
-        escape = _least_valuation([(a - c) % inside for a, c in zip(ys, centre)], p)
-        if escape is not None:
+        off = [(a - c) % inside for a, c in zip(ys, centre)]
+        if any(off):
+            escape = _least_valuation(off, p)
             _domain_escape(f"{name} {k + 1}", valuation_abs(p, escape - s), problem.domain, k + 1)
         # only a step past its bound builds the Fractions _check_step reports
         if v < e_k + s:
@@ -731,7 +824,7 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton: bool, re
         orbit.append(xs)
         sizes.append(v)
         k += 1
-        e_k, e_next = e_next, apriori_exponent(k + 1)
+        e_k, e_next = e_next, plan.apriori(k + 1)
         width = max(width, 4 * (v - s) + 2, e_next + 2)
     exponent = _newton_close(problem, frame, xs, k, moved, cap, target)
     if not report:

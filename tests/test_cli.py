@@ -79,6 +79,14 @@ CASES = {
         "--field", str(FIXTURES / "fields/q5n12.json"),
         "--geometry", str(FIXTURES / "geo/fixpoint_golden.json"),
     ],
+    # the same Banach fixpoint under a supplied theta = 1/3, not a power of 5:
+    # its a priori bounds are formed from the powers of theta, step by step
+    "fixpoint_supplied_theta": [
+        "fixpoint",
+        "--map", str(FIXTURES / "maps/thirty_quadratic.json"),
+        "--field", str(FIXTURES / "fields/q5n12.json"),
+        "--geometry", str(FIXTURES / "geo/fixpoint_supplied_theta.json"),
+    ],
     # real solutions: the invert and implicit requests over the reals
     "invert_real": [
         "invert",

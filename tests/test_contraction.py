@@ -359,6 +359,166 @@ def test_step_count_cap_boundary(kind):
         _step_count(half, target * 2**MAX_STEPS, target, desc)
 
 
+def test_over_budget_error_carries_target_budget_and_steps(real):
+    # the message is unchanged; the details add the target and MAX_STEPS,
+    # and the least step count when the exponent plan knows it exactly
+    half, target = Fraction(1, 2), Fraction(1, 1024)
+    d0 = target * 2**MAX_STEPS
+    with pytest.raises(NotAContraction, match="cannot reach 1/1024 in reasonable time") as info:
+        _step_count(half, d0, target, FieldDescriptor.padic(2, 4))
+    assert info.value.details == {"target": "1/1024", "budget": "100000", "steps": "100001"}
+    # a searched plan, over the reals or under a theta that is not a
+    # p-power, stops at the budget without the count
+    for theta, desc in ((half, real), (Fraction(2, 3), FieldDescriptor.padic(2, 4))):
+        with pytest.raises(NotAContraction, match="cannot reach 1/1024 in reasonable time") as info:
+            _step_count(theta, d0, target, desc)
+        assert info.value.details == {"target": "1/1024", "budget": "100000"}
+
+
+# The plan as it was searched before its exponent sums, verbatim: each
+# bound forms the powers of theta and d0, and the step count is a float
+# estimate confirmed by two exact bounds.
+
+
+def _oracle_power_exponent(theta: Fraction, d0: Fraction, n: int, p: int, geometric: bool = False):
+    """f with p^f the largest p-power <= theta^n d0, or <= theta^n d0 /
+    (1 - theta) when `geometric`; None when that value is 0.
+
+    Worked out in integers from the numerators and denominators of theta
+    and d0: theta^n d0 / (1 - theta) = a^n c b / (b^n d (b - a)) for
+    theta = a/b and d0 = c/d, and no Fraction is formed.
+    """
+    a, b = theta.numerator, theta.denominator
+    num = a**n * d0.numerator
+    if not num:
+        return None
+    den = b**n * d0.denominator
+    if geometric:
+        num, den = num * b, den * (b - a)
+    return field.int_floor_log(num, den, p)
+
+
+def _oracle_certified_bound(
+    theta: Fraction, d0: Fraction, n: int, descriptor: FieldDescriptor
+) -> Fraction:
+    """The a priori bound theta^n d0 / (1 - theta) after n steps.
+
+    Padic bounds are rounded down to the largest p-power <= bound: absolute
+    values lie in the value group, so that power is all the bound certifies.
+    """
+    if descriptor.ultrametric:
+        f = _oracle_power_exponent(theta, d0, n, descriptor.prime, geometric=True)
+        return Fraction(0) if f is None else valuation_abs(descriptor.prime, -f)
+    return theta**n * d0 / (1 - theta)
+
+
+def _oracle_step_count(
+    theta: Fraction, d0: Fraction, target: Fraction, descriptor: FieldDescriptor
+) -> int:
+    """Least n with _certified_bound(n) <= target.
+
+    The bound B theta^n, B = d0 / (1 - theta), does not increase with n, so
+    n is estimated in floats from the logarithms of the numerators and
+    denominators, then confirmed exactly: reached(n) and not reached(n - 1),
+    walking by one while the estimate is off.  A padic bound is rounded down
+    to a p-power, so it reaches the target once B theta^n < p^(f + 1), with
+    p^f the largest p-power <= target.  Raises NotAContraction when the
+    least n exceeds MAX_STEPS.
+    """
+
+    def reached(n: int) -> bool:
+        return _oracle_certified_bound(theta, d0, n, descriptor) <= target
+
+    if d0 == 0 or reached(0):
+        return 0
+    if target < 0 or (target == 0 and theta > 0):
+        # theta^n d0 > 0 for every n when theta > 0, and a bound is never negative
+        raise NotAContraction(f"a priori bound cannot reach {num_str(target)}: it stays positive")
+    if theta == 0:
+        return 1
+    n = _oracle_estimated_steps(theta, d0 / (1 - theta), target, descriptor)
+    while not reached(n):
+        if n >= MAX_STEPS:
+            raise NotAContraction(
+                f"a priori bound cannot reach {num_str(target)} in reasonable time"
+            )
+        n += 1
+    while n > 1 and reached(n - 1):
+        n -= 1
+    return n
+
+
+def _oracle_log(q: Fraction) -> float:
+    """ln q of a positive rational whose parts may be past float range."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+def _oracle_estimated_steps(theta: Fraction, start: Fraction, target: Fraction, descriptor) -> int:
+    """The n in [1, MAX_STEPS] at which start * theta^n crosses the target,
+    in floats.
+
+    -ln theta is taken as log1p((1 - theta)/theta) when theta is near 1,
+    where the difference of two logarithms would cancel.
+    """
+    if descriptor.ultrametric:
+        log_target = (floor_log(target, descriptor.prime) + 1) * math.log(descriptor.prime)
+    else:
+        log_target = _oracle_log(target)
+    shrink = math.log1p((1 - theta) / theta) if theta > Fraction(1, 2) else -_oracle_log(theta)
+    estimate = (_oracle_log(start) - log_target) / shrink if shrink > 0 else math.inf
+    return MAX_STEPS if estimate >= MAX_STEPS else max(1, math.ceil(estimate))
+
+
+def test_exponent_plan_matches_the_searched_plan(monkeypatch):
+    # theta = p^-t: the step count, the Newton choice, the a priori exponent
+    # e_k of every step k <= steps and the cap are sums of t, L0 and L1,
+    # equal to what the searched plan finds
+    checked = 0
+    for p in (2, 3, 5, 7):
+        desc = FieldDescriptor.padic(p, 8)
+        d0s = [Fraction(0)] + [Fraction(p) ** e for e in (-9, -3, -1, 0, 1, 2)]
+        d0s += [Fraction(p + 1, p**2), Fraction(7, 3 * p**4), Fraction(p**5 - 1), Fraction(1, p**3 + 1)]
+        targets = [Fraction(1, p**k) for k in range(13)] + [Fraction(p**3), Fraction(10**6)]
+        targets += [Fraction(p + 1, p**6), Fraction(1, 3 * p**4 + 1), Fraction(p**2 - 1, 2)]
+        for t in (1, 2, 3):
+            theta = Fraction(1, p**t)
+            for d0 in d0s:
+                plan = contraction._Exponents(theta, d0, desc)
+                assert plan.t == (t if d0 else None)  # the closed form, once d0 > 0
+                for target in targets:
+                    steps = _oracle_step_count(theta, d0, target, desc)
+                    assert _step_count(theta, d0, target, desc) == plan.steps(target) == steps
+                    for dim in (1, 2, 3, 4):
+                        limit = NEWTON_STEPS_PER_DIM * dim
+                        pays = _oracle_certified_bound(theta, d0, limit, desc) > target
+                        assert (steps > limit) == pays
+                    for k in range(steps + 2):
+                        e = _oracle_power_exponent(theta, d0, k, p)
+                        assert plan.apriori(k) == (math.inf if e is None else -e)
+                    assert plan.cap(steps) == _oracle_power_exponent(theta, d0, steps, p, geometric=True)
+                    checked += bool(d0) and steps > 0
+    assert checked > 1000
+    # p = 2, t = 1: 1/(1 - theta) = 2 lifts d0 = 1 to 2, one step more
+    q2 = FieldDescriptor.padic(2, 8)
+    assert _step_count(Fraction(1, 2), Fraction(1), Fraction(1, 4), q2) == 3
+    # a solve takes Newton passes exactly when newton_pays
+    passes, real_pass = [], contraction._newton_pass
+    monkeypatch.setattr(contraction, "_newton_pass", lambda *a: passes.append(a[-1]) or real_pass(*a))
+    rng, sides = random.Random(9300), set()
+    for p in (3, 5, 7):
+        for n in (1, 2):
+            problem = _certified_step_map(rng, p, n, 12 * n)
+            theta, d0 = problem.theta, problem.initial_displacement()
+            limit = NEWTON_STEPS_PER_DIM * n
+            for target in [_oracle_certified_bound(theta, d0, m, problem.descriptor) for m in (limit, limit + 1)]:
+                passes.clear()
+                contraction.padic_fixed_point(problem, target)
+                pays = newton_pays(problem, target)
+                assert passes and set(passes) == {pays}
+                sides.add(pays)
+    assert sides == {False, True}
+
+
 def test_nonpositive_target_fails_at_once(q5, real):
     cases = [
         ContractionProblem(FIVE_PLUS_SQ, Ball(q5, (0,), Fraction(1, 5)), Fraction(1, 5), (0,)),

@@ -204,14 +204,16 @@ def test_derivative_matches_resolve(q5_deep):
 
 
 def test_deep_padic_solve_implicit_takes_newton_steps(monkeypatch):
-    # one solve through padic_fixed_point, and it takes Newton passes
-    entries, solves = [], []
-    entry, solve = implicit.padic_fixed_point, contraction._padic_solve
+    # one solve through padic_fixed_point, and every pass it takes is a
+    # Newton pass
+    entries, solves, passes = [], [], []
+    entry, solve, one_pass = implicit.padic_fixed_point, contraction._padic_solve, contraction._newton_pass
     monkeypatch.setattr(implicit, "padic_fixed_point", lambda *a: entries.append(a) or entry(*a))
-    monkeypatch.setattr(contraction, "_padic_solve", lambda *a, **k: solves.append(a[2]) or solve(*a, **k))
+    monkeypatch.setattr(contraction, "_padic_solve", lambda *a, **k: solves.append(a) or solve(*a, **k))
+    monkeypatch.setattr(contraction, "_newton_pass", lambda *a: passes.append(a[-1]) or one_pass(*a))
     w = build_window(SADDLE, (0,), (0,), descriptor=FieldDescriptor.padic(5, 48))
     sol = solve_implicit(w, SADDLE, (5,))
-    assert len(entries) == 1 and solves == [True]
+    assert len(entries) == len(solves) == 1 and passes and set(passes) == {True}
     (lam,) = sol.lambda_value.components
     x = lam.to_rational()
     assert lam.prec >= 48 and (x * x + x - 5) % 5**lam.prec == 0
