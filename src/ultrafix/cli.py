@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import jsonio
 from .calculus import check_identities
-from .contraction import ContractionProblem, iterate_fixed_point, lipschitz_theta, planned_steps
+from .contraction import ContractionProblem, iterate_fixed_point, lipschitz_theta
 from .errors import SchemaError, UltrafixError
 from .implicit import build_window, solve_implicit
 from .inverse import certify, local_invert
@@ -128,8 +128,8 @@ def _cmd_fixpoint(args, field, fmap, geo):
     theta = lipschitz_theta(fmap, domain, supplied)
     problem = ContractionProblem(fmap, domain, theta, x0)
     target = _target_precision(args)
-    jsonio.check_report_budget(problem, planned_steps(problem, target))
-    report = iterate_fixed_point(problem, target)
+    # the report budget is checked on the solve's own plan, before its first step
+    report = iterate_fixed_point(problem, target, functools.partial(jsonio.check_report_budget, problem))
     return {"report": jsonio.encode_fixed_point_report(report, field)}
 
 

@@ -30,13 +30,18 @@ bound of the planned steps; a measured residual above the target is
 refused.  A solve that returns its answer alone (`padic_fixed_point`,
 which also picks Newton or Banach, and `newton_fixed_point`) ends at the
 first pass whose measured residual already proves every digit the close
-could return, and answers with the iterate that pass measured.
-PadicScalars are built for the answer and the report alone.  Each solve
-plans once, in exponents of p: with theta = p^-t, as a certificate's nonzero
-theta is, the step count, the Newton choice, every a priori bound and the
-cap are integer sums of t and the floor logarithms of d0 and d0 / (1 -
-theta) (`_Exponents`); theta = 0, or a supplied theta that is no
-p-power, forms its powers bound by bound.
+could return, and answers with the iterate that pass measured.  A Newton
+solve mostly spares that pass: the Taylor remainder of its last step
+bounds the residual of the new iterate from below (the Taylor floor, see
+`_padic_solve`), and once that floor proves the close's digits the solve
+answers with the new iterate; until then, the next pass searches each
+residual's valuation from the floor up.  PadicScalars are built for the
+answer and the report alone.  Each solve plans once, in exponents of p:
+with theta = p^-t, as a certificate's nonzero theta is, the step count,
+the Newton choice, every a priori bound and the cap are integer sums of t
+and the floor logarithms of d0 and d0 / (1 - theta) (`_Exponents`);
+theta = 0, or a supplied theta that is no p-power, forms its powers bound
+by bound.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from operator import mul
 
 from .calculus import (
     MapSpec,
+    _frame_table,
     eval_map,
     jacobian,
     lipschitz_bound,
@@ -60,6 +66,7 @@ from .errors import (
     DimensionMismatch,
     DomainEscape,
     NotAContraction,
+    NewtonFloorBroken,
     NotAdmissible,
     NotAFixedPoint,
     PrecisionExhausted,
@@ -363,12 +370,6 @@ def _plan(problem: ContractionProblem, target_precision) -> tuple:
     return theta, d0, target, _step_count(theta, d0, reach, desc)
 
 
-def planned_steps(problem: ContractionProblem, target_precision=None) -> int:
-    """The steps iterate_fixed_point plans for the problem, before taking
-    any; it raises what iterate_fixed_point would raise first."""
-    return _plan(problem, target_precision)[3]
-
-
 def _check_step(k: int, step: Fraction, bound: Fraction) -> None:
     """Step k of an ultrametric contraction moves at most its a priori bound
     theta^k d0."""
@@ -441,18 +442,23 @@ def _exact_close(problem: ContractionProblem, trace: list[Vector], target: Fract
 
 
 def iterate_fixed_point(
-    problem: ContractionProblem, target_precision=None
+    problem: ContractionProblem, target_precision=None, check_plan=None
 ) -> FixedPointReport:
     """Iterate x -> f(x) until the a priori bound clears target_precision,
     half of it over the reals, where `_exact_close` then certifies the answer.
     Over Q_p the steps run on integer residues (`_padic_solve`).
 
     Padic targets are value-group elements (default p^-N); real targets are
-    absolute tolerances (default the field tolerance).
+    absolute tolerances (default the field tolerance).  `check_plan`, when
+    given, is called with the planned step count before the first step, so
+    that a caller can refuse a plan (the CLI's report budget) without
+    planning twice.
     """
     if problem.descriptor.ultrametric:
-        return _padic_solve(problem, target_precision, newton=False, report=True)
+        return _padic_solve(problem, target_precision, newton=False, report=True, check_plan=check_plan)
     theta, d0, target, steps = _plan(problem, target_precision)
+    if check_plan is not None:
+        check_plan(steps)
     ball = problem.domain
     trace = [Vector.from_rationals(problem.x0, problem.descriptor)]
     for k in range(steps):
@@ -492,41 +498,26 @@ NEWTON_STEPS_PER_DIM = 2
 A Newton pass costs one modular sweep of g and Dg and an n x n elimination
 modulo p^(W - v), a Banach step one value sweep modulo the full width of
 the iterate and n unit inverses modulo p^(W - v); neither forms a power of
-theta, as the plan's bounds are integer sums.  On seeded inversion
-problems of the benchmark's shape over Q3, Q5 and Q7 (18 per row, 6 per
-prime; minimum of 5 runs on a 2-core x86_64 VM, Python 3.11), Newton takes
-this share of the time of a Banach solve that builds no report, the range
-over the three primes: N = 4 (3 Banach steps) 1.25x for n = 1 and
-1.45-1.46x for n = 2; N = 16 (15 steps) 0.57-0.59x and 0.57-0.66x; N = 32
-(31 steps) 0.34x and 0.37-0.38x; N = 128 (127 steps) 0.08-0.09x and
-0.09-0.11x.  The two break even near 4 steps for n = 1 (N = 5:
-1.01-1.03x), 6 to 7 for n = 2, 9 for n = 3 and 4 and 10 to 11 for n = 6,
-so no one count per variable fits every n.  On the `request_mix`
-benchmark rounds (seeds 77, 78, 5 and 7, rounds 0-2, 708 operations;
-minimum of 9 runs) every output is byte-identical at 0 (Newton whenever a
-step is planned), 1, 2, 3 and 4 steps per variable, and against 2 its 192
-p-adic `invert` and `implicit` requests take 1.00x as long at 1, 1.02x at
-3, 1.03x at 4 and 1.03x at 0 (the whole mix 1.00-1.01x).  Both solvers
-close the same way, so the threshold moves time, not digits.
+theta, as the plan's bounds are integer sums, and a Newton solve whose
+Taylor floor proves its answer takes no measuring pass.  On seeded
+inversion problems of the benchmark's shape over Q3, Q5 and Q7 (18 per
+row, 6 per prime; minimum of 5 runs on a 2-core x86_64 VM, Python 3.11),
+Newton takes this share of the time of a Banach solve that builds no
+report, the range over the three primes: N = 4 (3 Banach steps)
+1.03-1.07x for n = 1 and 1.18-1.24x for n = 2; N = 16 (15 steps)
+0.46-0.54x and 0.49-0.54x; N = 32 (31 steps) 0.27-0.30x and 0.31-0.32x;
+N = 128 (127 steps) 0.07-0.08x and 0.09-0.11x.  The two break even near
+3 to 4 steps for n = 1 (N = 5: 0.92-0.94x), 4 for n = 2 (N = 5:
+1.00-1.02x), 5 for n = 3, 5 to 6 for n = 4 and 6 to 7 for n = 6, so no
+one count per variable fits every n.  On the `request_mix` benchmark
+rounds (seeds 77, 78, 5 and 7, rounds 0-2, 708 operations) every output
+is byte-identical at 0 (Newton whenever a step is planned), 1, 2, 3 and 4
+steps per variable; against 2 its 192 p-adic `invert` and `implicit`
+requests took 0.96x as long at 0 and 1, 1.005x at 3 and 1.08x at 4 in
+one run (minimum of 9) and 1.04x at 0 and 1 in another (minimum of 25),
+so no other count is faster beyond the spread of the measurement.  Both
+solvers close the same way, so the threshold moves time, not digits.
 """
-
-
-def newton_pays(problem: ContractionProblem, target_precision=None) -> bool:
-    """Should an ultrametric problem be solved by newton_fixed_point?
-
-    Decided from what is known before any step: the Banach step count
-    exceeds NEWTON_STEPS_PER_DIM * n exactly when the a priori bound after
-    that many steps still misses the target, so one bound decides it.  A
-    solve makes the same choice from the step count of its own plan
-    (`padic_fixed_point`).
-    """
-    desc = problem.descriptor
-    if not desc.ultrametric:
-        return False
-    target = _target(target_precision, desc)
-    limit = NEWTON_STEPS_PER_DIM * problem.domain.dim
-    d0 = problem.initial_displacement()
-    return _certified_bound(problem.theta, d0, limit, desc) > target
 
 
 def _frame(problem: ContractionProblem):
@@ -571,7 +562,7 @@ def _least_valuation(values, p: int):
     return min((int_valuation(c, p) for c in values if c), default=None)
 
 
-def _newton_pass(problem: ContractionProblem, s: int, xs, width: int, k: int, newton: bool):
+def _newton_pass(problem: ContractionProblem, s: int, xs, width: int, k: int, newton: bool, floor: int):
     """One pass at the frame point xs (iterate k), modulo p^width:
     (v, xs + step) with v the valuation of the residual g(x) - x and the
     step solving (I - Dg(x)) step = g(x) - x, or None when the residual is
@@ -588,6 +579,13 @@ def _newton_pass(problem: ContractionProblem, s: int, xs, width: int, k: int, ne
     is formed.  An output that is not p-integral in the frame puts g(x)
     outside the ball, and a Jacobian entry that is not p-integral, or a
     system with no unit pivot, shows |Dg(x)| >= 1: both raise DomainEscape.
+
+    `floor` is a valuation the residual is known to reach, the Taylor floor
+    of a Newton iterate (see `_padic_solve`), else 0: the residues are
+    divided by p^floor once, and v is searched on the quotients, which are
+    almost always units.  A residue that p^floor does not divide raises
+    NewtonFloorBroken, with the floor and the width: the floor's proof
+    failed, not the request.
     """
     p = problem.descriptor.prime
     mod = p**width
@@ -612,11 +610,24 @@ def _newton_pass(problem: ContractionProblem, s: int, xs, width: int, k: int, ne
         _domain_escape(what, valuation_abs(p, min(outside) - s), problem.domain, k + 1)
     if steep:
         _not_contracting(problem, k)
-    v = _least_valuation(rhs, p)
-    if v is None:
+    low = min(floor, width)
+    if low:
+        unit = p**low
+        parts = [divmod(b, unit) for b in rhs]
+        if any(r for _, r in parts):
+            raise NewtonFloorBroken(
+                f"a residual at Newton iterate {k} is not divisible by p^{floor} modulo p^{width}",
+                step=str(k), floor=str(floor), width=str(width),
+            )
+        rhs = [q for q, _ in parts]
+    rest = _least_valuation(rhs, p)
+    if rest is None:
         return None
+    if rest:
+        unit = p**rest
+        rhs = [b // unit for b in rhs]
+    v = low + rest
     scale, digits = p**v, width - v
-    rhs = [b // scale for b in rhs]
     if newton:
         try:
             step = modular_solve(rows, rhs, p, digits)
@@ -667,8 +678,10 @@ def _newton_close(problem: ContractionProblem, frame, xs, k: int, moved, cap, ta
     x carries its digits to the width C = min(v_i) + N, v_i the valuations
     of its coordinates.  `moved` is the valuation of g(X) - X that the last
     pass measured at xs (the pass's width, when it found g(X) = X; v, when
-    the solve stopped at the pass that proves its digits), or None after
-    the last planned step: then it comes from one more sweep modulo p^C.
+    the solve stopped at the pass that proves its digits), or a valuation
+    it is proven to reach (the Taylor floor of a Newton step), or None
+    after the last planned step: then it comes from one more sweep modulo
+    p^C.
     A residual above the target is refused.  On an ultrametric ball
     |g(x) - x*| <= |x - x*| <= |g(x) - x| for any contraction, whatever
     theta, so g(x), which must lie in the ball, agrees with x to the digits
@@ -700,8 +713,10 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
     """The fixed point of an ultrametric contraction by Newton steps.
 
     Iterates x -> x + s, s solving (I - Dg(x)) s = g(x) - x, until the
-    residual g(x) - x proves every digit the close could return, or is zero
-    at full precision, at most as many steps as iterate_fixed_point would
+    residual g(x) - x, measured or bounded below by the Taylor floor of the
+    last step (see `_padic_solve`), proves every digit the close could
+    return, or is zero at full precision, at most as many steps as
+    iterate_fixed_point would
     take, with its admissibility, domain, per-step and residual checks and
     its close (`_padic_solve`).  The result is x truncated to the weaker of
     the posterior bound |g(x) - x| and the a priori bound of
@@ -731,20 +746,21 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
 
 def padic_fixed_point(problem: ContractionProblem, target_precision=None) -> Vector:
     """The fixed point of an ultrametric contraction, by Newton passes when
-    `newton_pays`, else by Banach passes: iterate_fixed_point's answer
-    without its report."""
+    its planned Banach steps exceed NEWTON_STEPS_PER_DIM per variable, else
+    by Banach passes: iterate_fixed_point's answer without its report."""
     return _padic_solve(problem, target_precision)
 
 
-def _padic_solve(problem: ContractionProblem, target_precision, newton=None, report: bool = False):
+def _padic_solve(problem: ContractionProblem, target_precision, newton=None, report: bool = False, check_plan=None):
     """The fixed point of an ultrametric contraction, by Newton or Banach
     passes on integer residues: its answer, or with `report` (Banach only)
     the report of the iteration.  With `newton` None the solve takes
     Newton passes when its planned Banach steps exceed
-    NEWTON_STEPS_PER_DIM per variable, the choice of `newton_pays`.
+    NEWTON_STEPS_PER_DIM per variable.
 
     The plan is made once, in exponents (`_Exponents`): the step count, the
-    a priori exponent e_k of each step and the cap.
+    a priori exponent e_k of each step and the cap; `check_plan`, when
+    given, is called with the step count before the first pass.
 
     The iterate is the exact frame point X = p^s x (see `_frame`), x0 the
     point its N digits spell.  A Banach pass is X -> g(X) modulo the full
@@ -765,6 +781,22 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton=None, rep
     x_k: every later step moves x by at most p^-(v - s), later residuals
     are no larger (the map contracts) and C_(k+1) >= min(C_k, v + N), so
     the close of any later iterate would return the same digits.
+
+    A Newton solve bounds the next residual before it measures it.  A pass
+    modulo p^W at X finds S with (I - DG(X)) S = G(X) - X mod p^W and
+    v_p(S) >= v, v the residual's valuation, and X' = X + S mod p^W.  In
+    the frame u_i p^(d_i) G_i is an integer polynomial (`_frame_table`), so
+    its Taylor terms of degree >= 2 in S have valuation >= 2v, and the pass
+    cancels the terms of degree <= 1 modulo p^W: v_p(G(X') - X') >= floor
+    = min(W, 2v) - guard, guard the largest d_i.  The proof uses no
+    contraction property, so a wrong theta cannot break it.  Once the new
+    iterate x_(k+1) has passed its membership and step checks, the solve
+    ends when floor >= min(C_(k+1), s - cap), not below the ball's depth,
+    and closes x_(k+1) with the floor for its residual: the close returns
+    what the measured residual, which is no smaller, would give, as both
+    are >= min(C_(k+1), s - cap); that also spares the sweep after the
+    last planned step.  Otherwise the next pass divides its residues by
+    p^floor and searches their valuations from there (`_newton_pass`).
     PadicScalars are built for the answer and the report's iterates alone,
     to the digits the close proves (Caruso, "Computations with p-adic
     numbers", 2017, on fixed-point against tracked arithmetic).  At d0 = 0,
@@ -775,6 +807,8 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton=None, rep
     theta, d0 = problem.theta, problem.initial_displacement()
     plan = _Exponents(theta, d0, desc)
     steps = plan.steps(target)
+    if check_plan is not None:
+        check_plan(steps)
     if not d0:
         x = Vector.from_rationals(problem.x0, desc)
         return _report([x], [], theta, d0, Fraction(0)) if report else x
@@ -793,14 +827,15 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton=None, rep
     # the most the close can prove of x_k is p^-min(C_k - s, -cap): a
     # residual of valuation v >= min(C_k, s - cap) proves it
     reach = math.inf if cap is None else s - cap
-    moved = None  # the residual valuation at xs that the last pass measured
+    moved = None  # a valuation g(X) - X reaches at xs, measured or proven
+    guard, floor = _frame_table(problem.f, p, s)[0], 0  # floor: the Taylor floor at xs
     while k < steps:  # each pass takes one step, or widens W and tries again
         at_full = k == steps - 1 or width + s >= known
         pass_width = known if at_full else width + s
-        got = _newton_pass(problem, s, xs, pass_width, k, newton)
+        got = _newton_pass(problem, s, xs, pass_width, k, newton, floor)
         while got is not None and (widths := _widths(got[1], s, N, p))[1] > pass_width and at_full:
             pass_width = widths[1]
-            got = _newton_pass(problem, s, xs, pass_width, k, newton)
+            got = _newton_pass(problem, s, xs, pass_width, k, newton, floor)
         if got is None:
             if met := at_full:
                 moved = pass_width
@@ -824,6 +859,14 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton=None, rep
         orbit.append(xs)
         sizes.append(v)
         k += 1
+        if newton:
+            floor = max(0, min(pass_width, 2 * v) - guard)
+            if floor >= min(carried, max(reach, depth)):
+                # the floor proves what a measured residual would, so no
+                # pass measures it; below the ball's depth it would not
+                # show that g(X) stays in the ball
+                moved = floor
+                break
         e_k, e_next = e_next, plan.apriori(k + 1)
         width = max(width, 4 * (v - s) + 2, e_next + 2)
     exponent = _newton_close(problem, frame, xs, k, moved, cap, target)

@@ -103,3 +103,8 @@ class OutsideWindow(UltrafixError):
 
 class WindowNotFound(UltrafixError):
     """Radius search exhausted without certifying a window."""
+
+
+class NewtonFloorBroken(UltrafixError):
+    """A Newton residual below the valuation its Taylor remainder proves: a
+    fault of the solver, never of the request."""

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ultrafix import BudgetExceeded, FieldDescriptor, calculus, cli, jsonio
+from ultrafix import BudgetExceeded, FieldDescriptor, calculus, cli, contraction, jsonio
 from ultrafix.field import frac_str
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -63,6 +63,14 @@ CASES = {
         "--map", str(FIXTURES / "maps/plus_square.json"),
         "--field", str(FIXTURES / "fields/q5n256.json"),
         "--geometry", str(FIXTURES / "geo/invert_golden.json"),
+    ],
+    # x + x^2/5 on B[0, 1/25]: its frame carries 1 guard digit, and the
+    # Taylor floor of its Newton steps is 2v - 1
+    "invert_guard": [
+        "invert",
+        "--map", str(FIXTURES / "maps/plus_fifth_square.json"),
+        "--field", str(FIXTURES / "fields/q5n64.json"),
+        "--geometry", str(FIXTURES / "geo/invert_guard.json"),
     ],
     "check_clean": [
         "check",
@@ -763,9 +771,10 @@ def test_cli_fixpoint_report_over_the_budget_exits_1_before_the_first_step(monke
     assert cli.run(with_field("fixpoint_golden", q5), stream=out) == 0
     printed = _printed_steps(out.getvalue())
     assert 0.7e6 < printed < jsonio.REPORT_BUDGET
+    # the budget is checked on the solve's plan: no pass runs
     solved = []
-    real_iterate = cli.iterate_fixed_point
-    monkeypatch.setattr(cli, "iterate_fixed_point", lambda *args: solved.append(args) or real_iterate(*args))
+    real_pass = contraction._newton_pass
+    monkeypatch.setattr(contraction, "_newton_pass", lambda *args: solved.append(args) or real_pass(*args))
     start = time.perf_counter()
     code, payload = run_in_process(with_field("fixpoint_golden", dict(q5, precision=2000)))
     assert time.perf_counter() - start < 0.5
@@ -777,6 +786,16 @@ def test_cli_fixpoint_report_over_the_budget_exits_1_before_the_first_step(monke
     code, payload = run_in_process(with_field("fixpoint_golden", q5))
     assert (code, payload["error"]["steps"], solved) == (1, 999, [])
     assert abs(payload["error"]["size"] - printed) < printed / 100
+
+
+def test_cli_fixpoint_plans_its_solve_once(monkeypatch):
+    # the report budget reads the step count of the solve's own plan
+    plans, real_init = [], contraction._Exponents.__init__
+    monkeypatch.setattr(contraction._Exponents, "__init__", lambda *args: plans.append(args) or real_init(*args))
+    out = io.StringIO()
+    assert cli.run(CASES["fixpoint_q5n12"], stream=out) == 0
+    assert out.getvalue() == (GOLDEN / "fixpoint_q5n12.json").read_text()
+    assert len(plans) == 1
 
 
 def test_cli_certify_refuses_a_ball_outside_an_open_domain():

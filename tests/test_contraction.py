@@ -25,21 +25,32 @@ from ultrafix import (
     vec_norm,
 )
 from ultrafix import calculus, contraction, field
-from ultrafix.calculus import _frame_table, compose, quotient_map, eval_map, jacobian, substitute_prefix
+from ultrafix.calculus import (
+    _frame_table, compose, quotient_map, eval_map, jacobian, modular_sweep, substitute_prefix,
+)
 from ultrafix.contraction import (
     MAX_STEPS,
     NEWTON_STEPS_PER_DIM,
+    _Exponents,
+    _admitted_target,
+    _answer,
     _certified_bound,
     _check_step,
+    _domain_escape,
+    _frame,
+    _frame_residue,
+    _least_valuation,
+    _newton_close,
+    _not_contracting,
     _plan,
     _power_exponent,
+    _report,
     _step_count,
+    _widths,
     default_target_precision,
     newton_fixed_point,
-    newton_pays,
-    planned_steps,
 )
-from ultrafix.errors import PrecisionExhausted, SingularMatrix
+from ultrafix.errors import NewtonFloorBroken, PrecisionExhausted, SingularMatrix
 from ultrafix.field import (
     PadicScalar,
     _padic_make,
@@ -52,12 +63,13 @@ from ultrafix.field import (
     padic_scalar,
     padic_sub_product,
     rational_valuation,
+    unit_inverse,
     valuation_abs,
 )
 from ultrafix.implicit import build_window
 from ultrafix.inverse import inversion_step_map
 from ultrafix import linalg
-from ultrafix.linalg import Operator, invert_exact
+from ultrafix.linalg import Operator, invert_exact, modular_solve
 
 
 def poly(m, *outputs):
@@ -448,6 +460,24 @@ def _oracle_step_count(
     return n
 
 
+def _oracle_newton_pays(problem: ContractionProblem, target_precision=None) -> bool:
+    """Should an ultrametric problem be solved by newton_fixed_point?
+
+    Decided from what is known before any step: the Banach step count
+    exceeds NEWTON_STEPS_PER_DIM * n exactly when the a priori bound after
+    that many steps still misses the target, so one bound decides it.  A
+    solve makes the same choice from the step count of its own plan
+    (`padic_fixed_point`).
+    """
+    desc = problem.descriptor
+    if not desc.ultrametric:
+        return False
+    target = contraction._target(target_precision, desc)
+    limit = NEWTON_STEPS_PER_DIM * problem.domain.dim
+    d0 = problem.initial_displacement()
+    return _oracle_certified_bound(problem.theta, d0, limit, desc) > target
+
+
 def _oracle_log(q: Fraction) -> float:
     """ln q of a positive rational whose parts may be past float range."""
     return math.log(q.numerator) - math.log(q.denominator)
@@ -501,9 +531,9 @@ def test_exponent_plan_matches_the_searched_plan(monkeypatch):
     # p = 2, t = 1: 1/(1 - theta) = 2 lifts d0 = 1 to 2, one step more
     q2 = FieldDescriptor.padic(2, 8)
     assert _step_count(Fraction(1, 2), Fraction(1), Fraction(1, 4), q2) == 3
-    # a solve takes Newton passes exactly when newton_pays
+    # a solve takes Newton passes exactly when _oracle_newton_pays
     passes, real_pass = [], contraction._newton_pass
-    monkeypatch.setattr(contraction, "_newton_pass", lambda *a: passes.append(a[-1]) or real_pass(*a))
+    monkeypatch.setattr(contraction, "_newton_pass", lambda *a: passes.append(a[5]) or real_pass(*a))
     rng, sides = random.Random(9300), set()
     for p in (3, 5, 7):
         for n in (1, 2):
@@ -513,7 +543,7 @@ def test_exponent_plan_matches_the_searched_plan(monkeypatch):
             for target in [_oracle_certified_bound(theta, d0, m, problem.descriptor) for m in (limit, limit + 1)]:
                 passes.clear()
                 contraction.padic_fixed_point(problem, target)
-                pays = newton_pays(problem, target)
+                pays = _oracle_newton_pays(problem, target)
                 assert passes and set(passes) == {pays}
                 sides.add(pays)
     assert sides == {False, True}
@@ -605,9 +635,9 @@ def test_newton_matches_banach_oracle_on_both_sides_of_crossover(p):
                 targets = [_certified_bound(theta, d0, m, desc) for m in (limit - 1, limit, limit + 1)]
                 for target in targets + [Fraction(1, p**N)]:
                     steps = _step_count(theta, d0, target, desc)
-                    assert newton_pays(problem, target) == (steps > limit)
-                assert [newton_pays(problem, t) for t in targets] == [False, False, True]
-                sides.add(newton_pays(problem))
+                    assert _oracle_newton_pays(problem, target) == (steps > limit)
+                assert [_oracle_newton_pays(problem, t) for t in targets] == [False, False, True]
+                sides.add(_oracle_newton_pays(problem))
                 reached += _assert_agrees_with_oracle(problem)
     assert sides == {False, True}
     assert reached >= 9
@@ -667,7 +697,7 @@ def test_newton_keeps_the_banach_checks(q5, q5_deep, real):
         newton_fixed_point(ContractionProblem(FIVE_PLUS_SQ, Ball(q5, (0,), Fraction(1, 5)), Fraction(1, 5), (0,)), 0)
     with pytest.raises(SchemaError):
         newton_fixed_point(ContractionProblem(HALF_PLUS_ONE, Ball(real, (0,), 4), Fraction(1, 2), (0,)))
-    assert not newton_pays(ContractionProblem(HALF_PLUS_ONE, Ball(real, (0,), 4), Fraction(1, 2), (0,)))
+    assert not _oracle_newton_pays(ContractionProblem(HALF_PLUS_ONE, Ball(real, (0,), 4), Fraction(1, 2), (0,)))
 
 
 def test_newton_claims_only_what_its_residual_proves(q5_deep):
@@ -1678,9 +1708,9 @@ def test_solves_stop_at_the_proving_pass_and_solve_to_w_minus_v_digits(monkeypat
     real_pass, real_residual = contraction._newton_pass, contraction._residual
     real_solve, real_inverse = contraction.modular_solve, contraction.unit_inverse
 
-    def one_pass(problem, s, xs, width, k, newton):
+    def one_pass(problem, s, xs, width, k, newton, floor):
         widths.clear()
-        got = real_pass(problem, s, xs, width, k, newton)
+        got = real_pass(problem, s, xs, width, k, newton, floor)
         passes.append(got)
         if got is not None:
             solves.append((newton, width - got[0], tuple(widths)))
@@ -1696,13 +1726,14 @@ def test_solves_stop_at_the_proving_pass_and_solve_to_w_minus_v_digits(monkeypat
         passes.clear(), sweeps.clear()
         newton_fixed_point(problem, target)
         if target is None and problem.domain.dim == 1:
-            # it ends at a pass whose step it does not take, the pass
-            # before the one that found g(X) = X, and sweeps no more
-            assert len(passes) == before - 1 and passes[-1] is not None and sweeps == []
+            # it ends at the pass whose step's Taylor floor proves the new
+            # iterate, two before the one that found g(X) = X, and sweeps
+            # no more
+            assert len(passes) == before - 2 and passes[-1] is not None and sweeps == []
         else:
             assert len(passes) <= before
             # only a solve that took all its planned steps sweeps once more
-            assert not sweeps or sum(got is not None for got in passes) == planned_steps(problem, target)
+            assert not sweeps or sum(got is not None for got in passes) == _plan(problem, target)[3]
     # Banach solves that build no report, as padic_fixed_point takes them
     rng = random.Random(7801)
     for problem, _ in problems:
@@ -1713,6 +1744,226 @@ def test_solves_stop_at_the_proving_pass_and_solve_to_w_minus_v_digits(monkeypat
     # Banach pass, each to W - v digits
     for newton, digits, used in solves:
         assert used and set(used) == {digits} and (len(used) == 1 or not newton)
+
+
+# ---------------------------------------------------------------------------
+# The Taylor floor of a Newton step, against the loop that measured it
+
+
+def _oracle_newton_pass(problem: ContractionProblem, s: int, xs, width: int, k: int, newton: bool):
+    """`contraction._newton_pass` before the Taylor floor: the least
+    valuation of the residues is searched from 0."""
+    p = problem.descriptor.prime
+    mod = p**width
+    rows, rhs, outside, steep = [], [], [], False
+    for i, (u, d, value, row) in enumerate(modular_sweep(problem.f, p, s, xs, width, jacobian=newton)):
+        if d:
+            scale = p**d
+            if value % scale:
+                outside.append(int_valuation(value, p) - d)
+            value //= scale
+            if newton:
+                steep = steep or any(a % scale for a in row)
+                row = [a // scale for a in row]
+        rhs.append((value - u * xs[i]) % mod)
+        if newton:
+            row[i] -= u
+            rows.append([-a for a in row])
+        else:  # row i of the system is u_i e_i: keep u_i
+            rows.append(u)
+    if outside:
+        what = f"g(Newton iterate {k})" if newton else f"iterate {k + 1}"
+        _domain_escape(what, valuation_abs(p, min(outside) - s), problem.domain, k + 1)
+    if steep:
+        _not_contracting(problem, k)
+    v = _least_valuation(rhs, p)
+    if v is None:
+        return None
+    scale, digits = p**v, width - v
+    rhs = [b // scale for b in rhs]
+    if newton:
+        try:
+            step = modular_solve(rows, rhs, p, digits)
+        except SingularMatrix:
+            _not_contracting(problem, k)
+    else:
+        step = [b * unit_inverse(u, p, digits) for u, b in zip(rows, rhs)]
+    return v, [(a + scale * b) % mod for a, b in zip(xs, step)]
+
+
+def _oracle_padic_solve(problem: ContractionProblem, target_precision, newton=None, report: bool = False):
+    """`contraction._padic_solve` before the Taylor floor: a solve without a
+    report ends only at a pass that measures the residual of the iterate it
+    answers with, or sweeps that residual after its last planned step."""
+    target = _admitted_target(problem, target_precision)
+    desc = problem.descriptor
+    theta, d0 = problem.theta, problem.initial_displacement()
+    plan = _Exponents(theta, d0, desc)
+    steps = plan.steps(target)
+    if not d0:
+        x = Vector.from_rationals(problem.x0, desc)
+        return _report([x], [], theta, d0, Fraction(0)) if report else x
+    if newton is None:
+        newton = steps > NEWTON_STEPS_PER_DIM * problem.domain.dim
+    p, N = desc.prime, desc.precision
+    frame = s, depth, centre = _frame(problem)
+    inside = p**depth
+    xs = [_frame_residue(c, s, rational_valuation(c, p) + s + N, p) if c else 0 for c in problem.x0]
+    orbit, sizes = [xs], []
+    e_k, e_next = plan.apriori(0), plan.apriori(1)
+    width, k, met = max(3, e_next + 2) if newton else math.inf, 0, False
+    name = "Newton iterate" if newton else "iterate"
+    carried, known = _widths(xs, s, N, p)  # known: the full width of xs
+    cap = plan.cap(steps)
+    # the most the close can prove of x_k is p^-min(C_k - s, -cap): a
+    # residual of valuation v >= min(C_k, s - cap) proves it
+    reach = math.inf if cap is None else s - cap
+    moved = None  # the residual valuation at xs that the last pass measured
+    while k < steps:  # each pass takes one step, or widens W and tries again
+        at_full = k == steps - 1 or width + s >= known
+        pass_width = known if at_full else width + s
+        got = _oracle_newton_pass(problem, s, xs, pass_width, k, newton)
+        while got is not None and (widths := _widths(got[1], s, N, p))[1] > pass_width and at_full:
+            pass_width = widths[1]
+            got = _oracle_newton_pass(problem, s, xs, pass_width, k, newton)
+        if got is None:
+            if met := at_full:
+                moved = pass_width
+                break
+            width *= 2
+            continue
+        v, ys = got
+        off = [(a - c) % inside for a, c in zip(ys, centre)]
+        if any(off):
+            escape = _least_valuation(off, p)
+            _domain_escape(f"{name} {k + 1}", valuation_abs(p, escape - s), problem.domain, k + 1)
+        # only a step past its bound builds the Fractions _check_step reports
+        if v < e_k + s:
+            _check_step(k, valuation_abs(p, v - s), theta**k * d0)
+        if not report and v >= min(carried, reach):
+            # x_(k+1) = x_k mod p^v, and no later pass proves more of it
+            moved = v
+            break
+        xs = ys
+        carried, known = widths
+        orbit.append(xs)
+        sizes.append(v)
+        k += 1
+        e_k, e_next = e_next, plan.apriori(k + 1)
+        width = max(width, 4 * (v - s) + 2, e_next + 2)
+    exponent = _newton_close(problem, frame, xs, k, moved, cap, target)
+    if not report:
+        return _answer(xs, s, exponent, desc)
+    trace = [_answer(c, s, min(exponent, _widths(c, s, N, p)[0] - s), desc) for c in orbit + [xs] * met]
+    distances = [valuation_abs(p, v - s) for v in sizes] + [Fraction(0)] * met
+    return _report(trace, distances, theta, d0, valuation_abs(p, exponent))
+
+
+def _oracle_newton_solve(problem, target_precision=None):
+    return _oracle_padic_solve(problem, target_precision, newton=True)
+
+
+def _p_units(rng, p, count):
+    return [rng.choice((1, -1)) * rng.choice([u for u in range(1, 2 * p + 2) if u % p]) for _ in range(count)]
+
+
+def _floor_problem(rng, p, n, guard, s, N):
+    """g(x) = y + L x + q(x) from x0 = 0, a contraction over Q_p in n
+    variables whose frame X = p^s x carries `guard` guard digits.
+
+    With s = 0 the ball is B[0, p^-(guard + 1)], y has valuation >=
+    guard + 1, and every output has a square and a cube of unit multiples
+    of p^-guard: the Taylor remainder of a Newton step divides by p^guard.
+    With s > 0 the ball is B[0, p^s] (guard 0): y has valuation >= -s, the
+    square p^(s + 1) times a unit and the cube p^(2s + 1).  L lies in pZ_p,
+    so |Dg| <= 1/p on the ball; theta is the telescoped Lipschitz bound."""
+    desc = FieldDescriptor.padic(p, N)
+    shift = Fraction(1, p**guard) if s == 0 else None
+    rows = []
+    for i in range(n):
+        unit_sq, unit_cube = _p_units(rng, p, 2)
+        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        square = tuple((j == a) + (j == b) for j in range(n))
+        cube = tuple(3 * (j == c) for j in range(n))
+        if s == 0:
+            y = Fraction(p ** (guard + 1) * rng.randint(1, p**3))
+            q = [(unit_sq * shift, square), (unit_cube * shift, cube)]
+        else:
+            y = Fraction(rng.randint(1, p**3), p**s)
+            q = [(unit_sq * p ** (s + 1), square), (unit_cube * p ** (2 * s + 1), cube)]
+        linear = [(p * rng.randint(-3, 3), tuple(int(j == k) for j in range(n))) for k in range(n)]
+        rows.append([(y, (0,) * n)] + [t for t in linear if t[0]] + q)
+    f = MapSpec.from_coefficients(n, rows)
+    ball = Ball(desc, (0,) * n, Fraction(p) ** (s if s else -(guard + 1)))
+    return ContractionProblem(f, ball, lipschitz_theta(f, ball), (0,) * n)
+
+
+def _frame_residual(problem, s, xs):
+    """v_p(G(X) - X) at the frame point xs, exactly: eval_map at x = xs / p^s."""
+    p = problem.descriptor.prime
+    x = [Fraction(c, p**s) for c in xs]
+    gaps = [a - b for a, b in zip(eval_map(problem.f, x), x) if a != b]
+    return min((rational_valuation(g, p) for g in gaps), default=math.inf) + s
+
+
+def _outcome(solve, problem, target):
+    try:
+        return _digits(solve(problem, target))
+    except (DomainEscape, PrecisionExhausted) as err:
+        return err.kind, err.details
+
+
+def test_newton_residuals_reach_their_taylor_floor(monkeypatch):
+    # at every Newton pass the measured residual of the iterate is >= the
+    # floor min(W, 2v) - guard the step before proved for it, and a solve
+    # that ends on a floor answers what the loop that measured the residual
+    # with one more pass answered
+    rng = random.Random(2500)
+    cases = []
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3):
+            for guard, s in ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2)):
+                N = rng.choice((8, 24, 64, 128))
+                problem = _floor_problem(rng, p, n, guard, s, N)
+                assert contraction._frame(problem)[0] == s and _frame_table(problem.f, p, s)[0] == guard
+                for target in (None, Fraction(1, p ** rng.randint(1, N))):
+                    cases.append((problem, target, _outcome(_oracle_newton_solve, problem, target)))
+    floors, stops, last = [], [], [None]
+    real_pass, real_close = contraction._newton_pass, contraction._newton_close
+
+    def one_pass(problem, s, xs, width, k, newton, floor):
+        assert newton and _frame_residual(problem, s, xs) >= floor
+        floors.append(floor)
+        got = last[0] = real_pass(problem, s, xs, width, k, newton, floor)
+        return got
+
+    def close(problem, frame, xs, k, moved, cap, target):
+        if moved is not None:
+            assert _frame_residual(problem, frame[0], xs) >= moved
+            if last[0] is not None and xs is last[0][1]:
+                p = problem.descriptor.prime
+                stops.append((p, problem.domain.dim, _frame_table(problem.f, p, frame[0])[0], frame[0]))
+        return real_close(problem, frame, xs, k, moved, cap, target)
+
+    monkeypatch.setattr(contraction, "_newton_pass", one_pass)
+    monkeypatch.setattr(contraction, "_newton_close", close)
+    for problem, target, want in cases:
+        last[0] = None
+        assert _outcome(newton_fixed_point, problem, target) == want
+    assert len(cases) == 120 and sum(floor > 0 for floor in floors) > 400
+    assert len(stops) > 100
+    assert {(p, guard) for p, _, guard, s in stops if not s} == {(p, g) for p in (2, 3, 5, 7) for g in (0, 1, 2)}
+    assert {(n, s) for _, n, _, s in stops if s} == {(n, s) for n in (1, 2, 3) for s in (1, 2)}
+
+
+def test_a_residual_below_its_floor_is_refused(q5_deep):
+    # x0 = 0 of 5 + x^2 has the residual 5: a floor of 2 is a fault of the
+    # solver, reported with the floor and the width
+    problem = ContractionProblem(FIVE_PLUS_SQ, Ball(q5_deep, (0,), Fraction(1, 5)), Fraction(1, 5), (0,))
+    assert contraction._newton_pass(problem, 0, [0], 9, 0, True, 1)[0] == 1
+    with pytest.raises(NewtonFloorBroken) as err:
+        contraction._newton_pass(problem, 0, [0], 9, 0, True, 2)
+    assert err.value.details == {"step": "0", "floor": "2", "width": "9"}
 
 
 def _raw(x):

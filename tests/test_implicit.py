@@ -210,7 +210,7 @@ def test_deep_padic_solve_implicit_takes_newton_steps(monkeypatch):
     entry, solve, one_pass = implicit.padic_fixed_point, contraction._padic_solve, contraction._newton_pass
     monkeypatch.setattr(implicit, "padic_fixed_point", lambda *a: entries.append(a) or entry(*a))
     monkeypatch.setattr(contraction, "_padic_solve", lambda *a, **k: solves.append(a) or solve(*a, **k))
-    monkeypatch.setattr(contraction, "_newton_pass", lambda *a: passes.append(a[-1]) or one_pass(*a))
+    monkeypatch.setattr(contraction, "_newton_pass", lambda *a: passes.append(a[5]) or one_pass(*a))
     w = build_window(SADDLE, (0,), (0,), descriptor=FieldDescriptor.padic(5, 48))
     sol = solve_implicit(w, SADDLE, (5,))
     assert len(entries) == len(solves) == 1 and passes and set(passes) == {True}
