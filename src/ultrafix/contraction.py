@@ -37,11 +37,10 @@ bounds the residual of the new iterate from below (the Taylor floor, see
 answers with the new iterate; until then, the next pass searches each
 residual's valuation from the floor up.  PadicScalars are built for the
 answer and the report alone.  Each solve plans once, in exponents of p:
-with theta = p^-t, as a certificate's nonzero theta is, the step count,
+every distance lies in the value group, so a theta-contraction is a
+p^-t-contraction, p^-t the largest p-power <= theta, and the step count,
 the Newton choice, every a priori bound and the cap are integer sums of t
-and the floor logarithms of d0 and d0 / (1 - theta) (`_Exponents`);
-theta = 0, or a supplied theta that is no p-power, forms its powers bound
-by bound.
+and the floor logarithms of d0 and d0 / (1 - theta) (`_Exponents`).
 """
 
 from __future__ import annotations
@@ -168,52 +167,6 @@ def admissible(problem: ContractionProblem) -> bool:
 MAX_STEPS = 100_000
 
 
-def _power_exponent(theta: Fraction, d0: Fraction, n: int, p: int, geometric: bool = False):
-    """f with p^f the largest p-power <= theta^n d0, or <= theta^n d0 /
-    (1 - theta) when `geometric`; None when that value is 0.
-
-    Worked out in integers from the numerators and denominators of theta
-    and d0: theta^n d0 / (1 - theta) = a^n c b / (b^n d (b - a)) for
-    theta = a/b and d0 = c/d, and no Fraction is formed.
-    """
-    a, b = theta.numerator, theta.denominator
-    num = a**n * d0.numerator
-    if not num:
-        return None
-    den = b**n * d0.denominator
-    if geometric:
-        num, den = num * b, den * (b - a)
-    return int_floor_log(num, den, p)
-
-
-def _certified_bound(
-    theta: Fraction, d0: Fraction, n: int, descriptor: FieldDescriptor
-) -> Fraction:
-    """The a priori bound theta^n d0 / (1 - theta) after n steps.
-
-    Padic bounds are rounded down to the largest p-power <= bound: absolute
-    values lie in the value group, so that power is all the bound certifies.
-    """
-    if descriptor.ultrametric:
-        f = _power_exponent(theta, d0, n, descriptor.prime, geometric=True)
-        return Fraction(0) if f is None else valuation_abs(descriptor.prime, -f)
-    return theta**n * d0 / (1 - theta)
-
-
-def _step_count(
-    theta: Fraction, d0: Fraction, target: Fraction, descriptor: FieldDescriptor
-) -> int:
-    """Least n with _certified_bound(n) <= target.
-
-    Over Q_p it comes from the problem's exponents (`_Exponents.steps`):
-    a sum when theta is a p-power, else `_searched_steps`.  Raises
-    NotAContraction when the least n exceeds MAX_STEPS.
-    """
-    if descriptor.ultrametric:
-        return _Exponents(theta, d0, descriptor).steps(target)
-    return _searched_steps(theta, d0, target, descriptor)
-
-
 def _over_budget(target: Fraction, steps=None) -> NotAContraction:
     """The error of a target whose a priori bound needs more than MAX_STEPS
     steps; `steps` is the least count, when it is known."""
@@ -225,30 +178,32 @@ def _over_budget(target: Fraction, steps=None) -> NotAContraction:
     )
 
 
-def _searched_steps(
-    theta: Fraction, d0: Fraction, target: Fraction, descriptor: FieldDescriptor
-) -> int:
-    """Least n with _certified_bound(n) <= target, searched.
+def _stays_positive(target: Fraction) -> NotAContraction:
+    """The error of a target of 0 or below that a positive bound never
+    reaches: theta^n d0 > 0 for every n when theta > 0."""
+    return NotAContraction(f"a priori bound cannot reach {num_str(target)}: it stays positive")
+
+
+def _searched_steps(theta: Fraction, d0: Fraction, target: Fraction) -> int:
+    """Least n with theta^n d0 / (1 - theta) <= target, the step count of a
+    real plan, searched.
 
     The bound B theta^n, B = d0 / (1 - theta), does not increase with n, so
     n is estimated in floats from the logarithms of the numerators and
     denominators, then confirmed exactly: reached(n) and not reached(n - 1),
-    walking by one while the estimate is off.  A padic bound is rounded down
-    to a p-power, so it reaches the target once B theta^n < p^(f + 1), with
-    p^f the largest p-power <= target.
+    walking by one while the estimate is off.
     """
 
     def reached(n: int) -> bool:
-        return _certified_bound(theta, d0, n, descriptor) <= target
+        return theta**n * d0 / (1 - theta) <= target
 
     if d0 == 0 or reached(0):
         return 0
     if target < 0 or (target == 0 and theta > 0):
-        # theta^n d0 > 0 for every n when theta > 0, and a bound is never negative
-        raise NotAContraction(f"a priori bound cannot reach {num_str(target)}: it stays positive")
+        raise _stays_positive(target)
     if theta == 0:
         return 1
-    n = _estimated_steps(theta, d0 / (1 - theta), target, descriptor)
+    n = _estimated_steps(theta, d0 / (1 - theta), target)
     while not reached(n):
         if n >= MAX_STEPS:
             raise _over_budget(target)
@@ -261,51 +216,60 @@ def _searched_steps(
 class _Exponents:
     """The a priori bounds of an ultrametric problem as exponents of p.
 
-    Every absolute value the plan reads lies in the value group: d0, and
-    theta = sigma |A^-1| of a certificate, a p-power unless it is 0.
-    With theta = p^-t, the largest p-power <= theta^j d0 is p^(L0 - t j),
-    and <= theta^j d0 / (1 - theta) is p^(L1 - t j), where L0 and L1 are
-    the floor logarithms of d0 and d0 / (1 - theta), each taken once: the
-    step count, every a priori bound and the cap are integer sums (Caruso,
-    "Computations with p-adic numbers", 2017, on precision as integer
-    exponents).  Any other theta, 0 or one a caller supplies, forms the
-    powers each time (`_power_exponent`), and its step count is
-    searched (`_searched_steps`).
+    Every distance lies in the value group, so a theta-contraction is a
+    p^-t-contraction, p^-t the largest p-power <= theta: |g(x) - g(y)| /
+    |x - y| is a p-power <= theta.  Step j then moves at most p^(L0 - t j),
+    and the a priori bound after n steps is the largest p-power <= p^-tn d0
+    / (1 - theta), p^(L1 - t n), where L0 and L1 are the floor logarithms
+    of d0 and d0 / (1 - theta), each taken once: the step count, every a
+    priori bound and the cap are integer sums (Caruso, "Computations with
+    p-adic numbers", 2017, on precision as integer exponents).  A
+    certificate's nonzero theta is a p-power, whose plan the rounding
+    leaves as it was; a supplied theta that is not one plans as the
+    p-power below it.  theta = 0 has t None: step 0 moves at most d0, and
+    every later bound is 0.  At d0 = 0, L0 and L1 are None and every bound
+    is 0.
     """
 
     def __init__(self, theta: Fraction, d0: Fraction, descriptor: FieldDescriptor):
-        self.theta, self.d0, self.descriptor = theta, d0, descriptor
         p, (a, b) = descriptor.prime, (theta.numerator, theta.denominator)
-        t = int_valuation(b, p) if a == 1 and d0 else 0
-        self.t = t if t and b == p**t else None
-        if self.t is not None:
+        self.prime, self.t = p, -int_floor_log(a, b, p) if a else None
+        self.l0 = self.l1 = None
+        if d0:
             c, d = d0.numerator, d0.denominator
-            self.l0 = int_floor_log(c, d, p)
-            self.l1 = int_floor_log(c * b, d * (b - 1), p)
+            self.l0, self.l1 = int_floor_log(c, d, p), int_floor_log(c * b, d * (b - a), p)
+
+    def _exponent(self, log, j: int):
+        """t j - log, the exponent of the bound p^(log - t j); infinite once
+        that bound is 0."""
+        if log is None or (j and self.t is None):
+            return math.inf
+        return self.t * j - log if j else -log
 
     def apriori(self, j: int):
-        """e_j, with p^-e_j the largest p-power <= theta^j d0, the a priori
-        bound of step j; infinite once theta^j d0 is 0 (theta = 0)."""
-        if self.t is not None:
-            return self.t * j - self.l0
-        e = _power_exponent(self.theta, self.d0, j, self.descriptor.prime)
-        return math.inf if e is None else -e
+        """e_j, with p^-e_j the a priori bound of step j."""
+        return self._exponent(self.l0, j)
 
     def cap(self, n: int):
-        """f with p^f the largest p-power <= theta^n d0 / (1 - theta), the
-        a priori bound after n steps; None when that value is 0."""
-        if self.t is not None:
-            return self.l1 - self.t * n
-        return _power_exponent(self.theta, self.d0, n, self.descriptor.prime, geometric=True)
+        """c, with p^-c the a priori bound after n steps."""
+        return self._exponent(self.l1, n)
 
     def steps(self, target: Fraction) -> int:
-        """Least n with p^cap(n) <= target: with theta = p^-t and p^F the
-        largest p-power <= target, n = max(0, ceil((L1 - F) / t)).  A
-        target of 0 or below, which no bound reaches, is left to
-        `_searched_steps`, which refuses it."""
-        if self.t is None or target <= 0:
-            return _searched_steps(self.theta, self.d0, target, self.descriptor)
-        n = max(0, -((floor_log(target, self.descriptor.prime) - self.l1) // self.t))
+        """Least n with p^-cap(n) <= target: with p^F the largest p-power <=
+        target, n = max(0, ceil((L1 - F) / t)), at most 1 when theta = 0 and
+        0 when d0 = 0.  Raises NotAContraction for a target of 0 or below,
+        which no bound of theta > 0 reaches, and for a count above
+        MAX_STEPS, with that count."""
+        if self.l1 is None:
+            return 0
+        if target <= 0:
+            if target or self.t is not None:
+                raise _stays_positive(target)
+            return 1
+        short = self.l1 - floor_log(target, self.prime)
+        if short <= 0 or self.t is None:
+            return int(short > 0)
+        n = -(-short // self.t)
         if n > MAX_STEPS:
             raise _over_budget(target, n)
         return n
@@ -316,19 +280,15 @@ def _log(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def _estimated_steps(theta: Fraction, start: Fraction, target: Fraction, descriptor) -> int:
-    """The n in [1, MAX_STEPS] at which start * theta^n crosses the target,
-    in floats.
+def _estimated_steps(theta: Fraction, start: Fraction, target: Fraction) -> int:
+    """The n in [1, MAX_STEPS] at which start * theta^n crosses the real
+    target, in floats.
 
     -ln theta is taken as log1p((1 - theta)/theta) when theta is near 1,
     where the difference of two logarithms would cancel.
     """
-    if descriptor.ultrametric:
-        log_target = (floor_log(target, descriptor.prime) + 1) * math.log(descriptor.prime)
-    else:
-        log_target = _log(target)
     shrink = math.log1p((1 - theta) / theta) if theta > Fraction(1, 2) else -_log(theta)
-    estimate = (_log(start) - log_target) / shrink if shrink > 0 else math.inf
+    estimate = (_log(start) - _log(target)) / shrink if shrink > 0 else math.inf
     return MAX_STEPS if estimate >= MAX_STEPS else max(1, math.ceil(estimate))
 
 
@@ -356,23 +316,21 @@ def _admitted_target(problem: ContractionProblem, target_precision) -> Fraction:
 
 
 def _plan(problem: ContractionProblem, target_precision) -> tuple:
-    """(theta, d0, target, steps) of an admissible problem.
+    """(theta, d0, target, steps) of an admissible real problem.
 
-    steps is the least n whose a priori bound clears the target, over the
-    reals half of it: the other half is room for the drift of the doubles,
-    which the exact close measures.  Raises NotAdmissible, or
-    NotAContraction when the target is out of reach.
+    steps is the least n whose a priori bound clears half the target: the
+    other half is room for the drift of the doubles, which the exact close
+    measures.  Raises NotAdmissible, or NotAContraction when the target is
+    out of reach.
     """
     target = _admitted_target(problem, target_precision)
-    desc = problem.descriptor
     theta, d0 = problem.theta, problem.initial_displacement()
-    reach = target if desc.ultrametric else target / 2
-    return theta, d0, target, _step_count(theta, d0, reach, desc)
+    return theta, d0, target, _searched_steps(theta, d0, target / 2)
 
 
 def _check_step(k: int, step: Fraction, bound: Fraction) -> None:
     """Step k of an ultrametric contraction moves at most its a priori bound
-    theta^k d0."""
+    p^-e_k (`_Exponents.apriori`)."""
     if step > bound:
         size, bound = num_str(step), num_str(bound)
         raise DomainEscape(
@@ -686,7 +644,7 @@ def _newton_close(problem: ContractionProblem, frame, xs, k: int, moved, cap, ta
     |g(x) - x*| <= |x - x*| <= |g(x) - x| for any contraction, whatever
     theta, so g(x), which must lie in the ball, agrees with x to the digits
     of the weakest of that posterior bound, C and the a priori bound p^-cap
-    (cap None for a bound of 0).
+    (cap infinite for a bound of 0).
     """
     desc = problem.descriptor
     p = desc.prime
@@ -706,7 +664,7 @@ def _newton_close(problem: ContractionProblem, frame, xs, k: int, moved, cap, ta
                 residual=residual, target=target,
             )
         proven = moved
-    return proven - s if cap is None else min(proven - s, -cap)
+    return min(proven - s, cap)
 
 
 def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Vector:
@@ -727,10 +685,10 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
     Modern Computer Algebra, ch. 9): one `modular_sweep` gives g(X) and
     Dg(X) mod p^W at the frame point X = p^s x, and one `modular_solve` the
     step, to the W - v digits a residual of valuation v leaves it.  The
-    working width doubles from step to step.  With p^-e_j the
-    largest p-power <= theta^j d0, W_0 = max(3, e_1 + 2); a step whose
-    residual has valuation v leaves x right to about 2v digits, and the
-    next step to 4v, so W_(k+1) = max(W_k, 4v + 2, e_(k+2) + 2): the e term
+    working width doubles from step to step.  With p^-e_j the a priori
+    bound of step j (`_Exponents.apriori`), W_0 = max(3, e_1 + 2); a step
+    whose residual has valuation v leaves x right to about 2v digits, and
+    the next step to 4v, so W_(k+1) = max(W_k, 4v + 2, e_(k+2) + 2): the e term
     keeps the next step's residual inside its a priori bound (Caruso, Roe &
     Vaccon, "Tracking p-adic precision", 2014, on the digits a lift
     certifies).  A residual that is zero at W_k only says x is right to W_k
@@ -767,20 +725,21 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton=None, rep
     width of X, which drops none of its digits; a pass at full width whose
     result's valuation raises that width runs again that much wider.  Each
     new iterate is checked for membership as v_p(X - centre) >= k, then its
-    step against the a priori bound theta^k d0 = p^-e_k: a step of valuation
-    v is within it when v >= e_k + s.  Both are comparisons of integers; a
-    valuation of X - centre is taken only to report an escape.  The solve
+    step against its a priori bound p^-e_k: a step of valuation v is within
+    it when v >= e_k + s.  Both are comparisons of integers; a valuation of
+    X - centre is taken only to report an escape.  The solve
     ends after its planned steps, or once a pass at full width finds
     g(X) = X (a Banach report counts that pass as a step of size 0), and
     closes in integers (`_newton_close`): its digits are proven a
     posteriori, as on an ultrametric ball |x - x*| <= |g(x) - x|, capped by
-    the a priori bound p^cap of the planned steps.  The close proves at most p^-min(C_k - s,
-    -cap) of iterate k, C_k its carried width, so a solve without a report
-    ends at the first pass whose residual v reaches min(C_k, s - cap),
-    once that pass's membership and step checks have run, and answers with
-    x_k: every later step moves x by at most p^-(v - s), later residuals
-    are no larger (the map contracts) and C_(k+1) >= min(C_k, v + N), so
-    the close of any later iterate would return the same digits.
+    the a priori bound p^-cap of the planned steps.  The close proves at
+    most p^-min(C_k - s, cap) of iterate k, C_k its carried width, so a
+    solve without a report ends at the first pass whose residual v reaches
+    min(C_k, s + cap), once that pass's membership and step checks have
+    run, and answers with x_k: every later step moves x by at most
+    p^-(v - s), later residuals are no larger (the map contracts) and
+    C_(k+1) >= min(C_k, v + N), so the close of any later iterate would
+    return the same digits.
 
     A Newton solve bounds the next residual before it measures it.  A pass
     modulo p^W at X finds S with (I - DG(X)) S = G(X) - X mod p^W and
@@ -791,10 +750,10 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton=None, rep
     = min(W, 2v) - guard, guard the largest d_i.  The proof uses no
     contraction property, so a wrong theta cannot break it.  Once the new
     iterate x_(k+1) has passed its membership and step checks, the solve
-    ends when floor >= min(C_(k+1), s - cap), not below the ball's depth,
+    ends when floor >= min(C_(k+1), s + cap), not below the ball's depth,
     and closes x_(k+1) with the floor for its residual: the close returns
     what the measured residual, which is no smaller, would give, as both
-    are >= min(C_(k+1), s - cap); that also spares the sweep after the
+    are >= min(C_(k+1), s + cap); that also spares the sweep after the
     last planned step.  Otherwise the next pass divides its residues by
     p^floor and searches their valuations from there (`_newton_pass`).
     PadicScalars are built for the answer and the report's iterates alone,
@@ -824,9 +783,9 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton=None, rep
     name = "Newton iterate" if newton else "iterate"
     carried, known = _widths(xs, s, N, p)  # known: the full width of xs
     cap = plan.cap(steps)
-    # the most the close can prove of x_k is p^-min(C_k - s, -cap): a
-    # residual of valuation v >= min(C_k, s - cap) proves it
-    reach = math.inf if cap is None else s - cap
+    # the most the close can prove of x_k is p^-min(C_k - s, cap): a
+    # residual of valuation v >= min(C_k, s + cap) proves it
+    reach = s + cap
     moved = None  # a valuation g(X) - X reaches at xs, measured or proven
     guard, floor = _frame_table(problem.f, p, s)[0], 0  # floor: the Taylor floor at xs
     while k < steps:  # each pass takes one step, or widens W and tries again
@@ -849,7 +808,7 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton=None, rep
             _domain_escape(f"{name} {k + 1}", valuation_abs(p, escape - s), problem.domain, k + 1)
         # only a step past its bound builds the Fractions _check_step reports
         if v < e_k + s:
-            _check_step(k, valuation_abs(p, v - s), theta**k * d0)
+            _check_step(k, valuation_abs(p, v - s), valuation_abs(p, e_k))
         if not report and v >= min(carried, reach):
             # x_(k+1) = x_k mod p^v, and no later pass proves more of it
             moved = v

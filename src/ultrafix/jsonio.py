@@ -4,7 +4,7 @@ Padic scalars encode as {"val": k, "digits": [d0, ...]}: digits of the known
 residue in base p, anchored at min(valuation, 0) with trailing zeros trimmed.
 Exact rationals travel as "num/den" strings; real values as JSON numbers.
 Certificate constants are exact strings on the padic side and decimals on the
-real side.
+real side, each real bound on its safe side (`ROUNDING`).
 """
 
 from __future__ import annotations
@@ -39,13 +39,36 @@ def parse_rational(value) -> Fraction:
     raise SchemaError(f"expected a rational, got {value!r}")
 
 
-def encode_constant(q, descriptor: FieldDescriptor):
+ROUNDING = {
+    **dict.fromkeys(("norm_A", "norm_A_inv", "sigma", "b", "beta", "theta", "bound"), math.inf),
+    **dict.fromkeys(("a", "alpha", "delta", "target_radius", "p_radius"), -math.inf),
+}
+"""The side each real constant prints on, by the key it prints under: upper
+bounds round up, lower bounds and the radii of the balls a claim ranges
+over round down, so that the printed double still states the bound (Rump,
+"Verification methods", Acta Numerica 19, 2010, on directed rounding).
+Every other real, a value rather than a bound, prints as the nearest
+double."""
+
+
+def encode_constant(q, descriptor: FieldDescriptor, role: str | None = None):
+    """q as an exact string over Q_p; over the reals the nearest double,
+    stepped once toward the side `ROUNDING` gives `role` when it lies on the
+    other side of q.  An exact double does not move, and a positive upper
+    bound that underflows prints as the least positive double."""
     if descriptor.ultrametric:
         return frac_str(q)
     try:
-        return float(q)
+        x = float(q)
     except OverflowError as exc:
         raise SchemaError(f"real constant {frac_str(q)} is out of the range of a double") from exc
+    side = ROUNDING.get(role)
+    if side is not None:
+        n, d = x.as_integer_ratio()
+        gap = n * q.denominator - q.numerator * d  # the sign of x - q
+        if gap and (gap < 0) == (side > 0):
+            x = math.nextafter(x, side)
+    return x
 
 
 def encode_scalar(s: Scalar):
@@ -117,11 +140,11 @@ def parse_field(data) -> FieldDescriptor:
     raise SchemaError(f"unknown field kind {kind!r}")
 
 
-def encode_ball(ball: Ball):
+def encode_ball(ball: Ball, radius_role: str | None = None):
     desc = ball.descriptor
     return {
         "center": [encode_constant(c, desc) for c in ball.center_exact],
-        "radius": encode_constant(ball.radius, desc),
+        "radius": encode_constant(ball.radius, desc, radius_role),
         "closed": ball.closed,
     }
 
@@ -191,14 +214,10 @@ def encode_certificate(cert: InversionCertificate):
     return {
         "A": [[enc(v) for v in row] for row in cert.A],
         "A_inv": [[enc(v) for v in row] for row in cert.A_inv],
-        "norm_A": enc(cert.norm_A),
-        "norm_A_inv": enc(cert.norm_A_inv),
-        "sigma": enc(cert.sigma),
-        "a": enc(cert.a),
-        "b": enc(cert.b),
-        "alpha": enc(cert.alpha),
-        "beta": enc(cert.beta),
-        "theta": enc(cert.theta),
+        **{
+            key: encode_constant(getattr(cert, key), desc, key)
+            for key in ("norm_A", "norm_A_inv", "sigma", "a", "b", "alpha", "beta", "theta")
+        },
         "ball": encode_ball(cert.ball),
         "ultrametric": cert.ultrametric,
     }
@@ -262,15 +281,15 @@ def check_report_budget(problem: ContractionProblem, steps: int) -> None:
 
 
 def encode_fixed_point_report(report: FixedPointReport, descriptor: FieldDescriptor):
-    enc = lambda q: encode_constant(q, descriptor)
+    enc = lambda q, role=None: encode_constant(q, descriptor, role)
     steps = [
-        {"bound": enc(b), "actual": enc(Fraction(a))}
+        {"bound": enc(b, "bound"), "actual": enc(Fraction(a))}
         for b, a in zip(report.apriori_bounds, report.step_distances)
     ]
     return {
         "fixed_point": encode_vector(report.fixed_point),
         "iterations": report.iterations,
-        "theta": enc(report.theta),
+        "theta": enc(report.theta, "theta"),
         "initial_distance": enc(report.initial_distance),
         "achieved_distance": enc(Fraction(report.achieved_distance)),
         "steps": steps,
@@ -282,13 +301,13 @@ def encode_window(window: ParamWindow):
     target = (
         encode_image(window.target_ball)
         if isinstance(window.target_ball, ImageDescription)
-        else encode_ball(window.target_ball)
+        else encode_ball(window.target_ball, "target_radius")
     )
     return {
-        "p_ball": encode_ball(window.p_ball),
+        "p_ball": encode_ball(window.p_ball, "p_radius"),
         "state_ball": encode_ball(window.state_ball),
         "target": target,
-        "delta": encode_constant(window.delta, desc),
+        "delta": encode_constant(window.delta, desc, "delta"),
         "z0": [encode_constant(z, desc) for z in window.z0],
         "certificate": encode_certificate(window.cert),
     }

@@ -88,12 +88,21 @@ CASES = {
         "--geometry", str(FIXTURES / "geo/fixpoint_golden.json"),
     ],
     # the same Banach fixpoint under a supplied theta = 1/3, not a power of 5:
-    # its a priori bounds are formed from the powers of theta, step by step
+    # it prints the bounds theta^k d0, and plans with 5^-1, the largest
+    # power of 5 below theta
     "fixpoint_supplied_theta": [
         "fixpoint",
         "--map", str(FIXTURES / "maps/thirty_quadratic.json"),
         "--field", str(FIXTURES / "fields/q5n12.json"),
         "--geometry", str(FIXTURES / "geo/fixpoint_supplied_theta.json"),
+    ],
+    # 5x + 1 on B[0, 1] under theta = 1/3: planned with 5^-1, its 12 steps
+    # prove all 12 digits
+    "fixpoint_rounded_theta": [
+        "fixpoint",
+        "--map", str(FIXTURES / "maps/five_x_plus_one.json"),
+        "--field", str(FIXTURES / "fields/q5n12.json"),
+        "--geometry", str(FIXTURES / "geo/fixpoint_rounded_theta.json"),
     ],
     # real solutions: the invert and implicit requests over the reals
     "invert_real": [

@@ -34,7 +34,6 @@ from ultrafix.contraction import (
     _Exponents,
     _admitted_target,
     _answer,
-    _certified_bound,
     _check_step,
     _domain_escape,
     _frame,
@@ -42,10 +41,8 @@ from ultrafix.contraction import (
     _least_valuation,
     _newton_close,
     _not_contracting,
-    _plan,
-    _power_exponent,
     _report,
-    _step_count,
+    _searched_steps,
     _widths,
     default_target_precision,
     newton_fixed_point,
@@ -79,6 +76,37 @@ def poly(m, *outputs):
 HALF_PLUS_ONE = poly(1, [(Fraction(1, 2), (1,)), (1, (0,))])  # x/2 + 1
 FIVE_PLUS_SQ = poly(1, [(5, (0,)), (1, (2,))])  # 5 + x^2
 FIVE_PLUS_5SQ = poly(1, [(5, (0,)), (5, (2,))])  # 5 + 5x^2
+
+
+def _rounded_theta(theta: Fraction, p: int) -> Fraction:
+    """p^-t, the largest p-power <= theta; 0 for theta = 0."""
+    return Fraction(p) ** floor_log(theta, p) if theta else theta
+
+
+def _plan_bound(theta: Fraction, d0: Fraction, n: int, desc: FieldDescriptor) -> Fraction:
+    """The a priori bound after n steps that a plan reaches: theta^n d0 /
+    (1 - theta) over the reals; over Q_p the largest p-power <= p^-tn d0 /
+    (1 - theta), p^-t the largest p-power <= theta, or 0."""
+    if not desc.ultrametric:
+        return theta**n * d0 / (1 - theta)
+    value = _rounded_theta(theta, desc.prime) ** n * d0 / (1 - theta)
+    return Fraction(desc.prime) ** floor_log(value, desc.prime) if value else Fraction(0)
+
+
+def _steps(theta: Fraction, d0: Fraction, target: Fraction, desc: FieldDescriptor) -> int:
+    """The step count of a plan: from the exponents over Q_p, searched over
+    the reals."""
+    if desc.ultrametric:
+        return _Exponents(theta, d0, desc).steps(target)
+    return _searched_steps(theta, d0, target)
+
+
+def _padic_plan(problem: ContractionProblem, target_precision) -> tuple:
+    """(theta, d0, target, steps) of a p-adic problem, as `_padic_solve`
+    plans it."""
+    target = _admitted_target(problem, target_precision)
+    theta, d0 = problem.theta, problem.initial_displacement()
+    return theta, d0, target, _Exponents(theta, d0, problem.descriptor).steps(target)
 
 
 def test_admissible_examples(q5, real):
@@ -323,12 +351,10 @@ def test_iterates_stay_inside_declared_ball(q5):
 
 
 def _linear_scan_steps(theta, d0, target, desc, cap):
-    """Reference: the step count found by trying n = 0, 1, 2, ... in turn."""
+    """Reference: the step count found by trying n = 0, 1, 2, ... in turn.
+    Over Q_p theta is first rounded down to a p-power, as each bound is."""
 
-    def certified(n):
-        bound = theta**n * d0 / (1 - theta)
-        if not desc.ultrametric:
-            return bound
+    def power_below(bound):
         if bound <= 0:
             return Fraction(0)
         power = Fraction(1)
@@ -337,6 +363,12 @@ def _linear_scan_steps(theta, d0, target, desc, cap):
         while power * desc.prime <= bound:
             power *= desc.prime
         return power
+
+    rate = power_below(theta) if desc.ultrametric else theta
+
+    def certified(n):
+        bound = rate**n * d0 / (1 - theta)
+        return power_below(bound) if desc.ultrametric else bound
 
     steps = 0
     if d0 > 0:
@@ -356,7 +388,7 @@ def test_step_count_matches_linear_scan(q5, real):
             target = Fraction(rng.randint(1, 9), 10 ** rng.randint(0, 25))
             want = _linear_scan_steps(theta, d0, target, desc, cap=2000)
             assert want is not None
-            assert _step_count(theta, d0, target, desc) == want, (theta, d0, target, desc)
+            assert _steps(theta, d0, target, desc) == want, (theta, d0, target, desc)
 
 
 @pytest.mark.parametrize("kind", ["padic", "real"])
@@ -366,25 +398,25 @@ def test_step_count_cap_boundary(kind):
     desc = FieldDescriptor.padic(2, 4) if kind == "padic" else FieldDescriptor.real()
     half, target = Fraction(1, 2), Fraction(1, 1024)
     for k in (MAX_STEPS - 1, MAX_STEPS):
-        assert _step_count(half, target * 2 ** (k - 1), target, desc) == k
+        assert _steps(half, target * 2 ** (k - 1), target, desc) == k
     with pytest.raises(NotAContraction, match="cannot reach 1/1024 in reasonable time"):
-        _step_count(half, target * 2**MAX_STEPS, target, desc)
+        _steps(half, target * 2**MAX_STEPS, target, desc)
 
 
-def test_over_budget_error_carries_target_budget_and_steps(real):
+def test_over_budget_error_carries_target_budget_and_steps():
     # the message is unchanged; the details add the target and MAX_STEPS,
-    # and the least step count when the exponent plan knows it exactly
+    # and over Q_p the least step count, which the exponent plan knows
+    # exactly, under a theta that is not a p-power too: 2/3 plans as 1/2
     half, target = Fraction(1, 2), Fraction(1, 1024)
     d0 = target * 2**MAX_STEPS
-    with pytest.raises(NotAContraction, match="cannot reach 1/1024 in reasonable time") as info:
-        _step_count(half, d0, target, FieldDescriptor.padic(2, 4))
-    assert info.value.details == {"target": "1/1024", "budget": "100000", "steps": "100001"}
-    # a searched plan, over the reals or under a theta that is not a
-    # p-power, stops at the budget without the count
-    for theta, desc in ((half, real), (Fraction(2, 3), FieldDescriptor.padic(2, 4))):
+    for theta in (half, Fraction(2, 3)):
         with pytest.raises(NotAContraction, match="cannot reach 1/1024 in reasonable time") as info:
-            _step_count(theta, d0, target, desc)
-        assert info.value.details == {"target": "1/1024", "budget": "100000"}
+            _Exponents(theta, d0, FieldDescriptor.padic(2, 4)).steps(target)
+        assert info.value.details == {"target": "1/1024", "budget": "100000", "steps": "100001"}
+    # a real plan is searched, and stops at the budget without the count
+    with pytest.raises(NotAContraction, match="cannot reach 1/1024 in reasonable time") as info:
+        _searched_steps(half, d0, target)
+    assert info.value.details == {"target": "1/1024", "budget": "100000"}
 
 
 # The plan as it was searched before its exponent sums, verbatim: each
@@ -502,7 +534,9 @@ def _oracle_estimated_steps(theta: Fraction, start: Fraction, target: Fraction, 
 def test_exponent_plan_matches_the_searched_plan(monkeypatch):
     # theta = p^-t: the step count, the Newton choice, the a priori exponent
     # e_k of every step k <= steps and the cap are sums of t, L0 and L1,
-    # equal to what the searched plan finds
+    # equal to what the searched plan finds; a theta that is not a p-power
+    # plans as the p-power below it, in no more steps than the searched
+    # plan of its own powers and with no larger bounds
     checked = 0
     for p in (2, 3, 5, 7):
         desc = FieldDescriptor.padic(p, 8)
@@ -514,10 +548,10 @@ def test_exponent_plan_matches_the_searched_plan(monkeypatch):
             theta = Fraction(1, p**t)
             for d0 in d0s:
                 plan = contraction._Exponents(theta, d0, desc)
-                assert plan.t == (t if d0 else None)  # the closed form, once d0 > 0
+                assert plan.t == t
                 for target in targets:
                     steps = _oracle_step_count(theta, d0, target, desc)
-                    assert _step_count(theta, d0, target, desc) == plan.steps(target) == steps
+                    assert plan.steps(target) == steps
                     for dim in (1, 2, 3, 4):
                         limit = NEWTON_STEPS_PER_DIM * dim
                         pays = _oracle_certified_bound(theta, d0, limit, desc) > target
@@ -525,12 +559,23 @@ def test_exponent_plan_matches_the_searched_plan(monkeypatch):
                     for k in range(steps + 2):
                         e = _oracle_power_exponent(theta, d0, k, p)
                         assert plan.apriori(k) == (math.inf if e is None else -e)
-                    assert plan.cap(steps) == _oracle_power_exponent(theta, d0, steps, p, geometric=True)
+                    f = _oracle_power_exponent(theta, d0, steps, p, geometric=True)
+                    assert plan.cap(steps) == (math.inf if f is None else -f)
                     checked += bool(d0) and steps > 0
+        for theta in (Fraction(p + 1, p**2 + 1), Fraction(2, 3), Fraction(p**3 - 1, p**3), Fraction(9, 20)):
+            for d0 in d0s:
+                plan = contraction._Exponents(theta, d0, desc)
+                assert Fraction(1, p**plan.t) == _rounded_theta(theta, p) < theta
+                for target in targets:
+                    steps = plan.steps(target)
+                    assert steps <= _oracle_step_count(theta, d0, target, desc)
+                    for k in range(steps + 2):
+                        e = _oracle_power_exponent(theta, d0, k, p)
+                        assert plan.apriori(k) >= (math.inf if e is None else -e)
     assert checked > 1000
     # p = 2, t = 1: 1/(1 - theta) = 2 lifts d0 = 1 to 2, one step more
     q2 = FieldDescriptor.padic(2, 8)
-    assert _step_count(Fraction(1, 2), Fraction(1), Fraction(1, 4), q2) == 3
+    assert _Exponents(Fraction(1, 2), Fraction(1), q2).steps(Fraction(1, 4)) == 3
     # a solve takes Newton passes exactly when _oracle_newton_pays
     passes, real_pass = [], contraction._newton_pass
     monkeypatch.setattr(contraction, "_newton_pass", lambda *a: passes.append(a[5]) or real_pass(*a))
@@ -561,6 +606,90 @@ def test_nonpositive_target_fails_at_once(q5, real):
     # theta = 0 reaches a zero bound after one step, as before
     const = ContractionProblem(poly(1, [(3, (0,))]), Ball(real, (0,), 4), Fraction(0), (0,))
     assert iterate_fixed_point(const, 0).iterations == 1
+
+
+def _wrong_theta_problem(rng):
+    """A p-adic map with p-integral coefficients on B[0, 1], under a theta
+    drawn with no regard to its Lipschitz constant: mostly a wrong one."""
+    p = rng.choice((3, 5, 7))
+    n = rng.choice((1, 2))
+    rows = []
+    for _ in range(n):
+        row = [(rng.randint(-p, p), tuple(int(j == i) for j in range(n))) for i in range(n)]
+        i, j = rng.randrange(n), rng.randrange(n)
+        row += [(rng.randint(1, p), (0,) * n), (rng.randint(-p, p), tuple((k == i) + (k == j) for k in range(n)))]
+        rows.append(row)
+    desc = FieldDescriptor.padic(p, rng.choice((6, 12)))
+    theta = Fraction(rng.randint(1, 19), 20 * rng.choice((1, p)))
+    return ContractionProblem(MapSpec.from_coefficients(n, rows), Ball(desc, (0,) * n, 1), theta, (0,) * n)
+
+
+def test_a_step_check_names_the_bound_it_checked():
+    # a step is checked against p^-e_k = p^(L0 - t k), which lies below
+    # theta^k d0 when theta is no p-power, and the error names that bound:
+    # the size it reports exceeds the bound it reports.  x^2 + 4x + 1 over
+    # Q5 on B[0, 1] moves 1, 1/5, 1/5: under theta = 9/20 (planned as 1/5)
+    # step 2 exceeds 1/25, though not theta^2 d0 = 81/400
+    problem = ContractionProblem(
+        poly(1, [(1, (0,)), (4, (1,)), (1, (2,))]), Ball(FieldDescriptor.padic(5, 12), (0,), 1), Fraction(9, 20), (0,)
+    )
+    with pytest.raises(DomainEscape, match="step 2 of size 1/5 exceeds its a priori bound 1/25") as err:
+        iterate_fixed_point(problem)
+    assert err.value.details == {"step": "2", "size": "1/5", "bound": "1/25"}
+    rng = random.Random(2601)
+    checked = below_theta_power = 0
+    for _ in range(300):
+        problem = _wrong_theta_problem(rng)
+        for solve in (iterate_fixed_point, contraction.padic_fixed_point, newton_fixed_point):
+            try:
+                solve(problem)
+            except DomainEscape as err:
+                if "exceeds its a priori bound" in str(err):
+                    size, bound = Fraction(err.details["size"]), Fraction(err.details["bound"])
+                    assert size > bound, (problem, err.details)
+                    checked += 1
+                    k = int(err.details["step"])
+                    below_theta_power += size <= problem.theta**k * problem.initial_displacement()
+            except (NotAdmissible, NotAContraction):
+                pass
+    # the draws reach the check, and some of their steps are within theta^k
+    # d0, which an error naming that bound would have misreported
+    assert checked > 100 and below_theta_power > 0, (checked, below_theta_power)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_supplied_thetas_that_are_no_p_powers_plan_soundly(p):
+    # a supplied theta in (Lipschitz bound, 1) that is no p-power plans as
+    # the p-power below it: every digit a solve returns agrees with a solve
+    # at N + 16, and the plan takes no more steps than the searched plan of
+    # the powers of theta
+    rng = random.Random(2700 + p)
+    solved = 0
+    for rep in range(8):
+        n, N = 1 + rep % 2, rng.choice((4, 8, 12))
+        certified = _certified_step_map(rng, p, n, N)
+        f, ball = certified.f, certified.domain
+        lipschitz = calculus.lipschitz_bound(f, ball)
+        theta = lipschitz + (1 - lipschitz) * Fraction(rng.randint(1, 98), 99)
+        assert lipschitz < theta < 1 and _rounded_theta(theta, p) < theta
+        problem = ContractionProblem(f, ball, theta, certified.x0)
+        deep_ball = Ball(FieldDescriptor.padic(p, N + 16), ball.center_exact, ball.radius)
+        deep = ContractionProblem(f, deep_ball, theta, certified.x0)
+        for target in (None, Fraction(1, p ** rng.randint(1, N))):
+            plan = _padic_plan(problem, target)
+            assert plan[3] <= _oracle_step_count(theta, plan[1], plan[2], problem.descriptor)
+            solves = (
+                lambda q: iterate_fixed_point(q, target).fixed_point,
+                lambda q: contraction.padic_fixed_point(q, target),
+                lambda q: newton_fixed_point(q, target),
+            )
+            for solve in solves:
+                got, want = solve(problem), solve(deep)
+                for a, b in zip(got.components, want.components):
+                    diff = a.to_rational() - b.to_rational()
+                    assert diff == 0 or rational_valuation(diff, p) >= a.prec, (theta, target, a, b)
+                solved += 1
+    assert solved == 48
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +742,7 @@ def _assert_agrees_with_oracle(problem, target_precision=None):
     target = Fraction(
         target_precision if target_precision is not None else default_target_precision(desc)
     )
-    reached = _certified_bound(
+    reached = _plan_bound(
         problem.theta, report.initial_distance, report.iterations, desc
     ) <= target
     if reached:
@@ -632,9 +761,9 @@ def test_newton_matches_banach_oracle_on_both_sides_of_crossover(p):
                 theta, d0, desc = problem.theta, problem.initial_displacement(), problem.descriptor
                 limit = NEWTON_STEPS_PER_DIM * n
                 # targets that need limit - 1, limit and limit + 1 Banach steps, and the default
-                targets = [_certified_bound(theta, d0, m, desc) for m in (limit - 1, limit, limit + 1)]
+                targets = [_plan_bound(theta, d0, m, desc) for m in (limit - 1, limit, limit + 1)]
                 for target in targets + [Fraction(1, p**N)]:
-                    steps = _step_count(theta, d0, target, desc)
+                    steps = _steps(theta, d0, target, desc)
                     assert _oracle_newton_pays(problem, target) == (steps > limit)
                 assert [_oracle_newton_pays(problem, t) for t in targets] == [False, False, True]
                 sides.add(_oracle_newton_pays(problem))
@@ -831,10 +960,10 @@ def _full_precision_newton(problem, target_precision=None):
     desc = problem.descriptor
     if not desc.ultrametric:
         raise SchemaError("Newton steps are certified on ultrametric fields only")
-    theta, d0, target, steps = _plan(problem, target_precision)
+    theta, d0, target, steps = _padic_plan(problem, target_precision)
     f = problem.f
     x = Vector.from_rationals(problem.x0, desc)
-    bound = _certified_bound(theta, d0, steps, desc)
+    bound = _plan_bound(theta, d0, steps, desc)
     if steps:
         identity = Operator.identity(problem.domain.dim, desc)
         gx = eval_map(f, x)
@@ -998,7 +1127,7 @@ def test_capped_last_step_runs_at_full_precision(monkeypatch):
     for rep in range(12):
         sweeps.clear()
         problem = _deep_problem(rng, 5, 1 + rep % 2, 64, implicit=False, flat=5)
-        assert _plan(problem, Fraction(1, 5**4))[3] == 2
+        assert _padic_plan(problem, Fraction(1, 5**4))[3] == 2
         newton_fixed_point(problem, Fraction(1, 5**4))
         (first, w0), (last, w1) = sweeps[0], sweeps[-1]
         assert w0 == 5 and not any(first)
@@ -1113,16 +1242,17 @@ def _tracked_newton(problem, target_precision=None):
     desc = problem.descriptor
     if not desc.ultrametric:
         raise SchemaError("Newton steps are certified on ultrametric fields only")
-    theta, d0, target, steps = _plan(problem, target_precision)
+    theta, d0, target, steps = _padic_plan(problem, target_precision)
     f, p = problem.f, desc.prime
     x = Vector.from_rationals(problem.x0, desc)
-    bound = _certified_bound(theta, d0, steps, desc)
+    bound = _plan_bound(theta, d0, steps, desc)
     if steps:
         one = desc.one()
 
         def apriori_exponent(j: int):
-            """e_j; infinite once theta^j d0 is 0 (theta = 0)."""
-            e = _power_exponent(theta, d0, j, p)
+            """e_j, p^-e_j the largest p-power <= p^-tj d0; infinite once
+            that is 0 (theta = 0)."""
+            e = _oracle_power_exponent(_rounded_theta(theta, p), d0, j, p)
             return math.inf if e is None else -e
 
         e_k, e_next = apriori_exponent(0), apriori_exponent(1)
@@ -1299,8 +1429,8 @@ def _both_closes(problem, target, monkeypatch):
     got = newton_fixed_point(problem, target)
     monkeypatch.undo()
     ((s, xs, k),) = seen
-    theta, d0, target, steps = _plan(problem, target)
-    return got, _tracked_close(problem, s, xs, k, _certified_bound(theta, d0, steps, problem.descriptor), target), xs
+    theta, d0, target, steps = _padic_plan(problem, target)
+    return got, _tracked_close(problem, s, xs, k, _plan_bound(theta, d0, steps, problem.descriptor), target), xs
 
 
 def test_integer_close_matches_the_tracked_close(monkeypatch):
@@ -1374,7 +1504,7 @@ def test_met_newton_solve_evaluates_no_tracked_map(monkeypatch):
             for rep in range(4):
                 problem = _deep_problem(rng, p, n, (16, 64, 256, 1024)[rep], implicit=rep == 1, flat=(1, p)[rep % 2])
                 target = None if rep % 2 else Fraction(1, p ** rng.randint(2, 12))
-                assert _plan(problem, target)[3] > 0  # the plan, with d0, comes first
+                assert _padic_plan(problem, target)[3] > 0  # the plan, with d0, comes first
                 calls.clear()
                 scalars.clear()
                 monkeypatch.setattr(contraction, "eval_map", lambda *args: calls.append(args) or evaluate(*args))
@@ -1564,7 +1694,7 @@ def test_exact_close_needs_the_answer_in_the_ball(real):
 def test_padic_error_bound_is_the_a_priori_bound(q5):
     problem = ContractionProblem(FIVE_PLUS_SQ, Ball(q5, (0,), Fraction(1, 5)), Fraction(1, 5), (0,))
     report = iterate_fixed_point(problem)
-    assert report.error_bound == _certified_bound(
+    assert report.error_bound == _plan_bound(
         problem.theta, problem.initial_displacement(), report.iterations, q5
     )
 
@@ -1733,7 +1863,7 @@ def test_solves_stop_at_the_proving_pass_and_solve_to_w_minus_v_digits(monkeypat
         else:
             assert len(passes) <= before
             # only a solve that took all its planned steps sweeps once more
-            assert not sweeps or sum(got is not None for got in passes) == _plan(problem, target)[3]
+            assert not sweeps or sum(got is not None for got in passes) == _padic_plan(problem, target)[3]
     # Banach solves that build no report, as padic_fixed_point takes them
     rng = random.Random(7801)
     for problem, _ in problems:
@@ -1815,9 +1945,9 @@ def _oracle_padic_solve(problem: ContractionProblem, target_precision, newton=No
     name = "Newton iterate" if newton else "iterate"
     carried, known = _widths(xs, s, N, p)  # known: the full width of xs
     cap = plan.cap(steps)
-    # the most the close can prove of x_k is p^-min(C_k - s, -cap): a
-    # residual of valuation v >= min(C_k, s - cap) proves it
-    reach = math.inf if cap is None else s - cap
+    # the most the close can prove of x_k is p^-min(C_k - s, cap): a
+    # residual of valuation v >= min(C_k, s + cap) proves it
+    reach = s + cap
     moved = None  # the residual valuation at xs that the last pass measured
     while k < steps:  # each pass takes one step, or widens W and tries again
         at_full = k == steps - 1 or width + s >= known
@@ -1839,7 +1969,7 @@ def _oracle_padic_solve(problem: ContractionProblem, target_precision, newton=No
             _domain_escape(f"{name} {k + 1}", valuation_abs(p, escape - s), problem.domain, k + 1)
         # only a step past its bound builds the Fractions _check_step reports
         if v < e_k + s:
-            _check_step(k, valuation_abs(p, v - s), theta**k * d0)
+            _check_step(k, valuation_abs(p, v - s), valuation_abs(p, e_k))
         if not report and v >= min(carried, reach):
             # x_(k+1) = x_k mod p^v, and no later pass proves more of it
             moved = v
@@ -1971,18 +2101,19 @@ def _raw(x):
 
 
 def test_integer_exponents_match_floor_log():
-    # p^e, the largest p-power <= theta^n d0 (/ (1 - theta)), from the
-    # integer parts of theta and d0, against floor_log of the Fraction
+    # the plan's exponents, p^-e the largest p-power <= p^-tn d0 (/ (1 -
+    # theta)) with p^-t the largest p-power <= theta, from the integer parts
+    # of theta and d0, against floor_log of the Fraction
     for p in (2, 3, 5, 7):
+        desc = FieldDescriptor.padic(p, 8)
         thetas = [Fraction(0), Fraction(1, p), Fraction(1, p**3), Fraction(2, 7), Fraction(3, 10),
                   Fraction(p - 1, p + 1), 1 - Fraction(1, 10**6)]
         for theta in thetas:
+            rate = _rounded_theta(theta, p)
             for d0 in (Fraction(0), Fraction(1), Fraction(1, p), Fraction(p**2), Fraction(1, p**40)):
+                plan = _Exponents(theta, d0, desc)
                 for n in (0, 1, 2, 3, 5, 64, 1000, 4095, 4096):
-                    for geometric in (False, True):
-                        value = theta**n * d0 / (1 - theta if geometric else 1)
-                        want = floor_log(value, p) if value else None
-                        assert _power_exponent(theta, d0, n, p, geometric) == want, (p, theta, d0, n)
-                    desc = FieldDescriptor.padic(p, 8)
-                    bound = _certified_bound(theta, d0, n, desc)
-                    assert bound == (Fraction(p) ** want if value else 0)
+                    for exponent, scale in ((plan.apriori, 1), (plan.cap, 1 - theta)):
+                        value = rate**n * d0 / scale
+                        want = -floor_log(value, p) if value else math.inf
+                        assert exponent(n) == want, (p, theta, d0, n)

@@ -1,13 +1,31 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from ultrafix import Ball, FieldDescriptor, MapSpec, SchemaError, embed_rational
+from ultrafix import (
+    Ball,
+    ContractionProblem,
+    FieldDescriptor,
+    MapSpec,
+    SchemaError,
+    build_window,
+    certify,
+    embed_rational,
+    iterate_fixed_point,
+    lipschitz_theta,
+)
 from ultrafix.field import _padic_make, padic_scalar
 from ultrafix.jsonio import (
+    ROUNDING,
     encode_ball,
+    encode_certificate,
+    encode_constant,
+    encode_fixed_point_report,
     encode_map,
     encode_scalar,
+    encode_window,
     frac_str,
     parse_ball,
     parse_field,
@@ -87,3 +105,88 @@ def test_frac_str_past_the_int_to_str_digit_limit():
     assert digits_value(den) == 3**5000 + 1
     for k in (1, 600, 601, 2000, 3999):
         assert frac_str(Fraction(10**k - 1, 10**k)) == f"{'9' * k}/1{'0' * k}"
+
+
+def test_directed_rounding_examples(real):
+    # an exact double prints as itself; 7/5 as an upper bound prints as the
+    # double above it, as a lower bound as the one below, and as a value as
+    # the nearest, which lies below it
+    assert encode_constant(Fraction(3, 4), real, "b") == encode_constant(Fraction(3, 4), real, "a") == 0.75
+    seven_fifths = Fraction(7, 5)
+    assert encode_constant(seven_fifths, real) == 1.4 < seven_fifths
+    assert encode_constant(seven_fifths, real, "b") == math.nextafter(1.4, 2) == 1.4000000000000001
+    assert encode_constant(seven_fifths, real, "a") == 1.4
+    # a positive upper bound that underflows prints as the least positive double
+    tiny = Fraction(1, 10**400)
+    assert encode_constant(tiny, real, "sigma") == 5e-324 and encode_constant(tiny, real, "alpha") == 0.0
+    assert encode_constant(1 + 2 * tiny, real, "b") == math.nextafter(1.0, 2)
+    # p-adic constants stay exact strings
+    assert encode_constant(seven_fifths, FieldDescriptor.padic(5, 4), "b") == "7/5"
+
+
+def _real_rows(rng, n, params=0):
+    """Rows over params + n variables with thirds and sevenths in their
+    coefficients, so that few constants are doubles: a dominant diagonal
+    and one quadratic term each."""
+    nvars, rows = params + n, []
+    unit = lambda j: tuple(int(k == j) for k in range(nvars))
+    for i in range(n):
+        row = [(Fraction(rng.randint(-3, 3), 7), unit(j)) for j in range(params)]
+        for j in range(n):
+            if j == i:
+                coef = Fraction(rng.choice((-1, 1)) * rng.randint(7, 20), 3)
+            else:
+                coef = Fraction(rng.randint(-1, 1), 7 * n)
+            row.append((coef, unit(params + j)))
+        j, k = rng.randrange(params, nvars), rng.randrange(params, nvars)
+        square = tuple(a + b for a, b in zip(unit(j), unit(k)))
+        row.append((Fraction(rng.choice((-1, 1)), rng.choice((3, 6, 7))), square))
+        rows.append(row)
+    return MapSpec.from_coefficients(nvars, rows)
+
+
+def _fixpoint_problem(rng, real, n):
+    """b + L x + a quadratic term on B[0, 1], admissible under its Lipschitz theta."""
+    rows = []
+    for _ in range(n):
+        row = [(Fraction(rng.randint(-2, 2), 21), (0,) * n)]
+        row += [(Fraction(rng.randint(-2, 2), 9 * n), tuple(int(k == j) for k in range(n))) for j in range(n)]
+        row.append((Fraction(rng.choice((-1, 1)), 7), tuple(2 * int(k == rng.randrange(n)) for k in range(n))))
+        rows.append(row)
+    f, ball = MapSpec.from_coefficients(n, rows), Ball(real, (0,) * n, 1)
+    return ContractionProblem(f, ball, lipschitz_theta(f, ball), (0,) * n)
+
+
+def test_real_constants_print_on_their_safe_side(real):
+    # over seeded real certificates, windows and fixpoint reports, every
+    # printed bound lies on its side of the exact value, within one step of
+    # the nearest double; at nearest, many would lie on the wrong side
+    rng = random.Random(2602)
+    checked, wrong_at_nearest = 0, 0
+
+    def check(printed, exact, role):
+        nonlocal checked, wrong_at_nearest
+        side = ROUNDING[role]
+        on_side = lambda x: Fraction(x) >= exact if side > 0 else Fraction(x) <= exact
+        nearest = float(exact)
+        assert on_side(printed) and printed in (nearest, math.nextafter(nearest, side)), (role, printed, exact)
+        checked += 1
+        wrong_at_nearest += not on_side(nearest)
+
+    for rep in range(24):
+        n = 1 + rep % 2
+        cert = certify(_real_rows(rng, n), Ball(real, (0,) * n, Fraction(1, rng.choice((3, 5, 7, 10)))))
+        printed = encode_certificate(cert)
+        for key in ("norm_A", "norm_A_inv", "sigma", "a", "b", "alpha", "beta", "theta"):
+            check(printed[key], getattr(cert, key), key)
+        window = build_window(_real_rows(rng, n, params=1), (0,), (0,) * n, descriptor=real)
+        printed = encode_window(window)
+        check(printed["delta"], window.delta, "delta")
+        check(printed["p_ball"]["radius"], window.p_ball.radius, "p_radius")
+        check(printed["target"]["radius"], window.target_ball.radius, "target_radius")
+        report = iterate_fixed_point(_fixpoint_problem(rng, real, n), Fraction(1, 10**rng.randint(3, 12)))
+        printed = encode_fixed_point_report(report, real)
+        check(printed["theta"], report.theta, "theta")
+        for step, bound in zip(printed["steps"], report.apriori_bounds):
+            check(step["bound"], bound, "bound")
+    assert checked > 500 and wrong_at_nearest > 100, (checked, wrong_at_nearest)
