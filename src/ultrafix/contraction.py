@@ -14,33 +14,33 @@ that lies in the ball.  The plan aims the a priori bound at half the
 target; the other half is room for the drift of the doubles, and an answer
 whose exact bound misses the target is refused with PrecisionExhausted.
 
-Over Q_p no solve runs tracked arithmetic.  Banach steps and Newton steps
-(`newton_fixed_point`) both run on integers modulo p^W in the frame
-X = p^s x, where every point of the ball is p-integral: one value sweep
-(`calculus.modular_sweep`) gives g(X) for a Banach step, and a Newton step
-adds Dg(X) and one `linalg.modular_solve` of (I - Dg) s = g(X) - X on unit
-pivots, its W doubling from step to step up to the full width of the
-iterate.  A residual of valuation v is divided by p^v before either step
-is solved, so the solve runs to the W - v digits the step depends on.
-Both end in one a posteriori close, in integers: as
-|x - x*| <= |g(x) - x| for any contraction of an ultrametric ball, the
-exact valuation of g(X) - X at the last iterate, or a full-width pass that
-finds g(X) = X mod p^W, proves the answer's digits, capped by the a priori
-bound of the planned steps; a measured residual above the target is
-refused.  A solve that returns its answer alone (`padic_fixed_point`,
-which also picks Newton or Banach, and `newton_fixed_point`) ends at the
-first pass whose measured residual already proves every digit the close
-could return, and answers with the iterate that pass measured.  A Newton
-solve mostly spares that pass: the Taylor remainder of its last step
-bounds the residual of the new iterate from below (the Taylor floor, see
-`_padic_solve`), and once that floor proves the close's digits the solve
-answers with the new iterate; until then, the next pass searches each
-residual's valuation from the floor up.  PadicScalars are built for the
-answer and the report alone.  Each solve plans once, in exponents of p:
-every distance lies in the value group, so a theta-contraction is a
-p^-t-contraction, p^-t the largest p-power <= theta, and the step count,
-the Newton choice, every a priori bound and the cap are integer sums of t
-and the floor logarithms of d0 and d0 / (1 - theta) (`_Exponents`).
+Over Q_p no solve runs tracked arithmetic.  A solve that returns its answer
+alone (`newton_fixed_point`) takes Newton steps, and the report of
+`iterate_fixed_point`, which prints Banach steps, takes Banach steps.  Both
+run on integers modulo p^W in the frame X = p^s x, where every point of the
+ball is p-integral: one value sweep (`calculus.modular_sweep`) gives g(X)
+for a Banach step, and a Newton step adds Dg(X) and one
+`linalg.modular_solve` of (I - Dg) s = g(X) - X on unit pivots, its W
+doubling from step to step up to the full width of the iterate.  A residual
+of valuation v is divided by p^v before either step is solved, so the solve
+runs to the W - v digits the step depends on.  Both end in one a posteriori
+close, in integers: as |x - x*| <= |g(x) - x| for any contraction of an
+ultrametric ball, the exact valuation of g(X) - X at the last iterate, or a
+full-width pass that finds g(X) = X mod p^W, proves the answer's digits,
+capped by the a priori bound of the planned steps; a measured residual
+above the target is refused.  An answer-only solve ends at the first pass
+whose measured residual already proves every digit the close could return,
+and answers with the iterate that pass measured.  It mostly spares that
+pass: the Taylor remainder of its last step bounds the residual of the new
+iterate from below (the Taylor floor, see `_padic_solve`), and once that
+floor proves the close's digits the solve answers with the new iterate;
+until then, the next pass searches each residual's valuation from the
+floor up.  PadicScalars are built for the answer and the report alone.
+Each solve plans once, in exponents of p: every distance lies in the value
+group, so a theta-contraction is a p^-t-contraction, p^-t the largest
+p-power <= theta, and the step count, every a priori bound and the cap are
+integer sums of t and the floor logarithms of d0 and d0 / (1 - theta)
+(`_Exponents`).
 """
 
 from __future__ import annotations
@@ -413,7 +413,7 @@ def iterate_fixed_point(
     planning twice.
     """
     if problem.descriptor.ultrametric:
-        return _padic_solve(problem, target_precision, newton=False, report=True, check_plan=check_plan)
+        return _padic_solve(problem, target_precision, report=True, check_plan=check_plan)
     theta, d0, target, steps = _plan(problem, target_precision)
     if check_plan is not None:
         check_plan(steps)
@@ -448,34 +448,6 @@ def _report(trace, distances, theta: Fraction, d0: Fraction, bound: Fraction) ->
         step_distances=distances,
         error_bound=bound,
     )
-
-
-NEWTON_STEPS_PER_DIM = 2
-"""Newton pays once the Banach step count exceeds this many steps per variable.
-
-A Newton pass costs one modular sweep of g and Dg and an n x n elimination
-modulo p^(W - v), a Banach step one value sweep modulo the full width of
-the iterate and n unit inverses modulo p^(W - v); neither forms a power of
-theta, as the plan's bounds are integer sums, and a Newton solve whose
-Taylor floor proves its answer takes no measuring pass.  On seeded
-inversion problems of the benchmark's shape over Q3, Q5 and Q7 (18 per
-row, 6 per prime; minimum of 5 runs on a 2-core x86_64 VM, Python 3.11),
-Newton takes this share of the time of a Banach solve that builds no
-report, the range over the three primes: N = 4 (3 Banach steps)
-1.03-1.07x for n = 1 and 1.18-1.24x for n = 2; N = 16 (15 steps)
-0.46-0.54x and 0.49-0.54x; N = 32 (31 steps) 0.27-0.30x and 0.31-0.32x;
-N = 128 (127 steps) 0.07-0.08x and 0.09-0.11x.  The two break even near
-3 to 4 steps for n = 1 (N = 5: 0.92-0.94x), 4 for n = 2 (N = 5:
-1.00-1.02x), 5 for n = 3, 5 to 6 for n = 4 and 6 to 7 for n = 6, so no
-one count per variable fits every n.  On the `request_mix` benchmark
-rounds (seeds 77, 78, 5 and 7, rounds 0-2, 708 operations) every output
-is byte-identical at 0 (Newton whenever a step is planned), 1, 2, 3 and 4
-steps per variable; against 2 its 192 p-adic `invert` and `implicit`
-requests took 0.96x as long at 0 and 1, 1.005x at 3 and 1.08x at 4 in
-one run (minimum of 9) and 1.04x at 0 and 1 in another (minimum of 25),
-so no other count is faster beyond the spread of the measurement.  Both
-solvers close the same way, so the threshold moves time, not digits.
-"""
 
 
 def _frame(problem: ContractionProblem):
@@ -668,18 +640,20 @@ def _newton_close(problem: ContractionProblem, frame, xs, k: int, moved, cap, ta
 
 
 def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Vector:
-    """The fixed point of an ultrametric contraction by Newton steps.
+    """The fixed point of an ultrametric contraction by Newton steps: the
+    answer of every p-adic solve that builds no report (`local_invert`,
+    `solve_implicit`), where iterate_fixed_point builds the report of the
+    Banach steps.
 
     Iterates x -> x + s, s solving (I - Dg(x)) s = g(x) - x, until the
     residual g(x) - x, measured or bounded below by the Taylor floor of the
     last step (see `_padic_solve`), proves every digit the close could
     return, or is zero at full precision, at most as many steps as
-    iterate_fixed_point would
-    take, with its admissibility, domain, per-step and residual checks and
-    its close (`_padic_solve`).  The result is x truncated to the weaker of
-    the posterior bound |g(x) - x| and the a priori bound of
-    iterate_fixed_point, so it never claims more digits than it proves or
-    than the Banach iteration would.
+    iterate_fixed_point would take, with its admissibility, domain,
+    per-step and residual checks and its close.  The result is x truncated
+    to the weaker of the posterior bound |g(x) - x| and the a priori bound
+    of iterate_fixed_point, so it never claims more digits than it proves
+    or than the Banach iteration would.
 
     Every pass works on integers modulo p^W (von zur Gathen & Gerhard,
     Modern Computer Algebra, ch. 9): one `modular_sweep` gives g(X) and
@@ -699,22 +673,13 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
     """
     if not problem.descriptor.ultrametric:
         raise SchemaError("Newton steps are certified on ultrametric fields only")
-    return _padic_solve(problem, target_precision, newton=True)
-
-
-def padic_fixed_point(problem: ContractionProblem, target_precision=None) -> Vector:
-    """The fixed point of an ultrametric contraction, by Newton passes when
-    its planned Banach steps exceed NEWTON_STEPS_PER_DIM per variable, else
-    by Banach passes: iterate_fixed_point's answer without its report."""
     return _padic_solve(problem, target_precision)
 
 
-def _padic_solve(problem: ContractionProblem, target_precision, newton=None, report: bool = False, check_plan=None):
-    """The fixed point of an ultrametric contraction, by Newton or Banach
-    passes on integer residues: its answer, or with `report` (Banach only)
-    the report of the iteration.  With `newton` None the solve takes
-    Newton passes when its planned Banach steps exceed
-    NEWTON_STEPS_PER_DIM per variable.
+def _padic_solve(problem: ContractionProblem, target_precision, report: bool = False, check_plan=None):
+    """The fixed point of an ultrametric contraction, on integer residues:
+    its answer, by Newton passes, or with `report` the report of the Banach
+    iteration, whose steps the report prints.
 
     The plan is made once, in exponents (`_Exponents`): the step count, the
     a priori exponent e_k of each step and the cap; `check_plan`, when
@@ -733,8 +698,8 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton=None, rep
     closes in integers (`_newton_close`): its digits are proven a
     posteriori, as on an ultrametric ball |x - x*| <= |g(x) - x|, capped by
     the a priori bound p^-cap of the planned steps.  The close proves at
-    most p^-min(C_k - s, cap) of iterate k, C_k its carried width, so a
-    solve without a report ends at the first pass whose residual v reaches
+    most p^-min(C_k - s, cap) of iterate k, C_k its carried width, so an
+    answer-only solve ends at the first pass whose residual v reaches
     min(C_k, s + cap), once that pass's membership and step checks have
     run, and answers with x_k: every later step moves x by at most
     p^-(v - s), later residuals are no larger (the map contracts) and
@@ -771,8 +736,7 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton=None, rep
     if not d0:
         x = Vector.from_rationals(problem.x0, desc)
         return _report([x], [], theta, d0, Fraction(0)) if report else x
-    if newton is None:
-        newton = steps > NEWTON_STEPS_PER_DIM * problem.domain.dim
+    newton = not report
     p, N = desc.prime, desc.precision
     frame = s, depth, centre = _frame(problem)
     inside = p**depth
@@ -809,7 +773,7 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton=None, rep
         # only a step past its bound builds the Fractions _check_step reports
         if v < e_k + s:
             _check_step(k, valuation_abs(p, v - s), valuation_abs(p, e_k))
-        if not report and v >= min(carried, reach):
+        if newton and v >= min(carried, reach):
             # x_(k+1) = x_k mod p^v, and no later pass proves more of it
             moved = v
             break
@@ -829,7 +793,7 @@ def _padic_solve(problem: ContractionProblem, target_precision, newton=None, rep
         e_k, e_next = e_next, plan.apriori(k + 1)
         width = max(width, 4 * (v - s) + 2, e_next + 2)
     exponent = _newton_close(problem, frame, xs, k, moved, cap, target)
-    if not report:
+    if newton:
         return _answer(xs, s, exponent, desc)
     trace = [_answer(c, s, min(exponent, _widths(c, s, N, p)[0] - s), desc) for c in orbit + [xs] * met]
     distances = [valuation_abs(p, v - s) for v in sizes] + [Fraction(0)] * met

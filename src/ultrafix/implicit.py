@@ -26,7 +26,7 @@ from .calculus import (
 from .contraction import (
     ContractionProblem,
     iterate_fixed_point,
-    padic_fixed_point,
+    newton_fixed_point,
     partial_jacobians,
     uniform_family_check,
 )
@@ -223,7 +223,7 @@ def solve_implicit(
         g, window.state_ball, cert.theta, window.state_ball.center_exact
     )
     if cert.ultrametric:
-        lam = padic_fixed_point(problem, target_precision)
+        lam = newton_fixed_point(problem, target_precision)
     else:
         lam = iterate_fixed_point(problem, target_precision).fixed_point
 

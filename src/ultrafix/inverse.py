@@ -23,7 +23,7 @@ from .calculus import MapSpec, affine_map, eval_ints, eval_map, jacobian_exact, 
 from .contraction import (
     ContractionProblem,
     iterate_fixed_point,
-    padic_fixed_point,
+    newton_fixed_point,
 )
 from .errors import (
     DimensionMismatch,
@@ -167,6 +167,13 @@ def _solve_ball(cert: InversionCertificate, base, radius) -> Ball:
     return sub
 
 
+def _check_length(what: str, point: Sequence, dim: int) -> None:
+    """Refuse a point of the wrong length, which a zip would cut to fit."""
+    if len(point) != dim:
+        n = len(point)
+        raise DimensionMismatch(f"{what} has {n} coordinates, not {dim}", coordinates=str(n), dim=str(dim))
+
+
 def inversion_step_map(cert: InversionCertificate, f: MapSpec, c: Sequence) -> MapSpec:
     """The contraction v -> v - A^-1 (f(v) - c) as an exact polynomial map."""
     minus_inv = tuple(tuple(-a for a in row) for row in cert.A_inv)
@@ -190,6 +197,7 @@ def local_invert(
     """
     sub = _solve_ball(cert, base, radius)
     cs = tuple(Fraction(v) for v in c)
+    _check_length("target", cs, sub.dim)
     f_base = eval_map(f.without_domain(), sub.center_exact)
     margin = rat_vec_norm(
         rat_mat_vec(cert.A_inv, tuple(t - v for t, v in zip(cs, f_base))),
@@ -203,7 +211,7 @@ def local_invert(
     g = inversion_step_map(cert, f, cs)
     problem = ContractionProblem(g, sub, cert.theta, sub.center_exact)
     if cert.ultrametric:
-        return padic_fixed_point(problem, target_precision)
+        return newton_fixed_point(problem, target_precision)
     return iterate_fixed_point(problem, target_precision).fixed_point
 
 
@@ -227,6 +235,7 @@ class ImageDescription:
     skew_outer: Fraction | None = None
 
     def pullback_distance(self, w: Sequence) -> Fraction:
+        _check_length("point", w, len(self.center))
         return rat_vec_norm(
             rat_mat_vec(
                 self.A_inv, tuple(Fraction(x) - c for x, c in zip(w, self.center))

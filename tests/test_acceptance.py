@@ -686,10 +686,10 @@ def test_criterion_sigma_soundness():
 
 
 def test_criterion_cli_determinism():
-    with _criterion("CLI: 14 fixture requests byte-identical across runs and to goldens"):
+    with _criterion("CLI: 16 fixture requests byte-identical across runs and to goldens"):
         from test_cli import CASES, GOLDEN, run_cli
 
-        assert len(CASES) == 14
+        assert len(CASES) == 16
         for name, args in sorted(CASES.items()):
             first = run_cli(args)
             second = run_cli(args)

@@ -43,7 +43,7 @@ CASES = {
         "--field", str(FIXTURES / "fields/q5n4.json"),
         "--geometry", str(FIXTURES / "geo/implicit_golden.json"),
     ],
-    # the invert and implicit requests at N = 64, where each takes one Newton solve
+    # the invert and implicit requests at N = 64, each one Newton solve
     "invert_newton": [
         "invert",
         "--map", str(FIXTURES / "maps/plus_square.json"),
@@ -103,6 +103,21 @@ CASES = {
         "--map", str(FIXTURES / "maps/five_x_plus_one.json"),
         "--field", str(FIXTURES / "fields/q5n12.json"),
         "--geometry", str(FIXTURES / "geo/fixpoint_rounded_theta.json"),
+    ],
+    # a 2-variable invert, and an implicit request at a coarse --tol: their
+    # plans take 3 steps and 1, and their answers Newton passes all the same
+    "invert_pair": [
+        "invert",
+        "--map", str(FIXTURES / "maps/quadric_pair.json"),
+        "--field", str(FIXTURES / "fields/q5n4.json"),
+        "--geometry", str(FIXTURES / "geo/invert_pair.json"),
+    ],
+    "implicit_coarse": [
+        "implicit",
+        "--map", str(FIXTURES / "maps/saddle.json"),
+        "--field", str(FIXTURES / "fields/q5n4.json"),
+        "--geometry", str(FIXTURES / "geo/implicit_golden.json"),
+        "--tol", "1/25",
     ],
     # real solutions: the invert and implicit requests over the reals
     "invert_real": [
@@ -460,6 +475,13 @@ def test_cli_unreachable_target_past_the_int_to_str_limit_exits_1(name):
         ("implicit_golden", "--geometry", {"p0": ["0/1"], "x0": ["0/1"], "p": []}, "DimensionMismatch"),
         # a real constant beyond the range of a double (was an OverflowError traceback)
         ("certify_affine", "--geometry", {"ball": {"center": ["0/1"], "radius": "1e400"}}, "SchemaError"),
+        # targets of the wrong length (were answered, cut to fit by a zip)
+        ("invert_pair", "--geometry", {"ball": {"center": ["0/1", "0/1"], "radius": "1/5"}, "target": ["5/1"]},
+         "DimensionMismatch"),
+        ("invert_golden", "--geometry", {"ball": {"center": ["0/1"], "radius": "1/5", "closed": True},
+                                         "target": ["5/1", "7/1", "1/3"]}, "DimensionMismatch"),
+        ("implicit_golden", "--geometry", {"p0": ["0/1"], "x0": ["0/1"], "p": ["5/1"], "exact_image": True,
+                                           "z0": ["0/1", "3/1"]}, "DimensionMismatch"),
     ],
 )
 def test_cli_fuzz_findings_exit_with_json(name, flag, payload, kind):

@@ -30,7 +30,6 @@ from ultrafix.calculus import (
 )
 from ultrafix.contraction import (
     MAX_STEPS,
-    NEWTON_STEPS_PER_DIM,
     _Exponents,
     _admitted_target,
     _answer,
@@ -41,7 +40,6 @@ from ultrafix.contraction import (
     _least_valuation,
     _newton_close,
     _not_contracting,
-    _report,
     _searched_steps,
     _widths,
     default_target_precision,
@@ -492,24 +490,6 @@ def _oracle_step_count(
     return n
 
 
-def _oracle_newton_pays(problem: ContractionProblem, target_precision=None) -> bool:
-    """Should an ultrametric problem be solved by newton_fixed_point?
-
-    Decided from what is known before any step: the Banach step count
-    exceeds NEWTON_STEPS_PER_DIM * n exactly when the a priori bound after
-    that many steps still misses the target, so one bound decides it.  A
-    solve makes the same choice from the step count of its own plan
-    (`padic_fixed_point`).
-    """
-    desc = problem.descriptor
-    if not desc.ultrametric:
-        return False
-    target = contraction._target(target_precision, desc)
-    limit = NEWTON_STEPS_PER_DIM * problem.domain.dim
-    d0 = problem.initial_displacement()
-    return _oracle_certified_bound(problem.theta, d0, limit, desc) > target
-
-
 def _oracle_log(q: Fraction) -> float:
     """ln q of a positive rational whose parts may be past float range."""
     return math.log(q.numerator) - math.log(q.denominator)
@@ -531,12 +511,12 @@ def _oracle_estimated_steps(theta: Fraction, start: Fraction, target: Fraction, 
     return MAX_STEPS if estimate >= MAX_STEPS else max(1, math.ceil(estimate))
 
 
-def test_exponent_plan_matches_the_searched_plan(monkeypatch):
-    # theta = p^-t: the step count, the Newton choice, the a priori exponent
-    # e_k of every step k <= steps and the cap are sums of t, L0 and L1,
-    # equal to what the searched plan finds; a theta that is not a p-power
-    # plans as the p-power below it, in no more steps than the searched
-    # plan of its own powers and with no larger bounds
+def test_exponent_plan_matches_the_searched_plan():
+    # theta = p^-t: the step count, the a priori exponent e_k of every step
+    # k <= steps and the cap are sums of t, L0 and L1, equal to what the
+    # searched plan finds; a theta that is not a p-power plans as the
+    # p-power below it, in no more steps than the searched plan of its own
+    # powers and with no larger bounds
     checked = 0
     for p in (2, 3, 5, 7):
         desc = FieldDescriptor.padic(p, 8)
@@ -552,10 +532,6 @@ def test_exponent_plan_matches_the_searched_plan(monkeypatch):
                 for target in targets:
                     steps = _oracle_step_count(theta, d0, target, desc)
                     assert plan.steps(target) == steps
-                    for dim in (1, 2, 3, 4):
-                        limit = NEWTON_STEPS_PER_DIM * dim
-                        pays = _oracle_certified_bound(theta, d0, limit, desc) > target
-                        assert (steps > limit) == pays
                     for k in range(steps + 2):
                         e = _oracle_power_exponent(theta, d0, k, p)
                         assert plan.apriori(k) == (math.inf if e is None else -e)
@@ -576,22 +552,6 @@ def test_exponent_plan_matches_the_searched_plan(monkeypatch):
     # p = 2, t = 1: 1/(1 - theta) = 2 lifts d0 = 1 to 2, one step more
     q2 = FieldDescriptor.padic(2, 8)
     assert _Exponents(Fraction(1, 2), Fraction(1), q2).steps(Fraction(1, 4)) == 3
-    # a solve takes Newton passes exactly when _oracle_newton_pays
-    passes, real_pass = [], contraction._newton_pass
-    monkeypatch.setattr(contraction, "_newton_pass", lambda *a: passes.append(a[5]) or real_pass(*a))
-    rng, sides = random.Random(9300), set()
-    for p in (3, 5, 7):
-        for n in (1, 2):
-            problem = _certified_step_map(rng, p, n, 12 * n)
-            theta, d0 = problem.theta, problem.initial_displacement()
-            limit = NEWTON_STEPS_PER_DIM * n
-            for target in [_oracle_certified_bound(theta, d0, m, problem.descriptor) for m in (limit, limit + 1)]:
-                passes.clear()
-                contraction.padic_fixed_point(problem, target)
-                pays = _oracle_newton_pays(problem, target)
-                assert passes and set(passes) == {pays}
-                sides.add(pays)
-    assert sides == {False, True}
 
 
 def test_nonpositive_target_fails_at_once(q5, real):
@@ -640,7 +600,7 @@ def test_a_step_check_names_the_bound_it_checked():
     checked = below_theta_power = 0
     for _ in range(300):
         problem = _wrong_theta_problem(rng)
-        for solve in (iterate_fixed_point, contraction.padic_fixed_point, newton_fixed_point):
+        for solve in (iterate_fixed_point, newton_fixed_point):
             try:
                 solve(problem)
             except DomainEscape as err:
@@ -678,18 +638,13 @@ def test_supplied_thetas_that_are_no_p_powers_plan_soundly(p):
         for target in (None, Fraction(1, p ** rng.randint(1, N))):
             plan = _padic_plan(problem, target)
             assert plan[3] <= _oracle_step_count(theta, plan[1], plan[2], problem.descriptor)
-            solves = (
-                lambda q: iterate_fixed_point(q, target).fixed_point,
-                lambda q: contraction.padic_fixed_point(q, target),
-                lambda q: newton_fixed_point(q, target),
-            )
-            for solve in solves:
+            for solve in (lambda q: iterate_fixed_point(q, target).fixed_point, lambda q: newton_fixed_point(q, target)):
                 got, want = solve(problem), solve(deep)
                 for a, b in zip(got.components, want.components):
                     diff = a.to_rational() - b.to_rational()
                     assert diff == 0 or rational_valuation(diff, p) >= a.prec, (theta, target, a, b)
                 solved += 1
-    assert solved == 48
+    assert solved == 32
 
 
 # ---------------------------------------------------------------------------
@@ -751,25 +706,29 @@ def _assert_agrees_with_oracle(problem, target_precision=None):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_newton_matches_banach_oracle_on_both_sides_of_crossover(p):
+def test_answers_take_newton_passes_and_match_the_banach_report(p, monkeypatch):
+    # an answer-only solve takes Newton passes, whatever its planned step
+    # count, and returns the digits of the Banach report's answer: in 1-4
+    # variables, at targets that need 0 to 2n + 1 planned steps and at the
+    # default target
+    passes, real_pass = [], contraction._newton_pass
+    monkeypatch.setattr(contraction, "_newton_pass", lambda *a: passes.append(a[5]) or real_pass(*a))
     rng = random.Random(9100 + p)
-    sides, reached = set(), 0
-    for n in (1, 2, 3):
+    counts = set()
+    for n in (1, 2, 3, 4):
         for N in (5, 8 * n + 12):
-            for _ in range(3):
-                problem = _certified_step_map(rng, p, n, N)
-                theta, d0, desc = problem.theta, problem.initial_displacement(), problem.descriptor
-                limit = NEWTON_STEPS_PER_DIM * n
-                # targets that need limit - 1, limit and limit + 1 Banach steps, and the default
-                targets = [_plan_bound(theta, d0, m, desc) for m in (limit - 1, limit, limit + 1)]
-                for target in targets + [Fraction(1, p**N)]:
-                    steps = _steps(theta, d0, target, desc)
-                    assert _oracle_newton_pays(problem, target) == (steps > limit)
-                assert [_oracle_newton_pays(problem, t) for t in targets] == [False, False, True]
-                sides.add(_oracle_newton_pays(problem))
-                reached += _assert_agrees_with_oracle(problem)
-    assert sides == {False, True}
-    assert reached >= 9
+            problem = _certified_step_map(rng, p, n, N)
+            theta, d0, desc = problem.theta, problem.initial_displacement(), problem.descriptor
+            targets = [(_plan_bound(theta, d0, m, desc), m) for m in range(2 * n + 2)]
+            default = Fraction(1, p**N)
+            for target, steps in targets + [(default, _steps(theta, d0, default, desc))]:
+                assert _steps(theta, d0, target, desc) == steps
+                want = _digits(iterate_fixed_point(problem, target).fixed_point)
+                passes.clear()
+                assert _digits(newton_fixed_point(problem, target)) == want, (n, N, steps)
+                assert all(passes) and bool(passes) == (steps > 0)
+                counts.add(steps)
+    assert set(range(10)) <= counts
 
 
 def test_newton_with_theta_zero_and_d0_zero(q5_deep):
@@ -826,7 +785,6 @@ def test_newton_keeps_the_banach_checks(q5, q5_deep, real):
         newton_fixed_point(ContractionProblem(FIVE_PLUS_SQ, Ball(q5, (0,), Fraction(1, 5)), Fraction(1, 5), (0,)), 0)
     with pytest.raises(SchemaError):
         newton_fixed_point(ContractionProblem(HALF_PLUS_ONE, Ball(real, (0,), 4), Fraction(1, 2), (0,)))
-    assert not _oracle_newton_pays(ContractionProblem(HALF_PLUS_ONE, Ball(real, (0,), 4), Fraction(1, 2), (0,)))
 
 
 def test_newton_claims_only_what_its_residual_proves(q5_deep):
@@ -1864,11 +1822,11 @@ def test_solves_stop_at_the_proving_pass_and_solve_to_w_minus_v_digits(monkeypat
             assert len(passes) <= before
             # only a solve that took all its planned steps sweeps once more
             assert not sweeps or sum(got is not None for got in passes) == _padic_plan(problem, target)[3]
-    # Banach solves that build no report, as padic_fixed_point takes them
+    # the Banach solves of reports
     rng = random.Random(7801)
     for problem, _ in problems:
         p = problem.descriptor.prime
-        contraction._padic_solve(problem, Fraction(1, p ** rng.randint(2, 8)), newton=False)
+        iterate_fixed_point(problem, Fraction(1, p ** rng.randint(2, 8)))
     assert {newton for newton, _, _ in solves} == {True, False}
     # one modular_solve per Newton pass, one unit_inverse per row of a
     # Banach pass, each to W - v digits
@@ -1921,28 +1879,23 @@ def _oracle_newton_pass(problem: ContractionProblem, s: int, xs, width: int, k: 
     return v, [(a + scale * b) % mod for a, b in zip(xs, step)]
 
 
-def _oracle_padic_solve(problem: ContractionProblem, target_precision, newton=None, report: bool = False):
-    """`contraction._padic_solve` before the Taylor floor: a solve without a
-    report ends only at a pass that measures the residual of the iterate it
-    answers with, or sweeps that residual after its last planned step."""
+def _oracle_newton_solve(problem: ContractionProblem, target_precision=None):
+    """The answer of `contraction._padic_solve` before the Taylor floor: it
+    ends only at a pass that measures the residual of the iterate it answers
+    with, or sweeps that residual after its last planned step."""
     target = _admitted_target(problem, target_precision)
     desc = problem.descriptor
     theta, d0 = problem.theta, problem.initial_displacement()
     plan = _Exponents(theta, d0, desc)
     steps = plan.steps(target)
     if not d0:
-        x = Vector.from_rationals(problem.x0, desc)
-        return _report([x], [], theta, d0, Fraction(0)) if report else x
-    if newton is None:
-        newton = steps > NEWTON_STEPS_PER_DIM * problem.domain.dim
+        return Vector.from_rationals(problem.x0, desc)
     p, N = desc.prime, desc.precision
     frame = s, depth, centre = _frame(problem)
     inside = p**depth
     xs = [_frame_residue(c, s, rational_valuation(c, p) + s + N, p) if c else 0 for c in problem.x0]
-    orbit, sizes = [xs], []
     e_k, e_next = plan.apriori(0), plan.apriori(1)
-    width, k, met = max(3, e_next + 2) if newton else math.inf, 0, False
-    name = "Newton iterate" if newton else "iterate"
+    width, k = max(3, e_next + 2), 0
     carried, known = _widths(xs, s, N, p)  # known: the full width of xs
     cap = plan.cap(steps)
     # the most the close can prove of x_k is p^-min(C_k - s, cap): a
@@ -1952,12 +1905,12 @@ def _oracle_padic_solve(problem: ContractionProblem, target_precision, newton=No
     while k < steps:  # each pass takes one step, or widens W and tries again
         at_full = k == steps - 1 or width + s >= known
         pass_width = known if at_full else width + s
-        got = _oracle_newton_pass(problem, s, xs, pass_width, k, newton)
+        got = _oracle_newton_pass(problem, s, xs, pass_width, k, True)
         while got is not None and (widths := _widths(got[1], s, N, p))[1] > pass_width and at_full:
             pass_width = widths[1]
-            got = _oracle_newton_pass(problem, s, xs, pass_width, k, newton)
+            got = _oracle_newton_pass(problem, s, xs, pass_width, k, True)
         if got is None:
-            if met := at_full:
+            if at_full:
                 moved = pass_width
                 break
             width *= 2
@@ -1966,31 +1919,20 @@ def _oracle_padic_solve(problem: ContractionProblem, target_precision, newton=No
         off = [(a - c) % inside for a, c in zip(ys, centre)]
         if any(off):
             escape = _least_valuation(off, p)
-            _domain_escape(f"{name} {k + 1}", valuation_abs(p, escape - s), problem.domain, k + 1)
+            _domain_escape(f"Newton iterate {k + 1}", valuation_abs(p, escape - s), problem.domain, k + 1)
         # only a step past its bound builds the Fractions _check_step reports
         if v < e_k + s:
             _check_step(k, valuation_abs(p, v - s), valuation_abs(p, e_k))
-        if not report and v >= min(carried, reach):
+        if v >= min(carried, reach):
             # x_(k+1) = x_k mod p^v, and no later pass proves more of it
             moved = v
             break
         xs = ys
         carried, known = widths
-        orbit.append(xs)
-        sizes.append(v)
         k += 1
         e_k, e_next = e_next, plan.apriori(k + 1)
         width = max(width, 4 * (v - s) + 2, e_next + 2)
-    exponent = _newton_close(problem, frame, xs, k, moved, cap, target)
-    if not report:
-        return _answer(xs, s, exponent, desc)
-    trace = [_answer(c, s, min(exponent, _widths(c, s, N, p)[0] - s), desc) for c in orbit + [xs] * met]
-    distances = [valuation_abs(p, v - s) for v in sizes] + [Fraction(0)] * met
-    return _report(trace, distances, theta, d0, valuation_abs(p, exponent))
-
-
-def _oracle_newton_solve(problem, target_precision=None):
-    return _oracle_padic_solve(problem, target_precision, newton=True)
+    return _answer(xs, s, _newton_close(problem, frame, xs, k, moved, cap, target), desc)
 
 
 def _p_units(rng, p, count):

@@ -204,11 +204,11 @@ def test_derivative_matches_resolve(q5_deep):
 
 
 def test_deep_padic_solve_implicit_takes_newton_steps(monkeypatch):
-    # one solve through padic_fixed_point, and every pass it takes is a
+    # one solve through newton_fixed_point, and every pass it takes is a
     # Newton pass
     entries, solves, passes = [], [], []
-    entry, solve, one_pass = implicit.padic_fixed_point, contraction._padic_solve, contraction._newton_pass
-    monkeypatch.setattr(implicit, "padic_fixed_point", lambda *a: entries.append(a) or entry(*a))
+    entry, solve, one_pass = implicit.newton_fixed_point, contraction._padic_solve, contraction._newton_pass
+    monkeypatch.setattr(implicit, "newton_fixed_point", lambda *a: entries.append(a) or entry(*a))
     monkeypatch.setattr(contraction, "_padic_solve", lambda *a, **k: solves.append(a) or solve(*a, **k))
     monkeypatch.setattr(contraction, "_newton_pass", lambda *a: passes.append(a[5]) or one_pass(*a))
     w = build_window(SADDLE, (0,), (0,), descriptor=FieldDescriptor.padic(5, 48))

@@ -6,6 +6,7 @@ import pytest
 from ultrafix import (
     Ball,
     ContractionProblem,
+    DimensionMismatch,
     DomainViolation,
     FieldDescriptor,
     MapSpec,
@@ -19,13 +20,11 @@ from ultrafix import (
     local_invert,
     verify_distortion,
 )
-from ultrafix import inverse
+from ultrafix import contraction, inverse
 from ultrafix.field import rational_abs
 from ultrafix.inverse import inversion_step_map
 from ultrafix.linalg import rat_vec_norm
 from ultrafix.sampling import sample_in_ball, sample_pair_in_ball, unit_fraction
-
-from test_contraction import _oracle_newton_pays
 
 
 def poly(m, *outputs):
@@ -91,6 +90,26 @@ def test_local_invert_outside_guarantee(q5):
     cert = certify(PLUS_SQUARE, Ball(q5, (0,), Fraction(1, 5)))
     with pytest.raises(TargetOutsideGuarantee):
         local_invert(cert, PLUS_SQUARE, (1,))
+
+
+def test_points_of_the_wrong_length_are_refused(q5, real):
+    # a target or image point of the wrong length is refused, not cut to fit
+    # by a zip against the map's coordinates
+    pair = poly(2, [(1, (1, 0)), (1, (0, 2))], [(3, (0, 1)), (1, (2, 0))])
+    for desc in (q5, real):
+        for f, ball, bad in (
+            (PLUS_SQUARE, Ball(desc, (0,), Fraction(1, 5)), (5, 7)),
+            (pair, Ball(desc, (0, 0), Fraction(1, 5)), (Fraction(1, 25),)),
+        ):
+            cert = certify(f, ball)
+            want = f"has {len(bad)} coordinates, not {ball.dim}"
+            with pytest.raises(DimensionMismatch, match=f"^target {want}$") as err:
+                local_invert(cert, f, bad)
+            assert err.value.details == {"coordinates": str(len(bad)), "dim": str(ball.dim)}
+            image = ball_image(cert, f, ball.center_exact, ball.radius)
+            for check in (image.pullback_distance, image.contains if desc.ultrametric else image.cannot_contain):
+                with pytest.raises(DimensionMismatch, match=f"^point {want}$"):
+                    check(bad)
 
 
 def test_roundtrip_injectivity(q5, real):
@@ -220,12 +239,14 @@ def test_local_invert_off_center_base(q5):
     assert rational_abs(check.components[0].to_rational() - w[0], q5) <= Fraction(1, 5**4)
 
 
-def test_deep_padic_invert_takes_newton_steps_and_matches_banach():
+def test_deep_padic_invert_takes_newton_steps_and_matches_banach(monkeypatch):
     q5 = FieldDescriptor.padic(5, 64)
     cert = certify(PLUS_SQUARE, Ball(q5, (0,), Fraction(1, 5)))
     problem = ContractionProblem(inversion_step_map(cert, PLUS_SQUARE, (5,)), cert.ball, cert.theta, (0,))
-    assert _oracle_newton_pays(problem)
+    passes, one_pass = [], contraction._newton_pass
+    monkeypatch.setattr(contraction, "_newton_pass", lambda *a: passes.append(a[5]) or one_pass(*a))
     (v,) = local_invert(cert, PLUS_SQUARE, (5,)).components
+    assert passes and all(passes)
     (oracle,) = iterate_fixed_point(problem).fixed_point.components
     assert (v.val, v.unit, v.prec) == (oracle.val, oracle.unit, oracle.prec)
     x = v.to_rational()
