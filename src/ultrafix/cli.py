@@ -20,7 +20,7 @@ from .contraction import ContractionProblem, iterate_fixed_point, lipschitz_thet
 from .errors import SchemaError, UltrafixError
 from .implicit import build_window, solve_implicit
 from .inverse import certify, local_invert
-from .jsonio import SCHEMA_VERSION, parse_ball, parse_field, parse_map, parse_rational
+from .jsonio import SCHEMA_VERSION, parse_ball, parse_field, parse_flag, parse_map, parse_rational
 
 COMMANDS = ("invert", "implicit", "fixpoint", "certify", "check")
 
@@ -143,7 +143,7 @@ def _cmd_implicit(args, field, fmap, geo):
     z0 = _rational_list(geo["z0"], "z0") if geo.get("z0") is not None else None
     window = build_window(
         fmap, p0, x0, descriptor=field,
-        exact_image=bool(geo.get("exact_image", False)),
+        exact_image=parse_flag(geo, "exact_image", False),
     )
     solution = solve_implicit(
         window, fmap, p, z0, target_precision=_target_precision(args)

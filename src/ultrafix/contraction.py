@@ -28,14 +28,13 @@ close, in integers: as |x - x*| <= |g(x) - x| for any contraction of an
 ultrametric ball, the exact valuation of g(X) - X at the last iterate, or a
 full-width pass that finds g(X) = X mod p^W, proves the answer's digits,
 capped by the a priori bound of the planned steps; a measured residual
-above the target is refused.  An answer-only solve ends at the first pass
-whose measured residual already proves every digit the close could return,
-and answers with the iterate that pass measured.  It mostly spares that
-pass: the Taylor remainder of its last step bounds the residual of the new
-iterate from below (the Taylor floor, see `_padic_solve`), and once that
-floor proves the close's digits the solve answers with the new iterate;
-until then, the next pass searches each residual's valuation from the
-floor up.  PadicScalars are built for the answer and the report alone.
+above the target is refused.  An answer-only solve stops on its Taylor
+floor: the Taylor remainder of its last step bounds the residual of the
+new iterate from below (see `_padic_solve`), and once that floor proves
+every digit the close could return, the solve answers with the new
+iterate and measures no residual; until then, the next pass searches each
+residual's valuation from the floor up.  PadicScalars are built for the
+answer and the report alone.
 Each solve plans once, in exponents of p: every distance lies in the value
 group, so a theta-contraction is a p^-t-contraction, p^-t the largest
 p-power <= theta, and the step count, every a priori bound and the cap are
@@ -146,12 +145,15 @@ class FixedPointReport:
     initial_distance: Fraction
     step_distances: list
     error_bound: Fraction
-    """What the solve certifies for |fixed_point - x*|, never above the
-    target: over Q_p the p-power the close proves, the weaker of the
-    residual |g(x) - x| of the last iterate and the a priori bound of the
-    planned steps (0 when x0 is the fixed point); over the reals the exact
-    bound |g(x) - x| / (1 - theta) of the returned point x, which meets a
-    target of 0 only when x is the fixed point."""
+    """What the solve certifies for |fixed_point - x*|.  Over Q_p it is the
+    p-power the close proves, the weakest of the residual |g(x) - x| of the
+    last iterate, the a priori bound of the planned steps (0 when x0 is the
+    fixed point) and p^-C, C the width min(v_i) + N to which x carries its
+    digits.  So it lies above a target finer than those N digits, which is
+    not refused: 5 + x^2 over Q5 at N = 4 on B[0, 1/5] with target 5^-12
+    answers 4 digits with bound 5^-5.  Over the reals it is the exact bound
+    |g(x) - x| / (1 - theta) of the returned point x, never above the
+    target, which it meets at 0 only when x is the fixed point."""
 
 
 def admissible(problem: ContractionProblem) -> bool:
@@ -298,12 +300,6 @@ def default_target_precision(descriptor: FieldDescriptor) -> Fraction:
     return Fraction(descriptor.tolerance)
 
 
-def _target(target_precision, descriptor: FieldDescriptor) -> Fraction:
-    if target_precision is None:
-        return default_target_precision(descriptor)
-    return Fraction(target_precision)
-
-
 def _admitted_target(problem: ContractionProblem, target_precision) -> Fraction:
     """The target of a problem, once it is admissible; raises NotAdmissible."""
     if not admissible(problem):
@@ -312,7 +308,9 @@ def _admitted_target(problem: ContractionProblem, target_precision) -> Fraction:
             f"d(f(x0), x0) = {d0} exceeds the admissible displacement for radius {radius}",
             d0=d0, radius=radius, theta=num_str(problem.theta),
         )
-    return _target(target_precision, problem.descriptor)
+    if target_precision is None:
+        return default_target_precision(problem.descriptor)
+    return Fraction(target_precision)
 
 
 def _plan(problem: ContractionProblem, target_precision) -> tuple:
@@ -606,12 +604,10 @@ def _newton_close(problem: ContractionProblem, frame, xs, k: int, moved, cap, ta
     integers: its answer is x = xs / p^s to its digits below p^e.
 
     x carries its digits to the width C = min(v_i) + N, v_i the valuations
-    of its coordinates.  `moved` is the valuation of g(X) - X that the last
-    pass measured at xs (the pass's width, when it found g(X) = X; v, when
-    the solve stopped at the pass that proves its digits), or a valuation
-    it is proven to reach (the Taylor floor of a Newton step), or None
-    after the last planned step: then it comes from one more sweep modulo
-    p^C.
+    of its coordinates.  `moved` is a valuation g(X) - X reaches at xs:
+    the width of a full-width pass that found g(X) = X, or the Taylor floor
+    of the Newton step that reached xs; or None after the last planned
+    step: then it comes from one more sweep modulo p^C.
     A residual above the target is refused.  On an ultrametric ball
     |g(x) - x*| <= |x - x*| <= |g(x) - x| for any contraction, whatever
     theta, so g(x), which must lie in the ball, agrees with x to the digits
@@ -646,11 +642,11 @@ def newton_fixed_point(problem: ContractionProblem, target_precision=None) -> Ve
     Banach steps.
 
     Iterates x -> x + s, s solving (I - Dg(x)) s = g(x) - x, until the
-    residual g(x) - x, measured or bounded below by the Taylor floor of the
-    last step (see `_padic_solve`), proves every digit the close could
-    return, or is zero at full precision, at most as many steps as
-    iterate_fixed_point would take, with its admissibility, domain,
-    per-step and residual checks and its close.  The result is x truncated
+    Taylor floor of the last step (see `_padic_solve`), a valuation the
+    residual g(x) - x is proven to reach, proves every digit the close
+    could return, or the residual is zero at full precision, at most as
+    many steps as iterate_fixed_point would take, with its admissibility,
+    domain, per-step and residual checks and its close.  The result is x truncated
     to the weaker of the posterior bound |g(x) - x| and the a priori bound
     of iterate_fixed_point, so it never claims more digits than it proves
     or than the Banach iteration would.
@@ -692,19 +688,19 @@ def _padic_solve(problem: ContractionProblem, target_precision, report: bool = F
     new iterate is checked for membership as v_p(X - centre) >= k, then its
     step against its a priori bound p^-e_k: a step of valuation v is within
     it when v >= e_k + s.  Both are comparisons of integers; a valuation of
-    X - centre is taken only to report an escape.  The solve
-    ends after its planned steps, or once a pass at full width finds
-    g(X) = X (a Banach report counts that pass as a step of size 0), and
-    closes in integers (`_newton_close`): its digits are proven a
-    posteriori, as on an ultrametric ball |x - x*| <= |g(x) - x|, capped by
-    the a priori bound p^-cap of the planned steps.  The close proves at
-    most p^-min(C_k - s, cap) of iterate k, C_k its carried width, so an
-    answer-only solve ends at the first pass whose residual v reaches
-    min(C_k, s + cap), once that pass's membership and step checks have
-    run, and answers with x_k: every later step moves x by at most
-    p^-(v - s), later residuals are no larger (the map contracts) and
-    C_(k+1) >= min(C_k, v + N), so the close of any later iterate would
-    return the same digits.
+    X - centre is taken only to report an escape.  The solve ends after
+    its planned steps, once a pass at full width finds g(X) = X (a Banach
+    report counts that pass as a step of size 0), or, answering alone, on
+    its Taylor floor (below), and closes in integers (`_newton_close`): its
+    digits are proven a posteriori, as on an ultrametric ball
+    |x - x*| <= |g(x) - x|, capped by the a priori bound p^-cap of the
+    planned steps.  The close proves at most p^-min(C_k - s, cap) of
+    iterate k, C_k its carried width, so once a residual v at x_k reaches
+    min(C_k, s + cap), the close of any later iterate returns the digits
+    the close of x_k would: every later step moves x by at most p^-(v - s),
+    later residuals are no larger (the map contracts) and
+    C_(k+1) >= min(C_k, v + N).  An answer-only solve therefore need not
+    stop on a measured residual: it stops on the Taylor floor below.
 
     A Newton solve bounds the next residual before it measures it.  A pass
     modulo p^W at X finds S with (I - DG(X)) S = G(X) - X mod p^W and
@@ -773,10 +769,6 @@ def _padic_solve(problem: ContractionProblem, target_precision, report: bool = F
         # only a step past its bound builds the Fractions _check_step reports
         if v < e_k + s:
             _check_step(k, valuation_abs(p, v - s), valuation_abs(p, e_k))
-        if newton and v >= min(carried, reach):
-            # x_(k+1) = x_k mod p^v, and no later pass proves more of it
-            moved = v
-            break
         xs = ys
         carried, known = widths
         orbit.append(xs)

@@ -32,6 +32,7 @@ from .contraction import (
 )
 from .errors import (
     DimensionMismatch,
+    DomainViolation,
     NotAFixedPoint,
     OutsideWindow,
     SchemaError,
@@ -95,14 +96,21 @@ def _shrink_search(
     """The first of max_shrink radii, shrinking geometrically from `radius`
     (factor 1/p padic, 1/2 real), at which measure(radius) gives a pair
     (value, limit) with value <= limit.  WindowNotFound otherwise, with the
-    last radius tried and its pair under `names` in its details."""
-    details = {}
+    last radius tried and its pair under `names` in its details.  measure
+    gives None for a radius whose window leaves the map's domain, which
+    every larger radius leaves too, so a last None means none fit."""
+    details, pair = {}, ()
     for _ in range(max_shrink):
-        value, limit = measure(radius)
-        if value <= limit:
+        pair = measure(radius)
+        if pair is None:
+            details = {"radius": num_str(radius)}
+        elif pair[0] <= pair[1]:
             return radius
-        details = {"radius": num_str(radius), names[0]: num_str(value), names[1]: num_str(limit)}
+        else:
+            details = {"radius": num_str(radius), names[0]: num_str(pair[0]), names[1]: num_str(pair[1])}
         radius = radius / desc.prime if desc.ultrametric else radius / 2
+    if pair is None:
+        message = f"no window within {max_shrink} shrinks lies in the map's domain"
     raise WindowNotFound(message, **details)
 
 
@@ -110,7 +118,7 @@ def build_window(
     f: MapSpec,
     p0,
     x0,
-    descriptor: FieldDescriptor | None = None,
+    descriptor: FieldDescriptor,
     max_shrink: int = 60,
     exact_image: bool = False,
 ) -> ParamWindow:
@@ -119,15 +127,11 @@ def build_window(
     The state Jacobian A at (p0, x0) anchors the certificate.  Starting at
     radius 1, radii shrink geometrically until (i) the uniform strictness
     bound sigma is at most tau = 1/(2||A^-1||) and (ii) the parameter drift
-    of the pulled back equation stays within the solvable margin.
+    of the pulled back equation stays within the solvable margin.  A map's
+    domain bounds the window: an anchor outside it raises DomainViolation,
+    and (i) takes only radii r whose joint ball B((p0, x0), r), which holds
+    the window as the parameter radius is at most r, lies in it.
     """
-    if descriptor is None:
-        if isinstance(p0, Vector):
-            descriptor = p0.descriptor
-        elif f.domain is not None:
-            descriptor = f.domain.descriptor
-        else:
-            raise SchemaError("no field descriptor available for the window")
     p0 = _as_rationals(p0, "p0")
     x0 = _as_rationals(x0, "x0")
     mp, n = len(p0), len(x0)
@@ -135,7 +139,9 @@ def build_window(
         raise DimensionMismatch("map does not split as parameter x state")
     if f.codomain_dim != n:
         raise DimensionMismatch("implicit equations need codomain = state dimension")
-    f = f.without_domain()
+    domain, f = f.domain, f.without_domain()
+    if domain is not None and not domain.contains_rational(p0 + x0):
+        raise DomainViolation("the anchor (p0, x0) is outside the map's domain ball")
     jac = jacobian_exact(f, p0 + x0)
     A_rows = tuple(tuple(row[mp:]) for row in jac)
     A_inv = InversionCertificate.anchor_inverse(A_rows)
@@ -150,6 +156,8 @@ def build_window(
     tau = 1 / (2 * norm_a_inv)
 
     def sigma_and_tau(radius):
+        if domain is not None and not domain.contains_ball(Ball(desc, p0 + x0, radius)):
+            return None
         return uniform_family_check(residual, Ball(desc, p0, radius), Ball(desc, x0, radius)), tau
 
     r = _shrink_search(
@@ -240,15 +248,9 @@ def solve_implicit(
     )
     residual_vec = value - Vector.from_rationals(z0, desc)
     residual = vec_norm(residual_vec)
-    if desc.ultrametric:
-        # the solution is truncated to its certified digits, so any residual
-        # visible at tracked precision is a genuine failure
-        ok = residual_vec.is_zero()
-    else:
-        target = float(
-            target_precision if target_precision is not None else desc.tolerance
-        )
-        ok = residual <= (1 + float(cert.theta)) * target + desc.tolerance
-    if not ok:
+    # the solution is truncated to its certified digits, so a p-adic
+    # residual visible at tracked precision is a genuine failure; a real
+    # answer stands on the exact close of its solve
+    if desc.ultrametric and not residual_vec.is_zero():
         raise NotAFixedPoint(f"implicit residual {residual} too large")
     return ImplicitSolution(lambda_value=lam, derivative=derivative, residual=residual)

@@ -30,6 +30,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):  # NaN, Infinity, or a literal past the doubles
+            raise SchemaError(f"expected a finite rational, got {value!r}")
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -149,6 +151,15 @@ def encode_ball(ball: Ball, radius_role: str | None = None):
     }
 
 
+def parse_flag(data: dict, key: str, default: bool) -> bool:
+    """data[key] when it is a JSON true or false, `default` when the key is
+    absent; any other value is refused."""
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise SchemaError(f"'{key}' must be true or false, got {value!r}")
+    return value
+
+
 def parse_ball(data, descriptor: FieldDescriptor) -> Ball:
     if not isinstance(data, dict):
         raise SchemaError("ball must be an object")
@@ -160,7 +171,7 @@ def parse_ball(data, descriptor: FieldDescriptor) -> Ball:
         radius = parse_rational(data["radius"])
     except KeyError as exc:
         raise SchemaError(f"ball needs {exc}") from exc
-    return Ball(descriptor, tuple(center), radius, bool(data.get("closed", True)))
+    return Ball(descriptor, tuple(center), radius, parse_flag(data, "closed", True))
 
 
 def encode_map(f: MapSpec):

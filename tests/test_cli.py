@@ -482,6 +482,21 @@ def test_cli_unreachable_target_past_the_int_to_str_limit_exits_1(name):
                                          "target": ["5/1", "7/1", "1/3"]}, "DimensionMismatch"),
         ("implicit_golden", "--geometry", {"p0": ["0/1"], "x0": ["0/1"], "p": ["5/1"], "exact_image": True,
                                            "z0": ["0/1", "3/1"]}, "DimensionMismatch"),
+        # NaN, Infinity and 1e400, which json.loads reads as floats no
+        # Fraction holds (were ValueError and OverflowError tracebacks)
+        ("invert_golden", "--geometry", {"ball": {"center": [math.nan], "radius": "1/5"}, "target": ["5/1"]},
+         "SchemaError"),
+        ("invert_golden", "--geometry", {"ball": {"center": ["0/1"], "radius": math.inf}, "target": ["5/1"]},
+         "SchemaError"),
+        ("invert_golden", "--geometry", {"ball": {"center": ["0/1"], "radius": "1/5"}, "target": [float("1e400")]},
+         "SchemaError"),
+        ("invert_golden", "--map", {"vars": 1, "outputs": [[{"coef": math.nan, "exp": [1]}]]}, "SchemaError"),
+        ("implicit_golden", "--geometry", {"p0": ["0/1"], "x0": ["0/1"], "p": [-math.inf]}, "SchemaError"),
+        # flags that are not JSON true or false (bool() read "false" as true)
+        *[("invert_golden", "--geometry", {"ball": {"center": ["0/1"], "radius": "1/5", "closed": flag},
+                                           "target": ["5/1"]}, "SchemaError") for flag in ("false", 0, None, [])],
+        *[("implicit_golden", "--geometry", {"p0": ["0/1"], "x0": ["0/1"], "p": ["5/1"], "exact_image": flag},
+           "SchemaError") for flag in ("false", 0, None, [])],
     ],
 )
 def test_cli_fuzz_findings_exit_with_json(name, flag, payload, kind):
@@ -490,6 +505,43 @@ def test_cli_fuzz_findings_exit_with_json(name, flag, payload, kind):
     code, out = run_in_process(args)
     assert code == (2 if kind == "SchemaError" else 1)
     assert out["error"]["kind"] == kind
+
+
+def saddle_with(linear):
+    """f(p, x) = linear x + x^2 - p."""
+    return {
+        "vars": 2,
+        "outputs": [[{"coef": linear, "exp": [0, 1]}, {"coef": "1", "exp": [0, 2]}, {"coef": "-1", "exp": [1, 0]}]],
+    }
+
+
+@pytest.mark.parametrize("linear, p", [("10", "1/4"), ("100", "1/2")])
+def test_cli_real_implicit_answers_stand_on_their_exact_close(linear, p):
+    # lambda = 0 after a plan of 0 steps, within the target of lambda* by
+    # the exact close (1/32 at linear = 10), but a re-check of f(p, lambda)
+    # against (1 + theta) tol, which left out ||A||, refused it with
+    # NotAFixedPoint
+    args = [
+        "implicit", "--map", json.dumps(saddle_with(linear)), "--field", '{"kind": "real"}',
+        "--geometry", json.dumps({"p0": ["0"], "x0": ["0"], "p": [p]}), "--tol", "1/10",
+    ]
+    code, payload = run_in_process(args)
+    out = run_cli(args)
+    assert code == out.returncode == 0, payload
+    assert json.loads(out.stdout) == payload
+    (lam,) = map(Fraction, payload["result"]["solution"]["value"])
+    # f(p, x) increases in x on [lam - 1/10, lam + 1/10] and changes sign
+    # there, so lambda* lies within the target of lam
+    a, low, high = int(linear), lam - Fraction(1, 10), lam + Fraction(1, 10)
+    assert low > Fraction(-a, 2)
+    assert a * low + low**2 <= Fraction(p) <= a * high + high**2
+
+
+def test_cli_padic_target_finer_than_the_answer_digits_is_not_refused():
+    # the answer keeps the 4 digits it proves; 5^-12 is not refused
+    code, payload = run_in_process([*CASES["invert_golden"], "--tol", str(Fraction(1, 5**12))])
+    assert code == 0
+    assert payload["result"]["solution"] == [{"digits": [0, 1, 4, 1], "val": 0}]
 
 
 def test_cli_not_certifiable_past_the_int_to_str_limit_exits_1():

@@ -12,11 +12,14 @@ precision, 4096 and 10^18, also as --tol, and each request must also answer
 within BIG_SECONDS, as precision, --samples, the monomial degree and the
 step list of a `fixpoint` report have budgets (field.PRECISION_BUDGET_BITS,
 calculus.SAMPLE_BUDGET, calculus.DEGREE_BUDGET, jsonio.REPORT_BUDGET).
+A fourth is exhaustive, not seeded: each of NaN, +-Infinity, "false",
+"true", 0, 1 and null at every leaf of every fixture request.
 """
 
 import copy
 import io
 import json
+import math
 import random
 import re
 import sys
@@ -230,4 +233,31 @@ def test_large_junk_requests_exit_0_1_or_2_with_json_in_time():
         if code:
             assert payload["error"]["kind"], argv
         codes[code] += 1
+    assert min(codes.values()) >= 10, codes
+
+
+# json.loads reads NaN and Infinity as floats no Fraction holds, and a flag
+# such as "closed" must not read the string "false" as true.
+LEAF_VALUES = (math.nan, math.inf, -math.inf, "false", "true", 0, 1, None)
+
+
+def test_every_leaf_takes_non_finite_numbers_strings_of_flags_and_null():
+    codes = {0: 0, 1: 0, 2: 0}
+    for command in sorted(REQUESTS):
+        for flag, payload in _payloads(command).items():
+            for place in _leaves(payload):
+                for value in LEAF_VALUES:
+                    payloads = _payloads(command)
+                    parent = payloads[flag]
+                    for key in place[:-1]:
+                        parent = parent[key]
+                    parent[place[-1]] = value
+                    argv = _argv(command, payloads)
+                    out = io.StringIO()
+                    code = cli.run(argv, stream=out)
+                    assert code in codes, argv
+                    result = json.loads(out.getvalue())
+                    if code:
+                        assert result["error"]["kind"], argv
+                    codes[code] += 1
     assert min(codes.values()) >= 10, codes

@@ -1657,6 +1657,19 @@ def test_padic_error_bound_is_the_a_priori_bound(q5):
     )
 
 
+def test_padic_error_bound_stays_at_the_carried_digits_above_a_finer_target(q5):
+    # a target finer than the N digits an answer carries is not refused: the
+    # answer keeps its 4 digits, and error_bound is the p-power they prove
+    problem = ContractionProblem(FIVE_PLUS_SQ, Ball(q5, (0,), Fraction(1, 5)), Fraction(1, 5), (0,))
+    target = Fraction(1, 5**12)
+    report = iterate_fixed_point(problem, target)
+    (x,) = report.fixed_point.components
+    assert (x.val, x.prec) == (1, 5)
+    assert report.error_bound == Fraction(1, 5**5) > target
+    (y,) = newton_fixed_point(problem, target).components
+    assert (y.to_rational(), y.prec) == (x.to_rational(), 5)
+
+
 def test_domain_escapes_carry_step_distance_and_radius(q5, q5_deep, real, monkeypatch):
     # 129/125 + x/5 over Q5 on B_1(1/25) and 4x - 119/4 over the reals on
     # B_1(10) are no 1/5- or 1/2-contractions: iterate 2 lands at

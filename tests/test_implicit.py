@@ -5,6 +5,7 @@ import pytest
 
 from ultrafix import (
     Ball,
+    DomainViolation,
     FieldDescriptor,
     MapSpec,
     OutsideWindow,
@@ -252,3 +253,33 @@ def test_window_builds_its_residual_and_drift_maps_once(monkeypatch, real):
     assert (w.state_ball.radius, w.p_ball.radius) == (Fraction(1, 2**12), Fraction(1, 2**14))
     # f - A.x, and A^-1 f with the state fixed at x0
     assert calls == {"affine_map": 2, "substitute_prefix": 1}
+
+
+@pytest.mark.parametrize("field", ["q5", "real"])
+def test_windows_stay_in_the_maps_domain(request, field):
+    desc = request.getfixturevalue(field)
+    radius = Fraction(1, 625) if desc.ultrametric else Fraction(1, 100)
+    domain = Ball(desc, (0, 0), radius)
+    f = MapSpec(2, SADDLE.outputs, domain)
+    w = build_window(f, (0,), (0,), descriptor=desc)
+    # the domainless window is wider; this one lies in the domain
+    assert build_window(SADDLE, (0,), (0,), descriptor=desc).state_ball.radius > radius
+    r = w.state_ball.radius
+    assert r <= radius and w.p_ball.radius <= r
+    assert domain.contains_ball(Ball(desc, (0, 0), r))
+    inside, outside = (Fraction(625), Fraction(5)) if desc.ultrametric else (Fraction(1, 1000), Fraction(1, 50))
+    (lam,) = solve_implicit(w, f, (inside,)).lambda_value.to_rationals()
+    assert domain.contains_rational((inside, lam))
+    with pytest.raises(OutsideWindow):
+        solve_implicit(w, f, (outside,))
+    with pytest.raises(DomainViolation):
+        build_window(f, (outside,), (0,), descriptor=desc)
+
+
+def test_no_window_of_an_anchor_on_a_closed_domains_sphere(real):
+    # every real ball around a point of the sphere leaves the closed domain
+    f = MapSpec(2, SADDLE.outputs, Ball(real, (0, 0), Fraction(1, 100)))
+    with pytest.raises(WindowNotFound) as info:
+        build_window(f, (Fraction(1, 100),), (0,), descriptor=real, max_shrink=3)
+    assert str(info.value) == "no window within 3 shrinks lies in the map's domain"
+    assert info.value.details == {"radius": "1/4"}
