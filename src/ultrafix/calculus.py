@@ -1125,7 +1125,7 @@ def check_identities(
             f"(monomials times degree) exceed the budget of {CHECK_COST_BUDGET}",
             samples=sample_count, cost=cost, budget=CHECK_COST_BUDGET,
         )
-    if mutation is not None and mutation not in _MUTATIONS:
+    if mutation is not None and (not isinstance(mutation, str) or mutation not in _MUTATIONS):
         raise SchemaError(f"unknown mutation {mutation!r}")
     mut = _MUTATIONS.get(mutation)
     rng = random.Random(seed)

@@ -6,25 +6,24 @@ near-cancelling values raises the valuation and shrinks the known digit range
 instead of fabricating zeros, so downstream certificates never overstate
 precision (Caruso, Roe & Vaccon, "Tracking p-adic precision", 2014).  Each
 p-adic kernel is written once, over triples, and checks every nonzero triple
-it returns as a scalar would be checked; `PadicScalar` arithmetic, map
-evaluation, the dot products and eliminations of `linalg` and the identity
-samples of `calculus` all call them, and only the scalars wrap their result
-(Caruso, "Computations with p-adic numbers", 2017: zealous arithmetic needs
-only the numbers).  `a + b` and `a - b` are one binary kernel, `_padic_add`,
-which adds or subtracts the shifted units as one residue.  A polynomial
-output is evaluated by `padic_polynomial` in two integer passes over its
-monomials: the first finds where the sum is known, the second adds the unit
-products as one residue modulo the power of p that reaches it.
-`a - f * b` and `a + f * b` are one signed kernel as well,
+it returns as a scalar would be checked; `PadicScalar` arithmetic (and
+through it the dot products and eliminations of `linalg`), map evaluation
+and the identity samples of `calculus` all call them, and only the scalars
+wrap their result (Caruso, "Computations with p-adic numbers", 2017:
+zealous arithmetic needs only the numbers).  `a + b` and `a - b` are one
+binary kernel, `_padic_add`, which adds or subtracts the shifted units as
+one residue.  A polynomial output is evaluated by `padic_polynomial` in two
+integer passes over its monomials: the first finds where the sum is known,
+the second adds the unit products as one residue modulo the power of p that
+reaches it.  `a - f * b` and `a + f * b` are one signed kernel as well,
 `padic_sub_product`: one residue, bit for bit the product followed by the
-difference or the sum (an elimination's row update, x + t*y, a step of a
-dot product).  `padic_divided_difference` forms (u - v)/t over two vectors
-with one unit inverse of t, bit for bit the subtraction followed by the
-division.  Each kernel that already holds p^digits hands it to the
-invariant check.  The real backend is plain IEEE doubles with a global
-comparison tolerance; exactness on the real side lives in the rational
-helpers (`rational_abs`) used by the verification oracles, not in the
-scalar type.
+difference or the sum (x + t*y, a step of `padic_dot`).
+`padic_divided_difference` forms (u - v)/t over two vectors with one unit
+inverse of t, bit for bit the subtraction followed by the division.  Each
+kernel that already holds p^digits hands it to the invariant check.  The
+real backend is plain IEEE doubles with a global comparison tolerance;
+exactness on the real side lives in the rational helpers (`rational_abs`)
+used by the verification oracles, not in the scalar type.
 """
 
 from __future__ import annotations
@@ -244,9 +243,22 @@ class FieldDescriptor:
 
 
 class Scalar:
-    """A valued-field element; immutable, backend-specific subclasses below."""
+    """A valued-field element; immutable, backend-specific subclasses below.
+    Arithmetic on two scalars of one field is `field_arith`."""
 
     __slots__ = ()
+
+    def __add__(self, other):
+        return field_arith(self, other, "add")
+
+    def __sub__(self, other):
+        return field_arith(self, other, "sub")
+
+    def __mul__(self, other):
+        return field_arith(self, other, "mul")
+
+    def __truediv__(self, other):
+        return field_arith(self, other, "div")
 
 
 class PadicScalar(Scalar):
@@ -308,18 +320,6 @@ class PadicScalar(Scalar):
             f"+O({self.descriptor.prime}^{self.prec}))"
         )
 
-    def __add__(self, other):
-        return field_arith(self, other, "add")
-
-    def __sub__(self, other):
-        return field_arith(self, other, "sub")
-
-    def __mul__(self, other):
-        return field_arith(self, other, "mul")
-
-    def __truediv__(self, other):
-        return field_arith(self, other, "div")
-
     def __neg__(self):
         if self.val is None:
             return self
@@ -352,18 +352,6 @@ class RealScalar(Scalar):
 
     def __repr__(self):
         return f"Real({self.value!r})"
-
-    def __add__(self, other):
-        return field_arith(self, other, "add")
-
-    def __sub__(self, other):
-        return field_arith(self, other, "sub")
-
-    def __mul__(self, other):
-        return field_arith(self, other, "mul")
-
-    def __truediv__(self, other):
-        return field_arith(self, other, "div")
 
     def __neg__(self):
         return RealScalar(self.descriptor, -self.value)

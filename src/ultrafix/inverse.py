@@ -198,18 +198,14 @@ def local_invert(
     sub = _solve_ball(cert, base, radius)
     cs = tuple(Fraction(v) for v in c)
     _check_length("target", cs, sub.dim)
-    f_base = eval_map(f.without_domain(), sub.center_exact)
-    margin = rat_vec_norm(
-        rat_mat_vec(cert.A_inv, tuple(t - v for t, v in zip(cs, f_base))),
-        cert.descriptor,
-    )
+    problem = ContractionProblem(inversion_step_map(cert, f, cs), sub, cert.theta, sub.center_exact)
+    # |g(base) - base| = |A^-1 (c - f(base))|: the pulled-back target distance
+    margin = problem.initial_displacement()
     allowed = sub.radius if cert.ultrametric else cert.alpha * sub.radius
     if margin > allowed:
         raise TargetOutsideGuarantee(
             f"pulled-back target distance {margin} exceeds the certified {allowed}"
         )
-    g = inversion_step_map(cert, f, cs)
-    problem = ContractionProblem(g, sub, cert.theta, sub.center_exact)
     if cert.ultrametric:
         return newton_fixed_point(problem, target_precision)
     return iterate_fixed_point(problem, target_precision).fixed_point

@@ -3,6 +3,10 @@
 Padic scalars encode as {"val": k, "digits": [d0, ...]}: digits of the known
 residue in base p, anchored at min(valuation, 0) with trailing zeros trimmed.
 Exact rationals travel as "num/den" strings; real values as JSON numbers.
+A JSON decimal is read as the double it parses to, so a radius 0.2 is
+3602879701896397/18014398509481984, not 1/5 (over Q5 not a radius at
+all); a string, a decimal one included, and a --tol are read exactly:
+write "1/5".
 Certificate constants are exact strings on the padic side and decimals on the
 real side, each real bound on its safe side (`ROUNDING`).
 """

@@ -3,39 +3,33 @@
 Everything is max-norm based: the operator norm is the max entry absolute
 value in the ultrametric case and the max row sum in the real case, both in
 closed form.  Over field scalars there is one Gauss-Jordan elimination, on
-[A | I], forming no determinant; `modular_solve` eliminates an integer
-system modulo p^width on unit pivots.
-Over Q_p the elimination runs on the entries' (val, unit, prec) triples,
-each row update one fused `a - f * b` kernel, and the `acc + a * x` fold of
-`Operator.apply` and `Operator.compose` is one fused `a + f * b` per step.
+[A | I], forming no determinant, and one `acc + a * x` fold behind
+`Operator.apply` and `Operator.compose`; both are written once over the
+scalars, whose arithmetic over Q_p is the field's kernels on their triples.
+`modular_solve` eliminates an integer system modulo p^width on unit pivots.
 Rational twins of the matrix routines (suffix ``rat_``) are exact (the
-inverse eliminates in integers) and back the certificate computations.
+inverse eliminates in integers, the product A.v is `int_mat_vec`) and back
+the certificate computations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotAContraction, SchemaError, SingularMatrix
 from .field import (
-    _ZERO,
     FieldDescriptor,
     PadicScalar,
     RATIONAL_TYPES,
-    _padic_div,
-    _padic_embed,
-    _padic_mul,
     abs_upper_bound,
     embed_rational,
     field_abs,
     int_valuation,
-    padic_dot,
-    padic_scalar,
-    padic_sub_product,
     rational_abs,
     rational_valuation,
     unit_inverse,
@@ -78,10 +72,7 @@ class Vector:
 
 def field_dot(desc: FieldDescriptor, row, column):
     """The fold acc + a * x from zero over a row and a column of scalars of
-    desc; over Q_p it is one `padic_dot` on their triples, bit for bit the
-    same.  An empty row gives zero."""
-    if desc.ultrametric:
-        return padic_scalar(desc, padic_dot(desc, [a.raw for a in row], [x.raw for x in column]))
+    desc.  An empty row gives zero."""
     acc = desc.zero()
     for a, x in zip(row, column):
         acc = acc + a * x
@@ -194,62 +185,32 @@ def invert_exact(A: Operator) -> Operator:
     Q_p, of least valuation); a column whose largest entry is zero at
     tracked precision raises SingularMatrix.  Once column col is the pivot
     column, no later step reads columns up to col, so only the entries right
-    of it are updated.  Over Q_p the elimination runs on the entries'
-    triples, and the pivot row is scaled by one inverse r = 1/piv: a * r
-    and a / piv agree in valuation, digits and precision, since r keeps all
-    of piv's digits; and each row update a - factor * b is one
-    `padic_sub_product`.  Real rows are divided, as a * (1/piv) would round
-    differently, and updated by `a - factor * b`.
+    of it are updated: the pivot row is divided by the pivot, and each other
+    row updated by `a - factor * b`.
     """
     n, m = A.shape
     if n != m:
         raise DimensionMismatch("only square operators invert")
     desc = A.descriptor
-    ultra = desc.ultrametric
-    if ultra:
-        one, zero = _padic_embed(desc, 1, 1), _ZERO
-        rows = [[a.raw for a in row] for row in A.entries]
-    else:
-        one, zero = desc.one(), desc.zero()
-        rows = [list(row) for row in A.entries]
-    work = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(rows)]
+    one, zero = desc.one(), desc.zero()
+    work = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(A.entries)]
     for col in range(n):
-        if ultra:
-            pivot_row = min(range(col, n), key=lambda r: _pivot_valuation(work[r][col]))
-            singular = work[pivot_row][col][0] is None
-        else:
-            pivot_row = max(range(col, n), key=lambda r: field_abs(work[r][col]))
-            singular = work[pivot_row][col].is_zero()
-        if singular:
+        pivot_row = max(range(col, n), key=lambda r: field_abs(work[r][col]))
+        if work[pivot_row][col].is_zero():
             raise SingularMatrix(f"no nonzero pivot in column {col} at tracked precision")
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
         piv = work[col][col]
-        if ultra:
-            r = _padic_div(desc, one, piv)
-            top = [_padic_mul(desc, a, r) for a in work[col][col + 1:]]
-        else:
-            top = [a / piv for a in work[col][col + 1:]]
+        top = [a / piv for a in work[col][col + 1:]]
         work[col][col + 1:] = top
         for i in range(n):
             if i == col:
                 continue
             row = work[i]
             factor = row[col]
-            if ultra:
-                if factor[0] is not None:
-                    row[col + 1:] = [padic_sub_product(desc, a, factor, b) for a, b in zip(row[col + 1:], top)]
-            elif not factor.is_zero():
+            if not factor.is_zero():
                 row[col + 1:] = [a - factor * b for a, b in zip(row[col + 1:], top)]
-    if ultra:
-        return Operator(tuple(tuple(padic_scalar(desc, a) for a in row[n:]) for row in work))
     return Operator(tuple(tuple(row[n:]) for row in work))
-
-
-def _pivot_valuation(a: tuple):
-    """Rank of a pivot candidate's triple: its valuation, infinite at
-    tracked zero."""
-    return math.inf if a[0] is None else a[0]
 
 
 def modular_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], p: int, width: int) -> list[int]:
@@ -392,22 +353,9 @@ def rat_identity(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def rat_mat_vec(rows: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:
-    """A.v over the rationals, in integers: with v = n/V over the lcm V of
-    its denominators and row i = r/R_i over the lcm of its own, entry i is
-    sum(r * n) / (R_i * V), one Fraction.  An entry that is not an int or a
-    Fraction is read through Fraction first."""
-    v = _exact(v)
-    V = math.lcm(*(x.denominator for x in v))
-    nums = [x.numerator * (V // x.denominator) for x in v]
-    out = []
-    for row in rows:
-        row = _exact(row)
-        R = math.lcm(*(a.denominator for a in row))
-        total = 0
-        for a, n in zip(row, nums):
-            total += a.numerator * (R // a.denominator) * n
-        out.append(Fraction(total, R * V))
-    return tuple(out)
+    """A.v over the rationals, the Fraction view of `int_mat_vec`.  An entry
+    that is not an int or a Fraction is read through Fraction first."""
+    return int_vector_fractions(int_mat_vec(int_matrix(rows), int_vector(_exact(v))))
 
 
 def _exact(values: Sequence) -> list:
@@ -564,7 +512,6 @@ class Ball:
     center_exact: tuple
     radius: Fraction
     closed: bool = True
-    _center_cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -576,20 +523,14 @@ class Ball:
                 f"radius {self.radius} not attainable in this value group"
             )
 
-    @property
+    @cached_property
     def center(self) -> Vector:
-        key = "v"
-        if key not in self._center_cache:
-            self._center_cache[key] = Vector.from_rationals(self.center_exact, self.descriptor)
-        return self._center_cache[key]
+        return Vector.from_rationals(self.center_exact, self.descriptor)
 
-    @property
+    @cached_property
     def _radius_exponent(self) -> int:
         """k with radius p^-k, for a p-adic ball."""
-        key = "k"
-        if key not in self._center_cache:
-            self._center_cache[key] = -rational_valuation(self.radius, self.descriptor.prime)
-        return self._center_cache[key]
+        return -rational_valuation(self.radius, self.descriptor.prime)
 
     @property
     def dim(self) -> int:

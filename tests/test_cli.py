@@ -544,6 +544,58 @@ def test_cli_padic_target_finer_than_the_answer_digits_is_not_refused():
     assert payload["result"]["solution"] == [{"digits": [0, 1, 4, 1], "val": 0}]
 
 
+CLOSED_FIFTH = {"center": ["0"], "radius": "1/5", "closed": True}
+
+
+@pytest.mark.parametrize("field, geometry, code, kind, detail", [
+    ("q5n4", {"ball": CLOSED_FIFTH, "target": ["5"]}, 0, None, [{"digits": [0, 1, 4, 1], "val": 0}]),
+    ("q5n4", {"ball": CLOSED_FIFTH, "target": ["1"]}, 1, "TargetOutsideGuarantee",
+     "pulled-back target distance 1 exceeds the certified 1/5"),
+    ("q5n4", {"ball": {**CLOSED_FIFTH, "closed": False}, "target": ["5"]}, 1, "NotAdmissible",
+     "d(f(x0), x0) = 1/5 exceeds the admissible displacement for radius 1/5"),
+    ("real", {"ball": CLOSED_FIFTH, "target": ["4/25"]}, 1, "TargetOutsideGuarantee",
+     "pulled-back target distance 4/25 exceeds the certified 3/25"),
+    ("real", {"ball": CLOSED_FIFTH, "target": ["1/5"]}, 1, "TargetOutsideGuarantee",
+     "pulled-back target distance 1/5 exceeds the certified 3/25"),
+    ("q5n4", {"ball": CLOSED_FIFTH, "base": ["0"], "radius": "1/25", "target": ["25"]}, 0, None,
+     [{"digits": [0, 0, 1], "val": 0}]),
+], ids=["q5-answers", "q5-outside", "q5-open-ball", "real-outside", "real-radius", "q5-sub-ball"])
+def test_cli_invert_refuses_targets_outside_its_guarantee(field, geometry, code, kind, detail):
+    # x + x^2: |A^-1 (c - f(base))| must be within s over Q_p and alpha s =
+    # 3/25 over the reals; an open ball of radius s also refuses d0 = s
+    args = ["invert", "--map", str(FIXTURES / "maps/plus_square.json"),
+            "--field", str(FIXTURES / f"fields/{field}.json"), "--geometry", json.dumps(geometry)]
+    got, payload = run_in_process(args)
+    assert got == code
+    if code == 0:
+        assert payload["result"]["solution"] == detail
+        return
+    error = payload["error"]
+    assert (error["kind"], error["message"]) == (kind, detail)
+    if kind == "NotAdmissible":
+        assert error["d0"] == "1/5"
+
+
+def test_cli_json_decimal_is_its_double_and_a_string_decimal_is_exact():
+    # "radius": 0.2 is the double nearest 1/5, no power of 5; "0.2" and
+    # --tol 0.2 are 1/5 exactly
+    args = CASES["invert_golden"][:]
+    at = args.index("--geometry") + 1
+    geometry = json.loads(Path(args[at]).read_text())
+
+    def with_radius(radius):
+        args[at] = json.dumps({**geometry, "ball": {**geometry["ball"], "radius": radius}})
+        return run_in_process(args)
+
+    code, payload = with_radius(0.2)
+    assert code == 2 and Fraction(0.2) == Fraction(3602879701896397, 18014398509481984)
+    assert (payload["error"]["kind"], payload["error"]["message"]) == (
+        "SchemaError", "radius 3602879701896397/18014398509481984 not attainable in this value group")
+    assert with_radius("0.2") == (0, json.loads((GOLDEN / "invert_golden.json").read_text()))
+    decimal, exact = (run_in_process([*CASES["fixpoint_golden"], "--tol", tol]) for tol in ("0.2", "1/5"))
+    assert decimal == exact and decimal[0] == 0
+
+
 def test_cli_not_certifiable_past_the_int_to_str_limit_exits_1():
     # sigma = 5^10000 has 6 990 digits; its message and details printed it by str()
     geometry = {"ball": {"center": ["0/1"], "radius": f"{5**5000}/1"}}

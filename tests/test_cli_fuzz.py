@@ -13,7 +13,8 @@ within BIG_SECONDS, as precision, --samples, the monomial degree and the
 step list of a `fixpoint` report have budgets (field.PRECISION_BUDGET_BITS,
 calculus.SAMPLE_BUDGET, calculus.DEGREE_BUDGET, jsonio.REPORT_BUDGET).
 A fourth is exhaustive, not seeded: each of NaN, +-Infinity, "false",
-"true", 0, 1 and null at every leaf of every fixture request.
+"true", 0, 1, null, [], [1], {} and {"a": 1} at every leaf of every fixture
+request and at each optional geometry key its command reads.
 """
 
 import copy
@@ -236,13 +237,23 @@ def test_large_junk_requests_exit_0_1_or_2_with_json_in_time():
     assert min(codes.values()) >= 10, codes
 
 
-# json.loads reads NaN and Infinity as floats no Fraction holds, and a flag
-# such as "closed" must not read the string "false" as true.
-LEAF_VALUES = (math.nan, math.inf, -math.inf, "false", "true", 0, 1, None)
+# json.loads reads NaN and Infinity as floats no Fraction holds, a flag
+# such as "closed" must not read the string "false" as true, and a list or
+# an object must not reach a test that needs a hashable value.
+LEAF_VALUES = (math.nan, math.inf, -math.inf, "false", "true", 0, 1, None, [], [1], {}, {"a": 1})
+# the geometry keys each command reads that its fixture request leaves out
+OPTIONAL_KEYS = {
+    "invert": ("A", "base", "radius"),
+    "certify": ("A",),
+    "fixpoint": ("theta",),
+    "implicit": ("z0", "exact_image"),
+    "check": ("mutation",),
+}
 
 
-def test_every_leaf_takes_non_finite_numbers_strings_of_flags_and_null():
-    codes = {0: 0, 1: 0, 2: 0}
+def _leaf_requests():
+    """(command, payloads) with one value of LEAF_VALUES at one leaf of a
+    fixture request, or at one of its command's OPTIONAL_KEYS."""
     for command in sorted(REQUESTS):
         for flag, payload in _payloads(command).items():
             for place in _leaves(payload):
@@ -252,12 +263,23 @@ def test_every_leaf_takes_non_finite_numbers_strings_of_flags_and_null():
                     for key in place[:-1]:
                         parent = parent[key]
                     parent[place[-1]] = value
-                    argv = _argv(command, payloads)
-                    out = io.StringIO()
-                    code = cli.run(argv, stream=out)
-                    assert code in codes, argv
-                    result = json.loads(out.getvalue())
-                    if code:
-                        assert result["error"]["kind"], argv
-                    codes[code] += 1
+                    yield command, payloads
+        for key in OPTIONAL_KEYS[command]:
+            for value in LEAF_VALUES:
+                payloads = _payloads(command)
+                payloads.setdefault("--geometry", {})[key] = value
+                yield command, payloads
+
+
+def test_every_leaf_takes_non_finite_numbers_strings_of_flags_and_null():
+    codes = {0: 0, 1: 0, 2: 0}
+    for command, payloads in _leaf_requests():
+        argv = _argv(command, payloads)
+        out = io.StringIO()
+        code = cli.run(argv, stream=out)
+        assert code in codes, argv
+        result = json.loads(out.getvalue())
+        if code:
+            assert result["error"]["kind"], argv
+        codes[code] += 1
     assert min(codes.values()) >= 10, codes

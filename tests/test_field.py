@@ -20,7 +20,7 @@ from functools import reduce
 from ultrafix import contraction, field
 from ultrafix.errors import SingularMatrix
 from ultrafix.linalg import Ball, Operator, Vector, vec_norm
-from ultrafix.linalg import _pivot_valuation, invert_exact
+from ultrafix.linalg import invert_exact
 
 
 # The n-ary sum that was the package's addition rule, kept verbatim: the
@@ -639,18 +639,6 @@ def test_one_inverse_per_pivot_matches_the_dividing_elimination():
     assert sizes == {1, 2, 3, 4}
     assert min(outcomes.values()) >= 100, outcomes
     assert min(kinds.values()) >= 50, kinds
-
-
-def test_one_inverse_per_pivot_takes_one_unit_inverse_per_column(monkeypatch):
-    desc = FieldDescriptor.padic(5, 8)
-    calls = []
-    monkeypatch.setattr(field, "unit_inverse", lambda u, p, k: calls.append(k) or pow(u, -1, p**k))
-    A = Operator.from_rationals(((2, 1), (1, 3)), desc)
-    invert_exact(A)
-    assert len(calls) == 2
-    calls.clear()
-    _dividing_gauss_jordan(A)
-    assert len(calls) == 6  # one per divided entry with digits: 3 per pivot row
 
 
 def _fraction_contains_tracked(ball, v):
