@@ -27,6 +27,7 @@ from .field import (
     _padic_div,
     _padic_embed,
     _padic_mul,
+    _rational,
     embed_rational,
     int_valuation,
     padic_divided_difference,
@@ -56,13 +57,6 @@ from .linalg import (
 
 Monomial = tuple[tuple[int, ...], Fraction]
 Term = tuple[int, tuple[int, ...]]
-
-
-def _rational(value, what: str) -> Fraction:
-    try:
-        return value if type(value) is Fraction else Fraction(value)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise SchemaError(f"{what} {value!r} is not a finite rational") from None
 
 
 def _exponent(value) -> int:
@@ -960,9 +954,10 @@ class _PadicSamples:
     """The values of one sample of the identity suite over Q_p, as the
     triples (val, unit, prec) that a PadicScalar holds, with the arithmetic
     and the evaluator of _ExactSamples: each operation is one kernel of
-    `field` (x + t*y one `padic_sub_product` per coordinate, (u - v)/t one
-    `padic_divided_difference`), and PadicScalars are formed only by
-    `show`, for a report or a domain check.
+    `field` (x + t*y one `padic_sub_product` per coordinate, u - v one
+    `_padic_add` per coordinate, and (u - v)/t one `padic_divided_difference`,
+    the same subtraction divided with one unit inverse of t), and
+    PadicScalars are formed only by `show`, for a report or a domain check.
 
     A point's key is its tuple of triples, which decides its evaluation.
     """
@@ -1025,7 +1020,7 @@ class _PadicSamples:
 
     def add_scaled(self, x, y, t):
         desc = self.descriptor
-        return tuple(padic_sub_product(desc, a, t, b, False) for a, b in zip(x, y))
+        return tuple(padic_sub_product(desc, a, t, b) for a, b in zip(x, y))
 
     def divided_difference(self, u, v, t):
         return padic_divided_difference(self.descriptor, u, v, t)

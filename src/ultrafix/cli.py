@@ -22,9 +22,6 @@ from .implicit import build_window, solve_implicit
 from .inverse import certify, local_invert
 from .jsonio import SCHEMA_VERSION, parse_ball, parse_field, parse_flag, parse_map, parse_rational
 
-COMMANDS = ("invert", "implicit", "fixpoint", "certify", "check")
-
-
 def _load_json(text_or_path: str, what: str):
     if text_or_path.lstrip().startswith(("{", "[")):
         payload = text_or_path
@@ -171,13 +168,14 @@ def _cmd_check(args, field, fmap, geo):
     return {"reports": reports}
 
 
-_HANDLERS = {
-    "certify": _cmd_certify,
-    "invert": _cmd_invert,
-    "fixpoint": _cmd_fixpoint,
-    "implicit": _cmd_implicit,
-    "check": _cmd_check,
+_COMMAND_TABLE = {
+    "invert": (_cmd_invert, "solve f(v) = target inside a certified ball"),
+    "implicit": (_cmd_implicit, "build a parameter window and solve f(p, x) = z0"),
+    "fixpoint": (_cmd_fixpoint, "iterate a contraction to its fixed point with bounds"),
+    "certify": (_cmd_certify, "compute an inversion certificate for a map on a ball"),
+    "check": (_cmd_check, "run the difference-quotient identity suites"),
 }
+"""Each command's handler and help line, in the order `--help` lists them."""
 
 
 @functools.cache
@@ -188,16 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified inversion, implicit-function and fixed-point "
         "solving over valued fields.",
     )
-    descriptions = {
-        "invert": "solve f(v) = target inside a certified ball",
-        "implicit": "build a parameter window and solve f(p, x) = z0",
-        "fixpoint": "iterate a contraction to its fixed point with bounds",
-        "certify": "compute an inversion certificate for a map on a ball",
-        "check": "run the difference-quotient identity suites",
-    }
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, help=descriptions[name])
+    for name, (_, help_line) in _COMMAND_TABLE.items():
+        cmd = sub.add_parser(name, help=help_line)
         cmd.add_argument("--map", required=True, help="map JSON (file or inline)")
         cmd.add_argument(
             "--field",
@@ -220,7 +211,7 @@ def run(argv=None, stream=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        result = _HANDLERS[args.command](args, *_load_request(args))
+        result = _COMMAND_TABLE[args.command][0](args, *_load_request(args))
     except UltrafixError as exc:
         _emit(
             {

@@ -74,6 +74,7 @@ from .errors import (
 from .field import (
     FieldDescriptor,
     _padic_make,
+    _rational,
     floor_log,
     int_floor_log,
     int_valuation,
@@ -105,8 +106,8 @@ class ContractionProblem:
     x0: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", Fraction(self.theta))
-        object.__setattr__(self, "x0", tuple(Fraction(v) for v in self.x0))
+        object.__setattr__(self, "theta", _rational(self.theta, "theta"))
+        object.__setattr__(self, "x0", tuple(_rational(v, "x0") for v in self.x0))
         if self.f.domain_dim != self.f.codomain_dim:
             raise DimensionMismatch("fixed points need a self-map candidate")
         if self.domain.dim != self.f.domain_dim:
@@ -771,10 +772,11 @@ def _padic_solve(problem: ContractionProblem, target_precision, report: bool = F
             _check_step(k, valuation_abs(p, v - s), valuation_abs(p, e_k))
         xs = ys
         carried, known = widths
-        orbit.append(xs)
-        sizes.append(v)
         k += 1
-        if newton:
+        if report:
+            orbit.append(xs)
+            sizes.append(v)
+        else:
             floor = max(0, min(pass_width, 2 * v) - guard)
             if floor >= min(carried, max(reach, depth)):
                 # the floor proves what a measured residual would, so no
@@ -822,33 +824,25 @@ def uniform_family_check(f: MapSpec, p_ball: Ball, u_ball: Ball) -> Fraction:
     return telescoped_lipschitz(f, sups, range(mp, mp + mu), p_ball.descriptor)
 
 
-def _joint_point(f: MapSpec, p, x_p: Vector) -> tuple:
-    """The components of (p, x_p); p may be a Vector or rationals."""
-    desc = x_p.descriptor
-    p_comps = (
-        p.components
-        if isinstance(p, Vector)
-        else Vector.from_rationals(tuple(p), desc).components
-    )
-    if f.domain_dim != len(p_comps) + x_p.dim:
+def _tracked_parts(f: MapSpec, p, x_p: Vector) -> tuple[Vector, Operator, Operator]:
+    """(f, d_p f, d_x f) at (p, x_p), the joint point embedded once in the
+    field; p may be a Vector or rationals."""
+    if not isinstance(p, Vector):
+        p = Vector.from_rationals(tuple(p), x_p.descriptor)
+    mp = p.dim
+    if f.domain_dim != mp + x_p.dim:
         raise DimensionMismatch("map does not split as parameter x state")
-    return p_comps + x_p.components
-
-
-def partial_jacobians(f: MapSpec, p, x_p: Vector) -> tuple[Operator, Operator]:
-    """(d_p f, d_x f) at (p, x_p), evaluated in the field."""
-    rows = jacobian(f, _joint_point(f, p, x_p)).entries
-    mp = f.domain_dim - x_p.dim
+    point = Vector(p.components + x_p.components)
+    rows = jacobian(f, point).entries
     beta1 = Operator(tuple(row[:mp] for row in rows))
     beta2 = Operator(tuple(row[mp:] for row in rows))
-    return beta1, beta2
+    return eval_map(f, point), beta1, beta2
 
 
 def fixed_point_derivative(f: MapSpec, p, x_p: Vector) -> Operator:
     """Derivative of the fixed point with respect to the parameter:
     (id - d_x f)^{-1} composed with d_p f at (p, x_p)."""
-    beta1, beta2 = partial_jacobians(f, p, x_p)
-    value = eval_map(f, Vector(_joint_point(f, p, x_p)))
+    value, beta1, beta2 = _tracked_parts(f, p, x_p)
     residual = value - x_p
     if not residual.is_zero():
         raise NotAFixedPoint(f"residual norm {num_str(vec_norm(residual))} at tracked precision")

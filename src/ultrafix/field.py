@@ -15,11 +15,10 @@ binary kernel, `_padic_add`, which adds or subtracts the shifted units as
 one residue.  A polynomial output is evaluated by `padic_polynomial` in two
 integer passes over its monomials: the first finds where the sum is known,
 the second adds the unit products as one residue modulo the power of p that
-reaches it.  `a - f * b` and `a + f * b` are one signed kernel as well,
-`padic_sub_product`: one residue, bit for bit the product followed by the
-difference or the sum (x + t*y, a step of `padic_dot`).
-`padic_divided_difference` forms (u - v)/t over two vectors with one unit
-inverse of t, bit for bit the subtraction followed by the division.  Each
+reaches it.  `a + f * b` is one kernel as well, `padic_sub_product`: one
+residue, bit for bit the product followed by the sum (x + t*y, a step of
+`padic_dot`).  `padic_divided_difference` forms each u - v with `_padic_add`
+and divides the vector by t with one unit inverse of t.  Each
 kernel that already holds p^digits hands it to the invariant check.  The
 real backend is plain IEEE doubles with a global comparison tolerance;
 exactness on the real side lives in the rational helpers (`rational_abs`)
@@ -152,6 +151,15 @@ def frac_str(q) -> str:
 def num_str(x) -> str:
     """A number for an error message: exact rationals of any size by frac_str."""
     return frac_str(x) if isinstance(x, Fraction) else str(x)
+
+
+def _rational(value, what: str) -> Fraction:
+    """value as a Fraction; SchemaError for anything that is not a finite
+    rational (inf, nan, "1/0", None, a word)."""
+    try:
+        return value if type(value) is Fraction else Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise SchemaError(f"{what} {value!r} is not a finite rational") from None
 
 
 RATIONAL_TYPES = frozenset((int, Fraction))
@@ -476,11 +484,10 @@ def _padic_add(desc, a, b, subtract: bool = False) -> tuple:
     return _padic_make(desc, base, r, m)
 
 
-def padic_sub_product(desc, a, f, b, subtract: bool = True) -> tuple:
-    """a - f * b, or a + f * b when not `subtract`, as one residue: bit for
-    bit `_padic_mul(desc, f, b)` followed by `_padic_add(desc, a, ...,
-    subtract)`.  The row update of an elimination subtracts; x + t*y and
-    each step of a dot product add.
+def padic_sub_product(desc, a, f, b) -> tuple:
+    """a + f * b as one residue: bit for bit `_padic_mul(desc, f, b)`
+    followed by `_padic_add(desc, a, ...)`, x + t*y or a step of a dot
+    product.
 
     The product q is the exact zero when a factor is, the bounded zero
     O(p^(ef + eb)) when a factor is a bounded zero (e a factor's val, or its
@@ -502,12 +509,11 @@ def padic_sub_product(desc, a, f, b, subtract: bool = True) -> tuple:
         fd, bd = fp - fv, bp - bv
         qprec = qval + (fd if fd < bd else bd)
     av, au, ap = a
-    if ap is None:  # -q or q
+    if ap is None:  # q
         if qval is None:
             return None, 0, qprec
         mod = p ** (qprec - qval)
-        q = fu * bu
-        return _checked(desc, qval, (-q if subtract else q) % mod, qprec, mod)
+        return _checked(desc, qval, fu * bu % mod, qprec, mod)
     m = ap if ap < qprec else qprec
     low = ap if av is None else av
     base = qprec if qval is None else qval
@@ -517,8 +523,7 @@ def padic_sub_product(desc, a, f, b, subtract: bool = True) -> tuple:
     if av is not None:
         r = au if av == base else au * p ** (av - base)
     if qval is not None:
-        q = fu * bu if qval == base else fu * bu * p ** (qval - base)
-        r = r - q if subtract else r + q
+        r += fu * bu if qval == base else fu * bu * p ** (qval - base)
     return _padic_make(desc, base, r, m)
 
 
@@ -527,7 +532,7 @@ def padic_dot(desc, row, column) -> tuple:
     triples, one `padic_sub_product` per step."""
     acc = _ZERO
     for a, x in zip(row, column):
-        acc = padic_sub_product(desc, acc, a, x, False)
+        acc = padic_sub_product(desc, acc, a, x)
     return acc
 
 
@@ -646,57 +651,31 @@ def _padic_div(desc, a, b) -> tuple:
 
 def padic_divided_difference(desc, us, vs, t) -> tuple:
     """(u - v)/t per coordinate of the triple vectors us and vs, bit for bit
-    `_padic_add(desc, u, v, subtract=True)` followed by `_padic_div(desc,
-    ..., t)`, with one unit inverse of t per vector.
+    `_padic_add(desc, u, v, True)` followed by `_padic_div(desc, ..., t)`,
+    with one unit inverse of t per vector.
 
     The divisor is checked first, as each division would.  Its unit is
     inverted mod p^(t's digit count); each quotient keeps the lesser digit
     count k of u - v and t, and an inverse mod a power of p is one mod every
     lower power, so reducing it mod p^k gives the digits `_padic_div` gives.
-    u - v is the residue `_padic_add` forms, at its least valuation base
-    modulo p^(m - base), m the lesser precision; it is not normalised as a
-    triple, only its valuation is stripped.
     """
     tval, tunit, tprec = _divisor(desc, t)
     p = desc.prime
     tdigits = tprec - tval
     inverse = unit_inverse(tunit, p, tdigits)
     out = []
-    for (uv, uu, up), (vv, vu, vp) in zip(us, vs):
-        if vp is None:
-            if up is None:  # 0/t
-                out.append(_ZERO)
-                continue
-            val, unit, prec = uv, uu, up
-        elif up is None:  # -v; its unit is reduced with the quotient's
-            val, unit, prec = vv, -vu, vp
-        else:
-            prec = up if up < vp else vp
-            low = up if uv is None else uv
-            base = vp if vv is None else vv
-            if low < base:
-                base = low
-            r = 0
-            if uv is not None:
-                r = uu * p ** (uv - base)
-            if vv is not None:
-                r -= vu * p ** (vv - base)
-            r %= p ** (prec - base)
-            if r == 0:
-                val = None
-            elif r % p:
-                val, unit = base, r
-            else:
-                shift = int_valuation(r, p)
-                val, unit = base + shift, r // p**shift
-        if val is None:
+    for u, v in zip(us, vs):
+        val, unit, prec = d = _padic_add(desc, u, v, True)
+        if prec is None:  # 0/t
+            out.append(d)
+        elif val is None:
             out.append((None, 0, prec - tval))
-            continue
-        k = prec - val
-        if tdigits < k:
-            k = tdigits
-        mod = p**k
-        out.append(_checked(desc, val - tval, unit * inverse % mod, val - tval + k, mod))
+        else:
+            k = prec - val
+            if tdigits < k:
+                k = tdigits
+            mod = p**k
+            out.append(_checked(desc, val - tval, unit * inverse % mod, val - tval + k, mod))
     return tuple(out)
 
 

@@ -25,9 +25,9 @@ from .calculus import (
 )
 from .contraction import (
     ContractionProblem,
+    _tracked_parts,
     iterate_fixed_point,
     newton_fixed_point,
-    partial_jacobians,
     uniform_family_check,
 )
 from .errors import (
@@ -40,7 +40,7 @@ from .errors import (
     SingularMatrix,
     WindowNotFound,
 )
-from .field import FieldDescriptor, floor_log, num_str
+from .field import FieldDescriptor, _rational, floor_log, num_str
 from .inverse import ImageDescription, InversionCertificate, inversion_step_map
 from .linalg import (
     Ball,
@@ -85,8 +85,8 @@ def _as_rationals(point, what: str) -> tuple[Fraction, ...]:
     if isinstance(point, Vector):
         return point.to_rationals()
     try:
-        return tuple(Fraction(v) for v in point)
-    except (TypeError, ValueError) as exc:
+        return tuple(_rational(v, what) for v in point)
+    except TypeError as exc:  # not a sequence
         raise SchemaError(f"{what} must be rational coordinates") from exc
 
 
@@ -236,16 +236,13 @@ def solve_implicit(
         lam = iterate_fixed_point(problem, target_precision).fixed_point
 
     desc = window.descriptor
-    beta1, beta2 = partial_jacobians(f, p, lam)
+    value, beta1, beta2 = _tracked_parts(f, p, lam)
     try:
         state_inv = invert_exact(beta2)
     except SingularMatrix as exc:
         raise SingularA(f"state Jacobian singular at the solution: {exc}") from exc
     derivative = -state_inv.compose(beta1)
 
-    value = eval_map(
-        f, Vector(Vector.from_rationals(p, desc).components + lam.components)
-    )
     residual_vec = value - Vector.from_rationals(z0, desc)
     residual = vec_norm(residual_vec)
     # the solution is truncated to its certified digits, so a p-adic

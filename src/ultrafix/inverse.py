@@ -34,7 +34,7 @@ from .errors import (
     SingularMatrix,
     TargetOutsideGuarantee,
 )
-from .field import FieldDescriptor
+from .field import FieldDescriptor, _rational
 from .linalg import (
     Ball,
     Operator,
@@ -148,7 +148,7 @@ def certify(
     elif isinstance(A, Operator):
         rows = A.to_rationals()
     else:
-        rows = tuple(tuple(Fraction(v) for v in r) for r in A)
+        rows = tuple(tuple(_rational(v, "A entry") for v in r) for r in A)
     inv_rows = InversionCertificate.anchor_inverse(rows)
     sigma = strictness_modulus(f, rows, ball)
     return InversionCertificate.from_anchor(rows, inv_rows, sigma, ball)
@@ -196,7 +196,7 @@ def local_invert(
     side.  base/radius default to the certificate's ball.
     """
     sub = _solve_ball(cert, base, radius)
-    cs = tuple(Fraction(v) for v in c)
+    cs = tuple(_rational(v, "target") for v in c)
     _check_length("target", cs, sub.dim)
     problem = ContractionProblem(inversion_step_map(cert, f, cs), sub, cert.theta, sub.center_exact)
     # |g(base) - base| = |A^-1 (c - f(base))|: the pulled-back target distance

@@ -87,12 +87,7 @@ def encode_scalar(s: Scalar):
     if s.val is None:
         return {"val": s.prec, "digits": []}
     anchor = min(s.val, 0)
-    p = s.descriptor.prime
-    residue = s.unit * p ** (s.val - anchor)
-    digits = []
-    for _ in range(s.prec - anchor):
-        residue, d = divmod(residue, p)
-        digits.append(d)
+    digits = [0] * (s.val - anchor) + s.digit_list()
     while digits and digits[-1] == 0:
         digits.pop()
     return {"val": anchor, "digits": digits}

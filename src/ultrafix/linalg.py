@@ -26,6 +26,7 @@ from .field import (
     FieldDescriptor,
     PadicScalar,
     RATIONAL_TYPES,
+    _rational,
     abs_upper_bound,
     embed_rational,
     field_abs,
@@ -515,9 +516,9 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "center_exact", tuple(Fraction(c) for c in self.center_exact)
+            self, "center_exact", tuple(_rational(c, "center") for c in self.center_exact)
         )
-        object.__setattr__(self, "radius", Fraction(self.radius))
+        object.__setattr__(self, "radius", _rational(self.radius, "radius"))
         if not self.descriptor.valid_radius(self.radius):
             raise SchemaError(
                 f"radius {self.radius} not attainable in this value group"

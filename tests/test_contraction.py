@@ -45,7 +45,7 @@ from ultrafix.contraction import (
     default_target_precision,
     newton_fixed_point,
 )
-from ultrafix.errors import NewtonFloorBroken, PrecisionExhausted, SingularMatrix
+from ultrafix.errors import DimensionMismatch, NewtonFloorBroken, PrecisionExhausted, SingularMatrix
 from ultrafix.field import (
     PadicScalar,
     _padic_make,
@@ -56,7 +56,6 @@ from ultrafix.field import (
     int_valuation,
     num_str,
     padic_scalar,
-    padic_sub_product,
     rational_valuation,
     unit_inverse,
     valuation_abs,
@@ -258,6 +257,13 @@ def test_fixed_point_derivative_rejects_non_fixed_point(real):
     f = poly(2, [(1, (1, 0)), (Fraction(1, 2), (0, 1))])
     with pytest.raises(NotAFixedPoint):
         fixed_point_derivative(f, (1,), Vector.from_rationals((5,), real))
+
+
+@pytest.mark.parametrize("p", [(1, 2), (1, 2, 3), Vector.from_rationals((1, 2), FieldDescriptor.real())])
+def test_fixed_point_derivative_refuses_a_parameter_of_the_wrong_length(real, p):
+    f = poly(2, [(1, (1, 0)), (Fraction(1, 2), (0, 1))])
+    with pytest.raises(DimensionMismatch, match="^map does not split as parameter x state$"):
+        fixed_point_derivative(f, p, Vector.from_rationals((2,), real))
 
 
 def test_derivative_matches_resolve_quotient(real):
@@ -1118,8 +1124,7 @@ def test_full_precision_step_keeps_only_the_digits_it_knows(seed):
 
 def _tracked_gauss_jordan(A, B):
     """The elimination of the tracked solve, verbatim (field scalars, [A | B])
-    but for the pivot rank and the row update, which read the scalars'
-    triples."""
+    but for the pivot rank, which reads the scalars' valuations."""
     desc = A.descriptor
     ultra = desc.ultrametric
     one = desc.one()
@@ -1148,11 +1153,7 @@ def _tracked_gauss_jordan(A, B):
             factor = row[col]
             if factor.is_zero():
                 continue
-            if ultra:
-                row[col + 1:] = [padic_scalar(desc, padic_sub_product(desc, a.raw, factor.raw, b.raw))
-                                 for a, b in zip(row[col + 1:], top)]
-            else:
-                row[col + 1:] = [a - factor * b for a, b in zip(row[col + 1:], top)]
+            row[col + 1:] = [a - factor * b for a, b in zip(row[col + 1:], top)]
     return [row[n:] for row in work]
 
 

@@ -11,9 +11,11 @@ from ultrafix import (
     FieldDescriptor,
     MapSpec,
     NotCertifiable,
+    SchemaError,
     SingularA,
     TargetOutsideGuarantee,
     ball_image,
+    build_window,
     certify,
     eval_map,
     iterate_fixed_point,
@@ -32,6 +34,26 @@ def poly(m, *outputs):
 
 
 PLUS_SQUARE = poly(1, [(1, (1,)), (1, (2,))])  # x + x^2
+
+
+_FIFTH = Fraction(1, 5)
+_NOT_RATIONALS = [float("inf"), float("-inf"), float("nan"), "1/0", "x", None]
+_RATIONAL_ENTRY_POINTS = {
+    "ball_center": lambda d, v: Ball(d, (v,), _FIFTH),
+    "ball_radius": lambda d, v: Ball(d, (0,), v),
+    "certify_A": lambda d, v: certify(PLUS_SQUARE, Ball(d, (0,), _FIFTH), [[v]]),
+    "invert_target": lambda d, v: local_invert(certify(PLUS_SQUARE, Ball(d, (0,), _FIFTH)), PLUS_SQUARE, (v,)),
+    "window_p0": lambda d, v: build_window(poly(2, [(1, (1, 0)), (1, (0, 1))]), (v,), (0,), d),
+    "problem_theta": lambda d, v: ContractionProblem(PLUS_SQUARE, Ball(d, (0,), _FIFTH), v, (0,)),
+    "problem_x0": lambda d, v: ContractionProblem(PLUS_SQUARE, Ball(d, (0,), _FIFTH), _FIFTH, (v,)),
+}
+
+
+@pytest.mark.parametrize("value", _NOT_RATIONALS, ids=repr)
+@pytest.mark.parametrize("entry", list(_RATIONAL_ENTRY_POINTS))
+def test_entry_points_refuse_what_is_not_a_finite_rational(q5, entry, value):
+    with pytest.raises(SchemaError, match=" is not a finite rational$"):
+        _RATIONAL_ENTRY_POINTS[entry](q5, value)
 
 
 def test_certify_padic_golden(q5):

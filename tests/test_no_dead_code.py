@@ -41,12 +41,12 @@ def test_every_definition_has_a_reference():
 
 
 def test_every_import_is_read():
-    """Each name a module imports appears again in that module, outside its
-    import statements; __init__ only re-exports, and `annotations` is a
-    compiler switch."""
+    """Each name a module of the package or of the tests imports appears
+    again in that module, outside its import statements; the package's
+    __init__ only re-exports, and `annotations` is a compiler switch."""
     unread = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        if path == PACKAGE / "__init__.py":
             continue
         source = path.read_text()
         lines = source.splitlines()
@@ -56,5 +56,5 @@ def test_every_import_is_read():
                 imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
                 lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
         words = Counter(re.findall(r"\w+", "\n".join(lines)))
-        unread += [f"{path.name}: {name}" for name in imported if name != "annotations" and not words[name]]
+        unread += [f"{path.relative_to(ROOT)}: {name}" for name in imported if name != "annotations" and not words[name]]
     assert unread == []
